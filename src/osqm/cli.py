@@ -18,6 +18,7 @@ from .config import ConfigError, ScenarioConfig, config_to_dict, parse_config
 from .dynamics import EvolutionUnstableError
 from .grid import ContainmentError
 from .io import write_csv, write_grid_dump, write_metadata
+from .oracle import NotPositiveError
 from .transitions import (ProjectionSchedule, TrajectoryEngine, run_ensemble,
                           worker_count)
 
@@ -133,8 +134,8 @@ def _run_regress(args) -> int:
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        report = [{"criterion": r.cid, "name": r.name, "passed": r.passed,
-                   "measured": {k: (v if not isinstance(v, float) else float(v))
+        report = [{"criterion": r.cid, "name": r.name, "passed": bool(r.passed),
+                   "measured": {k: (v.item() if isinstance(v, np.generic) else v)
                                 for k, v in r.measured.items()},
                    "seconds": round(r.seconds, 3)} for r in results]
         (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
@@ -191,7 +192,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EvolutionUnstableError, ContainmentError) as exc:
+    except (EvolutionUnstableError, ContainmentError, NotPositiveError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     return EXIT_OK

@@ -7,17 +7,30 @@ are one-axis twisted convolutions (cyclic or negacyclic by the parity of
 the conjugate frequency), which reproduces the dense-oracle evolution to
 machine precision in space.
 
-Time stepping: a static Hamiltonian of a single term is advanced by its
-exact exponential. Each factor's twisted convolution is diagonal after
-twisting the odd-parity columns and an FFT along its convolution axis, so
-the bracket of the term is diagonal with eigenvalues c (prod L - prod R)
-(after Cabrera, Bondar, Jacobs & Rabitz, PRA 92, 042122 (2015)). Every
-other Hamiltonian is stepped by classical RK4 with fixed dt.
+Time stepping has three paths:
 
-Both paths check that the state stays on the grid: the x- and p-marginal
+- A static Hamiltonian of one term is advanced by its exact exponential.
+  Each factor's twisted convolution is diagonal after twisting the
+  odd-parity columns and an FFT along its convolution axis, so the bracket
+  of the term is diagonal with eigenvalues c (prod L - prod R) (after
+  Cabrera, Bondar, Jacobs & Rabitz, PRA 92, 042122 (2015)). dt only sets
+  the snapshot times; verify_dt has nothing to check.
+- A static Hamiltonian of two or more terms takes 4th-order split steps:
+  Yoshida's triple jump (Phys. Lett. A 150, 262 (1990)) of Strang sweeps
+  over the terms' exact exponentials. The state stays in the frequency
+  domain between steps. verify_dt compares one step with two half steps,
+  which measures the local splitting error.
+- A Hamiltonian with a time-dependent coefficient is stepped by classical
+  RK4 with fixed dt. verify_dt makes the same step-halving comparison,
+  which catches steps beyond RK4's stability bound, and an L2-norm growth
+  check runs every steps // 20 steps.
+
+Every path checks that the state stays on the grid: the x- and p-marginal
 mass in the outer 2-cell shell must stay below PhaseGrid.check_containment's
 tolerance, else ContainmentError (the LvN state would otherwise wrap over
-the periodic edge unnoticed).
+the periodic edge unnoticed). The stepping paths check every steps // 20
+steps, the split and exact paths also the final state, the exact path
+every snapshot.
 """
 
 from __future__ import annotations
@@ -42,7 +55,7 @@ __all__ = [
 
 
 class EvolutionUnstableError(RuntimeError):
-    """RK4 step too large for the spectral radius of the generator."""
+    """Time step too large: step halving disagrees or the RK4 norm grows."""
 
 
 @dataclass(frozen=True)
@@ -171,7 +184,8 @@ class _FactorOp:
         shape[self.conv_axis] = shape[self.mask_axis] = self.n
         if self.conv_axis > self.mask_axis:
             table = table.T
-        return table.reshape(shape)
+        # C order: a transposed table would make every product with it strided
+        return np.ascontiguousarray(table).reshape(shape)
 
     def twist(self) -> np.ndarray:
         """mu along the conv axis on odd mask columns, 1 on even ones."""
@@ -245,29 +259,95 @@ class _TermExponential:
     """
 
     def __init__(self, grid: PhaseGrid, term: HamiltonianTerm):
-        self.factors = []
+        self.twists = []  # (conv axis, twist, conjugate twist) per factor
         lam_left = lam_right = 1.0
         for kind, dof, profile in term.factors:
             left = _FactorOp(grid, kind, dof, profile, mode="left")
             right = _FactorOp(grid, kind, dof, profile, mode="right")
-            self.factors.append(left)
+            twist = left.twist()
+            self.twists.append((left.conv_axis, twist, np.conj(twist)))
             lam_left = lam_left * left.eigenvalues()
             lam_right = lam_right * right.eigenvalues()
         self.generator = term.coeff_at(0.0) * (lam_left - lam_right) / (1j * grid.hbar)
 
     def to_basis(self, what: np.ndarray) -> np.ndarray:
-        for op in self.factors:
-            what = np.fft.fft(what * op.twist(), axis=op.conv_axis)
+        for axis, twist, _ in self.twists:
+            what = np.fft.fft(what * twist, axis=axis)
         return what
 
     def from_basis(self, coef: np.ndarray) -> np.ndarray:
-        for op in reversed(self.factors):
-            coef = np.fft.ifft(coef, axis=op.conv_axis) * np.conj(op.twist())
+        for axis, _, untwist in reversed(self.twists):
+            coef = np.fft.ifft(coef, axis=axis) * untwist
         return coef
 
     def propagate(self, coef: np.ndarray, s: float) -> np.ndarray:
         """Frequency-domain state at time s from its basis coefficients."""
         return self.from_basis(coef * np.exp(s * self.generator))
+
+
+# Yoshida's triple jump: Strang sweeps of W1 dt, W0 dt and W1 dt compose
+# to a 4th-order step (Phys. Lett. A 150, 262 (1990)).
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_W0 = -(2.0 ** (1.0 / 3.0)) * _W1
+
+
+def _yoshida_sweep(n_terms: int) -> list:
+    """(term, fraction of dt) of each exponential of one 4th-order step.
+
+    A Strang sweep takes terms 0..m-2 by half steps, term m-1 by a whole
+    one and comes back; adjacent exponentials of one term merge, so the
+    step begins and ends with half a W1 step of term 0.
+    """
+    last = n_terms - 1
+    order = list(range(last)) + [last] + list(range(last - 1, -1, -1))
+    seq = []
+    for weight in (_W1, _W0, _W1):
+        for j in order:
+            frac = weight if j == last else 0.5 * weight
+            if seq and seq[-1][0] == j:
+                seq[-1] = (j, seq[-1][1] + frac)
+            else:
+                seq.append((j, frac))
+    return seq
+
+
+class _Splitting:
+    """4th-order split-operator steps for a static Hamiltonian of 2+ terms.
+
+    A state is (coef, pending): its coefficients in term 0's basis and an
+    exponent of term 0 not yet applied. The last exponential of a step is
+    left pending and merges with the first of the next, so between steps
+    the state never leaves the frequency domain. exp(s L) tables are built
+    once per distinct (term, s).
+    """
+
+    def __init__(self, grid: PhaseGrid, h: Hamiltonian):
+        self.props = [_TermExponential(grid, term) for term in h.terms]
+        self.sweep = _yoshida_sweep(len(self.props))
+        self._tables = {}
+
+    def _exp(self, j: int, s: float) -> np.ndarray:
+        table = self._tables.get((j, s))
+        if table is None:
+            table = self._tables[(j, s)] = np.exp(s * self.props[j].generator)
+        return table
+
+    def enter(self, arr: np.ndarray):
+        return self.props[0].to_basis(_cdftn(arr)), 0.0
+
+    def step(self, coef: np.ndarray, pending: float, dt: float):
+        (_, first), *body, (_, last) = self.sweep
+        coef = coef * self._exp(0, pending + first * dt)
+        cur = self.props[0]
+        for j, frac in body:
+            nxt = self.props[j]
+            coef = nxt.to_basis(cur.from_basis(coef)) * self._exp(j, frac * dt)
+            cur = nxt
+        return self.props[0].to_basis(cur.from_basis(coef)), last * dt
+
+    def real(self, coef: np.ndarray, pending: float) -> np.ndarray:
+        """The Wigner array of a state; coef is left as it is."""
+        return _cidftn(self.props[0].from_basis(coef * self._exp(0, pending))).real
 
 
 def _check_marginal_containment(grid: PhaseGrid, arr: np.ndarray) -> None:
@@ -303,44 +383,66 @@ def evolve_lvn(w: WignerState, h: Hamiltonian, t_final: float, dt: float,
                t0: float = 0.0):
     """Propagate a Wigner state on dW/dt = -{{W, H}} from t0 by t_final.
 
-    A static Hamiltonian of one term is advanced by its exact exponential:
-    the final state and each snapshot are computed directly from the
-    initial state, so dt only sets the snapshot times. Any other
-    Hamiltonian is stepped by RK4 with step dt (and a shorter last step to
-    reach t_final). RK4 conserves mass exactly per stage. With verify_dt
-    it first compares one step with two half steps and raises
-    EvolutionUnstableError on a mismatch above 1e-3; every steps // 20
-    steps it raises EvolutionUnstableError if the L2 norm grew beyond
-    1e-4 per unit time, then checks containment.
+    The time step dt sets the snapshot times and, on the stepping paths,
+    the step; a shorter last step reaches t_final. Three paths:
+
+    - A static Hamiltonian of one term is advanced by its exact
+      exponential. The final state and each snapshot are computed directly
+      from the initial state; verify_dt has nothing to check.
+    - A static Hamiltonian of two or more terms takes 4th-order split
+      steps: Yoshida's triple jump of Strang sweeps over the terms' exact
+      exponentials. Each step is unitary, so mass and purity are kept to
+      round-off. With verify_dt it first compares one step with two half
+      steps and raises EvolutionUnstableError on a mismatch above 1e-3;
+      here that mismatch is the local splitting error.
+    - A time-dependent Hamiltonian is stepped by RK4, which conserves mass
+      exactly per stage. verify_dt makes the same step-halving check,
+      which catches steps beyond RK4's stability bound; every steps // 20
+      steps it also raises EvolutionUnstableError if the L2 norm grew
+      beyond 1e-4 per unit time.
 
     Containment: ContainmentError when the x- or p-marginal has 1e-6 or
-    more of its mass in the outer 2-cell shell; RK4 checks at the norm
-    cadence, the exact path checks the final state and every snapshot.
+    more of its mass in the outer 2-cell shell. Both stepping paths check
+    every steps // 20 steps, the split path also the final state; the
+    exact path checks the final state and every snapshot.
 
     Returns the final WignerState, or (final, snapshots) when
     snapshots_every > 0; snapshots are (time, WignerState) after every
-    snapshots_every whole steps of dt.
+    snapshots_every whole steps of dt. Taking snapshots never changes the
+    final state.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if h.grid != w.grid:
+        raise GridMismatchError("Hamiltonian grid mismatch")
     steps = int(np.floor(t_final / dt + 1e-12))
     remainder = t_final - steps * dt
     if remainder < 1e-12 * max(1.0, abs(t_final)):
         remainder = 0.0
-    if h.is_static() and len(h.terms) == 1:
-        arr, snaps = _evolve_exact(w, h, steps, dt, remainder, snapshots_every, t0)
+    if not h.is_static():
+        evolve = _evolve_rk4
+    elif len(h.terms) == 1:
+        evolve = _evolve_exact
     else:
-        arr, snaps = _evolve_rk4(w, h, steps, dt, remainder, snapshots_every,
-                                 t0, verify_dt)
+        evolve = _evolve_split
+    arr, snaps = evolve(w, h, steps, dt, remainder, snapshots_every, t0,
+                        verify_dt)
     out = WignerState(w.grid, arr)
     if snapshots_every:
         return out, snaps
     return out
 
 
-def _evolve_exact(w, h, steps, dt, remainder, snapshots_every, t0):
-    if h.grid != w.grid:
-        raise GridMismatchError("Hamiltonian grid mismatch")
+def _check_step_halving(one: np.ndarray, half: np.ndarray, scale: float,
+                        dt: float) -> None:
+    mismatch = np.abs(one - half).max() / max(scale, 1e-300)
+    if mismatch > 1e-3:
+        raise EvolutionUnstableError(
+            f"step-halving mismatch {mismatch:.2e} at dt={dt}; "
+            f"reduce dt (try {dt / 4})")
+
+
+def _evolve_exact(w, h, steps, dt, remainder, snapshots_every, t0, verify_dt):
     grid = w.grid
     prop = _TermExponential(grid, h.terms[0])
     coef = prop.to_basis(_cdftn(w.values))
@@ -359,6 +461,35 @@ def _evolve_exact(w, h, steps, dt, remainder, snapshots_every, t0):
     return arr, snaps
 
 
+def _evolve_split(w, h, steps, dt, remainder, snapshots_every, t0, verify_dt):
+    grid = w.grid
+    if steps == 0 and remainder == 0.0:
+        return w.values.copy(), []
+    split = _Splitting(grid, h)
+    state = split.enter(w.values)
+    if verify_dt and steps > 0:
+        one = split.real(*split.step(*state, dt))
+        half = split.real(*split.step(*split.step(*state, dt / 2), dt / 2))
+        _check_step_halving(one, half, np.abs(w.values).max(), dt)
+
+    snaps = []
+    for k in range(1, steps + 1):
+        state = split.step(*state, dt)
+        check = k % max(1, steps // 20) == 0
+        snap = snapshots_every and k % snapshots_every == 0
+        if check or snap:
+            arr = split.real(*state)
+            if check:
+                _check_marginal_containment(grid, arr)
+            if snap:
+                snaps.append((t0 + k * dt, WignerState(grid, arr)))
+    if remainder > 0.0:
+        state = split.step(*state, remainder)
+    arr = split.real(*state)
+    _check_marginal_containment(grid, arr)
+    return arr, snaps
+
+
 def _evolve_rk4(w, h, steps, dt, remainder, snapshots_every, t0, verify_dt):
     plan = LvnPlan(w.grid, h)
     arr = w.values.copy()
@@ -373,12 +504,7 @@ def _evolve_rk4(w, h, steps, dt, remainder, snapshots_every, t0, verify_dt):
     if verify_dt and steps > 0:
         one = rk4_step(arr, t0, dt)
         half = rk4_step(rk4_step(arr, t0, dt / 2), t0 + dt / 2, dt / 2)
-        scale = np.abs(arr).max()
-        mismatch = np.abs(one - half).max() / max(scale, 1e-300)
-        if mismatch > 1e-3:
-            raise EvolutionUnstableError(
-                f"step-halving mismatch {mismatch:.2e} at dt={dt}; "
-                f"reduce dt (try {dt / 4})")
+        _check_step_halving(one, half, np.abs(arr).max(), dt)
 
     norm0 = float(np.sqrt((arr ** 2).sum()))
     snaps = []

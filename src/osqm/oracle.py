@@ -21,6 +21,7 @@ __all__ = [
     "OperatorMatrix",
     "WaveFunction",
     "DensityOperator",
+    "NotPositiveError",
     "position_operator",
     "momentum_operator",
     "potential_operator",
@@ -35,6 +36,10 @@ __all__ = [
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-8
+
+
+class NotPositiveError(ValueError):
+    """A density matrix has an eigenvalue below -PSD_TOL."""
 
 
 @dataclass
@@ -122,7 +127,7 @@ class DensityOperator:
         if self.validate_psd:
             evmin = scipy.linalg.eigvalsh(self.matrix, subset_by_index=[0, 0])[0]
             if evmin < -PSD_TOL:
-                raise ValueError(
+                raise NotPositiveError(
                     f"density matrix has eigenvalue {evmin:.2e} < -{PSD_TOL}")
 
     @classmethod

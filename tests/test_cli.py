@@ -1,6 +1,23 @@
 import json
 
 from osqm import cli
+from osqm.oracle import NotPositiveError
+from osqm.transitions import TrajectoryEngine
+
+
+def _write_config(tmp_path):
+    cfg = {
+        "grid": {"points": 64, "x_extent": 9.0},
+        "hamiltonian": {"preset": "oscillator"},
+        "initial_state": {"preset": "coherent", "params": {"x0": -2.0, "p0": 0.0}},
+        "partition": {"x_boundaries": [0.0]},
+        "schedule": {"dt": 0.01, "t_final": 3.0, "mode": "single-shot"},
+        "backend": "phase",
+        "output": {"out_dir": str(tmp_path / "out")},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
 
 
 def test_state_leaving_the_grid_exits_with_numerics_code(tmp_path, capsys):
@@ -18,3 +35,28 @@ def test_state_leaving_the_grid_exits_with_numerics_code(tmp_path, capsys):
     assert cli.main(["run", str(path)]) == cli.EXIT_NUMERICS
     err = capsys.readouterr().err
     assert err.startswith("numerical abort:") and "x-marginal" in err
+
+
+def test_phase_backend_single_shot_oscillator_runs(tmp_path):
+    # the split LvN step is unitary, so the density matrix built at the
+    # event stays positive semi-definite
+    assert cli.main(["run", str(_write_config(tmp_path))]) == cli.EXIT_OK
+    assert (tmp_path / "out" / "metadata.json").is_file()
+
+
+def test_non_positive_density_exits_with_numerics_code(tmp_path, capsys,
+                                                       monkeypatch):
+    def not_positive(self, *args, **kwargs):
+        raise NotPositiveError("density matrix has eigenvalue -3e-08 < -1e-08")
+
+    monkeypatch.setattr(TrajectoryEngine, "run", not_positive)
+    assert cli.main(["run", str(_write_config(tmp_path))]) == cli.EXIT_NUMERICS
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort:") and "Traceback" not in err
+
+
+def test_regress_out_dir_writes_report(tmp_path):
+    out = tmp_path / "regress"
+    assert cli.main(["regress", "--only", "7,11", "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [(r["criterion"], r["passed"]) for r in report] == [(7, True), (11, True)]

@@ -121,7 +121,7 @@ def test_time_dependent_coefficient(grid64, w0):
 
 def test_instability_detection(grid64, osc, w0):
     with pytest.raises(EvolutionUnstableError):
-        evolve_lvn(w0, osc, 5.0, 0.5)  # far beyond the RK4 stability bound
+        evolve_lvn(w0, osc, 5.0, 0.5)  # one step and two half steps differ by 3e-3
 
 
 def test_composite_coupling_term_matches_oracle():
@@ -149,4 +149,56 @@ def test_single_term_snapshots_leave_final_state_unchanged(grid64, w0):
     assert np.array_equal(out.values, plain.values)
     assert [round(t, 12) for t, _ in snaps] == [0.2, 0.4, 0.6, 0.8, 1.0]
     mid = evolve_lvn(w0, free, 0.4, 0.05)
+    assert np.abs(snaps[1][1].values - mid.values).max() < 1e-12
+
+
+def test_split_step_is_fourth_order(grid64, osc, w0):
+    # the oscillator returns to its initial state after 2 pi
+    errs = [np.abs(evolve_lvn(w0, osc, 2 * np.pi, dt, verify_dt=False).values
+                   - w0.values).max() for dt in (0.1, 0.05)]
+    assert 12 < errs[0] / errs[1] < 20
+
+
+def test_split_step_not_less_accurate_than_rk4(grid64, osc):
+    # a callable coefficient makes the same Hamiltonian time-dependent,
+    # which sends it down the RK4 path
+    rk4 = Hamiltonian(grid64, [HamiltonianTerm(term.factors, lambda t: 1.0)
+                               for term in osc.terms])
+    psi = coherent_state(grid64, 1.0, 0.3)
+    w = wigner_from_wavefunction(psi)
+    hm = weyl_operator_from_symbol(osc.symbol())
+    oracle = wigner_from_wavefunction(schrodinger_propagate(psi, hm, 1.0))
+    split_err = np.abs(evolve_lvn(w, osc, 1.0, 0.005, verify_dt=False).values
+                       - oracle.values).max()
+    rk4_err = np.abs(evolve_lvn(w, rk4, 1.0, 0.005, verify_dt=False).values
+                     - oracle.values).max()
+    assert split_err <= rk4_err
+
+
+def test_composite_three_term_split_matches_oracle():
+    g1 = PhaseGrid.create(32, 8.0)
+    gg = PhaseGrid.product(g1, g1)
+    from osqm.oracle import tensor_state
+    psi = tensor_state(coherent_state(g1, 0.0, 0.0),
+                       coherent_state(g1, -1.0, 0.0))
+    h = Hamiltonian(gg, [
+        HamiltonianTerm((("p", 1, lambda p: p ** 2 / 2),)),
+        HamiltonianTerm((("x", 1, lambda x: x ** 2 / 2),)),
+        HamiltonianTerm((("p", 0, lambda p: p), ("x", 1, np.tanh)),
+                        coefficient=0.8),
+    ])
+    out = evolve_lvn(wigner_from_wavefunction(psi), h, 0.4, 0.05,
+                     verify_dt=False)
+    hm = weyl_operator_from_symbol(h.symbol())
+    oracle = wigner_from_wavefunction(
+        schrodinger_propagate(psi, hm, 0.4), check_containment=False)
+    assert np.abs(out.values - oracle.values).max() < 1e-6
+
+
+def test_split_snapshots_leave_final_state_unchanged(grid64, osc, w0):
+    plain = evolve_lvn(w0, osc, 1.0, 0.05)
+    out, snaps = evolve_lvn(w0, osc, 1.0, 0.05, snapshots_every=4)
+    assert np.array_equal(out.values, plain.values)
+    assert [round(t, 12) for t, _ in snaps] == [0.2, 0.4, 0.6, 0.8, 1.0]
+    mid = evolve_lvn(w0, osc, 0.4, 0.05)
     assert np.abs(snaps[1][1].values - mid.values).max() < 1e-12
