@@ -93,7 +93,7 @@ def _run_scenario(cfg: ScenarioConfig) -> int:
         labels = partition.labels()
         for i, step in enumerate(rec.event_steps):
             pvec = rec.prob_rows[i]
-            rows.append((step, step * engine.dt, rec.event_regions[i], 1,
+            rows.append((step, float(rec.times[step]), rec.event_regions[i], 1,
                          *[float(p) for p in pvec]))
         write_csv(out_dir / "trajectory.csv",
                   ["step", "time", "region", "event"] +

@@ -387,9 +387,9 @@ def is_quasirestricted(psi: WaveFunction, region: Region, tol: float = 1e-3,
     """
     w, q = region.operator().eigh()
     keep = w > cutoff
-    v = psi.to_vector()
-    coeffs = q.conj().T @ v
-    residual = float(np.sqrt((np.abs(coeffs[~keep]) ** 2).sum()))
+    # |<q_i|v>| = |v^H q_i|: no conjugated copy of q
+    overlaps = psi.to_vector().conj() @ q
+    residual = float(np.sqrt((np.abs(overlaps[~keep]) ** 2).sum()))
     return residual < tol, residual
 
 

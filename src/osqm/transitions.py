@@ -5,12 +5,18 @@ quasiprojections: at each projection time the region probabilities
 p_j = tr(Pi_j rho) are computed, one region is sampled (Born rule), and
 the state is updated with Pi_j^(1/2) (or the exact classicality projector
 in comparison mode). Everything is deterministic given (config, seed).
+
+Nothing reads the state between two events, so TrajectoryEngine propagates
+from stop to stop (an event or a snapshot) in one go: one cached dense
+propagator U(n dt) per interval on the oracle backend, one evolve_lvn call
+per interval on the phase backend.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -18,7 +24,7 @@ import numpy as np
 
 from .dynamics import Hamiltonian, evolve_lvn
 from .grid import PhaseGrid
-from .oracle import OperatorMatrix, WaveFunction, schrodinger_propagate
+from .oracle import DensityOperator, OperatorMatrix, WaveFunction
 from .regions import Partition, Region, classicality_projectors, is_quasirestricted
 from .weyl import mean_value, weyl_operator_from_symbol
 from .wigner import WignerState, density_from_wigner, wigner_from_density, \
@@ -93,13 +99,11 @@ class ProjectionSchedule:
         return max(1, int(round(self.dt_proj / dt)))
 
 
-def transition_probabilities(w: WignerState, partition: Partition) -> np.ndarray:
-    """Born weights from the symbol-side integrals p_j = int Pi_j W dz.
+def _born_weights(probs: np.ndarray) -> np.ndarray:
+    """Clip round-off negatives to zero (logged) and normalize.
 
-    Sums to 1 exactly (partition of unity); tiny negative quadrature noise
-    is clipped to zero and logged.
+    A weight below PROB_CLIP is not round-off, so it raises instead.
     """
-    probs = np.array([mean_value(r.symbol(), w) for r in partition.regions])
     neg = probs < 0
     if neg.any():
         worst = probs[neg].min()
@@ -111,14 +115,22 @@ def transition_probabilities(w: WignerState, partition: Partition) -> np.ndarray
     return probs / probs.sum()
 
 
+def transition_probabilities(w: WignerState, partition: Partition) -> np.ndarray:
+    """Born weights from the symbol-side integrals p_j = int Pi_j W dz.
+
+    Sums to 1 exactly (partition of unity); tiny negative quadrature noise
+    is clipped to zero and logged.
+    """
+    return _born_weights(np.array([mean_value(r.symbol(), w)
+                                   for r in partition.regions]))
+
+
 def transition_probabilities_oracle(psi: WaveFunction,
                                     partition: Partition) -> np.ndarray:
-    """Operator-side Born weights p_j = <psi|Pi_j|psi>."""
+    """Operator-side Born weights p_j = <psi|Pi_j|psi>, clipped as above."""
     v = psi.to_vector()
-    probs = np.array([np.vdot(v, r.operator().matrix @ v).real
-                      for r in partition.regions])
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    return _born_weights(np.array([np.vdot(v, r.operator().matrix @ v).real
+                                   for r in partition.regions]))
 
 
 def decompose_over_regions(psi: WaveFunction,
@@ -201,12 +213,121 @@ class TrajectoryRecord:
                 "num_events": len(self.event_steps)}
 
 
+def _step_count(t_final: float, dt: float) -> tuple[int, float]:
+    """Whole dt steps to t_final and the shorter last step, as evolve_lvn counts."""
+    whole = int(np.floor(t_final / dt + 1e-12))
+    tail = t_final - whole * dt
+    if tail < 1e-12 * max(1.0, abs(t_final)):
+        tail = 0.0
+    return whole, tail
+
+
+class _Propagator:
+    """What run() needs of a backend: advance by an interval, Born weights,
+    projection, PS6 residual and a snapshot, on the backend's state type."""
+
+    def __init__(self, engine: "TrajectoryEngine"):
+        self.psi0 = engine.psi0
+        self.h = engine.h
+        self.partition = engine.partition
+        self.dt = engine.dt
+        self.projection_mode = engine.projection_mode
+        self.exact_projectors = engine.exact_projectors
+
+
+class _OraclePropagator(_Propagator):
+    """Wavefunction backend: dense propagators U(n dt + tail) from one eigh.
+
+    Each U is built once per distinct interval (n, tail) and cached; the
+    most frequent interval is built up front, so forked ensemble workers
+    share it.
+    """
+
+    def __init__(self, engine: "TrajectoryEngine", common_span: tuple):
+        super().__init__(engine)
+        if not self.h.is_static():
+            raise ValueError("oracle backend needs a static Hamiltonian")
+        self._w, self._q = weyl_operator_from_symbol(self.h.symbol()).eigh()
+        self._u = {}
+        self._propagator(*common_span)
+
+    def _propagator(self, n: int, tail: float) -> np.ndarray:
+        u = self._u.get((n, tail))
+        if u is None:
+            phases = np.exp(-1j * self._w * (n * self.dt + tail) / self.psi0.grid.hbar)
+            u = self._u[(n, tail)] = (self._q * phases) @ self._q.conj().T
+        return u
+
+    def initial(self) -> WaveFunction:
+        return self.psi0
+
+    def advance(self, psi: WaveFunction, n: int, tail: float,
+                t0: float) -> WaveFunction:
+        v = self._propagator(n, tail) @ psi.to_vector()
+        return WaveFunction.from_vector(psi.grid, v)
+
+    def born_weights(self, psi: WaveFunction) -> np.ndarray:
+        return transition_probabilities_oracle(psi, self.partition)
+
+    def project(self, psi: WaveFunction, chosen: int) -> WaveFunction:
+        return apply_quasiprojection(
+            psi, self.partition.regions[chosen], mode=self.projection_mode,
+            exact_projector=(self.exact_projectors[chosen]
+                             if self.exact_projectors else None))
+
+    def ps6(self, psi: WaveFunction, chosen: int) -> tuple[bool, float]:
+        return is_quasirestricted(psi, self.partition.regions[chosen])
+
+    def snapshot(self, psi: WaveFunction) -> np.ndarray:
+        return psi.to_vector()
+
+
+class _PhasePropagator(_Propagator):
+    """Wigner backend: one evolve_lvn per interval, projections via rho."""
+
+    def initial(self) -> WignerState:
+        return wigner_from_wavefunction(self.psi0)
+
+    def advance(self, w: WignerState, n: int, tail: float,
+                t0: float) -> WignerState:
+        return evolve_lvn(w, self.h, n * self.dt + tail, self.dt,
+                          verify_dt=False, t0=t0)
+
+    def born_weights(self, w: WignerState) -> np.ndarray:
+        return transition_probabilities(w, self.partition)
+
+    def project(self, w: WignerState, chosen: int) -> WignerState:
+        rho = density_from_wigner(w)
+        if self.projection_mode == "sqrt":
+            op = self.partition.regions[chosen].sqrt_operator().matrix
+        else:
+            op = self.exact_projectors[chosen].matrix
+        m = op @ rho.matrix @ op.conj().T
+        m = 0.5 * (m + m.conj().T)
+        m /= m.trace().real
+        return wigner_from_density(DensityOperator(w.grid, m))
+
+    def ps6(self, w: WignerState, chosen: int) -> tuple[bool, float]:
+        return _density_quasirestricted(w, self.partition.regions[chosen])
+
+    def snapshot(self, w: WignerState) -> np.ndarray:
+        return w.values.copy()
+
+
 class TrajectoryEngine:
     """Prepared trajectory runner: shared operators, per-seed randomness.
 
-    backend "oracle" propagates the wavefunction with the dense propagator;
-    backend "phase" propagates the Wigner function with the Moyal-bracket
-    integrator and routes projections through the density matrix.
+    Time runs in steps of dt to t_final, counted as evolve_lvn counts them:
+    whole steps, then one shorter step if dt does not divide t_final, so
+    the last recorded time is t_final. A projection event fires after
+    every stride-th step and after the last one.
+
+    The state is needed only at events and snapshots, so run() propagates
+    from one such stop straight to the next. backend "oracle" applies a
+    dense propagator U(n dt) per interval, built once per distinct length
+    from the Hamiltonian's eigendecomposition; backend "phase" makes one
+    evolve_lvn call per interval with step dt, and routes projections
+    through the density matrix.
     """
 
     def __init__(self, psi0: WaveFunction, h: Hamiltonian, partition: Partition,
@@ -216,6 +337,8 @@ class TrajectoryEngine:
                  require_quasirestricted: bool = True):
         if backend not in ("oracle", "phase"):
             raise ValueError(f"unknown backend {backend!r}")
+        if projection_mode not in ("sqrt", "exact"):
+            raise ValueError(f"unknown projection mode {projection_mode!r}")
         self.psi0 = psi0
         self.h = h
         self.partition = partition
@@ -226,8 +349,13 @@ class TrajectoryEngine:
         self.projection_mode = projection_mode
         self.check_ps6 = check_ps6
         self.snapshot_every = snapshot_every
-        self.steps = int(round(t_final / dt))
+        whole, tail = _step_count(t_final, dt)
+        self.steps = whole + (tail > 0)
         self.stride = schedule.stride(dt, self.steps)
+        self.times = np.arange(self.steps + 1) * dt
+        if self.steps:
+            self.times[-1] = t_final
+        self._stops = self._plan_stops(whole, tail)
         probs0 = transition_probabilities_oracle(psi0, partition)
         self.home_index = int(np.argmax(probs0))
         if require_quasirestricted:
@@ -242,19 +370,31 @@ class TrajectoryEngine:
         else:
             self.exact_projectors = None
         if backend == "oracle":
-            if not h.is_static():
-                raise ValueError("oracle backend needs a static Hamiltonian")
-            hmat = weyl_operator_from_symbol(h.symbol())
-            w, q = hmat.eigh()
-            phases = np.exp(-1j * w * dt / psi0.grid.hbar)
-            self.u_dt = (q * phases) @ q.conj().T
+            spans = Counter((n, tail) for _, n, tail, _, _ in self._stops)
+            common = spans.most_common(1)[0][0] if spans else (0, 0.0)
+            self._propagator = _OraclePropagator(self, common)
+        else:
+            self._propagator = _PhasePropagator(self)
+
+    def _plan_stops(self, whole: int, tail: float) -> list:
+        """(step, whole dt steps since the last stop, tail, event?, snapshot?)."""
+        stops = []
+        prev = 0
+        for k in range(1, self.steps + 1):
+            event = k % self.stride == 0 or k == self.steps
+            snap = bool(self.snapshot_every) and k % self.snapshot_every == 0
+            if event or snap:
+                last = k > whole
+                stops.append((k, k - prev - last, tail if last else 0.0,
+                              event, snap))
+                prev = k
+        return stops
 
     def run(self, seed: int, traj_index: int = 0) -> TrajectoryRecord:
         rng = trajectory_rng(seed, traj_index)
-        part = self.partition
-        labels = part.labels()
+        prop = self._propagator
+        labels = self.partition.labels()
         current = self.home_index
-        times = [0.0]
         region_track = [labels[current]]
         prob_rows = []
         event_steps = []
@@ -262,67 +402,33 @@ class TrajectoryEngine:
         ps6_resids = []
         snaps = []
 
-        if self.backend == "oracle":
-            v = self.psi0.to_vector()
-        else:
-            wstate = wigner_from_wavefunction(self.psi0)
-
-        for k in range(1, self.steps + 1):
-            t = k * self.dt
-            if self.backend == "oracle":
-                v = self.u_dt @ v
-            else:
-                wstate = evolve_lvn(wstate, self.h, self.dt, self.dt,
-                                    verify_dt=False, t0=t - self.dt)
-            if k % self.stride == 0 or k == self.steps:
-                if self.backend == "oracle":
-                    psi = WaveFunction.from_vector(self.psi0.grid, v)
-                    probs = transition_probabilities_oracle(psi, part)
-                else:
-                    probs = transition_probabilities(wstate, part)
+        state = prop.initial()
+        prev = 0
+        for k, n, tail, event, snap in self._stops:
+            state = prop.advance(state, n, tail, self.times[prev])
+            region_track.extend([labels[current]] * (k - prev - 1))
+            if event:
+                probs = prop.born_weights(state)
                 chosen = sample_transition(probs, rng)
                 prob_rows.append(probs)
                 event_steps.append(k)
                 event_regions.append(labels[chosen])
-                if self.backend == "oracle":
-                    psi = apply_quasiprojection(
-                        psi, part.regions[chosen], mode=self.projection_mode,
-                        exact_projector=(self.exact_projectors[chosen]
-                                         if self.exact_projectors else None))
-                    v = psi.to_vector()
-                else:
-                    rho = density_from_wigner(wstate)
-                    if self.projection_mode == "sqrt":
-                        op = part.regions[chosen].sqrt_operator().matrix
-                    else:
-                        op = self.exact_projectors[chosen].matrix
-                    m = op @ rho.matrix @ op.conj().T
-                    m = 0.5 * (m + m.conj().T)
-                    m /= m.trace().real
-                    from .oracle import DensityOperator
-                    wstate = wigner_from_density(DensityOperator(self.psi0.grid, m))
+                state = prop.project(state, chosen)
                 if self.check_ps6:
-                    if self.backend == "oracle":
-                        ok, resid = is_quasirestricted(psi, part.regions[chosen])
-                    else:
-                        ok, resid = _density_quasirestricted(
-                            wstate, part.regions[chosen])
+                    ok, resid = prop.ps6(state, chosen)
                     ps6_resids.append(resid)
                     if not ok:
                         raise RuntimeError(
                             f"post-projection state fails quasirestriction in "
                             f"{labels[chosen]} (residual {resid:.3e})")
                 current = chosen
-            times.append(t)
             region_track.append(labels[current])
-            if self.snapshot_every and k % self.snapshot_every == 0:
-                if self.backend == "oracle":
-                    snaps.append((t, v.copy()))
-                else:
-                    snaps.append((t, wstate.values.copy()))
+            if snap:
+                snaps.append((float(self.times[k]), prop.snapshot(state)))
+            prev = k
 
         return TrajectoryRecord(
-            seed=seed, times=np.asarray(times), region_labels=region_track,
+            seed=seed, times=self.times.copy(), region_labels=region_track,
             prob_rows=np.asarray(prob_rows), event_steps=event_steps,
             event_regions=event_regions, ps6_residuals=ps6_resids,
             backend=self.backend, snapshots=snaps,

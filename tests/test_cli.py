@@ -44,6 +44,18 @@ def test_phase_backend_single_shot_oscillator_runs(tmp_path):
     assert (tmp_path / "out" / "metadata.json").is_file()
 
 
+def test_event_time_column_ends_at_t_final(tmp_path):
+    # dt = 0.3 does not divide t_final = 1.0: the last step is 0.1 long
+    cfg = json.loads(_write_config(tmp_path).read_text())
+    cfg["schedule"].update(dt=0.3, t_final=1.0)
+    cfg["backend"] = "oracle"
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == cli.EXIT_OK
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    assert [r.split(",")[:2] for r in rows[1:]] == [["4", "1.0"]]
+
+
 def test_non_positive_density_exits_with_numerics_code(tmp_path, capsys,
                                                        monkeypatch):
     def not_positive(self, *args, **kwargs):
