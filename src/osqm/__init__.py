@@ -17,8 +17,8 @@ from .oracle import (DensityOperator, OperatorMatrix, VonNeumannCoupling,
                      WaveFunction, measurement_premeasurement, operator_sqrt,
                      povm_apply, schrodinger_propagate, tensor_state)
 from .regions import (Partition, Region, build_partition, classicality_projectors,
-                      interior_region, is_quasirestricted, quasiprojector_defect,
-                      quasiprojector_operator, quasiprojector_symbol)
+                      is_quasirestricted, quasiprojector_defect, quasiprojector_operator,
+                      quasiprojector_symbol)
 from .transitions import (ProjectionSchedule, RegionDecomposition, TrajectoryEngine,
                           TrajectoryRecord, apply_quasiprojection,
                           decompose_over_regions, run_ensemble, run_trajectory,

@@ -19,6 +19,7 @@ from .dynamics import EvolutionUnstableError
 from .grid import ContainmentError
 from .io import write_csv, write_grid_dump, write_metadata
 from .oracle import NotPositiveError
+from .scenarios import binomial_interval
 from .transitions import (ProjectionSchedule, TrajectoryEngine, run_ensemble,
                           worker_count)
 
@@ -112,9 +113,8 @@ def _run_scenario(cfg: ScenarioConfig) -> int:
             counts[s["final_region"]] += 1
         rows = []
         for lab in labels:
-            f = counts[lab] / num
-            half = 3 * np.sqrt(max(f * (1 - f), 1e-12) / num)
-            rows.append((lab, counts[lab], f, f - half, f + half))
+            rows.append((lab, counts[lab], counts[lab] / num,
+                         *binomial_interval(counts[lab], num)))
         write_csv(out_dir / "ensemble.csv",
                   ["region", "count", "frequency", "ci_low", "ci_high"], rows)
         summary = {"counts": counts, "num_seeds": num}

@@ -152,8 +152,6 @@ class GridAxis:
     hbar: float
     x: np.ndarray = field(repr=False)
     p: np.ndarray = field(repr=False)
-    x_fine: np.ndarray = field(repr=False)
-    p_fine: np.ndarray = field(repr=False)
 
 
 @lru_cache(maxsize=64)
@@ -162,10 +160,8 @@ def _axis(grid: PhaseGrid, d: int) -> GridAxis:
     dx = grid.dx[d]
     dp = grid.dp[d]
     j = np.arange(n) - n // 2
-    jf = np.arange(2 * n) - n
-    ax = GridAxis(n=n, dx=dx, dp=dp, hbar=grid.hbar,
-                  x=j * dx, p=j * dp, x_fine=jf * dx / 2, p_fine=jf * dp / 2)
-    for arr in (ax.x, ax.p, ax.x_fine, ax.p_fine):
+    ax = GridAxis(n=n, dx=dx, dp=dp, hbar=grid.hbar, x=j * dx, p=j * dp)
+    for arr in (ax.x, ax.p):
         arr.setflags(write=False)
     return ax
 

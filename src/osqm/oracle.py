@@ -24,7 +24,6 @@ __all__ = [
     "NotPositiveError",
     "position_operator",
     "momentum_operator",
-    "potential_operator",
     "kinetic_operator",
     "schrodinger_propagate",
     "operator_sqrt",
@@ -198,21 +197,6 @@ def position_operator(grid: PhaseGrid, d: int = 0) -> OperatorMatrix:
 
 def momentum_operator(grid: PhaseGrid, d: int = 0) -> OperatorMatrix:
     return kinetic_operator(grid, lambda p: p, d)
-
-
-def potential_operator(grid: PhaseGrid, vfun, d: Optional[int] = None) -> OperatorMatrix:
-    """Multiplication operator by V(x); vfun takes one coordinate array per
-    dof unless a single axis d is selected."""
-    if d is None:
-        mesh = np.meshgrid(*[grid.x(i) for i in range(grid.dof)], indexing="ij")
-        vals = vfun(*mesh)
-    else:
-        shape = [1] * grid.dof
-        shape[d] = grid.n(d)
-        vals = np.broadcast_to(np.asarray(vfun(grid.x(d))).reshape(shape),
-                               grid.config_shape)
-    return OperatorMatrix(grid, np.diag(np.asarray(vals, float).ravel().astype(complex)),
-                          hermitian=True)
 
 
 def kinetic_operator(grid: PhaseGrid, tfun, d: int = 0) -> OperatorMatrix:

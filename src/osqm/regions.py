@@ -31,7 +31,6 @@ __all__ = [
     "DefectReport",
     "classicality_projectors",
     "is_quasirestricted",
-    "interior_region",
     "smoothing_kernel",
 ]
 
@@ -240,35 +239,47 @@ def quasiprojector_symbol(region: Region) -> WeylSymbol:
 
 
 def _periodized_gaussian(grid: PhaseGrid, d: int) -> np.ndarray:
-    """G[j, j0] = periodized exp(-(x_j - x_{j0})^2 / (2 hbar)), unnormalized."""
-    x = grid.x(d)
+    """G[j, j0] = periodized exp(-(x_j - x_{j0})^2 / (2 hbar)), unnormalized.
+
+    G depends on j - j0 only, so one profile over the 2N - 1 offsets fills it.
+    """
+    n = grid.n(d)
+    offsets = np.arange(1 - n, n) * grid.dx[d]
     span = 2 * grid.x_extents[d]
-    diff = x[:, None] - x[None, :]
-    out = np.zeros_like(diff)
+    profile = np.zeros(2 * n - 1)
     for k in range(-3, 4):
-        out += np.exp(-(diff + k * span) ** 2 / (2 * grid.hbar))
-    return out
+        profile += np.exp(-(offsets + k * span) ** 2 / (2 * grid.hbar))
+    j = np.arange(n)
+    return profile[j[:, None] - j[None, :] + n - 1]
 
 
 def _coherent_quadrature_1dof(grid: PhaseGrid, mask2d: np.ndarray) -> np.ndarray:
-    """(dx dp / 2 pi hbar) sum over masked cells of |z><z| for dof-1 grids."""
-    n = grid.n(0)
-    hbar = grid.hbar
+    """(dx dp / 2 pi hbar) sum over masked cells of |z><z| for dof-1 grids.
+
+    The cell at (x, p) adds g(x_j - x) g(x_k - x) e^{i (x_j - x_k) p / hbar}
+    to entry (j, k), with g the periodized Gaussian envelope scaled to unit
+    norm. Momentum columns of the mask with the same x-support X form one
+    group P, whose cells sum to an elementwise product of two Gram matrices:
+
+        sum_{p in P} sum_{x in X} = (G_X G_X^T) * (Phi_P Phi_P^H),
+
+    where G_X holds the envelope columns of X and Phi_P the plane waves
+    e^{i x_j p / hbar} of P. A box mask is a single group.
+    """
     genv = _periodized_gaussian(grid, 0)                   # [j, jx0]
-    x = grid.x(0)
-    p = grid.p(0)
-    phase = np.exp(1j * np.outer(x, p) / hbar)             # [j, jp0]
+    phase = np.exp(1j * np.outer(grid.x(0), grid.p(0)) / grid.hbar)   # [j, jp0]
+    groups: dict = {}
+    for jp, support in enumerate(mask2d.T):
+        if support.any():
+            groups.setdefault(support.tobytes(), []).append(jp)
+    out = np.zeros(genv.shape, dtype=complex)
+    for cols in groups.values():
+        env = genv[:, mask2d[:, cols[0]]]
+        waves = phase[:, cols]
+        out += (env @ env.T) * (waves @ waves.conj().T)
     # common squared norm of every lattice-centered periodized state
     norm_sq = float((genv[:, 0] ** 2).sum())
-    out = np.zeros((n, n), dtype=complex)
-    weight = grid.dx[0] * grid.dp[0] / (2 * np.pi * hbar) / norm_sq
-    for jp in range(n):
-        cols = np.nonzero(mask2d[:, jp])[0]
-        if len(cols) == 0:
-            continue
-        block = genv[:, cols] * phase[:, jp][:, None]      # states at (x0, p_jp)
-        out += weight * (block @ block.conj().T)
-    return out
+    return out * (grid.dx[0] * grid.dp[0] / (2 * np.pi * grid.hbar) / norm_sq)
 
 
 def quasiprojector_operator(region: Region) -> OperatorMatrix:
@@ -353,10 +364,15 @@ def classicality_projectors(partition: Partition,
     eye = np.eye(dim)
     deflate = eye.astype(complex)
     out: list = [None] * len(ops)
-    for idx in order[:-1]:
-        m = deflate @ ops[idx] @ deflate
-        m = 0.5 * (m + m.conj().T)
-        w, q = scipy.linalg.eigh(m)
+    for k, idx in enumerate(order[:-1]):
+        if k == 0:
+            # deflate is still the identity, and I Pi I symmetrised is Pi
+            # bit for bit: take the decomposition the operator has cached
+            w, q = partition.regions[idx].operator().eigh()
+        else:
+            m = deflate @ ops[idx] @ deflate
+            m = 0.5 * (m + m.conj().T)
+            w, q = scipy.linalg.eigh(m)
         gap = np.abs(w - 0.5).min()
         if gap < ambiguity_margin:
             raise ValueError(
@@ -391,16 +407,3 @@ def is_quasirestricted(psi: WaveFunction, region: Region, tol: float = 1e-3,
     overlaps = psi.to_vector().conj() @ q
     residual = float(np.sqrt((np.abs(overlaps[~keep]) ** 2).sum()))
     return residual < tol, residual
-
-
-def interior_region(region: Region, eps: float = 1e-6) -> np.ndarray:
-    """Cells where the quasiprojector symbol exceeds 1 - eps.
-
-    The sharp preimage of 1 is empty for a Gaussian-smoothed symbol, hence
-    the threshold. Raises if no cell qualifies (region too small).
-    """
-    vals = region.symbol().values.real
-    mask = vals > 1 - eps
-    if not mask.any():
-        raise ValueError(f"region {region.label} has empty interior at eps={eps}")
-    return mask
