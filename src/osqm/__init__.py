@@ -19,11 +19,9 @@ from .oracle import (DensityOperator, OperatorMatrix, VonNeumannCoupling,
 from .regions import (Partition, Region, build_partition, classicality_projectors,
                       is_quasirestricted, quasiprojector_defect, quasiprojector_operator,
                       quasiprojector_symbol)
-from .transitions import (ProjectionSchedule, RegionDecomposition, TrajectoryEngine,
-                          TrajectoryRecord, apply_quasiprojection,
-                          decompose_over_regions, run_ensemble, run_trajectory,
-                          sample_transition, transition_probabilities,
-                          zeno_experiment)
+from .transitions import (ProjectionSchedule, TrajectoryEngine, TrajectoryRecord,
+                          apply_quasiprojection, run_ensemble, sample_transition,
+                          transition_probabilities, zeno_experiment)
 from .weyl import WeylSymbol, mean_value, overlap, weyl_operator_from_symbol, \
     weyl_symbol_from_operator
 from .wigner import (WignerState, coherent_state, coherent_wigner,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -88,13 +88,16 @@ class ClassicalObservable:
     """Real function on phase space, as grid samples and/or closed form.
 
     Polynomial observables keep their coefficient dict so derivatives stay
-    exact; periodic grid fields fall back to spectral differentiation.
+    exact, and build its partial derivatives d/dz_i once (z = x then p);
+    periodic grid fields fall back to spectral differentiation.
     """
 
     grid: PhaseGrid
     values: np.ndarray
     poly: Optional[dict] = None
     fn: Optional[Callable] = None
+    _poly_grad: Optional[list] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -102,6 +105,9 @@ class ClassicalObservable:
             raise ValueError("values must have the grid's phase-space shape")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("observable values must be finite")
+        if self.poly is not None:
+            self._poly_grad = [poly_derivative(self.poly, i)
+                              for i in range(2 * self.grid.dof)]
 
     @classmethod
     def from_poly(cls, grid: PhaseGrid, poly: PolyDict) -> "ClassicalObservable":
@@ -118,31 +124,24 @@ class ClassicalObservable:
     def gradient_at(self, z: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
         """(dH/dx, dH/dp) at a point; needs poly or callable form."""
         n = self.grid.dof
+        return self._partials(z.x, z.p, 0), self._partials(z.x, z.p, n)
+
+    def _partials(self, x, p, first: int) -> np.ndarray:
+        """dH/dz_i at (x, p) for i = first .. first + dof - 1, z = (x, p)."""
+        n = self.grid.dof
         if self.poly is not None:
-            coords = [np.asarray(c) for c in (*z.x, *z.p)]
-            gx = np.array([poly_eval(poly_derivative(self.poly, i), coords)
-                           for i in range(n)], dtype=float)
-            gp = np.array([poly_eval(poly_derivative(self.poly, n + i), coords)
-                           for i in range(n)], dtype=float)
-            return gx.reshape(n), gp.reshape(n)
+            coords = [np.asarray(c) for c in (*x, *p)]
+            return np.array([poly_eval(d, coords)
+                             for d in self._poly_grad[first:first + n]], dtype=float)
         if self.fn is not None:
             eps = 1e-6
-            base = np.concatenate([z.x, z.p]).astype(float)
-
-            def f(vec):
-                return self.fn(*vec)
-
-            gx = np.empty(n)
-            gp = np.empty(n)
-            for i in range(2 * n):
+            base = np.concatenate([x, p]).astype(float)
+            out = np.empty(n)
+            for k in range(n):
                 e = np.zeros(2 * n)
-                e[i] = eps
-                d = (f(base + e) - f(base - e)) / (2 * eps)
-                if i < n:
-                    gx[i] = d
-                else:
-                    gp[i - n] = d
-            return gx, gp
+                e[first + k] = eps
+                out[k] = (self.fn(*(base + e)) - self.fn(*(base - e))) / (2 * eps)
+            return out
         raise ValueError("point derivatives need a poly or callable form")
 
 
@@ -164,10 +163,8 @@ def poisson_bracket(a: ClassicalObservable, b: ClassicalObservable) -> Classical
     if a.poly is not None and b.poly is not None:
         out: dict = {}
         for i in range(n):
-            for term, sign in ((poly_mul(poly_derivative(a.poly, i),
-                                         poly_derivative(b.poly, n + i)), 1.0),
-                               (poly_mul(poly_derivative(b.poly, i),
-                                         poly_derivative(a.poly, n + i)), -1.0)):
+            for term, sign in ((poly_mul(a._poly_grad[i], b._poly_grad[n + i]), 1.0),
+                               (poly_mul(b._poly_grad[i], a._poly_grad[n + i]), -1.0)):
                 for k, v in term.items():
                     out[k] = out.get(k, 0.0) + sign * v
         return ClassicalObservable.from_poly(grid, out)
@@ -229,13 +226,11 @@ def hamilton_flow(h: ClassicalObservable, z0: PhasePoint, t: float, dt: float,
     times = [0.0]
     exited = False
     t_exit = None
+    n = grid.dof
     for k in range(steps):
-        gx, _ = h.gradient_at(PhasePoint(tuple(x), tuple(p)))
-        p_half = p - 0.5 * dt * gx
-        _, gp = h.gradient_at(PhasePoint(tuple(x), tuple(p_half)))
-        x = x + dt * gp
-        gx, _ = h.gradient_at(PhasePoint(tuple(x), tuple(p_half)))
-        p = p_half - 0.5 * dt * gx
+        p_half = p - 0.5 * dt * h._partials(x, p, 0)
+        x = x + dt * h._partials(x, p_half, n)
+        p = p_half - 0.5 * dt * h._partials(x, p_half, 0)
         if not _inside(grid, x, p):
             exited = True
             t_exit = (k + 1) * dt
@@ -267,18 +262,14 @@ def leapfrog_monodromy(h: ClassicalObservable, dt: float) -> np.ndarray:
     return M
 
 
-def _poly_gradient_arrays(h: ClassicalObservable, xs: np.ndarray,
-                          ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (dH/dx, dH/dp) on point arrays, shape (n, npts) each."""
+def _poly_partial_arrays(h: ClassicalObservable, xs: np.ndarray, ps: np.ndarray,
+                         first: int) -> np.ndarray:
+    """Vectorized dH/dz_i, i = first .. first + dof - 1, shape (n, npts)."""
     n = h.grid.dof
     if h.poly is None:
         raise ValueError("vectorized flow needs a polynomial Hamiltonian")
     coords = [xs[d] for d in range(n)] + [ps[d] for d in range(n)]
-    gx = np.stack([poly_eval(poly_derivative(h.poly, i), coords)
-                   for i in range(n)])
-    gp = np.stack([poly_eval(poly_derivative(h.poly, n + i), coords)
-                   for i in range(n)])
-    return gx, gp
+    return np.stack([poly_eval(d, coords) for d in h._poly_grad[first:first + n]])
 
 
 def flow_points(h: ClassicalObservable, xs: np.ndarray, ps: np.ndarray,
@@ -287,13 +278,11 @@ def flow_points(h: ClassicalObservable, xs: np.ndarray, ps: np.ndarray,
     xs = np.array(xs, dtype=float)
     ps = np.array(ps, dtype=float)
     steps = int(round(t / dt))
+    n = h.grid.dof
     for _ in range(steps):
-        gx, _ = _poly_gradient_arrays(h, xs, ps)
-        ps -= 0.5 * dt * gx
-        _, gp = _poly_gradient_arrays(h, xs, ps)
-        xs += dt * gp
-        gx, _ = _poly_gradient_arrays(h, xs, ps)
-        ps -= 0.5 * dt * gx
+        ps -= 0.5 * dt * _poly_partial_arrays(h, xs, ps, 0)
+        xs += dt * _poly_partial_arrays(h, xs, ps, n)
+        ps -= 0.5 * dt * _poly_partial_arrays(h, xs, ps, 0)
     return xs, ps
 
 

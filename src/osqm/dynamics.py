@@ -51,6 +51,7 @@ __all__ = [
     "Hamiltonian",
     "EvolutionUnstableError",
     "evolve_lvn",
+    "step_count",
 ]
 
 
@@ -378,6 +379,15 @@ class LvnPlan:
         return _cidftn(acc / (1j * self.hbar)).real
 
 
+def step_count(t_final: float, dt: float) -> tuple[int, float]:
+    """Whole dt steps to t_final, with 1e-12 slack, and the shorter last step."""
+    whole = int(np.floor(t_final / dt + 1e-12))
+    tail = t_final - whole * dt
+    if tail < 1e-12 * max(1.0, abs(t_final)):
+        tail = 0.0
+    return whole, tail
+
+
 def evolve_lvn(w: WignerState, h: Hamiltonian, t_final: float, dt: float,
                verify_dt: bool = True, snapshots_every: int = 0,
                t0: float = 0.0):
@@ -415,10 +425,7 @@ def evolve_lvn(w: WignerState, h: Hamiltonian, t_final: float, dt: float,
         raise ValueError("dt must be positive")
     if h.grid != w.grid:
         raise GridMismatchError("Hamiltonian grid mismatch")
-    steps = int(np.floor(t_final / dt + 1e-12))
-    remainder = t_final - steps * dt
-    if remainder < 1e-12 * max(1.0, abs(t_final)):
-        remainder = 0.0
+    steps, remainder = step_count(t_final, dt)
     if not h.is_static():
         evolve = _evolve_rk4
     elif len(h.terms) == 1:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -71,11 +71,12 @@ class PhaseGrid:
     def axis(self, d: int = 0) -> "GridAxis":
         return _axis(self, d)
 
-    @property
+    # cached in the instance __dict__, outside the fields that == and hash use
+    @cached_property
     def dx(self) -> tuple[float, ...]:
         return tuple(2 * L / n for L, n in zip(self.x_extents, self.points))
 
-    @property
+    @cached_property
     def dp(self) -> tuple[float, ...]:
         return tuple(2 * np.pi * self.hbar / (n * dxi)
                      for n, dxi in zip(self.points, self.dx))

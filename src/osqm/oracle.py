@@ -31,10 +31,13 @@ __all__ = [
     "VonNeumannCoupling",
     "measurement_premeasurement",
     "tensor_state",
+    "state_vector",
+    "check_unit_norm",
 ]
 
 HERM_TOL = 1e-10
 PSD_TOL = 1e-8
+NORM_TOL = 1e-10   # allowed | |psi|^2 - 1 | of a state flagged normalized
 
 
 class NotPositiveError(ValueError):
@@ -58,7 +61,7 @@ class WaveFunction:
             raise ValueError("wavefunction shape does not match grid")
         if self.normalized:
             n2 = self.norm_sq()
-            if abs(n2 - 1) > 1e-10:
+            if abs(n2 - 1) > NORM_TOL:
                 raise ValueError(f"state flagged normalized but |psi|^2 sums to {n2!r}")
 
     def _dvol(self) -> float:
@@ -98,6 +101,19 @@ class WaveFunction:
             out = cdft(out, axis=d) * (self.grid.dx[d]
                                        / np.sqrt(2 * np.pi * self.grid.hbar))
         return out
+
+
+def state_vector(state) -> np.ndarray:
+    """The flat l2 vector of a WaveFunction; a vector is returned as it is."""
+    return state.to_vector() if isinstance(state, WaveFunction) else state
+
+
+def check_unit_norm(v: np.ndarray) -> np.ndarray:
+    """v, once |v|^2 = 1 within NORM_TOL, as a normalized WaveFunction checks."""
+    n2 = np.vdot(v, v).real
+    if abs(n2 - 1) > NORM_TOL:
+        raise ValueError(f"state vector should be normalized but |v|^2 sums to {n2!r}")
+    return v
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .grid import PhaseGrid
-from .oracle import OperatorMatrix, WaveFunction, operator_sqrt
+from .oracle import PSD_TOL, OperatorMatrix, operator_sqrt, state_vector
 from .weyl import WeylSymbol, weyl_symbol_from_operator
 
 __all__ = [
@@ -388,22 +388,43 @@ def classicality_projectors(partition: Partition,
     last = int(order[-1])
     rem = eye - sum(p for p in out if p is not None)
     out[last] = 0.5 * (rem + rem.conj().T)
-    return [OperatorMatrix(grid, p, hermitian=True, psd=True) for p in out]
+    return [_checked_projector(grid, p) for p in out]
 
 
-def is_quasirestricted(psi: WaveFunction, region: Region, tol: float = 1e-3,
+def _checked_projector(grid: PhaseGrid, p: np.ndarray) -> OperatorMatrix:
+    """Wrap a Hermitian matrix as a projector after checking P^2 = P.
+
+    A Hermitian P with ||P^2 - P||_max <= delta has ||P^2 - P||_2 <= D delta
+    (D the dimension), so each eigenvalue l obeys |l^2 - l| <= D delta and
+    lies within D delta of 0 or 1. The bound delta = PSD_TOL / D therefore
+    gives every guarantee the PSD flag's eigh check gave (no eigenvalue below
+    -PSD_TOL), for one GEMM instead of an eigh. The deflated projectors of
+    a two-region partition reach 8.0e-15 at D = 256, where delta = 3.9e-11.
+    """
+    dim = grid.hilbert_dim
+    dev = float(np.abs(p @ p - p).max())
+    if dev > PSD_TOL / dim:
+        raise ValueError(
+            f"classicality projector is not idempotent: ||P^2 - P||_max = "
+            f"{dev:.2e} exceeds {PSD_TOL / dim:.2e}")
+    return OperatorMatrix(grid, p, hermitian=True)
+
+
+def is_quasirestricted(psi, region: Region, tol: float = 1e-3,
                        cutoff: float = 1e-6) -> tuple[bool, float]:
     """Test membership in the numerical range of Pi_R^(1/2).
 
-    The residual is the norm of the component of psi outside the span of
-    quasiprojector eigenvectors with eigenvalue above the pseudo-inverse
-    cutoff. (The cutoff acts on the eigenvalues of Pi_R itself; cutting on
-    sqrt(eigenvalue) instead would keep essentially every mode of a
-    Gaussian-smoothed quasiprojector and the test would never reject.)
+    psi is a WaveFunction or its l2 vector. The residual is the norm of the
+    component of psi outside the span of quasiprojector eigenvectors with
+    eigenvalue above the pseudo-inverse cutoff. (The cutoff acts on the
+    eigenvalues of Pi_R itself; cutting on sqrt(eigenvalue) instead would
+    keep essentially every mode of a Gaussian-smoothed quasiprojector and
+    the test would never reject.)
     """
     w, q = region.operator().eigh()
-    keep = w > cutoff
-    # |<q_i|v>| = |v^H q_i|: no conjugated copy of q
-    overlaps = psi.to_vector().conj() @ q
-    residual = float(np.sqrt((np.abs(overlaps[~keep]) ** 2).sum()))
+    # eigh sorts w ascending: the eigenvectors at or below the cutoff are a
+    # prefix of q's columns; |<q_i|v>| = |v^H q_i| needs no conjugated copy
+    out = np.searchsorted(w, cutoff, side="right")
+    overlaps = state_vector(psi).conj() @ q[:, :out]
+    residual = float(np.sqrt((np.abs(overlaps) ** 2).sum()))
     return residual < tol, residual

@@ -9,7 +9,9 @@ in comparison mode). Everything is deterministic given (config, seed).
 Nothing reads the state between two events, so TrajectoryEngine propagates
 from stop to stop (an event or a snapshot) in one go: one cached dense
 propagator U(n dt) per interval on the oracle backend, one evolve_lvn call
-per interval on the phase backend.
+per interval on the phase backend. The oracle backend carries the state as
+its flat l2 vector (WaveFunction.to_vector()) from start to end; the Born
+weights, the projection and the quasirestriction test accept either form.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import Hamiltonian, evolve_lvn
-from .grid import PhaseGrid
-from .oracle import DensityOperator, OperatorMatrix, WaveFunction
+from .dynamics import Hamiltonian, evolve_lvn, step_count
+from .oracle import (DensityOperator, OperatorMatrix, WaveFunction, check_unit_norm,
+                     state_vector)
 from .regions import Partition, Region, classicality_projectors, is_quasirestricted
 from .weyl import mean_value, weyl_operator_from_symbol
 from .wigner import WignerState, density_from_wigner, wigner_from_density, \
@@ -33,16 +35,13 @@ from .wigner import WignerState, density_from_wigner, wigner_from_density, \
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "RegionDecomposition",
     "ProjectionSchedule",
     "TrajectoryRecord",
     "TrajectoryEngine",
-    "decompose_over_regions",
     "transition_probabilities",
     "transition_probabilities_oracle",
     "sample_transition",
     "apply_quasiprojection",
-    "run_trajectory",
     "run_ensemble",
     "zeno_experiment",
     "trajectory_rng",
@@ -59,21 +58,6 @@ def _cached_projectors(partition: Partition) -> list:
         cached = classicality_projectors(partition)
         partition._exact_projectors = cached
     return cached
-
-
-@dataclass
-class RegionDecomposition:
-    """Per-region weights of a state over the coarse graining."""
-
-    labels: list
-    coefficients: np.ndarray   # c_j = <psi| exact projector_j |psi>, real
-    probabilities: np.ndarray  # Born weights from the quasiprojectors
-    residual: float
-
-    def __post_init__(self):
-        total = self.probabilities.sum()
-        if abs(total - 1) > 1e-6:
-            raise ValueError(f"probabilities sum to {total!r}")
 
 
 @dataclass(frozen=True)
@@ -125,29 +109,14 @@ def transition_probabilities(w: WignerState, partition: Partition) -> np.ndarray
                                    for r in partition.regions]))
 
 
-def transition_probabilities_oracle(psi: WaveFunction,
-                                    partition: Partition) -> np.ndarray:
-    """Operator-side Born weights p_j = <psi|Pi_j|psi>, clipped as above."""
-    v = psi.to_vector()
+def transition_probabilities_oracle(psi, partition: Partition) -> np.ndarray:
+    """Operator-side Born weights p_j = <psi|Pi_j|psi>, clipped as above.
+
+    psi is a WaveFunction or its l2 vector.
+    """
+    v = state_vector(psi)
     return _born_weights(np.array([np.vdot(v, r.operator().matrix @ v).real
                                    for r in partition.regions]))
-
-
-def decompose_over_regions(psi: WaveFunction,
-                           partition: Partition) -> RegionDecomposition:
-    """Weights c_j from the exact projectors and Born probabilities p_j.
-
-    residual = || psi - sum_j c_j P_j psi ||; c_j are real expectation
-    values, so only their squared magnitudes are meaningful as amplitudes.
-    """
-    projs = _cached_projectors(partition)
-    v = psi.to_vector()
-    cs = np.array([np.vdot(v, p.matrix @ v).real for p in projs])
-    resid_vec = v - sum(c * (p.matrix @ v) for c, p in zip(cs, projs))
-    probs = transition_probabilities_oracle(psi, partition)
-    return RegionDecomposition(labels=partition.labels(), coefficients=cs,
-                               probabilities=probs,
-                               residual=float(np.linalg.norm(resid_vec)))
 
 
 def sample_transition(probabilities: np.ndarray, rng: np.random.Generator) -> int:
@@ -161,15 +130,15 @@ def sample_transition(probabilities: np.ndarray, rng: np.random.Generator) -> in
     return min(int(np.searchsorted(cdf, u, side="right")), len(p) - 1)
 
 
-def apply_quasiprojection(psi: WaveFunction, region: Region,
-                          mode: str = "sqrt",
-                          exact_projector: Optional[OperatorMatrix] = None) -> WaveFunction:
+def apply_quasiprojection(psi, region: Region, mode: str = "sqrt",
+                          exact_projector: Optional[OperatorMatrix] = None):
     """State update Pi_R^(1/2) psi / norm (POVM form).
 
     mode="exact" uses the supplied classicality projector instead, for
-    quantifying the quasiprojector approximation.
+    quantifying the quasiprojector approximation. psi is a WaveFunction or
+    its l2 vector, and the updated state comes back in the same form.
     """
-    v = psi.to_vector()
+    v = state_vector(psi)
     if mode == "sqrt":
         op = region.sqrt_operator().matrix
     elif mode == "exact":
@@ -184,7 +153,9 @@ def apply_quasiprojection(psi: WaveFunction, region: Region,
         raise ValueError(
             f"projection weight {norm ** 2:.3e} below {MIN_TRANSITION_PROB}; "
             "a forbidden transition was sampled (sampler inconsistency)")
-    return WaveFunction.from_vector(psi.grid, out / norm)
+    if isinstance(psi, WaveFunction):
+        return WaveFunction.from_vector(psi.grid, out / norm)
+    return check_unit_norm(out / norm)
 
 
 def trajectory_rng(base_seed: int, traj_index: int) -> np.random.Generator:
@@ -213,15 +184,6 @@ class TrajectoryRecord:
                 "num_events": len(self.event_steps)}
 
 
-def _step_count(t_final: float, dt: float) -> tuple[int, float]:
-    """Whole dt steps to t_final and the shorter last step, as evolve_lvn counts."""
-    whole = int(np.floor(t_final / dt + 1e-12))
-    tail = t_final - whole * dt
-    if tail < 1e-12 * max(1.0, abs(t_final)):
-        tail = 0.0
-    return whole, tail
-
-
 class _Propagator:
     """What run() needs of a backend: advance by an interval, Born weights,
     projection, PS6 residual and a snapshot, on the backend's state type."""
@@ -238,6 +200,9 @@ class _Propagator:
 class _OraclePropagator(_Propagator):
     """Wavefunction backend: dense propagators U(n dt + tail) from one eigh.
 
+    The state is the flat l2 vector of WaveFunction.to_vector() throughout;
+    no WaveFunction is built per stop. Its unit norm, which a WaveFunction
+    would check when built, is checked after each advance and projection.
     Each U is built once per distinct interval (n, tail) and cached; the
     most frequent interval is built up front, so forked ensemble workers
     share it.
@@ -258,28 +223,26 @@ class _OraclePropagator(_Propagator):
             u = self._u[(n, tail)] = (self._q * phases) @ self._q.conj().T
         return u
 
-    def initial(self) -> WaveFunction:
-        return self.psi0
+    def initial(self) -> np.ndarray:
+        return self.psi0.to_vector()
 
-    def advance(self, psi: WaveFunction, n: int, tail: float,
-                t0: float) -> WaveFunction:
-        v = self._propagator(n, tail) @ psi.to_vector()
-        return WaveFunction.from_vector(psi.grid, v)
+    def advance(self, v: np.ndarray, n: int, tail: float, t0: float) -> np.ndarray:
+        return check_unit_norm(self._propagator(n, tail) @ v)
 
-    def born_weights(self, psi: WaveFunction) -> np.ndarray:
-        return transition_probabilities_oracle(psi, self.partition)
+    def born_weights(self, v: np.ndarray) -> np.ndarray:
+        return transition_probabilities_oracle(v, self.partition)
 
-    def project(self, psi: WaveFunction, chosen: int) -> WaveFunction:
+    def project(self, v: np.ndarray, chosen: int) -> np.ndarray:
         return apply_quasiprojection(
-            psi, self.partition.regions[chosen], mode=self.projection_mode,
+            v, self.partition.regions[chosen], mode=self.projection_mode,
             exact_projector=(self.exact_projectors[chosen]
                              if self.exact_projectors else None))
 
-    def ps6(self, psi: WaveFunction, chosen: int) -> tuple[bool, float]:
-        return is_quasirestricted(psi, self.partition.regions[chosen])
+    def ps6(self, v: np.ndarray, chosen: int) -> tuple[bool, float]:
+        return is_quasirestricted(v, self.partition.regions[chosen])
 
-    def snapshot(self, psi: WaveFunction) -> np.ndarray:
-        return psi.to_vector()
+    def snapshot(self, v: np.ndarray) -> np.ndarray:
+        return v.copy()
 
 
 class _PhasePropagator(_Propagator):
@@ -323,11 +286,12 @@ class TrajectoryEngine:
     every stride-th step and after the last one.
 
     The state is needed only at events and snapshots, so run() propagates
-    from one such stop straight to the next. backend "oracle" applies a
-    dense propagator U(n dt) per interval, built once per distinct length
-    from the Hamiltonian's eigendecomposition; backend "phase" makes one
-    evolve_lvn call per interval with step dt, and routes projections
-    through the density matrix.
+    from one such stop straight to the next. backend "oracle" keeps the
+    state as its l2 vector and applies a dense propagator U(n dt) per
+    interval, built once per distinct length from the Hamiltonian's
+    eigendecomposition; each advance and projection checks the unit norm.
+    backend "phase" makes one evolve_lvn call per interval with step dt,
+    and routes projections through the density matrix.
     """
 
     def __init__(self, psi0: WaveFunction, h: Hamiltonian, partition: Partition,
@@ -349,7 +313,7 @@ class TrajectoryEngine:
         self.projection_mode = projection_mode
         self.check_ps6 = check_ps6
         self.snapshot_every = snapshot_every
-        whole, tail = _step_count(t_final, dt)
+        whole, tail = step_count(t_final, dt)
         self.steps = whole + (tail > 0)
         self.stride = schedule.stride(dt, self.steps)
         self.times = np.arange(self.steps + 1) * dt
@@ -444,17 +408,6 @@ def _density_quasirestricted(w: WignerState, region: Region,
                                rho.matrix, q[:, ~keep]).real)
     residual = float(np.sqrt(max(out_mass, 0.0)))
     return residual < tol, residual
-
-
-def run_trajectory(psi0: WaveFunction, h: Hamiltonian, partition: Partition,
-                   t_final: float, dt: float, schedule: ProjectionSchedule,
-                   seed: int, backend: str = "oracle",
-                   projection_mode: str = "sqrt", **kwargs) -> TrajectoryRecord:
-    """One seeded trajectory; see TrajectoryEngine for the loop contract."""
-    engine = TrajectoryEngine(psi0, h, partition, t_final, dt, schedule,
-                              backend=backend, projection_mode=projection_mode,
-                              **kwargs)
-    return engine.run(seed)
 
 
 def worker_count() -> int:

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import osqm
 from osqm import cli
 from osqm.oracle import NotPositiveError
 from osqm.transitions import TrajectoryEngine
@@ -72,3 +77,13 @@ def test_regress_out_dir_writes_report(tmp_path):
     assert cli.main(["regress", "--only", "7,11", "--out-dir", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert [(r["criterion"], r["passed"]) for r in report] == [(7, True), (11, True)]
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(osqm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "osqm", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "usage: osqm" in out.stdout

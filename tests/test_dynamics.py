@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from osqm.dynamics import (EvolutionUnstableError, Hamiltonian, HamiltonianTerm,
-                           evolve_lvn)
+                           evolve_lvn, step_count)
 from osqm.grid import ContainmentError, PhaseGrid
 from osqm.oracle import WaveFunction, schrodinger_propagate
 from osqm.weyl import WeylSymbol, mean_value, weyl_operator_from_symbol
@@ -202,3 +202,11 @@ def test_split_snapshots_leave_final_state_unchanged(grid64, osc, w0):
     assert [round(t, 12) for t, _ in snaps] == [0.2, 0.4, 0.6, 0.8, 1.0]
     mid = evolve_lvn(w0, osc, 0.4, 0.05)
     assert np.abs(snaps[1][1].values - mid.values).max() < 1e-12
+
+
+def test_step_count_keeps_whole_steps_and_drops_round_off_tails():
+    assert step_count(np.pi, np.pi / 64) == (64, 0.0)
+    assert step_count(3 * 0.1, 0.1) == (3, 0.0)       # 0.30000000000000004 / 0.1
+    whole, tail = step_count(1.0, 0.3)
+    assert whole == 3 and tail == pytest.approx(0.1, abs=1e-15)
+    assert step_count(0.0, 0.1) == (0, 0.0)

@@ -3,8 +3,8 @@ import pytest
 import scipy.linalg
 
 from osqm.grid import PhaseGrid
-from osqm.regions import (_coherent_quadrature_1dof, build_partition,
-                          classicality_projectors)
+from osqm.regions import (_checked_projector, _coherent_quadrature_1dof,
+                          build_partition, classicality_projectors)
 from osqm.scenarios import MeasurementScenario
 
 
@@ -100,6 +100,16 @@ def test_classicality_projectors_match_explicit_deflation(grid64, x_cuts):
     got = classicality_projectors(part)
     for p, ref in zip(got, _deflation_reference(part)):
         assert np.array_equal(p.matrix, ref)
+
+
+def test_projector_check_rejects_a_matrix_that_is_not_idempotent(grid64):
+    proj = classicality_projectors(build_partition(grid64, [0.0]))[0].matrix
+    _checked_projector(grid64, proj)
+    # a Hermitian perturbation, so only the idempotence check can fail
+    bump = np.zeros_like(proj)
+    bump[3, 5] = bump[5, 3] = 1e-9
+    with pytest.raises(ValueError, match="not idempotent"):
+        _checked_projector(grid64, proj + bump)
 
 
 def test_partition_rejects_a_box_side_below_five_sqrt_hbar(grid64):

@@ -8,7 +8,8 @@ import pytest
 from osqm import regions, scenarios, wigner
 from osqm.dynamics import evolve_lvn
 from osqm.grid import PhaseGrid
-from osqm.oracle import DensityOperator, NotPositiveError, WaveFunction
+from osqm.oracle import (DensityOperator, NotPositiveError, WaveFunction,
+                         schrodinger_propagate)
 from osqm.regions import classicality_projectors, is_quasirestricted
 from osqm.transitions import (ProjectionSchedule, TrajectoryEngine, _born_weights,
                               _density_quasirestricted, apply_quasiprojection,
@@ -219,3 +220,30 @@ def test_born_weights_clip_round_off_and_reject_real_negatives(caplog):
     assert "clipped 1 negative" in caplog.text
     with pytest.raises(ValueError, match="below clip floor"):
         _born_weights(np.array([-1e-6, 1.0]))
+
+
+def test_oracle_engine_checks_the_unit_norm_at_every_stop(setup):
+    eng = _engine(setup, 2 * np.pi, DT, ProjectionSchedule("periodic", np.pi / 4))
+    eng.run(0)
+    for key in eng._propagator._u:
+        eng._propagator._u[key] = eng._propagator._u[key] * 1.01
+    with pytest.raises(ValueError, match="should be normalized"):
+        eng.run(0)
+
+
+@pytest.mark.parametrize("mode", ["sqrt", "exact"])
+def test_oracle_layers_agree_bitwise_on_wavefunction_and_vector(setup, mode):
+    psi0, h, partition = setup
+    # a quarter period puts the packet across the cut at x = 0
+    psi = schrodinger_propagate(psi0, weyl_operator_from_symbol(h.symbol()), np.pi / 2)
+    v = psi.to_vector()
+    assert np.array_equal(transition_probabilities_oracle(psi, partition),
+                          transition_probabilities_oracle(v, partition))
+    exact = classicality_projectors(partition)
+    for j, region in enumerate(partition.regions):
+        assert is_quasirestricted(psi, region) == is_quasirestricted(v, region)
+        got_wf = apply_quasiprojection(psi, region, mode, exact[j])
+        got_v = apply_quasiprojection(v, region, mode, exact[j])
+        assert isinstance(got_wf, WaveFunction) and isinstance(got_v, np.ndarray)
+        assert np.array_equal(got_wf.values,
+                              WaveFunction.from_vector(psi.grid, got_v).values)
