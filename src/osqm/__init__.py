@@ -13,9 +13,8 @@ from .classical import (ClassicalObservable, SymplecticForm, evolve_region_class
 from .dynamics import Hamiltonian, HamiltonianTerm, evolve_lvn
 from .grid import ContainmentError, GridMismatchError, PhaseGrid, PhasePoint
 from .moyal import moyal_bracket, moyal_product, moyal_product_truncated
-from .oracle import (DensityOperator, OperatorMatrix, VonNeumannCoupling,
-                     WaveFunction, measurement_premeasurement, operator_sqrt,
-                     povm_apply, schrodinger_propagate, tensor_state)
+from .oracle import (DensityOperator, OperatorMatrix, WaveFunction, operator_sqrt,
+                     schrodinger_propagate, tensor_state)
 from .regions import (Partition, Region, build_partition, classicality_projectors,
                       is_quasirestricted, quasiprojector_defect, quasiprojector_operator,
                       quasiprojector_symbol)

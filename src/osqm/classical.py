@@ -1,4 +1,13 @@
-"""Classical phase-space layer: symplectic structure, observables, flows."""
+"""Classical phase-space layer: symplectic structure, observables, flows.
+
+Polynomial observables are coefficient dicts with one exact algebra
+(poly_mul, poly_derivative, poly_add), which the Moyal polynomial star
+product shares. Every flow (one point, a point set, a region image, the
+one-step monodromy) runs the same kick-drift-kick leapfrog, _leapfrog
+(Stormer-Verlet; Hairer, Lubich & Wanner, Geometric Numerical Integration,
+2006, I.1.4), on coordinates that are floats for one point or arrays for
+many.
+"""
 
 from __future__ import annotations
 
@@ -20,6 +29,7 @@ __all__ = [
     "evolve_region_classically",
     "poly_mul",
     "poly_derivative",
+    "poly_add",
 ]
 
 # Polynomial observables are stored as {(xdeg_0..xdeg_{n-1}, pdeg_0..pdeg_{n-1}): coeff}.
@@ -72,13 +82,35 @@ def poly_derivative(poly: PolyDict, index: int) -> dict:
     return _poly_clean(out)
 
 
-def poly_eval(poly: PolyDict, coords: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.zeros(np.broadcast(*coords).shape if len(coords) > 1 else np.shape(coords[0]))
+def poly_add(a: PolyDict, b: PolyDict, w: complex = 1.0) -> dict:
+    """a + w b, dropping zero coefficients."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0.0) + w * v
+    return _poly_clean(out)
+
+
+def _power(c, deg: int):
+    """c ** deg with the bits numpy gives an array c, for a float c too.
+
+    numpy squares by one multiplication and takes higher powers from its own
+    power loop, which need not round as the C library's pow (a float's **) does.
+    """
+    if deg == 1:
+        return c
+    if deg == 2:
+        return c * c
+    return np.power(c, deg)
+
+
+def poly_eval(poly: PolyDict, coords: Sequence):
+    """The polynomial at coords (x then p), each a float or an array."""
+    out = 0.0
     for k, v in poly.items():
-        term = v * np.ones_like(out)
+        term = v
         for deg, c in zip(k, coords):
             if deg:
-                term = term * c ** deg
+                term = term * _power(c, deg)
         out = out + term
     return out
 
@@ -121,26 +153,23 @@ class ClassicalObservable:
         vals = fn(*grid.phase_mesh())
         return cls(grid=grid, values=vals, fn=fn)
 
-    def gradient_at(self, z: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
-        """(dH/dx, dH/dp) at a point; needs poly or callable form."""
-        n = self.grid.dof
-        return self._partials(z.x, z.p, 0), self._partials(z.x, z.p, n)
+    def _partials(self, x: Sequence, p: Sequence, first: int) -> list:
+        """dH/dz_i at (x, p) for i = first .. first + dof - 1, z = (x, p).
 
-    def _partials(self, x, p, first: int) -> np.ndarray:
-        """dH/dz_i at (x, p) for i = first .. first + dof - 1, z = (x, p)."""
+        x and p hold one entry per dof, each a float or an array of points;
+        so does the result. Callable forms take a central difference.
+        """
         n = self.grid.dof
+        z = [*x, *p]
         if self.poly is not None:
-            coords = [np.asarray(c) for c in (*x, *p)]
-            return np.array([poly_eval(d, coords)
-                             for d in self._poly_grad[first:first + n]], dtype=float)
+            return [poly_eval(d, z) for d in self._poly_grad[first:first + n]]
         if self.fn is not None:
             eps = 1e-6
-            base = np.concatenate([x, p]).astype(float)
-            out = np.empty(n)
-            for k in range(n):
-                e = np.zeros(2 * n)
-                e[first + k] = eps
-                out[k] = (self.fn(*(base + e)) - self.fn(*(base - e))) / (2 * eps)
+            out = []
+            for i in range(first, first + n):
+                hi, lo = list(z), list(z)
+                hi[i], lo[i] = z[i] + eps, z[i] - eps
+                out.append((self.fn(*hi) - self.fn(*lo)) / (2 * eps))
             return out
         raise ValueError("point derivatives need a poly or callable form")
 
@@ -163,10 +192,8 @@ def poisson_bracket(a: ClassicalObservable, b: ClassicalObservable) -> Classical
     if a.poly is not None and b.poly is not None:
         out: dict = {}
         for i in range(n):
-            for term, sign in ((poly_mul(a._poly_grad[i], b._poly_grad[n + i]), 1.0),
-                               (poly_mul(b._poly_grad[i], a._poly_grad[n + i]), -1.0)):
-                for k, v in term.items():
-                    out[k] = out.get(k, 0.0) + sign * v
+            out = poly_add(out, poly_mul(a._poly_grad[i], b._poly_grad[n + i]))
+            out = poly_add(out, poly_mul(b._poly_grad[i], a._poly_grad[n + i]), -1.0)
         return ClassicalObservable.from_poly(grid, out)
 
     vals = np.zeros(grid.phase_shape)
@@ -190,109 +217,94 @@ class FlowResult:
     exited: bool = False
     t_exit: Optional[float] = None
 
-    def __iter__(self):
-        return iter(self.points)
 
-    def __getitem__(self, i):
-        return self.points[i]
-
-    def __len__(self):
-        return len(self.points)
-
-
-def _inside(grid: PhaseGrid, x: np.ndarray, p: np.ndarray) -> bool:
+def _inside(grid: PhaseGrid, x: Sequence, p: Sequence) -> bool:
     for d in range(grid.dof):
         if abs(x[d]) > grid.x_extents[d] or abs(p[d]) > grid.p_extents[d]:
             return False
     return True
 
 
+def _leapfrog(h: ClassicalObservable, x: list, p: list, dt: float, steps: int):
+    """Yield (x, p) after each kick-drift-kick step of Hamilton's equations
+    xdot = dH/dp, pdot = -dH/dx.
+
+    x and p hold one entry per dof, each a float (one point) or an array
+    (many points flowed at once).
+    """
+    n = h.grid.dof
+    half = 0.5 * dt
+    for _ in range(steps):
+        p = [pd - half * g for pd, g in zip(p, h._partials(x, p, 0))]
+        x = [xd + dt * g for xd, g in zip(x, h._partials(x, p, n))]
+        p = [pd - half * g for pd, g in zip(p, h._partials(x, p, 0))]
+        yield x, p
+
+
 def hamilton_flow(h: ClassicalObservable, z0: PhasePoint, t: float, dt: float,
                   store_every: int = 1) -> FlowResult:
-    """Integrate Hamilton's equations xdot = dH/dp, pdot = -dH/dx.
+    """Integrate Hamilton's equations from z0 with the fixed-step leapfrog.
 
-    Fixed-step leapfrog (kick-drift-kick); exits are flagged and the
-    trajectory truncated at the last inside point.
+    Every store_every-th point and the last are kept. Exits are flagged and
+    the trajectory truncated at the last inside point.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     grid = h.grid
-    if not _inside(grid, np.asarray(z0.x), np.asarray(z0.p)):
+    x = [float(c) for c in z0.x]
+    p = [float(c) for c in z0.p]
+    if not _inside(grid, x, p):
         raise ValueError("initial point outside grid")
     steps = int(round(t / dt))
-    x = np.array(z0.x, dtype=float)
-    p = np.array(z0.p, dtype=float)
     pts = [PhasePoint(tuple(x), tuple(p))]
     times = [0.0]
     exited = False
     t_exit = None
-    n = grid.dof
-    for k in range(steps):
-        p_half = p - 0.5 * dt * h._partials(x, p, 0)
-        x = x + dt * h._partials(x, p_half, n)
-        p = p_half - 0.5 * dt * h._partials(x, p_half, 0)
+    for k, (x, p) in enumerate(_leapfrog(h, x, p, dt, steps), start=1):
         if not _inside(grid, x, p):
             exited = True
-            t_exit = (k + 1) * dt
+            t_exit = k * dt
             break
-        if (k + 1) % store_every == 0 or k == steps - 1:
+        if k % store_every == 0 or k == steps:
             pts.append(PhasePoint(tuple(x), tuple(p)))
-            times.append((k + 1) * dt)
+            times.append(k * dt)
     return FlowResult(points=pts, times=np.asarray(times), exited=exited,
                       t_exit=t_exit)
 
 
-def leapfrog_monodromy(h: ClassicalObservable, dt: float) -> np.ndarray:
-    """Linear map of one leapfrog step for quadratic H, built exactly by
-    applying the step to basis points (the step is affine for quadratic H)."""
-    n = h.grid.dof
-    dim = 2 * n
-
-    def step(vec):
-        z = PhasePoint(tuple(vec[:n]), tuple(vec[n:]))
-        res = hamilton_flow(h, z, dt, dt)
-        return res.points[-1].as_vector()
-
-    origin = step(np.zeros(dim))
-    M = np.empty((dim, dim))
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        M[:, i] = step(e) - origin
-    return M
-
-
-def _poly_partial_arrays(h: ClassicalObservable, xs: np.ndarray, ps: np.ndarray,
-                         first: int) -> np.ndarray:
-    """Vectorized dH/dz_i, i = first .. first + dof - 1, shape (n, npts)."""
-    n = h.grid.dof
-    if h.poly is None:
-        raise ValueError("vectorized flow needs a polynomial Hamiltonian")
-    coords = [xs[d] for d in range(n)] + [ps[d] for d in range(n)]
-    return np.stack([poly_eval(d, coords) for d in h._poly_grad[first:first + n]])
-
-
 def flow_points(h: ClassicalObservable, xs: np.ndarray, ps: np.ndarray,
                 t: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Leapfrog all points at once (polynomial H); returns final (xs, ps)."""
-    xs = np.array(xs, dtype=float)
-    ps = np.array(ps, dtype=float)
-    steps = int(round(t / dt))
+    """Leapfrog a set of points at once; xs and ps have shape (dof, npts).
+
+    Returns the final (xs, ps). Nothing checks that the points stay on the
+    grid.
+    """
+    x = list(np.array(xs, dtype=float))
+    p = list(np.array(ps, dtype=float))
+    for x, p in _leapfrog(h, x, p, dt, int(round(t / dt))):
+        pass
+    return np.stack(x), np.stack(p)
+
+
+def leapfrog_monodromy(h: ClassicalObservable, dt: float) -> np.ndarray:
+    """Linear map of one leapfrog step for quadratic H, built exactly by
+    applying the step to the origin and the basis points (the step is affine
+    for quadratic H)."""
     n = h.grid.dof
-    for _ in range(steps):
-        ps -= 0.5 * dt * _poly_partial_arrays(h, xs, ps, 0)
-        xs += dt * _poly_partial_arrays(h, xs, ps, n)
-        ps -= 0.5 * dt * _poly_partial_arrays(h, xs, ps, 0)
-    return xs, ps
+    points = np.hstack([np.zeros((2 * n, 1)), np.eye(2 * n)])
+    xs, ps = flow_points(h, points[:n], points[n:], dt, dt)
+    images = np.vstack([xs, ps])
+    return images[:, 1:] - images[:, :1]
 
 
 def evolve_region_classically(mask: np.ndarray, h: ClassicalObservable,
                               t: float, dt: float = 1e-3) -> np.ndarray:
     """Flow every cell center of a mask and re-bin: the point-set image.
 
-    Used by the classical-consistency checks. Raises if any cell center
-    leaves the grid. Polynomial Hamiltonians flow all cells vectorized;
-    other forms fall back to per-cell integration.
+    Used by the classical-consistency checks. All cell centers flow at once
+    through flow_points, for polynomial and callable H alike (a callable
+    must take arrays). Raises if any center lies off the grid at time t;
+    the flow in between is not checked.
     """
     grid = h.grid
     if mask.shape != grid.phase_shape:
@@ -304,29 +316,14 @@ def evolve_region_classically(mask: np.ndarray, h: ClassicalObservable,
     axes = [grid.axis(d) for d in range(n)]
     x0 = np.stack([axes[d].x[idx[:, d]] for d in range(n)])
     p0 = np.stack([axes[d].p[idx[:, n + d]] for d in range(n)])
-    if h.poly is not None:
-        xT, pT = flow_points(h, x0, p0, t, dt)
-    else:
-        xT = np.empty_like(x0)
-        pT = np.empty_like(p0)
-        for k in range(idx.shape[0]):
-            res = hamilton_flow(h, PhasePoint.of(x0[:, k], p0[:, k]), t, dt)
-            if res.exited:
-                raise ValueError("region image escapes the grid")
-            zT = res.points[-1]
-            xT[:, k] = zT.x
-            pT[:, k] = zT.p
+    xT, pT = flow_points(h, x0, p0, t, dt)
     out = np.zeros_like(mask, dtype=bool)
     loc = []
-    for d in range(n):
-        jx = np.rint(xT[d] / axes[d].dx).astype(int) + grid.n(d) // 2
-        if (jx < 0).any() or (jx >= grid.n(d)).any():
+    for d, coord, spacing in ([(d, xT[d], axes[d].dx) for d in range(n)]
+                              + [(d, pT[d], axes[d].dp) for d in range(n)]):
+        j = np.rint(coord / spacing).astype(int) + grid.n(d) // 2
+        if (j < 0).any() or (j >= grid.n(d)).any():
             raise ValueError("region image escapes the grid")
-        loc.append(jx)
-    for d in range(n):
-        jp = np.rint(pT[d] / axes[d].dp).astype(int) + grid.n(d) // 2
-        if (jp < 0).any() or (jp >= grid.n(d)).any():
-            raise ValueError("region image escapes the grid")
-        loc.append(jp)
+        loc.append(j)
     out[tuple(loc)] = True
     return out

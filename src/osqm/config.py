@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -81,13 +82,22 @@ def _check_block(raw: dict, name: str, allowed: set, errors: list) -> dict:
         return dict(_DEFAULTS.get(name, {}))
     if not isinstance(block, dict):
         errors.append(f"{name}: expected an object")
-        return {}
+        return dict(_DEFAULTS.get(name, {}))
     unknown = set(block) - allowed
     if unknown:
         errors.append(f"{name}: unknown keys {sorted(unknown)}")
     merged = dict(_DEFAULTS.get(name, {}))
     merged.update({k: v for k, v in block.items() if k in allowed})
     return merged
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def parse_config(path_or_dict) -> ScenarioConfig:
@@ -133,14 +143,28 @@ def parse_config(path_or_dict) -> ScenarioConfig:
         errors.append(f"projection_mode: {projection_mode!r} not in ('sqrt', 'exact')")
     if schedule.get("mode") not in ("continuous", "periodic", "single-shot"):
         errors.append(f"schedule: unknown mode {schedule.get('mode')!r}")
+    dt, dtp, t_final = schedule.get("dt"), schedule.get("dt_proj"), schedule.get("t_final")
+    numbers = {"dt": dt, "t_final": t_final}
+    if dtp is not None:
+        numbers["dt_proj"] = dtp
+    for key, value in numbers.items():
+        if not _is_number(value):
+            errors.append(f"schedule: {key} must be a number, got {value!r}")
+    if _is_number(dt) and dt <= 0:
+        errors.append(f"schedule: dt must be > 0, got {dt!r}")
+    if _is_number(t_final) and t_final < 0:
+        errors.append(f"schedule: t_final must be >= 0, got {t_final!r}")
     if schedule.get("mode") == "periodic":
-        dtp, dt = schedule.get("dt_proj"), schedule.get("dt")
         if dtp is None:
             errors.append("schedule: periodic mode needs dt_proj")
-        elif dt and dtp < dt:
+        elif _is_number(dt) and _is_number(dtp) and dtp < dt:
             errors.append("schedule: dt_proj must be >= dt")
-    if ensemble.get("num_seeds", 1) < 1:
-        errors.append("ensemble: num_seeds must be >= 1")
+    for name, block, key, least in (("ensemble", ensemble, "num_seeds", 1),
+                                    ("ensemble", ensemble, "base_seed", 0),
+                                    ("output", output, "snapshot_stride", 0)):
+        value = block.get(key)
+        if not _is_integer(value) or value < least:
+            errors.append(f"{name}: {key} must be an integer >= {least}, got {value!r}")
 
     cfg = None
     if not errors:

@@ -16,6 +16,7 @@ from math import comb, factorial
 
 import numpy as np
 
+from .classical import poly_add, poly_derivative, poly_mul
 from .grid import GridMismatchError, PhaseGrid
 from .spectral import alternating_signs, cdft, cidft, spectral_derivative
 from .weyl import WeylSymbol
@@ -175,31 +176,8 @@ def moyal_product_truncated(a: WeylSymbol, b: WeylSymbol, order: int) -> WeylSym
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial star algebra (one dof), used for closed-form cross-checks
-
-def _poly_dx(poly: dict) -> dict:
-    return {(i - 1, j): c * i for (i, j), c in poly.items() if i > 0}
-
-
-def _poly_dp(poly: dict) -> dict:
-    return {(i, j - 1): c * j for (i, j), c in poly.items() if j > 0}
-
-
-def _poly_add(a: dict, b: dict, w: complex = 1.0) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0.0) + w * v
-    return {k: v for k, v in out.items() if v != 0.0}
-
-
-def _poly_mulc(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            out[k] = out.get(k, 0.0) + c1 * c2
-    return {k: v for k, v in out.items() if v != 0.0}
-
+# exact polynomial star algebra (one dof), used for closed-form cross-checks;
+# the dict algebra is classical's
 
 def poly_star(a: dict, b: dict, hbar: float, order: int | None = None) -> dict:
     """Exact star product of polynomials {(xdeg, pdeg): coeff} in one dof.
@@ -218,17 +196,15 @@ def poly_star(a: dict, b: dict, hbar: float, order: int | None = None) -> dict:
         for k in range(j + 1):
             da = a
             for _ in range(j - k):
-                da = _poly_dx(da)
+                da = poly_derivative(da, 0)
             for _ in range(k):
-                da = _poly_dp(da)
+                da = poly_derivative(da, 1)
             db = b
             for _ in range(k):
-                db = _poly_dx(db)
+                db = poly_derivative(db, 0)
             for _ in range(j - k):
-                db = _poly_dp(db)
-            term = _poly_mulc(da, db)
-            w = coeff * (-1) ** k * comb(j, k)
-            out = _poly_add(out, term, w)
+                db = poly_derivative(db, 1)
+            out = poly_add(out, poly_mul(da, db), coeff * (-1) ** k * comb(j, k))
     return out
 
 
@@ -236,5 +212,5 @@ def poly_bracket(a: dict, b: dict, hbar: float) -> dict:
     """Exact Moyal bracket of polynomials: (a*b - b*a)/(i hbar)."""
     ab = poly_star(a, b, hbar)
     ba = poly_star(b, a, hbar)
-    diff = _poly_add(ab, ba, -1.0)
+    diff = poly_add(ab, ba, -1.0)
     return {k: v / (1j * hbar) for k, v in diff.items()}

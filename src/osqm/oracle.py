@@ -27,9 +27,6 @@ __all__ = [
     "kinetic_operator",
     "schrodinger_propagate",
     "operator_sqrt",
-    "povm_apply",
-    "VonNeumannCoupling",
-    "measurement_premeasurement",
     "tensor_state",
     "state_vector",
     "check_unit_norm",
@@ -269,7 +266,9 @@ def operator_sqrt(p: OperatorMatrix, clip_log: Optional[list] = None) -> Operato
     of eigh's backward error, are set to 0 before the root: the root of
     round-off (7.8e-16 becomes 2.8e-8) would otherwise swamp the small
     eigenvalues it stands for. Eigenvalues below -1e-6 are rejected; a
-    negative smallest eigenvalue is appended to clip_log.
+    negative smallest eigenvalue is appended to clip_log. The root keeps
+    p's eigenvectors with the rooted eigenvalues as its eigendecomposition,
+    so its PSD flag is checked without a second eigh.
     """
     if not p.hermitian:
         raise ValueError("operator_sqrt needs a Hermitian operator")
@@ -280,80 +279,7 @@ def operator_sqrt(p: OperatorMatrix, clip_log: Optional[list] = None) -> Operato
     clipped = np.where(w > floor, w, 0.0)
     if clip_log is not None and w[0] < 0:
         clip_log.append(float(w[0]))
-    root = (q * np.sqrt(clipped)) @ q.conj().T
+    root_w = np.sqrt(clipped)
+    root = (q * root_w) @ q.conj().T
     root = 0.5 * (root + root.conj().T)
-    return OperatorMatrix(p.grid, root, hermitian=True, psd=True)
-
-
-def povm_apply(rho: DensityOperator, effects: Sequence[OperatorMatrix],
-               rng_sample: float) -> tuple[int, DensityOperator]:
-    """Sample a POVM outcome and apply the state-update map.
-
-    effects must be PSD and sum to the identity to 1e-6; rng_sample is a
-    uniform draw in [0, 1).
-    """
-    dim = rho.grid.hilbert_dim
-    total = sum(e.matrix for e in effects)
-    resid = np.abs(total - np.eye(dim)).max()
-    if resid > 1e-6:
-        raise ValueError(f"effects do not complete to identity (residual {resid:.2e})")
-    probs = np.array([np.einsum("ij,ji->", e.matrix, rho.matrix).real
-                      for e in effects])
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    cdf = np.cumsum(probs)
-    outcome = int(np.searchsorted(cdf, rng_sample, side="right"))
-    outcome = min(outcome, len(effects) - 1)
-    root = operator_sqrt(effects[outcome])
-    m = root.matrix @ rho.matrix @ root.matrix.conj().T
-    m = m / m.trace().real
-    return outcome, DensityOperator(rho.grid, 0.5 * (m + m.conj().T))
-
-
-@dataclass
-class VonNeumannCoupling:
-    """Premeasurement unitary U = sum_j V_j (pointer) (x) P_j (observed).
-
-    pointer_shifts: per-outcome unitaries on the pointer factor.
-    observed_projectors: complete orthogonal projectors on the observed factor.
-    """
-
-    pointer_shifts: Sequence[OperatorMatrix]
-    observed_projectors: Sequence[OperatorMatrix]
-
-    def unitary(self, grid: PhaseGrid) -> OperatorMatrix:
-        if len(self.pointer_shifts) != len(self.observed_projectors):
-            raise ValueError("need one pointer shift per outcome projector")
-        dim_m = self.pointer_shifts[0].matrix.shape[0]
-        dim_s = self.observed_projectors[0].matrix.shape[0]
-        u = np.zeros((dim_m * dim_s, dim_m * dim_s), dtype=complex)
-        for vj, pj in zip(self.pointer_shifts, self.observed_projectors):
-            u += np.kron(vj.matrix, pj.matrix)
-        dev = np.abs(u @ u.conj().T - np.eye(dim_m * dim_s)).max()
-        if dev > 1e-8:
-            raise ValueError(f"coupling is not unitary (deviation {dev:.2e})")
-        return OperatorMatrix(grid, u)
-
-
-def measurement_premeasurement(ready: WaveFunction, observed: WaveFunction,
-                               coupling: VonNeumannCoupling) -> WaveFunction:
-    """Apply the von Neumann coupling to |ready> (x) |observed>.
-
-    The result is sum_j |outcome_j> (x) P_j |observed>, with pointer
-    outcome states |outcome_j> = V_j |ready>. These must be pairwise
-    orthogonal to |<outcome_i|outcome_j>| <= 1e-8 (the scale of PSD_TOL),
-    else ValueError: the coupling is unitary either way, but only with
-    orthogonal pointers does reading the pointer select one branch, with
-    Born weight ||P_j observed||^2 up to cross terms bounded by the overlap.
-    """
-    grid = PhaseGrid.product(ready.grid, observed.grid)
-    outs = [vj.matrix @ ready.to_vector() for vj in coupling.pointer_shifts]
-    for i in range(len(outs)):
-        for j in range(i + 1, len(outs)):
-            ov = abs(np.vdot(outs[i], outs[j]))
-            if ov > 1e-8:
-                raise ValueError(
-                    f"pointer outcome states {i},{j} not orthogonal (|<.|.>|={ov:.2e})")
-    u = coupling.unitary(grid)
-    comp = tensor_state(ready, observed)
-    return WaveFunction.from_vector(grid, u.matrix @ comp.to_vector())
+    return OperatorMatrix(p.grid, root, hermitian=True, psd=True, _eig=(root_w, q))

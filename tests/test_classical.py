@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osqm.classical import (ClassicalObservable, FlowResult, SymplecticForm,
-                            evolve_region_classically, hamilton_flow,
+                            evolve_region_classically, flow_points, hamilton_flow,
                             leapfrog_monodromy, poisson_bracket,
                             symplectic_product)
 from osqm.grid import PhaseGrid, PhasePoint
@@ -196,3 +196,24 @@ def test_region_flow_escape_raises(cgrid):
     mask[-3:, -3:] = True  # near corner, large momentum
     with pytest.raises(ValueError):
         evolve_region_classically(mask, free, 5.0, dt=1e-2)
+
+
+def test_region_flow_callable_matches_per_point_flow(cgrid):
+    # a callable H flows all cells at once; its array central differences may
+    # round differently from per-point ones, far below 1e-9 after 100 steps
+    h = ClassicalObservable.from_callable(
+        cgrid, lambda x, p: p ** 2 / 2 + x ** 4 / 20 + 0.3 * np.cos(x))
+    mask = np.zeros(cgrid.phase_shape, dtype=bool)
+    mask[30:36, 28:34] = True
+    t, dt = 1.0, 1e-2
+    image = evolve_region_classically(mask, h, t, dt=dt)
+    axis, n = cgrid.axis(0), cgrid.n(0)
+    idx = np.argwhere(mask)
+    xs, ps = flow_points(h, axis.x[idx[:, 0]][None], axis.p[idx[:, 1]][None], t, dt)
+    expected = np.zeros_like(mask)
+    for (jx, jp), x_t, p_t in zip(idx, xs[0], ps[0]):
+        end = hamilton_flow(h, PhasePoint.of(axis.x[jx], axis.p[jp]), t, dt).points[-1]
+        assert abs(end.x[0] - x_t) < 1e-9 and abs(end.p[0] - p_t) < 1e-9
+        expected[int(np.rint(end.x[0] / axis.dx)) + n // 2,
+                 int(np.rint(end.p[0] / axis.dp)) + n // 2] = True
+    assert np.array_equal(image, expected)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import osqm
 from osqm import cli
 from osqm.oracle import NotPositiveError
@@ -87,3 +89,19 @@ def test_python_dash_m_runs_the_cli():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert "usage: osqm" in out.stdout
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("ensemble", "num_seeds", "ten"), ("ensemble", "num_seeds", None),
+    ("schedule", "dt", "0.01"), ("schedule", "dt_proj", "0.1"),
+    ("schedule", "t_final", "x"), ("schedule", "dt", -0.01)])
+def test_malformed_number_exits_with_config_code(tmp_path, capsys, block, key, value):
+    cfg = json.loads(_write_config(tmp_path).read_text())
+    cfg.setdefault(block, {})[key] = value
+    if key == "dt_proj":
+        cfg["schedule"]["mode"] = "periodic"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and f"{key} must be" in err

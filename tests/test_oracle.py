@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from osqm.grid import PhaseGrid
-from osqm.oracle import (DensityOperator, OperatorMatrix, VonNeumannCoupling,
-                         WaveFunction, kinetic_operator, measurement_premeasurement,
-                         momentum_operator, operator_sqrt, position_operator,
-                         povm_apply, schrodinger_propagate, tensor_state)
-from osqm.scenarios import initial_state_preset
+from osqm.oracle import (OperatorMatrix, momentum_operator, operator_sqrt,
+                         position_operator, schrodinger_propagate)
+from osqm.regions import Partition, build_partition, classicality_projectors
+from osqm.scenarios import MeasurementScenario, initial_state_preset
+from osqm.transitions import (apply_quasiprojection, sample_transition,
+                              trajectory_rng, transition_probabilities_oracle)
 from osqm.weyl import WeylSymbol, weyl_operator_from_symbol
 from osqm.wigner import coherent_state
 
@@ -88,161 +90,125 @@ def test_operator_sqrt_rejects_non_psd(grid64):
         operator_sqrt(m)
 
 
-def test_povm_identity_effect(grid64):
-    rho = DensityOperator.pure(coherent_state(grid64, 1.0, 0.0))
-    eye = OperatorMatrix(grid64, np.eye(grid64.hilbert_dim, dtype=complex),
-                         hermitian=True, psd=True)
-    outcome, post = povm_apply(rho, [eye], rng_sample=0.37)
-    assert outcome == 0
-    assert np.abs(post.matrix - rho.matrix).max() < 1e-12
+def test_region_sqrt_operator_makes_one_eigh(grid64, monkeypatch):
+    # the region operator's eigh; the root reuses its eigenvectors
+    calls = []
+    eigh = scipy.linalg.eigh
 
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
 
-def test_povm_projective_split_on_superposition(grid64):
-    k0 = initial_state_preset(grid64, "oscillator-eigenstate", {"k": 0})
-    k1 = initial_state_preset(grid64, "oscillator-eigenstate", {"k": 1})
-    plus = WaveFunction(grid64, (k0.values + k1.values) / np.sqrt(2))
-    rho = DensityOperator.pure(plus)
-    v0, v1 = k0.to_vector(), k1.to_vector()
-    p0 = np.outer(v0, v0.conj())
-    p1 = np.outer(v1, v1.conj())
-    rest = np.eye(grid64.hilbert_dim) - p0 - p1
-    effects = [OperatorMatrix(grid64, p, hermitian=True) for p in (p0, p1, rest)]
-    # outcome flips across the half draw: p = (1/2, 1/2, 0)
-    out_lo, post_lo = povm_apply(rho, effects, rng_sample=0.25)
-    out_hi, post_hi = povm_apply(rho, effects, rng_sample=0.75)
-    assert (out_lo, out_hi) == (0, 1)
-    assert abs(abs(np.vdot(v0, _top_vec(post_lo))) - 1) < 1e-8
-    assert abs(abs(np.vdot(v1, _top_vec(post_hi))) - 1) < 1e-8
-
-
-def _top_vec(rho):
-    import scipy.linalg
-    _, vecs = scipy.linalg.eigh(rho.matrix)
-    return vecs[:, -1]
-
-
-def test_povm_empirical_frequencies(grid64, rng):
-    k0 = initial_state_preset(grid64, "oscillator-eigenstate", {"k": 0})
-    k1 = initial_state_preset(grid64, "oscillator-eigenstate", {"k": 1})
-    plus = WaveFunction(grid64, (k0.values + k1.values) / np.sqrt(2))
-    rho = DensityOperator.pure(plus)
-    v0, v1 = k0.to_vector(), k1.to_vector()
-    p0 = np.outer(v0, v0.conj())
-    rest = np.eye(grid64.hilbert_dim) - p0
-    effects = [OperatorMatrix(grid64, p, hermitian=True) for p in (p0, rest)]
-    draws = rng.random(100_000)
-    counts = 0
-    probs = np.array([np.einsum("ij,ji->", e.matrix, rho.matrix).real
-                      for e in effects])
-    assert abs(probs.sum() - 1) < 1e-10
-    cdf = np.cumsum(probs)
-    outcomes = np.searchsorted(cdf, draws, side="right")
-    freq = (outcomes == 0).mean()
-    sigma = np.sqrt(0.25 / draws.size)
-    assert abs(freq - 0.5) < 4 * sigma
-
-
-def test_povm_incomplete_effects_rejected(grid64):
-    rho = DensityOperator.pure(coherent_state(grid64, 0, 0))
-    half = OperatorMatrix(grid64, 0.5 * np.eye(grid64.hilbert_dim, dtype=complex),
-                          hermitian=True, psd=True)
-    with pytest.raises(ValueError, match="identity"):
-        povm_apply(rho, [half], rng_sample=0.5)
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    region = build_partition(grid64, [0.0]).regions[0]
+    root = region.sqrt_operator()
+    assert len(calls) == 1
+    assert np.abs(root.matrix @ root.matrix - region.operator().matrix).max() < 1e-8
 
 
 # ---------------------------------------------------------------------------
-# premeasurement
+# measurement on the engine path: a partition's quasiprojectors are the POVM
+# effects, transition_probabilities_oracle gives the Born weights,
+# sample_transition draws and apply_quasiprojection updates the state
 
 
-def _pointer_setup():
-    # 40 points on [-10, 10): shifts of +-5 are 10 whole cells, so the
-    # spectral shifts are exact and the pointer states at -5 and +5 lie half
-    # a period apart (overlap 2.8e-11, inside the 1e-8 orthogonality guard)
-    g = PhaseGrid.create(40, 10.0)
-    ready = coherent_state(g, 0.0, 0.0)
-    from osqm.spectral import cdft
+class _Draw:
+    """Stands in for a generator whose next uniform draw is u."""
 
-    def shift_op(a):
-        n = g.n(0)
-        f = cdft(np.eye(n), axis=0) / np.sqrt(n)
-        phases = np.exp(-1j * a * g.p(0) / g.hbar)
-        return OperatorMatrix(g, f.conj().T @ (phases[:, None] * f))
+    def __init__(self, u):
+        self.u = u
 
-    return g, ready, shift_op
+    def random(self):
+        return self.u
 
 
-def _observed_setup():
-    sys_grid = PhaseGrid.create(32, 8.0)
-    up = coherent_state(sys_grid, -2.5, 0.0)
-    down = coherent_state(sys_grid, 2.5, 0.0)
-    pu = np.outer(up.to_vector(), up.to_vector().conj())
-    projs = [OperatorMatrix(sys_grid, pu, hermitian=True),
-             OperatorMatrix(sys_grid, np.eye(sys_grid.hilbert_dim) - pu,
-                            hermitian=True)]
-    return sys_grid, up, down, projs
+def test_povm_identity_effect(grid64):
+    # one region covering the grid: its quasiprojector is the identity
+    part = build_partition(grid64, [])
+    psi = coherent_state(grid64, 1.0, 0.0)
+    probs = transition_probabilities_oracle(psi, part)
+    assert np.array_equal(probs, [1.0])
+    assert sample_transition(probs, _Draw(0.37)) == 0
+    post = apply_quasiprojection(psi, part.regions[0])
+    assert np.abs(post.values - psi.values).max() < 1e-12
 
 
-def _branch_weights(out, g, obs, projs, shifts):
-    """(|<b_j|out>|^2, Born weight ||P_j obs||^2) per outcome j with nonzero
-    weight, where b_j = |pointer at shift_j> (x) P_j|obs> / ||P_j obs||."""
-    rows = []
-    for a, proj in zip(shifts, projs):
-        branch = proj.apply(obs)
-        weight = branch.norm_sq()
-        if weight < 1e-12:
-            continue
-        b = tensor_state(coherent_state(g, a, 0.0),
-                         WaveFunction(obs.grid, branch.values / np.sqrt(weight)))
-        rows.append((abs(b.overlap(out)) ** 2, weight))
-    return rows
+def _cat_over_halves(grid):
+    part = build_partition(grid, [0.0])
+    cat = initial_state_preset(grid, "cat", {"centers": [[-3.0, 0.0], [3.0, 0.0]]})
+    return part, cat, transition_probabilities_oracle(cat, part)
+
+
+def test_povm_projective_split_on_superposition(grid64):
+    part, cat, probs = _cat_over_halves(grid64)
+    # the halves share the weight up to the quasiprojectors' smoothing
+    assert np.abs(probs - 0.5).max() < 1e-3
+    projectors = classicality_projectors(part)
+    for u, chosen, center in ((0.25, 0, -3.0), (0.75, 1, 3.0)):
+        assert sample_transition(probs, _Draw(u)) == chosen
+        post = apply_quasiprojection(cat, part.regions[chosen], mode="exact",
+                                     exact_projector=projectors[chosen])
+        v = post.to_vector()
+        assert np.abs(projectors[chosen].matrix @ v - v).max() < 1e-12
+        assert abs(coherent_state(grid64, center, 0.0).overlap(post)) ** 2 > 1 - 1e-4
+
+
+def test_povm_empirical_frequencies(grid64):
+    part, cat, probs = _cat_over_halves(grid64)
+    assert abs(probs.sum() - 1) < 1e-12
+    rng = trajectory_rng(7, 0)
+    draws = np.array([sample_transition(probs, rng) for _ in range(100_000)])
+    freq = (draws == 0).mean()
+    sigma = np.sqrt(probs[0] * probs[1] / draws.size)
+    assert abs(freq - probs[0]) < 4 * sigma
+
+
+def test_povm_incomplete_effects_rejected(grid64):
+    # the effects complete to the identity because the regions tile the grid
+    part = build_partition(grid64, [0.0])
+    with pytest.raises(ValueError, match="tile"):
+        Partition(grid64, part.regions[:1], part.kernel)
+
+
+# ---------------------------------------------------------------------------
+# premeasurement: the measurement scenario's pointer coupling moves the
+# pointer into the band of the observed branch. The band weights miss the
+# branch Born weights only by the observed tails near x2 = 0, where the
+# coupling is weak (1.4e-7 at criterion 8's separation).
+
+
+def _band_weights(amplitudes):
+    sc = MeasurementScenario(PhaseGrid.create(128, 18.0), PhaseGrid.create(32, 9.0),
+                             amplitudes=amplitudes)
+    v = sc._evolved()
+    return v, sc.band_probabilities(v), sc.probs_exact
 
 
 def test_premeasurement_eigenstate_input():
-    g, ready, shift_op = _pointer_setup()
-    sys_grid, up, down, projs = _observed_setup()
-    coupling = VonNeumannCoupling([shift_op(-5.0), shift_op(5.0)], projs)
-    out = measurement_premeasurement(ready, up, coupling)
-    rows = _branch_weights(out, g, up, projs, (-5.0, 5.0))
-    assert len(rows) == 1
-    measured, weight = rows[0]
-    assert abs(weight - 1) < 1e-10
-    assert abs(measured - weight) < 1e-10
+    _, probs, exact = _band_weights((1.0, 0.0))
+    assert np.array_equal(exact, [1.0, 0.0])
+    assert abs(probs[0] - 1) < 1e-6
+    assert probs[1] < 1e-6 and probs[2] < 1e-6
 
 
 def test_premeasurement_equal_superposition():
-    g, ready, shift_op = _pointer_setup()
-    sys_grid, up, down, projs = _observed_setup()
-    coupling = VonNeumannCoupling([shift_op(-5.0), shift_op(5.0)], projs)
-    obs = WaveFunction(sys_grid, (up.values + down.values) / np.sqrt(2),
-                       normalized=False).normalize()
-    out = measurement_premeasurement(ready, obs, coupling)
-    assert abs(out.norm_sq() - 1) < 1e-10
-    rows = _branch_weights(out, g, obs, projs, (-5.0, 5.0))
-    assert len(rows) == 2
-    for measured, weight in rows:
-        assert abs(measured - weight) < 1e-10
+    v, probs, _ = _band_weights((1.0, 1.0))
+    assert abs(np.linalg.norm(v) - 1) < 1e-12
+    assert np.abs(probs[[0, 2]] - 0.5).max() < 1e-6
 
 
 def test_premeasurement_unequal_amplitudes_preserved():
-    g, ready, shift_op = _pointer_setup()
-    sys_grid, up, down, projs = _observed_setup()
-    coupling = VonNeumannCoupling([shift_op(-5.0), shift_op(5.0)], projs)
-    obs = WaveFunction(sys_grid, 0.6 * up.values + 0.8 * down.values,
-                       normalized=False).normalize()
-    out = measurement_premeasurement(ready, obs, coupling)
-    assert abs(out.norm_sq() - 1) < 1e-10
-    rows = _branch_weights(out, g, obs, projs, (-5.0, 5.0))
-    assert len(rows) == 2
-    for measured, weight in rows:
-        assert abs(measured - weight) < 1e-10
+    v, probs, _ = _band_weights((0.6, 0.8))
+    assert abs(np.linalg.norm(v) - 1) < 1e-12
+    assert np.abs(probs[[0, 2]] - [0.36, 0.64]).max() < 1e-6
 
 
 def test_premeasurement_rejects_overlapping_pointers():
-    g, ready, shift_op = _pointer_setup()
-    sys_grid, up, down, projs = _observed_setup()
-    coupling = VonNeumannCoupling([shift_op(0.0), shift_op(0.5)], projs)
-    with pytest.raises(ValueError, match="orthogonal"):
-        measurement_premeasurement(ready, up, coupling)
+    # a pointer pushed to within 5 sqrt(hbar) of the band edge would overlap
+    # the ready band's states
+    with pytest.raises(ValueError, match="band edge"):
+        MeasurementScenario(PhaseGrid.create(128, 18.0), PhaseGrid.create(32, 9.0),
+                            displacement=8.0)
 
 
 def test_kinetic_and_position_operators(grid64):
