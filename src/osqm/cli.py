@@ -78,11 +78,15 @@ def _run_scenario(cfg: ScenarioConfig) -> int:
     partition = cfg.build_partition(grid)
     psi0 = cfg.build_initial_state(grid)
     sched = ProjectionSchedule(cfg.schedule["mode"], cfg.schedule.get("dt_proj"))
-    engine = TrajectoryEngine(
-        psi0, ham, partition, t_final=float(cfg.schedule["t_final"]),
-        dt=float(cfg.schedule["dt"]), schedule=sched, backend=cfg.backend,
-        projection_mode=cfg.projection_mode,
-        snapshot_every=int(cfg.output.get("snapshot_stride", 0) or 0))
+    try:
+        engine = TrajectoryEngine(
+            psi0, ham, partition, t_final=float(cfg.schedule["t_final"]),
+            dt=float(cfg.schedule["dt"]), schedule=sched, backend=cfg.backend,
+            projection_mode=cfg.projection_mode,
+            snapshot_every=int(cfg.output.get("snapshot_stride", 0) or 0))
+    except ValueError as exc:
+        # the engine's own checks of the config, such as a quasirestricted start
+        raise ConfigError([f"scenario: {exc}"]) from exc
     out_dir = Path(cfg.output["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     base_seed = int(cfg.ensemble["base_seed"])

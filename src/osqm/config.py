@@ -10,6 +10,7 @@ from typing import Optional
 
 from .grid import PhaseGrid
 from .scenarios import HAMILTONIAN_PRESETS, STATE_PRESETS
+from .transitions import PHASE_EXACT_REASON
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "config_to_dict"]
 
@@ -141,6 +142,8 @@ def parse_config(path_or_dict) -> ScenarioConfig:
         errors.append(f"backend: {backend!r} not in ('oracle', 'phase')")
     if projection_mode not in ("sqrt", "exact"):
         errors.append(f"projection_mode: {projection_mode!r} not in ('sqrt', 'exact')")
+    elif backend == "phase" and projection_mode == "exact":
+        errors.append(f"projection_mode: {PHASE_EXACT_REASON}")
     if schedule.get("mode") not in ("continuous", "periodic", "single-shot"):
         errors.append(f"schedule: unknown mode {schedule.get('mode')!r}")
     dt, dtp, t_final = schedule.get("dt"), schedule.get("dt_proj"), schedule.get("t_final")
@@ -165,6 +168,8 @@ def parse_config(path_or_dict) -> ScenarioConfig:
         value = block.get(key)
         if not _is_integer(value) or value < least:
             errors.append(f"{name}: {key} must be an integer >= {least}, got {value!r}")
+    if not isinstance(output.get("out_dir"), str):
+        errors.append(f"output: out_dir must be a string, got {output.get('out_dir')!r}")
 
     cfg = None
     if not errors:
@@ -179,8 +184,10 @@ def parse_config(path_or_dict) -> ScenarioConfig:
             errors.append(f"grid: {exc}")
             g = None
         if g is not None:
+            # a preset's params are used only when its symbol is evaluated
             for builder, label in ((cfg.build_partition, "partition"),
-                                   (cfg.build_hamiltonian, "hamiltonian"),
+                                   (lambda g: cfg.build_hamiltonian(g).symbol(),
+                                    "hamiltonian"),
                                    (cfg.build_initial_state, "initial_state")):
                 try:
                     builder(g)

@@ -38,7 +38,8 @@ NORM_TOL = 1e-10   # allowed | |psi|^2 - 1 | of a state flagged normalized
 
 
 class NotPositiveError(ValueError):
-    """A density matrix has an eigenvalue below -PSD_TOL."""
+    """A density matrix has an eigenvalue below -PSD_TOL, or is not the
+    pure state it must be."""
 
 
 @dataclass

@@ -414,9 +414,11 @@ def is_quasirestricted(psi, region: Region, tol: float = 1e-3,
                        cutoff: float = 1e-6) -> tuple[bool, float]:
     """Test membership in the numerical range of Pi_R^(1/2).
 
-    psi is a WaveFunction or its l2 vector. The residual is the norm of the
-    component of psi outside the span of quasiprojector eigenvectors with
-    eigenvalue above the pseudo-inverse cutoff. (The cutoff acts on the
+    psi is a WaveFunction, its l2 vector, or an array whose first axis is
+    the region's space (an (n1, n2) array V is tested as vec(V) against
+    Pi_R (x) I). The residual is the norm of the component of psi outside
+    the span of quasiprojector eigenvectors with eigenvalue above the
+    pseudo-inverse cutoff. (The cutoff acts on the
     eigenvalues of Pi_R itself; cutting on sqrt(eigenvalue) instead would
     keep essentially every mode of a Gaussian-smoothed quasiprojector and
     the test would never reject.)
@@ -425,6 +427,6 @@ def is_quasirestricted(psi, region: Region, tol: float = 1e-3,
     # eigh sorts w ascending: the eigenvectors at or below the cutoff are a
     # prefix of q's columns; |<q_i|v>| = |v^H q_i| needs no conjugated copy
     out = np.searchsorted(w, cutoff, side="right")
-    overlaps = state_vector(psi).conj() @ q[:, :out]
+    overlaps = state_vector(psi).conj().T @ q[:, :out]
     residual = float(np.sqrt((np.abs(overlaps) ** 2).sum()))
     return residual < tol, residual

@@ -10,8 +10,11 @@ Nothing reads the state between two events, so TrajectoryEngine propagates
 from stop to stop (an event or a snapshot) in one go: one cached dense
 propagator U(n dt) per interval on the oracle backend, one evolve_lvn call
 per interval on the phase backend. The oracle backend carries the state as
-its flat l2 vector (WaveFunction.to_vector()) from start to end; the Born
-weights, the projection and the quasirestriction test accept either form.
+its flat l2 vector (WaveFunction.to_vector()) from start to end. Every
+event, on both backends and in the measurement scenario, updates with
+apply_quasiprojection and checks PS6 with is_quasirestricted; these and
+transition_probabilities_oracle take a WaveFunction, its l2 vector, or an
+array whose first axis is the partition's space (Pi acts as Pi (x) I).
 """
 
 from __future__ import annotations
@@ -25,12 +28,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import Hamiltonian, evolve_lvn, step_count
-from .oracle import (DensityOperator, OperatorMatrix, WaveFunction, check_unit_norm,
+from .oracle import (NotPositiveError, OperatorMatrix, WaveFunction, check_unit_norm,
                      state_vector)
 from .regions import Partition, Region, classicality_projectors, is_quasirestricted
 from .weyl import mean_value, weyl_operator_from_symbol
-from .wigner import WignerState, density_from_wigner, wigner_from_density, \
-    wigner_from_wavefunction
+from .wigner import WignerState, wigner_from_wavefunction
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +52,10 @@ __all__ = [
 
 PROB_CLIP = -1e-8
 MIN_TRANSITION_PROB = 1e-12
+RANK1_TOL = 1e-4   # largest ||rho - psi psi^H||_1 of a phase event's state
+PHASE_EXACT_REASON = (
+    "backend 'phase' cannot run projection_mode 'exact': a sharply projected "
+    "state leaves the grid's momentum range, so the Wigner grid cannot hold it")
 
 
 def _cached_projectors(partition: Partition) -> list:
@@ -112,7 +118,9 @@ def transition_probabilities(w: WignerState, partition: Partition) -> np.ndarray
 def transition_probabilities_oracle(psi, partition: Partition) -> np.ndarray:
     """Operator-side Born weights p_j = <psi|Pi_j|psi>, clipped as above.
 
-    psi is a WaveFunction or its l2 vector.
+    psi is a WaveFunction, its l2 vector, or an array whose first axis is
+    the partition's Hilbert space: on an (n1, n2) array V the weight is
+    tr(V^H Pi_j V), the Born weight of Pi_j (x) I on vec(V).
     """
     v = state_vector(psi)
     return _born_weights(np.array([np.vdot(v, r.operator().matrix @ v).real
@@ -135,8 +143,10 @@ def apply_quasiprojection(psi, region: Region, mode: str = "sqrt",
     """State update Pi_R^(1/2) psi / norm (POVM form).
 
     mode="exact" uses the supplied classicality projector instead, for
-    quantifying the quasiprojector approximation. psi is a WaveFunction or
-    its l2 vector, and the updated state comes back in the same form.
+    quantifying the quasiprojector approximation. psi is a WaveFunction,
+    its l2 vector, or an array whose first axis is the region's Hilbert
+    space (the operator acts on that axis, as Pi_R (x) I on vec(V)); the
+    updated state comes back in the same form.
     """
     v = state_vector(psi)
     if mode == "sqrt":
@@ -178,6 +188,8 @@ class TrajectoryRecord:
     backend: str
     snapshots: list = field(default_factory=list)
     final_region: str = ""
+    # ||rho - psi psi^H||_1 of the state each event projected (0 on oracle)
+    rank1_distances: list = field(default_factory=list)
 
     def summary(self) -> dict:
         return {"seed": self.seed, "final_region": self.final_region,
@@ -185,16 +197,15 @@ class TrajectoryRecord:
 
 
 class _Propagator:
-    """What run() needs of a backend: advance by an interval, Born weights,
-    projection, PS6 residual and a snapshot, on the backend's state type."""
+    """What run() needs of a backend, on the backend's state type: advance
+    by an interval, Born weights, the l2 vector an event projects (with its
+    rank-1 distance) and the state of a projected vector, and a snapshot."""
 
     def __init__(self, engine: "TrajectoryEngine"):
         self.psi0 = engine.psi0
         self.h = engine.h
         self.partition = engine.partition
         self.dt = engine.dt
-        self.projection_mode = engine.projection_mode
-        self.exact_projectors = engine.exact_projectors
 
 
 class _OraclePropagator(_Propagator):
@@ -232,21 +243,19 @@ class _OraclePropagator(_Propagator):
     def born_weights(self, v: np.ndarray) -> np.ndarray:
         return transition_probabilities_oracle(v, self.partition)
 
-    def project(self, v: np.ndarray, chosen: int) -> np.ndarray:
-        return apply_quasiprojection(
-            v, self.partition.regions[chosen], mode=self.projection_mode,
-            exact_projector=(self.exact_projectors[chosen]
-                             if self.exact_projectors else None))
+    def to_vector(self, v: np.ndarray) -> tuple[np.ndarray, float]:
+        return v, 0.0
 
-    def ps6(self, v: np.ndarray, chosen: int) -> tuple[bool, float]:
-        return is_quasirestricted(v, self.partition.regions[chosen])
+    def from_vector(self, v: np.ndarray) -> np.ndarray:
+        return v
 
     def snapshot(self, v: np.ndarray) -> np.ndarray:
         return v.copy()
 
 
 class _PhasePropagator(_Propagator):
-    """Wigner backend: one evolve_lvn per interval, projections via rho."""
+    """Wigner backend: one evolve_lvn per interval, events on the top
+    eigenvector of the quantised W (see to_vector)."""
 
     def initial(self) -> WignerState:
         return wigner_from_wavefunction(self.psi0)
@@ -259,19 +268,29 @@ class _PhasePropagator(_Propagator):
     def born_weights(self, w: WignerState) -> np.ndarray:
         return transition_probabilities(w, self.partition)
 
-    def project(self, w: WignerState, chosen: int) -> WignerState:
-        rho = density_from_wigner(w)
-        if self.projection_mode == "sqrt":
-            op = self.partition.regions[chosen].sqrt_operator().matrix
-        else:
-            op = self.exact_projectors[chosen].matrix
-        m = op @ rho.matrix @ op.conj().T
-        m = 0.5 * (m + m.conj().T)
-        m /= m.trace().real
-        return wigner_from_density(DensityOperator(w.grid, m))
+    @staticmethod
+    def to_vector(w: WignerState) -> tuple[np.ndarray, float]:
+        """Top eigenvector psi of rho = Op[(2 pi hbar)^n W], and ||rho - psi psi^H||_1.
 
-    def ps6(self, w: WignerState, chosen: int) -> tuple[bool, float]:
-        return _density_quasirestricted(w, self.partition.regions[chosen])
+        The state starts pure and LvN and Pi^(1/2) keep it pure, so rho is
+        psi psi^H up to the W-grid flow's spectral spread (about 1e-6). The
+        distance, sum |l_i| over the lower eigenvalues plus |1 - l_top|,
+        bounds |tr(Pi rho) - <psi|Pi|psi>| for every 0 <= Pi <= I, so every
+        Born-weight error of the step. RANK1_TOL = 1e-4 is 5x the largest
+        value of the oscillator periodic runs (2.2e-5); above it, W is not
+        the pure state the engine evolves, and the run stops.
+        """
+        lam, q = weyl_operator_from_symbol(w.as_symbol()).eigh()
+        distance = float(np.abs(lam[:-1]).sum() + abs(1.0 - lam[-1]))
+        if distance > RANK1_TOL:
+            raise NotPositiveError(
+                f"quantised Wigner state is not rank one: ||rho - psi psi^H||_1 = "
+                f"{distance:.2e} exceeds {RANK1_TOL:.0e} (smallest eigenvalue "
+                f"{lam[0]:.2e})")
+        return q[:, -1], distance
+
+    def from_vector(self, v: np.ndarray) -> WignerState:
+        return wigner_from_wavefunction(WaveFunction.from_vector(self.psi0.grid, v))
 
     def snapshot(self, w: WignerState) -> np.ndarray:
         return w.values.copy()
@@ -290,8 +309,10 @@ class TrajectoryEngine:
     state as its l2 vector and applies a dense propagator U(n dt) per
     interval, built once per distinct length from the Hamiltonian's
     eigendecomposition; each advance and projection checks the unit norm.
-    backend "phase" makes one evolve_lvn call per interval with step dt,
-    and routes projections through the density matrix.
+    backend "phase" makes one evolve_lvn call per interval with step dt;
+    an event projects the top eigenvector of the quantised W (to_vector)
+    and re-enters with wigner_from_wavefunction. It rejects projection_mode
+    "exact" (PHASE_EXACT_REASON).
     """
 
     def __init__(self, psi0: WaveFunction, h: Hamiltonian, partition: Partition,
@@ -303,6 +324,8 @@ class TrajectoryEngine:
             raise ValueError(f"unknown backend {backend!r}")
         if projection_mode not in ("sqrt", "exact"):
             raise ValueError(f"unknown projection mode {projection_mode!r}")
+        if backend == "phase" and projection_mode == "exact":
+            raise ValueError(PHASE_EXACT_REASON)
         self.psi0 = psi0
         self.h = h
         self.partition = partition
@@ -329,10 +352,8 @@ class TrajectoryEngine:
                     f"initial state is not quasirestricted to any region "
                     f"(best residual {resid:.3e}); the coarse-graining "
                     "containment requirement fails at t=0")
-        if projection_mode == "exact":
-            self.exact_projectors = _cached_projectors(partition)
-        else:
-            self.exact_projectors = None
+        self.exact_projectors = (_cached_projectors(partition)
+                                 if projection_mode == "exact" else [None] * len(partition))
         if backend == "oracle":
             spans = Counter((n, tail) for _, n, tail, _, _ in self._stops)
             common = spans.most_common(1)[0][0] if spans else (0, 0.0)
@@ -364,6 +385,7 @@ class TrajectoryEngine:
         event_steps = []
         event_regions = []
         ps6_resids = []
+        rank1 = []
         snaps = []
 
         state = prop.initial()
@@ -377,14 +399,19 @@ class TrajectoryEngine:
                 prob_rows.append(probs)
                 event_steps.append(k)
                 event_regions.append(labels[chosen])
-                state = prop.project(state, chosen)
+                v, distance = prop.to_vector(state)
+                rank1.append(distance)
+                region = self.partition.regions[chosen]
+                v = apply_quasiprojection(v, region, self.projection_mode,
+                                          self.exact_projectors[chosen])
                 if self.check_ps6:
-                    ok, resid = prop.ps6(state, chosen)
+                    ok, resid = is_quasirestricted(v, region)
                     ps6_resids.append(resid)
                     if not ok:
                         raise RuntimeError(
                             f"post-projection state fails quasirestriction in "
                             f"{labels[chosen]} (residual {resid:.3e})")
+                state = prop.from_vector(v)
                 current = chosen
             region_track.append(labels[current])
             if snap:
@@ -396,18 +423,7 @@ class TrajectoryEngine:
             prob_rows=np.asarray(prob_rows), event_steps=event_steps,
             event_regions=event_regions, ps6_residuals=ps6_resids,
             backend=self.backend, snapshots=snaps,
-            final_region=region_track[-1])
-
-
-def _density_quasirestricted(w: WignerState, region: Region,
-                             tol: float = 1e-3, cutoff: float = 1e-6):
-    evals, q = region.operator().eigh()
-    keep = evals > cutoff
-    rho = density_from_wigner(w)
-    out_mass = float(np.einsum("ij,jk,ki->", q[:, ~keep].conj().T,
-                               rho.matrix, q[:, ~keep]).real)
-    residual = float(np.sqrt(max(out_mass, 0.0)))
-    return residual < tol, residual
+            final_region=region_track[-1], rank1_distances=rank1)
 
 
 def worker_count() -> int:
@@ -480,20 +496,9 @@ def zeno_experiment(psi0: WaveFunction, h: Hamiltonian, partition: Partition,
     probs0 = transition_probabilities_oracle(psi0, partition)
     home = int(np.argmax(probs0))
     region = partition.regions[home]
-    exact = projection_mode == "exact"
-    projs = _cached_projectors(partition) if exact else None
-
-    def project_home(vec):
-        if exact:
-            out = projs[home].matrix @ vec
-        else:
-            out = region.sqrt_operator().matrix @ vec
-        return out / np.linalg.norm(out)
-
-    def p_home_of(vec):
-        if exact:
-            return float(np.vdot(vec, projs[home].matrix @ vec).real)
-        return float(np.vdot(vec, region.operator().matrix @ vec).real)
+    home_proj = (_cached_projectors(partition)[home]
+                 if projection_mode == "exact" else None)
+    home_op = (region.operator() if home_proj is None else home_proj).matrix
 
     hmat = weyl_operator_from_symbol(h.symbol())
     w, q = hmat.eigh()
@@ -502,17 +507,17 @@ def zeno_experiment(psi0: WaveFunction, h: Hamiltonian, partition: Partition,
     rows = []
     for dtp in dt_proj_values:
         u = (q * np.exp(-1j * w * dtp / grid.hbar)) @ q.conj().T
-        v = project_home(psi0.to_vector())
+        v = apply_quasiprojection(psi0.to_vector(), region, projection_mode, home_proj)
         n_int = max(1, int(round(t_total / dtp)))
         survival = 1.0
         qs = []
         for _ in range(n_int):
             v = u @ v
-            p_home = min(max(p_home_of(v), 0.0), 1.0)
+            p_home = min(max(np.vdot(v, home_op @ v).real, 0.0), 1.0)
             qk = 1.0 - p_home
             qs.append(qk)
             survival *= p_home
-            v = project_home(v)
+            v = apply_quasiprojection(v, region, projection_mode, home_proj)
         q_first = qs[0]
         rows.append({
             "dt_proj": float(dtp),

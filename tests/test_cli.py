@@ -51,6 +51,18 @@ def test_phase_backend_single_shot_oscillator_runs(tmp_path):
     assert (tmp_path / "out" / "metadata.json").is_file()
 
 
+def test_phase_backend_periodic_oscillator_runs(tmp_path):
+    # every seed aborted with a non-positive density matrix when the phase
+    # backend renormalised op rho op^H by a small Born weight
+    cfg = json.loads(_write_config(tmp_path).read_text())
+    cfg["schedule"].update(mode="periodic", dt_proj=0.5)
+    path = tmp_path / "periodic.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == cli.EXIT_OK
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 1 + 6
+
+
 def test_event_time_column_ends_at_t_final(tmp_path):
     # dt = 0.3 does not divide t_final = 1.0: the last step is 0.1 long
     cfg = json.loads(_write_config(tmp_path).read_text())
@@ -89,6 +101,25 @@ def test_python_dash_m_runs_the_cli():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert "usage: osqm" in out.stdout
+
+
+@pytest.mark.parametrize("block, key, value, message", [
+    ("hamiltonian", "params", {"omega": "fast"}, "hamiltonian: "),
+    ("output", "out_dir", 5, "output: out_dir must be a string"),
+    ("initial_state", "preset", "cat", "not quasirestricted")])
+def test_input_the_run_cannot_use_exits_with_config_code(tmp_path, capsys, block,
+                                                         key, value, message):
+    cfg = json.loads(_write_config(tmp_path).read_text())
+    cfg[block][key] = value
+    if key == "preset":
+        # the default cat's two packets sit on both sides of the x = 0 cut
+        cfg[block].pop("params")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and message in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("block, key, value", [

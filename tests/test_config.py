@@ -47,6 +47,9 @@ CASES = {
                      "initial_state: unknown preset 'squeezed'"),
     "backend": (_with(backend="gpu"), "backend: 'gpu' not in"),
     "projection mode": (_with(projection_mode="soft"), "projection_mode: 'soft' not in"),
+    "exact projection on the phase backend": (
+        _with(backend="phase", projection_mode="exact"),
+        "projection_mode: backend 'phase' cannot run projection_mode 'exact'"),
     "schedule mode": (_with(schedule__mode="sometimes"), "schedule: unknown mode"),
     "dt not a number": (_with(schedule__dt="0.01"), "schedule: dt must be a number"),
     "t_final not a number": (_with(schedule__t_final="x"),
@@ -70,10 +73,13 @@ CASES = {
                                  "ensemble: base_seed must be an integer >= 0"),
     "snapshot_stride a word": (_with(output={"snapshot_stride": "x"}),
                                "output: snapshot_stride must be an integer >= 0"),
+    "out_dir a number": (_with(output={"out_dir": 5}), "output: out_dir must be a string"),
     "grid build": (_with(grid__points=15), "grid: points must be even"),
     "partition build": (_with(partition__x_boundaries=[20.0]), "partition: "),
     "hamiltonian build": (_with(hamiltonian__params={"spin": 1}),
                           "hamiltonian: unknown parameters"),
+    "hamiltonian param a word": (_with(hamiltonian__params={"omega": "fast"}),
+                                 "hamiltonian: "),
     "state build": (_with(initial_state__params={"x0": 0.0, "q": 1}),
                     "initial_state: unknown parameters"),
 }

@@ -13,6 +13,7 @@ DELETED = {
     "osqm.oracle": ["povm_apply", "VonNeumannCoupling", "measurement_premeasurement"],
     "osqm.classical": ["_poly_partial_arrays"],
     "osqm.moyal": ["_poly_dx", "_poly_dp", "_poly_mulc", "_poly_add"],
+    "osqm.transitions": ["_density_quasirestricted"],
 }
 
 
@@ -28,6 +29,20 @@ def test_deleted_names_are_gone(name):
     module = importlib.import_module(name)
     assert [n for n in DELETED[name] if hasattr(module, n)] == []
     assert set(DELETED[name]).isdisjoint(getattr(module, "__all__", []))
+
+
+def test_deleted_event_members_are_gone():
+    from osqm.grid import PhaseGrid
+    from osqm.scenarios import MeasurementScenario
+    from osqm.transitions import _OraclePropagator, _PhasePropagator
+    sc = MeasurementScenario(PhaseGrid.create(64, 15.0), PhaseGrid.create(32, 7.5),
+                             branch_sep=3.0, band_edge=5.0, displacement=10.0,
+                             coupling_v=10.0)
+    for member in ("band_ops", "band_sqrts", "band_eigs", "project_band",
+                   "band_residual"):
+        assert not hasattr(sc, member)
+    for cls in (_OraclePropagator, _PhasePropagator):
+        assert not hasattr(cls, "ps6")
 
 
 def test_deleted_flow_members_are_gone():

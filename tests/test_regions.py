@@ -49,10 +49,10 @@ def test_pointer_bands_match_the_cell_sum():
     sc = MeasurementScenario(g1, g2, branch_sep=3.0, band_edge=5.0,
                              displacement=10.0, coupling_v=10.0)
     edges = [0, int(round(10.0 / g1.dx[0])), int(round(20.0 / g1.dx[0])), 64]
-    for op, lo, hi in zip(sc.band_ops, edges, edges[1:]):
+    for region, lo, hi in zip(sc.partition.regions, edges, edges[1:]):
         mask = np.zeros((64, 64), dtype=bool)
         mask[lo:hi, :] = True
-        assert np.abs(op - _cell_sum(g1, mask)).max() < 1e-13
+        assert np.abs(region.operator().matrix - _cell_sum(g1, mask)).max() < 1e-13
 
 
 def test_full_grid_quadrature_is_the_identity(grid64):

@@ -8,16 +8,14 @@ import pytest
 from osqm import regions, scenarios, wigner
 from osqm.dynamics import evolve_lvn
 from osqm.grid import PhaseGrid
-from osqm.oracle import (DensityOperator, NotPositiveError, WaveFunction,
-                         schrodinger_propagate)
+from osqm.oracle import NotPositiveError, WaveFunction, schrodinger_propagate
 from osqm.regions import classicality_projectors, is_quasirestricted
 from osqm.transitions import (ProjectionSchedule, TrajectoryEngine, _born_weights,
-                              _density_quasirestricted, apply_quasiprojection,
+                              _PhasePropagator, apply_quasiprojection,
                               sample_transition, trajectory_rng,
                               transition_probabilities,
                               transition_probabilities_oracle)
 from osqm.weyl import weyl_operator_from_symbol
-from osqm.wigner import density_from_wigner, wigner_from_density
 
 DT = np.pi / 32
 
@@ -152,7 +150,8 @@ def test_one_cached_propagator_per_interval_length(setup):
 
 
 def _phase_reference(engine, seed):
-    """Per-dt evolve_lvn calls with the engine's event updates."""
+    """Per-dt evolve_lvn calls with the rank-1 event update: quantise W,
+    project rho's top eigenvector, re-enter from the projected vector."""
     psi0, partition, dt = engine.psi0, engine.partition, engine.dt
     labels = partition.labels()
     rng = trajectory_rng(seed, 0)
@@ -163,35 +162,26 @@ def _phase_reference(engine, seed):
         if k % engine.stride == 0 or k == engine.steps:
             probs = transition_probabilities(w, partition)
             chosen = sample_transition(probs, rng)
-            op = partition.regions[chosen].sqrt_operator().matrix
-            m = op @ density_from_wigner(w).matrix @ op.conj().T
-            m = 0.5 * (m + m.conj().T)
-            w = wigner_from_density(DensityOperator(w.grid, m / m.trace().real))
-            assert _density_quasirestricted(w, partition.regions[chosen])[0]
+            region = partition.regions[chosen]
+            rho = weyl_operator_from_symbol(w.as_symbol()).matrix
+            top = np.linalg.eigh(rho)[1][:, -1]
+            v = region.sqrt_operator().matrix @ top
+            v /= np.linalg.norm(v)
+            assert is_quasirestricted(v, region)[0]
+            w = wigner.wigner_from_wavefunction(WaveFunction.from_vector(w.grid, v))
             rows.append(probs)
             chosen_labels.append(labels[chosen])
     return np.asarray(rows), chosen_labels
 
 
 def test_phase_interval_calls_match_per_dt_calls(setup):
-    # Seeds whose projected state fails the PSD check after renormalising
-    # by a small Born weight abort on both paths (a known phase-backend
-    # limitation); the others must agree event for event.
     eng = _engine(setup, 1.0, 0.05, ProjectionSchedule("periodic", 0.25),
                   backend="phase", projection_mode="sqrt")
-    compared = 0
     for seed in range(6):
-        try:
-            rows, chosen = _phase_reference(eng, seed)
-        except NotPositiveError:
-            with pytest.raises(NotPositiveError):
-                eng.run(seed)
-            continue
+        rows, chosen = _phase_reference(eng, seed)
         rec = eng.run(seed)
         assert rec.event_regions == chosen
         assert np.abs(rec.prob_rows - rows).max() < 1e-9
-        compared += 1
-    assert compared >= 1
 
 
 def test_phase_single_shot_matches_per_dt_calls(setup):
@@ -202,6 +192,64 @@ def test_phase_single_shot_matches_per_dt_calls(setup):
     assert rec.event_regions == chosen
     assert np.abs(rec.prob_rows - rows).max() < 1e-9
     assert [t for t, _ in rec.snapshots] == pytest.approx([0.4, 0.8])
+
+
+def test_phase_periodic_runs_match_the_oracle(setup):
+    # every seed aborted when the phase backend renormalised op rho op^H
+    sched = ProjectionSchedule("periodic", 0.5)
+    phase = _engine(setup, 3.0, 0.01, sched, backend="phase", projection_mode="sqrt")
+    oracle = _engine(setup, 3.0, 0.01, sched, projection_mode="sqrt")
+    for seed in range(20):
+        got, want = phase.run(seed), oracle.run(seed)
+        assert got.event_regions == want.event_regions
+        assert np.abs(got.prob_rows - want.prob_rows).max() < 1e-8
+        assert len(got.rank1_distances) == len(got.event_steps) == 6
+        assert max(got.rank1_distances) < 1e-4
+        assert want.rank1_distances == [0.0] * 6
+
+
+def test_rank1_step_rejects_a_mixed_state(setup):
+    psi0 = setup[0]
+    pure = wigner.wigner_from_wavefunction(psi0)
+    v, distance = _PhasePropagator.to_vector(pure)
+    assert distance < 1e-12 and abs(abs(np.vdot(v, psi0.to_vector())) - 1) < 1e-12
+    other = wigner.wigner_from_wavefunction(wigner.coherent_state(psi0.grid, 2.0, 0.0))
+    mixed = wigner.WignerState(psi0.grid, 0.5 * (pure.values + other.values))
+    with pytest.raises(NotPositiveError, match="not rank one"):
+        _PhasePropagator.to_vector(mixed)
+
+
+def test_phase_backend_rejects_exact_projection(setup):
+    with pytest.raises(ValueError, match="momentum range"):
+        _engine(setup, 1.0, 0.05, ProjectionSchedule("single-shot"), backend="phase")
+
+
+def test_event_functions_act_on_the_first_axis_of_a_state_array():
+    # a state array V of shape (n1, n2) against regions of the first factor:
+    # each function must equal the dense path of Pi (x) I on vec(V)
+    g1 = PhaseGrid.create(32, 9.0)
+    partition = regions.build_partition(g1, [-3.0, 3.0])
+    rng = np.random.default_rng(5)
+    arr = rng.normal(size=(32, 8)) + 1j * rng.normal(size=(32, 8))
+    arr /= np.linalg.norm(arr)
+    vec = arr.ravel()
+    eye = np.eye(8)
+    dense = [np.kron(r.operator().matrix, eye) for r in partition.regions]
+    want = np.array([np.vdot(vec, m @ vec).real for m in dense])
+    got = transition_probabilities_oracle(arr, partition)
+    assert np.abs(got - want / want.sum()).max() < 1e-13
+    for region in partition.regions:
+        post = apply_quasiprojection(arr, region)
+        assert post.shape == (32, 8)
+        root = np.kron(region.sqrt_operator().matrix, eye) @ vec
+        assert np.abs(post.ravel() - root / np.linalg.norm(root)).max() < 1e-13
+        # Pi (x) I has Pi's eigenvalues, with eigenvectors q_i (x) e_j
+        w, q = region.operator().eigh()
+        drop = np.kron(q[:, w <= 1e-6], eye)
+        for state in (arr, post):
+            out = drop.conj().T @ state.ravel()
+            assert abs(is_quasirestricted(state, region)[1]
+                       - np.linalg.norm(out)) < 1e-13
 
 
 def test_quasirestriction_residual_matches_full_projection(setup):
