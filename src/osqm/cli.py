@@ -1,7 +1,8 @@
 """Command-line front end: run scenarios, regression suite, sweeps.
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
-abort. OSQM_THREADS bounds ensemble workers.
+abort. OSQM_THREADS bounds ensemble workers. --verbose shows osqm's info
+records on stderr; without it only warnings show.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -34,8 +36,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Phase-space quantum simulator with coarse-grained "
                     "projection dynamics")
     sub = ap.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("-v", "--verbose", action="store_true",
+                        help="show osqm's info records on stderr")
 
-    run = sub.add_parser("run", help="run one scenario config")
+    run = sub.add_parser("run", parents=[common], help="run one scenario config")
     run.add_argument("config", help="path to a JSON scenario config")
     run.add_argument("--seed", type=int, default=None,
                      help="override ensemble.base_seed")
@@ -44,13 +49,15 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override output.snapshot_stride")
     run.add_argument("--backend", choices=("phase", "oracle"), default=None)
 
-    reg = sub.add_parser("regress", help="run the acceptance criteria")
+    reg = sub.add_parser("regress", parents=[common],
+                         help="run the acceptance criteria")
     reg.add_argument("--out-dir", default=None,
                      help="write report.json and summary.csv here")
     reg.add_argument("--only", default=None,
                      help="comma-separated criterion numbers")
 
-    sw = sub.add_parser("sweep", help="re-run a config over parameter values")
+    sw = sub.add_parser("sweep", parents=[common],
+                        help="re-run a config over parameter values")
     sw.add_argument("config")
     sw.add_argument("--set", required=True, dest="assign",
                     help="dotted.key=v1,v2,... applied per run")
@@ -181,6 +188,9 @@ def _run_sweep(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.verbose:
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger("osqm").setLevel(logging.INFO)
     try:
         if args.command == "run":
             raw = json.loads(Path(args.config).read_text())

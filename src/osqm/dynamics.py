@@ -25,6 +25,14 @@ Time stepping has three paths:
   which catches steps beyond RK4's stability bound, and an L2-norm growth
   check runs every steps // 20 steps.
 
+The two static paths spend their time moving arrays between bases, so each
+basis change is an in-place np.fft pass (out=, numpy >= 2.0) and one
+product with a precomputed table: the centered transform over every axis
+is one fftn between +-1 sign tables, and a split step moves from term a's
+basis to term b's by an ifft along a's axes, one fused untwist_a * twist_b
+table and an fft along b's axes. No table outlives its evolve_lvn call;
+on dof 2 most are the size of the state.
+
 Every path checks that the state stays on the grid: the x- and p-marginal
 mass in the outer 2-cell shell must stay below PhaseGrid.check_containment's
 tolerance, else ContainmentError (the LvN state would otherwise wrap over
@@ -42,7 +50,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .grid import GridMismatchError, PhaseGrid
-from .spectral import cdft, cidft
+from .spectral import alternating_signs, cdft
 from .weyl import WeylSymbol
 from .wigner import WignerState
 
@@ -122,18 +130,36 @@ def _freq_tables(n: int):
     return frq, mu, odd
 
 
+def _sign_tables(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(alt, post): the +-1 factors of spectral.cdft multiplied out over axes.
+
+    cdft along one axis is post_ax * fft(alt_ax * f), with post_ax =
+    (-1)^(n // 2) alt_ax; the sign factors of the other axes commute with it
+    exactly, so over every axis it is post * fftn(alt * f), and cidft is
+    alt * ifftn(post * F). post is +-alt, so one int8 table serves both.
+    """
+    alt = np.ones((), dtype=np.int8)
+    for n in shape:
+        alt = np.multiply.outer(alt, alternating_signs(n).astype(np.int8))
+    return alt, (alt if sum(n // 2 for n in shape) % 2 == 0 else -alt)
+
+
 def _cdftn(arr: np.ndarray) -> np.ndarray:
-    out = arr.astype(complex)
-    for ax in range(arr.ndim):
-        out = cdft(out, axis=ax)
-    return out
+    """spectral.cdft along every axis, into a new complex array."""
+    alt, post = _sign_tables(arr.shape)
+    out = np.multiply(arr, alt, dtype=complex)
+    # fftn takes the last axis listed first: axis 0 first, as a cdft per axis
+    # does, gives that loop's result bit for bit
+    np.fft.fftn(out, axes=tuple(reversed(range(arr.ndim))), out=out)
+    return np.multiply(out, post, out=out)
 
 
 def _cidftn(arr: np.ndarray) -> np.ndarray:
-    out = arr
-    for ax in range(arr.ndim):
-        out = cidft(out, axis=ax)
-    return out
+    """spectral.cidft along every axis, in place on arr, which it returns."""
+    alt, post = _sign_tables(arr.shape)
+    np.multiply(arr, post, out=arr)
+    np.fft.ifftn(arr, axes=tuple(reversed(range(arr.ndim))), out=arr)
+    return np.multiply(arr, alt, out=arr)
 
 
 class _FactorOp:
@@ -256,29 +282,44 @@ class _TermExponential:
     """exp(s L) for one static term, L = c (prod L_f - prod R_f) / (i hbar).
 
     The factors of a term sit on distinct dofs, so their twisted FFTs act on
-    disjoint axes and diagonalize every L_f and R_f at once.
+    disjoint axes and diagonalize every L_f and R_f at once: the term's basis
+    is the FFT along its factors' conv axes of twist * (frequency array), with
+    twist the product of the factors' twists. Every basis change runs in
+    place on the array it is given.
     """
 
     def __init__(self, grid: PhaseGrid, term: HamiltonianTerm):
-        self.twists = []  # (conv axis, twist, conjugate twist) per factor
-        lam_left = lam_right = 1.0
+        axes = []
+        twist = lam_left = lam_right = 1.0
         for kind, dof, profile in term.factors:
             left = _FactorOp(grid, kind, dof, profile, mode="left")
             right = _FactorOp(grid, kind, dof, profile, mode="right")
-            twist = left.twist()
-            self.twists.append((left.conv_axis, twist, np.conj(twist)))
+            axes.append(left.conv_axis)
+            twist = twist * left.twist()
             lam_left = lam_left * left.eigenvalues()
             lam_right = lam_right * right.eigenvalues()
+        self.axes = tuple(axes)
+        self.twist = twist
+        self.untwist = np.conj(twist)
         self.generator = term.coeff_at(0.0) * (lam_left - lam_right) / (1j * grid.hbar)
 
+    def fft(self, arr: np.ndarray) -> np.ndarray:
+        for axis in self.axes:
+            np.fft.fft(arr, axis=axis, out=arr)
+        return arr
+
+    def ifft(self, arr: np.ndarray) -> np.ndarray:
+        for axis in reversed(self.axes):
+            np.fft.ifft(arr, axis=axis, out=arr)
+        return arr
+
     def to_basis(self, what: np.ndarray) -> np.ndarray:
-        for axis, twist, _ in self.twists:
-            what = np.fft.fft(what * twist, axis=axis)
-        return what
+        what *= self.twist
+        return self.fft(what)
 
     def from_basis(self, coef: np.ndarray) -> np.ndarray:
-        for axis, _, untwist in reversed(self.twists):
-            coef = np.fft.ifft(coef, axis=axis) * untwist
+        self.ifft(coef)
+        coef *= self.untwist
         return coef
 
     def propagate(self, coef: np.ndarray, s: float) -> np.ndarray:
@@ -318,14 +359,21 @@ class _Splitting:
     A state is (coef, pending): its coefficients in term 0's basis and an
     exponent of term 0 not yet applied. The last exponential of a step is
     left pending and merges with the first of the next, so between steps
-    the state never leaves the frequency domain. exp(s L) tables are built
-    once per distinct (term, s).
+    the state never leaves the frequency domain. A step runs on the coef
+    buffer: each move from term a's basis to term b's is an ifft along a's
+    axes, one product with the table untwist_a * twist_b built here, and an
+    fft along b's axes, followed by the product with exp(s G_b). exp(s G)
+    tables are built once per distinct (term, s).
     """
 
     def __init__(self, grid: PhaseGrid, h: Hamiltonian):
         self.props = [_TermExponential(grid, term) for term in h.terms]
         self.sweep = _yoshida_sweep(len(self.props))
         self._tables = {}
+        self._moves = {}
+        for (a, _), (b, _) in zip(self.sweep, self.sweep[1:]):
+            if (a, b) not in self._moves:
+                self._moves[a, b] = self.props[a].untwist * self.props[b].twist
 
     def _exp(self, j: int, s: float) -> np.ndarray:
         table = self._tables.get((j, s))
@@ -337,14 +385,21 @@ class _Splitting:
         return self.props[0].to_basis(_cdftn(arr)), 0.0
 
     def step(self, coef: np.ndarray, pending: float, dt: float):
+        """Advance a state by dt; coef is overwritten and returned."""
         (_, first), *body, (_, last) = self.sweep
-        coef = coef * self._exp(0, pending + first * dt)
-        cur = self.props[0]
+        coef *= self._exp(0, pending + first * dt)
+        cur = 0
         for j, frac in body:
-            nxt = self.props[j]
-            coef = nxt.to_basis(cur.from_basis(coef)) * self._exp(j, frac * dt)
-            cur = nxt
-        return self.props[0].to_basis(cur.from_basis(coef)), last * dt
+            self._move(coef, cur, j)
+            coef *= self._exp(j, frac * dt)
+            cur = j
+        self._move(coef, cur, 0)
+        return coef, last * dt
+
+    def _move(self, coef: np.ndarray, a: int, b: int) -> None:
+        self.props[a].ifft(coef)
+        coef *= self._moves[a, b]
+        self.props[b].fft(coef)
 
     def real(self, coef: np.ndarray, pending: float) -> np.ndarray:
         """The Wigner array of a state; coef is left as it is."""
@@ -475,8 +530,10 @@ def _evolve_split(w, h, steps, dt, remainder, snapshots_every, t0, verify_dt):
     split = _Splitting(grid, h)
     state = split.enter(w.values)
     if verify_dt and steps > 0:
-        one = split.real(*split.step(*state, dt))
-        half = split.real(*split.step(*split.step(*state, dt / 2), dt / 2))
+        coef, pending = state
+        one = split.real(*split.step(coef.copy(), pending, dt))
+        half = split.real(*split.step(*split.step(coef.copy(), pending, dt / 2),
+                                      dt / 2))
         _check_step_halving(one, half, np.abs(w.values).max(), dt)
 
     snaps = []

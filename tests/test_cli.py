@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -136,3 +137,14 @@ def test_malformed_number_exits_with_config_code(tmp_path, capsys, block, key, v
     assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration:") and f"{key} must be" in err
+
+
+def test_verbose_shows_info_records(tmp_path):
+    logger = logging.getLogger("osqm")
+    try:
+        assert cli.main(["run", str(_write_config(tmp_path)),
+                         "--verbose"]) == cli.EXIT_OK
+        assert logger.level == logging.INFO
+        assert logging.getLogger("osqm.transitions").isEnabledFor(logging.INFO)
+    finally:
+        logger.setLevel(logging.NOTSET)

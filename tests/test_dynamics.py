@@ -1,10 +1,14 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from osqm import dynamics
 from osqm.dynamics import (EvolutionUnstableError, Hamiltonian, HamiltonianTerm,
                            evolve_lvn, step_count)
 from osqm.grid import ContainmentError, PhaseGrid
 from osqm.oracle import WaveFunction, schrodinger_propagate
+from osqm.spectral import cdft, cidft
 from osqm.weyl import WeylSymbol, mean_value, weyl_operator_from_symbol
 from osqm.wigner import coherent_state, wigner_from_wavefunction
 
@@ -210,3 +214,152 @@ def test_step_count_keeps_whole_steps_and_drops_round_off_tails():
     whole, tail = step_count(1.0, 0.3)
     assert whole == 3 and tail == pytest.approx(0.1, abs=1e-15)
     assert step_count(0.0, 0.1) == (0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# in-place basis changes
+
+def _three_term_h():
+    gg = PhaseGrid.product(PhaseGrid.create(32, 8.0), PhaseGrid.create(32, 8.0))
+    return Hamiltonian(gg, [
+        HamiltonianTerm((("p", 1, lambda p: p ** 2 / 2),)),
+        HamiltonianTerm((("x", 1, lambda x: x ** 2 / 2),)),
+        HamiltonianTerm((("p", 0, lambda p: p), ("x", 1, np.tanh)),
+                        coefficient=0.8),
+    ])
+
+
+def _double_well_h():
+    from osqm.scenarios import hamiltonian_preset
+    return hamiltonian_preset(PhaseGrid.create(128, 9.0), "double-well",
+                              {"a": 0.15, "b": 2.0})
+
+
+def _left_ops(grid, term):
+    return [dynamics._FactorOp(grid, kind, dof, profile, mode="left")
+            for kind, dof, profile in term.factors]
+
+
+def _to_basis(grid, term, what):
+    """Per-factor twist, then FFT along the factor's conv axis."""
+    for op in _left_ops(grid, term):
+        what = np.fft.fft(what * op.twist(), axis=op.conv_axis)
+    return what
+
+
+def _from_basis(grid, term, coef):
+    for op in reversed(_left_ops(grid, term)):
+        coef = np.fft.ifft(coef, axis=op.conv_axis) * np.conj(op.twist())
+    return coef
+
+
+def _reference_step(h, split, coef, pending, dt):
+    """One split step as the composition to_basis(from_basis(.)) * exp."""
+    grid, terms, gens = h.grid, h.terms, [p.generator for p in split.props]
+    (_, first), *body, (_, last) = split.sweep
+    coef = coef * np.exp((pending + first * dt) * gens[0])
+    cur = 0
+    for j, frac in body:
+        coef = (_to_basis(grid, terms[j], _from_basis(grid, terms[cur], coef))
+                * np.exp(frac * dt * gens[j]))
+        cur = j
+    return _to_basis(grid, terms[0], _from_basis(grid, terms[cur], coef)), last * dt
+
+
+@pytest.mark.parametrize("case", ["oscillator", "double-well", "three-term"])
+def test_split_step_matches_basis_change_composition(case, grid64, osc):
+    if case == "oscillator":
+        h, w = osc, wigner_from_wavefunction(coherent_state(grid64, 1.0, 0.3))
+    elif case == "double-well":
+        h = _double_well_h()
+        w = wigner_from_wavefunction(coherent_state(h.grid, -2.0, 0.0))
+    else:
+        from osqm.oracle import tensor_state
+        h = _three_term_h()
+        g1 = h.grid.factor(0)
+        w = wigner_from_wavefunction(tensor_state(coherent_state(g1, 0.0, 0.0),
+                                                  coherent_state(g1, -1.0, 0.0)))
+    split = dynamics._Splitting(h.grid, h)
+    coef, _ = split.enter(w.values)
+    want = _to_basis(h.grid, h.terms[0], dynamics._cdftn(w.values))
+    scale = np.abs(want).max()
+    assert np.abs(coef - want).max() < 1e-13 * scale
+    pending, dt = 0.013, 0.05
+    for _ in range(2):
+        want, want_pending = _reference_step(h, split, coef, pending, dt)
+        coef, pending = split.step(coef.copy(), pending, dt)
+        assert pending == want_pending
+        assert np.abs(coef - want).max() < 1e-13 * scale
+
+
+# the product of (-1)^(n // 2) over the axes is +1 for the first and third
+# shapes and -1 for the others
+@pytest.mark.parametrize("shape", [(32, 32), (30, 32), (16, 16, 16, 16),
+                                   (6, 8, 6, 10)])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_cdftn_matches_per_axis_transforms(shape, kind):
+    rng = np.random.default_rng(5)
+    arr = rng.standard_normal(shape)
+    if kind is complex:
+        arr = arr + 1j * rng.standard_normal(shape)
+    want = arr
+    for ax in range(arr.ndim):
+        want = cdft(want, axis=ax)
+    got = dynamics._cdftn(arr)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    back = arr
+    for ax in range(arr.ndim):
+        back = cidft(back, axis=ax)
+    spectrum = arr.astype(complex)
+    got = dynamics._cidftn(spectrum)
+    assert got is spectrum  # in place
+    assert np.abs(got - back).max() <= 1e-15 * np.abs(back).max()
+
+
+@pytest.mark.parametrize("name", ["free", "oscillator"])
+def test_repeated_evolution_repeats_bitwise(grid64, w0, name):
+    # the basis changes run in place: they must write neither into the input
+    # state nor into the coefficients that later snapshots start from
+    from osqm.scenarios import hamiltonian_preset
+    h = hamiltonian_preset(grid64, name, {})
+    start = w0.values.copy()
+    first, first_snaps = evolve_lvn(w0, h, 1.0, 0.05, snapshots_every=4)
+    assert np.array_equal(w0.values, start)
+    again, again_snaps = evolve_lvn(w0, h, 1.0, 0.05, snapshots_every=4)
+    assert np.array_equal(again.values, first.values)
+    assert [t for t, _ in again_snaps] == [t for t, _ in first_snaps]
+    for (_, a), (_, b) in zip(again_snaps, first_snaps):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_composite_evolution_repeats_bitwise():
+    h = _three_term_h()
+    from osqm.oracle import tensor_state
+    g1 = h.grid.factor(0)
+    w = wigner_from_wavefunction(tensor_state(coherent_state(g1, 0.0, 0.0),
+                                              coherent_state(g1, -1.0, 0.0)))
+    first = evolve_lvn(w, h, 0.2, 0.05, verify_dt=False)
+    again = evolve_lvn(w, h, 0.2, 0.05, verify_dt=False)
+    assert np.array_equal(again.values, first.values)
+
+
+@dataclass
+class _Quadratic:
+    """A callable profile that, as an eq=True dataclass, does not hash."""
+
+    k: float
+
+    def __call__(self, x):
+        return 0.5 * self.k * x ** 2
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_unhashable_profile_evolves(grid64, w0, split):
+    kinds = ["x", "p"] if split else ["x"]
+    terms = [HamiltonianTerm(((kind, 0, _Quadratic(1.0)),)) for kind in kinds]
+    with pytest.raises(TypeError):
+        hash(terms[0])
+    same = [HamiltonianTerm(((kind, 0, lambda q: 0.5 * q ** 2),)) for kind in kinds]
+    out = evolve_lvn(w0, Hamiltonian(grid64, terms), 0.2, 0.05)
+    want = evolve_lvn(w0, Hamiltonian(grid64, same), 0.2, 0.05)
+    assert np.array_equal(out.values, want.values)
