@@ -22,8 +22,8 @@ from .grid import ContainmentError
 from .io import write_csv, write_grid_dump, write_metadata
 from .oracle import NotPositiveError
 from .scenarios import binomial_interval
-from .transitions import (ProjectionSchedule, TrajectoryEngine, run_ensemble,
-                          worker_count)
+from .transitions import (ProjectionSchedule, QuasirestrictionError,
+                          TrajectoryEngine, run_ensemble, worker_count)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -206,7 +206,8 @@ def main(argv=None) -> int:
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EvolutionUnstableError, ContainmentError, NotPositiveError) as exc:
+    except (EvolutionUnstableError, ContainmentError, NotPositiveError,
+            QuasirestrictionError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     return EXIT_OK

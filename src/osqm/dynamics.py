@@ -1,37 +1,38 @@
 """Liouville-von Neumann evolution of Wigner states.
 
-The right-hand side -{{W, H}} is applied term by term in the frequency
-domain. Every Hamiltonian term is a product of single-variable factors
-f(x_d) or g(p_d); for such factors the left/right star multiplications
+Every Hamiltonian term is a product of single-variable factors f(x_d) or
+g(p_d). In the frequency domain a factor's left/right star multiplications
 are one-axis twisted convolutions (cyclic or negacyclic by the parity of
-the conjugate frequency), which reproduces the dense-oracle evolution to
-machine precision in space.
+the conjugate frequency); twisting the odd-parity columns and an FFT along
+the convolution axis make both diagonal. The factors of a term sit on
+distinct dofs, so one term basis diagonalizes the term's whole bracket,
+with eigenvalues c (prod L - prod R) / (i hbar) (after Cabrera, Bondar,
+Jacobs & Rabitz, PRA 92, 042122 (2015)). This reproduces the dense-oracle
+evolution to machine precision in space. The term basis is the one way
+every path applies a term:
 
-Time stepping has three paths:
-
-- A static Hamiltonian of one term is advanced by its exact exponential.
-  Each factor's twisted convolution is diagonal after twisting the
-  odd-parity columns and an FFT along its convolution axis, so the bracket
-  of the term is diagonal with eigenvalues c (prod L - prod R) (after
-  Cabrera, Bondar, Jacobs & Rabitz, PRA 92, 042122 (2015)). dt only sets
-  the snapshot times; verify_dt has nothing to check.
+- A static Hamiltonian of one term is advanced by its exact exponential in
+  its basis. dt only sets the snapshot times; verify_dt has nothing to
+  check.
 - A static Hamiltonian of two or more terms takes 4th-order split steps:
   Yoshida's triple jump (Phys. Lett. A 150, 262 (1990)) of Strang sweeps
   over the terms' exact exponentials. The state stays in the frequency
   domain between steps. verify_dt compares one step with two half steps,
   which measures the local splitting error.
 - A Hamiltonian with a time-dependent coefficient is stepped by classical
-  RK4 with fixed dt. verify_dt makes the same step-halving comparison,
-  which catches steps beyond RK4's stability bound, and an L2-norm growth
-  check runs every steps // 20 steps.
+  RK4 with fixed dt. Its right-hand side (LvnPlan.rhs) takes each term to
+  its basis, multiplies by the unit-coefficient generator and comes back,
+  scaled by the coefficient at t. verify_dt makes the same step-halving
+  comparison, which catches steps beyond RK4's stability bound, and an
+  L2-norm growth check runs every steps // 20 steps.
 
 The two static paths spend their time moving arrays between bases, so each
 basis change is an in-place np.fft pass (out=, numpy >= 2.0) and one
 product with a precomputed table: the centered transform over every axis
-is one fftn between +-1 sign tables, and a split step moves from term a's
-basis to term b's by an ifft along a's axes, one fused untwist_a * twist_b
-table and an fft along b's axes. No table outlives its evolve_lvn call;
-on dof 2 most are the size of the state.
+is spectral.cdftn, and a split step moves from term a's basis to term b's
+by an ifft along a's axes, one fused untwist_a * twist_b table and an fft
+along b's axes. No table outlives its evolve_lvn call; on dof 2 most are
+the size of the state.
 
 Every path checks that the state stays on the grid: the x- and p-marginal
 mass in the outer 2-cell shell must stay below PhaseGrid.check_containment's
@@ -43,14 +44,14 @@ every snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .grid import GridMismatchError, PhaseGrid
-from .spectral import alternating_signs, cdft
+from .spectral import cdft, cdftn, cidftn
 from .weyl import WeylSymbol
 from .wigner import WignerState
 
@@ -120,7 +121,7 @@ class Hamiltonian:
 
 
 # ---------------------------------------------------------------------------
-# frequency-domain factor application
+# term bases: every path applies a term through the basis that diagonalizes it
 
 @lru_cache(maxsize=16)
 def _freq_tables(n: int):
@@ -130,178 +131,66 @@ def _freq_tables(n: int):
     return frq, mu, odd
 
 
-def _sign_tables(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(alt, post): the +-1 factors of spectral.cdft multiplied out over axes.
-
-    cdft along one axis is post_ax * fft(alt_ax * f), with post_ax =
-    (-1)^(n // 2) alt_ax; the sign factors of the other axes commute with it
-    exactly, so over every axis it is post * fftn(alt * f), and cidft is
-    alt * ifftn(post * F). post is +-alt, so one int8 table serves both.
-    """
-    alt = np.ones((), dtype=np.int8)
-    for n in shape:
-        alt = np.multiply.outer(alt, alternating_signs(n).astype(np.int8))
-    return alt, (alt if sum(n // 2 for n in shape) % 2 == 0 else -alt)
-
-
-def _cdftn(arr: np.ndarray) -> np.ndarray:
-    """spectral.cdft along every axis, into a new complex array."""
-    alt, post = _sign_tables(arr.shape)
-    out = np.multiply(arr, alt, dtype=complex)
-    # fftn takes the last axis listed first: axis 0 first, as a cdft per axis
-    # does, gives that loop's result bit for bit
-    np.fft.fftn(out, axes=tuple(reversed(range(arr.ndim))), out=out)
-    return np.multiply(out, post, out=out)
-
-
-def _cidftn(arr: np.ndarray) -> np.ndarray:
-    """spectral.cidft along every axis, in place on arr, which it returns."""
-    alt, post = _sign_tables(arr.shape)
-    np.multiply(arr, post, out=arr)
-    np.fft.ifftn(arr, axes=tuple(reversed(range(arr.ndim))), out=arr)
-    return np.multiply(arr, alt, out=arr)
-
-
-class _FactorOp:
-    """One-axis twisted convolution for a single-variable factor.
+def _factor_basis(grid: PhaseGrid, kind: str, dof: int, profile):
+    """(conv_axis, twist, lam_left, lam_right) of a single-variable factor.
 
     For a factor f(x_d), left/right star multiplication acts on the
     frequency array by convolving along the x_d-frequency axis with the
-    kernel fhat[u] e^{-i side pi u k / N}, where k is the p_d frequency;
-    odd k rows are negacyclic. For f(p_d) the axes swap and the phase sign
-    flips.
+    kernel fhat[u] e^{-+i pi u k / N}, where k is the p_d frequency; odd k
+    columns are negacyclic. For f(p_d) the axes swap and the phase signs
+    flip. Twisting the odd columns by mu (twist) and an FFT along conv_axis
+    make both convolutions diagonal, with eigenvalues lam_left and
+    lam_right; their factor (-1)^q on conv-axis Fourier mode q (roll)
+    re-centres the convolution, a roll by -N/2. The tables broadcast over
+    the full array.
     """
+    n = grid.n(dof)
+    frq, mu, odd = _freq_tables(n)
+    if kind == "x":
+        axis_vals, conv_axis, mask_axis, sign = grid.x(dof), dof, grid.dof + dof, -1.0
+    else:
+        axis_vals, conv_axis, mask_axis, sign = grid.p(dof), grid.dof + dof, dof, 1.0
+    shape = [1] * (2 * grid.dof)
+    shape[conv_axis] = shape[mask_axis] = n
 
-    def __init__(self, grid: PhaseGrid, kind: str, dof: int, profile,
-                 mode: str):
-        n = grid.n(dof)
-        frq, mu, odd = _freq_tables(n)
-        self.n = n
-        self.mu = mu
-        self.odd = odd
-        ndim = 2 * grid.dof
-        if kind == "x":
-            axis_vals = grid.x(dof)
-            self.conv_axis = dof
-            self.mask_axis = grid.dof + dof
-            base_sign = -1.0
-        else:
-            axis_vals = grid.p(dof)
-            self.conv_axis = grid.dof + dof
-            self.mask_axis = dof
-            base_sign = +1.0
-        fhat = cdft(np.asarray(profile(axis_vals), dtype=complex)) / n
-        phases = np.exp(1j * np.pi * np.outer(frq, frq) / n)  # [u, k]
-        if mode == "left":
-            kern = fhat[:, None] * phases ** base_sign
-        elif mode == "right":
-            kern = fhat[:, None] * phases ** (-base_sign)
-        else:  # bracket: left - right
-            kern = fhat[:, None] * (phases ** base_sign - phases ** (-base_sign))
-        # precompute the conv-axis FFT of the kernel per parity class
-        k_even = kern[:, ~odd]
-        k_odd = kern[:, odd] * mu[:, None]
-        self.fk_even = np.fft.fft(k_even, axis=0)
-        self.fk_odd = np.fft.fft(k_odd, axis=0)
-        self.ndim = ndim
-
-    def _embed(self, table: np.ndarray) -> np.ndarray:
-        """A [conv, mask] table shaped to broadcast over the full array."""
-        shape = [1] * self.ndim
-        shape[self.conv_axis] = shape[self.mask_axis] = self.n
-        if self.conv_axis > self.mask_axis:
+    def embed(table):  # [conv, mask] -> broadcast shape, C order
+        if conv_axis > mask_axis:
             table = table.T
-        # C order: a transposed table would make every product with it strided
         return np.ascontiguousarray(table).reshape(shape)
 
-    def twist(self) -> np.ndarray:
-        """mu along the conv axis on odd mask columns, 1 on even ones."""
-        return self._embed(np.where(self.odd[None, :], self.mu[:, None], 1.0))
-
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of apply() in the basis fft_conv(twist * what).
-
-        The roll by -n/2 after the inverse FFT is the factor (-1)^q on
-        conv-axis Fourier mode q.
-        """
-        lam = np.empty((self.n, self.n), dtype=complex)
-        sign = ((-1.0) ** np.arange(self.n))[:, None]
-        lam[:, ~self.odd] = self.fk_even * sign
-        lam[:, self.odd] = self.fk_odd * sign
-        return self._embed(lam)
-
-    def apply(self, what: np.ndarray) -> np.ndarray:
-        n = self.n
-        arr = np.moveaxis(what, (self.conv_axis, self.mask_axis), (-2, -1))
-        out = np.empty_like(arr)
-        for odd_class, fk in ((False, self.fk_even), (True, self.fk_odd)):
-            cols = self.odd == odd_class
-            sub = arr[..., cols]
-            if odd_class:
-                sub = sub * self.mu[:, None]
-            r = np.fft.ifft(np.fft.fft(sub, axis=-2) * fk, axis=-2)
-            r = np.roll(r, -(n // 2), axis=-2)
-            if odd_class:
-                r = r * np.conj(self.mu)[:, None]
-            out[..., cols] = r
-        return np.moveaxis(out, (-2, -1), (self.conv_axis, self.mask_axis))
+    twist = np.where(odd[None, :], mu[:, None], 1.0)
+    fhat = cdft(np.asarray(profile(axis_vals), dtype=complex)) / n
+    phases = np.exp(1j * np.pi * np.outer(frq, frq) / n)  # [u, k]
+    roll = ((-1.0) ** np.arange(n))[:, None]
+    left, right = (np.fft.fft(fhat[:, None] * phases ** s * twist, axis=0) * roll
+                   for s in (sign, -sign))
+    return conv_axis, embed(twist), embed(left), embed(right)
 
 
-class _TermOp:
-    """Bracket contribution of one Hamiltonian term in frequency space."""
-
-    def __init__(self, grid: PhaseGrid, term: HamiltonianTerm):
-        self.term = term
-        if len(term.factors) == 1:
-            kind, dof, profile = term.factors[0]
-            self.single = _FactorOp(grid, kind, dof, profile, mode="bracket")
-            self.lefts = self.rights = None
-        else:
-            self.single = None
-            self.lefts = [_FactorOp(grid, k, d, f, mode="left")
-                          for k, d, f in term.factors]
-            self.rights = [_FactorOp(grid, k, d, f, mode="right")
-                           for k, d, f in term.factors]
-
-    def bracket(self, what: np.ndarray, t: float) -> np.ndarray:
-        c = self.term.coeff_at(t)
-        if c == 0.0:
-            return np.zeros_like(what)
-        if self.single is not None:
-            return c * self.single.apply(what)
-        left = what
-        for op in self.lefts:
-            left = op.apply(left)
-        right = what
-        for op in self.rights:
-            right = op.apply(right)
-        return c * (left - right)
-
-
-class _TermExponential:
-    """exp(s L) for one static term, L = c (prod L_f - prod R_f) / (i hbar).
+class _TermBasis:
+    """The basis that diagonalizes one term's bracket, and its generator.
 
     The factors of a term sit on distinct dofs, so their twisted FFTs act on
     disjoint axes and diagonalize every L_f and R_f at once: the term's basis
     is the FFT along its factors' conv axes of twist * (frequency array), with
-    twist the product of the factors' twists. Every basis change runs in
-    place on the array it is given.
+    twist the product of the factors' twists. There the bracket of
+    c * (product of factors) is the table generator = c (prod L - prod R)
+    / (i hbar). Every basis change runs in place on the array it is given.
     """
 
-    def __init__(self, grid: PhaseGrid, term: HamiltonianTerm):
+    def __init__(self, grid: PhaseGrid, term: HamiltonianTerm, c: float):
         axes = []
         twist = lam_left = lam_right = 1.0
         for kind, dof, profile in term.factors:
-            left = _FactorOp(grid, kind, dof, profile, mode="left")
-            right = _FactorOp(grid, kind, dof, profile, mode="right")
-            axes.append(left.conv_axis)
-            twist = twist * left.twist()
-            lam_left = lam_left * left.eigenvalues()
-            lam_right = lam_right * right.eigenvalues()
+            axis, f_twist, f_left, f_right = _factor_basis(grid, kind, dof, profile)
+            axes.append(axis)
+            twist = twist * f_twist
+            lam_left = lam_left * f_left
+            lam_right = lam_right * f_right
         self.axes = tuple(axes)
         self.twist = twist
         self.untwist = np.conj(twist)
-        self.generator = term.coeff_at(0.0) * (lam_left - lam_right) / (1j * grid.hbar)
+        self.generator = c * (lam_left - lam_right) / (1j * grid.hbar)
 
     def fft(self, arr: np.ndarray) -> np.ndarray:
         for axis in self.axes:
@@ -367,7 +256,7 @@ class _Splitting:
     """
 
     def __init__(self, grid: PhaseGrid, h: Hamiltonian):
-        self.props = [_TermExponential(grid, term) for term in h.terms]
+        self.props = [_TermBasis(grid, term, term.coeff_at(0.0)) for term in h.terms]
         self.sweep = _yoshida_sweep(len(self.props))
         self._tables = {}
         self._moves = {}
@@ -382,7 +271,7 @@ class _Splitting:
         return table
 
     def enter(self, arr: np.ndarray):
-        return self.props[0].to_basis(_cdftn(arr)), 0.0
+        return self.props[0].to_basis(cdftn(arr)), 0.0
 
     def step(self, coef: np.ndarray, pending: float, dt: float):
         """Advance a state by dt; coef is overwritten and returned."""
@@ -403,7 +292,7 @@ class _Splitting:
 
     def real(self, coef: np.ndarray, pending: float) -> np.ndarray:
         """The Wigner array of a state; coef is left as it is."""
-        return _cidftn(self.props[0].from_basis(coef * self._exp(0, pending))).real
+        return cidftn(self.props[0].from_basis(coef * self._exp(0, pending))).real
 
 
 def _check_marginal_containment(grid: PhaseGrid, arr: np.ndarray) -> None:
@@ -416,22 +305,29 @@ def _check_marginal_containment(grid: PhaseGrid, arr: np.ndarray) -> None:
 
 
 class LvnPlan:
-    """Reusable right-hand-side evaluator for one (grid, Hamiltonian)."""
+    """Reusable right-hand-side evaluator for one (grid, Hamiltonian).
+
+    Each term's basis is built once with a unit coefficient; rhs scales the
+    term's bracket by its coefficient at t.
+    """
 
     def __init__(self, grid: PhaseGrid, h: Hamiltonian):
         if h.grid != grid:
             raise GridMismatchError("Hamiltonian grid mismatch")
-        self.grid = grid
-        self.ops = [_TermOp(grid, term) for term in h.terms]
-        self.hbar = grid.hbar
+        self.terms = list(h.terms)
+        self.bases = [_TermBasis(grid, term, 1.0) for term in h.terms]
 
     def rhs(self, w: np.ndarray, t: float) -> np.ndarray:
-        what = _cdftn(w)
+        """dW/dt = (H*W - W*H) / (i hbar), summed term by term."""
+        what = cdftn(w)
         acc = np.zeros_like(what)
-        for op in self.ops:
-            acc += op.bracket(what, t)
-        # dW/dt = (H*W - W*H)/(i hbar); ops compute (H*W - W*H) per term
-        return _cidftn(acc / (1j * self.hbar)).real
+        for term, basis in zip(self.terms, self.bases):
+            c = term.coeff_at(t)
+            if c != 0.0:
+                coef = basis.fft(what * basis.twist)
+                coef *= basis.generator
+                acc += c * basis.from_basis(coef)
+        return cidftn(acc).real
 
 
 def step_count(t_final: float, dt: float) -> tuple[int, float]:
@@ -506,11 +402,11 @@ def _check_step_halving(one: np.ndarray, half: np.ndarray, scale: float,
 
 def _evolve_exact(w, h, steps, dt, remainder, snapshots_every, t0, verify_dt):
     grid = w.grid
-    prop = _TermExponential(grid, h.terms[0])
-    coef = prop.to_basis(_cdftn(w.values))
+    prop = _TermBasis(grid, h.terms[0], h.terms[0].coeff_at(0.0))
+    coef = prop.to_basis(cdftn(w.values))
 
     def state_at(s):
-        arr = _cidftn(prop.propagate(coef, s)).real
+        arr = cidftn(prop.propagate(coef, s)).real
         _check_marginal_containment(grid, arr)
         return arr
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .classical import poly_add, poly_derivative, poly_mul
 from .grid import GridMismatchError, PhaseGrid
-from .spectral import alternating_signs, cdft, cidft, spectral_derivative
+from .spectral import cdftn, cidftn, spectral_derivative
 from .weyl import WeylSymbol
 
 __all__ = [
@@ -29,14 +29,6 @@ __all__ = [
     "poly_star",
     "poly_bracket",
 ]
-
-
-def _cdft2(a: np.ndarray) -> np.ndarray:
-    return cdft(cdft(a, axis=0), axis=1)
-
-
-def _cidft2(a: np.ndarray) -> np.ndarray:
-    return cidft(cidft(a, axis=0), axis=1)
 
 
 @dataclass
@@ -106,8 +98,8 @@ def moyal_product(a: WeylSymbol, b: WeylSymbol) -> WeylSymbol:
             "composite dynamics uses factorized Hamiltonian terms instead")
     n = grid.n(0)
     plan = _plan(grid)
-    ahat = _cdft2(a.values)
-    bhat = _cdft2(b.values)
+    ahat = cdftn(a.values)
+    bhat = cdftn(b.values)
     acc = np.zeros((2 * n, n), dtype=complex)
     frq = plan.frq
     for icx in range(n):
@@ -120,7 +112,7 @@ def moyal_product(a: WeylSymbol, b: WeylSymbol) -> WeylSymbol:
     out = acc[n // 2:3 * n // 2].copy()
     out[:n // 2] += plan.colsign[None, :] * acc[3 * n // 2:]
     out[n // 2:] += plan.colsign[None, :] * acc[:n // 2]
-    return WeylSymbol(grid, _cidft2(out / (n * n)))
+    return WeylSymbol(grid, cidftn(out / (n * n)))
 
 
 def moyal_bracket(a: WeylSymbol, b: WeylSymbol) -> WeylSymbol:

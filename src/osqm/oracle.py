@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .grid import PhaseGrid
-from .spectral import cdft, cidft
+from .spectral import cdft, x_to_p
 
 __all__ = [
     "OperatorMatrix",
@@ -96,8 +96,7 @@ class WaveFunction:
         """psi-tilde(p) on the momentum grid (unitary transform per axis)."""
         out = self.values
         for d in range(self.grid.dof):
-            out = cdft(out, axis=d) * (self.grid.dx[d]
-                                       / np.sqrt(2 * np.pi * self.grid.hbar))
+            out = x_to_p(out, self.grid.dx[d], self.grid.hbar, axis=d)
         return out
 
 
@@ -193,10 +192,6 @@ class OperatorMatrix:
     def expectation(self, psi: WaveFunction) -> complex:
         v = psi.to_vector()
         return complex(np.vdot(v, self.matrix @ v))
-
-    def apply(self, psi: WaveFunction, normalized: bool = False) -> WaveFunction:
-        return WaveFunction.from_vector(psi.grid, self.matrix @ psi.to_vector(),
-                                        normalized=normalized)
 
 
 def position_operator(grid: PhaseGrid, d: int = 0) -> OperatorMatrix:

@@ -83,9 +83,6 @@ class Region:
     def chi(self) -> np.ndarray:
         return self.mask.astype(float)
 
-    def cell_count(self) -> int:
-        return int(self.mask.sum())
-
     def symbol(self) -> WeylSymbol:
         if self._symbol is None:
             self._symbol = quasiprojector_symbol(self)
@@ -126,18 +123,6 @@ class Partition:
     def __getitem__(self, i):
         return self.regions[i]
 
-    def by_label(self, label: str) -> Region:
-        for r in self.regions:
-            if r.label == label:
-                return r
-        raise KeyError(label)
-
-    def symbol_sum(self) -> np.ndarray:
-        out = np.zeros(self.grid.phase_shape)
-        for r in self.regions:
-            out += r.symbol().values.real
-        return out
-
     def operator_sum(self) -> np.ndarray:
         dim = self.grid.hilbert_dim
         out = np.zeros((dim, dim), dtype=complex)
@@ -166,24 +151,32 @@ def _axis_intervals(grid: PhaseGrid, boundaries: Sequence[float], d: int,
     return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
 
 
+def _cuts_per_dof(boundaries, dof: int, name: str) -> list:
+    """One list of cuts per dof; None or an empty list means no cuts at all."""
+    if boundaries is None or len(boundaries) == 0:
+        return [[] for _ in range(dof)]
+    if dof == 1 and np.ndim(boundaries) == 1:
+        return [list(boundaries)]
+    if dof > 1 and len(boundaries) == dof and all(np.ndim(b) == 1 for b in boundaries):
+        return [list(b) for b in boundaries]
+    example = [0.0] if dof == 1 else [[]] * (dof - 1) + [[0.0]]
+    raise ValueError(f"{name} on a {dof}-dof grid must be "
+                     f"{'a list of cuts' if dof == 1 else 'one list of cuts per dof'}, "
+                     f"such as {example}; got {boundaries!r}")
+
+
 def build_partition(grid: PhaseGrid, x_boundaries, p_boundaries=None) -> Partition:
     """Partition the grid into boxes cut at the given axis boundaries.
 
-    For dof 1 pass plain lists; for dof 2 pass one list per dof. Boundaries
-    are snapped to cell edges. Every resulting box side must be at least
-    5 sqrt(hbar) (quantum-blob compatibility), else construction fails
-    naming the offending region.
+    For dof 1 pass plain lists; for more dofs pass one list per dof, such
+    as [[], [0.0]]. None or an empty list means no cuts on any dof.
+    Boundaries are snapped to cell edges. Every resulting box side must be
+    at least 5 sqrt(hbar) (quantum-blob compatibility), else construction
+    fails naming the offending region.
     """
-    n = grid.points
     dof = grid.dof
-    if p_boundaries is None:
-        p_boundaries = [] if dof == 1 else [[] for _ in range(dof)]
-    if dof == 1:
-        x_boundaries = [list(x_boundaries)]
-        p_boundaries = [list(p_boundaries)]
-    else:
-        x_boundaries = [list(b) for b in x_boundaries]
-        p_boundaries = [list(b) for b in p_boundaries]
+    x_boundaries = _cuts_per_dof(x_boundaries, dof, "x_boundaries")
+    p_boundaries = _cuts_per_dof(p_boundaries, dof, "p_boundaries")
     x_iv = [_axis_intervals(grid, x_boundaries[d], d, momentum=False)
             for d in range(dof)]
     p_iv = [_axis_intervals(grid, p_boundaries[d], d, momentum=True)
@@ -319,9 +312,6 @@ class DefectReport:
 
     pair_defects: dict
     max_defect: float
-
-    def diagonal(self) -> dict:
-        return {a: v for (a, b), v in self.pair_defects.items() if a == b}
 
 
 def quasiprojector_defect(partition: Partition) -> DefectReport:

@@ -14,6 +14,8 @@ __all__ = [
     "centered_chords",
     "cdft",
     "cidft",
+    "cdftn",
+    "cidftn",
     "upsample2",
     "x_to_p",
     "p_to_x",
@@ -55,6 +57,38 @@ def cidft(F: np.ndarray, axis: int = -1) -> np.ndarray:
     return alt * np.fft.ifft(F * sv, axis=axis)
 
 
+def _sign_tables(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(alt, post): the +-1 factors of cdft multiplied out over every axis.
+
+    cdft along one axis is post_ax * fft(alt_ax * f), with post_ax =
+    (-1)^(n // 2) alt_ax; the sign factors of the other axes commute with it
+    exactly, so over every axis it is post * fftn(alt * f), and cidft is
+    alt * ifftn(post * F). post is +-alt, so one int8 table serves both.
+    """
+    alt = np.ones((), dtype=np.int8)
+    for n in shape:
+        alt = np.multiply.outer(alt, alternating_signs(n).astype(np.int8))
+    return alt, (alt if sum(n // 2 for n in shape) % 2 == 0 else -alt)
+
+
+def cdftn(arr: np.ndarray) -> np.ndarray:
+    """cdft along every axis, into a new complex array."""
+    alt, post = _sign_tables(arr.shape)
+    out = np.multiply(arr, alt, dtype=complex)
+    # fftn takes the last axis listed first: axis 0 first, as a cdft per axis
+    # does, gives that loop's result bit for bit
+    np.fft.fftn(out, axes=tuple(reversed(range(arr.ndim))), out=out)
+    return np.multiply(out, post, out=out)
+
+
+def cidftn(arr: np.ndarray) -> np.ndarray:
+    """cidft along every axis, in place on the complex arr, which it returns."""
+    alt, post = _sign_tables(arr.shape)
+    np.multiply(arr, post, out=arr)
+    np.fft.ifftn(arr, axes=tuple(reversed(range(arr.ndim))), out=arr)
+    return np.multiply(arr, alt, out=arr)
+
+
 def upsample2(f: np.ndarray, axis: int = -1) -> np.ndarray:
     """Trigonometric x2 interpolation along one axis (even length required).
 
@@ -88,14 +122,12 @@ def x_to_p(psi: np.ndarray, dx: float, hbar: float, axis: int = -1) -> np.ndarra
 
     phi(p_m) = (2 pi hbar)^{-1/2} * dx * sum_j psi(x_j) exp(-i x_j p_m / hbar)
     """
-    n = np.asarray(psi).shape[axis]
     return cdft(psi, axis=axis) * (dx / np.sqrt(2 * np.pi * hbar))
 
 
 def p_to_x(phi: np.ndarray, dx: float, hbar: float, axis: int = -1) -> np.ndarray:
     """Inverse of x_to_p."""
-    n = np.asarray(phi).shape[axis]
-    return cidft(phi, axis=axis) * (np.sqrt(2 * np.pi * hbar) / dx) * 1.0
+    return cidft(phi, axis=axis) * (np.sqrt(2 * np.pi * hbar) / dx)
 
 
 def spectral_derivative(f: np.ndarray, spacing: float, axis: int = -1,

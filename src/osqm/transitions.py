@@ -48,6 +48,7 @@ __all__ = [
     "zeno_experiment",
     "trajectory_rng",
     "worker_count",
+    "QuasirestrictionError",
 ]
 
 PROB_CLIP = -1e-8
@@ -56,6 +57,10 @@ RANK1_TOL = 1e-4   # largest ||rho - psi psi^H||_1 of a phase event's state
 PHASE_EXACT_REASON = (
     "backend 'phase' cannot run projection_mode 'exact': a sharply projected "
     "state leaves the grid's momentum range, so the Wigner grid cannot hold it")
+
+
+class QuasirestrictionError(RuntimeError):
+    """A post-projection state fails PS6: it is not quasirestricted."""
 
 
 def _cached_projectors(partition: Partition) -> list:
@@ -408,7 +413,7 @@ class TrajectoryEngine:
                     ok, resid = is_quasirestricted(v, region)
                     ps6_resids.append(resid)
                     if not ok:
-                        raise RuntimeError(
+                        raise QuasirestrictionError(
                             f"post-projection state fails quasirestriction in "
                             f"{labels[chosen]} (residual {resid:.3e})")
                 state = prop.from_vector(v)

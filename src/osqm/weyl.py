@@ -88,11 +88,6 @@ class WeylSymbol:
     def constant(cls, grid: PhaseGrid, value: complex = 1.0) -> "WeylSymbol":
         return cls(grid, np.full(grid.phase_shape, value, dtype=complex))
 
-    def real_values(self) -> np.ndarray:
-        if not self.hermitian:
-            raise ValueError("symbol is not real")
-        return self.values.real
-
     def integral(self) -> complex:
         return complex(self.values.sum() * self.grid.cell_volume)
 

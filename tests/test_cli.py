@@ -64,6 +64,18 @@ def test_phase_backend_periodic_oscillator_runs(tmp_path):
     assert len(rows) == 1 + 6
 
 
+def test_quasirestriction_failure_exits_with_numerics_code(tmp_path, capsys):
+    # on seed 1105 one event's sqrt update leaves a PS6 residual of 1.24e-3,
+    # above the 1e-3 tolerance
+    cfg = json.loads(_write_config(tmp_path).read_text())
+    cfg["schedule"].update(mode="periodic", dt_proj=0.5)
+    path = tmp_path / "periodic.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--seed", "1105"]) == cli.EXIT_NUMERICS
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort: post-projection state fails quasirestriction")
+
+
 def test_event_time_column_ends_at_t_final(tmp_path):
     # dt = 0.3 does not divide t_final = 1.0: the last step is 0.1 long
     cfg = json.loads(_write_config(tmp_path).read_text())
@@ -120,6 +132,20 @@ def test_input_the_run_cannot_use_exits_with_config_code(tmp_path, capsys, block
     assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration:") and message in err
+    assert "Traceback" not in err
+
+
+def test_dof2_cuts_not_one_list_per_dof_exit_with_config_code(tmp_path, capsys):
+    cfg = json.loads(_write_config(tmp_path).read_text())
+    cfg.update(grid={"dof": 2, "points": 32, "x_extent": 8.0},
+               hamiltonian={"preset": "von-neumann-coupling"},
+               initial_state={"preset": "coherent",
+                              "params": {"x0": [0.0, -2.0], "p0": [0.0, 0.0]}})
+    path = tmp_path / "dof2.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "one list of cuts per dof, such as [[], [0.0]]" in err
     assert "Traceback" not in err
 
 

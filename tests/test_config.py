@@ -35,6 +35,11 @@ def test_valid_config_parses():
     assert cfg.schedule["dt"] == 0.01 and cfg.ensemble["num_seeds"] == 4
 
 
+# BASE on a dof-2 grid, with BASE's dof-1 partition x_boundaries [0.0]
+DOF2 = {"grid__dof": 2, "grid__points": 32, "grid__x_extent": 8.0,
+        "hamiltonian__preset": "von-neumann-coupling",
+        "initial_state__params": {"x0": [0.0, -2.0], "p0": [0.0, 0.0]}}
+
 # one case per ConfigError branch of parse_config
 CASES = {
     "unknown top-level key": (_with(extra=1), "unknown top-level keys"),
@@ -76,6 +81,10 @@ CASES = {
     "out_dir a number": (_with(output={"out_dir": 5}), "output: out_dir must be a string"),
     "grid build": (_with(grid__points=15), "grid: points must be even"),
     "partition build": (_with(partition__x_boundaries=[20.0]), "partition: "),
+    "dof-2 cuts not one list per dof": (
+        _with(**DOF2),
+        "partition: x_boundaries on a 2-dof grid must be one list of cuts per dof, "
+        "such as [[], [0.0]]"),
     "hamiltonian build": (_with(hamiltonian__params={"spin": 1}),
                           "hamiltonian: unknown parameters"),
     "hamiltonian param a word": (_with(hamiltonian__params={"omega": "fast"}),
@@ -92,6 +101,11 @@ def test_config_error_branch(case):
         parse_config(raw)
     assert len(info.value.errors) == 1
     assert info.value.errors[0].startswith(message)
+
+
+def test_dof2_partition_may_leave_out_p_boundaries():
+    cfg = parse_config(_with(**DOF2, partition__x_boundaries=[[], [0.0]]))
+    assert len(cfg.build_partition(cfg.build_grid())) == 2
 
 
 def test_every_error_is_reported_at_once():

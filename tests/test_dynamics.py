@@ -8,7 +8,7 @@ from osqm.dynamics import (EvolutionUnstableError, Hamiltonian, HamiltonianTerm,
                            evolve_lvn, step_count)
 from osqm.grid import ContainmentError, PhaseGrid
 from osqm.oracle import WaveFunction, schrodinger_propagate
-from osqm.spectral import cdft, cidft
+from osqm.spectral import cdft, cdftn, cidft, cidftn
 from osqm.weyl import WeylSymbol, mean_value, weyl_operator_from_symbol
 from osqm.wigner import coherent_state, wigner_from_wavefunction
 
@@ -235,21 +235,22 @@ def _double_well_h():
                               {"a": 0.15, "b": 2.0})
 
 
-def _left_ops(grid, term):
-    return [dynamics._FactorOp(grid, kind, dof, profile, mode="left")
+def _factor_twists(grid, term):
+    """(conv_axis, twist) of each factor of a term."""
+    return [dynamics._factor_basis(grid, kind, dof, profile)[:2]
             for kind, dof, profile in term.factors]
 
 
 def _to_basis(grid, term, what):
     """Per-factor twist, then FFT along the factor's conv axis."""
-    for op in _left_ops(grid, term):
-        what = np.fft.fft(what * op.twist(), axis=op.conv_axis)
+    for axis, twist in _factor_twists(grid, term):
+        what = np.fft.fft(what * twist, axis=axis)
     return what
 
 
 def _from_basis(grid, term, coef):
-    for op in reversed(_left_ops(grid, term)):
-        coef = np.fft.ifft(coef, axis=op.conv_axis) * np.conj(op.twist())
+    for axis, twist in reversed(_factor_twists(grid, term)):
+        coef = np.fft.ifft(coef, axis=axis) * np.conj(twist)
     return coef
 
 
@@ -281,7 +282,7 @@ def test_split_step_matches_basis_change_composition(case, grid64, osc):
                                                   coherent_state(g1, -1.0, 0.0)))
     split = dynamics._Splitting(h.grid, h)
     coef, _ = split.enter(w.values)
-    want = _to_basis(h.grid, h.terms[0], dynamics._cdftn(w.values))
+    want = _to_basis(h.grid, h.terms[0], cdftn(w.values))
     scale = np.abs(want).max()
     assert np.abs(coef - want).max() < 1e-13 * scale
     pending, dt = 0.013, 0.05
@@ -305,13 +306,13 @@ def test_cdftn_matches_per_axis_transforms(shape, kind):
     want = arr
     for ax in range(arr.ndim):
         want = cdft(want, axis=ax)
-    got = dynamics._cdftn(arr)
+    got = cdftn(arr)
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
     back = arr
     for ax in range(arr.ndim):
         back = cidft(back, axis=ax)
     spectrum = arr.astype(complex)
-    got = dynamics._cidftn(spectrum)
+    got = cidftn(spectrum)
     assert got is spectrum  # in place
     assert np.abs(got - back).max() <= 1e-15 * np.abs(back).max()
 
@@ -363,3 +364,54 @@ def test_unhashable_profile_evolves(grid64, w0, split):
     out = evolve_lvn(w0, Hamiltonian(grid64, terms), 0.2, 0.05)
     want = evolve_lvn(w0, Hamiltonian(grid64, same), 0.2, 0.05)
     assert np.array_equal(out.values, want.values)
+
+
+# ---------------------------------------------------------------------------
+# the RK4 right-hand side against the dense oracle
+
+def _oracle_rhs(h, w, t):
+    """Weyl symbol of (H rho - rho H) / (i hbar) over (2 pi hbar)^n.
+
+    rho is W's own operator. For the coherent state at (1, 0.3) it differs
+    from psi psi^H by 1.1e-10, since the grid Weyl map is exact only off the
+    Nyquist sector, and against psi psi^H the right-hand side would read
+    1.5e-9 relative.
+    """
+    from osqm.oracle import OperatorMatrix
+    from osqm.weyl import weyl_symbol_from_operator
+    g = h.grid
+    rho = weyl_operator_from_symbol(w.as_symbol()).matrix
+    hm = weyl_operator_from_symbol(h.symbol(t)).matrix
+    comm = OperatorMatrix(g, (hm @ rho - rho @ hm) / (1j * g.hbar))
+    return weyl_symbol_from_operator(comm).values.real / (2 * np.pi * g.hbar) ** g.dof
+
+
+@pytest.mark.parametrize("name", ["oscillator", "double-well", "ramp"])
+def test_lvn_rhs_matches_the_oracle_commutator(grid64, name):
+    from osqm.scenarios import hamiltonian_preset
+    if name == "ramp":
+        h = Hamiltonian(grid64, [
+            HamiltonianTerm((("p", 0, lambda p: p ** 2 / 2),)),
+            HamiltonianTerm((("x", 0, lambda x: x),), coefficient=np.sin)])
+    else:
+        h = hamiltonian_preset(grid64, name, {})
+    w = wigner_from_wavefunction(coherent_state(grid64, 1.0, 0.3))
+    got = dynamics.LvnPlan(grid64, h).rhs(w.values, 0.3)
+    want = _oracle_rhs(h, w, 0.3)
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+def test_dof2_lvn_rhs_matches_the_oracle_commutator():
+    from osqm.oracle import tensor_state
+    g1 = PhaseGrid.create(24, 6.0)
+    gg = PhaseGrid.product(g1, g1)
+    h = Hamiltonian(gg, [
+        HamiltonianTerm((("p", 0, lambda p: p), ("x", 1, np.tanh)),
+                        coefficient=lambda t: 1 + 0.5 * np.sin(t)),
+        HamiltonianTerm((("p", 1, lambda p: p ** 2 / 2),))])
+    w = wigner_from_wavefunction(tensor_state(coherent_state(g1, 0.0, 0.0),
+                                              coherent_state(g1, -1.0, 0.0)))
+    got = dynamics.LvnPlan(gg, h).rhs(w.values, 0.3)
+    want = _oracle_rhs(h, w, 0.3)
+    # 9.5e-9: the dof-2 grid Weyl map's own error, not the right-hand side's
+    assert np.abs(got - want).max() < 1e-6 * np.abs(want).max()

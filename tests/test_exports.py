@@ -12,8 +12,10 @@ DELETED = {
     "osqm": ["povm_apply", "VonNeumannCoupling", "measurement_premeasurement"],
     "osqm.oracle": ["povm_apply", "VonNeumannCoupling", "measurement_premeasurement"],
     "osqm.classical": ["_poly_partial_arrays"],
-    "osqm.moyal": ["_poly_dx", "_poly_dp", "_poly_mulc", "_poly_add"],
     "osqm.transitions": ["_density_quasirestricted"],
+    "osqm.dynamics": ["_FactorOp", "_TermOp", "_TermExponential", "_cdftn", "_cidftn",
+                      "_sign_tables"],
+    "osqm.moyal": ["_poly_dx", "_poly_dp", "_poly_mulc", "_poly_add", "_cdft2", "_cidft2"],
 }
 
 

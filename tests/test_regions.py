@@ -124,3 +124,23 @@ def test_partition_rejects_a_boundary_outside_the_grid(grid64):
         build_partition(grid64, [10.0])
     with pytest.raises(ValueError, match="outside the grid axis"):
         build_partition(grid64, [0.0], [20.0])
+
+
+def test_dof2_partition_reads_an_empty_list_as_no_cuts():
+    grid = PhaseGrid.create(16, 5.0, dof=2)
+    want = build_partition(grid, [[], [0.0]], [[], []]).labels()
+    assert build_partition(grid, [[], [0.0]]).labels() == want
+    assert build_partition(grid, [[], [0.0]], []).labels() == want
+    assert build_partition(grid, []).labels() == build_partition(grid, [[], []]).labels()
+
+
+@pytest.mark.parametrize("x_cuts", [[0.0], [[0.0]], [[], [], [0.0]], [[], 0.0]])
+def test_dof2_partition_rejects_cuts_not_one_list_per_dof(x_cuts):
+    grid = PhaseGrid.create(16, 5.0, dof=2)
+    with pytest.raises(ValueError, match=r"one list of cuts per dof, such as \[\[\], \[0.0\]\]"):
+        build_partition(grid, x_cuts)
+
+
+def test_dof1_partition_rejects_nested_cuts(grid64):
+    with pytest.raises(ValueError, match=r"a list of cuts, such as \[0.0\]"):
+        build_partition(grid64, [[0.0]])
