@@ -26,7 +26,8 @@ from .weyl import WeylSymbol, weyl_operator_from_symbol, weyl_symbol_from_operat
 from .wigner import coherent_state, marginals, wavefunction_from_wigner, \
     wigner_from_wavefunction
 
-__all__ = ["Tolerances", "CriterionResult", "CRITERIA", "run_regression_suite"]
+__all__ = ["Tolerances", "CriterionResult", "CRITERIA", "criterion_number",
+           "run_regression_suite"]
 
 
 @dataclass(frozen=True)
@@ -422,6 +423,11 @@ CRITERIA = [
 ]
 
 
+def criterion_number(fn) -> int:
+    """The number in a criterion function's name, criterion_<n>_..."""
+    return int(fn.__name__.split("_")[1])
+
+
 def run_regression_suite(tolerances: Tolerances | None = None,
                          only: list | None = None,
                          echo=print) -> tuple[list, bool]:
@@ -429,7 +435,7 @@ def run_regression_suite(tolerances: Tolerances | None = None,
     tol = tolerances or Tolerances()
     results = []
     for fn in CRITERIA:
-        cid = int(fn.__name__.split("_")[1])
+        cid = criterion_number(fn)
         if only and cid not in only:
             continue
         try:

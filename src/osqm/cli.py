@@ -137,10 +137,18 @@ def _run_scenario(cfg: ScenarioConfig) -> int:
 
 
 def _run_regress(args) -> int:
-    from .acceptance import run_regression_suite
+    from .acceptance import CRITERIA, criterion_number, run_regression_suite
     only = None
     if args.only:
-        only = [int(x) for x in args.only.split(",")]
+        numbers = [criterion_number(fn) for fn in CRITERIA]
+        try:
+            only = [int(x) for x in args.only.split(",")]
+        except ValueError:
+            only = []
+        if not only or not set(only) <= set(numbers):
+            print(f"--only takes comma-separated criterion numbers from "
+                  f"{', '.join(map(str, numbers))}; got {args.only!r}", file=sys.stderr)
+            return EXIT_CONFIG
     results, ok = run_regression_suite(only=only)
     if args.out_dir:
         out = Path(args.out_dir)

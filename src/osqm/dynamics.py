@@ -9,37 +9,32 @@ distinct dofs, so one term basis diagonalizes the term's whole bracket,
 with eigenvalues c (prod L - prod R) / (i hbar) (after Cabrera, Bondar,
 Jacobs & Rabitz, PRA 92, 042122 (2015)). This reproduces the dense-oracle
 evolution to machine precision in space. The term basis is the one way
-every path applies a term:
+every path applies a term, and there are two paths:
 
 - A static Hamiltonian of one term is advanced by its exact exponential in
   its basis. dt only sets the snapshot times; verify_dt has nothing to
   check.
-- A static Hamiltonian of two or more terms takes 4th-order split steps:
-  Yoshida's triple jump (Phys. Lett. A 150, 262 (1990)) of Strang sweeps
-  over the terms' exact exponentials. The state stays in the frequency
-  domain between steps. verify_dt compares one step with two half steps,
-  which measures the local splitting error.
-- A Hamiltonian with a time-dependent coefficient is stepped by classical
-  RK4 with fixed dt. Its right-hand side (LvnPlan.rhs) takes each term to
-  its basis, multiplies by the unit-coefficient generator and comes back,
-  scaled by the coefficient at t. verify_dt makes the same step-halving
-  comparison, which catches steps beyond RK4's stability bound, and an
-  L2-norm growth check runs every steps // 20 steps.
+- Every other Hamiltonian takes 4th-order split steps (LvnPlan): Yoshida's
+  triple jump (Phys. Lett. A 150, 262 (1990)) of Strang sweeps over the
+  terms' exact exponentials. A time-dependent coefficient is taken at the
+  midpoint time of each sweep, so each sweep stays symmetric. The state
+  stays in the frequency domain between steps. verify_dt compares one step
+  with two half steps, which measures the local splitting error.
 
-The two static paths spend their time moving arrays between bases, so each
-basis change is an in-place np.fft pass (out=, numpy >= 2.0) and one
-product with a precomputed table: the centered transform over every axis
-is spectral.cdftn, and a split step moves from term a's basis to term b's
-by an ifft along a's axes, one fused untwist_a * twist_b table and an fft
+The split path spends its time moving arrays between bases, so each basis
+change is an in-place np.fft pass (out=, numpy >= 2.0) and one product
+with a precomputed table: the centered transform over every axis is
+spectral.cdftn, and a split step moves from term a's basis to term b's by
+an ifft along a's axes, one fused untwist_a * twist_b table and an fft
 along b's axes. No table outlives its evolve_lvn call; on dof 2 most are
 the size of the state.
 
-Every path checks that the state stays on the grid: the x- and p-marginal
+Both paths check that the state stays on the grid: the x- and p-marginal
 mass in the outer 2-cell shell must stay below PhaseGrid.check_containment's
 tolerance, else ContainmentError (the LvN state would otherwise wrap over
-the periodic edge unnoticed). The stepping paths check every steps // 20
-steps, the split and exact paths also the final state, the exact path
-every snapshot.
+the periodic edge unnoticed). The split path checks every steps // 20
+steps and the final state, the exact path the final state and every
+snapshot.
 """
 
 from __future__ import annotations
@@ -65,7 +60,7 @@ __all__ = [
 
 
 class EvolutionUnstableError(RuntimeError):
-    """Time step too large: step halving disagrees or the RK4 norm grows."""
+    """Time step too large: one split step and two half steps disagree."""
 
 
 @dataclass(frozen=True)
@@ -74,8 +69,9 @@ class HamiltonianTerm:
 
     factors: sequence of (kind, dof, profile) with kind in {"x", "p"} and
     profile a callable evaluated on that axis's coordinate array. At most
-    one factor per (kind, dof) pair, and factors on the same dof must not
-    mix x and p (that would not be a factorized Weyl symbol).
+    one factor per dof: f(x_d) g(x_d) is the one factor (f g)(x_d), and
+    f(x_d) g(p_d) is not a factorized Weyl symbol. coefficient is a
+    number or a callable of time.
     """
 
     factors: tuple
@@ -223,76 +219,29 @@ _W0 = -(2.0 ** (1.0 / 3.0)) * _W1
 
 
 def _yoshida_sweep(n_terms: int) -> list:
-    """(term, fraction of dt) of each exponential of one 4th-order step.
+    """(term, fraction of dt, parts) of each exponential of one 4th-order step.
 
     A Strang sweep takes terms 0..m-2 by half steps, term m-1 by a whole
     one and comes back; adjacent exponentials of one term merge, so the
-    step begins and ends with half a W1 step of term 0.
+    step begins and ends with half a W1 step of term 0. parts holds the
+    (fraction, midpoint) of each merged piece, with midpoint the centre of
+    the piece's Strang sweep in units of dt from the step's start.
     """
     last = n_terms - 1
     order = list(range(last)) + [last] + list(range(last - 1, -1, -1))
     seq = []
+    start = 0.0
     for weight in (_W1, _W0, _W1):
+        mid = start + 0.5 * weight
+        start += weight
         for j in order:
             frac = weight if j == last else 0.5 * weight
             if seq and seq[-1][0] == j:
-                seq[-1] = (j, seq[-1][1] + frac)
+                _, merged, parts = seq[-1]
+                seq[-1] = (j, merged + frac, parts + ((frac, mid),))
             else:
-                seq.append((j, frac))
+                seq.append((j, frac, ((frac, mid),)))
     return seq
-
-
-class _Splitting:
-    """4th-order split-operator steps for a static Hamiltonian of 2+ terms.
-
-    A state is (coef, pending): its coefficients in term 0's basis and an
-    exponent of term 0 not yet applied. The last exponential of a step is
-    left pending and merges with the first of the next, so between steps
-    the state never leaves the frequency domain. A step runs on the coef
-    buffer: each move from term a's basis to term b's is an ifft along a's
-    axes, one product with the table untwist_a * twist_b built here, and an
-    fft along b's axes, followed by the product with exp(s G_b). exp(s G)
-    tables are built once per distinct (term, s).
-    """
-
-    def __init__(self, grid: PhaseGrid, h: Hamiltonian):
-        self.props = [_TermBasis(grid, term, term.coeff_at(0.0)) for term in h.terms]
-        self.sweep = _yoshida_sweep(len(self.props))
-        self._tables = {}
-        self._moves = {}
-        for (a, _), (b, _) in zip(self.sweep, self.sweep[1:]):
-            if (a, b) not in self._moves:
-                self._moves[a, b] = self.props[a].untwist * self.props[b].twist
-
-    def _exp(self, j: int, s: float) -> np.ndarray:
-        table = self._tables.get((j, s))
-        if table is None:
-            table = self._tables[(j, s)] = np.exp(s * self.props[j].generator)
-        return table
-
-    def enter(self, arr: np.ndarray):
-        return self.props[0].to_basis(cdftn(arr)), 0.0
-
-    def step(self, coef: np.ndarray, pending: float, dt: float):
-        """Advance a state by dt; coef is overwritten and returned."""
-        (_, first), *body, (_, last) = self.sweep
-        coef *= self._exp(0, pending + first * dt)
-        cur = 0
-        for j, frac in body:
-            self._move(coef, cur, j)
-            coef *= self._exp(j, frac * dt)
-            cur = j
-        self._move(coef, cur, 0)
-        return coef, last * dt
-
-    def _move(self, coef: np.ndarray, a: int, b: int) -> None:
-        self.props[a].ifft(coef)
-        coef *= self._moves[a, b]
-        self.props[b].fft(coef)
-
-    def real(self, coef: np.ndarray, pending: float) -> np.ndarray:
-        """The Wigner array of a state; coef is left as it is."""
-        return cidftn(self.props[0].from_basis(coef * self._exp(0, pending))).real
 
 
 def _check_marginal_containment(grid: PhaseGrid, arr: np.ndarray) -> None:
@@ -305,29 +254,96 @@ def _check_marginal_containment(grid: PhaseGrid, arr: np.ndarray) -> None:
 
 
 class LvnPlan:
-    """Reusable right-hand-side evaluator for one (grid, Hamiltonian).
+    """Term bases and 4th-order split steps for one (grid, Hamiltonian).
 
-    Each term's basis is built once with a unit coefficient; rhs scales the
-    term's bracket by its coefficient at t.
+    A constant coefficient sits in its term's generator. A callable one
+    does not (the generator has unit coefficient): each exponential of its
+    term is scaled by the coefficient at the midpoint of the Strang sweep
+    it belongs to, which keeps every sweep symmetric and the triple jump
+    4th order.
+
+    A state is (coef, pending): its coefficients in term 0's basis and an
+    amount s of term 0 whose exponential exp(s G_0) is not yet applied.
+    The last exponential of a step is left pending and merges with the
+    first of the next, so between steps the state never leaves the
+    frequency domain. A step runs on the coef buffer: each move from term
+    a's basis to term b's is an ifft along a's axes, one product with the
+    table untwist_a * twist_b built here, and an fft along b's axes,
+    followed by the product with exp(s G_b). exp(s G) tables of constant
+    terms are built once per distinct (term, s); those of a callable term
+    change with every step.
     """
 
     def __init__(self, grid: PhaseGrid, h: Hamiltonian):
         if h.grid != grid:
             raise GridMismatchError("Hamiltonian grid mismatch")
         self.terms = list(h.terms)
-        self.bases = [_TermBasis(grid, term, 1.0) for term in h.terms]
+        self.timed = [callable(term.coefficient) for term in self.terms]
+        self.bases = [_TermBasis(grid, term, 1.0 if timed else term.coeff_at(0.0))
+                      for term, timed in zip(self.terms, self.timed)]
+        self.sweep = _yoshida_sweep(len(self.bases))
+        self._tables = {}
+        self._moves = {}
+        for (a, *_), (b, *_) in zip(self.sweep, self.sweep[1:]):
+            if (a, b) not in self._moves:
+                self._moves[a, b] = self.bases[a].untwist * self.bases[b].twist
+
+    def _scale(self, j: int, t: float) -> float:
+        """Term j's coefficient at t, or 1 where its generator holds it."""
+        return self.terms[j].coeff_at(t) if self.timed[j] else 1.0
 
     def rhs(self, w: np.ndarray, t: float) -> np.ndarray:
         """dW/dt = (H*W - W*H) / (i hbar), summed term by term."""
         what = cdftn(w)
         acc = np.zeros_like(what)
-        for term, basis in zip(self.terms, self.bases):
-            c = term.coeff_at(t)
-            if c != 0.0:
-                coef = basis.fft(what * basis.twist)
-                coef *= basis.generator
-                acc += c * basis.from_basis(coef)
+        for j, basis in enumerate(self.bases):
+            coef = basis.fft(what * basis.twist)
+            coef *= basis.generator
+            acc += self._scale(j, t) * basis.from_basis(coef)
         return cidftn(acc).real
+
+    def _amount(self, j: int, frac: float, parts: tuple, t: float,
+                dt: float) -> float:
+        if not self.timed[j]:
+            return frac * dt
+        coeff_at = self.terms[j].coeff_at
+        return sum(f * dt * coeff_at(t + m * dt) for f, m in parts)
+
+    def _exp(self, j: int, s: float) -> np.ndarray:
+        if self.timed[j]:
+            return np.exp(s * self.bases[j].generator)
+        table = self._tables.get((j, s))
+        if table is None:
+            table = self._tables[(j, s)] = np.exp(s * self.bases[j].generator)
+        return table
+
+    def enter(self, arr: np.ndarray):
+        return self.bases[0].to_basis(cdftn(arr)), 0.0
+
+    def step(self, coef: np.ndarray, pending: float, t: float, dt: float):
+        """Advance a state from t by dt; coef is overwritten and returned."""
+        (_, first), *rest = [(j, self._amount(j, frac, parts, t, dt))
+                             for j, frac, parts in self.sweep]
+        if not rest:  # one term: its exponentials commute, all stay pending
+            return coef, pending + first
+        *body, (_, last) = rest
+        coef *= self._exp(0, pending + first)
+        cur = 0
+        for j, s in body:
+            self._move(coef, cur, j)
+            coef *= self._exp(j, s)
+            cur = j
+        self._move(coef, cur, 0)
+        return coef, last
+
+    def _move(self, coef: np.ndarray, a: int, b: int) -> None:
+        self.bases[a].ifft(coef)
+        coef *= self._moves[a, b]
+        self.bases[b].fft(coef)
+
+    def real(self, coef: np.ndarray, pending: float) -> np.ndarray:
+        """The Wigner array of a state; coef is left as it is."""
+        return cidftn(self.bases[0].from_basis(coef * self._exp(0, pending))).real
 
 
 def step_count(t_final: float, dt: float) -> tuple[int, float]:
@@ -344,28 +360,24 @@ def evolve_lvn(w: WignerState, h: Hamiltonian, t_final: float, dt: float,
                t0: float = 0.0):
     """Propagate a Wigner state on dW/dt = -{{W, H}} from t0 by t_final.
 
-    The time step dt sets the snapshot times and, on the stepping paths,
-    the step; a shorter last step reaches t_final. Three paths:
+    The time step dt sets the snapshot times and, on the stepping path,
+    the step; a shorter last step reaches t_final. Two paths:
 
     - A static Hamiltonian of one term is advanced by its exact
       exponential. The final state and each snapshot are computed directly
       from the initial state; verify_dt has nothing to check.
-    - A static Hamiltonian of two or more terms takes 4th-order split
-      steps: Yoshida's triple jump of Strang sweeps over the terms' exact
-      exponentials. Each step is unitary, so mass and purity are kept to
-      round-off. With verify_dt it first compares one step with two half
-      steps and raises EvolutionUnstableError on a mismatch above 1e-3;
-      here that mismatch is the local splitting error.
-    - A time-dependent Hamiltonian is stepped by RK4, which conserves mass
-      exactly per stage. verify_dt makes the same step-halving check,
-      which catches steps beyond RK4's stability bound; every steps // 20
-      steps it also raises EvolutionUnstableError if the L2 norm grew
-      beyond 1e-4 per unit time.
+    - Every other Hamiltonian takes 4th-order split steps: Yoshida's
+      triple jump of Strang sweeps over the terms' exact exponentials, a
+      time-dependent coefficient taken at its sweep's midpoint time. Each
+      step is unitary, so mass and purity are kept to round-off. With
+      verify_dt it first compares one step with two half steps from t0
+      and raises EvolutionUnstableError on a mismatch above 1e-3; that
+      mismatch is the local splitting error.
 
     Containment: ContainmentError when the x- or p-marginal has 1e-6 or
-    more of its mass in the outer 2-cell shell. Both stepping paths check
-    every steps // 20 steps, the split path also the final state; the
-    exact path checks the final state and every snapshot.
+    more of its mass in the outer 2-cell shell. The split path checks
+    every steps // 20 steps and the final state; the exact path checks the
+    final state and every snapshot.
 
     Returns the final WignerState, or (final, snapshots) when
     snapshots_every > 0; snapshots are (time, WignerState) after every
@@ -374,15 +386,13 @@ def evolve_lvn(w: WignerState, h: Hamiltonian, t_final: float, dt: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if not np.isfinite(t_final) or t_final < 0:
+        raise ValueError(f"t_final must be finite and non-negative, got {t_final}")
     if h.grid != w.grid:
         raise GridMismatchError("Hamiltonian grid mismatch")
     steps, remainder = step_count(t_final, dt)
-    if not h.is_static():
-        evolve = _evolve_rk4
-    elif len(h.terms) == 1:
-        evolve = _evolve_exact
-    else:
-        evolve = _evolve_split
+    exact = h.is_static() and len(h.terms) == 1
+    evolve = _evolve_exact if exact else _evolve_split
     arr, snaps = evolve(w, h, steps, dt, remainder, snapshots_every, t0,
                         verify_dt)
     out = WignerState(w.grid, arr)
@@ -402,7 +412,7 @@ def _check_step_halving(one: np.ndarray, half: np.ndarray, scale: float,
 
 def _evolve_exact(w, h, steps, dt, remainder, snapshots_every, t0, verify_dt):
     grid = w.grid
-    prop = _TermBasis(grid, h.terms[0], h.terms[0].coeff_at(0.0))
+    prop = LvnPlan(grid, h).bases[0]
     coef = prop.to_basis(cdftn(w.values))
 
     def state_at(s):
@@ -423,65 +433,28 @@ def _evolve_split(w, h, steps, dt, remainder, snapshots_every, t0, verify_dt):
     grid = w.grid
     if steps == 0 and remainder == 0.0:
         return w.values.copy(), []
-    split = _Splitting(grid, h)
-    state = split.enter(w.values)
+    plan = LvnPlan(grid, h)
+    state = plan.enter(w.values)
     if verify_dt and steps > 0:
         coef, pending = state
-        one = split.real(*split.step(coef.copy(), pending, dt))
-        half = split.real(*split.step(*split.step(coef.copy(), pending, dt / 2),
-                                      dt / 2))
+        one = plan.real(*plan.step(coef.copy(), pending, t0, dt))
+        half = plan.step(coef.copy(), pending, t0, dt / 2)
+        half = plan.real(*plan.step(*half, t0 + dt / 2, dt / 2))
         _check_step_halving(one, half, np.abs(w.values).max(), dt)
 
     snaps = []
     for k in range(1, steps + 1):
-        state = split.step(*state, dt)
+        state = plan.step(*state, t0 + (k - 1) * dt, dt)
         check = k % max(1, steps // 20) == 0
         snap = snapshots_every and k % snapshots_every == 0
         if check or snap:
-            arr = split.real(*state)
+            arr = plan.real(*state)
             if check:
                 _check_marginal_containment(grid, arr)
             if snap:
                 snaps.append((t0 + k * dt, WignerState(grid, arr)))
     if remainder > 0.0:
-        state = split.step(*state, remainder)
-    arr = split.real(*state)
+        state = plan.step(*state, t0 + steps * dt, remainder)
+    arr = plan.real(*state)
     _check_marginal_containment(grid, arr)
-    return arr, snaps
-
-
-def _evolve_rk4(w, h, steps, dt, remainder, snapshots_every, t0, verify_dt):
-    plan = LvnPlan(w.grid, h)
-    arr = w.values.copy()
-
-    def rk4_step(a, t, step):
-        k1 = plan.rhs(a, t)
-        k2 = plan.rhs(a + 0.5 * step * k1, t + 0.5 * step)
-        k3 = plan.rhs(a + 0.5 * step * k2, t + 0.5 * step)
-        k4 = plan.rhs(a + step * k3, t + step)
-        return a + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    if verify_dt and steps > 0:
-        one = rk4_step(arr, t0, dt)
-        half = rk4_step(rk4_step(arr, t0, dt / 2), t0 + dt / 2, dt / 2)
-        _check_step_halving(one, half, np.abs(arr).max(), dt)
-
-    norm0 = float(np.sqrt((arr ** 2).sum()))
-    snaps = []
-    t = t0
-    for k in range(steps):
-        arr = rk4_step(arr, t, dt)
-        t += dt
-        if (k + 1) % max(1, steps // 20) == 0:
-            norm = float(np.sqrt((arr ** 2).sum()))
-            elapsed = max(t - t0, dt)
-            if norm > norm0 * (1 + 1e-4 * elapsed + 1e-3):
-                raise EvolutionUnstableError(
-                    f"L2 norm grew by {norm / norm0 - 1:.2e} after t={elapsed:.3g}; "
-                    f"RK4 unstable at dt={dt}, reduce the step (try {dt / 4})")
-            _check_marginal_containment(w.grid, arr)
-        if snapshots_every and (k + 1) % snapshots_every == 0:
-            snaps.append((t, WignerState(w.grid, arr.copy())))
-    if remainder > 0.0:
-        arr = rk4_step(arr, t, remainder)
     return arr, snaps

@@ -106,6 +106,15 @@ def test_regress_out_dir_writes_report(tmp_path):
     assert [(r["criterion"], r["passed"]) for r in report] == [(7, True), (11, True)]
 
 
+@pytest.mark.parametrize("only", ["x", "1,,2", "99", "0", "7,13"])
+def test_regress_only_outside_the_criteria_exits_with_config_code(capsys, only):
+    assert cli.main(["regress", "--only", only]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # no criterion ran
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ)
     src = str(Path(osqm.__file__).resolve().parents[1])

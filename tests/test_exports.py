@@ -14,7 +14,7 @@ DELETED = {
     "osqm.classical": ["_poly_partial_arrays"],
     "osqm.transitions": ["_density_quasirestricted"],
     "osqm.dynamics": ["_FactorOp", "_TermOp", "_TermExponential", "_cdftn", "_cidftn",
-                      "_sign_tables"],
+                      "_sign_tables", "_Splitting", "_evolve_rk4"],
     "osqm.moyal": ["_poly_dx", "_poly_dp", "_poly_mulc", "_poly_add", "_cdft2", "_cidft2"],
 }
 
