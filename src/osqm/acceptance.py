@@ -332,8 +332,7 @@ def criterion_10_ps6(tol: Tolerances) -> CriterionResult:
     engine = TrajectoryEngine(psi0, sc["hamiltonian"], sc["partition"],
                               t_final=4 * np.pi, dt=np.pi / 64,
                               schedule=ProjectionSchedule("periodic",
-                                                          dt_proj=np.pi),
-                              check_ps6=True)
+                                                          dt_proj=np.pi))
     worst = 0.0
     events = 0
     for seed in range(20):

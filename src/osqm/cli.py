@@ -23,7 +23,7 @@ from .io import write_csv, write_grid_dump, write_metadata
 from .oracle import NotPositiveError
 from .scenarios import binomial_interval
 from .transitions import (ProjectionSchedule, QuasirestrictionError,
-                          TrajectoryEngine, run_ensemble, worker_count)
+                          TrajectoryEngine, run_ensemble)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,13 +111,11 @@ def _run_scenario(cfg: ScenarioConfig) -> int:
                   ["step", "time", "region", "event"] +
                   [f"p_{lab}" for lab in labels], rows)
         for t, snap in rec.snapshots:
-            if rec.backend == "phase":
-                write_grid_dump(out_dir / f"wigner_t{t:.6f}.osqm", grid, snap)
+            write_grid_dump(out_dir / f"wigner_t{t:.6f}.osqm", grid, snap)
         summary = {"final_region": rec.final_region,
                    "events": len(rec.event_steps)}
     else:
-        summaries = run_ensemble(engine, range(base_seed, base_seed + num),
-                                 workers=worker_count())
+        summaries = run_ensemble(engine, range(base_seed, base_seed + num))
         labels = partition.labels()
         counts = {lab: 0 for lab in labels}
         for s in summaries:

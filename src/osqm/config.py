@@ -168,6 +168,11 @@ def parse_config(path_or_dict) -> ScenarioConfig:
         value = block.get(key)
         if not _is_integer(value) or value < least:
             errors.append(f"{name}: {key} must be an integer >= {least}, got {value!r}")
+    stride, num = output.get("snapshot_stride"), ensemble.get("num_seeds")
+    if _is_integer(stride) and stride > 0 and (backend != "phase" or num != 1):
+        errors.append(f"output: snapshot_stride > 0 needs backend 'phase' and "
+                      f"ensemble num_seeds 1, since only a single phase run writes "
+                      f"snapshots; got backend {backend!r} and num_seeds {num!r}")
     if not isinstance(output.get("out_dir"), str):
         errors.append(f"output: out_dir must be a string, got {output.get('out_dir')!r}")
 

@@ -12,8 +12,8 @@ evolution to machine precision in space. The term basis is the one way
 every path applies a term, and there are two paths:
 
 - A static Hamiltonian of one term is advanced by its exact exponential in
-  its basis. dt only sets the snapshot times; verify_dt has nothing to
-  check.
+  its basis. dt plays no role on the exact path, and verify_dt has nothing
+  to check.
 - Every other Hamiltonian takes 4th-order split steps (LvnPlan): Yoshida's
   triple jump (Phys. Lett. A 150, 262 (1990)) of Strang sweeps over the
   terms' exact exponentials. A time-dependent coefficient is taken at the
@@ -30,11 +30,10 @@ along b's axes. No table outlives its evolve_lvn call; on dof 2 most are
 the size of the state.
 
 Both paths check that the state stays on the grid: the x- and p-marginal
-mass in the outer 2-cell shell must stay below PhaseGrid.check_containment's
-tolerance, else ContainmentError (the LvN state would otherwise wrap over
-the periodic edge unnoticed). The split path checks every steps // 20
-steps and the final state, the exact path the final state and every
-snapshot.
+mass in the outer 2-cell shell must stay below grid.CONTAINMENT_TOL, else
+ContainmentError (the LvN state would otherwise wrap over the periodic edge
+unnoticed). The split path checks every steps // 20 steps and the final
+state, the exact path the final state.
 """
 
 from __future__ import annotations
@@ -356,49 +355,40 @@ def step_count(t_final: float, dt: float) -> tuple[int, float]:
 
 
 def evolve_lvn(w: WignerState, h: Hamiltonian, t_final: float, dt: float,
-               verify_dt: bool = True, snapshots_every: int = 0,
-               t0: float = 0.0):
+               verify_dt: bool = True, t0: float = 0.0) -> WignerState:
     """Propagate a Wigner state on dW/dt = -{{W, H}} from t0 by t_final.
 
-    The time step dt sets the snapshot times and, on the stepping path,
-    the step; a shorter last step reaches t_final. Two paths:
+    Two paths:
 
     - A static Hamiltonian of one term is advanced by its exact
-      exponential. The final state and each snapshot are computed directly
-      from the initial state; verify_dt has nothing to check.
-    - Every other Hamiltonian takes 4th-order split steps: Yoshida's
-      triple jump of Strang sweeps over the terms' exact exponentials, a
-      time-dependent coefficient taken at its sweep's midpoint time. Each
-      step is unitary, so mass and purity are kept to round-off. With
-      verify_dt it first compares one step with two half steps from t0
-      and raises EvolutionUnstableError on a mismatch above 1e-3; that
-      mismatch is the local splitting error.
+      exponential, computed directly from the initial state. dt plays no
+      role on the exact path, and verify_dt has nothing to check.
+    - Every other Hamiltonian takes 4th-order split steps of dt, and a
+      shorter last step reaches t_final: Yoshida's triple jump of Strang
+      sweeps over the terms' exact exponentials, a time-dependent
+      coefficient taken at its sweep's midpoint time. Each step is unitary,
+      so mass and purity are kept to round-off. With verify_dt it first
+      compares the first step it takes (dt, or t_final when dt exceeds it)
+      with two half steps from t0 and raises EvolutionUnstableError on a
+      mismatch above 1e-3; that mismatch is the local splitting error.
 
     Containment: ContainmentError when the x- or p-marginal has 1e-6 or
     more of its mass in the outer 2-cell shell. The split path checks
     every steps // 20 steps and the final state; the exact path checks the
-    final state and every snapshot.
-
-    Returns the final WignerState, or (final, snapshots) when
-    snapshots_every > 0; snapshots are (time, WignerState) after every
-    snapshots_every whole steps of dt. Taking snapshots never changes the
     final state.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if not np.isfinite(t_final) or t_final < 0:
         raise ValueError(f"t_final must be finite and non-negative, got {t_final}")
     if h.grid != w.grid:
         raise GridMismatchError("Hamiltonian grid mismatch")
     steps, remainder = step_count(t_final, dt)
-    exact = h.is_static() and len(h.terms) == 1
-    evolve = _evolve_exact if exact else _evolve_split
-    arr, snaps = evolve(w, h, steps, dt, remainder, snapshots_every, t0,
-                        verify_dt)
-    out = WignerState(w.grid, arr)
-    if snapshots_every:
-        return out, snaps
-    return out
+    if h.is_static() and len(h.terms) == 1:
+        arr = _evolve_exact(w, h, steps * dt + remainder)
+    else:
+        arr = _evolve_split(w, h, steps, dt, remainder, t0, verify_dt)
+    return WignerState(w.grid, arr)
 
 
 def _check_step_halving(one: np.ndarray, half: np.ndarray, scale: float,
@@ -410,51 +400,35 @@ def _check_step_halving(one: np.ndarray, half: np.ndarray, scale: float,
             f"reduce dt (try {dt / 4})")
 
 
-def _evolve_exact(w, h, steps, dt, remainder, snapshots_every, t0, verify_dt):
-    grid = w.grid
-    prop = LvnPlan(grid, h).bases[0]
-    coef = prop.to_basis(cdftn(w.values))
-
-    def state_at(s):
-        arr = cidftn(prop.propagate(coef, s)).real
-        _check_marginal_containment(grid, arr)
-        return arr
-
-    snaps = []
-    if snapshots_every:
-        for k in range(snapshots_every, steps + 1, snapshots_every):
-            snaps.append((t0 + k * dt, WignerState(grid, state_at(k * dt))))
-    total = steps * dt + remainder
-    arr = state_at(total) if total > 0 else w.values.copy()
-    return arr, snaps
+def _evolve_exact(w, h, total):
+    if total == 0:
+        return w.values.copy()
+    prop = LvnPlan(w.grid, h).bases[0]
+    arr = cidftn(prop.propagate(prop.to_basis(cdftn(w.values)), total)).real
+    _check_marginal_containment(w.grid, arr)
+    return arr
 
 
-def _evolve_split(w, h, steps, dt, remainder, snapshots_every, t0, verify_dt):
+def _evolve_split(w, h, steps, dt, remainder, t0, verify_dt):
     grid = w.grid
     if steps == 0 and remainder == 0.0:
-        return w.values.copy(), []
+        return w.values.copy()
     plan = LvnPlan(grid, h)
     state = plan.enter(w.values)
-    if verify_dt and steps > 0:
+    if verify_dt:
+        first = dt if steps else remainder
         coef, pending = state
-        one = plan.real(*plan.step(coef.copy(), pending, t0, dt))
-        half = plan.step(coef.copy(), pending, t0, dt / 2)
-        half = plan.real(*plan.step(*half, t0 + dt / 2, dt / 2))
-        _check_step_halving(one, half, np.abs(w.values).max(), dt)
+        one = plan.real(*plan.step(coef.copy(), pending, t0, first))
+        half = plan.step(coef.copy(), pending, t0, first / 2)
+        half = plan.real(*plan.step(*half, t0 + first / 2, first / 2))
+        _check_step_halving(one, half, np.abs(w.values).max(), first)
 
-    snaps = []
     for k in range(1, steps + 1):
         state = plan.step(*state, t0 + (k - 1) * dt, dt)
-        check = k % max(1, steps // 20) == 0
-        snap = snapshots_every and k % snapshots_every == 0
-        if check or snap:
-            arr = plan.real(*state)
-            if check:
-                _check_marginal_containment(grid, arr)
-            if snap:
-                snaps.append((t0 + k * dt, WignerState(grid, arr)))
+        if k % max(1, steps // 20) == 0:
+            _check_marginal_containment(grid, plan.real(*state))
     if remainder > 0.0:
         state = plan.step(*state, t0 + steps * dt, remainder)
     arr = plan.real(*state)
     _check_marginal_containment(grid, arr)
-    return arr, snaps
+    return arr

@@ -9,6 +9,8 @@ import numpy as np
 
 __all__ = ["PhaseGrid", "PhasePoint", "GridMismatchError", "ContainmentError"]
 
+CONTAINMENT_TOL = 1e-6  # largest mass a state may hold in the outer 2-cell shell
+
 
 class GridMismatchError(ValueError):
     """Operands live on different grids."""
@@ -134,13 +136,12 @@ class PhaseGrid:
             inner = inner[tuple(sl)]
         return float((total - inner.sum()) / total)
 
-    def check_containment(self, values: np.ndarray, tol: float = 1e-6,
-                          what: str = "state") -> None:
+    def check_containment(self, values: np.ndarray, what: str = "state") -> None:
         m = self.containment_shell_mass(values)
-        if m >= tol:
+        if m >= CONTAINMENT_TOL:
             raise ContainmentError(
                 f"{what} has {m:.3e} of its mass in the outer 2-cell shell "
-                f"(tolerance {tol:.1e}); enlarge the grid")
+                f"(tolerance {CONTAINMENT_TOL:.1e}); enlarge the grid")
 
 
 @dataclass(frozen=True)
@@ -189,6 +190,3 @@ class PhasePoint:
     @property
     def dof(self) -> int:
         return len(self.x)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.x, self.p])

@@ -117,13 +117,13 @@ def check_unit_norm(v: np.ndarray) -> np.ndarray:
 class DensityOperator:
     """Dense density matrix in the discrete position basis (trace 1).
 
-    validate_psd controls the (cubic-cost) smallest-eigenvalue check;
-    internal hot paths that construct manifestly PSD matrices skip it.
+    Construction checks that the matrix is Hermitian with unit trace and
+    that its smallest eigenvalue is not below -PSD_TOL (NotPositiveError);
+    that eigenvalue costs a cubic-time eigvalsh on every construction.
     """
 
     grid: PhaseGrid
     matrix: np.ndarray
-    validate_psd: bool = True
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -136,11 +136,10 @@ class DensityOperator:
         tr = self.matrix.trace().real
         if abs(tr - 1) > 1e-10:
             raise ValueError(f"density matrix trace {tr!r} != 1")
-        if self.validate_psd:
-            evmin = scipy.linalg.eigvalsh(self.matrix, subset_by_index=[0, 0])[0]
-            if evmin < -PSD_TOL:
-                raise NotPositiveError(
-                    f"density matrix has eigenvalue {evmin:.2e} < -{PSD_TOL}")
+        evmin = scipy.linalg.eigvalsh(self.matrix, subset_by_index=[0, 0])[0]
+        if evmin < -PSD_TOL:
+            raise NotPositiveError(
+                f"density matrix has eigenvalue {evmin:.2e} < -{PSD_TOL}")
 
     @classmethod
     def pure(cls, psi: WaveFunction) -> "DensityOperator":
@@ -255,16 +254,15 @@ def schrodinger_propagate(psi: WaveFunction, h: OperatorMatrix, t: float) -> Wav
     return WaveFunction.from_vector(psi.grid, out)
 
 
-def operator_sqrt(p: OperatorMatrix, clip_log: Optional[list] = None) -> OperatorMatrix:
+def operator_sqrt(p: OperatorMatrix) -> OperatorMatrix:
     """Hermitian PSD square root.
 
     Eigenvalues at or below the noise floor dim * eps * max|w|, the scale
     of eigh's backward error, are set to 0 before the root: the root of
     round-off (7.8e-16 becomes 2.8e-8) would otherwise swamp the small
-    eigenvalues it stands for. Eigenvalues below -1e-6 are rejected; a
-    negative smallest eigenvalue is appended to clip_log. The root keeps
-    p's eigenvectors with the rooted eigenvalues as its eigendecomposition,
-    so its PSD flag is checked without a second eigh.
+    eigenvalues it stands for. Eigenvalues below -1e-6 are rejected. The
+    root keeps p's eigenvectors with the rooted eigenvalues as its
+    eigendecomposition, so its PSD flag is checked without a second eigh.
     """
     if not p.hermitian:
         raise ValueError("operator_sqrt needs a Hermitian operator")
@@ -273,8 +271,6 @@ def operator_sqrt(p: OperatorMatrix, clip_log: Optional[list] = None) -> Operato
         raise ValueError(f"operator significantly non-PSD (min eig {w[0]:.2e})")
     floor = len(w) * np.finfo(float).eps * np.abs(w).max()
     clipped = np.where(w > floor, w, 0.0)
-    if clip_log is not None and w[0] < 0:
-        clip_log.append(float(w[0]))
     root_w = np.sqrt(clipped)
     root = (q * root_w) @ q.conj().T
     root = 0.5 * (root + root.conj().T)

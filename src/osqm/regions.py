@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 MIN_SIDE_FACTOR = 5.0  # box sides must be >= 5 sqrt(hbar) per axis
+AMBIGUITY_MARGIN = 1e-9  # least distance of a deflated eigenvalue from the 1/2 split
 
 
 def smoothing_kernel(grid: PhaseGrid) -> np.ndarray:
@@ -101,11 +102,10 @@ class Region:
 
 @dataclass
 class Partition:
-    """Disjoint, exhaustive list of regions with the shared kernel."""
+    """Disjoint, exhaustive list of regions."""
 
     grid: PhaseGrid
     regions: list
-    kernel: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         total = np.zeros(self.grid.phase_shape)
@@ -214,7 +214,7 @@ def build_partition(grid: PhaseGrid, x_boundaries, p_boundaries=None) -> Partiti
             mask &= _broadcast_axis(ax_mask, dof + d, 2 * dof)
         regions.append(Region(label="|".join(label_bits), grid=grid, mask=mask,
                               x_bounds=tuple(x_part), p_bounds=tuple(p_part)))
-    return Partition(grid=grid, regions=regions, kernel=smoothing_kernel(grid))
+    return Partition(grid=grid, regions=regions)
 
 
 def _broadcast_axis(ax_mask: np.ndarray, axis: int, ndim: int) -> np.ndarray:
@@ -334,8 +334,7 @@ def quasiprojector_defect(partition: Partition) -> DefectReport:
     return DefectReport(pair_defects=out, max_defect=worst)
 
 
-def classicality_projectors(partition: Partition,
-                            ambiguity_margin: float = 1e-9) -> list:
+def classicality_projectors(partition: Partition) -> list:
     """Exact orthogonal projectors close to the quasiprojectors.
 
     Greedy spectral deflation in ascending region-trace order: each region's
@@ -344,8 +343,8 @@ def classicality_projectors(partition: Partition,
     region takes the orthogonal remainder. Idempotence, mutual
     orthogonality, and completeness hold to machine precision; closeness to
     the quasiprojectors is bounded by the partition defect (checked by the
-    acceptance suite). Eigenvalues too close to the 1/2 split raise, since
-    the assignment would be numerically arbitrary.
+    acceptance suite). Eigenvalues within AMBIGUITY_MARGIN of the 1/2 split
+    raise, since the assignment would be numerically arbitrary.
     """
     grid = partition.grid
     ops = [r.operator().matrix for r in partition.regions]
@@ -364,7 +363,7 @@ def classicality_projectors(partition: Partition,
             m = 0.5 * (m + m.conj().T)
             w, q = scipy.linalg.eigh(m)
         gap = np.abs(w - 0.5).min()
-        if gap < ambiguity_margin:
+        if gap < AMBIGUITY_MARGIN:
             raise ValueError(
                 f"ambiguous eigenvalue clustering for region "
                 f"{partition.regions[idx].label}: eigenvalue {w[np.abs(w - 0.5).argmin()]!r} "

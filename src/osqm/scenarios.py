@@ -168,7 +168,10 @@ class MeasurementScenario:
 
     amplitudes c weight the two observed branch states at (-s, 0), (+s, 0);
     the pointer starts at the origin inside the ready band and is pushed to
-    -D or +D by the coupling.
+    -D or +D by the coupling. The coupling is a phase diagonal in (p1, x2),
+    v T p1 tanh(x2 / w) over the window T = D / v, with the raw tanh; the
+    "von-neumann-coupling" Hamiltonian preset flattens its tanh beyond
+    0.7 x_extent instead.
     """
 
     pointer_grid: PhaseGrid
@@ -204,9 +207,6 @@ class MeasurementScenario:
         obs = WaveFunction(g2, (c1 * left.values + c2 * right.values) / norm,
                            normalized=False).normalize()
         self.psi0 = tensor_state(ready, obs)
-        self.hamiltonian = hamiltonian_preset(
-            self.grid, "von-neumann-coupling",
-            {"v": self.coupling_v, "w": self.coupling_w})
         # band quasiprojectors and their roots, built here as set-up cost
         self.band_labels = ["outcome-left", "ready", "outcome-right"]
         self.partition = build_partition(g1, [-self.band_edge, self.band_edge])

@@ -54,6 +54,7 @@ __all__ = [
 PROB_CLIP = -1e-8
 MIN_TRANSITION_PROB = 1e-12
 RANK1_TOL = 1e-4   # largest ||rho - psi psi^H||_1 of a phase event's state
+ZENO_SATURATION = 0.5  # q_first above this is outside the short-interval regime
 PHASE_EXACT_REASON = (
     "backend 'phase' cannot run projection_mode 'exact': a sharply projected "
     "state leaves the grid's momentum range, so the Wigner grid cannot hold it")
@@ -317,14 +318,22 @@ class TrajectoryEngine:
     backend "phase" makes one evolve_lvn call per interval with step dt;
     an event projects the top eigenvector of the quantised W (to_vector)
     and re-enters with wigner_from_wavefunction. It rejects projection_mode
-    "exact" (PHASE_EXACT_REASON).
+    "exact" (PHASE_EXACT_REASON). On the phase backend a snapshot stop
+    splits the evolve_lvn call, and each call returns the real part of its
+    carried state, so taking snapshots can move a phase trajectory's low
+    bits (up to 1.1e-8 relative on the 64-point oscillator at extent 8).
+
+    The paper's postulates are checked, not assumed: the initial state must
+    be quasirestricted to its most probable region (ValueError otherwise),
+    and every event's post-projection state must pass PS6
+    (QuasirestrictionError otherwise); each event's residual is recorded in
+    TrajectoryRecord.ps6_residuals.
     """
 
     def __init__(self, psi0: WaveFunction, h: Hamiltonian, partition: Partition,
                  t_final: float, dt: float, schedule: ProjectionSchedule,
                  backend: str = "oracle", projection_mode: str = "sqrt",
-                 check_ps6: bool = True, snapshot_every: int = 0,
-                 require_quasirestricted: bool = True):
+                 snapshot_every: int = 0):
         if backend not in ("oracle", "phase"):
             raise ValueError(f"unknown backend {backend!r}")
         if projection_mode not in ("sqrt", "exact"):
@@ -339,7 +348,6 @@ class TrajectoryEngine:
         self.schedule = schedule
         self.backend = backend
         self.projection_mode = projection_mode
-        self.check_ps6 = check_ps6
         self.snapshot_every = snapshot_every
         whole, tail = step_count(t_final, dt)
         self.steps = whole + (tail > 0)
@@ -350,13 +358,12 @@ class TrajectoryEngine:
         self._stops = self._plan_stops(whole, tail)
         probs0 = transition_probabilities_oracle(psi0, partition)
         self.home_index = int(np.argmax(probs0))
-        if require_quasirestricted:
-            ok, resid = is_quasirestricted(psi0, partition.regions[self.home_index])
-            if not ok:
-                raise ValueError(
-                    f"initial state is not quasirestricted to any region "
-                    f"(best residual {resid:.3e}); the coarse-graining "
-                    "containment requirement fails at t=0")
+        ok, resid = is_quasirestricted(psi0, partition.regions[self.home_index])
+        if not ok:
+            raise ValueError(
+                f"initial state is not quasirestricted to any region "
+                f"(best residual {resid:.3e}); the coarse-graining "
+                "containment requirement fails at t=0")
         self.exact_projectors = (_cached_projectors(partition)
                                  if projection_mode == "exact" else [None] * len(partition))
         if backend == "oracle":
@@ -409,13 +416,12 @@ class TrajectoryEngine:
                 region = self.partition.regions[chosen]
                 v = apply_quasiprojection(v, region, self.projection_mode,
                                           self.exact_projectors[chosen])
-                if self.check_ps6:
-                    ok, resid = is_quasirestricted(v, region)
-                    ps6_resids.append(resid)
-                    if not ok:
-                        raise QuasirestrictionError(
-                            f"post-projection state fails quasirestriction in "
-                            f"{labels[chosen]} (residual {resid:.3e})")
+                ok, resid = is_quasirestricted(v, region)
+                ps6_resids.append(resid)
+                if not ok:
+                    raise QuasirestrictionError(
+                        f"post-projection state fails quasirestriction in "
+                        f"{labels[chosen]} (residual {resid:.3e})")
                 state = prop.from_vector(v)
                 current = chosen
             region_track.append(labels[current])
@@ -449,16 +455,15 @@ def _pool_run(args):
     return rec.summary()
 
 
-def run_ensemble(engine: TrajectoryEngine, seeds: Sequence[int],
-                 workers: Optional[int] = None) -> list:
+def run_ensemble(engine: TrajectoryEngine, seeds: Sequence[int]) -> list:
     """Run many seeds; returns per-seed summaries in seed order.
 
-    Parallel fan-out uses forked workers sharing the prepared engine;
-    results are order-stable so aggregation is deterministic.
+    Parallel fan-out uses worker_count() forked workers (OSQM_THREADS)
+    sharing the prepared engine; results are order-stable so aggregation
+    is deterministic.
     """
     global _ENGINE
-    if workers is None:
-        workers = worker_count()
+    workers = worker_count()
     jobs = [(int(s), i) for i, s in enumerate(seeds)]
     if workers <= 1 or len(jobs) < 4:
         return [_run_one(engine, s, i) for s, i in jobs]
@@ -477,16 +482,15 @@ def _run_one(engine, seed, idx):
 
 def zeno_experiment(psi0: WaveFunction, h: Hamiltonian, partition: Partition,
                     dt_proj_values: Sequence[float], t_total: float,
-                    projection_mode: str = "exact",
-                    saturation: float = 0.5) -> list:
+                    projection_mode: str = "exact") -> list:
     """Measurement-interval sweep for the short-time quadratic law.
 
     For each projection interval the conditional run starts from the
     home-projected state, evolves, records the per-interval misprojection
     probability q = 1 - p_home, projects back home and repeats, so the
     reported survival is the exact expectation of the stochastic process
-    conditioned on staying home. Rows with q above the saturation level
-    are flagged (outside the short-interval regime).
+    conditioned on staying home. Rows with q above ZENO_SATURATION are
+    flagged (outside the short-interval regime).
 
     projection_mode "exact" measures and projects with the sharp
     classicality projectors: the freshly projected state is then an exact
@@ -529,7 +533,7 @@ def zeno_experiment(psi0: WaveFunction, h: Hamiltonian, partition: Partition,
             "q_first": float(q_first),
             "q_mean": float(np.mean(qs)),
             "survival": float(survival),
-            "flagged": bool(q_first > saturation),
+            "flagged": bool(q_first > ZENO_SATURATION),
         })
     return rows
 

@@ -81,10 +81,6 @@ class WeylSymbol:
             raise ValueError("symbol flagged hermitian has imaginary part")
 
     @classmethod
-    def from_function(cls, grid: PhaseGrid, fn) -> "WeylSymbol":
-        return cls(grid, np.asarray(fn(*grid.phase_mesh()), dtype=complex))
-
-    @classmethod
     def constant(cls, grid: PhaseGrid, value: complex = 1.0) -> "WeylSymbol":
         return cls(grid, np.full(grid.phase_shape, value, dtype=complex))
 

@@ -23,6 +23,8 @@ __all__ = [
     "marginals",
 ]
 
+RECOVERY_FLOOR = 1e-6  # least |psi(0)|^2 that wavefunction_from_wigner divides by
+
 
 @dataclass
 class WignerState:
@@ -120,11 +122,11 @@ def density_from_wigner(w: WignerState) -> DensityOperator:
     return DensityOperator(w.grid, m)
 
 
-def wavefunction_from_wigner(w: WignerState, threshold: float = 1e-6) -> WaveFunction:
+def wavefunction_from_wigner(w: WignerState) -> WaveFunction:
     """Recover psi from a pure-state Wigner function, phase fixed by
     arg psi(0) = 0.
 
-    Needs |psi(0)|^2 = int W(0, p) dp above threshold; otherwise recover
+    Needs |psi(0)|^2 = int W(0, p) dp above RECOVERY_FLOOR; otherwise recover
     through density_from_wigner and its top eigenvector instead.
     """
     grid = w.grid
@@ -134,9 +136,9 @@ def wavefunction_from_wigner(w: WignerState, threshold: float = 1e-6) -> WaveFun
     n = grid.n(0)
     dp = grid.dp[0]
     at0 = float(w.values[n // 2, :].sum() * dp)
-    if at0 <= threshold:
+    if at0 <= RECOVERY_FLOOR:
         raise ValueError(
-            f"|psi(0)|^2 = {at0:.3e} below threshold {threshold:.1e}; recover via "
+            f"|psi(0)|^2 = {at0:.3e} below threshold {RECOVERY_FLOOR:.1e}; recover via "
             "density_from_wigner and the top eigenvector")
     # g[a] = dp sum_m W(x_a / 2, p_m) e^{i x_a p_m / hbar} = psi(x_a) psi*(0)
     wf = upsample2(w.values, axis=0)            # fine x, coarse p

@@ -9,6 +9,8 @@ import pytest
 
 import osqm
 from osqm import cli
+from osqm.grid import PhaseGrid
+from osqm.io import read_grid_dump
 from osqm.oracle import NotPositiveError
 from osqm.transitions import TrajectoryEngine
 
@@ -74,6 +76,34 @@ def test_quasirestriction_failure_exits_with_numerics_code(tmp_path, capsys):
     assert cli.main(["run", str(path), "--seed", "1105"]) == cli.EXIT_NUMERICS
     err = capsys.readouterr().err
     assert err.startswith("numerical abort: post-projection state fails quasirestriction")
+
+
+def test_phase_single_run_writes_snapshots_on_its_grid(tmp_path):
+    assert cli.main(["run", str(_write_config(tmp_path)), "--snapshots", "100"]) \
+        == cli.EXIT_OK
+    dumps = sorted((tmp_path / "out").glob("wigner_t*.osqm"))
+    assert [d.name for d in dumps] == [f"wigner_t{t:.6f}.osqm" for t in (1.0, 2.0, 3.0)]
+    for dump in dumps:
+        grid, values = read_grid_dump(dump)
+        assert grid == PhaseGrid.create(64, 9.0)
+        assert abs(values.sum() * grid.cell_volume - 1) < 1e-9
+
+
+@pytest.mark.parametrize("change, got", [
+    ({"backend": "oracle"}, "got backend 'oracle' and num_seeds 1"),
+    ({"ensemble": {"num_seeds": 4}}, "got backend 'phase' and num_seeds 4")])
+def test_snapshots_only_a_single_phase_run_writes_exit_with_config_code(
+        tmp_path, capsys, change, got):
+    # such a run took every snapshot and wrote none of them
+    cfg = json.loads(_write_config(tmp_path).read_text())
+    cfg.update(change)
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--snapshots", "50"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "snapshot_stride > 0 needs backend 'phase' and ensemble num_seeds 1" in err
+    assert got in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_event_time_column_ends_at_t_final(tmp_path):

@@ -214,6 +214,21 @@ def test_instability_detection(grid64, osc, w0):
         evolve_lvn(w0, osc, 5.0, 0.5)  # one step and two half steps differ by 3e-3
 
 
+def test_dt_beyond_t_final_verifies_the_one_step_taken(grid64, osc, w0):
+    # dt = 1.6 > t_final = 1.5 takes one step of 1.5, which verify_dt must
+    # check as it checks dt = 1.5 (mismatch 0.88); unchecked, only the
+    # containment check stopped it, at 1.019e-6 of its 1e-6 bound
+    with pytest.raises(EvolutionUnstableError, match="at dt=1.5"):
+        evolve_lvn(w0, osc, 1.5, 1.6)
+
+
+@pytest.mark.parametrize("dt", [np.inf, np.nan])
+def test_dt_not_finite_is_rejected(grid64, osc, w0, dt):
+    # dt = inf returned a state 90% off in one unchecked step of t_final
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        evolve_lvn(w0, osc, 1.5, dt)
+
+
 def test_composite_coupling_term_matches_oracle():
     g1 = PhaseGrid.create(32, 8.0)
     g2 = PhaseGrid.create(32, 8.0)
@@ -230,16 +245,6 @@ def test_composite_coupling_term_matches_oracle():
     oracle = wigner_from_wavefunction(
         schrodinger_propagate(psi, hm, 0.4), check_containment=False)
     assert np.abs(out.values - oracle.values).max() < 1e-6
-
-
-def test_single_term_snapshots_leave_final_state_unchanged(grid64, w0):
-    free = Hamiltonian(grid64, [HamiltonianTerm((("p", 0, lambda p: p ** 2 / 2),))])
-    plain = evolve_lvn(w0, free, 1.0, 0.05)
-    out, snaps = evolve_lvn(w0, free, 1.0, 0.05, snapshots_every=4)
-    assert np.array_equal(out.values, plain.values)
-    assert [round(t, 12) for t, _ in snaps] == [0.2, 0.4, 0.6, 0.8, 1.0]
-    mid = evolve_lvn(w0, free, 0.4, 0.05)
-    assert np.abs(snaps[1][1].values - mid.values).max() < 1e-12
 
 
 def test_split_step_is_fourth_order(grid64, osc, w0):
@@ -277,15 +282,6 @@ def test_composite_three_term_split_matches_oracle():
     oracle = wigner_from_wavefunction(
         schrodinger_propagate(psi, hm, 0.4), check_containment=False)
     assert np.abs(out.values - oracle.values).max() < 1e-6
-
-
-def test_split_snapshots_leave_final_state_unchanged(grid64, osc, w0):
-    plain = evolve_lvn(w0, osc, 1.0, 0.05)
-    out, snaps = evolve_lvn(w0, osc, 1.0, 0.05, snapshots_every=4)
-    assert np.array_equal(out.values, plain.values)
-    assert [round(t, 12) for t, _ in snaps] == [0.2, 0.4, 0.6, 0.8, 1.0]
-    mid = evolve_lvn(w0, osc, 0.4, 0.05)
-    assert np.abs(snaps[1][1].values - mid.values).max() < 1e-12
 
 
 def test_step_count_keeps_whole_steps_and_drops_round_off_tails():
@@ -427,18 +423,14 @@ def test_cdftn_matches_per_axis_transforms(shape, kind):
 
 @pytest.mark.parametrize("name", ["free", "oscillator"])
 def test_repeated_evolution_repeats_bitwise(grid64, w0, name):
-    # the basis changes run in place: they must write neither into the input
-    # state nor into the coefficients that later snapshots start from
+    # the basis changes run in place: they must not write into the input state
     from osqm.scenarios import hamiltonian_preset
     h = hamiltonian_preset(grid64, name, {})
     start = w0.values.copy()
-    first, first_snaps = evolve_lvn(w0, h, 1.0, 0.05, snapshots_every=4)
+    first = evolve_lvn(w0, h, 1.0, 0.05)
     assert np.array_equal(w0.values, start)
-    again, again_snaps = evolve_lvn(w0, h, 1.0, 0.05, snapshots_every=4)
+    again = evolve_lvn(w0, h, 1.0, 0.05)
     assert np.array_equal(again.values, first.values)
-    assert [t for t, _ in again_snaps] == [t for t, _ in first_snaps]
-    for (_, a), (_, b) in zip(again_snaps, first_snaps):
-        assert np.array_equal(a.values, b.values)
 
 
 def test_composite_evolution_repeats_bitwise():

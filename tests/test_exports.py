@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -41,10 +42,42 @@ def test_deleted_event_members_are_gone():
                              branch_sep=3.0, band_edge=5.0, displacement=10.0,
                              coupling_v=10.0)
     for member in ("band_ops", "band_sqrts", "band_eigs", "project_band",
-                   "band_residual"):
+                   "band_residual", "hamiltonian"):
         assert not hasattr(sc, member)
     for cls in (_OraclePropagator, _PhasePropagator):
         assert not hasattr(cls, "ps6")
+
+
+def test_deleted_dead_members_are_gone():
+    from osqm.grid import PhasePoint
+    from osqm.regions import Partition
+    from osqm.weyl import WeylSymbol
+    assert not hasattr(WeylSymbol, "from_function")
+    assert not hasattr(PhasePoint, "as_vector")
+    assert "kernel" not in Partition.__dataclass_fields__
+
+
+# options that no caller set, now module constants or always on
+DELETED_PARAMETERS = [
+    ("osqm.dynamics", "evolve_lvn", "snapshots_every"),
+    ("osqm.transitions", "TrajectoryEngine", "check_ps6"),
+    ("osqm.transitions", "TrajectoryEngine", "require_quasirestricted"),
+    ("osqm.oracle", "DensityOperator", "validate_psd"),
+    ("osqm.oracle", "operator_sqrt", "clip_log"),
+    ("osqm.regions", "classicality_projectors", "ambiguity_margin"),
+    ("osqm.wigner", "wavefunction_from_wigner", "threshold"),
+    ("osqm.grid", "PhaseGrid.check_containment", "tol"),
+    ("osqm.transitions", "zeno_experiment", "saturation"),
+    ("osqm.transitions", "run_ensemble", "workers"),
+]
+
+
+@pytest.mark.parametrize("module, qualname, parameter", DELETED_PARAMETERS)
+def test_deleted_parameters_are_gone(module, qualname, parameter):
+    target = importlib.import_module(module)
+    for part in qualname.split("."):
+        target = getattr(target, part)
+    assert parameter not in inspect.signature(target).parameters
 
 
 def test_deleted_flow_members_are_gone():

@@ -167,7 +167,7 @@ def test_povm_incomplete_effects_rejected(grid64):
     # the effects complete to the identity because the regions tile the grid
     part = build_partition(grid64, [0.0])
     with pytest.raises(ValueError, match="tile"):
-        Partition(grid64, part.regions[:1], part.kernel)
+        Partition(grid64, part.regions[:1])
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from osqm.dynamics import evolve_lvn
 from osqm.grid import PhaseGrid
 from osqm.oracle import NotPositiveError, WaveFunction, schrodinger_propagate
 from osqm.regions import classicality_projectors, is_quasirestricted
+from osqm import transitions
 from osqm.transitions import (ProjectionSchedule, TrajectoryEngine, _born_weights,
-                              _PhasePropagator, apply_quasiprojection,
+                              _PhasePropagator, apply_quasiprojection, run_ensemble,
                               sample_transition, trajectory_rng,
                               transition_probabilities,
                               transition_probabilities_oracle)
@@ -295,3 +296,19 @@ def test_oracle_layers_agree_bitwise_on_wavefunction_and_vector(setup, mode):
         assert isinstance(got_wf, WaveFunction) and isinstance(got_v, np.ndarray)
         assert np.array_equal(got_wf.values,
                               WaveFunction.from_vector(psi.grid, got_v).values)
+
+
+def test_forked_ensemble_returns_the_serial_summaries_in_seed_order(setup, monkeypatch):
+    # the last event at 2.5 pi straddles the cut: the final regions differ
+    engine = _engine(setup, 2.5 * np.pi, DT, ProjectionSchedule("periodic", np.pi / 2),
+                     projection_mode="sqrt")
+    seeds = range(10, 18)
+    serial = [engine.run(s, i).summary() for i, s in enumerate(seeds)]
+    assert len({row["final_region"] for row in serial}) == 2
+
+    def serial_path(*args):
+        raise AssertionError("run_ensemble took the serial path")
+
+    monkeypatch.setenv("OSQM_THREADS", "2")
+    monkeypatch.setattr(transitions, "_run_one", serial_path)
+    assert run_ensemble(engine, seeds) == serial
