@@ -28,7 +28,6 @@ __all__ = [
     "schrodinger_propagate",
     "operator_sqrt",
     "tensor_state",
-    "state_vector",
     "check_unit_norm",
 ]
 
@@ -98,11 +97,6 @@ class WaveFunction:
         for d in range(self.grid.dof):
             out = x_to_p(out, self.grid.dx[d], self.grid.hbar, axis=d)
         return out
-
-
-def state_vector(state) -> np.ndarray:
-    """The flat l2 vector of a WaveFunction; a vector is returned as it is."""
-    return state.to_vector() if isinstance(state, WaveFunction) else state
 
 
 def check_unit_norm(v: np.ndarray) -> np.ndarray:
@@ -188,6 +182,12 @@ class OperatorMatrix:
             object.__setattr__(self, "_eig", (w, q))
         return self._eig
 
+    def unitary(self, t: float) -> np.ndarray:
+        """Dense propagator exp(-i H t / hbar) = Q exp(-i w t / hbar) Q^H,
+        from the cached eigendecomposition."""
+        w, q = self.eigh()
+        return (q * np.exp(-1j * w * t / self.grid.hbar)) @ q.conj().T
+
     def expectation(self, psi: WaveFunction) -> complex:
         v = psi.to_vector()
         return complex(np.vdot(v, self.matrix @ v))
@@ -235,16 +235,7 @@ def tensor_state(psi1: WaveFunction, psi2: WaveFunction) -> WaveFunction:
 
 
 def schrodinger_propagate(psi: WaveFunction, h: OperatorMatrix, t: float) -> WaveFunction:
-    """psi(t) = exp(-i H t / hbar) psi via exact eigendecomposition.
-
-    For keyframed Hamiltonians pass a list of (duration, OperatorMatrix)
-    instead of h; segments are applied in order.
-    """
-    if isinstance(h, (list, tuple)):
-        out = psi
-        for dt_seg, h_seg in h:
-            out = schrodinger_propagate(out, h_seg, dt_seg)
-        return out
+    """psi(t) = exp(-i H t / hbar) psi via exact eigendecomposition."""
     if not h.hermitian:
         raise ValueError("Hamiltonian must be Hermitian")
     w, q = h.eigh()

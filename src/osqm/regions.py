@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .grid import PhaseGrid
-from .oracle import PSD_TOL, OperatorMatrix, operator_sqrt, state_vector
+from .oracle import PSD_TOL, OperatorMatrix, operator_sqrt
 from .weyl import WeylSymbol, weyl_symbol_from_operator
 
 __all__ = [
@@ -36,6 +36,8 @@ __all__ = [
 
 MIN_SIDE_FACTOR = 5.0  # box sides must be >= 5 sqrt(hbar) per axis
 AMBIGUITY_MARGIN = 1e-9  # least distance of a deflated eigenvalue from the 1/2 split
+PS6_TOL = 1e-3     # largest residual of a quasirestricted state
+PS6_CUTOFF = 1e-6  # Pi_R eigenvalues at or below this are outside its range
 
 
 def smoothing_kernel(grid: PhaseGrid) -> np.ndarray:
@@ -399,23 +401,22 @@ def _checked_projector(grid: PhaseGrid, p: np.ndarray) -> OperatorMatrix:
     return OperatorMatrix(grid, p, hermitian=True)
 
 
-def is_quasirestricted(psi, region: Region, tol: float = 1e-3,
-                       cutoff: float = 1e-6) -> tuple[bool, float]:
+def is_quasirestricted(v: np.ndarray, region: Region) -> tuple[bool, float]:
     """Test membership in the numerical range of Pi_R^(1/2).
 
-    psi is a WaveFunction, its l2 vector, or an array whose first axis is
-    the region's space (an (n1, n2) array V is tested as vec(V) against
-    Pi_R (x) I). The residual is the norm of the component of psi outside
-    the span of quasiprojector eigenvectors with eigenvalue above the
-    pseudo-inverse cutoff. (The cutoff acts on the
-    eigenvalues of Pi_R itself; cutting on sqrt(eigenvalue) instead would
-    keep essentially every mode of a Gaussian-smoothed quasiprojector and
-    the test would never reject.)
+    v is an l2 array whose first axis is the region's Hilbert space: a flat
+    state vector, or an (n1, n2) array V, tested as vec(V) against
+    Pi_R (x) I. The residual is the norm of the component of v outside the
+    span of quasiprojector eigenvectors with eigenvalue above PS6_CUTOFF,
+    and v passes below PS6_TOL. (The cutoff acts on the eigenvalues of
+    Pi_R itself; cutting on sqrt(eigenvalue) instead would keep essentially
+    every mode of a Gaussian-smoothed quasiprojector and the test would
+    never reject.)
     """
     w, q = region.operator().eigh()
     # eigh sorts w ascending: the eigenvectors at or below the cutoff are a
     # prefix of q's columns; |<q_i|v>| = |v^H q_i| needs no conjugated copy
-    out = np.searchsorted(w, cutoff, side="right")
-    overlaps = state_vector(psi).conj().T @ q[:, :out]
+    out = np.searchsorted(w, PS6_CUTOFF, side="right")
+    overlaps = v.conj().T @ q[:, :out]
     residual = float(np.sqrt((np.abs(overlaps) ** 2).sum()))
-    return residual < tol, residual
+    return residual < PS6_TOL, residual

@@ -7,8 +7,10 @@ matching the observed branch, and the region transition then reproduces
 Born statistics for the branch amplitudes. The coupling propagator is
 diagonal in the (p1, x2) mixed representation. The bands are a partition
 of the pointer grid, and the state stays an (n1, n2) array V, on which a
-band operator acts as (A (x) I) vec(V) = vec(A V): the engine's event
-functions run on V, and no composite-sized operator is built.
+band operator acts as (A (x) I) vec(V) = vec(A V). The engine's event
+functions take V as an l2 array whose first axis is the pointer's space,
+the scenario passes each band's Pi^(1/2) as the update operator, and no
+composite-sized operator is built.
 """
 
 from __future__ import annotations
@@ -243,7 +245,7 @@ class MeasurementScenario:
         for idx in (0, 2):
             if probs[idx] > 1e-9:
                 region = self.partition.regions[idx]
-                post = apply_quasiprojection(vT, region)
+                post = apply_quasiprojection(vT, region.sqrt_operator())
                 post_resid[self.band_labels[idx]] = is_quasirestricted(post, region)[1]
         counts = {lab: 0 for lab in self.band_labels}
         outcomes = []

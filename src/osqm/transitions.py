@@ -8,13 +8,15 @@ in comparison mode). Everything is deterministic given (config, seed).
 
 Nothing reads the state between two events, so TrajectoryEngine propagates
 from stop to stop (an event or a snapshot) in one go: one cached dense
-propagator U(n dt) per interval on the oracle backend, one evolve_lvn call
-per interval on the phase backend. The oracle backend carries the state as
-its flat l2 vector (WaveFunction.to_vector()) from start to end. Every
-event, on both backends and in the measurement scenario, updates with
-apply_quasiprojection and checks PS6 with is_quasirestricted; these and
-transition_probabilities_oracle take a WaveFunction, its l2 vector, or an
-array whose first axis is the partition's space (Pi acts as Pi (x) I).
+propagator U(n dt) = OperatorMatrix.unitary per interval on the oracle
+backend, one evolve_lvn call per interval on the phase backend. The oracle
+backend carries the state as its flat l2 vector (WaveFunction.to_vector())
+from start to end. Every event, on both backends and in the measurement
+scenario, takes the Born weights with transition_probabilities_oracle,
+updates with apply_quasiprojection and checks PS6 with is_quasirestricted.
+The three take an l2 array whose first axis is the partition's Hilbert
+space (on an (n1, n2) array, Pi acts as Pi (x) I), and the caller passes
+the update operator: Pi_j^(1/2) or the exact projector.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import Hamiltonian, evolve_lvn, step_count
-from .oracle import (NotPositiveError, OperatorMatrix, WaveFunction, check_unit_norm,
-                     state_vector)
-from .regions import Partition, Region, classicality_projectors, is_quasirestricted
+from .oracle import NotPositiveError, OperatorMatrix, WaveFunction, check_unit_norm
+from .regions import Partition, classicality_projectors, is_quasirestricted
 from .weyl import mean_value, weyl_operator_from_symbol
 from .wigner import WignerState, wigner_from_wavefunction
 
@@ -121,14 +122,13 @@ def transition_probabilities(w: WignerState, partition: Partition) -> np.ndarray
                                    for r in partition.regions]))
 
 
-def transition_probabilities_oracle(psi, partition: Partition) -> np.ndarray:
-    """Operator-side Born weights p_j = <psi|Pi_j|psi>, clipped as above.
+def transition_probabilities_oracle(v: np.ndarray, partition: Partition) -> np.ndarray:
+    """Operator-side Born weights p_j = <v|Pi_j|v>, clipped as above.
 
-    psi is a WaveFunction, its l2 vector, or an array whose first axis is
-    the partition's Hilbert space: on an (n1, n2) array V the weight is
+    v is an l2 array whose first axis is the partition's Hilbert space: a
+    flat state vector, or an (n1, n2) array V, whose weight is
     tr(V^H Pi_j V), the Born weight of Pi_j (x) I on vec(V).
     """
-    v = state_vector(psi)
     return _born_weights(np.array([np.vdot(v, r.operator().matrix @ v).real
                                    for r in partition.regions]))
 
@@ -144,33 +144,21 @@ def sample_transition(probabilities: np.ndarray, rng: np.random.Generator) -> in
     return min(int(np.searchsorted(cdf, u, side="right")), len(p) - 1)
 
 
-def apply_quasiprojection(psi, region: Region, mode: str = "sqrt",
-                          exact_projector: Optional[OperatorMatrix] = None):
-    """State update Pi_R^(1/2) psi / norm (POVM form).
+def apply_quasiprojection(v: np.ndarray, update: OperatorMatrix) -> np.ndarray:
+    """State update A v / |A v| with the caller's update operator A.
 
-    mode="exact" uses the supplied classicality projector instead, for
-    quantifying the quasiprojector approximation. psi is a WaveFunction,
-    its l2 vector, or an array whose first axis is the region's Hilbert
-    space (the operator acts on that axis, as Pi_R (x) I on vec(V)); the
-    updated state comes back in the same form.
+    A is the chosen region's Pi_R^(1/2) (POVM form, region.sqrt_operator())
+    or, for quantifying the quasiprojector approximation, its exact
+    classicality projector. v is an l2 array whose first axis is A's Hilbert
+    space (A acts on that axis, as A (x) I on vec(V)); the updated array
+    has v's shape.
     """
-    v = state_vector(psi)
-    if mode == "sqrt":
-        op = region.sqrt_operator().matrix
-    elif mode == "exact":
-        if exact_projector is None:
-            raise ValueError("exact mode needs the classicality projector")
-        op = exact_projector.matrix
-    else:
-        raise ValueError(f"unknown projection mode {mode!r}")
-    out = op @ v
+    out = update.matrix @ v
     norm = np.linalg.norm(out)
     if norm ** 2 < MIN_TRANSITION_PROB:
         raise ValueError(
             f"projection weight {norm ** 2:.3e} below {MIN_TRANSITION_PROB}; "
             "a forbidden transition was sampled (sampler inconsistency)")
-    if isinstance(psi, WaveFunction):
-        return WaveFunction.from_vector(psi.grid, out / norm)
     return check_unit_norm(out / norm)
 
 
@@ -209,13 +197,15 @@ class _Propagator:
 
     def __init__(self, engine: "TrajectoryEngine"):
         self.psi0 = engine.psi0
+        self.v0 = engine.v0
         self.h = engine.h
         self.partition = engine.partition
         self.dt = engine.dt
 
 
 class _OraclePropagator(_Propagator):
-    """Wavefunction backend: dense propagators U(n dt + tail) from one eigh.
+    """Wavefunction backend: dense propagators U(n dt + tail) from one eigh
+    (OperatorMatrix.unitary).
 
     The state is the flat l2 vector of WaveFunction.to_vector() throughout;
     no WaveFunction is built per stop. Its unit norm, which a WaveFunction
@@ -229,19 +219,18 @@ class _OraclePropagator(_Propagator):
         super().__init__(engine)
         if not self.h.is_static():
             raise ValueError("oracle backend needs a static Hamiltonian")
-        self._w, self._q = weyl_operator_from_symbol(self.h.symbol()).eigh()
+        self._hm = weyl_operator_from_symbol(self.h.symbol())
         self._u = {}
         self._propagator(*common_span)
 
     def _propagator(self, n: int, tail: float) -> np.ndarray:
         u = self._u.get((n, tail))
         if u is None:
-            phases = np.exp(-1j * self._w * (n * self.dt + tail) / self.psi0.grid.hbar)
-            u = self._u[(n, tail)] = (self._q * phases) @ self._q.conj().T
+            u = self._u[(n, tail)] = self._hm.unitary(n * self.dt + tail)
         return u
 
     def initial(self) -> np.ndarray:
-        return self.psi0.to_vector()
+        return self.v0
 
     def advance(self, v: np.ndarray, n: int, tail: float, t0: float) -> np.ndarray:
         return check_unit_norm(self._propagator(n, tail) @ v)
@@ -323,6 +312,10 @@ class TrajectoryEngine:
     carried state, so taking snapshots can move a phase trajectory's low
     bits (up to 1.1e-8 relative on the 64-point oscillator at extent 8).
 
+    psi0 becomes its l2 vector v0 once, here. An event's update operator is
+    the chosen region's Pi^(1/2) (projection_mode "sqrt") or its exact
+    classicality projector, built once per partition ("exact").
+
     The paper's postulates are checked, not assumed: the initial state must
     be quasirestricted to its most probable region (ValueError otherwise),
     and every event's post-projection state must pass PS6
@@ -356,16 +349,17 @@ class TrajectoryEngine:
         if self.steps:
             self.times[-1] = t_final
         self._stops = self._plan_stops(whole, tail)
-        probs0 = transition_probabilities_oracle(psi0, partition)
+        self.v0 = psi0.to_vector()
+        probs0 = transition_probabilities_oracle(self.v0, partition)
         self.home_index = int(np.argmax(probs0))
-        ok, resid = is_quasirestricted(psi0, partition.regions[self.home_index])
+        ok, resid = is_quasirestricted(self.v0, partition.regions[self.home_index])
         if not ok:
             raise ValueError(
                 f"initial state is not quasirestricted to any region "
                 f"(best residual {resid:.3e}); the coarse-graining "
                 "containment requirement fails at t=0")
         self.exact_projectors = (_cached_projectors(partition)
-                                 if projection_mode == "exact" else [None] * len(partition))
+                                 if projection_mode == "exact" else None)
         if backend == "oracle":
             spans = Counter((n, tail) for _, n, tail, _, _ in self._stops)
             common = spans.most_common(1)[0][0] if spans else (0, 0.0)
@@ -414,8 +408,9 @@ class TrajectoryEngine:
                 v, distance = prop.to_vector(state)
                 rank1.append(distance)
                 region = self.partition.regions[chosen]
-                v = apply_quasiprojection(v, region, self.projection_mode,
-                                          self.exact_projectors[chosen])
+                update = (region.sqrt_operator() if self.exact_projectors is None
+                          else self.exact_projectors[chosen])
+                v = apply_quasiprojection(v, update)
                 ok, resid = is_quasirestricted(v, region)
                 ps6_resids.append(resid)
                 if not ok:
@@ -502,31 +497,31 @@ def zeno_experiment(psi0: WaveFunction, h: Hamiltonian, partition: Partition,
 
     Returns rows of dict(dt_proj, q_first, q_mean, survival, flagged).
     """
-    probs0 = transition_probabilities_oracle(psi0, partition)
-    home = int(np.argmax(probs0))
+    v0 = psi0.to_vector()
+    home = int(np.argmax(transition_probabilities_oracle(v0, partition)))
     region = partition.regions[home]
-    home_proj = (_cached_projectors(partition)[home]
-                 if projection_mode == "exact" else None)
-    home_op = (region.operator() if home_proj is None else home_proj).matrix
-
+    if projection_mode == "exact":
+        update = home_op = _cached_projectors(partition)[home]
+    elif projection_mode == "sqrt":
+        update, home_op = region.sqrt_operator(), region.operator()
+    else:
+        raise ValueError(f"unknown projection mode {projection_mode!r}")
     hmat = weyl_operator_from_symbol(h.symbol())
-    w, q = hmat.eigh()
-    grid = psi0.grid
 
     rows = []
     for dtp in dt_proj_values:
-        u = (q * np.exp(-1j * w * dtp / grid.hbar)) @ q.conj().T
-        v = apply_quasiprojection(psi0.to_vector(), region, projection_mode, home_proj)
+        u = hmat.unitary(dtp)
+        v = apply_quasiprojection(v0, update)
         n_int = max(1, int(round(t_total / dtp)))
         survival = 1.0
         qs = []
         for _ in range(n_int):
             v = u @ v
-            p_home = min(max(np.vdot(v, home_op @ v).real, 0.0), 1.0)
+            p_home = min(max(np.vdot(v, home_op.matrix @ v).real, 0.0), 1.0)
             qk = 1.0 - p_home
             qs.append(qk)
             survival *= p_home
-            v = apply_quasiprojection(v, region, projection_mode, home_proj)
+            v = apply_quasiprojection(v, update)
         q_first = qs[0]
         rows.append({
             "dt_proj": float(dtp),

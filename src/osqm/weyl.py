@@ -51,15 +51,20 @@ def _op_core_1dof(arr: np.ndarray, n: int) -> np.ndarray:
     return g[..., s_disp, craw]
 
 
-def _sym_core_1dof(arr: np.ndarray, n: int) -> np.ndarray:
-    """Map the last two axes (bra, ket) of an operator block to (x_d, p_d)."""
-    _, _, _, e_rows, jw = _index_tables(n)
-    t = np.arange(n)
-    e = arr[..., e_rows, t[None, :]]              # [..., c, t]
+def _chord_to_symbol_axes(e: np.ndarray, n: int) -> np.ndarray:
+    """Shared tail of the symbol map: last axes (c, t) -> (x, p)."""
+    jw = _index_tables(n)[4]
     ef = upsample2(e, axis=-1)                    # [..., c, w]
-    crow = np.broadcast_to(t[None, :], (n, n))    # [j, c] -> c
+    crow = np.broadcast_to(np.arange(n)[None, :], (n, n))   # [j, c] -> c
     b = ef[..., crow, jw] * alternating_signs(n)  # [..., j, c]
     return np.fft.fft(b, axis=-1)                 # [..., j, m]
+
+
+def _sym_core_1dof(arr: np.ndarray, n: int) -> np.ndarray:
+    """Map the last two axes (bra, ket) of an operator block to (x_d, p_d)."""
+    e_rows = _index_tables(n)[3]
+    e = arr[..., e_rows, np.arange(n)[None, :]]   # [..., c, t]
+    return _chord_to_symbol_axes(e, n)
 
 
 @dataclass
@@ -144,15 +149,12 @@ def mean_value(sym: WeylSymbol, wigner) -> float:
     return float((sym.values.real * wigner.values).sum() * sym.grid.cell_volume)
 
 
-def overlap(w1, w2, clip_log: Optional[list] = None) -> float:
+def overlap(w1, w2) -> float:
     """|<psi|psi'>|^2 = (2 pi hbar)^n int W W' dz for pure-state Wigner
-    functions; clipped into [0, 1] (clipping recorded in clip_log)."""
+    functions, clipped into [0, 1]."""
     if w1.grid != w2.grid:
         raise GridMismatchError("states on different grids")
     grid = w1.grid
     raw = float((w1.values * w2.values).sum() * grid.cell_volume
                 * (2 * np.pi * grid.hbar) ** grid.dof)
-    val = min(max(raw, 0.0), 1.0)
-    if val != raw and clip_log is not None:
-        clip_log.append(raw)
-    return val
+    return min(max(raw, 0.0), 1.0)

@@ -8,9 +8,9 @@ import numpy as np
 
 from .grid import ContainmentError, GridMismatchError, PhaseGrid
 from .oracle import DensityOperator, OperatorMatrix, WaveFunction
-from .spectral import alternating_signs, upsample2
-from .weyl import WeylSymbol, _index_tables, weyl_operator_from_symbol, \
-    weyl_symbol_from_operator
+from .spectral import upsample2
+from .weyl import WeylSymbol, _chord_to_symbol_axes, _index_tables, \
+    weyl_operator_from_symbol, weyl_symbol_from_operator
 
 __all__ = [
     "WignerState",
@@ -95,15 +95,6 @@ def wigner_from_wavefunction(psi: WaveFunction, check_containment: bool = True) 
     w = _chord_to_symbol_axes(np.moveaxis(w, [0, 1], [-2, -1]), n1)  # (j2, m2, j1, m1)
     w = w.transpose(2, 0, 3, 1)                                      # (j1, j2, m1, m2)
     return WignerState(grid, w.real * scale)
-
-
-def _chord_to_symbol_axes(e: np.ndarray, n: int) -> np.ndarray:
-    """Shared tail of the symbol map: last axes (c, t) -> (x, p)."""
-    _, _, _, _, jw = _index_tables(n)
-    ef = upsample2(e, axis=-1)
-    crow = np.broadcast_to(np.arange(n)[None, :], (n, n))
-    b = ef[..., crow, jw] * alternating_signs(n)
-    return np.fft.fft(b, axis=-1)
 
 
 def wigner_from_density(rho: DensityOperator) -> WignerState:

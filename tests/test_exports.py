@@ -11,7 +11,8 @@ MODULES = ["osqm"] + [f"osqm.{m.name}" for m in pkgutil.iter_modules(osqm.__path
 # names deleted from the package; none may come back through a stale export
 DELETED = {
     "osqm": ["povm_apply", "VonNeumannCoupling", "measurement_premeasurement"],
-    "osqm.oracle": ["povm_apply", "VonNeumannCoupling", "measurement_premeasurement"],
+    "osqm.oracle": ["povm_apply", "VonNeumannCoupling", "measurement_premeasurement",
+                    "state_vector"],
     "osqm.classical": ["_poly_partial_arrays"],
     "osqm.transitions": ["_density_quasirestricted"],
     "osqm.dynamics": ["_FactorOp", "_TermOp", "_TermExponential", "_cdftn", "_cidftn",
@@ -69,6 +70,11 @@ DELETED_PARAMETERS = [
     ("osqm.grid", "PhaseGrid.check_containment", "tol"),
     ("osqm.transitions", "zeno_experiment", "saturation"),
     ("osqm.transitions", "run_ensemble", "workers"),
+    ("osqm.transitions", "apply_quasiprojection", "mode"),
+    ("osqm.transitions", "apply_quasiprojection", "exact_projector"),
+    ("osqm.regions", "is_quasirestricted", "tol"),
+    ("osqm.regions", "is_quasirestricted", "cutoff"),
+    ("osqm.weyl", "overlap", "clip_log"),
 ]
 
 

@@ -8,7 +8,7 @@ import pytest
 from osqm import regions, scenarios, wigner
 from osqm.dynamics import evolve_lvn
 from osqm.grid import PhaseGrid
-from osqm.oracle import NotPositiveError, WaveFunction, schrodinger_propagate
+from osqm.oracle import NotPositiveError, WaveFunction
 from osqm.regions import classicality_projectors, is_quasirestricted
 from osqm import transitions
 from osqm.transitions import (ProjectionSchedule, TrajectoryEngine, _born_weights,
@@ -45,25 +45,22 @@ def _oracle_reference(engine, durations, seed, snapshot_every=0):
              if engine.projection_mode == "exact" else None)
     labels = partition.labels()
     rng = trajectory_rng(seed, 0)
-    current = int(np.argmax(transition_probabilities_oracle(psi0, partition)))
+    v = psi0.to_vector()
+    current = int(np.argmax(transition_probabilities_oracle(v, partition)))
     out = {"region_labels": [labels[current]], "prob_rows": [],
            "event_regions": [], "ps6": [], "snapshots": []}
-    v = psi0.to_vector()
     t = 0.0
     for k, tau in enumerate(durations, 1):
         v = (q * np.exp(-1j * w * tau / grid.hbar)) @ (q.conj().T @ v)
         t += tau
         if k % engine.stride == 0 or k == len(durations):
-            psi = WaveFunction.from_vector(grid, v)
-            probs = transition_probabilities_oracle(psi, partition)
+            probs = transition_probabilities_oracle(v, partition)
             chosen = sample_transition(probs, rng)
             region = partition.regions[chosen]
-            psi = apply_quasiprojection(psi, region, engine.projection_mode,
-                                        exact[chosen] if exact else None)
+            v = apply_quasiprojection(v, exact[chosen] if exact else region.sqrt_operator())
             out["prob_rows"].append(probs)
             out["event_regions"].append(labels[chosen])
-            out["ps6"].append(is_quasirestricted(psi, region)[1])
-            v = psi.to_vector()
+            out["ps6"].append(is_quasirestricted(v, region)[1])
             current = chosen
         out["region_labels"].append(labels[current])
         if snapshot_every and k % snapshot_every == 0:
@@ -148,6 +145,17 @@ def test_one_cached_propagator_per_interval_length(setup):
     stops = sorted(set(rec.event_steps) | set(snaps))
     lengths = {(b - a, b == snapped.steps) for a, b in zip([0] + stops, stops)}
     assert len(snapped._propagator._u) <= len(lengths)
+
+
+def test_cached_propagators_are_the_hamiltonian_unitary(setup):
+    h = setup[1]
+    hm = weyl_operator_from_symbol(h.symbol())
+    eng = _engine(setup, 2 * np.pi + 0.05, DT, ProjectionSchedule("periodic", 16 * DT),
+                  snapshot_every=5)
+    eng.run(0)
+    assert any(tail > 0 for _, tail in eng._propagator._u)
+    for (n, tail), u in eng._propagator._u.items():
+        assert np.array_equal(u, hm.unitary(n * DT + tail))
 
 
 def _phase_reference(engine, seed):
@@ -240,7 +248,7 @@ def test_event_functions_act_on_the_first_axis_of_a_state_array():
     got = transition_probabilities_oracle(arr, partition)
     assert np.abs(got - want / want.sum()).max() < 1e-13
     for region in partition.regions:
-        post = apply_quasiprojection(arr, region)
+        post = apply_quasiprojection(arr, region.sqrt_operator())
         assert post.shape == (32, 8)
         root = np.kron(region.sqrt_operator().matrix, eye) @ vec
         assert np.abs(post.ravel() - root / np.linalg.norm(root)).max() < 1e-13
@@ -255,11 +263,12 @@ def test_event_functions_act_on_the_first_axis_of_a_state_array():
 
 def test_quasirestriction_residual_matches_full_projection(setup):
     psi0, _, partition = setup
+    v = psi0.to_vector()
     for region in partition.regions:
         w, q = region.operator().eigh()
-        coeffs = q.conj().T @ psi0.to_vector()
+        coeffs = q.conj().T @ v
         want = np.sqrt((np.abs(coeffs[w <= 1e-6]) ** 2).sum())
-        assert abs(is_quasirestricted(psi0, region)[1] - want) < 1e-15
+        assert abs(is_quasirestricted(v, region)[1] - want) < 1e-15
 
 
 def test_born_weights_clip_round_off_and_reject_real_negatives(caplog):
@@ -278,24 +287,6 @@ def test_oracle_engine_checks_the_unit_norm_at_every_stop(setup):
         eng._propagator._u[key] = eng._propagator._u[key] * 1.01
     with pytest.raises(ValueError, match="should be normalized"):
         eng.run(0)
-
-
-@pytest.mark.parametrize("mode", ["sqrt", "exact"])
-def test_oracle_layers_agree_bitwise_on_wavefunction_and_vector(setup, mode):
-    psi0, h, partition = setup
-    # a quarter period puts the packet across the cut at x = 0
-    psi = schrodinger_propagate(psi0, weyl_operator_from_symbol(h.symbol()), np.pi / 2)
-    v = psi.to_vector()
-    assert np.array_equal(transition_probabilities_oracle(psi, partition),
-                          transition_probabilities_oracle(v, partition))
-    exact = classicality_projectors(partition)
-    for j, region in enumerate(partition.regions):
-        assert is_quasirestricted(psi, region) == is_quasirestricted(v, region)
-        got_wf = apply_quasiprojection(psi, region, mode, exact[j])
-        got_v = apply_quasiprojection(v, region, mode, exact[j])
-        assert isinstance(got_wf, WaveFunction) and isinstance(got_v, np.ndarray)
-        assert np.array_equal(got_wf.values,
-                              WaveFunction.from_vector(psi.grid, got_v).values)
 
 
 def test_forked_ensemble_returns_the_serial_summaries_in_seed_order(setup, monkeypatch):

@@ -132,6 +132,5 @@ def test_overlap_symmetry_exact(grid64):
 def test_overlap_clipping_logged(grid64):
     w1 = wigner_from_wavefunction(coherent_state(grid64, -3.5, 0.0))
     w2 = wigner_from_wavefunction(coherent_state(grid64, 3.5, 0.0))
-    log = []
-    val = overlap(w1, w2, clip_log=log)
+    val = overlap(w1, w2)
     assert 0.0 <= val <= 1.0
