@@ -9,6 +9,7 @@ accurate than anything it is used to check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -220,11 +221,9 @@ def kinetic_operator(grid: PhaseGrid, tfun, d: int = 0) -> OperatorMatrix:
 
 
 def _embed_axis_block(grid: PhaseGrid, block: np.ndarray, d: int) -> np.ndarray:
-    if grid.dof == 1:
-        return block
-    if d == 0:
-        return np.kron(block, np.eye(grid.n(1), dtype=complex))
-    return np.kron(np.eye(grid.n(0), dtype=complex), block)
+    """block on axis d, the identity on every other axis."""
+    return reduce(np.kron, [block if k == d else np.eye(grid.n(k), dtype=complex)
+                            for k in range(grid.dof)])
 
 
 def tensor_state(psi1: WaveFunction, psi2: WaveFunction) -> WaveFunction:

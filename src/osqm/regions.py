@@ -192,28 +192,19 @@ def build_partition(grid: PhaseGrid, x_boundaries, p_boundaries=None) -> Partiti
         p_part = combo[dof:]
         label_bits = []
         mask = np.ones(grid.phase_shape, dtype=bool)
-        for d in range(dof):
-            j0, j1 = x_part[d]
-            side = (j1 - j0) * grid.dx[d]
-            label_bits.append(f"x{d}:{j0}-{j1}")
-            if side < min_side - 1e-12:
-                raise ValueError(
-                    f"region x-axis {d} side {side:.3f} below the minimum "
-                    f"{min_side:.3f} = 5 sqrt(hbar)")
-            ax_mask = np.zeros(grid.n(d), dtype=bool)
-            ax_mask[j0:j1] = True
-            mask &= _broadcast_axis(ax_mask, d, 2 * dof)
-        for d in range(dof):
-            j0, j1 = p_part[d]
-            side = (j1 - j0) * grid.dp[d]
-            label_bits.append(f"p{d}:{j0}-{j1}")
-            if side < min_side - 1e-12:
-                raise ValueError(
-                    f"region p-axis {d} side {side:.3f} below the minimum "
-                    f"{min_side:.3f} = 5 sqrt(hbar)")
-            ax_mask = np.zeros(grid.n(d), dtype=bool)
-            ax_mask[j0:j1] = True
-            mask &= _broadcast_axis(ax_mask, dof + d, 2 * dof)
+        for kind, offset, part, spacing in (("x", 0, x_part, grid.dx),
+                                            ("p", dof, p_part, grid.dp)):
+            for d in range(dof):
+                j0, j1 = part[d]
+                side = (j1 - j0) * spacing[d]
+                label_bits.append(f"{kind}{d}:{j0}-{j1}")
+                if side < min_side - 1e-12:
+                    raise ValueError(
+                        f"region {kind}-axis {d} side {side:.3f} below the minimum "
+                        f"{min_side:.3f} = 5 sqrt(hbar)")
+                ax_mask = np.zeros(grid.n(d), dtype=bool)
+                ax_mask[j0:j1] = True
+                mask &= _broadcast_axis(ax_mask, offset + d, 2 * dof)
         regions.append(Region(label="|".join(label_bits), grid=grid, mask=mask,
                               x_bounds=tuple(x_part), p_bounds=tuple(p_part)))
     return Partition(grid=grid, regions=regions)

@@ -476,8 +476,7 @@ def _run_one(engine, seed, idx):
 
 
 def zeno_experiment(psi0: WaveFunction, h: Hamiltonian, partition: Partition,
-                    dt_proj_values: Sequence[float], t_total: float,
-                    projection_mode: str = "exact") -> list:
+                    dt_proj_values: Sequence[float], t_total: float) -> list:
     """Measurement-interval sweep for the short-time quadratic law.
 
     For each projection interval the conditional run starts from the
@@ -487,41 +486,33 @@ def zeno_experiment(psi0: WaveFunction, h: Hamiltonian, partition: Partition,
     conditioned on staying home. Rows with q above ZENO_SATURATION are
     flagged (outside the short-interval regime).
 
-    projection_mode "exact" measures and projects with the sharp
-    classicality projectors: the freshly projected state is then an exact
-    eigenvector of the next measurement and q(dt) is purely quadratic at
-    small dt. The "sqrt" mode uses the smooth quasiprojector POVM, whose
-    boundary overlap adds an interval-independent pedestal to q; that
-    pedestal is physical for the smooth coarse graining but hides the
-    quadratic law, so the scaling fit uses the exact mode.
+    It measures and projects with the sharp classicality projectors: the
+    freshly projected state is then an exact eigenvector of the next
+    measurement and q(dt) is purely quadratic at small dt, whereas the
+    smooth quasiprojector POVM's boundary overlap would add an
+    interval-independent pedestal to q that hides the quadratic law.
 
     Returns rows of dict(dt_proj, q_first, q_mean, survival, flagged).
     """
     v0 = psi0.to_vector()
     home = int(np.argmax(transition_probabilities_oracle(v0, partition)))
-    region = partition.regions[home]
-    if projection_mode == "exact":
-        update = home_op = _cached_projectors(partition)[home]
-    elif projection_mode == "sqrt":
-        update, home_op = region.sqrt_operator(), region.operator()
-    else:
-        raise ValueError(f"unknown projection mode {projection_mode!r}")
+    proj = _cached_projectors(partition)[home]
     hmat = weyl_operator_from_symbol(h.symbol())
 
     rows = []
     for dtp in dt_proj_values:
         u = hmat.unitary(dtp)
-        v = apply_quasiprojection(v0, update)
+        v = apply_quasiprojection(v0, proj)
         n_int = max(1, int(round(t_total / dtp)))
         survival = 1.0
         qs = []
         for _ in range(n_int):
             v = u @ v
-            p_home = min(max(np.vdot(v, home_op.matrix @ v).real, 0.0), 1.0)
+            p_home = min(max(np.vdot(v, proj.matrix @ v).real, 0.0), 1.0)
             qk = 1.0 - p_home
             qs.append(qk)
             survival *= p_home
-            v = apply_quasiprojection(v, update)
+            v = apply_quasiprojection(v, proj)
         q_first = qs[0]
         rows.append({
             "dt_proj": float(dtp),

@@ -7,6 +7,13 @@ unitary operator basis, so symbol -> operator -> symbol is exact for every
 symbol with no Nyquist content, and operators built from contained states
 map back to contained symbols. Quadratic identities (oscillator spectrum
 hbar(k+1/2), trace pairing, marginals) hold to machine precision.
+
+A composite is the tensor product of its dofs, so both maps act on one
+dof's axis pair at a time, for any dof count: _per_dof takes the dofs last
+to first and applies the 1-dof core to each pair. The operator -> symbol
+direction first gathers the chord block E[c, t] = m[t + c, t] on every dof
+at once (_chord_index); wigner_from_wavefunction gathers the same block
+from a state vector without building its density matrix.
 """
 
 from __future__ import annotations
@@ -38,33 +45,56 @@ def _index_tables(n: int):
     ctil = centered_chords(n)
     craw = (a[:, None] - a[None, :]) % n          # [a, b] raw chord
     s_disp = (2 * a[None, :] + ctil[craw]) % (2 * n)   # [a, b] midpoint slot
-    e_rows = (a[None, :] + a[:, None]) % n        # [c, t] bra index
     jw = (2 * a[:, None] - ctil[None, :]) % (2 * n)    # [j, c] gather slot
-    return ctil, craw, s_disp, e_rows, jw
+    return craw, s_disp, jw
 
 
-def _op_core_1dof(arr: np.ndarray, n: int) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _chord_index(shape: tuple) -> tuple:
+    """(bra, ket) index tuples over every dof with E[c, t] = m[t + c, t].
+
+    E has axes (c_0.., t_0..); indexing the (bra_0.., ket_0..) axes of an
+    operator with bra + ket, or a state V with V[bra] * conj(V)[ket],
+    gathers its chord block.
+    """
+    dof = len(shape)
+    ct = np.indices(shape * 2, sparse=True)      # c_d on axis d, t_d on dof + d
+    ket = tuple(ct[dof:])
+    bra = tuple((c + t) % n for c, t, n in zip(ct[:dof], ket, shape))
+    return bra, ket
+
+
+def _per_dof(arr: np.ndarray, core) -> np.ndarray:
+    """Apply a 1-dof core to the axes (u_d, v_d) of arr = (u_0.., v_0..).
+
+    Dofs go last to first: the unmapped axes of dof d are then d and 2d+1,
+    and move to the end for the core; one transpose at the end turns the
+    mapped pairs (s_{dof-1}, t_{dof-1}, .., s_0, t_0) into (s_0.., t_0..).
+    """
+    dof = arr.ndim // 2
+    for d in reversed(range(dof)):
+        arr = core(np.moveaxis(arr, (d, 2 * d + 1), (-2, -1)))
+    last = 2 * dof - 2
+    return arr.transpose([*range(last, -1, -2), *range(last + 1, 0, -2)])
+
+
+def _op_core_1dof(arr: np.ndarray) -> np.ndarray:
     """Map the last two axes (x_d, p_d) of a symbol block to (bra, ket)."""
-    _, craw, s_disp, _, _ = _index_tables(n)
+    n = arr.shape[-1]
+    craw, s_disp, _ = _index_tables(n)
     af = upsample2(arr, axis=-2)
     g = np.fft.ifft(af, axis=-1) * alternating_signs(n)
     return g[..., s_disp, craw]
 
 
-def _chord_to_symbol_axes(e: np.ndarray, n: int) -> np.ndarray:
-    """Shared tail of the symbol map: last axes (c, t) -> (x, p)."""
-    jw = _index_tables(n)[4]
+def _chord_to_symbol_axes(e: np.ndarray) -> np.ndarray:
+    """Map the last two axes (c, t) of a chord block to (x_d, p_d)."""
+    n = e.shape[-1]
+    jw = _index_tables(n)[2]
     ef = upsample2(e, axis=-1)                    # [..., c, w]
     crow = np.broadcast_to(np.arange(n)[None, :], (n, n))   # [j, c] -> c
     b = ef[..., crow, jw] * alternating_signs(n)  # [..., j, c]
     return np.fft.fft(b, axis=-1)                 # [..., j, m]
-
-
-def _sym_core_1dof(arr: np.ndarray, n: int) -> np.ndarray:
-    """Map the last two axes (bra, ket) of an operator block to (x_d, p_d)."""
-    e_rows = _index_tables(n)[3]
-    e = arr[..., e_rows, np.arange(n)[None, :]]   # [..., c, t]
-    return _chord_to_symbol_axes(e, n)
 
 
 @dataclass
@@ -100,19 +130,8 @@ def weyl_operator_from_symbol(sym: WeylSymbol) -> OperatorMatrix:
     symbols give exactly Hermitian matrices.
     """
     grid = sym.grid
-    dof = grid.dof
-    arr = sym.values
-    if dof == 1:
-        m = _op_core_1dof(arr, grid.n(0))
-    else:
-        n1, n2 = grid.n(0), grid.n(1)
-        # axes (x1, x2, p1, p2): contract dof 2 then dof 1
-        work = np.moveaxis(arr, [1, 3], [-2, -1])       # (x1, p1, x2, p2)
-        work = _op_core_1dof(work, n2)                  # (x1, p1, a2, b2)
-        work = np.moveaxis(work, [0, 1], [-2, -1])      # (a2, b2, x1, p1)
-        work = _op_core_1dof(work, n1)                  # (a2, b2, a1, b1)
-        work = np.moveaxis(work, [2, 3], [0, 2])        # (a1, a2, b1, b2)
-        m = work.reshape(n1 * n2, n1 * n2)
+    d = grid.hilbert_dim
+    m = _per_dof(sym.values, _op_core_1dof).reshape(d, d)
     herm = bool(sym.hermitian)
     if herm:
         m = 0.5 * (m + m.conj().T)
@@ -122,18 +141,10 @@ def weyl_operator_from_symbol(sym: WeylSymbol) -> OperatorMatrix:
 def weyl_symbol_from_operator(op: OperatorMatrix | DensityOperator) -> WeylSymbol:
     """Inverse of weyl_operator_from_symbol (exact off the Nyquist sector)."""
     grid = op.grid
-    dof = grid.dof
+    shape = grid.config_shape
     m = op.matrix
-    if dof == 1:
-        vals = _sym_core_1dof(m, grid.n(0))
-    else:
-        n1, n2 = grid.n(0), grid.n(1)
-        work = m.reshape(n1, n2, n1, n2)                # (a1, a2, b1, b2)
-        work = np.moveaxis(work, [0, 2], [-2, -1])      # (a2, b2, a1, b1)
-        work = _sym_core_1dof(work, n1)                 # (a2, b2, x1, p1)
-        work = np.moveaxis(work, [0, 1], [-2, -1])      # (x1, p1, a2, b2)
-        work = _sym_core_1dof(work, n2)                 # (x1, p1, x2, p2)
-        vals = np.moveaxis(work, [1, 2], [2, 1])        # (x1, x2, p1, p2)
+    bra, ket = _chord_index(shape)
+    vals = _per_dof(m.reshape(shape * 2)[bra + ket], _chord_to_symbol_axes)
     hermitian = np.abs(m - m.conj().T).max() <= REAL_TOL
     if hermitian:
         vals = vals.real.astype(complex)

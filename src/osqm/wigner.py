@@ -9,7 +9,7 @@ import numpy as np
 from .grid import ContainmentError, GridMismatchError, PhaseGrid
 from .oracle import DensityOperator, OperatorMatrix, WaveFunction
 from .spectral import upsample2
-from .weyl import WeylSymbol, _chord_to_symbol_axes, _index_tables, \
+from .weyl import WeylSymbol, _chord_index, _chord_to_symbol_axes, _per_dof, \
     weyl_operator_from_symbol, weyl_symbol_from_operator
 
 __all__ = [
@@ -56,19 +56,14 @@ class WignerState:
         return WeylSymbol(g, self.values * (2 * np.pi * g.hbar) ** g.dof + 0j)
 
 
-def _pure_chord_block(v: np.ndarray, n: int) -> np.ndarray:
-    """E[c, t] = v[(t+c) % n] conj(v[t]) for a flat 1-dof vector."""
-    _, _, _, e_rows, _ = _index_tables(n)
-    t = np.arange(n)
-    return v[e_rows] * v.conj()[t][None, :]
-
-
 def wigner_from_wavefunction(psi: WaveFunction, check_containment: bool = True) -> WignerState:
-    """Wigner function of a pure state via the chord transform.
+    """Wigner function of a pure state: the symbol map of |psi><psi|.
 
-    Matches wigner_from_density(pure density) to machine precision because
-    both run the same kernel path. With check_containment, both |psi(x)|^2
-    and |psi~(p)|^2 must keep their outer 2-cell shell mass below
+    The chord block E[c, t] = psi[t + c] conj(psi[t]) is gathered from the
+    state on every dof at once, without building the density matrix, and
+    then runs the same per-dof transform as weyl_symbol_from_operator, so
+    the two paths agree to machine precision. With check_containment, both
+    |psi(x)|^2 and |psi~(p)|^2 must keep their outer 2-cell shell mass below
     PhaseGrid.check_containment's tolerance (ContainmentError otherwise).
     """
     grid = psi.grid
@@ -76,25 +71,10 @@ def wigner_from_wavefunction(psi: WaveFunction, check_containment: bool = True) 
         grid.check_containment(np.abs(psi.values) ** 2, what="|psi|^2")
         grid.check_containment(np.abs(psi.momentum_values()) ** 2,
                                what="|psi~(p)|^2")
-    v = psi.to_vector()
-    scale = 1.0 / (2 * np.pi * grid.hbar) ** grid.dof
-    if grid.dof == 1:
-        e = _pure_chord_block(v, grid.n(0))
-        w = _chord_to_symbol_axes(e, grid.n(0))
-        return WignerState(grid, w.real * scale)
-    # dof 2: chord block over both dofs
-    n1, n2 = grid.n(0), grid.n(1)
-    e_rows1 = _index_tables(n1)[3]
-    e_rows2 = _index_tables(n2)[3]
-    vv = v.reshape(n1, n2)
-    # e[c1, t1, c2, t2] = v[(t1+c1)%n1, (t2+c2)%n2] conj(v[t1, t2])
-    bra = vv[e_rows1.reshape(n1, n1, 1, 1), e_rows2.reshape(1, 1, n2, n2)]
-    ket = vv.conj().reshape(1, n1, 1, n2)
-    e = (bra * ket).transpose(0, 2, 1, 3)       # (c1, c2, t1, t2)
-    w = _chord_to_symbol_axes(np.moveaxis(e, [1, 3], [-2, -1]), n2)  # (c1, t1, j2, m2)
-    w = _chord_to_symbol_axes(np.moveaxis(w, [0, 1], [-2, -1]), n1)  # (j2, m2, j1, m1)
-    w = w.transpose(2, 0, 3, 1)                                      # (j1, j2, m1, m2)
-    return WignerState(grid, w.real * scale)
+    v = psi.to_vector().reshape(grid.config_shape)
+    bra, ket = _chord_index(grid.config_shape)
+    w = _per_dof(v[bra] * v.conj()[ket], _chord_to_symbol_axes)
+    return WignerState(grid, w.real * (1.0 / (2 * np.pi * grid.hbar) ** grid.dof))
 
 
 def wigner_from_density(rho: DensityOperator) -> WignerState:

@@ -23,6 +23,12 @@ def grid96():
     return PhaseGrid.create(96, 9.0)
 
 
+@pytest.fixture(scope="session")
+def grid32x24():
+    """Unequal dof-2 product grid: a swapped axis pair changes the shapes."""
+    return PhaseGrid.product(PhaseGrid.create(32, 7.0), PhaseGrid.create(24, 6.0))
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(7)

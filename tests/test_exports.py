@@ -18,6 +18,8 @@ DELETED = {
     "osqm.dynamics": ["_FactorOp", "_TermOp", "_TermExponential", "_cdftn", "_cidftn",
                       "_sign_tables", "_Splitting", "_evolve_rk4"],
     "osqm.moyal": ["_poly_dx", "_poly_dp", "_poly_mulc", "_poly_add", "_cdft2", "_cidft2"],
+    "osqm.weyl": ["_sym_core_1dof"],
+    "osqm.wigner": ["_pure_chord_block"],
 }
 
 
@@ -69,6 +71,7 @@ DELETED_PARAMETERS = [
     ("osqm.wigner", "wavefunction_from_wigner", "threshold"),
     ("osqm.grid", "PhaseGrid.check_containment", "tol"),
     ("osqm.transitions", "zeno_experiment", "saturation"),
+    ("osqm.transitions", "zeno_experiment", "projection_mode"),
     ("osqm.transitions", "run_ensemble", "workers"),
     ("osqm.transitions", "apply_quasiprojection", "mode"),
     ("osqm.transitions", "apply_quasiprojection", "exact_projector"),

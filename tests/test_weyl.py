@@ -21,6 +21,17 @@ def _smooth_symbol(grid, rng, real=True):
     return WeylSymbol(grid, vals)
 
 
+def _band_limited_symbol(grid, rng, real=True, kmax=2):
+    """Smooth symbol from random Fourier modes |k| <= kmax on every axis."""
+    modes = np.ix_(*[np.r_[:kmax + 1, -kmax:0]] * (2 * grid.dof))
+    coef = np.zeros(grid.phase_shape, dtype=complex)
+    coef[modes] = (rng.standard_normal((2 * kmax + 1,) * (2 * grid.dof))
+                   + 1j * rng.standard_normal((2 * kmax + 1,) * (2 * grid.dof)))
+    vals = np.fft.ifftn(coef)
+    vals = vals.real if real else vals
+    return WeylSymbol(grid, vals / np.abs(vals).max())
+
+
 def test_constant_symbol_is_identity(grid64):
     m = weyl_operator_from_symbol(WeylSymbol.constant(grid64, 1.0))
     assert np.abs(m.matrix - np.eye(grid64.hilbert_dim)).max() < 1e-14
@@ -64,6 +75,28 @@ def test_symbol_operator_round_trips(grid64, rng):
         assert np.abs(a2.values - a.values).max() < 1e-9
         m2 = weyl_operator_from_symbol(a2)
         assert np.abs(m2.matrix - m.matrix).max() < 1e-9
+
+
+def test_symbol_operator_round_trips_on_product_grid(grid32x24, rng):
+    # Gaussians of _smooth_symbol's widths keep ~1e-5 of Nyquist content on
+    # 32 x 24 points, so these smooth symbols are band-limited instead
+    for real in (True, False):
+        a = _band_limited_symbol(grid32x24, rng, real)
+        m = weyl_operator_from_symbol(a)
+        a2 = weyl_symbol_from_operator(m)
+        assert a2.hermitian == real
+        assert np.abs(a2.values - a.values).max() < 1e-9
+        m2 = weyl_operator_from_symbol(a2)
+        assert np.abs(m2.matrix - m.matrix).max() < 1e-9
+
+
+def test_product_symbol_maps_to_kron(grid32x24, rng):
+    a = _smooth_symbol(grid32x24.factor(0), rng, real=False)
+    b = _smooth_symbol(grid32x24.factor(1), rng, real=False)
+    ab = WeylSymbol(grid32x24, np.einsum("ac,bd->abcd", a.values, b.values))
+    expect = np.kron(weyl_operator_from_symbol(a).matrix,
+                     weyl_operator_from_symbol(b).matrix)
+    assert np.abs(weyl_operator_from_symbol(ab).matrix - expect).max() < 1e-12
 
 
 def test_hermiticity_correspondence_both_ways(grid64, rng):

@@ -49,8 +49,15 @@ def test_wigner_sup_bound(grid64, rng):
         assert np.abs(w.values).max() <= bound + 1e-6
 
 
-def test_density_path_matches_pure_path(grid64):
-    psi = coherent_state(grid64, -1.0, 0.7)
+@pytest.mark.parametrize("grid_name, centres", [
+    ("grid64", [(-1.0, 0.7)]),
+    # an entangled superposition on the unequal product grid
+    ("grid32x24", [((-1.0, 0.8), (0.7, -0.4)), ((1.1, -0.6), (-0.5, 0.9))]),
+], ids=["dof1", "dof2"])
+def test_density_path_matches_pure_path(grid_name, centres, request):
+    grid = request.getfixturevalue(grid_name)
+    vals = sum(coherent_state(grid, x0, p0).values for x0, p0 in centres)
+    psi = WaveFunction(grid, vals, normalized=False).normalize()
     w1 = wigner_from_wavefunction(psi)
     w2 = wigner_from_density(DensityOperator.pure(psi))
     assert np.abs(w1.values - w2.values).max() < 1e-12
