@@ -148,11 +148,6 @@ class ClassicalObservable:
         return cls(grid=grid, values=np.broadcast_to(vals, grid.phase_shape).copy(),
                    poly=_poly_clean(dict(poly)))
 
-    @classmethod
-    def from_callable(cls, grid: PhaseGrid, fn: Callable) -> "ClassicalObservable":
-        vals = fn(*grid.phase_mesh())
-        return cls(grid=grid, values=vals, fn=fn)
-
     def _partials(self, x: Sequence, p: Sequence, first: int) -> list:
         """dH/dz_i at (x, p) for i = first .. first + dof - 1, z = (x, p).
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -141,12 +141,6 @@ class DensityOperator:
         v = psi.to_vector()
         return cls(psi.grid, np.outer(v, v.conj()))
 
-    @classmethod
-    def mix(cls, parts: Sequence[tuple[float, "DensityOperator"]]) -> "DensityOperator":
-        grid = parts[0][1].grid
-        m = sum(w * rho.matrix for w, rho in parts)
-        return cls(grid, m)
-
 
 @dataclass
 class OperatorMatrix:
@@ -188,10 +182,6 @@ class OperatorMatrix:
         from the cached eigendecomposition."""
         w, q = self.eigh()
         return (q * np.exp(-1j * w * t / self.grid.hbar)) @ q.conj().T
-
-    def expectation(self, psi: WaveFunction) -> complex:
-        v = psi.to_vector()
-        return complex(np.vdot(v, self.matrix @ v))
 
 
 def position_operator(grid: PhaseGrid, d: int = 0) -> OperatorMatrix:

@@ -17,6 +17,15 @@ updates with apply_quasiprojection and checks PS6 with is_quasirestricted.
 The three take an l2 array whose first axis is the partition's Hilbert
 space (on an (n1, n2) array, Pi acts as Pi (x) I), and the caller passes
 the update operator: Pi_j^(1/2) or the exact projector.
+
+Inside an interval the state evolves deterministically; only the region
+drawn at an event is random. So the state at any stop is a function of the
+regions drawn before it, and TrajectoryEngine memoises each event's outcome
+in a trie keyed by that region history: the Born row and rank-1 distance
+per history, the PS6 residual per region drawn from it. A run draws with
+its own rng as a fresh run does and reads the cached rows; it builds the
+state only on a history no earlier run of the engine drew, or at a
+snapshot, by replaying the advances and updates of the regions it drew.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from __future__ import annotations
 import logging
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,6 +72,36 @@ PHASE_EXACT_REASON = (
 
 class QuasirestrictionError(RuntimeError):
     """A post-projection state fails PS6: it is not quasirestricted."""
+
+
+class _Branch:
+    """A region drawn at a memoised event (or the start, at the home
+    region): the PS6 residual of its post-projection state and the node of
+    the next event once a run has reached it. Where runs end, it also holds
+    what their records share: the region drawn at each event and the Born
+    rows, as one read-only array."""
+
+    __slots__ = ("resid", "child", "regions", "prob_rows")
+
+    def __init__(self, resid: float):
+        self.resid = resid
+        self.child = None
+        self.regions = None
+        self.prob_rows = None
+
+
+class _Event:
+    """A memoised event, given the regions drawn before it: its Born row,
+    the rank-1 distance of the state it projected, and per region the
+    _Branch of a draw that passed PS6 (None until one has). It holds no
+    state."""
+
+    __slots__ = ("probs", "distance", "branches")
+
+    def __init__(self, probs: np.ndarray, distance: float):
+        self.probs = probs
+        self.distance = distance
+        self.branches = [None] * len(probs)
 
 
 def _cached_projectors(partition: Partition) -> list:
@@ -168,26 +207,81 @@ def trajectory_rng(base_seed: int, traj_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-@dataclass
 class TrajectoryRecord:
-    """Full log of one seeded run."""
+    """Full log of one seeded run, read from the engine that ran it.
 
-    seed: int
-    times: np.ndarray
-    region_labels: list
-    prob_rows: np.ndarray          # probabilities at each projection event
-    event_steps: list
-    event_regions: list
-    ps6_residuals: list
-    backend: str
-    snapshots: list = field(default_factory=list)
-    final_region: str = ""
-    # ||rho - psi psi^H||_1 of the state each event projected (0 on oracle)
-    rank1_distances: list = field(default_factory=list)
+    A record holds its seed, its snapshots, the engine and the memo branch
+    where its run ended, which every run of that region history shares: a
+    caller that keeps every record pays a few words per trajectory. Each
+    list field is built on access; times and prob_rows are shared read-only
+    arrays. rank1_distances is ||rho - psi psi^H||_1 of the state each
+    event projected (0 on the oracle backend).
+    """
+
+    __slots__ = ("seed", "_engine", "_end", "_snapshots")
+
+    def __init__(self, seed: int, engine: "TrajectoryEngine", end: _Branch,
+                 snapshots: tuple):
+        self.seed = seed
+        self._engine = engine
+        self._end = end
+        self._snapshots = snapshots
+
+    @property
+    def snapshots(self) -> list:
+        """(time, state array) at each snapshot stop."""
+        return list(self._snapshots)
+
+    @property
+    def backend(self) -> str:
+        return self._engine.backend
+
+    @property
+    def times(self) -> np.ndarray:
+        return self._engine.times
+
+    @property
+    def event_steps(self) -> list:
+        return list(self._engine.event_steps)
+
+    @property
+    def prob_rows(self) -> np.ndarray:
+        return self._end.prob_rows
+
+    @property
+    def ps6_residuals(self) -> list:
+        return [branch.resid for _, branch in self._engine._path(self._end.regions)]
+
+    @property
+    def rank1_distances(self) -> list:
+        return [node.distance for node, _ in self._engine._path(self._end.regions)]
+
+    @property
+    def event_regions(self) -> list:
+        labels = self._engine.partition.labels()
+        return [labels[c] for c in self._end.regions]
+
+    @property
+    def region_labels(self) -> list:
+        """The region after each step: the home region, then the one drawn
+        at the latest event."""
+        labels = self._engine.partition.labels()
+        current = self._engine.home_index
+        track, prev = [labels[current]], 0
+        for k, chosen in zip(self._engine.event_steps, self._end.regions):
+            track += [labels[current]] * (k - prev - 1) + [labels[chosen]]
+            prev, current = k, chosen
+        return track
+
+    @property
+    def final_region(self) -> str:
+        regions = self._end.regions
+        return self._engine.partition.labels()[regions[-1] if regions
+                                               else self._engine.home_index]
 
     def summary(self) -> dict:
         return {"seed": self.seed, "final_region": self.final_region,
-                "num_events": len(self.event_steps)}
+                "num_events": len(self._end.regions)}
 
 
 class _Propagator:
@@ -316,6 +410,21 @@ class TrajectoryEngine:
     the chosen region's Pi^(1/2) (projection_mode "sqrt") or its exact
     classicality projector, built once per partition ("exact").
 
+    The engine memoises event outcomes in a trie keyed by the region history
+    drawn so far (_Event nodes, _Branch edges). A node holds the event's
+    Born row and rank-1 distance; a branch holds the PS6 residual of one
+    drawn region and, where runs end, the table their records share.
+    Neither holds a state. run() draws each region with its
+    own rng from the cached row. It builds the state only on a node or
+    branch that is not cached yet, or at a snapshot stop, by replaying the
+    drawn history's advances and updates from the last state it built
+    (_replay). These are the calls and unit-norm checks a fresh run makes,
+    so every record is bitwise what a fresh engine computes. An error (PS6,
+    a degenerate row, a forbidden transition) is never cached: every run
+    that draws that branch recomputes it and raises again. Born weights are
+    computed once per node, so the clip log of _born_weights fires once per
+    history, not once per run.
+
     The paper's postulates are checked, not assumed: the initial state must
     be quasirestricted to its most probable region (ValueError otherwise),
     and every event's post-projection state must pass PS6
@@ -348,7 +457,9 @@ class TrajectoryEngine:
         self.times = np.arange(self.steps + 1) * dt
         if self.steps:
             self.times[-1] = t_final
+        self.times.flags.writeable = False      # every record shares it
         self._stops = self._plan_stops(whole, tail)
+        self.event_steps = tuple(k for _, k, _, _, event, _ in self._stops if event)
         self.v0 = psi0.to_vector()
         probs0 = transition_probabilities_oracle(self.v0, partition)
         self.home_index = int(np.argmax(probs0))
@@ -358,17 +469,18 @@ class TrajectoryEngine:
                 f"initial state is not quasirestricted to any region "
                 f"(best residual {resid:.3e}); the coarse-graining "
                 "containment requirement fails at t=0")
+        self._memo = _Branch(resid)     # the start: nothing drawn yet
         self.exact_projectors = (_cached_projectors(partition)
                                  if projection_mode == "exact" else None)
         if backend == "oracle":
-            spans = Counter((n, tail) for _, n, tail, _, _ in self._stops)
+            spans = Counter((n, tail) for _, _, n, tail, _, _ in self._stops)
             common = spans.most_common(1)[0][0] if spans else (0, 0.0)
             self._propagator = _OraclePropagator(self, common)
         else:
             self._propagator = _PhasePropagator(self)
 
     def _plan_stops(self, whole: int, tail: float) -> list:
-        """(step, whole dt steps since the last stop, tail, event?, snapshot?)."""
+        """(last stop's step, step, whole dt steps since it, tail, event?, snapshot?)."""
         stops = []
         prev = 0
         for k in range(1, self.steps + 1):
@@ -376,60 +488,80 @@ class TrajectoryEngine:
             snap = bool(self.snapshot_every) and k % self.snapshot_every == 0
             if event or snap:
                 last = k > whole
-                stops.append((k, k - prev - last, tail if last else 0.0,
+                stops.append((prev, k, k - prev - last, tail if last else 0.0,
                               event, snap))
                 prev = k
         return stops
 
+    def _update(self, chosen: int) -> OperatorMatrix:
+        """The update operator of an event that drew region chosen."""
+        if self.exact_projectors is None:
+            return self.partition.regions[chosen].sqrt_operator()
+        return self.exact_projectors[chosen]
+
+    def _replay(self, state, done: int, upto: int, drawn: dict):
+        """The state after stops[:upto], from a state after stops[:done].
+
+        Each stop advances, then its event updates with the region drawn
+        there if drawn (stop index -> region index) has one, by a fresh
+        run's calls.
+        """
+        prop = self._propagator
+        for j in range(done, upto):
+            prev, _, n, tail, _, _ = self._stops[j]
+            state = prop.advance(state, n, tail, self.times[prev])
+            if j in drawn:
+                v = apply_quasiprojection(prop.to_vector(state)[0], self._update(drawn[j]))
+                state = prop.from_vector(v)
+        return state
+
+    def _path(self, regions):
+        """(node, branch) of each event along a memoised region history."""
+        branch = self._memo
+        for chosen in regions:
+            node = branch.child
+            branch = node.branches[chosen]
+            yield node, branch
+
     def run(self, seed: int, traj_index: int = 0) -> TrajectoryRecord:
         rng = trajectory_rng(seed, traj_index)
         prop = self._propagator
-        labels = self.partition.labels()
-        current = self.home_index
-        region_track = [labels[current]]
-        prob_rows = []
-        event_steps = []
-        event_regions = []
-        ps6_resids = []
-        rank1 = []
         snaps = []
-
-        state = prop.initial()
-        prev = 0
-        for k, n, tail, event, snap in self._stops:
-            state = prop.advance(state, n, tail, self.times[prev])
-            region_track.extend([labels[current]] * (k - prev - 1))
+        branch = self._memo
+        drawn = {}                          # stop index -> region drawn at its event
+        state, done = prop.initial(), 0     # the last state built: after stops[:done]
+        for i, (_, k, _, _, event, snap) in enumerate(self._stops):
             if event:
-                probs = prop.born_weights(state)
-                chosen = sample_transition(probs, rng)
-                prob_rows.append(probs)
-                event_steps.append(k)
-                event_regions.append(labels[chosen])
-                v, distance = prop.to_vector(state)
-                rank1.append(distance)
-                region = self.partition.regions[chosen]
-                update = (region.sqrt_operator() if self.exact_projectors is None
-                          else self.exact_projectors[chosen])
-                v = apply_quasiprojection(v, update)
-                ok, resid = is_quasirestricted(v, region)
-                ps6_resids.append(resid)
-                if not ok:
-                    raise QuasirestrictionError(
-                        f"post-projection state fails quasirestriction in "
-                        f"{labels[chosen]} (residual {resid:.3e})")
-                state = prop.from_vector(v)
-                current = chosen
-            region_track.append(labels[current])
+                node, v = branch.child, None
+                if node is None:
+                    before = self._replay(state, done, i + 1, drawn)
+                    probs = prop.born_weights(before)
+                    chosen = sample_transition(probs, rng)
+                    v, distance = prop.to_vector(before)
+                    node = branch.child = _Event(probs, distance)
+                else:
+                    chosen = sample_transition(node.probs, rng)
+                branch = node.branches[chosen]
+                if branch is None:
+                    if v is None:
+                        v = prop.to_vector(self._replay(state, done, i + 1, drawn))[0]
+                    v = apply_quasiprojection(v, self._update(chosen))
+                    ok, resid = is_quasirestricted(v, self.partition.regions[chosen])
+                    if not ok:
+                        raise QuasirestrictionError(
+                            f"post-projection state fails quasirestriction in "
+                            f"{self.partition.labels()[chosen]} (residual {resid:.3e})")
+                    state, done = prop.from_vector(v), i + 1
+                    branch = node.branches[chosen] = _Branch(resid)
+                drawn[i] = chosen
             if snap:
+                state, done = self._replay(state, done, i + 1, drawn), i + 1
                 snaps.append((float(self.times[k]), prop.snapshot(state)))
-            prev = k
-
-        return TrajectoryRecord(
-            seed=seed, times=self.times.copy(), region_labels=region_track,
-            prob_rows=np.asarray(prob_rows), event_steps=event_steps,
-            event_regions=event_regions, ps6_residuals=ps6_resids,
-            backend=self.backend, snapshots=snaps,
-            final_region=region_track[-1], rank1_distances=rank1)
+        if branch.regions is None:
+            branch.regions = tuple(drawn.values())
+            branch.prob_rows = np.asarray([node.probs for node, _ in self._path(branch.regions)])
+            branch.prob_rows.flags.writeable = False
+        return TrajectoryRecord(seed, self, branch, tuple(snaps))
 
 
 def worker_count() -> int:

@@ -201,8 +201,8 @@ def test_region_flow_escape_raises(cgrid):
 def test_region_flow_callable_matches_per_point_flow(cgrid):
     # a callable H flows all cells at once; its array central differences may
     # round differently from per-point ones, far below 1e-9 after 100 steps
-    h = ClassicalObservable.from_callable(
-        cgrid, lambda x, p: p ** 2 / 2 + x ** 4 / 20 + 0.3 * np.cos(x))
+    fn = lambda x, p: p ** 2 / 2 + x ** 4 / 20 + 0.3 * np.cos(x)  # noqa: E731
+    h = ClassicalObservable(cgrid, fn(*cgrid.phase_mesh()), fn=fn)
     mask = np.zeros(cgrid.phase_shape, dtype=bool)
     mask[30:36, 28:34] = True
     t, dt = 1.0, 1e-2

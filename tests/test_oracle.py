@@ -222,4 +222,5 @@ def test_kinetic_and_position_operators(grid64):
     assert np.abs(np.diag(xop.matrix) - grid64.x(0)).max() < 1e-14
     pop = momentum_operator(grid64)
     psi = coherent_state(grid64, 0.0, 1.2)
-    assert abs(pop.expectation(psi).real - 1.2) < 1e-9
+    v = psi.to_vector()
+    assert abs(np.vdot(v, pop.matrix @ v).real - 1.2) < 1e-9

@@ -11,10 +11,10 @@ from osqm.grid import PhaseGrid
 from osqm.oracle import NotPositiveError, WaveFunction
 from osqm.regions import classicality_projectors, is_quasirestricted
 from osqm import transitions
-from osqm.transitions import (ProjectionSchedule, TrajectoryEngine, _born_weights,
-                              _PhasePropagator, apply_quasiprojection, run_ensemble,
-                              sample_transition, trajectory_rng,
-                              transition_probabilities,
+from osqm.transitions import (ProjectionSchedule, QuasirestrictionError,
+                              TrajectoryEngine, _born_weights, _PhasePropagator,
+                              apply_quasiprojection, run_ensemble, sample_transition,
+                              trajectory_rng, transition_probabilities,
                               transition_probabilities_oracle)
 from osqm.weyl import weyl_operator_from_symbol
 
@@ -281,8 +281,8 @@ def test_born_weights_clip_round_off_and_reject_real_negatives(caplog):
 
 
 def test_oracle_engine_checks_the_unit_norm_at_every_stop(setup):
+    # a fresh engine: a run on a memoised history would apply no U at all
     eng = _engine(setup, 2 * np.pi, DT, ProjectionSchedule("periodic", np.pi / 4))
-    eng.run(0)
     for key in eng._propagator._u:
         eng._propagator._u[key] = eng._propagator._u[key] * 1.01
     with pytest.raises(ValueError, match="should be normalized"):
@@ -303,3 +303,118 @@ def test_forked_ensemble_returns_the_serial_summaries_in_seed_order(setup, monke
     monkeypatch.setenv("OSQM_THREADS", "2")
     monkeypatch.setattr(transitions, "_run_one", serial_path)
     assert run_ensemble(engine, seeds) == serial
+
+
+def _assert_same_record(got, want):
+    for name in ("seed", "region_labels", "event_steps", "event_regions", "ps6_residuals",
+                 "backend", "final_region", "rank1_distances"):
+        assert getattr(got, name) == getattr(want, name)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.prob_rows, want.prob_rows)
+    assert len(got.snapshots) == len(want.snapshots)
+    for (t_got, snap_got), (t_want, snap_want) in zip(got.snapshots, want.snapshots):
+        assert t_got == t_want and np.array_equal(snap_got, snap_want)
+
+
+def _events(branch):
+    """Every memo node below a branch."""
+    node = branch.child
+    if node is not None:
+        yield node
+        for child in node.branches:
+            if child is not None:
+                yield from _events(child)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sqrt"])
+def test_memoised_engine_records_equal_fresh_engine_records(setup, mode):
+    sched = ProjectionSchedule("periodic", np.pi / 4)
+    memo = _engine(setup, 2 * np.pi, DT, sched, projection_mode=mode)
+    for seed in range(40):
+        fresh = _engine(setup, 2 * np.pi, DT, sched, projection_mode=mode)
+        _assert_same_record(memo.run(seed), fresh.run(seed))
+    # 40 runs of 8 events share prefixes: far fewer nodes than events
+    assert len(list(_events(memo._memo))) < 40 * 8 / 2
+
+
+def test_memoised_phase_engine_replays_snapshots_bitwise(setup):
+    sched = ProjectionSchedule("periodic", 0.25)
+    kwargs = dict(backend="phase", projection_mode="sqrt", snapshot_every=3)
+    memo = _engine(setup, 1.0, 0.05, sched, **kwargs)
+    for seed in range(6):
+        fresh = _engine(setup, 1.0, 0.05, sched, **kwargs)
+        want = fresh.run(seed)
+        assert len(want.snapshots) == 6
+        _assert_same_record(memo.run(seed), want)
+        _assert_same_record(memo.run(seed), want)
+
+
+def test_memo_nodes_hold_no_state(setup):
+    eng = _engine(setup, 2 * np.pi, DT, ProjectionSchedule("periodic", np.pi / 4),
+                  projection_mode="sqrt", snapshot_every=5)
+    for seed in range(20):
+        eng.run(seed)
+    nodes = list(_events(eng._memo))
+    assert nodes
+    regions_count = len(eng.partition)
+    def arrays(obj):
+        return {name: getattr(obj, name).shape for name in obj.__slots__
+                if isinstance(getattr(obj, name), np.ndarray)}
+
+    for node in nodes:
+        assert arrays(node) == {"probs": (regions_count,)}
+        for branch in filter(None, node.branches):
+            # a run's end holds its records' table: one Born row per event
+            assert arrays(branch) in ({}, {"prob_rows": (len(eng.event_steps),
+                                                         regions_count)})
+
+
+def _walk(engine, seed):
+    """(node, region drawn) at each memoised event a run of seed reaches,
+    up to its first draw with no cached branch; and that branch (None if
+    the draw has none)."""
+    rng = trajectory_rng(seed, 0)
+    branch, path = engine._memo, []
+    while branch is not None and branch.child is not None:
+        node = branch.child
+        chosen = sample_transition(node.probs, rng)
+        path.append((node, chosen))
+        branch = node.branches[chosen]
+    return path, branch
+
+
+def test_a_branch_failing_ps6_raises_on_every_run_that_draws_it():
+    # the slosh set-up in sqrt mode: a draw of Born weight below ~0.011
+    # leaves a PS6 residual above the gate
+    grid = PhaseGrid.create(256, 9.0)
+    h = scenarios.hamiltonian_preset(grid, "oscillator", {})
+    partition = regions.build_partition(grid, [0.0])
+    eng = TrajectoryEngine(wigner.coherent_state(grid, -4.2, 0.0), h, partition,
+                           4 * np.pi, np.pi / 64, ProjectionSchedule("periodic", np.pi / 4),
+                           projection_mode="sqrt")
+    passed, raised = {}, {}
+    for seed in range(300):
+        try:
+            passed[seed] = eng.run(seed)
+        except QuasirestrictionError as exc:
+            raised[seed] = str(exc)
+    assert 5 <= len(raised) <= 20
+    failing = set()                        # (id of node, region drawn)
+    for seed, message in raised.items():
+        path, branch = _walk(eng, seed)
+        assert branch is None              # the failed draw is not cached
+        failing.add((id(path[-1][0]), path[-1][1]))
+        with pytest.raises(QuasirestrictionError) as again:
+            eng.run(seed)
+        assert str(again.value) == message
+    assert len(failing) < len(raised)      # some seeds draw the same failing branch
+    failing_nodes = {node for node, _ in failing}
+    shared = 0
+    for seed, rec in passed.items():
+        path, branch = _walk(eng, seed)
+        assert branch is not None and branch.child is None
+        assert not any((id(node), chosen) in failing for node, chosen in path)
+        # it shared a failing run's prefix and drew another region there
+        shared += any(id(node) in failing_nodes for node, _ in path)
+        _assert_same_record(eng.run(seed), rec)
+    assert shared > 0

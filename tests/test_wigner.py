@@ -68,7 +68,7 @@ def test_wigner_linearity_in_density(grid64):
     p2 = coherent_state(grid64, 2.0, 0.5)
     r1 = DensityOperator.pure(p1)
     r2 = DensityOperator.pure(p2)
-    mix = DensityOperator.mix([(0.5, r1), (0.5, r2)])
+    mix = DensityOperator(grid64, 0.5 * r1.matrix + 0.5 * r2.matrix)
     w = wigner_from_density(mix)
     w_expected = 0.5 * wigner_from_density(r1).values + \
         0.5 * wigner_from_density(r2).values
@@ -80,7 +80,7 @@ def test_mixed_state_mass_and_bound(grid64, rng):
     for _ in range(4):
         parts.append((0.25, DensityOperator.pure(
             coherent_state(grid64, *rng.uniform(-2, 2, 2)))))
-    mix = DensityOperator.mix(parts)
+    mix = DensityOperator(grid64, sum(wt * rho.matrix for wt, rho in parts))
     w = wigner_from_density(mix)
     assert abs(w.integral() - 1) < 1e-10
     assert np.abs(w.values).max() <= 1 / (np.pi * HBAR) + 1e-6
