@@ -103,9 +103,8 @@ def _run_scenario(cfg: ScenarioConfig) -> int:
         rec = engine.run(base_seed)
         rows = []
         labels = partition.labels()
-        for i, step in enumerate(rec.event_steps):
-            pvec = rec.prob_rows[i]
-            rows.append((step, float(rec.times[step]), rec.event_regions[i], 1,
+        for step, region, pvec in zip(rec.event_steps, rec.event_regions, rec.prob_rows):
+            rows.append((step, float(rec.times[step]), region, 1,
                          *[float(p) for p in pvec]))
         write_csv(out_dir / "trajectory.csv",
                   ["step", "time", "region", "event"] +

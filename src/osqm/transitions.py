@@ -26,6 +26,10 @@ per history, the PS6 residual per region drawn from it. A run draws with
 its own rng as a fresh run does and reads the cached rows; it builds the
 state only on a history no earlier run of the engine drew, or at a
 snapshot, by replaying the advances and updates of the regions it drew.
+This pays where runs share long history prefixes (Born rows near 0 or 1,
+few events). Where histories diverge, each run adds about one node per
+event, so the memo stops growing at MEMO_LIMIT Born rows and runs beyond
+it are computed as a fresh run computes them.
 """
 
 from __future__ import annotations
@@ -65,6 +69,11 @@ PROB_CLIP = -1e-8
 MIN_TRANSITION_PROB = 1e-12
 RANK1_TOL = 1e-4   # largest ||rho - psi psi^H||_1 of a phase event's state
 ZENO_SATURATION = 0.5  # q_first above this is outside the short-interval regime
+# Born rows one engine's memo may hold. A row, in a node or a history,
+# costs 120-190 bytes at two or three regions (tracemalloc), so a full memo
+# is 2-3 MB, about as much as the dense N = 256 operators an oracle engine
+# caches anyway.
+MEMO_LIMIT = 1 << 14
 PHASE_EXACT_REASON = (
     "backend 'phase' cannot run projection_mode 'exact': a sharply projected "
     "state leaves the grid's momentum range, so the Wigner grid cannot hold it")
@@ -76,18 +85,16 @@ class QuasirestrictionError(RuntimeError):
 
 class _Branch:
     """A region drawn at a memoised event (or the start, at the home
-    region): the PS6 residual of its post-projection state and the node of
-    the next event once a run has reached it. Where runs end, it also holds
-    what their records share: the region drawn at each event and the Born
-    rows, as one read-only array."""
+    region): the PS6 residual of its post-projection state, the node of
+    the next event once a run has reached it, and the _History of the runs
+    that end here once one has."""
 
-    __slots__ = ("resid", "child", "regions", "prob_rows")
+    __slots__ = ("resid", "child", "history")
 
     def __init__(self, resid: float):
         self.resid = resid
         self.child = None
-        self.regions = None
-        self.prob_rows = None
+        self.history = None
 
 
 class _Event:
@@ -102,6 +109,28 @@ class _Event:
         self.probs = probs
         self.distance = distance
         self.branches = [None] * len(probs)
+
+
+class _History:
+    """What every run of one region history on one engine records: the
+    engine's backend, times, event steps and home region label, and per
+    event the region label drawn, the Born row (one read-only array), the
+    PS6 residual and the rank-1 distance."""
+
+    __slots__ = ("backend", "times", "event_steps", "home", "event_regions",
+                 "prob_rows", "ps6_residuals", "rank1_distances")
+
+    def __init__(self, engine: "TrajectoryEngine", path: list):
+        labels = engine.partition.labels()
+        self.backend = engine.backend
+        self.times = engine.times
+        self.event_steps = engine.event_steps
+        self.home = labels[engine.home_index]
+        self.event_regions = tuple(labels[chosen] for _, chosen, _ in path)
+        self.prob_rows = np.asarray([node.probs for node, _, _ in path])
+        self.prob_rows.flags.writeable = False
+        self.ps6_residuals = tuple(branch.resid for _, _, branch in path)
+        self.rank1_distances = tuple(node.distance for node, _, _ in path)
 
 
 def _cached_projectors(partition: Partition) -> list:
@@ -208,23 +237,21 @@ def trajectory_rng(base_seed: int, traj_index: int) -> np.random.Generator:
 
 
 class TrajectoryRecord:
-    """Full log of one seeded run, read from the engine that ran it.
+    """Full log of one seeded run.
 
-    A record holds its seed, its snapshots, the engine and the memo branch
-    where its run ended, which every run of that region history shares: a
-    caller that keeps every record pays a few words per trajectory. Each
-    list field is built on access; times and prob_rows are shared read-only
-    arrays. rank1_distances is ||rho - psi psi^H||_1 of the state each
-    event projected (0 on the oracle backend).
+    A record holds its seed, its snapshots and the _History its run drew,
+    which every run of that region history on the engine shares, so a
+    caller that keeps every record pays a few words per trajectory. The
+    list fields are fresh lists; times and prob_rows are the shared
+    read-only arrays. rank1_distances is ||rho - psi psi^H||_1 of the state
+    each event projected (0 on the oracle backend).
     """
 
-    __slots__ = ("seed", "_engine", "_end", "_snapshots")
+    __slots__ = ("seed", "_history", "_snapshots")
 
-    def __init__(self, seed: int, engine: "TrajectoryEngine", end: _Branch,
-                 snapshots: tuple):
+    def __init__(self, seed: int, history: _History, snapshots: tuple):
         self.seed = seed
-        self._engine = engine
-        self._end = end
+        self._history = history
         self._snapshots = snapshots
 
     @property
@@ -234,54 +261,51 @@ class TrajectoryRecord:
 
     @property
     def backend(self) -> str:
-        return self._engine.backend
+        return self._history.backend
 
     @property
     def times(self) -> np.ndarray:
-        return self._engine.times
+        return self._history.times
 
     @property
     def event_steps(self) -> list:
-        return list(self._engine.event_steps)
+        return list(self._history.event_steps)
 
     @property
     def prob_rows(self) -> np.ndarray:
-        return self._end.prob_rows
+        return self._history.prob_rows
 
     @property
     def ps6_residuals(self) -> list:
-        return [branch.resid for _, branch in self._engine._path(self._end.regions)]
+        return list(self._history.ps6_residuals)
 
     @property
     def rank1_distances(self) -> list:
-        return [node.distance for node, _ in self._engine._path(self._end.regions)]
+        return list(self._history.rank1_distances)
 
     @property
     def event_regions(self) -> list:
-        labels = self._engine.partition.labels()
-        return [labels[c] for c in self._end.regions]
+        return list(self._history.event_regions)
 
     @property
     def region_labels(self) -> list:
         """The region after each step: the home region, then the one drawn
         at the latest event."""
-        labels = self._engine.partition.labels()
-        current = self._engine.home_index
-        track, prev = [labels[current]], 0
-        for k, chosen in zip(self._engine.event_steps, self._end.regions):
-            track += [labels[current]] * (k - prev - 1) + [labels[chosen]]
-            prev, current = k, chosen
-        return track
+        h = self._history
+        current, prev, track = h.home, 0, [h.home]
+        for k, drawn in zip(h.event_steps, h.event_regions):
+            track += [current] * (k - prev - 1) + [drawn]
+            prev, current = k, drawn
+        return track + [current] * (len(h.times) - 1 - prev)
 
     @property
     def final_region(self) -> str:
-        regions = self._end.regions
-        return self._engine.partition.labels()[regions[-1] if regions
-                                               else self._engine.home_index]
+        regions = self._history.event_regions
+        return regions[-1] if regions else self._history.home
 
     def summary(self) -> dict:
         return {"seed": self.seed, "final_region": self.final_region,
-                "num_events": len(self._end.regions)}
+                "num_events": len(self._history.event_regions)}
 
 
 class _Propagator:
@@ -413,17 +437,19 @@ class TrajectoryEngine:
     The engine memoises event outcomes in a trie keyed by the region history
     drawn so far (_Event nodes, _Branch edges). A node holds the event's
     Born row and rank-1 distance; a branch holds the PS6 residual of one
-    drawn region and, where runs end, the table their records share.
-    Neither holds a state. run() draws each region with its
-    own rng from the cached row. It builds the state only on a node or
-    branch that is not cached yet, or at a snapshot stop, by replaying the
-    drawn history's advances and updates from the last state it built
-    (_replay). These are the calls and unit-norm checks a fresh run makes,
-    so every record is bitwise what a fresh engine computes. An error (PS6,
-    a degenerate row, a forbidden transition) is never cached: every run
-    that draws that branch recomputes it and raises again. Born weights are
-    computed once per node, so the clip log of _born_weights fires once per
-    history, not once per run.
+    drawn region and, where runs end, the _History their records share.
+    None holds a state. run() draws each region with its own rng from the
+    cached row. It builds the state only on a node or branch that is not
+    cached yet, or at a snapshot stop, by replaying the drawn history's
+    advances and updates from the last state it built (_replay). These are
+    the calls and unit-norm checks a fresh run makes, so every record is
+    bitwise what a fresh engine computes. An error (PS6, a degenerate row,
+    a forbidden transition) is never cached: every run that draws that
+    branch recomputes it and raises again. Born weights are computed once
+    per node, so the clip log of _born_weights fires once per history, not
+    once per run. The memo holds at most MEMO_LIMIT Born rows (memo_rows
+    counts them: one per node, one per event of each history); once it is
+    full, a run that leaves it goes on as a fresh run, storing nothing.
 
     The paper's postulates are checked, not assumed: the initial state must
     be quasirestricted to its most probable region (ValueError otherwise),
@@ -470,6 +496,7 @@ class TrajectoryEngine:
                 f"(best residual {resid:.3e}); the coarse-graining "
                 "containment requirement fails at t=0")
         self._memo = _Branch(resid)     # the start: nothing drawn yet
+        self.memo_rows = 0              # Born rows held in the memo
         self.exact_projectors = (_cached_projectors(partition)
                                  if projection_mode == "exact" else None)
         if backend == "oracle":
@@ -515,20 +542,13 @@ class TrajectoryEngine:
                 state = prop.from_vector(v)
         return state
 
-    def _path(self, regions):
-        """(node, branch) of each event along a memoised region history."""
-        branch = self._memo
-        for chosen in regions:
-            node = branch.child
-            branch = node.branches[chosen]
-            yield node, branch
-
     def run(self, seed: int, traj_index: int = 0) -> TrajectoryRecord:
         rng = trajectory_rng(seed, traj_index)
         prop = self._propagator
         snaps = []
-        branch = self._memo
+        branch, cached = self._memo, True   # cached: branch is in the memo
         drawn = {}                          # stop index -> region drawn at its event
+        path = []                           # (node, region drawn, branch) per event
         state, done = prop.initial(), 0     # the last state built: after stops[:done]
         for i, (_, k, _, _, event, snap) in enumerate(self._stops):
             if event:
@@ -538,7 +558,8 @@ class TrajectoryEngine:
                     probs = prop.born_weights(before)
                     chosen = sample_transition(probs, rng)
                     v, distance = prop.to_vector(before)
-                    node = branch.child = _Event(probs, distance)
+                    node = _Event(probs, distance)
+                    cached = cached and self._insert(branch, "child", node)
                 else:
                     chosen = sample_transition(node.probs, rng)
                 branch = node.branches[chosen]
@@ -554,14 +575,25 @@ class TrajectoryEngine:
                     state, done = prop.from_vector(v), i + 1
                     branch = node.branches[chosen] = _Branch(resid)
                 drawn[i] = chosen
+                path.append((node, chosen, branch))
             if snap:
                 state, done = self._replay(state, done, i + 1, drawn), i + 1
                 snaps.append((float(self.times[k]), prop.snapshot(state)))
-        if branch.regions is None:
-            branch.regions = tuple(drawn.values())
-            branch.prob_rows = np.asarray([node.probs for node, _ in self._path(branch.regions)])
-            branch.prob_rows.flags.writeable = False
-        return TrajectoryRecord(seed, self, branch, tuple(snaps))
+        history = branch.history
+        if history is None:
+            history = _History(self, path)
+            if cached:
+                self._insert(branch, "history", history, len(path))
+        return TrajectoryRecord(seed, history, tuple(snaps))
+
+    def _insert(self, branch: _Branch, slot: str, entry, rows: int = 1) -> bool:
+        """Store entry, a node or a history of rows Born rows, on a memo
+        branch if the memo has room for them; False if it has not."""
+        if self.memo_rows + rows > MEMO_LIMIT:
+            return False
+        setattr(branch, slot, entry)
+        self.memo_rows += rows
+        return True
 
 
 def worker_count() -> int:

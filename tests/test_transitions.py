@@ -326,6 +326,12 @@ def _events(branch):
                 yield from _events(child)
 
 
+def _histories(engine):
+    """Every history the memo holds."""
+    ends = [engine._memo] + [b for node in _events(engine._memo) for b in node.branches if b]
+    return [b.history for b in ends if b.history is not None]
+
+
 @pytest.mark.parametrize("mode", ["exact", "sqrt"])
 def test_memoised_engine_records_equal_fresh_engine_records(setup, mode):
     sched = ProjectionSchedule("periodic", np.pi / 4)
@@ -364,9 +370,38 @@ def test_memo_nodes_hold_no_state(setup):
     for node in nodes:
         assert arrays(node) == {"probs": (regions_count,)}
         for branch in filter(None, node.branches):
-            # a run's end holds its records' table: one Born row per event
-            assert arrays(branch) in ({}, {"prob_rows": (len(eng.event_steps),
-                                                         regions_count)})
+            assert arrays(branch) == {}
+    histories = _histories(eng)
+    assert histories
+    for history in histories:
+        # what the records of one history share: one Born row per event, and
+        # the engine's own times
+        assert arrays(history) == {"prob_rows": (len(eng.event_steps), regions_count),
+                                   "times": eng.times.shape}
+        assert history.times is eng.times
+
+
+@pytest.mark.parametrize("limit", [0, 600])
+def test_memo_stops_growing_at_its_limit_on_diverging_histories(setup, monkeypatch, limit):
+    # every dt an event whose Born row is far from 0 and 1: runs share
+    # short prefixes, so each adds about one node and one history row per event
+    sched = ProjectionSchedule("continuous")
+    # each from a fresh engine, whose memo has room for its one run
+    want = [_engine(setup, 2 * np.pi, DT, sched).run(seed) for seed in range(12)]
+    monkeypatch.setattr(transitions, "MEMO_LIMIT", limit)
+    eng = _engine(setup, 2 * np.pi, DT, sched)
+    events = len(eng.event_steps)
+    grown = []
+    for seed in range(12):
+        before = eng.memo_rows
+        _assert_same_record(eng.run(seed), want[seed])
+        grown.append(eng.memo_rows - before)
+        nodes, histories = list(_events(eng._memo)), _histories(eng)
+        assert eng.memo_rows == len(nodes) + sum(len(h.prob_rows) for h in histories)
+        assert eng.memo_rows <= limit
+    if limit:
+        assert min(grown[:3]) > events       # the histories diverge
+        assert grown[-1] == 0                # and the memo is full
 
 
 def _walk(engine, seed):
