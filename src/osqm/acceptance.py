@@ -184,14 +184,12 @@ def criterion_4_dynamics(tol: Tolerances) -> CriterionResult:
                            {f"{k}_err": v for k, v in errs.items()})
 
 
-def _partition_fixtures(points: int = 96, extent: float = 9.0,
-                        hbar: float = 1.0) -> list[Partition]:
-    grid = PhaseGrid.create(points, extent, hbar)
+def _partition_fixtures() -> list[Partition]:
+    grid = PhaseGrid.create(96, 9.0)
     lp = grid.p_extents[0]
-    cut = extent / 3.0
     return [
         build_partition(grid, [0.0]),
-        build_partition(grid, [-cut, cut], [-0.45 * lp, 0.45 * lp]),
+        build_partition(grid, [-3.0, 3.0], [-0.45 * lp, 0.45 * lp]),
         build_partition(grid, [], [0.0]),
     ]
 

@@ -2,17 +2,16 @@
 
 Polynomial observables are coefficient dicts with one exact algebra
 (poly_mul, poly_derivative, poly_add), which the Moyal polynomial star
-product shares. Every flow (one point, a point set, a region image, the
-one-step monodromy) runs the same kick-drift-kick leapfrog, _leapfrog
-(Stormer-Verlet; Hairer, Lubich & Wanner, Geometric Numerical Integration,
-2006, I.1.4), on coordinates that are floats for one point or arrays for
-many.
+product shares. Every flow (one point, a point set, a region image) runs
+the same kick-drift-kick leapfrog, _leapfrog (Stormer-Verlet; Hairer,
+Lubich & Wanner, Geometric Numerical Integration, 2006, I.1.4), on
+coordinates that are floats for one point or arrays for many.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -117,7 +116,7 @@ def poly_eval(poly: PolyDict, coords: Sequence):
 
 @dataclass
 class ClassicalObservable:
-    """Real function on phase space, as grid samples and/or closed form.
+    """Real function on phase space, as grid samples and/or a polynomial.
 
     Polynomial observables keep their coefficient dict so derivatives stay
     exact, and build its partial derivatives d/dz_i once (z = x then p);
@@ -127,7 +126,6 @@ class ClassicalObservable:
     grid: PhaseGrid
     values: np.ndarray
     poly: Optional[dict] = None
-    fn: Optional[Callable] = None
     _poly_grad: Optional[list] = field(default=None, init=False, repr=False,
                                        compare=False)
 
@@ -152,21 +150,13 @@ class ClassicalObservable:
         """dH/dz_i at (x, p) for i = first .. first + dof - 1, z = (x, p).
 
         x and p hold one entry per dof, each a float or an array of points;
-        so does the result. Callable forms take a central difference.
+        so does the result.
         """
+        if self.poly is None:
+            raise ValueError("point derivatives need a polynomial form")
         n = self.grid.dof
         z = [*x, *p]
-        if self.poly is not None:
-            return [poly_eval(d, z) for d in self._poly_grad[first:first + n]]
-        if self.fn is not None:
-            eps = 1e-6
-            out = []
-            for i in range(first, first + n):
-                hi, lo = list(z), list(z)
-                hi[i], lo[i] = z[i] + eps, z[i] - eps
-                out.append((self.fn(*hi) - self.fn(*lo)) / (2 * eps))
-            return out
-        raise ValueError("point derivatives need a poly or callable form")
+        return [poly_eval(d, z) for d in self._poly_grad[first:first + n]]
 
 
 def _check_same_grid(a: ClassicalObservable, b: ClassicalObservable):
@@ -281,24 +271,12 @@ def flow_points(h: ClassicalObservable, xs: np.ndarray, ps: np.ndarray,
     return np.stack(x), np.stack(p)
 
 
-def leapfrog_monodromy(h: ClassicalObservable, dt: float) -> np.ndarray:
-    """Linear map of one leapfrog step for quadratic H, built exactly by
-    applying the step to the origin and the basis points (the step is affine
-    for quadratic H)."""
-    n = h.grid.dof
-    points = np.hstack([np.zeros((2 * n, 1)), np.eye(2 * n)])
-    xs, ps = flow_points(h, points[:n], points[n:], dt, dt)
-    images = np.vstack([xs, ps])
-    return images[:, 1:] - images[:, :1]
-
-
 def evolve_region_classically(mask: np.ndarray, h: ClassicalObservable,
                               t: float, dt: float = 1e-3) -> np.ndarray:
     """Flow every cell center of a mask and re-bin: the point-set image.
 
     Used by the classical-consistency checks. All cell centers flow at once
-    through flow_points, for polynomial and callable H alike (a callable
-    must take arrays). Raises if any center lies off the grid at time t;
+    through flow_points. Raises if any center lies off the grid at time t;
     the flow in between is not checked.
     """
     grid = h.grid

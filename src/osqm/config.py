@@ -198,6 +198,9 @@ def parse_config(path_or_dict) -> ScenarioConfig:
                     builder(g)
                 except Exception as exc:
                     errors.append(f"{label}: {exc}")
+            if stride > 0 and len(set(g.points)) > 1:
+                errors.append(f"output: snapshot_stride > 0 needs equal point counts "
+                              f"per dof, since a grid dump carries one; got {g.points}")
     if errors:
         raise ConfigError(errors)
     return cfg

@@ -73,9 +73,9 @@ class Region:
     mask: np.ndarray
     x_bounds: Optional[tuple] = None   # per dof: (j_lo, j_hi) cell index range
     p_bounds: Optional[tuple] = None
-    _symbol: Optional[WeylSymbol] = field(default=None, repr=False)
-    _operator: Optional[OperatorMatrix] = field(default=None, repr=False)
-    _sqrt: Optional[OperatorMatrix] = field(default=None, repr=False)
+    _symbol: Optional[WeylSymbol] = field(default=None, init=False, repr=False)
+    _operator: Optional[OperatorMatrix] = field(default=None, init=False, repr=False)
+    _sqrt: Optional[OperatorMatrix] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=bool)
@@ -118,12 +118,6 @@ class Partition:
 
     def labels(self) -> list:
         return [r.label for r in self.regions]
-
-    def __len__(self):
-        return len(self.regions)
-
-    def __getitem__(self, i):
-        return self.regions[i]
 
     def operator_sum(self) -> np.ndarray:
         dim = self.grid.hilbert_dim

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 HAMILTONIAN_PRESETS = ("free", "oscillator", "double-well", "von-neumann-coupling")
-STATE_PRESETS = ("coherent", "cat", "oscillator-eigenstate", "ready-superposition")
+STATE_PRESETS = ("coherent", "cat", "oscillator-eigenstate")
 
 
 def _smoothstep(s):
@@ -171,9 +171,9 @@ class MeasurementScenario:
     amplitudes c weight the two observed branch states at (-s, 0), (+s, 0);
     the pointer starts at the origin inside the ready band and is pushed to
     -D or +D by the coupling. The coupling is a phase diagonal in (p1, x2),
-    v T p1 tanh(x2 / w) over the window T = D / v, with the raw tanh; the
-    "von-neumann-coupling" Hamiltonian preset flattens its tanh beyond
-    0.7 x_extent instead.
+    v T p1 tanh(x2) over the window T = D / v, with the raw tanh of unit
+    width; the "von-neumann-coupling" Hamiltonian preset flattens its tanh
+    beyond 0.7 x_extent instead.
     """
 
     pointer_grid: PhaseGrid
@@ -183,7 +183,6 @@ class MeasurementScenario:
     band_edge: float = 6.0          # bands split at x1 = +/- band_edge
     displacement: float = 12.0      # pointer travel after the coupling window
     coupling_v: float = 12.0        # displacement rate; window T = D / v
-    coupling_w: float = 1.0
 
     def __post_init__(self):
         g1 = self.pointer_grid
@@ -215,7 +214,7 @@ class MeasurementScenario:
         for region in self.partition.regions:
             region.sqrt_operator()
         # coupling propagator: diagonal in the (p1, x2) representation
-        lam = np.tanh(g2.x(0) / self.coupling_w)
+        lam = np.tanh(g2.x(0))
         self.phase_full = np.exp(-1j * self.coupling_v * self.window
                                  * np.outer(g1.p(0), lam) / self.grid.hbar)
 

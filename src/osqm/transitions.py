@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import logging
 import os
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -328,30 +327,23 @@ class _OraclePropagator(_Propagator):
     The state is the flat l2 vector of WaveFunction.to_vector() throughout;
     no WaveFunction is built per stop. Its unit norm, which a WaveFunction
     would check when built, is checked after each advance and projection.
-    Each U is built once per distinct interval (n, tail) and cached; the
-    most frequent interval is built up front, so forked ensemble workers
-    share it.
+    One U is built up front for each distinct interval (n, tail) of the
+    engine's stops, so forked ensemble workers share them all.
     """
 
-    def __init__(self, engine: "TrajectoryEngine", common_span: tuple):
+    def __init__(self, engine: "TrajectoryEngine"):
         super().__init__(engine)
         if not self.h.is_static():
             raise ValueError("oracle backend needs a static Hamiltonian")
-        self._hm = weyl_operator_from_symbol(self.h.symbol())
-        self._u = {}
-        self._propagator(*common_span)
-
-    def _propagator(self, n: int, tail: float) -> np.ndarray:
-        u = self._u.get((n, tail))
-        if u is None:
-            u = self._u[(n, tail)] = self._hm.unitary(n * self.dt + tail)
-        return u
+        hm = weyl_operator_from_symbol(self.h.symbol())
+        spans = dict.fromkeys((n, tail) for _, _, n, tail, _, _ in engine._stops)
+        self._u = {(n, tail): hm.unitary(n * self.dt + tail) for n, tail in spans}
 
     def initial(self) -> np.ndarray:
         return self.v0
 
     def advance(self, v: np.ndarray, n: int, tail: float, t0: float) -> np.ndarray:
-        return check_unit_norm(self._propagator(n, tail) @ v)
+        return check_unit_norm(self._u[(n, tail)] @ v)
 
     def born_weights(self, v: np.ndarray) -> np.ndarray:
         return transition_probabilities_oracle(v, self.partition)
@@ -432,7 +424,12 @@ class TrajectoryEngine:
 
     psi0 becomes its l2 vector v0 once, here. An event's update operator is
     the chosen region's Pi^(1/2) (projection_mode "sqrt") or its exact
-    classicality projector, built once per partition ("exact").
+    classicality projector P_j, built once per partition ("exact"). Both
+    modes draw from the quasiprojector weights tr(Pi_j rho), so "exact" is
+    not a projective instrument: it draws with Pi_j but updates with P_j,
+    whose weight tr(P_j rho) can differ (by up to 0.175 along one
+    oscillator run at N = 256, dt_proj pi/8). zeno_experiment draws and
+    updates with P_j.
 
     The engine memoises event outcomes in a trie keyed by the region history
     drawn so far (_Event nodes, _Branch edges). A node holds the event's
@@ -500,9 +497,7 @@ class TrajectoryEngine:
         self.exact_projectors = (_cached_projectors(partition)
                                  if projection_mode == "exact" else None)
         if backend == "oracle":
-            spans = Counter((n, tail) for _, _, n, tail, _, _ in self._stops)
-            common = spans.most_common(1)[0][0] if spans else (0, 0.0)
-            self._propagator = _OraclePropagator(self, common)
+            self._propagator = _OraclePropagator(self)
         else:
             self._propagator = _PhasePropagator(self)
 

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from osqm.classical import (ClassicalObservable, FlowResult, SymplecticForm,
                             evolve_region_classically, flow_points, hamilton_flow,
-                            leapfrog_monodromy, poisson_bracket,
-                            symplectic_product)
+                            poisson_bracket, symplectic_product)
 from osqm.grid import PhaseGrid, PhasePoint
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -149,8 +148,19 @@ def test_flow_energy_drift_quadratic(oscillator):
 
 
 def test_monodromy_volume_preservation(oscillator):
-    m = leapfrog_monodromy(oscillator, 0.05)
+    # one leapfrog step is affine for quadratic H: its linear part is the
+    # basis points' images less the origin's
+    points = np.hstack([np.zeros((2, 1)), np.eye(2)])
+    xs, ps = flow_points(oscillator, points[:1], points[1:], 0.05, 0.05)
+    images = np.vstack([xs, ps])
+    m = images[:, 1:] - images[:, :1]
     assert abs(np.linalg.det(m) - 1) < 1e-10
+
+
+def test_flow_needs_a_polynomial_form(cgrid, oscillator):
+    sampled = ClassicalObservable(cgrid, oscillator.values)
+    with pytest.raises(ValueError, match="polynomial form"):
+        hamilton_flow(sampled, PhasePoint.of(1.0, 0.0), 0.1, 0.01)
 
 
 def test_region_flow_identity(cgrid, oscillator):
@@ -198,11 +208,10 @@ def test_region_flow_escape_raises(cgrid):
         evolve_region_classically(mask, free, 5.0, dt=1e-2)
 
 
-def test_region_flow_callable_matches_per_point_flow(cgrid):
-    # a callable H flows all cells at once; its array central differences may
-    # round differently from per-point ones, far below 1e-9 after 100 steps
-    fn = lambda x, p: p ** 2 / 2 + x ** 4 / 20 + 0.3 * np.cos(x)  # noqa: E731
-    h = ClassicalObservable(cgrid, fn(*cgrid.phase_mesh()), fn=fn)
+def test_region_flow_array_matches_per_point_flow(cgrid):
+    # a non-quadratic H flows all cells at once; the array flow must land
+    # where one point at a time does, within 1e-9 after 100 steps
+    h = ClassicalObservable.from_poly(cgrid, {(0, 2): 0.5, (4, 0): 0.05})
     mask = np.zeros(cgrid.phase_shape, dtype=bool)
     mask[30:36, 28:34] = True
     t, dt = 1.0, 1e-2

@@ -188,6 +188,26 @@ def test_dof2_cuts_not_one_list_per_dof_exit_with_config_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_snapshots_on_an_unequal_dof2_grid_exit_with_config_code(tmp_path, capsys):
+    # the grid dump carries one point count, so the run would fail at its end
+    cfg = json.loads(_write_config(tmp_path).read_text())
+    cfg.update(grid={"dof": 2, "points": [40, 32], "x_extent": [9.0, 8.0]},
+               hamiltonian={"preset": "von-neumann-coupling",
+                            "params": {"v": 0.01, "w": 2.0}},
+               initial_state={"preset": "coherent",
+                              "params": {"x0": [0.0, -2.0], "p0": [0.0, 0.0]}},
+               partition={"x_boundaries": [[], [0.0]]},
+               schedule={"dt": 0.05, "t_final": 0.1, "mode": "single-shot"})
+    cfg["output"]["snapshot_stride"] = 1
+    path = tmp_path / "unequal.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "snapshot_stride > 0 needs equal point counts per dof" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("block, key, value", [
     ("ensemble", "num_seeds", "ten"), ("ensemble", "num_seeds", None),
     ("schedule", "dt", "0.01"), ("schedule", "dt_proj", "0.1"),

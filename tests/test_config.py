@@ -40,6 +40,16 @@ DOF2 = {"grid__dof": 2, "grid__points": 32, "grid__x_extent": 8.0,
         "hamiltonian__preset": "von-neumann-coupling",
         "initial_state__params": {"x0": [0.0, -2.0], "p0": [0.0, 0.0]}}
 
+# a single phase run with snapshots on a dof-2 grid of unequal point counts
+UNEQUAL_SNAPSHOTS = {
+    "grid__dof": 2, "grid__points": [40, 32], "grid__x_extent": [9.0, 8.0],
+    "hamiltonian__preset": "von-neumann-coupling",
+    "hamiltonian__params": {"v": 0.01, "w": 2.0},
+    "initial_state__params": {"x0": [0.0, -2.0], "p0": [0.0, 0.0]},
+    "partition__x_boundaries": [[], [0.0]],
+    "schedule": {"dt": 0.05, "t_final": 0.1, "mode": "single-shot"},
+    "ensemble__num_seeds": 1, "backend": "phase", "output": {"snapshot_stride": 1}}
+
 # one case per ConfigError branch of parse_config
 CASES = {
     "unknown top-level key": (_with(extra=1), "unknown top-level keys"),
@@ -91,6 +101,9 @@ CASES = {
                                  "hamiltonian: "),
     "state build": (_with(initial_state__params={"x0": 0.0, "q": 1}),
                     "initial_state: unknown parameters"),
+    "snapshots on an unequal dof-2 grid": (
+        _with(**UNEQUAL_SNAPSHOTS),
+        "output: snapshot_stride > 0 needs equal point counts per dof"),
 }
 
 
@@ -105,10 +118,15 @@ def test_config_error_branch(case):
 
 def test_dof2_partition_may_leave_out_p_boundaries():
     cfg = parse_config(_with(**DOF2, partition__x_boundaries=[[], [0.0]]))
-    assert len(cfg.build_partition(cfg.build_grid())) == 2
+    assert len(cfg.build_partition(cfg.build_grid()).regions) == 2
 
 
 def test_every_error_is_reported_at_once():
     with pytest.raises(ConfigError) as info:
         parse_config(_with(schedule__dt="0.01", ensemble__num_seeds=None, backend="gpu"))
     assert len(info.value.errors) == 3
+
+
+def test_unequal_dof2_grid_without_snapshots_parses():
+    cfg = parse_config(_with(**{**UNEQUAL_SNAPSHOTS, "output": {"snapshot_stride": 0}}))
+    assert cfg.build_grid().points == (40, 32)

@@ -63,7 +63,7 @@ def test_full_grid_quadrature_is_the_identity(grid64):
 def test_dof2_box_operator_is_the_kron_of_its_factor_blocks():
     grid = PhaseGrid.create(16, 5.0, dof=2)
     part = build_partition(grid, [[0.0], [0.0]])
-    assert len(part) == 4
+    assert len(part.regions) == 4
     for region in part.regions:
         blocks = []
         for d in range(2):

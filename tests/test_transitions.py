@@ -362,7 +362,7 @@ def test_memo_nodes_hold_no_state(setup):
         eng.run(seed)
     nodes = list(_events(eng._memo))
     assert nodes
-    regions_count = len(eng.partition)
+    regions_count = len(eng.partition.regions)
     def arrays(obj):
         return {name: getattr(obj, name).shape for name in obj.__slots__
                 if isinstance(getattr(obj, name), np.ndarray)}
