@@ -414,13 +414,13 @@ def run_regression_suite(tolerances: Tolerances | None = None,
         cid = criterion_number(fn)
         if only and cid not in only:
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             res = fn(tol)
         except Exception as exc:  # a crashed criterion is a failed criterion
             res = CriterionResult(cid, fn.__name__, False,
                                   {"error": repr(exc)})
-        res.seconds = time.time() - t0
+        res.seconds = time.perf_counter() - t0
         results.append(res)
         if echo:
             echo(res.line())

@@ -1,0 +1,178 @@
+"""Milliseconds per LvN split step and `osqm regress` seconds of two checkouts.
+
+    python tools/lvn_step_bench.py --parent OLD --change NEW --runs 5 --out BENCH.json
+
+OLD and NEW are checkouts of this repository. Each run measures one checkout
+in a fresh process, and the runs alternate which checkout goes first. BLAS and
+osqm threads are pinned to 1. The file holds every run and, per case, the
+median over runs and the change/parent ratio of the medians.
+
+A step is one `LvnPlan.step` on a state that stays in its term basis, as
+`evolve_lvn` takes it between steps: the dof-1 oscillator at N = 64, 128 and
+256 (extent 9, dt 0.005, the lvn-oscillator workload's) and a dof-2
+three-term Hamiltonian on 32 x 32 (extent 8, dt 0.05). A run's figure for a
+case is the median over batches of the mean time per step of a batch.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+THREADS = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                  "MKL_NUM_THREADS", "OSQM_THREADS")}
+# case: (steps per batch, batches)
+BATCHES = {"oscillator-64": (100, 9), "oscillator-128": (50, 9),
+           "oscillator-256": (20, 9), "three-term-32x32": (3, 7)}
+
+
+def _case(name: str):
+    """(plan, state, dt) of a named case, built from the osqm on sys.path."""
+    import numpy as np
+    from osqm import dynamics
+    from osqm.dynamics import Hamiltonian, HamiltonianTerm
+    from osqm.grid import PhaseGrid
+    from osqm.oracle import tensor_state
+    from osqm.scenarios import hamiltonian_preset
+    from osqm.wigner import coherent_state, wigner_from_wavefunction
+
+    if name.startswith("oscillator-"):
+        grid = PhaseGrid.create(int(name.split("-")[1]), 9.0)
+        h = hamiltonian_preset(grid, "oscillator", {})
+        psi, dt = coherent_state(grid, 1.0, 0.3), 0.005
+    else:
+        g1 = PhaseGrid.create(32, 8.0)
+        grid = PhaseGrid.product(g1, g1)
+        h = Hamiltonian(grid, [
+            HamiltonianTerm((("p", 1, lambda p: p ** 2 / 2),)),
+            HamiltonianTerm((("x", 1, lambda x: x ** 2 / 2),)),
+            HamiltonianTerm((("p", 0, lambda p: p), ("x", 1, np.tanh)),
+                            coefficient=0.8),
+        ])
+        psi = tensor_state(coherent_state(g1, 0.0, 0.0), coherent_state(g1, -1.0, 0.0))
+        dt = 0.05
+    plan = dynamics.LvnPlan(grid, h)
+    return plan, plan.enter(wigner_from_wavefunction(psi).values), dt
+
+
+def measure_steps() -> dict:
+    """ms per split step of each case, for the osqm on sys.path."""
+    out = {}
+    for name, (steps, batches) in BATCHES.items():
+        plan, state, dt = _case(name)
+        t = 0.0
+        for _ in range(3):  # warm the FFT plans and the exp tables
+            state = plan.step(*state, t, dt)
+            t += dt
+        per_step = []
+        for _ in range(batches):
+            start = time.perf_counter()
+            for _ in range(steps):
+                state = plan.step(*state, t, dt)
+                t += dt
+            per_step.append((time.perf_counter() - start) / steps * 1e3)
+        out[name] = statistics.median(per_step)
+    return out
+
+
+def _env(tree: Path) -> dict:
+    return {**os.environ, **THREADS, "PYTHONPATH": str(tree / "src")}
+
+
+def _run_steps(tree: Path) -> dict:
+    res = subprocess.run([sys.executable, __file__, "--measure"], env=_env(tree),
+                         check=True, capture_output=True, text=True)
+    return json.loads(res.stdout)
+
+
+def _run_regress(tree: Path) -> dict:
+    """report.json seconds per criterion, and the wall time of the command."""
+    with tempfile.TemporaryDirectory() as out:
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "osqm", "regress", "--out-dir", out],
+                       env=_env(tree), check=True, capture_output=True)
+        wall = time.perf_counter() - start
+        report = json.loads((Path(out) / "report.json").read_text())
+    if not all(r["passed"] for r in report):
+        raise RuntimeError(f"osqm regress failed in {tree}")
+    return {"wall": wall, **{str(r["criterion"]): r["seconds"] for r in report}}
+
+
+def _medians(runs: list) -> dict:
+    return {key: statistics.median(run[key] for run in runs) for key in runs[0]}
+
+
+def _host() -> dict:
+    cpu = "unknown"
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    import numpy
+    return {"cpu": cpu, "nproc": os.cpu_count(), "machine": platform.machine(),
+            "python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def _commit(tree: Path):
+    res = subprocess.run(["git", "-C", str(tree), "rev-parse", "--short", "HEAD"],
+                         capture_output=True, text=True)
+    return res.stdout.strip() or None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--measure", action="store_true",
+                        help="print this checkout's ms per step as JSON")
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--change", type=Path)
+    parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure_steps()))
+        return 0
+    if not (args.parent and args.change and args.out) or args.runs < 1:
+        parser.error("--parent, --change, --out and --runs >= 1 are required")
+    trees = {"parent": args.parent, "change": args.change}
+    steps = {side: [] for side in trees}
+    regress = {side: [] for side in trees}
+    for run in range(args.runs):
+        order = list(trees) if run % 2 == 0 else list(reversed(trees))
+        for side in order:
+            steps[side].append(_run_steps(trees[side]))
+            regress[side].append(_run_regress(trees[side]))
+    step_medians = {side: _medians(steps[side]) for side in trees}
+    result = {
+        "what": "ms per LvnPlan split step; osqm regress seconds per criterion",
+        "host": _host(),
+        "threads": THREADS,
+        "runs": args.runs,
+        "order": "alternating; run k measures the parent first when k is even",
+        "commits": {side: _commit(tree) for side, tree in trees.items()},
+        "lvn_step_ms": {
+            name: {"parent": step_medians["parent"][name],
+                   "change": step_medians["change"][name],
+                   "ratio": step_medians["change"][name] / step_medians["parent"][name],
+                   "runs": {side: [r[name] for r in steps[side]] for side in trees}}
+            for name in BATCHES},
+        "regress_seconds": {
+            "timer": "each checkout's own acceptance.run_regression_suite",
+            "median": {side: _medians(regress[side]) for side in trees},
+            "runs": regress},
+    }
+    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
