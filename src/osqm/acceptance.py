@@ -221,7 +221,7 @@ def criterion_6_defect_scaling(tol: Tolerances) -> CriterionResult:
     for hb in hbars:
         grid = PhaseGrid.create(192, 8.0, hb)
         part = build_partition(grid, [0.0])
-        defects.append(quasiprojector_defect(part).max_defect)
+        defects.append(quasiprojector_defect(part))
     slope = fit_loglog_slope(hbars, defects)
     passed = abs(slope - tol.defect_slope) < tol.defect_slope_tol
     return CriterionResult(6, "quasiprojector defect hbar-scaling", passed,
@@ -241,7 +241,7 @@ def criterion_7_projectors(tol: Tolerances) -> CriterionResult:
                 np.abs(p.matrix @ p.matrix - p.matrix).max()))
             for q in projs[i + 1:]:
                 worst_exact = max(worst_exact, float(np.abs(p.matrix @ q.matrix).max()))
-        defect = quasiprojector_defect(part).max_defect
+        defect = quasiprojector_defect(part)
         for p, r in zip(projs, part.regions):
             dev = p.matrix - r.operator().matrix
             tn = float(np.abs(scipy.linalg.eigvalsh(dev)).sum())
@@ -344,7 +344,7 @@ def criterion_11_flow_consistency(tol: Tolerances) -> CriterionResult:
     region = next(r for r in part.regions
                   if r.x_bounds[0][0] <= mid < r.x_bounds[0][1]
                   and r.p_bounds[0][0] <= mid < r.p_bounds[0][1])  # center box
-    static = quasiprojector_defect(part).max_defect
+    static = quasiprojector_defect(part)
     h_sym = hamiltonian_preset(grid, "oscillator", {}).symbol()
     hm = weyl_operator_from_symbol(h_sym)
     h_cl = ClassicalObservable.from_poly(grid, {(2, 0): 0.5, (0, 2): 0.5})

@@ -8,18 +8,18 @@ the convolution axis make both diagonal. The factors of a term sit on
 distinct dofs, so one term basis diagonalizes the term's whole bracket,
 with eigenvalues c (prod L - prod R) / (i hbar) (after Cabrera, Bondar,
 Jacobs & Rabitz, PRA 92, 042122 (2015)). This reproduces the dense-oracle
-evolution to machine precision in space. The term basis is the one way
-every path applies a term, and there are two paths:
+evolution to machine precision in space. A Hamiltonian is static: each
+term's coefficient c is a number, which its generator holds. The term
+basis is the one way every path applies a term, and there are two paths:
 
-- A static Hamiltonian of one term is advanced by its exact exponential in
-  its basis. dt plays no role on the exact path, and verify_dt has nothing
+- A Hamiltonian of one term is advanced by its exact exponential in its
+  basis. dt plays no role on the exact path, and verify_dt has nothing
   to check.
 - Every other Hamiltonian takes 4th-order split steps (LvnPlan): Yoshida's
   triple jump (Phys. Lett. A 150, 262 (1990)) of Strang sweeps over the
-  terms' exact exponentials. A time-dependent coefficient is taken at the
-  midpoint time of each sweep, so each sweep stays symmetric. The state
-  stays in the frequency domain between steps. verify_dt compares one step
-  with two half steps, which measures the local splitting error.
+  terms' exact exponentials. The state stays in the frequency domain
+  between steps. verify_dt compares one step with two half steps, which
+  measures the local splitting error.
 
 The split path spends its time moving arrays between bases, so each basis
 change is an in-place np.fft pass (out=, numpy >= 2.0) and one product
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -83,14 +83,15 @@ class HamiltonianTerm:
     profile a callable evaluated on that axis's coordinate array. At most
     one factor per dof: f(x_d) g(x_d) is the one factor (f g)(x_d), and
     f(x_d) g(p_d) is not a factorized Weyl symbol. coefficient is a
-    number or a callable of time.
+    number: a Hamiltonian is static, so a callable raises TypeError.
     """
 
     factors: tuple
-    coefficient: Union[float, Callable[[float], float]] = 1.0
-    label: str = ""
+    coefficient: float = 1.0
 
     def __post_init__(self):
+        if callable(self.coefficient):
+            raise TypeError("a term's coefficient must be a number, not a callable")
         seen_dofs = set()
         for kind, dof, _ in self.factors:
             if kind not in ("x", "p"):
@@ -98,11 +99,6 @@ class HamiltonianTerm:
             if dof in seen_dofs:
                 raise ValueError("at most one factor per dof in a term")
             seen_dofs.add(dof)
-
-    def coeff_at(self, t: float) -> float:
-        if callable(self.coefficient):
-            return float(self.coefficient(t))
-        return float(self.coefficient)
 
 
 @dataclass
@@ -112,7 +108,7 @@ class Hamiltonian:
     grid: PhaseGrid
     terms: Sequence[HamiltonianTerm]
 
-    def symbol(self, t: float = 0.0) -> WeylSymbol:
+    def symbol(self) -> WeylSymbol:
         mesh = self.grid.phase_mesh()
         n = self.grid.dof
         vals = np.zeros(self.grid.phase_shape)
@@ -121,11 +117,8 @@ class Hamiltonian:
             for kind, dof, profile in term.factors:
                 coord = mesh[dof] if kind == "x" else mesh[n + dof]
                 part = part * profile(coord)
-            vals += term.coeff_at(t) * part
+            vals += float(term.coefficient) * part
         return WeylSymbol(self.grid, vals + 0j)
-
-    def is_static(self) -> bool:
-        return all(not callable(t.coefficient) for t in self.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +198,7 @@ class _TermBasis:
     the whole array.
     """
 
-    def __init__(self, grid: PhaseGrid, term: HamiltonianTerm, c: float):
+    def __init__(self, grid: PhaseGrid, term: HamiltonianTerm):
         axes = []
         twist = lam_left = lam_right = 1.0
         for kind, dof, profile in term.factors:
@@ -218,7 +211,8 @@ class _TermBasis:
         self.width = grid.n(grid.dof - 1)
         self.twist = twist
         self.untwist = np.conj(twist)
-        self.generator = c * (lam_left - lam_right) / (1j * grid.hbar)
+        self.generator = (float(term.coefficient) * (lam_left - lam_right)
+                          / (1j * grid.hbar))
 
     def _on(self, arr: np.ndarray, axis: int) -> np.ndarray:
         return arr[..., :self.width] if axis == arr.ndim - 1 else arr
@@ -256,28 +250,22 @@ _W0 = -(2.0 ** (1.0 / 3.0)) * _W1
 
 
 def _yoshida_sweep(n_terms: int) -> list:
-    """(term, fraction of dt, parts) of each exponential of one 4th-order step.
+    """(term, fraction of dt) of each exponential of one 4th-order step.
 
     A Strang sweep takes terms 0..m-2 by half steps, term m-1 by a whole
     one and comes back; adjacent exponentials of one term merge, so the
-    step begins and ends with half a W1 step of term 0. parts holds the
-    (fraction, midpoint) of each merged piece, with midpoint the centre of
-    the piece's Strang sweep in units of dt from the step's start.
+    step begins and ends with half a W1 step of term 0.
     """
     last = n_terms - 1
     order = list(range(last)) + [last] + list(range(last - 1, -1, -1))
     seq = []
-    start = 0.0
     for weight in (_W1, _W0, _W1):
-        mid = start + 0.5 * weight
-        start += weight
         for j in order:
             frac = weight if j == last else 0.5 * weight
             if seq and seq[-1][0] == j:
-                _, merged, parts = seq[-1]
-                seq[-1] = (j, merged + frac, parts + ((frac, mid),))
+                seq[-1] = (j, seq[-1][1] + frac)
             else:
-                seq.append((j, frac, ((frac, mid),)))
+                seq.append((j, frac))
     return seq
 
 
@@ -293,14 +281,10 @@ def _check_marginal_containment(grid: PhaseGrid, arr: np.ndarray) -> None:
 class LvnPlan:
     """Term bases and 4th-order split steps for one (grid, Hamiltonian).
 
-    A constant coefficient sits in its term's generator. A callable one
-    does not (the generator has unit coefficient): each exponential of its
-    term is scaled by the coefficient at the midpoint of the Strang sweep
-    it belongs to, which keeps every sweep symmetric and the triple jump
-    4th order.
-
-    A state is (coef, pending): its coefficients in term 0's basis and an
-    amount s of term 0 whose exponential exp(s G_0) is not yet applied.
+    The plan steps a Hamiltonian of two or more terms; one term takes
+    evolve_lvn's exact path. A state is (coef, pending): its coefficients
+    in term 0's basis and an amount s of term 0 whose exponential
+    exp(s G_0) is not yet applied.
     coef is a row-padded buffer (see the module docstring): its last axis
     has _PAD spare zero entries, and the state is coef[..., :N]. The move
     and exp(s G) tables are padded alike, so no FFT or product of a step
@@ -310,50 +294,33 @@ class LvnPlan:
     frequency domain. A step runs on the coef buffer: each move from term
     a's basis to term b's is an ifft along a's axes, one product with the
     table untwist_a * twist_b built here, and an fft along b's axes,
-    followed by the product with exp(s G_b). exp(s G) tables of constant
-    terms are built once per distinct (term, s); those of a callable term
-    change with every step.
+    followed by the product with exp(s G_b). exp(s G) tables are built
+    once per distinct (term, s).
     """
 
     def __init__(self, grid: PhaseGrid, h: Hamiltonian):
         if h.grid != grid:
             raise GridMismatchError("Hamiltonian grid mismatch")
-        self.terms = list(h.terms)
-        self.timed = [callable(term.coefficient) for term in self.terms]
-        self.bases = [_TermBasis(grid, term, 1.0 if timed else term.coeff_at(0.0))
-                      for term, timed in zip(self.terms, self.timed)]
+        self.bases = [_TermBasis(grid, term) for term in h.terms]
         self.sweep = _yoshida_sweep(len(self.bases))
         self._generators = [_padded(basis.generator) for basis in self.bases]
         self._tables = {}
         self._moves = {}
-        for (a, *_), (b, *_) in zip(self.sweep, self.sweep[1:]):
+        for (a, _), (b, _) in zip(self.sweep, self.sweep[1:]):
             if (a, b) not in self._moves:
                 self._moves[a, b] = _padded(self.bases[a].untwist * self.bases[b].twist)
 
-    def _scale(self, j: int, t: float) -> float:
-        """Term j's coefficient at t, or 1 where its generator holds it."""
-        return self.terms[j].coeff_at(t) if self.timed[j] else 1.0
-
-    def rhs(self, w: np.ndarray, t: float) -> np.ndarray:
+    def rhs(self, w: np.ndarray) -> np.ndarray:
         """dW/dt = (H*W - W*H) / (i hbar), summed term by term."""
         what = cdftn(w)
         acc = np.zeros_like(what)
-        for j, basis in enumerate(self.bases):
+        for basis in self.bases:
             coef = basis.fft(what * basis.twist)
             coef *= basis.generator
-            acc += self._scale(j, t) * basis.from_basis(coef)
+            acc += basis.from_basis(coef)
         return cidftn(acc).real
 
-    def _amount(self, j: int, frac: float, parts: tuple, t: float,
-                dt: float) -> float:
-        if not self.timed[j]:
-            return frac * dt
-        coeff_at = self.terms[j].coeff_at
-        return sum(f * dt * coeff_at(t + m * dt) for f, m in parts)
-
     def _exp(self, j: int, s: float) -> np.ndarray:
-        if self.timed[j]:
-            return np.exp(s * self._generators[j])
         table = self._tables.get((j, s))
         if table is None:
             table = self._tables[(j, s)] = np.exp(s * self._generators[j])
@@ -363,13 +330,9 @@ class LvnPlan:
         basis = self.bases[0]
         return basis.fft(_padded(cdftn(arr) * basis.twist)), 0.0
 
-    def step(self, coef: np.ndarray, pending: float, t: float, dt: float):
-        """Advance a state from t by dt; coef is overwritten and returned."""
-        (_, first), *rest = [(j, self._amount(j, frac, parts, t, dt))
-                             for j, frac, parts in self.sweep]
-        if not rest:  # one term: its exponentials commute, all stay pending
-            return coef, pending + first
-        *body, (_, last) = rest
+    def step(self, coef: np.ndarray, pending: float, dt: float):
+        """Advance a state by dt; coef is overwritten and returned."""
+        (_, first), *body, (_, last) = [(j, frac * dt) for j, frac in self.sweep]
         coef *= self._exp(0, pending + first)
         cur = 0
         for j, s in body:
@@ -401,22 +364,21 @@ def step_count(t_final: float, dt: float) -> tuple[int, float]:
 
 
 def evolve_lvn(w: WignerState, h: Hamiltonian, t_final: float, dt: float,
-               verify_dt: bool = True, t0: float = 0.0) -> WignerState:
-    """Propagate a Wigner state on dW/dt = -{{W, H}} from t0 by t_final.
+               verify_dt: bool = True) -> WignerState:
+    """Propagate a Wigner state on dW/dt = -{{W, H}} by t_final.
 
     Two paths:
 
-    - A static Hamiltonian of one term is advanced by its exact
-      exponential, computed directly from the initial state. dt plays no
-      role on the exact path, and verify_dt has nothing to check.
+    - A Hamiltonian of one term is advanced by its exact exponential,
+      computed directly from the initial state. dt plays no role on the
+      exact path, and verify_dt has nothing to check.
     - Every other Hamiltonian takes 4th-order split steps of dt, and a
       shorter last step reaches t_final: Yoshida's triple jump of Strang
-      sweeps over the terms' exact exponentials, a time-dependent
-      coefficient taken at its sweep's midpoint time. Each step is unitary,
-      so mass and purity are kept to round-off. With verify_dt it first
+      sweeps over the terms' exact exponentials. Each step is unitary, so
+      mass and purity are kept to round-off. With verify_dt it first
       compares the first step it takes (dt, or t_final when dt exceeds it)
-      with two half steps from t0 and raises EvolutionUnstableError on a
-      mismatch above 1e-3; that mismatch is the local splitting error.
+      with two half steps and raises EvolutionUnstableError on a mismatch
+      above 1e-3; that mismatch is the local splitting error.
 
     Containment: ContainmentError when the x- or p-marginal has 1e-6 or
     more of its mass in the outer 2-cell shell. The split path checks
@@ -430,10 +392,10 @@ def evolve_lvn(w: WignerState, h: Hamiltonian, t_final: float, dt: float,
     if h.grid != w.grid:
         raise GridMismatchError("Hamiltonian grid mismatch")
     steps, remainder = step_count(t_final, dt)
-    if h.is_static() and len(h.terms) == 1:
-        arr = _evolve_exact(w, h, steps * dt + remainder)
+    if len(h.terms) == 1:
+        arr = _evolve_exact(w, h.terms[0], steps * dt + remainder)
     else:
-        arr = _evolve_split(w, h, steps, dt, remainder, t0, verify_dt)
+        arr = _evolve_split(w, h, steps, dt, remainder, verify_dt)
     return WignerState(w.grid, arr)
 
 
@@ -446,16 +408,16 @@ def _check_step_halving(one: np.ndarray, half: np.ndarray, scale: float,
             f"reduce dt (try {dt / 4})")
 
 
-def _evolve_exact(w, h, total):
+def _evolve_exact(w, term, total):
     if total == 0:
         return w.values.copy()
-    prop = LvnPlan(w.grid, h).bases[0]
+    prop = _TermBasis(w.grid, term)
     arr = cidftn(prop.propagate(prop.to_basis(cdftn(w.values)), total)).real
     _check_marginal_containment(w.grid, arr)
     return arr
 
 
-def _evolve_split(w, h, steps, dt, remainder, t0, verify_dt):
+def _evolve_split(w, h, steps, dt, remainder, verify_dt):
     grid = w.grid
     if steps == 0 and remainder == 0.0:
         return w.values.copy()
@@ -464,17 +426,17 @@ def _evolve_split(w, h, steps, dt, remainder, t0, verify_dt):
     if verify_dt:
         first = dt if steps else remainder
         coef, pending = state
-        one = plan.real(*plan.step(coef.copy(), pending, t0, first))
-        half = plan.step(coef.copy(), pending, t0, first / 2)
-        half = plan.real(*plan.step(*half, t0 + first / 2, first / 2))
+        one = plan.real(*plan.step(coef.copy(), pending, first))
+        half = plan.step(coef.copy(), pending, first / 2)
+        half = plan.real(*plan.step(*half, first / 2))
         _check_step_halving(one, half, np.abs(w.values).max(), first)
 
     for k in range(1, steps + 1):
-        state = plan.step(*state, t0 + (k - 1) * dt, dt)
+        state = plan.step(*state, dt)
         if k % max(1, steps // 20) == 0:
             _check_marginal_containment(grid, plan.real(*state))
     if remainder > 0.0:
-        state = plan.step(*state, t0 + steps * dt, remainder)
+        state = plan.step(*state, remainder)
     arr = plan.real(*state)
     _check_marginal_containment(grid, arr)
     return arr

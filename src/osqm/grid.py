@@ -138,7 +138,7 @@ class PhaseGrid:
 
     def check_containment(self, values: np.ndarray, what: str = "state") -> None:
         m = self.containment_shell_mass(values)
-        if m >= CONTAINMENT_TOL:
+        if not m < CONTAINMENT_TOL:
             raise ContainmentError(
                 f"{what} has {m:.3e} of its mass in the outer 2-cell shell "
                 f"(tolerance {CONTAINMENT_TOL:.1e}); enlarge the grid")

@@ -59,7 +59,7 @@ class WaveFunction:
             raise ValueError("wavefunction shape does not match grid")
         if self.normalized:
             n2 = self.norm_sq()
-            if abs(n2 - 1) > NORM_TOL:
+            if not abs(n2 - 1) <= NORM_TOL:
                 raise ValueError(f"state flagged normalized but |psi|^2 sums to {n2!r}")
 
     def _dvol(self) -> float:

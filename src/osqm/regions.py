@@ -28,7 +28,6 @@ __all__ = [
     "quasiprojector_symbol",
     "quasiprojector_operator",
     "quasiprojector_defect",
-    "DefectReport",
     "classicality_projectors",
     "is_quasirestricted",
     "smoothing_kernel",
@@ -290,35 +289,25 @@ def quasiprojector_operator(region: Region) -> OperatorMatrix:
     return OperatorMatrix(grid, m, hermitian=True, psd=True)
 
 
-@dataclass
-class DefectReport:
-    """Relative trace-norm deviations from exact-projector behaviour.
+def quasiprojector_defect(partition: Partition) -> float:
+    """How far the quasiprojectors are from orthogonal projectors.
 
-    pair_defects[(a, b)] = ||Pi_a Pi_b - delta_ab Pi_a||_tr / tr Pi_a.
+    The largest over region pairs (a, b) of the relative trace-norm
+    deviation ||Pi_a Pi_b - delta_ab Pi_a||_tr / tr Pi_a.
     """
-
-    pair_defects: dict
-    max_defect: float
-
-
-def quasiprojector_defect(partition: Partition) -> DefectReport:
-    """Measure how far the quasiprojectors are from orthogonal projectors."""
     ops = [r.operator().matrix for r in partition.regions]
     traces = [float(m.trace().real) for m in ops]
-    out = {}
     worst = 0.0
-    for a, ra in enumerate(partition.regions):
-        for b, rb in enumerate(partition.regions):
+    for a in range(len(ops)):
+        for b in range(len(ops)):
             dev = ops[a] @ ops[b]
             if a == b:
                 dev = dev - ops[a]
                 tn = float(np.abs(scipy.linalg.eigvalsh(dev)).sum())
             else:
                 tn = float(scipy.linalg.svdvals(dev).sum())
-            val = tn / traces[a]
-            out[(ra.label, rb.label)] = val
-            worst = max(worst, val)
-    return DefectReport(pair_defects=out, max_defect=worst)
+            worst = max(worst, tn / traces[a])
+    return worst
 
 
 def classicality_projectors(partition: Partition) -> list:

@@ -81,16 +81,13 @@ def hamiltonian_preset(grid: PhaseGrid, name: str, params: Optional[dict] = None
     if name == "free":
         m = p.pop("mass", 1.0)
         _reject_extra(name, p)
-        terms = [HamiltonianTerm((("p", 0, lambda q, m=m: q ** 2 / (2 * m)),),
-                                 label="kinetic")]
+        terms = [HamiltonianTerm((("p", 0, lambda q, m=m: q ** 2 / (2 * m)),))]
     elif name == "oscillator":
         m = p.pop("mass", 1.0)
         om = p.pop("omega", 1.0)
         _reject_extra(name, p)
-        terms = [HamiltonianTerm((("p", 0, lambda q, m=m: q ** 2 / (2 * m)),),
-                                 label="kinetic"),
-                 HamiltonianTerm((("x", 0, lambda q, m=m, om=om: 0.5 * m * om ** 2 * q ** 2),),
-                                 label="potential")]
+        terms = [HamiltonianTerm((("p", 0, lambda q, m=m: q ** 2 / (2 * m)),)),
+                 HamiltonianTerm((("x", 0, lambda q, m=m, om=om: 0.5 * m * om ** 2 * q ** 2),))]
     elif name == "double-well":
         m = p.pop("mass", 1.0)
         a = p.pop("a", 0.15)
@@ -100,9 +97,8 @@ def hamiltonian_preset(grid: PhaseGrid, name: str, params: Optional[dict] = None
         ext = grid.x_extents[0]
         vwell = edge_flattened(lambda q, a=a, b=b: a * (q ** 2 - b ** 2) ** 2,
                                flat_frac * ext, 0.9 * ext)
-        terms = [HamiltonianTerm((("p", 0, lambda q, m=m: q ** 2 / (2 * m)),),
-                                 label="kinetic"),
-                 HamiltonianTerm((("x", 0, vwell),), label="potential")]
+        terms = [HamiltonianTerm((("p", 0, lambda q, m=m: q ** 2 / (2 * m)),)),
+                 HamiltonianTerm((("x", 0, vwell),))]
     elif name == "von-neumann-coupling":
         if grid.dof != 2:
             raise ValueError("von-neumann-coupling needs a 2-dof grid")
@@ -114,7 +110,7 @@ def hamiltonian_preset(grid: PhaseGrid, name: str, params: Optional[dict] = None
                              0.7 * ext2, 0.95 * ext2)
         terms = [HamiltonianTerm((("p", 0, lambda q: q),
                                   ("x", 1, lam)),
-                                 coefficient=v, label="coupling")]
+                                 coefficient=v)]
     else:
         raise ValueError(
             f"unknown hamiltonian preset {name!r}; available: {HAMILTONIAN_PRESETS}")

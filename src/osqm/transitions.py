@@ -333,16 +333,14 @@ class _OraclePropagator(_Propagator):
 
     def __init__(self, engine: "TrajectoryEngine"):
         super().__init__(engine)
-        if not self.h.is_static():
-            raise ValueError("oracle backend needs a static Hamiltonian")
         hm = weyl_operator_from_symbol(self.h.symbol())
-        spans = dict.fromkeys((n, tail) for _, _, n, tail, _, _ in engine._stops)
+        spans = dict.fromkeys((n, tail) for _, n, tail, _, _ in engine._stops)
         self._u = {(n, tail): hm.unitary(n * self.dt + tail) for n, tail in spans}
 
     def initial(self) -> np.ndarray:
         return self.v0
 
-    def advance(self, v: np.ndarray, n: int, tail: float, t0: float) -> np.ndarray:
+    def advance(self, v: np.ndarray, n: int, tail: float) -> np.ndarray:
         return check_unit_norm(self._u[(n, tail)] @ v)
 
     def born_weights(self, v: np.ndarray) -> np.ndarray:
@@ -365,10 +363,8 @@ class _PhasePropagator(_Propagator):
     def initial(self) -> WignerState:
         return wigner_from_wavefunction(self.psi0)
 
-    def advance(self, w: WignerState, n: int, tail: float,
-                t0: float) -> WignerState:
-        return evolve_lvn(w, self.h, n * self.dt + tail, self.dt,
-                          verify_dt=False, t0=t0)
+    def advance(self, w: WignerState, n: int, tail: float) -> WignerState:
+        return evolve_lvn(w, self.h, n * self.dt + tail, self.dt, verify_dt=False)
 
     def born_weights(self, w: WignerState) -> np.ndarray:
         return transition_probabilities(w, self.partition)
@@ -482,7 +478,7 @@ class TrajectoryEngine:
             self.times[-1] = t_final
         self.times.flags.writeable = False      # every record shares it
         self._stops = self._plan_stops(whole, tail)
-        self.event_steps = tuple(k for _, k, _, _, event, _ in self._stops if event)
+        self.event_steps = tuple(k for k, _, _, event, _ in self._stops if event)
         self.v0 = psi0.to_vector()
         probs0 = transition_probabilities_oracle(self.v0, partition)
         self.home_index = int(np.argmax(probs0))
@@ -502,7 +498,7 @@ class TrajectoryEngine:
             self._propagator = _PhasePropagator(self)
 
     def _plan_stops(self, whole: int, tail: float) -> list:
-        """(last stop's step, step, whole dt steps since it, tail, event?, snapshot?)."""
+        """(step, whole dt steps since the last stop, tail, event?, snapshot?)."""
         stops = []
         prev = 0
         for k in range(1, self.steps + 1):
@@ -510,8 +506,7 @@ class TrajectoryEngine:
             snap = bool(self.snapshot_every) and k % self.snapshot_every == 0
             if event or snap:
                 last = k > whole
-                stops.append((prev, k, k - prev - last, tail if last else 0.0,
-                              event, snap))
+                stops.append((k, k - prev - last, tail if last else 0.0, event, snap))
                 prev = k
         return stops
 
@@ -530,8 +525,8 @@ class TrajectoryEngine:
         """
         prop = self._propagator
         for j in range(done, upto):
-            prev, _, n, tail, _, _ = self._stops[j]
-            state = prop.advance(state, n, tail, self.times[prev])
+            _, n, tail, _, _ = self._stops[j]
+            state = prop.advance(state, n, tail)
             if j in drawn:
                 v = apply_quasiprojection(prop.to_vector(state)[0], self._update(drawn[j]))
                 state = prop.from_vector(v)
@@ -545,7 +540,7 @@ class TrajectoryEngine:
         drawn = {}                          # stop index -> region drawn at its event
         path = []                           # (node, region drawn, branch) per event
         state, done = prop.initial(), 0     # the last state built: after stops[:done]
-        for i, (_, k, _, _, event, snap) in enumerate(self._stops):
+        for i, (k, _, _, event, snap) in enumerate(self._stops):
             if event:
                 node, v = branch.child, None
                 if node is None:

@@ -109,6 +109,8 @@ class WeylSymbol:
         self.values = np.asarray(self.values, dtype=complex)
         if self.values.shape != self.grid.phase_shape:
             raise ValueError("symbol shape does not match grid")
+        if not np.isfinite(self.values).all():
+            raise ValueError("symbol values must be finite")
         is_real = np.abs(self.values.imag).max() <= REAL_TOL
         if self.hermitian is None:
             self.hermitian = bool(is_real)

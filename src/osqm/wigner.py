@@ -38,7 +38,7 @@ class WignerState:
         if self.values.shape != self.grid.phase_shape:
             raise ValueError("Wigner array shape does not match grid")
         tot = self.integral()
-        if abs(tot - 1) > 1e-8:
+        if not abs(tot - 1) <= 1e-8:
             raise ValueError(f"Wigner function integrates to {tot!r}, not 1")
 
     def integral(self) -> float:

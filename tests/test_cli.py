@@ -174,6 +174,25 @@ def test_input_the_run_cannot_use_exits_with_config_code(tmp_path, capsys, block
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("backend", ["oracle", "phase"])
+@pytest.mark.parametrize("block, key, message", [
+    ("hamiltonian", "omega", "hamiltonian: symbol values must be finite"),
+    ("initial_state", "x0", "initial_state: state flagged normalized but |psi|^2 "
+                            "sums to nan")])
+def test_nan_preset_parameter_exits_with_config_code(tmp_path, capsys, backend,
+                                                     block, key, message):
+    # json reads NaN; on the phase backend a NaN omega raised a traceback
+    cfg = json.loads(_write_config(tmp_path).read_text())
+    cfg["backend"] = backend
+    cfg[block].setdefault("params", {})[key] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and message in err
+    assert "Traceback" not in err
+
+
 def test_dof2_cuts_not_one_list_per_dof_exit_with_config_code(tmp_path, capsys):
     cfg = json.loads(_write_config(tmp_path).read_text())
     cfg.update(grid={"dof": 2, "points": 32, "x_extent": 8.0},

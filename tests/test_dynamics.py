@@ -16,14 +16,20 @@ from osqm.wigner import coherent_state, wigner_from_wavefunction
 @pytest.fixture(scope="module")
 def osc(grid64):
     return Hamiltonian(grid64, [
-        HamiltonianTerm((("p", 0, lambda p: p ** 2 / 2),), label="kinetic"),
-        HamiltonianTerm((("x", 0, lambda x: x ** 2 / 2),), label="potential"),
+        HamiltonianTerm((("p", 0, lambda p: p ** 2 / 2),)),
+        HamiltonianTerm((("x", 0, lambda x: x ** 2 / 2),)),
     ])
 
 
 @pytest.fixture(scope="module")
 def w0(grid64):
     return wigner_from_wavefunction(coherent_state(grid64, 1.0, 0.3))
+
+
+def test_callable_coefficient_is_rejected():
+    # a Hamiltonian is static: its coefficients are numbers
+    with pytest.raises(TypeError, match="coefficient must be a number"):
+        HamiltonianTerm((("x", 0, lambda x: x),), coefficient=np.sin)
 
 
 def test_zero_time_is_identity(grid64, osc, w0):
@@ -113,85 +119,13 @@ def test_momentum_edge_state_rejected(grid64):
         wigner_from_wavefunction(psi)
 
 
-def test_time_dependent_coefficient(grid64, w0):
-    ramp = Hamiltonian(grid64, [
-        HamiltonianTerm((("p", 0, lambda p: p ** 2 / 2),)),
-        HamiltonianTerm((("x", 0, lambda x: x),),
-                        coefficient=lambda t: np.sin(t)),
-    ])
-    out = evolve_lvn(w0, ramp, 0.5, 0.005, verify_dt=False)
-    assert abs(out.integral() - 1) < 1e-12  # runs and conserves mass
-
-
-def _pumped_oscillator(grid):
-    return Hamiltonian(grid, [
-        HamiltonianTerm((("p", 0, lambda p: p ** 2 / 2),)),
-        HamiltonianTerm((("x", 0, lambda x: x ** 2 / 2),),
-                        coefficient=lambda t: 1 + 0.5 * np.sin(3 * t)),
-    ])
-
-
-@pytest.fixture(scope="module")
-def pumped():
-    """The pumped oscillator on 64 points, its coherent state at (1, 0.3), and
-    the Wigner function at t = 1 of a dense 4th-order Magnus reference: 1000
-    steps of exp(h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1]), with A_i = -i H(t_i)
-    / hbar at the two Gauss points of each step."""
-    from osqm.oracle import WaveFunction
-    grid = PhaseGrid.create(64, 10.0)
-    h = _pumped_oscillator(grid)
-    kinetic, potential = (
-        weyl_operator_from_symbol(Hamiltonian(grid, [HamiltonianTerm(term.factors)])
-                                  .symbol()).matrix for term in h.terms)
-    psi = coherent_state(grid, 1.0, 0.3)
-    v, n = psi.to_vector(), 1000
-    step, gauss = 1.0 / n, np.sqrt(3) / 6
-    for k in range(n):
-        a1, a2 = (-1j * (kinetic + h.terms[1].coeff_at((k + 0.5 + s) * step) * potential)
-                  / grid.hbar for s in (-gauss, gauss))
-        omega = 0.5 * step * (a1 + a2) + np.sqrt(3) / 12 * step ** 2 * (a2 @ a1 - a1 @ a2)
-        lam, q = np.linalg.eigh(1j * omega)
-        v = q @ (np.exp(-1j * lam) * (q.conj().T @ v))
-    ref = wigner_from_wavefunction(WaveFunction.from_vector(grid, v)).values
-    return h, wigner_from_wavefunction(psi), ref
-
-
-def _pumped_error(pumped, dt):
-    h, w, ref = pumped
-    out = evolve_lvn(w, h, 1.0, dt, verify_dt=False).values
-    return np.abs(out - ref).max() / np.abs(ref).max()
-
-
-def test_time_dependent_split_matches_the_dense_magnus_reference(pumped):
-    assert _pumped_error(pumped, 0.01) < 1e-8  # reads 3.4e-9
-
-
-def test_time_dependent_split_is_fourth_order(pumped):
-    ratio = _pumped_error(pumped, 0.02) / _pumped_error(pumped, 0.01)
-    assert 12 < ratio < 20  # reads 16.0
-
-
-def test_time_dependent_evolution_resumes_from_t0(pumped):
-    # the phase backend advances interval by interval, passing each start as
-    # t0. The resumed run differs from the whole one by the imaginary part
-    # (2.5e-12 of the real part here, 1.9e-12 for the static oscillator) that
-    # the grid bracket carries and evolve_lvn drops at t = 0.4: 4.7e-12.
-    h, w, _ = pumped
-    whole = evolve_lvn(w, h, 1.0, 0.05).values
-    first = evolve_lvn(w, h, 0.4, 0.05)
-    resumed = evolve_lvn(first, h, 0.6, 0.05, t0=0.4).values
-    assert np.abs(resumed - whole).max() < 1e-11 * np.abs(whole).max()
-    from_zero = evolve_lvn(first, h, 0.6, 0.05).values
-    assert np.abs(from_zero - whole).max() > 1e-3 * np.abs(whole).max()
-
-
 @pytest.mark.parametrize("t_final", [-1.0, np.nan, np.inf])
 def test_t_final_not_finite_and_non_negative_is_rejected(grid64, osc, w0, t_final):
     with pytest.raises(ValueError, match="t_final"):
         evolve_lvn(w0, osc, t_final, 0.01)
 
 
-def test_dof2_time_dependent_coupling_stays_on_the_grid():
+def test_dof2_coupling_stays_on_the_grid():
     # the grid bracket of p1 tanh(x2) is not real; a stepper that drops the
     # imaginary part at every stage left the grid here by t = 0.06
     from osqm.oracle import tensor_state
@@ -200,7 +134,7 @@ def test_dof2_time_dependent_coupling_stays_on_the_grid():
         HamiltonianTerm((("p", 1, lambda p: p ** 2 / 2),)),
         HamiltonianTerm((("x", 1, lambda x: x ** 2 / 2),)),
         HamiltonianTerm((("p", 0, lambda p: p), ("x", 1, np.tanh)),
-                        coefficient=lambda t: 0.8),
+                        coefficient=0.8),
     ])
     w = wigner_from_wavefunction(tensor_state(coherent_state(g1, 0.0, 0.0),
                                               coherent_state(g1, -1.0, 0.0)))
@@ -252,16 +186,6 @@ def test_split_step_is_fourth_order(grid64, osc, w0):
     errs = [np.abs(evolve_lvn(w0, osc, 2 * np.pi, dt, verify_dt=False).values
                    - w0.values).max() for dt in (0.1, 0.05)]
     assert 12 < errs[0] / errs[1] < 20
-
-
-def test_unit_callable_coefficients_match_the_static_oscillator(grid64, osc, w0):
-    # callable coefficients leave the generators unit and scale each
-    # exponential by c(t_mid) = 1: the same step up to round-off
-    timed = Hamiltonian(grid64, [HamiltonianTerm(term.factors, lambda t: 1.0)
-                                 for term in osc.terms])
-    want = evolve_lvn(w0, osc, 1.0, 0.05).values
-    got = evolve_lvn(w0, timed, 1.0, 0.05).values
-    assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
 
 
 def test_composite_three_term_split_matches_oracle():
@@ -330,13 +254,11 @@ def _from_basis(grid, term, coef):
     return coef
 
 
-def _reference_step(h, plan, coef, pending, t, dt):
+def _reference_step(h, plan, coef, pending, dt):
     """One split step as unmerged Strang sweeps of to_basis(from_basis(.)) * exp.
 
-    Yoshida's three sweeps start at t, t + w1 dt and t + (w1 + w0) dt; each
-    term's generator is scaled by its coefficient at its sweep's midpoint,
-    or held as the plan built it when the coefficient is constant. Returns
-    the state in term 0's basis with nothing left pending.
+    Yoshida's three sweeps take w1 dt, w0 dt and w1 dt. Returns the state in
+    term 0's basis with nothing left pending.
     """
     grid, terms, gens = h.grid, h.terms, [b.generator for b in plan.bases]
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -344,35 +266,20 @@ def _reference_step(h, plan, coef, pending, t, dt):
     last = len(terms) - 1
     order = list(range(last)) + [last] + list(range(last - 1, -1, -1))
     coef = coef * np.exp(pending * gens[0])
-    cur, start = 0, 0.0
+    cur = 0
     for weight in (w1, w0, w1):
-        mid = t + (start + 0.5 * weight) * dt
-        start += weight
         for j in order:
             s = (weight if j == last else 0.5 * weight) * dt
-            if callable(terms[j].coefficient):
-                s *= terms[j].coefficient(mid)
             coef = _to_basis(grid, terms[j], _from_basis(grid, terms[cur], coef))
             coef = coef * np.exp(s * gens[j])
             cur = j
     return _to_basis(grid, terms[0], _from_basis(grid, terms[cur], coef))
 
 
-def _pumped_both(grid):
-    return Hamiltonian(grid, [
-        HamiltonianTerm((("p", 0, lambda p: p ** 2 / 2),),
-                        coefficient=lambda t: 1 + 0.3 * np.sin(t)),
-        HamiltonianTerm((("x", 0, lambda x: x ** 2 / 2),),
-                        coefficient=lambda t: 1 + 0.5 * np.sin(3 * t)),
-    ])
-
-
-@pytest.mark.parametrize("case", ["oscillator", "double-well", "three-term",
-                                  "pumped", "pumped-potential"])
+@pytest.mark.parametrize("case", ["oscillator", "double-well", "three-term"])
 def test_split_step_matches_basis_change_composition(case, grid64, osc):
-    if case in ("oscillator", "pumped", "pumped-potential"):
-        h = {"oscillator": osc, "pumped": _pumped_both(grid64),
-             "pumped-potential": _pumped_oscillator(grid64)}[case]
+    if case == "oscillator":
+        h = osc
         w = wigner_from_wavefunction(coherent_state(grid64, 1.0, 0.3))
     elif case == "double-well":
         h = _double_well_h()
@@ -389,13 +296,12 @@ def test_split_step_matches_basis_change_composition(case, grid64, osc):
     want = _to_basis(h.grid, h.terms[0], cdftn(w.values))
     scale = np.abs(want).max()
     assert np.abs(coef[..., :n] - want).max() < 1e-13 * scale
-    pending, t, dt = 0.013, 0.3, 0.05
+    pending, dt = 0.013, 0.05
     for _ in range(2):
-        want = _reference_step(h, plan, coef[..., :n], pending, t, dt)
-        coef, pending = plan.step(coef.copy(), pending, t, dt)
+        want = _reference_step(h, plan, coef[..., :n], pending, dt)
+        coef, pending = plan.step(coef.copy(), pending, dt)
         got = coef[..., :n] * np.exp(pending * plan.bases[0].generator)
         assert np.abs(got - want).max() < 1e-13 * scale
-        t += dt
 
 
 def _power_of_two_strides(arr):
@@ -405,7 +311,7 @@ def _power_of_two_strides(arr):
 
 
 @pytest.mark.parametrize("case", ["oscillator-64", "oscillator-128",
-                                  "oscillator-256", "three-term", "pumped"])
+                                  "oscillator-256", "three-term"])
 def test_split_buffers_have_no_power_of_two_stride(case):
     # an FFT or product along such a stride maps successive rows to the same
     # cache sets; the split path pads its rows to avoid it
@@ -416,17 +322,15 @@ def test_split_buffers_have_no_power_of_two_stride(case):
         g1 = h.grid.factor(0)
         psi = tensor_state(coherent_state(g1, 0.0, 0.0), coherent_state(g1, -1.0, 0.0))
     else:
-        kind, _, n = case.partition("-")
-        grid = PhaseGrid.create(int(n or 64), 9.0)
-        h = (_pumped_both(grid) if kind == "pumped"
-             else hamiltonian_preset(grid, "oscillator", {}))
+        grid = PhaseGrid.create(int(case.split("-")[1]), 9.0)
+        h = hamiltonian_preset(grid, "oscillator", {})
         psi = coherent_state(grid, 1.0, 0.3)
     w = wigner_from_wavefunction(psi)
     plan = dynamics.LvnPlan(h.grid, h)
     coef, pending = plan.enter(w.values)
     buffers = [coef]
-    for k in range(2):
-        coef, pending = plan.step(coef, pending, 0.05 * k, 0.05)
+    for _ in range(2):
+        coef, pending = plan.step(coef, pending, 0.05)
         buffers.append(coef)
     buffers += list(plan._moves.values()) + list(plan._tables.values())
     buffers += [plan._exp(j, 0.05) for j in range(len(plan.bases))]
@@ -510,7 +414,7 @@ def test_unhashable_profile_evolves(grid64, w0, split):
 # ---------------------------------------------------------------------------
 # the LvN bracket against the dense oracle
 
-def _oracle_rhs(h, w, t):
+def _oracle_rhs(h, w):
     """Weyl symbol of (H rho - rho H) / (i hbar) over (2 pi hbar)^n.
 
     rho is W's own operator. For the coherent state at (1, 0.3) it differs
@@ -522,23 +426,18 @@ def _oracle_rhs(h, w, t):
     from osqm.weyl import weyl_symbol_from_operator
     g = h.grid
     rho = weyl_operator_from_symbol(w.as_symbol()).matrix
-    hm = weyl_operator_from_symbol(h.symbol(t)).matrix
+    hm = weyl_operator_from_symbol(h.symbol()).matrix
     comm = OperatorMatrix(g, (hm @ rho - rho @ hm) / (1j * g.hbar))
     return weyl_symbol_from_operator(comm).values.real / (2 * np.pi * g.hbar) ** g.dof
 
 
-@pytest.mark.parametrize("name", ["oscillator", "double-well", "ramp"])
+@pytest.mark.parametrize("name", ["oscillator", "double-well"])
 def test_lvn_rhs_matches_the_oracle_commutator(grid64, name):
     from osqm.scenarios import hamiltonian_preset
-    if name == "ramp":
-        h = Hamiltonian(grid64, [
-            HamiltonianTerm((("p", 0, lambda p: p ** 2 / 2),)),
-            HamiltonianTerm((("x", 0, lambda x: x),), coefficient=np.sin)])
-    else:
-        h = hamiltonian_preset(grid64, name, {})
+    h = hamiltonian_preset(grid64, name, {})
     w = wigner_from_wavefunction(coherent_state(grid64, 1.0, 0.3))
-    got = dynamics.LvnPlan(grid64, h).rhs(w.values, 0.3)
-    want = _oracle_rhs(h, w, 0.3)
+    got = dynamics.LvnPlan(grid64, h).rhs(w.values)
+    want = _oracle_rhs(h, w)
     assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
@@ -548,11 +447,11 @@ def test_dof2_lvn_rhs_matches_the_oracle_commutator():
     gg = PhaseGrid.product(g1, g1)
     h = Hamiltonian(gg, [
         HamiltonianTerm((("p", 0, lambda p: p), ("x", 1, np.tanh)),
-                        coefficient=lambda t: 1 + 0.5 * np.sin(t)),
+                        coefficient=1 + 0.5 * np.sin(0.3)),
         HamiltonianTerm((("p", 1, lambda p: p ** 2 / 2),))])
     w = wigner_from_wavefunction(tensor_state(coherent_state(g1, 0.0, 0.0),
                                               coherent_state(g1, -1.0, 0.0)))
-    got = dynamics.LvnPlan(gg, h).rhs(w.values, 0.3)
-    want = _oracle_rhs(h, w, 0.3)
+    got = dynamics.LvnPlan(gg, h).rhs(w.values)
+    want = _oracle_rhs(h, w)
     # 9.5e-9: the dof-2 grid Weyl map's own error, not the right-hand side's
     assert np.abs(got - want).max() < 1e-6 * np.abs(want).max()

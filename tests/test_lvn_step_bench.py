@@ -1,0 +1,22 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "lvn_step_bench.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("lvn_step_bench", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_measure_steps_runs_on_the_current_plan(monkeypatch):
+    # a change to LvnPlan.step's signature fails here, not at the next timing run
+    tool = _tool()
+    monkeypatch.setattr(tool, "BATCHES", {"oscillator-64": (4, 2)})
+    ms = tool.measure_steps()
+    assert list(ms) == ["oscillator-64"]
+    assert np.isfinite(ms["oscillator-64"]) and ms["oscillator-64"] > 0

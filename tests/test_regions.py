@@ -4,7 +4,8 @@ import scipy.linalg
 
 from osqm.grid import PhaseGrid
 from osqm.regions import (_checked_projector, _coherent_quadrature_1dof,
-                          build_partition, classicality_projectors)
+                          build_partition, classicality_projectors,
+                          quasiprojector_defect)
 from osqm.scenarios import MeasurementScenario
 
 
@@ -100,6 +101,21 @@ def test_classicality_projectors_match_explicit_deflation(grid64, x_cuts):
     got = classicality_projectors(part)
     for p, ref in zip(got, _deflation_reference(part)):
         assert np.array_equal(p.matrix, ref)
+
+
+@pytest.mark.parametrize("x_cuts", [[0.0], [-3.0, 3.0]])
+def test_quasiprojector_defect_is_the_largest_pair_defect(grid64, x_cuts):
+    # ||Pi_a Pi_b - delta_ab Pi_a||_tr / tr Pi_a over every ordered pair, with
+    # the trace norm as the sum of singular values
+    part = build_partition(grid64, x_cuts)
+    ops = [r.operator().matrix for r in part.regions]
+    eye = np.eye(len(ops))
+    pairs = [np.linalg.svd(a @ b - eye[i, j] * a, compute_uv=False).sum()
+             / a.trace().real for i, a in enumerate(ops) for j, b in enumerate(ops)]
+    got = quasiprojector_defect(part)
+    assert isinstance(got, float)
+    assert abs(got - max(pairs)) < 1e-12 * max(pairs)
+    assert 0 < got < 1
 
 
 def test_projector_check_rejects_a_matrix_that_is_not_idempotent(grid64):

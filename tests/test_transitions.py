@@ -167,7 +167,7 @@ def _phase_reference(engine, seed):
     w = wigner.wigner_from_wavefunction(psi0)
     rows, chosen_labels = [], []
     for k in range(1, engine.steps + 1):
-        w = evolve_lvn(w, engine.h, dt, dt, verify_dt=False, t0=(k - 1) * dt)
+        w = evolve_lvn(w, engine.h, dt, dt, verify_dt=False)
         if k % engine.stride == 0 or k == engine.steps:
             probs = transition_probabilities(w, partition)
             chosen = sample_transition(probs, rng)

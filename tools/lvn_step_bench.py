@@ -68,16 +68,13 @@ def measure_steps() -> dict:
     out = {}
     for name, (steps, batches) in BATCHES.items():
         plan, state, dt = _case(name)
-        t = 0.0
         for _ in range(3):  # warm the FFT plans and the exp tables
-            state = plan.step(*state, t, dt)
-            t += dt
+            state = plan.step(*state, dt)
         per_step = []
         for _ in range(batches):
             start = time.perf_counter()
             for _ in range(steps):
-                state = plan.step(*state, t, dt)
-                t += dt
+                state = plan.step(*state, dt)
             per_step.append((time.perf_counter() - start) / steps * 1e3)
         out[name] = statistics.median(per_step)
     return out
