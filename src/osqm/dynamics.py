@@ -391,6 +391,8 @@ def evolve_lvn(w: WignerState, h: Hamiltonian, t_final: float, dt: float,
         raise ValueError(f"t_final must be finite and non-negative, got {t_final}")
     if h.grid != w.grid:
         raise GridMismatchError("Hamiltonian grid mismatch")
+    if not h.terms:
+        raise ValueError("Hamiltonian has no terms")
     steps, remainder = step_count(t_final, dt)
     if len(h.terms) == 1:
         arr = _evolve_exact(w, h.terms[0], steps * dt + remainder)

@@ -232,8 +232,13 @@ class MeasurementScenario:
 
         The pre-transition evolution is deterministic and shared; each seed
         contributes one Born-rule draw and the post-state checks run once
-        per outcome (the post-state is seed-independent).
+        per outcome (the post-state is seed-independent). Seed i's draw is
+        the first uniform in [0, 1) of trajectory_rng(base_seed, i); all
+        num_seeds uniforms go through one sample_transition call, so the
+        Born row is checked and its CDF built once per ensemble.
         """
+        if num_seeds < 1:
+            raise ValueError(f"num_seeds must be at least 1, got {num_seeds}")
         vT = self._evolved()
         probs = self.band_probabilities(vT)
         post_resid = {}
@@ -242,13 +247,11 @@ class MeasurementScenario:
                 region = self.partition.regions[idx]
                 post = apply_quasiprojection(vT, region.sqrt_operator())
                 post_resid[self.band_labels[idx]] = is_quasirestricted(post, region)[1]
-        counts = {lab: 0 for lab in self.band_labels}
-        outcomes = []
-        for i in range(num_seeds):
-            rng = trajectory_rng(base_seed, i)
-            idx = sample_transition(probs, rng)
-            counts[self.band_labels[idx]] += 1
-            outcomes.append(self.band_labels[idx])
+        us = [trajectory_rng(base_seed, i).random() for i in range(num_seeds)]
+        drawn = sample_transition(probs, us)
+        tally = np.bincount(drawn, minlength=len(self.band_labels)).tolist()
+        counts = dict(zip(self.band_labels, tally))
+        outcomes = [self.band_labels[k] for k in drawn.tolist()]
         freq_left = counts["outcome-left"] / num_seeds
         freq_right = counts["outcome-right"] / num_seeds
         return {

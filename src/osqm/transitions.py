@@ -200,15 +200,28 @@ def transition_probabilities_oracle(v: np.ndarray, partition: Partition) -> np.n
                                    for r in partition.regions]))
 
 
-def sample_transition(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw of a region index."""
+def sample_transition(probabilities: np.ndarray, u):
+    """Region indices of uniforms u in [0, 1) under the inverse CDF of a Born row.
+
+    u is one float, which gives an int, or an array of floats, which gives
+    an index array of its shape. The row is checked and its CDF built once
+    per call, so an ensemble passes all its uniforms in one call; a draw
+    from a generator is sample_transition(probs, rng.random()).
+    """
     p = np.asarray(probabilities, dtype=float)
     total = p.sum()
     if not np.isfinite(total) or total <= 0:
         raise ValueError("degenerate probability vector")
     cdf = np.cumsum(p / total)
-    u = rng.random()
-    return min(int(np.searchsorted(cdf, u, side="right")), len(p) - 1)
+    idx = np.searchsorted(cdf, u, side="right")
+    if idx.ndim == 0:
+        if not 0.0 <= u < 1.0:
+            raise ValueError(f"uniform {u} outside [0, 1)")
+        return min(int(idx), len(p) - 1)
+    u = np.asarray(u, dtype=float)
+    if u.size and not (u.min() >= 0.0 and u.max() < 1.0):
+        raise ValueError("uniforms outside [0, 1)")
+    return np.minimum(idx, len(p) - 1)
 
 
 def apply_quasiprojection(v: np.ndarray, update: OperatorMatrix) -> np.ndarray:
@@ -546,12 +559,12 @@ class TrajectoryEngine:
                 if node is None:
                     before = self._replay(state, done, i + 1, drawn)
                     probs = prop.born_weights(before)
-                    chosen = sample_transition(probs, rng)
+                    chosen = sample_transition(probs, rng.random())
                     v, distance = prop.to_vector(before)
                     node = _Event(probs, distance)
                     cached = cached and self._insert(branch, "child", node)
                 else:
-                    chosen = sample_transition(node.probs, rng)
+                    chosen = sample_transition(node.probs, rng.random())
                 branch = node.branches[chosen]
                 if branch is None:
                     if v is None:

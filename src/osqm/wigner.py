@@ -136,6 +136,8 @@ def coherent_state(grid: PhaseGrid, x0, p0) -> WaveFunction:
     p0 = np.atleast_1d(np.asarray(p0, dtype=float))
     if len(x0) != grid.dof or len(p0) != grid.dof:
         raise ValueError("center must supply one (x0, p0) pair per dof")
+    if not (np.isfinite(x0).all() and np.isfinite(p0).all()):
+        raise ValueError("coherent-state centre must be finite")
     hbar = grid.hbar
     sigma = np.sqrt(hbar / 2)
     for d in range(grid.dof):

@@ -3,6 +3,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -177,8 +178,7 @@ def test_input_the_run_cannot_use_exits_with_config_code(tmp_path, capsys, block
 @pytest.mark.parametrize("backend", ["oracle", "phase"])
 @pytest.mark.parametrize("block, key, message", [
     ("hamiltonian", "omega", "hamiltonian: symbol values must be finite"),
-    ("initial_state", "x0", "initial_state: state flagged normalized but |psi|^2 "
-                            "sums to nan")])
+    ("initial_state", "x0", "initial_state: coherent-state centre must be finite")])
 def test_nan_preset_parameter_exits_with_config_code(tmp_path, capsys, backend,
                                                      block, key, message):
     # json reads NaN; on the phase backend a NaN omega raised a traceback
@@ -187,7 +187,10 @@ def test_nan_preset_parameter_exits_with_config_code(tmp_path, capsys, backend,
     cfg[block].setdefault("params", {})[key] = float("nan")
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(cfg))
-    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration:") and message in err
     assert "Traceback" not in err

@@ -125,6 +125,12 @@ def test_t_final_not_finite_and_non_negative_is_rejected(grid64, osc, w0, t_fina
         evolve_lvn(w0, osc, t_final, 0.01)
 
 
+@pytest.mark.parametrize("t_final", [0.0, 0.1])
+def test_hamiltonian_without_terms_is_rejected(grid64, w0, t_final):
+    with pytest.raises(ValueError, match="Hamiltonian has no terms"):
+        evolve_lvn(w0, Hamiltonian(grid64, []), t_final, 0.01)
+
+
 def test_dof2_coupling_stays_on_the_grid():
     # the grid bracket of p1 tanh(x2) is not real; a stepper that drops the
     # imaginary part at every stage left the grid here by t = 0.06

@@ -20,3 +20,11 @@ def test_measure_steps_runs_on_the_current_plan(monkeypatch):
     ms = tool.measure_steps()
     assert list(ms) == ["oscillator-64"]
     assert np.isfinite(ms["oscillator-64"]) and ms["oscillator-64"] > 0
+
+
+def test_measure_draws_runs_on_the_current_scenario(monkeypatch):
+    tool = _tool()
+    monkeypatch.setattr(tool, "DRAWS", {"born-draws": (20, 2)})
+    us = tool.measure_draws()
+    assert list(us) == ["born-draws"]
+    assert np.isfinite(us["born-draws"]) and us["born-draws"] > 0

@@ -117,16 +117,6 @@ def test_region_sqrt_operator_makes_one_eigh(grid64, monkeypatch):
 # sample_transition draws and apply_quasiprojection updates the state
 
 
-class _Draw:
-    """Stands in for a generator whose next uniform draw is u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
-
-
 def test_povm_identity_effect(grid64):
     # one region covering the grid: its quasiprojector is the identity
     part = build_partition(grid64, [])
@@ -134,7 +124,7 @@ def test_povm_identity_effect(grid64):
     v = psi.to_vector()
     probs = transition_probabilities_oracle(v, part)
     assert np.array_equal(probs, [1.0])
-    assert sample_transition(probs, _Draw(0.37)) == 0
+    assert sample_transition(probs, 0.37) == 0
     post = apply_quasiprojection(v, part.regions[0].sqrt_operator())
     assert np.abs(WaveFunction.from_vector(grid64, post).values - psi.values).max() < 1e-12
 
@@ -152,7 +142,7 @@ def test_povm_projective_split_on_superposition(grid64):
     assert np.abs(probs - 0.5).max() < 1e-3
     projectors = classicality_projectors(part)
     for u, chosen, center in ((0.25, 0, -3.0), (0.75, 1, 3.0)):
-        assert sample_transition(probs, _Draw(u)) == chosen
+        assert sample_transition(probs, u) == chosen
         post = apply_quasiprojection(cat, projectors[chosen])
         assert np.abs(projectors[chosen].matrix @ post - post).max() < 1e-12
         target = coherent_state(grid64, center, 0.0).to_vector()
@@ -163,10 +153,43 @@ def test_povm_empirical_frequencies(grid64):
     part, cat, probs = _cat_over_halves(grid64)
     assert abs(probs.sum() - 1) < 1e-12
     rng = trajectory_rng(7, 0)
-    draws = np.array([sample_transition(probs, rng) for _ in range(100_000)])
+    draws = np.array([sample_transition(probs, rng.random()) for _ in range(100_000)])
     freq = (draws == 0).mean()
     sigma = np.sqrt(probs[0] * probs[1] / draws.size)
     assert abs(freq - probs[0]) < 4 * sigma
+
+
+@pytest.mark.parametrize("probs", [[0.25, 0.5, 0.25], [0.5, 0.0, 0.5], [0.1] * 10,
+                                   [3.0, 1.0]])
+def test_sample_transition_array_matches_scalar(probs):
+    p = np.asarray(probs) / np.sum(probs)
+    cdf = np.cumsum(p)
+    # 0, the largest uniform, each CDF value exactly and its neighbours; the
+    # CDF of [0.1] * 10 ends at 1 - 2**-53, the largest uniform, not at 1
+    us = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cdf, np.nextafter(cdf, 0.0),
+                         np.nextafter(cdf, 1.0), np.random.default_rng(3).random(50)])
+    us = us[us < 1]
+    drawn = sample_transition(probs, us)
+    assert drawn.shape == us.shape
+    scalar = [sample_transition(probs, float(u)) for u in us]
+    assert all(type(k) is int for k in scalar)
+    assert drawn.tolist() == scalar
+    assert all(0 <= k < len(p) and p[k] > 0 for k in scalar)
+    assert sample_transition(probs, 0.0) == int(np.argmax(p > 0))
+    assert sample_transition(probs, np.nextafter(1.0, 0.0)) == len(p) - 1
+
+
+@pytest.mark.parametrize("probs", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]])
+@pytest.mark.parametrize("u", [0.5, [0.1, 0.9]])
+def test_sample_transition_rejects_a_degenerate_row(probs, u):
+    with pytest.raises(ValueError, match="degenerate"):
+        sample_transition(probs, u)
+
+
+@pytest.mark.parametrize("u", [1.0, -0.1, np.nan, [0.2, 1.0], [np.nan]])
+def test_sample_transition_rejects_uniforms_outside_the_unit_interval(u):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+        sample_transition([0.5, 0.5], u)
 
 
 def test_povm_incomplete_effects_rejected(grid64):

@@ -5,6 +5,7 @@ from osqm.grid import PhaseGrid
 from osqm.scenarios import (HAMILTONIAN_PRESETS, STATE_PRESETS, MeasurementScenario,
                             binomial_interval, edge_flattened, hamiltonian_preset,
                             initial_state_preset)
+from osqm.transitions import sample_transition, trajectory_rng
 
 DOF1 = PhaseGrid.create(64, 9.0)
 DOF2 = PhaseGrid.create(32, 8.0, dof=2)
@@ -56,3 +57,39 @@ def test_scenario_rejects_a_short_pointer_axis():
     with pytest.raises(ValueError, match="pointer axis too short"):
         MeasurementScenario(PhaseGrid.create(64, 12.0), PhaseGrid.create(32, 7.5),
                             band_edge=5.0, displacement=10.0)
+
+
+@pytest.fixture(scope="module")
+def born_scenarios():
+    """Acceptance criterion 8's measurement scenarios, one per amplitude pair."""
+    g1, g2 = PhaseGrid.create(128, 18.0), PhaseGrid.create(32, 9.0)
+    return [MeasurementScenario(g1, g2, amplitudes=amps)
+            for amps in ((1 / np.sqrt(2), 1 / np.sqrt(2)), (0.6, 0.8))]
+
+
+@pytest.mark.parametrize("base_seed", [0, 2024, 2 ** 40 + 3])
+def test_run_ensemble_matches_a_draw_per_seed(born_scenarios, base_seed):
+    # the reference draws seed by seed with the scalar sampler
+    n = 400
+    for sc in born_scenarios:
+        probs = sc.band_probabilities(sc._evolved())
+        counts = {lab: 0 for lab in sc.band_labels}
+        outcomes = []
+        for i in range(n):
+            label = sc.band_labels[sample_transition(
+                probs, trajectory_rng(base_seed, i).random())]
+            counts[label] += 1
+            outcomes.append(label)
+        out = sc.run_ensemble(n, base_seed=base_seed)
+        assert out["outcomes"] == outcomes
+        assert out["counts"] == counts
+        assert all(type(c) is int for c in out["counts"].values())
+        assert out["frequencies"] == {"outcome-left": counts["outcome-left"] / n,
+                                      "outcome-right": counts["outcome-right"] / n,
+                                      "ready": counts["ready"] / n}
+        assert out["probabilities"] == dict(zip(sc.band_labels, probs.tolist()))
+
+
+def test_run_ensemble_rejects_an_empty_ensemble(born_scenarios):
+    with pytest.raises(ValueError, match="num_seeds must be at least 1"):
+        born_scenarios[0].run_ensemble(0)

@@ -55,7 +55,7 @@ def _oracle_reference(engine, durations, seed, snapshot_every=0):
         t += tau
         if k % engine.stride == 0 or k == len(durations):
             probs = transition_probabilities_oracle(v, partition)
-            chosen = sample_transition(probs, rng)
+            chosen = sample_transition(probs, rng.random())
             region = partition.regions[chosen]
             v = apply_quasiprojection(v, exact[chosen] if exact else region.sqrt_operator())
             out["prob_rows"].append(probs)
@@ -170,7 +170,7 @@ def _phase_reference(engine, seed):
         w = evolve_lvn(w, engine.h, dt, dt, verify_dt=False)
         if k % engine.stride == 0 or k == engine.steps:
             probs = transition_probabilities(w, partition)
-            chosen = sample_transition(probs, rng)
+            chosen = sample_transition(probs, rng.random())
             region = partition.regions[chosen]
             rho = weyl_operator_from_symbol(w.as_symbol()).matrix
             top = np.linalg.eigh(rho)[1][:, -1]
@@ -412,7 +412,7 @@ def _walk(engine, seed):
     branch, path = engine._memo, []
     while branch is not None and branch.child is not None:
         node = branch.child
-        chosen = sample_transition(node.probs, rng)
+        chosen = sample_transition(node.probs, rng.random())
         path.append((node, chosen))
         branch = node.branches[chosen]
     return path, branch

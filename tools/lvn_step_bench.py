@@ -1,4 +1,4 @@
-"""Milliseconds per LvN split step and `osqm regress` seconds of two checkouts.
+"""LvN split-step ms, Born-draw us and `osqm regress` seconds of two checkouts.
 
     python tools/lvn_step_bench.py --parent OLD --change NEW --runs 5 --out BENCH.json
 
@@ -12,6 +12,12 @@ A step is one `LvnPlan.step` on a state that stays in its term basis, as
 256 (extent 9, dt 0.005, the lvn-oscillator workload's) and a dof-2
 three-term Hamiltonian on 32 x 32 (extent 8, dt 0.05). A run's figure for a
 case is the median over batches of the mean time per step of a batch.
+
+The born-draws case is one `MeasurementScenario.run_ensemble` call on
+acceptance criterion 8's scenario (pointer grid 128 points, extent 18;
+observed grid 32, extent 9; equal amplitudes), including its shared
+evolution and post-state checks. A run's figure is the median over calls of
+the call's time divided by its draws.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ THREADS = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # case: (steps per batch, batches)
 BATCHES = {"oscillator-64": (100, 9), "oscillator-128": (50, 9),
            "oscillator-256": (20, 9), "three-term-32x32": (3, 7)}
+# case: (draws per run_ensemble call, calls)
+DRAWS = {"born-draws": (2000, 9)}
 
 
 def _case(name: str):
@@ -80,11 +88,31 @@ def measure_steps() -> dict:
     return out
 
 
+def measure_draws() -> dict:
+    """us per Born draw of run_ensemble, for the osqm on sys.path."""
+    import numpy as np
+    from osqm.grid import PhaseGrid
+    from osqm.scenarios import MeasurementScenario
+
+    out = {}
+    for name, (draws, calls) in DRAWS.items():
+        sc = MeasurementScenario(PhaseGrid.create(128, 18.0), PhaseGrid.create(32, 9.0),
+                                 amplitudes=(1 / np.sqrt(2), 1 / np.sqrt(2)))
+        sc.run_ensemble(draws)  # warm the FFT plans
+        per_draw = []
+        for call in range(calls):
+            start = time.perf_counter()
+            sc.run_ensemble(draws, base_seed=call)
+            per_draw.append((time.perf_counter() - start) / draws * 1e6)
+        out[name] = statistics.median(per_draw)
+    return out
+
+
 def _env(tree: Path) -> dict:
     return {**os.environ, **THREADS, "PYTHONPATH": str(tree / "src")}
 
 
-def _run_steps(tree: Path) -> dict:
+def _run_measure(tree: Path) -> dict:
     res = subprocess.run([sys.executable, __file__, "--measure"], env=_env(tree),
                          check=True, capture_output=True, text=True)
     return json.loads(res.stdout)
@@ -129,39 +157,44 @@ def _commit(tree: Path):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--measure", action="store_true",
-                        help="print this checkout's ms per step as JSON")
+                        help="print this checkout's ms per step and us per draw as JSON")
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure_steps()))
+        print(json.dumps({**measure_steps(), **measure_draws()}))
         return 0
     if not (args.parent and args.change and args.out) or args.runs < 1:
         parser.error("--parent, --change, --out and --runs >= 1 are required")
     trees = {"parent": args.parent, "change": args.change}
-    steps = {side: [] for side in trees}
+    measured = {side: [] for side in trees}
     regress = {side: [] for side in trees}
     for run in range(args.runs):
         order = list(trees) if run % 2 == 0 else list(reversed(trees))
         for side in order:
-            steps[side].append(_run_steps(trees[side]))
+            measured[side].append(_run_measure(trees[side]))
             regress[side].append(_run_regress(trees[side]))
-    step_medians = {side: _medians(steps[side]) for side in trees}
+    medians = {side: _medians(measured[side]) for side in trees}
+
+    def cases(names):
+        return {name: {"parent": medians["parent"][name],
+                       "change": medians["change"][name],
+                       "ratio": medians["change"][name] / medians["parent"][name],
+                       "runs": {side: [r[name] for r in measured[side]] for side in trees}}
+                for name in names}
+
     result = {
-        "what": "ms per LvnPlan split step; osqm regress seconds per criterion",
+        "what": ("ms per LvnPlan split step; us per Born draw of run_ensemble; "
+                 "osqm regress seconds per criterion"),
         "host": _host(),
         "threads": THREADS,
         "runs": args.runs,
         "order": "alternating; run k measures the parent first when k is even",
         "commits": {side: _commit(tree) for side, tree in trees.items()},
-        "lvn_step_ms": {
-            name: {"parent": step_medians["parent"][name],
-                   "change": step_medians["change"][name],
-                   "ratio": step_medians["change"][name] / step_medians["parent"][name],
-                   "runs": {side: [r[name] for r in steps[side]] for side in trees}}
-            for name in BATCHES},
+        "lvn_step_ms": cases(BATCHES),
+        "born_draw_us": cases(DRAWS),
         "regress_seconds": {
             "timer": "each checkout's own acceptance.run_regression_suite",
             "median": {side: _medians(regress[side]) for side in trees},
