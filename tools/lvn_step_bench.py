@@ -90,14 +90,13 @@ def measure_steps() -> dict:
 
 def measure_draws() -> dict:
     """us per Born draw of run_ensemble, for the osqm on sys.path."""
-    import numpy as np
     from osqm.grid import PhaseGrid
     from osqm.scenarios import MeasurementScenario
 
     out = {}
     for name, (draws, calls) in DRAWS.items():
-        sc = MeasurementScenario(PhaseGrid.create(128, 18.0), PhaseGrid.create(32, 9.0),
-                                 amplitudes=(1 / np.sqrt(2), 1 / np.sqrt(2)))
+        # the default amplitudes are the equal pair
+        sc = MeasurementScenario(PhaseGrid.create(128, 18.0), PhaseGrid.create(32, 9.0))
         sc.run_ensemble(draws)  # warm the FFT plans
         per_draw = []
         for call in range(calls):
