@@ -26,8 +26,16 @@ change is an in-place np.fft pass (out=, numpy >= 2.0) and one product
 with a precomputed table: the centered transform over every axis is
 spectral.cdftn, and a split step moves from term a's basis to term b's by
 an ifft along a's axes, one fused untwist_a * twist_b table and an fft
-along b's axes. No table outlives its evolve_lvn call; on dof 2 most are
-the size of the state.
+along b's axes.
+
+The tables belong to the Hamiltonian. Hamiltonian.lvn_plan builds its
+LvnPlan on the first evolve_lvn call, never before, and every later call
+reads it: each term's twist, untwist and generator, the split path's padded
+generators and move tables, and the exp(s G) tables of the latest call's
+step sizes. A call with other step sizes replaces those exp tables, so the
+bytes held do not grow with the number of calls or of distinct dt and
+t_final values. On dof 2 most tables are the size of the state: the
+one-term 32^4 coupling holds three 16.8 MB tables plus one exp table.
 
 The split path keeps its state in a row-padded buffer: the last axis has
 _PAD spare entries, which stay zero, so no axis runs at a power-of-two
@@ -52,8 +60,7 @@ state, the exact path the final state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -101,12 +108,32 @@ class HamiltonianTerm:
             seen_dofs.add(dof)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hamiltonian:
-    """Sum of factorized terms; renders to a real Weyl symbol on demand."""
+    """Sum of factorized terms; renders to a real Weyl symbol on demand.
+
+    terms is stored as a tuple and the instance is frozen, so the LvnPlan it
+    keeps (lvn_plan) cannot go stale. A Hamiltonian with no terms raises
+    ValueError.
+    """
 
     grid: PhaseGrid
-    terms: Sequence[HamiltonianTerm]
+    terms: tuple[HamiltonianTerm, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
+        if not self.terms:
+            raise ValueError("Hamiltonian has no terms")
+
+    @cached_property
+    def lvn_plan(self) -> "LvnPlan":
+        """The tables every evolve_lvn call on this Hamiltonian reads.
+
+        Built on the first access, which is the first evolve_lvn call that
+        moves the state, and kept in the instance's __dict__ for its life
+        (see LvnPlan for what it holds).
+        """
+        return LvnPlan(self.grid, self)
 
     def symbol(self) -> WeylSymbol:
         mesh = self.grid.phase_mesh()
@@ -238,10 +265,6 @@ class _TermBasis:
         coef *= self.untwist
         return coef
 
-    def propagate(self, coef: np.ndarray, s: float) -> np.ndarray:
-        """Frequency-domain state at time s from its basis coefficients."""
-        return self.from_basis(coef * np.exp(s * self.generator))
-
 
 # Yoshida's triple jump: Strang sweeps of W1 dt, W0 dt and W1 dt compose
 # to a 4th-order step (Phys. Lett. A 150, 262 (1990)).
@@ -279,23 +302,38 @@ def _check_marginal_containment(grid: PhaseGrid, arr: np.ndarray) -> None:
 
 
 class LvnPlan:
-    """Term bases and 4th-order split steps for one (grid, Hamiltonian).
+    """Term bases, exp(s G) tables and 4th-order split steps for one
+    (grid, Hamiltonian).
 
-    The plan steps a Hamiltonian of two or more terms; one term takes
-    evolve_lvn's exact path. A state is (coef, pending): its coefficients
-    in term 0's basis and an amount s of term 0 whose exponential
-    exp(s G_0) is not yet applied.
+    Hamiltonian.lvn_plan builds one on the first evolve_lvn call and every
+    later call on that Hamiltonian reads it. A Hamiltonian of one term takes
+    the exact path (exact): its tables keep the state's contiguous layout,
+    and it holds its basis (twist, untwist, generator) plus the one
+    exp(total G) table of the latest call, four tables the size of the state
+    on the 32^4 coupling (16.8 MB each). Every other Hamiltonian takes split
+    steps.
+
+    A split state is (coef, pending): its coefficients in term 0's basis and
+    an amount s of term 0 whose exponential exp(s G_0) is not yet applied.
     coef is a row-padded buffer (see the module docstring): its last axis
-    has _PAD spare zero entries, and the state is coef[..., :N]. The move
-    and exp(s G) tables are padded alike, so no FFT or product of a step
-    runs at a power-of-two stride.
+    has _PAD spare zero entries, and the state is coef[..., :N]. The
+    generators, move and exp(s G) tables are padded alike, so no FFT or
+    product of a step runs at a power-of-two stride.
     The last exponential of a step is left pending and merges with the
     first of the next, so between steps the state never leaves the
     frequency domain. A step runs on the coef buffer: each move from term
     a's basis to term b's is an ifft along a's axes, one product with the
     table untwist_a * twist_b built here, and an fft along b's axes,
-    followed by the product with exp(s G_b). exp(s G) tables are built
-    once per distinct (term, s).
+    followed by the product with exp(s G_b).
+
+    exp(s G) tables are built once per distinct (term, s) and kept across
+    calls. A call starts at enter or exact; a table it builds first drops
+    every table the call has not used yet, so the plan holds the tables of
+    one call, and a call with other step sizes replaces them. Held between
+    calls, on the dof-2 three-term Hamiltonian of 32^4 (one full-size
+    term): 137 MB after a call of whole steps (7 exp tables), 206 MB after
+    one with verify_dt and a shorter last step (20); on the oscillator at
+    N = 256, 25 MB.
     """
 
     def __init__(self, grid: PhaseGrid, h: Hamiltonian):
@@ -303,8 +341,11 @@ class LvnPlan:
             raise GridMismatchError("Hamiltonian grid mismatch")
         self.bases = [_TermBasis(grid, term) for term in h.terms]
         self.sweep = _yoshida_sweep(len(self.bases))
-        self._generators = [_padded(basis.generator) for basis in self.bases]
+        split = len(self.bases) > 1
+        self._generators = [_padded(basis.generator) if split else basis.generator
+                            for basis in self.bases]
         self._tables = {}
+        self._used = set()
         self._moves = {}
         for (a, _), (b, _) in zip(self.sweep, self.sweep[1:]):
             if (a, b) not in self._moves:
@@ -321,12 +362,28 @@ class LvnPlan:
         return cidftn(acc).real
 
     def _exp(self, j: int, s: float) -> np.ndarray:
-        table = self._tables.get((j, s))
+        key = (j, s)
+        self._used.add(key)
+        table = self._tables.get(key)
         if table is None:
-            table = self._tables[(j, s)] = np.exp(s * self._generators[j])
+            # dropped before the new table is allocated
+            self._tables = {k: t for k, t in self._tables.items() if k in self._used}
+            table = self._tables[key] = np.exp(s * self._generators[j])
         return table
 
+    def exact(self, arr: np.ndarray, total: float) -> np.ndarray:
+        """Wigner array arr after time total under a one-term H; starts a call."""
+        self._used.clear()
+        basis = self.bases[0]
+        coef = basis.to_basis(cdftn(arr))
+        # exp table first: complex products round by operand order, and this
+        # order gives the recorded regress values and dof-2 coupling bits
+        np.multiply(self._exp(0, total), coef, out=coef)
+        return cidftn(basis.from_basis(coef)).real
+
     def enter(self, arr: np.ndarray):
+        """The split state of the Wigner array arr; starts a call."""
+        self._used.clear()
         basis = self.bases[0]
         return basis.fft(_padded(cdftn(arr) * basis.twist)), 0.0
 
@@ -367,7 +424,8 @@ def evolve_lvn(w: WignerState, h: Hamiltonian, t_final: float, dt: float,
                verify_dt: bool = True) -> WignerState:
     """Propagate a Wigner state on dW/dt = -{{W, H}} by t_final.
 
-    Two paths:
+    Two paths, both through the tables of h.lvn_plan, which the first call
+    that moves the state builds and later calls reuse:
 
     - A Hamiltonian of one term is advanced by its exact exponential,
       computed directly from the initial state. dt plays no role on the
@@ -391,13 +449,15 @@ def evolve_lvn(w: WignerState, h: Hamiltonian, t_final: float, dt: float,
         raise ValueError(f"t_final must be finite and non-negative, got {t_final}")
     if h.grid != w.grid:
         raise GridMismatchError("Hamiltonian grid mismatch")
-    if not h.terms:
-        raise ValueError("Hamiltonian has no terms")
     steps, remainder = step_count(t_final, dt)
+    if steps == 0 and remainder == 0.0:
+        return WignerState(w.grid, w.values.copy())
+    plan = h.lvn_plan
     if len(h.terms) == 1:
-        arr = _evolve_exact(w, h.terms[0], steps * dt + remainder)
+        arr = plan.exact(w.values, steps * dt + remainder)
     else:
-        arr = _evolve_split(w, h, steps, dt, remainder, verify_dt)
+        arr = _evolve_split(w, plan, steps, dt, remainder, verify_dt)
+    _check_marginal_containment(w.grid, arr)
     return WignerState(w.grid, arr)
 
 
@@ -410,20 +470,7 @@ def _check_step_halving(one: np.ndarray, half: np.ndarray, scale: float,
             f"reduce dt (try {dt / 4})")
 
 
-def _evolve_exact(w, term, total):
-    if total == 0:
-        return w.values.copy()
-    prop = _TermBasis(w.grid, term)
-    arr = cidftn(prop.propagate(prop.to_basis(cdftn(w.values)), total)).real
-    _check_marginal_containment(w.grid, arr)
-    return arr
-
-
-def _evolve_split(w, h, steps, dt, remainder, verify_dt):
-    grid = w.grid
-    if steps == 0 and remainder == 0.0:
-        return w.values.copy()
-    plan = LvnPlan(grid, h)
+def _evolve_split(w, plan, steps, dt, remainder, verify_dt):
     state = plan.enter(w.values)
     if verify_dt:
         first = dt if steps else remainder
@@ -436,9 +483,7 @@ def _evolve_split(w, h, steps, dt, remainder, verify_dt):
     for k in range(1, steps + 1):
         state = plan.step(*state, dt)
         if k % max(1, steps // 20) == 0:
-            _check_marginal_containment(grid, plan.real(*state))
+            _check_marginal_containment(w.grid, plan.real(*state))
     if remainder > 0.0:
         state = plan.step(*state, remainder)
-    arr = plan.real(*state)
-    _check_marginal_containment(grid, arr)
-    return arr
+    return plan.real(*state)

@@ -374,14 +374,19 @@ def test_cdftn_matches_per_axis_transforms(shape, kind):
 
 @pytest.mark.parametrize("name", ["free", "oscillator"])
 def test_repeated_evolution_repeats_bitwise(grid64, w0, name):
-    # the basis changes run in place: they must not write into the input state
+    # the basis changes run in place: they must not write into the input
+    # state; the tables a Hamiltonian keeps across calls give every call the
+    # bits a fresh Hamiltonian gives, through a change of t_final and back
     from osqm.scenarios import hamiltonian_preset
     h = hamiltonian_preset(grid64, name, {})
     start = w0.values.copy()
-    first = evolve_lvn(w0, h, 1.0, 0.05)
+    runs = [(1.0, 0.05), (0.7, 0.05), (1.0, 0.05), (1.0, 0.04)]
+    outs = [evolve_lvn(w0, h, t_final, dt).values for t_final, dt in runs]
     assert np.array_equal(w0.values, start)
-    again = evolve_lvn(w0, h, 1.0, 0.05)
-    assert np.array_equal(again.values, first.values)
+    assert np.array_equal(outs[2], outs[0])
+    for (t_final, dt), out in zip(runs, outs):
+        fresh = evolve_lvn(w0, hamiltonian_preset(grid64, name, {}), t_final, dt)
+        assert np.array_equal(out, fresh.values)
 
 
 def test_composite_evolution_repeats_bitwise():
@@ -391,8 +396,84 @@ def test_composite_evolution_repeats_bitwise():
     w = wigner_from_wavefunction(tensor_state(coherent_state(g1, 0.0, 0.0),
                                               coherent_state(g1, -1.0, 0.0)))
     first = evolve_lvn(w, h, 0.2, 0.05, verify_dt=False)
+    other = evolve_lvn(w, h, 0.25, 0.05, verify_dt=False)
     again = evolve_lvn(w, h, 0.2, 0.05, verify_dt=False)
     assert np.array_equal(again.values, first.values)
+    fresh = evolve_lvn(w, _three_term_h(), 0.25, 0.05, verify_dt=False)
+    assert np.array_equal(other.values, fresh.values)
+
+
+# ---------------------------------------------------------------------------
+# the tables a Hamiltonian keeps across evolve_lvn calls
+
+def _quadratic_h(grid, kinds):
+    """One quadratic term per kind: one term takes the exact path, two split."""
+    return Hamiltonian(grid, [HamiltonianTerm(((kind, 0, lambda q: q ** 2 / 2),))
+                              for kind in kinds])
+
+
+@pytest.mark.parametrize("kinds", [("p",), ("p", "x")], ids=["exact", "split"])
+def test_term_bases_are_built_once_per_term(grid64, w0, monkeypatch, kinds):
+    built = []
+    init = dynamics._TermBasis.__init__
+
+    def counting(self, grid, term):
+        built.append(term)
+        init(self, grid, term)
+
+    monkeypatch.setattr(dynamics._TermBasis, "__init__", counting)
+    h = _quadratic_h(grid64, kinds)
+    for t_final, dt in [(0.2, 0.05), (0.3, 0.05), (0.2, 0.05), (0.2, 0.04), (0.1, 0.05)]:
+        evolve_lvn(w0, h, t_final, dt)
+    assert built == list(h.terms)
+
+
+@pytest.mark.parametrize("kinds", [("p",), ("p", "x")], ids=["exact", "split"])
+def test_exp_tables_are_those_of_the_latest_call(grid64, w0, kinds):
+    # a call with other step sizes replaces the exp tables, so the bytes held
+    # do not grow with the number of distinct dt and t_final values
+    h = _quadratic_h(grid64, kinds)
+    runs = [(0.2, 0.05), (0.3, 0.05), (0.3, 0.04), (0.25, 0.03), (0.1, 0.02)]
+    for t_final, dt in runs:
+        evolve_lvn(w0, h, t_final, dt)
+    one_call = _quadratic_h(grid64, kinds)
+    evolve_lvn(w0, one_call, *runs[-1])
+    assert set(h.lvn_plan._tables) == set(one_call.lvn_plan._tables)
+    assert 0 < len(h.lvn_plan._tables) <= len(h.terms) * len(runs)
+
+
+@pytest.mark.parametrize("name", ["free", "oscillator", "double-well",
+                                  "von-neumann-coupling"])
+def test_preset_hamiltonian_holds_no_tables_before_its_first_evolution(name):
+    from osqm.oracle import tensor_state
+    from osqm.scenarios import hamiltonian_preset
+    g1 = PhaseGrid.create(32, 8.0)
+    if name == "von-neumann-coupling":
+        grid = PhaseGrid.product(g1, g1)
+        psi = tensor_state(coherent_state(g1, 0.0, 0.0), coherent_state(g1, 1.0, 0.0))
+    else:
+        grid, psi = g1, coherent_state(g1, 0.0, 0.0)
+    h = hamiltonian_preset(grid, name, {})
+    h.symbol()
+    w = wigner_from_wavefunction(psi)
+    evolve_lvn(w, h, 0.0, 0.01)  # no time, no evolution
+    assert "lvn_plan" not in vars(h)
+    evolve_lvn(w, h, 0.02, 0.01)
+    assert isinstance(vars(h)["lvn_plan"], dynamics.LvnPlan)
+
+
+def test_hamiltonian_terms_are_a_frozen_tuple(grid64):
+    # a Hamiltonian keeps its LvN tables, so its terms cannot change
+    import dataclasses
+    term = HamiltonianTerm((("p", 0, lambda p: p ** 2 / 2),))
+    h = Hamiltonian(grid64, [term])
+    assert h.terms == (term,)
+    with pytest.raises(AttributeError):
+        h.terms.append(term)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        h.terms = (term, term)
+    with pytest.raises(ValueError, match="Hamiltonian has no terms"):
+        Hamiltonian(grid64, [])
 
 
 @dataclass

@@ -22,6 +22,14 @@ def test_measure_steps_runs_on_the_current_plan(monkeypatch):
     assert np.isfinite(ms["oscillator-64"]) and ms["oscillator-64"] > 0
 
 
+def test_measure_calls_runs_each_evolve_lvn_case(monkeypatch):
+    tool = _tool()
+    monkeypatch.setattr(tool, "CALLS", {"exact-32x32": (1, 1), "one-step-64": (2, 2)})
+    ms = tool.measure_calls()
+    assert list(ms) == ["exact-32x32", "one-step-64"]
+    assert all(np.isfinite(v) and v > 0 for v in ms.values())
+
+
 def test_measure_draws_runs_on_the_current_scenario(monkeypatch):
     tool = _tool()
     monkeypatch.setattr(tool, "DRAWS", {"born-draws": (20, 2)})

@@ -1,4 +1,4 @@
-"""LvN split-step ms, Born-draw us and `osqm regress` seconds of two checkouts.
+"""LvN step and call ms, Born-draw us and `osqm regress` seconds of two checkouts.
 
     python tools/lvn_step_bench.py --parent OLD --change NEW --runs 5 --out BENCH.json
 
@@ -12,6 +12,15 @@ A step is one `LvnPlan.step` on a state that stays in its term basis, as
 256 (extent 9, dt 0.005, the lvn-oscillator workload's) and a dof-2
 three-term Hamiltonian on 32 x 32 (extent 8, dt 0.05). A run's figure for a
 case is the median over batches of the mean time per step of a batch.
+
+A call is one whole `evolve_lvn` call, repeated on one Hamiltonian and one
+state, as the phase backend and the composite-measurement workload repeat
+it: exact-32x32 is that workload's evolution (the one-term
+von-neumann-coupling on 32 x 32, extent 8, to t 0.2 at dt 0.05), and
+one-step-N is one dt 0.005 step of the oscillator at N = 64, 128 and 256
+(extent 9), as the phase backend's continuous schedule takes it, both with
+verify_dt=False. A run's figure for a case is the median over batches of the
+mean time per call of a batch, after one untimed call.
 
 The born-draws case is one `MeasurementScenario.run_ensemble` call on
 acceptance criterion 8's scenario (pointer grid 128 points, extent 18;
@@ -38,6 +47,9 @@ THREADS = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # case: (steps per batch, batches)
 BATCHES = {"oscillator-64": (100, 9), "oscillator-128": (50, 9),
            "oscillator-256": (20, 9), "three-term-32x32": (3, 7)}
+# case: (evolve_lvn calls per batch, batches)
+CALLS = {"exact-32x32": (5, 9), "one-step-64": (50, 9), "one-step-128": (20, 9),
+         "one-step-256": (10, 9)}
 # case: (draws per run_ensemble call, calls)
 DRAWS = {"born-draws": (2000, 9)}
 
@@ -85,6 +97,43 @@ def measure_steps() -> dict:
                 state = plan.step(*state, dt)
             per_step.append((time.perf_counter() - start) / steps * 1e3)
         out[name] = statistics.median(per_step)
+    return out
+
+
+def _call_case(name: str):
+    """(w, h, t_final, dt) of a named evolve_lvn case."""
+    from osqm.grid import PhaseGrid
+    from osqm.oracle import tensor_state
+    from osqm.scenarios import hamiltonian_preset, initial_state_preset
+    from osqm.wigner import coherent_state, wigner_from_wavefunction
+
+    if name.startswith("one-step-"):
+        grid = PhaseGrid.create(int(name.split("-")[2]), 9.0)
+        h = hamiltonian_preset(grid, "oscillator", {})
+        return wigner_from_wavefunction(coherent_state(grid, 1.0, 0.3)), h, 0.005, 0.005
+    g1 = PhaseGrid.create(32, 8.0)
+    h = hamiltonian_preset(PhaseGrid.product(g1, g1), "von-neumann-coupling",
+                           {"v": 1.0, "w": 1.0})
+    cat = initial_state_preset(g1, "cat", {"centers": [[-2.0, 0.0], [2.0, 0.0]]})
+    w = wigner_from_wavefunction(tensor_state(coherent_state(g1, 0.0, 0.0), cat))
+    return w, h, 0.2, 0.05
+
+
+def measure_calls() -> dict:
+    """ms per evolve_lvn call of each case, for the osqm on sys.path."""
+    from osqm.dynamics import evolve_lvn
+
+    out = {}
+    for name, (calls, batches) in CALLS.items():
+        w, h, t_final, dt = _call_case(name)
+        evolve_lvn(w, h, t_final, dt, verify_dt=False)  # warm the FFT plans
+        per_call = []
+        for _ in range(batches):
+            start = time.perf_counter()
+            for _ in range(calls):
+                evolve_lvn(w, h, t_final, dt, verify_dt=False)
+            per_call.append((time.perf_counter() - start) / calls * 1e3)
+        out[name] = statistics.median(per_call)
     return out
 
 
@@ -156,14 +205,15 @@ def _commit(tree: Path):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--measure", action="store_true",
-                        help="print this checkout's ms per step and us per draw as JSON")
+                        help="print this checkout's ms per step and per call and "
+                             "us per draw as JSON")
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps({**measure_steps(), **measure_draws()}))
+        print(json.dumps({**measure_steps(), **measure_calls(), **measure_draws()}))
         return 0
     if not (args.parent and args.change and args.out) or args.runs < 1:
         parser.error("--parent, --change, --out and --runs >= 1 are required")
@@ -185,14 +235,15 @@ def main(argv=None) -> int:
                 for name in names}
 
     result = {
-        "what": ("ms per LvnPlan split step; us per Born draw of run_ensemble; "
-                 "osqm regress seconds per criterion"),
+        "what": ("ms per LvnPlan split step; ms per evolve_lvn call; us per Born "
+                 "draw of run_ensemble; osqm regress seconds per criterion"),
         "host": _host(),
         "threads": THREADS,
         "runs": args.runs,
         "order": "alternating; run k measures the parent first when k is even",
         "commits": {side: _commit(tree) for side, tree in trees.items()},
         "lvn_step_ms": cases(BATCHES),
+        "evolve_lvn_ms": cases(CALLS),
         "born_draw_us": cases(DRAWS),
         "regress_seconds": {
             "timer": "each checkout's own acceptance.run_regression_suite",
