@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 import pytest
@@ -464,13 +464,12 @@ def test_preset_hamiltonian_holds_no_tables_before_its_first_evolution(name):
 
 def test_hamiltonian_terms_are_a_frozen_tuple(grid64):
     # a Hamiltonian keeps its LvN tables, so its terms cannot change
-    import dataclasses
     term = HamiltonianTerm((("p", 0, lambda p: p ** 2 / 2),))
     h = Hamiltonian(grid64, [term])
     assert h.terms == (term,)
     with pytest.raises(AttributeError):
         h.terms.append(term)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         h.terms = (term, term)
     with pytest.raises(ValueError, match="Hamiltonian has no terms"):
         Hamiltonian(grid64, [])

@@ -126,7 +126,8 @@ def measure_calls() -> dict:
     out = {}
     for name, (calls, batches) in CALLS.items():
         w, h, t_final, dt = _call_case(name)
-        evolve_lvn(w, h, t_final, dt, verify_dt=False)  # warm the FFT plans
+        # untimed: warms the FFT plans and builds the tables a Hamiltonian keeps
+        evolve_lvn(w, h, t_final, dt, verify_dt=False)
         per_call = []
         for _ in range(batches):
             start = time.perf_counter()
