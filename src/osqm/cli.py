@@ -1,8 +1,8 @@
 """Command-line front end: run scenarios, regression suite, sweeps.
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 numerical
-abort. OSQM_THREADS bounds ensemble workers. --verbose shows osqm's info
-records on stderr; without it only warnings show.
+abort. --verbose shows osqm's info records on stderr; without it only
+warnings show.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -41,12 +41,12 @@ class ScenarioConfig:
     grid: dict
     hamiltonian: dict
     initial_state: dict
-    partition: dict = field(default_factory=lambda: dict(_DEFAULTS["partition"]))
-    schedule: dict = field(default_factory=lambda: dict(_DEFAULTS["schedule"]))
-    ensemble: dict = field(default_factory=lambda: dict(_DEFAULTS["ensemble"]))
-    output: dict = field(default_factory=lambda: dict(_DEFAULTS["output"]))
-    backend: str = "oracle"
-    projection_mode: str = "sqrt"
+    partition: dict
+    schedule: dict
+    ensemble: dict
+    output: dict
+    backend: str
+    projection_mode: str
 
     def build_grid(self) -> PhaseGrid:
         g = self.grid
@@ -78,17 +78,15 @@ class ScenarioConfig:
 
 
 def _check_block(raw: dict, name: str, allowed: set, errors: list) -> dict:
-    block = raw.get(name, None)
-    if block is None:
-        return dict(_DEFAULTS.get(name, {}))
-    if not isinstance(block, dict):
-        errors.append(f"{name}: expected an object")
-        return dict(_DEFAULTS.get(name, {}))
-    unknown = set(block) - allowed
-    if unknown:
-        errors.append(f"{name}: unknown keys {sorted(unknown)}")
+    block = raw.get(name)
     merged = dict(_DEFAULTS.get(name, {}))
-    merged.update({k: v for k, v in block.items() if k in allowed})
+    if block is not None and not isinstance(block, dict):
+        errors.append(f"{name}: expected an object")
+    elif block is not None:
+        unknown = set(block) - allowed
+        if unknown:
+            errors.append(f"{name}: unknown keys {sorted(unknown)}")
+        merged.update({k: v for k, v in block.items() if k in allowed})
     return merged
 
 

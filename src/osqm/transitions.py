@@ -20,22 +20,14 @@ the update operator: Pi_j^(1/2) or the exact projector.
 
 Inside an interval the state evolves deterministically; only the region
 drawn at an event is random. So the state at any stop is a function of the
-regions drawn before it, and TrajectoryEngine memoises each event's outcome
-in a trie keyed by that region history: the Born row and rank-1 distance
-per history, the PS6 residual per region drawn from it. A run draws with
-its own rng as a fresh run does and reads the cached rows; it builds the
-state only on a history no earlier run of the engine drew, or at a
-snapshot, by replaying the advances and updates of the regions it drew.
-This pays where runs share long history prefixes (Born rows near 0 or 1,
-few events). Where histories diverge, each run adds about one node per
-event, so the memo stops growing at MEMO_LIMIT Born rows and runs beyond
-it are computed as a fresh run computes them.
+regions drawn before it: TrajectoryEngine.run memoises event outcomes in a
+trie keyed by that region history (see TrajectoryEngine), and run_ensemble
+walks the tree of histories breadth first, one state per distinct history.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -60,7 +52,6 @@ __all__ = [
     "run_ensemble",
     "zeno_experiment",
     "trajectory_rng",
-    "worker_count",
     "QuasirestrictionError",
 ]
 
@@ -341,7 +332,7 @@ class _OraclePropagator(_Propagator):
     no WaveFunction is built per stop. Its unit norm, which a WaveFunction
     would check when built, is checked after each advance and projection.
     One U is built up front for each distinct interval (n, tail) of the
-    engine's stops, so forked ensemble workers share them all.
+    engine's stops.
     """
 
     def __init__(self, engine: "TrajectoryEngine"):
@@ -423,9 +414,9 @@ class TrajectoryEngine:
     state as its l2 vector and applies a dense propagator U(n dt) per
     interval, built once per distinct length from the Hamiltonian's
     eigendecomposition; each advance and projection checks the unit norm.
-    backend "phase" makes one evolve_lvn call per interval with step dt;
-    an event projects the top eigenvector of the quantised W (to_vector)
-    and re-enters with wigner_from_wavefunction. It rejects projection_mode
+    backend "phase" makes one evolve_lvn call per interval with step dt,
+    whose stability it checks once, when built; an event projects the top
+    eigenvector of the quantised W (to_vector) and re-enters with wigner_from_wavefunction. It rejects projection_mode
     "exact" (PHASE_EXACT_REASON). On the phase backend a snapshot stop
     splits the evolve_lvn call, and each call returns the real part of its
     carried state, so taking snapshots can move a phase trajectory's low
@@ -460,8 +451,8 @@ class TrajectoryEngine:
     The paper's postulates are checked, not assumed: the initial state must
     be quasirestricted to its most probable region (ValueError otherwise),
     and every event's post-projection state must pass PS6
-    (QuasirestrictionError otherwise); each event's residual is recorded in
-    TrajectoryRecord.ps6_residuals.
+    (QuasirestrictionError, naming the seed and trajectory index, otherwise);
+    each event's residual is recorded in TrajectoryRecord.ps6_residuals.
     """
 
     def __init__(self, psi0: WaveFunction, h: Hamiltonian, partition: Partition,
@@ -509,6 +500,8 @@ class TrajectoryEngine:
             self._propagator = _OraclePropagator(self)
         else:
             self._propagator = _PhasePropagator(self)
+            # its intervals skip evolve_lvn's step-halving check: check dt once
+            evolve_lvn(self._propagator.initial(), h, min(dt, t_final), dt)
 
     def _plan_stops(self, whole: int, tail: float) -> list:
         """(step, whole dt steps since the last stop, tail, event?, snapshot?)."""
@@ -528,6 +521,17 @@ class TrajectoryEngine:
         if self.exact_projectors is None:
             return self.partition.regions[chosen].sqrt_operator()
         return self.exact_projectors[chosen]
+
+    def _project(self, v: np.ndarray, chosen: int, seed: int, traj_index: int):
+        """(update of v by region chosen, its PS6 residual), or QuasirestrictionError."""
+        v = apply_quasiprojection(v, self._update(chosen))
+        ok, resid = is_quasirestricted(v, self.partition.regions[chosen])
+        if not ok:
+            raise QuasirestrictionError(
+                f"post-projection state fails quasirestriction in "
+                f"{self.partition.labels()[chosen]} (residual {resid:.3e}); "
+                f"seed {seed}, trajectory {traj_index}")
+        return v, resid
 
     def _replay(self, state, done: int, upto: int, drawn: dict):
         """The state after stops[:upto], from a state after stops[:done].
@@ -569,12 +573,7 @@ class TrajectoryEngine:
                 if branch is None:
                     if v is None:
                         v = prop.to_vector(self._replay(state, done, i + 1, drawn))[0]
-                    v = apply_quasiprojection(v, self._update(chosen))
-                    ok, resid = is_quasirestricted(v, self.partition.regions[chosen])
-                    if not ok:
-                        raise QuasirestrictionError(
-                            f"post-projection state fails quasirestriction in "
-                            f"{self.partition.labels()[chosen]} (residual {resid:.3e})")
+                    v, resid = self._project(v, chosen, seed, traj_index)
                     state, done = prop.from_vector(v), i + 1
                     branch = node.branches[chosen] = _Branch(resid)
                 drawn[i] = chosen
@@ -599,47 +598,49 @@ class TrajectoryEngine:
         return True
 
 
-def worker_count() -> int:
-    env = os.environ.get("OSQM_THREADS", "")
-    try:
-        n = int(env)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-_ENGINE = None
-
-
-def _pool_run(args):
-    seed, idx = args
-    rec = _ENGINE.run(seed, idx)
-    return rec.summary()
-
-
 def run_ensemble(engine: TrajectoryEngine, seeds: Sequence[int]) -> list:
-    """Run many seeds; returns per-seed summaries in seed order.
+    """Run seeds[i] as trajectory i of engine; per-seed summaries in seed order.
 
-    Parallel fan-out uses worker_count() forked workers (OSQM_THREADS)
-    sharing the prepared engine; results are order-stable so aggregation
-    is deterministic.
+    A breadth-first walk of the history tree that bypasses the memo: the
+    seeds that drew the same regions so far share one post-update l2 vector,
+    one Born row per event, one sample_transition call on their runs'
+    uniforms and one update per region drawn, by run's arithmetic, so the
+    summaries are bitwise engine.run's. If a group raises, the lowest failing
+    seed is run with engine.run, which raises what a loop of runs raises first.
     """
-    global _ENGINE
-    workers = worker_count()
-    jobs = [(int(s), i) for i, s in enumerate(seeds)]
-    if workers <= 1 or len(jobs) < 4:
-        return [_run_one(engine, s, i) for s, i in jobs]
-    import multiprocessing as mp
-    _ENGINE = engine
-    try:
-        with mp.get_context("fork").Pool(workers) as pool:
-            return pool.map(_pool_run, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
-    finally:
-        _ENGINE = None
-
-
-def _run_one(engine, seed, idx):
-    return engine.run(seed, idx).summary()
+    seeds = [int(s) for s in seeds]
+    levels, prop = len(engine.event_steps), engine._propagator
+    u = np.array([trajectory_rng(s, i).random(levels)
+                  for i, s in enumerate(seeds)]).reshape(len(seeds), levels)
+    final = np.full(len(seeds), engine.home_index)
+    # a group: (post-update l2 vector, members), all after stops[:done]
+    groups, done, failed = [(None, np.arange(len(seeds)))], 0, {}
+    events = (i for i, (_, _, _, event, _) in enumerate(engine._stops) if event)
+    for level, i in enumerate(events):
+        children = []
+        for v, members in groups:
+            sub = members
+            try:
+                state = prop.initial() if v is None else prop.from_vector(v)
+                before = engine._replay(state, done, i + 1, {})
+                chosen = sample_transition(prop.born_weights(before), u[members, level])
+                v = prop.to_vector(before)[0]
+                # in order of lowest member: a region that raises skips higher ones only
+                for region in dict.fromkeys(chosen.tolist()):
+                    sub = members[chosen == region]
+                    v_sub = engine._project(v, region, seeds[sub[0]], sub[0])[0]
+                    children.append((v_sub, sub))
+                    final[sub] = region
+            except (ValueError, RuntimeError) as exc:    # the engine's checks
+                failed[sub[0]] = exc        # lowest failing member: its error
+        groups, done = children, i + 1
+    if failed:
+        k = min(failed)
+        engine.run(seeds[k], int(k))
+        raise failed[k]
+    labels = engine.partition.labels()
+    return [{"seed": s, "final_region": labels[f], "num_events": levels}
+            for s, f in zip(seeds, final)]
 
 
 def zeno_experiment(psi0: WaveFunction, h: Hamiltonian, partition: Partition,

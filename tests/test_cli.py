@@ -79,6 +79,15 @@ def test_quasirestriction_failure_exits_with_numerics_code(tmp_path, capsys):
     assert err.startswith("numerical abort: post-projection state fails quasirestriction")
 
 
+def test_unstable_phase_step_exits_with_numerics_code(tmp_path, capsys):
+    cfg = json.loads(_write_config(tmp_path).read_text())
+    cfg["schedule"].update(dt=0.5, t_final=5.0)
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == cli.EXIT_NUMERICS
+    assert capsys.readouterr().err.startswith("numerical abort: step-halving mismatch")
+
+
 def test_phase_single_run_writes_snapshots_on_its_grid(tmp_path):
     assert cli.main(["run", str(_write_config(tmp_path)), "--snapshots", "100"]) \
         == cli.EXIT_OK

@@ -36,3 +36,11 @@ def test_measure_draws_runs_on_the_current_scenario(monkeypatch):
     us = tool.measure_draws()
     assert list(us) == ["born-draws"]
     assert np.isfinite(us["born-draws"]) and us["born-draws"] > 0
+
+
+def test_measure_ensembles_runs_on_the_current_engine(monkeypatch):
+    tool = _tool()
+    monkeypatch.setattr(tool, "ENSEMBLES", {"slosh-2000": (20, 2)})
+    rates = tool.measure_ensembles()
+    assert list(rates) == ["slosh-2000"]
+    assert np.isfinite(rates["slosh-2000"]) and rates["slosh-2000"] > 0

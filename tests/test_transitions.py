@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from osqm import regions, scenarios, wigner
-from osqm.dynamics import evolve_lvn
+from osqm.dynamics import EvolutionUnstableError, evolve_lvn
 from osqm.grid import PhaseGrid
 from osqm.oracle import NotPositiveError, WaveFunction
 from osqm.regions import classicality_projectors, is_quasirestricted
@@ -289,20 +289,26 @@ def test_oracle_engine_checks_the_unit_norm_at_every_stop(setup):
         eng.run(0)
 
 
-def test_forked_ensemble_returns_the_serial_summaries_in_seed_order(setup, monkeypatch):
-    # the last event at 2.5 pi straddles the cut: the final regions differ
-    engine = _engine(setup, 2.5 * np.pi, DT, ProjectionSchedule("periodic", np.pi / 2),
-                     projection_mode="sqrt")
-    seeds = range(10, 18)
-    serial = [engine.run(s, i).summary() for i, s in enumerate(seeds)]
+@pytest.mark.parametrize("backend, mode, t_final, dt, dt_proj", [
+    ("oracle", "sqrt", 2.5 * np.pi, DT, np.pi / 2),
+    ("oracle", "exact", 2.5 * np.pi, DT, np.pi / 2),
+    ("phase", "sqrt", 3.0, 0.01, 0.5)], ids=["oracle-sqrt", "oracle-exact", "phase-sqrt"])
+def test_run_ensemble_returns_the_per_seed_summaries_in_seed_order(
+        setup, backend, mode, t_final, dt, dt_proj):
+    # the last event straddles the cut: the final regions differ
+    def engine():
+        return _engine(setup, t_final, dt, ProjectionSchedule("periodic", dt_proj),
+                       backend=backend, projection_mode=mode)
+    seeds = range(10, 26)
+    one = engine()
+    serial = [one.run(s, i).summary() for i, s in enumerate(seeds)]
     assert len({row["final_region"] for row in serial}) == 2
+    assert run_ensemble(engine(), seeds) == serial
 
-    def serial_path(*args):
-        raise AssertionError("run_ensemble took the serial path")
 
-    monkeypatch.setenv("OSQM_THREADS", "2")
-    monkeypatch.setattr(transitions, "_run_one", serial_path)
-    assert run_ensemble(engine, seeds) == serial
+def test_run_ensemble_of_no_seeds_is_empty(setup):
+    engine = _engine(setup, np.pi, DT, ProjectionSchedule("periodic", np.pi / 2))
+    assert run_ensemble(engine, []) == []
 
 
 def _assert_same_record(got, want):
@@ -418,15 +424,19 @@ def _walk(engine, seed):
     return path, branch
 
 
-def test_a_branch_failing_ps6_raises_on_every_run_that_draws_it():
-    # the slosh set-up in sqrt mode: a draw of Born weight below ~0.011
-    # leaves a PS6 residual above the gate
+def _slosh_sqrt_engine():
+    """The slosh set-up in sqrt mode: a draw of Born weight below ~0.011
+    leaves a PS6 residual above the gate."""
     grid = PhaseGrid.create(256, 9.0)
     h = scenarios.hamiltonian_preset(grid, "oscillator", {})
     partition = regions.build_partition(grid, [0.0])
-    eng = TrajectoryEngine(wigner.coherent_state(grid, -4.2, 0.0), h, partition,
-                           4 * np.pi, np.pi / 64, ProjectionSchedule("periodic", np.pi / 4),
-                           projection_mode="sqrt")
+    return TrajectoryEngine(wigner.coherent_state(grid, -4.2, 0.0), h, partition,
+                            4 * np.pi, np.pi / 64, ProjectionSchedule("periodic", np.pi / 4),
+                            projection_mode="sqrt")
+
+
+def test_a_branch_failing_ps6_raises_on_every_run_that_draws_it():
+    eng = _slosh_sqrt_engine()
     passed, raised = {}, {}
     for seed in range(300):
         try:
@@ -453,3 +463,26 @@ def test_a_branch_failing_ps6_raises_on_every_run_that_draws_it():
         shared += any(id(node) in failing_nodes for node, _ in path)
         _assert_same_record(eng.run(seed), rec)
     assert shared > 0
+
+
+def test_a_failing_ensemble_raises_what_the_serial_loop_raises():
+    engine = _slosh_sqrt_engine()
+    for index, seed in enumerate(range(300)):
+        try:
+            engine.run(seed, index)
+        except QuasirestrictionError as exc:
+            first = exc
+            break
+    assert str(first).endswith(f"; seed {seed}, trajectory {index}")
+    with pytest.raises(QuasirestrictionError) as walked:
+        run_ensemble(_slosh_sqrt_engine(), range(300))
+    assert type(walked.value) is type(first)
+    assert str(walked.value) == str(first)
+
+
+def test_phase_engine_rejects_an_unstable_step(setup):
+    # at dt 0.5 the single-shot Born row at t 5 reads 0.742 against the
+    # oracle's 0.762, and dt 0.8 draws the other region
+    with pytest.raises(EvolutionUnstableError, match="step-halving mismatch"):
+        _engine(setup, 5.0, 0.5, ProjectionSchedule("single-shot"), backend="phase",
+                projection_mode="sqrt")

@@ -1,11 +1,13 @@
-"""LvN step and call ms, Born-draw us and `osqm regress` seconds of two checkouts.
+"""Timings of two checkouts: LvN steps and calls, Born draws, ensembles, `osqm regress`.
 
     python tools/lvn_step_bench.py --parent OLD --change NEW --runs 5 --out BENCH.json
 
 OLD and NEW are checkouts of this repository. Each run measures one checkout
-in a fresh process, and the runs alternate which checkout goes first. BLAS and
-osqm threads are pinned to 1. The file holds every run and, per case, the
-median over runs and the change/parent ratio of the medians.
+in a fresh process, and the runs alternate which checkout goes first. BLAS
+threads are pinned to 1, and so is OSQM_THREADS, which sized the fork pool of
+`run_ensemble` in checkouts older than its one-process walk. The file holds
+every run and, per case, the median over runs and the change/parent ratio of
+the medians.
 
 A step is one `LvnPlan.step` on a state that stays in its term basis, as
 `evolve_lvn` takes it between steps: the dof-1 oscillator at N = 64, 128 and
@@ -27,6 +29,12 @@ acceptance criterion 8's scenario (pointer grid 128 points, extent 18;
 observed grid 32, extent 9; equal amplitudes), including its shared
 evolution and post-state checks. A run's figure is the median over calls of
 the call's time divided by its draws.
+
+The slosh-2000 case is one `transitions.run_ensemble` call of 2000 seeds on
+the slosh-oracle workload's engine (oscillator, N = 256, extent 9, coherent
+state at x -4.2, t_final 4 pi, dt pi/64, periodic dt_proj pi/4, exact mode).
+Each call gets a freshly built engine and its own seeds, and only the call
+is timed. A run's figure is the median over calls of the seeds per second.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ CALLS = {"exact-32x32": (5, 9), "one-step-64": (50, 9), "one-step-128": (20, 9),
          "one-step-256": (10, 9)}
 # case: (draws per run_ensemble call, calls)
 DRAWS = {"born-draws": (2000, 9)}
+# case: (seeds per transitions.run_ensemble call, calls)
+ENSEMBLES = {"slosh-2000": (2000, 5)}
 
 
 def _case(name: str):
@@ -157,6 +167,32 @@ def measure_draws() -> dict:
     return out
 
 
+def measure_ensembles() -> dict:
+    """seeds/s of transitions.run_ensemble, for the osqm on sys.path."""
+    import numpy as np
+    from osqm import regions, scenarios, wigner
+    from osqm.grid import PhaseGrid
+    from osqm.transitions import ProjectionSchedule, TrajectoryEngine, run_ensemble
+
+    grid = PhaseGrid.create(256, 9.0)
+    h = scenarios.hamiltonian_preset(grid, "oscillator", {})
+    partition = regions.build_partition(grid, [0.0])
+    psi0 = wigner.coherent_state(grid, -4.2, 0.0)
+    out = {}
+    for name, (seeds, calls) in ENSEMBLES.items():
+        rates = []
+        for call in range(calls):
+            # fresh: no earlier call's runs are cached in the engine
+            engine = TrajectoryEngine(psi0, h, partition, 4 * np.pi, np.pi / 64,
+                                      ProjectionSchedule("periodic", np.pi / 4),
+                                      projection_mode="exact")
+            start = time.perf_counter()
+            run_ensemble(engine, range(call * seeds, (call + 1) * seeds))
+            rates.append(seeds / (time.perf_counter() - start))
+        out[name] = statistics.median(rates)
+    return out
+
+
 def _env(tree: Path) -> dict:
     return {**os.environ, **THREADS, "PYTHONPATH": str(tree / "src")}
 
@@ -206,15 +242,16 @@ def _commit(tree: Path):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--measure", action="store_true",
-                        help="print this checkout's ms per step and per call and "
-                             "us per draw as JSON")
+                        help="print this checkout's ms per step and per call, "
+                             "us per draw and ensemble seeds/s as JSON")
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps({**measure_steps(), **measure_calls(), **measure_draws()}))
+        print(json.dumps({**measure_steps(), **measure_calls(), **measure_draws(),
+                          **measure_ensembles()}))
         return 0
     if not (args.parent and args.change and args.out) or args.runs < 1:
         parser.error("--parent, --change, --out and --runs >= 1 are required")
@@ -237,7 +274,8 @@ def main(argv=None) -> int:
 
     result = {
         "what": ("ms per LvnPlan split step; ms per evolve_lvn call; us per Born "
-                 "draw of run_ensemble; osqm regress seconds per criterion"),
+                 "draw of MeasurementScenario.run_ensemble; seeds/s of "
+                 "transitions.run_ensemble; osqm regress seconds per criterion"),
         "host": _host(),
         "threads": THREADS,
         "runs": args.runs,
@@ -246,6 +284,7 @@ def main(argv=None) -> int:
         "lvn_step_ms": cases(BATCHES),
         "evolve_lvn_ms": cases(CALLS),
         "born_draw_us": cases(DRAWS),
+        "ensemble_seeds_per_s": cases(ENSEMBLES),
         "regress_seconds": {
             "timer": "each checkout's own acceptance.run_regression_suite",
             "median": {side: _medians(regress[side]) for side in trees},
