@@ -473,6 +473,8 @@ def test_a_failing_ensemble_raises_what_the_serial_loop_raises():
         except QuasirestrictionError as exc:
             first = exc
             break
+    else:
+        raise AssertionError("no seed failed PS6")
     assert str(first).endswith(f"; seed {seed}, trajectory {index}")
     with pytest.raises(QuasirestrictionError) as walked:
         run_ensemble(_slosh_sqrt_engine(), range(300))
@@ -481,8 +483,8 @@ def test_a_failing_ensemble_raises_what_the_serial_loop_raises():
 
 
 def test_phase_engine_rejects_an_unstable_step(setup):
-    # at dt 0.5 the single-shot Born row at t 5 reads 0.742 against the
-    # oracle's 0.762, and dt 0.8 draws the other region
+    # unchecked, dt 0.5 gives a Born weight of 0.650 at t 5 against the
+    # oracle's 0.666, and dt 0.8 gives 0.552 (step-halving mismatch 5.7e-3)
     with pytest.raises(EvolutionUnstableError, match="step-halving mismatch"):
         _engine(setup, 5.0, 0.5, ProjectionSchedule("single-shot"), backend="phase",
                 projection_mode="sqrt")
