@@ -9,12 +9,14 @@ distinct dofs, so one term basis diagonalizes the term's whole bracket,
 with eigenvalues c (prod L - prod R) / (i hbar) (after Cabrera, Bondar,
 Jacobs & Rabitz, PRA 92, 042122 (2015)). This reproduces the dense-oracle
 evolution to machine precision in space. A Hamiltonian is static: each
-term's coefficient c is a number, which its generator holds. The term
-basis is the one way every path applies a term, and there are two paths:
+term's coefficient c is a number, which its generator holds. A term's
+_TermBasis is the one way every path applies it, and there are two paths:
 
-- A Hamiltonian of one term is advanced by its exact exponential in its
-  basis. dt plays no role on the exact path, and verify_dt has nothing
-  to check.
+- A Hamiltonian of one term is advanced by its exact exponential in the
+  term's mixed representation (_TermBasis.mixed): only its factors' mask
+  axes go to the frequency domain, and its conv axes stay in their own
+  variables, with a half-cell shift of the odd mask columns. dt plays no
+  role on the exact path, and verify_dt has nothing to check.
 - Every other Hamiltonian takes 4th-order split steps (LvnPlan): Yoshida's
   triple jump (Phys. Lett. A 150, 262 (1990)) of Strang sweeps over the
   terms' exact exponentials. The state stays in the frequency domain
@@ -28,14 +30,23 @@ spectral.cdftn, and a split step moves from term a's basis to term b's by
 an ifft along a's axes, one fused untwist_a * twist_b table and an fft
 along b's axes.
 
+The exact path makes 8 passes over the state where a change to the twisted
+basis and back makes 12: on the 32^4 coupling an fftn over the two mask
+axes, a forward fft and an inverse fft on the odd half of each conv axis,
+and the same back, against a centred transform over all four axes, an fft
+along each conv axis and both inverses. It took 32-36 ms per evolve_lvn
+call there, against 43-44 ms through the twisted basis (1 BLAS thread,
+AMD EPYC).
+
 The tables belong to the Hamiltonian. Hamiltonian.lvn_plan builds its
 LvnPlan on the first evolve_lvn call, never before, and every later call
-reads it: each term's twist, untwist and generator, the split path's padded
-generators and move tables, and the exp(s G) tables of the latest call's
-step sizes. A call with other step sizes replaces those exp tables, so the
-bytes held do not grow with the number of calls or of distinct dt and
-t_final values. On dof 2 most tables are the size of the state: the
-one-term 32^4 coupling holds three 16.8 MB tables plus one exp table.
+reads it: on the split path each term's twist, untwist and padded
+generator, the move tables, and the exp(s G) tables of the latest call's
+step sizes; on the exact path the term's generator in its mixed
+representation and one exp table. A call with other step sizes replaces
+those exp tables, so the bytes held do not grow with the number of calls or
+of distinct dt and t_final values. On dof 2 most tables are the size of the
+state: the one-term 32^4 coupling holds two 16.8 MB tables.
 
 The split path keeps its state in a row-padded buffer: the last axis has
 _PAD spare entries, which stay zero, so no axis runs at a power-of-two
@@ -48,7 +59,8 @@ every other axis on the whole buffer, and the move and exp(s G) tables have
 the padded shape, so each product multiplies two whole buffers. On every
 case the tests and the benchmark run, the results are bitwise those of the
 contiguous layout. The exact path stays contiguous: padded, its dof-2 32^4
-evolution took 88 ms against 83 ms, and it was not bitwise equal.
+evolution through the twisted basis took 88 ms against 83 ms, and it was
+not bitwise equal.
 
 Both paths check that the state stays on the grid: the x- and p-marginal
 mass in the outer 2-cell shell must stay below grid.CONTAINMENT_TOL, else
@@ -169,77 +181,130 @@ def _padded(arr: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _freq_tables(n: int):
+    """(centred frequencies, twist): twist[u, k] is mu[u] on odd k columns, else 1."""
     frq = np.arange(n) - n // 2
     mu = np.exp(1j * np.pi * frq / n)
     odd = (np.abs(frq) % 2).astype(bool)
-    return frq, mu, odd
+    twist = np.where(odd[None, :], mu[:, None], 1.0)
+    twist.flags.writeable = False
+    return frq, twist
+
+
+def _embed(table: np.ndarray, conv_axis: int, mask_axis: int, ndim: int) -> np.ndarray:
+    """A [conv, mask] table in the broadcast shape of an ndim-axis array, C order."""
+    shape = [1] * ndim
+    shape[conv_axis] = shape[mask_axis] = len(table)
+    if conv_axis > mask_axis:
+        table = table.T
+    return np.ascontiguousarray(table).reshape(shape)
+
+
+def _factor_twist(shape: tuple, conv_axis: int, mask_axis: int) -> np.ndarray:
+    """A factor's twist in the broadcast shape of an array of that shape."""
+    return _embed(_freq_tables(shape[conv_axis])[1], conv_axis, mask_axis, len(shape))
+
+
+@lru_cache(maxsize=16)
+def _half_shift(n: int) -> np.ndarray:
+    """d = e^{i pi a / n} at each signed frequency a in [-n/2, n/2), in np.fft order.
+
+    ifft(d * fft(f)) samples the trigonometric interpolant of f half a cell
+    past each node.
+    """
+    shift = np.exp(1j * np.pi * np.fft.fftfreq(n, 1.0 / n) / n)
+    shift.flags.writeable = False
+    return shift
+
+
+def _mixed_order(table: np.ndarray, conv_axis: int, mask_axis: int) -> np.ndarray:
+    """A factor's twisted-basis table re-indexed to the term's mixed representation.
+
+    Conv-axis Fourier mode q = (n/2 - k) mod n goes to grid node k, and the
+    centred mask frequency index u = (j + n/2) mod n to uncentred index j.
+    """
+    n = table.shape[conv_axis]
+    table = np.take(table, (n // 2 - np.arange(n)) % n, axis=conv_axis)
+    return np.roll(table, n // 2, axis=mask_axis)
 
 
 def _factor_basis(grid: PhaseGrid, kind: str, dof: int, profile):
-    """(conv_axis, twist, lam_left, lam_right) of a single-variable factor.
+    """(conv_axis, mask_axis, lam_left, lam_right) of a single-variable factor.
 
     For a factor f(x_d), left/right star multiplication acts on the
     frequency array by convolving along the x_d-frequency axis with the
     kernel fhat[u] e^{-+i pi u k / N}, where k is the p_d frequency; odd k
     columns are negacyclic. For f(p_d) the axes swap and the phase signs
-    flip. Twisting the odd columns by mu (twist) and an FFT along conv_axis
-    make both convolutions diagonal, with eigenvalues lam_left and
-    lam_right; their factor (-1)^q on conv-axis Fourier mode q (roll)
+    flip. Twisting the odd columns by mu (_factor_twist) and an FFT along
+    conv_axis make both convolutions diagonal, with eigenvalues lam_left
+    and lam_right; their factor (-1)^q on conv-axis Fourier mode q (roll)
     re-centres the convolution, a roll by -N/2. The tables broadcast over
     the full array.
     """
     n = grid.n(dof)
-    frq, mu, odd = _freq_tables(n)
+    frq, twist = _freq_tables(n)
     if kind == "x":
         axis_vals, conv_axis, mask_axis, sign = grid.x(dof), dof, grid.dof + dof, -1.0
     else:
         axis_vals, conv_axis, mask_axis, sign = grid.p(dof), grid.dof + dof, dof, 1.0
-    shape = [1] * (2 * grid.dof)
-    shape[conv_axis] = shape[mask_axis] = n
-
-    def embed(table):  # [conv, mask] -> broadcast shape, C order
-        if conv_axis > mask_axis:
-            table = table.T
-        return np.ascontiguousarray(table).reshape(shape)
-
-    twist = np.where(odd[None, :], mu[:, None], 1.0)
     fhat = cdft(np.asarray(profile(axis_vals), dtype=complex)) / n
     phases = np.exp(1j * np.pi * np.outer(frq, frq) / n)  # [u, k]
     roll = ((-1.0) ** np.arange(n))[:, None]
     left, right = (np.fft.fft(fhat[:, None] * phases ** s * twist, axis=0) * roll
                    for s in (sign, -sign))
-    return conv_axis, embed(twist), embed(left), embed(right)
+    return (conv_axis, mask_axis, _embed(left, conv_axis, mask_axis, 2 * grid.dof),
+            _embed(right, conv_axis, mask_axis, 2 * grid.dof))
 
 
 class _TermBasis:
-    """The basis that diagonalizes one term's bracket, and its generator.
+    """The representations that diagonalize one term's bracket, and its generator.
 
     The factors of a term sit on distinct dofs, so their twisted FFTs act on
     disjoint axes and diagonalize every L_f and R_f at once: the term's basis
     is the FFT along its factors' conv axes of twist * (frequency array), with
     twist the product of the factors' twists. There the bracket of
-    c * (product of factors) is the table generator = c (prod L - prod R)
-    / (i hbar). Every basis change runs in place on the array it is given,
-    which may be a split-path buffer padded along its last axis: an FFT
-    along that axis runs on its first `width` entries, every other FFT on
-    the whole array.
+    c * (product of factors) is the table c (prod L - prod R) / (i hbar).
+
+    split selects where the generator lives. For the split path it is that
+    table in the twisted basis, as a row-padded buffer; its [..., :width]
+    view is the table itself. For the exact path it is the same table in
+    the term's mixed representation (see mixed), re-indexed once here; such
+    a basis never builds its full-size twist and untwist, which only the
+    split path and rhs read. Every twisted-basis change runs in place on
+    the array it is given, which may be a split-path buffer padded along its
+    last axis: an FFT along that axis runs on its first `width` entries,
+    every other FFT on the whole array.
     """
 
-    def __init__(self, grid: PhaseGrid, term: HamiltonianTerm):
-        axes = []
-        twist = lam_left = lam_right = 1.0
+    def __init__(self, grid: PhaseGrid, term: HamiltonianTerm, split: bool):
+        axes, masks = [], []
+        lam_left = lam_right = 1.0
         for kind, dof, profile in term.factors:
-            axis, f_twist, f_left, f_right = _factor_basis(grid, kind, dof, profile)
+            axis, mask, f_left, f_right = _factor_basis(grid, kind, dof, profile)
+            if not split:
+                f_left = _mixed_order(f_left, axis, mask)
+                f_right = _mixed_order(f_right, axis, mask)
             axes.append(axis)
-            twist = twist * f_twist
+            masks.append(mask)
             lam_left = lam_left * f_left
             lam_right = lam_right * f_right
         self.axes = tuple(axes)
-        self.width = grid.n(grid.dof - 1)
-        self.twist = twist
-        self.untwist = np.conj(twist)
-        self.generator = (float(term.coefficient) * (lam_left - lam_right)
-                          / (1j * grid.hbar))
+        self.masks = tuple(masks)
+        self.shape = grid.phase_shape
+        self.width = self.shape[-1]
+        generator = (float(term.coefficient) * (lam_left - lam_right)
+                     / (1j * grid.hbar))
+        self.generator = _padded(generator) if split else generator
+
+    @cached_property
+    def twist(self) -> np.ndarray:
+        twist = 1.0
+        for axis, mask in zip(self.axes, self.masks):
+            twist = twist * _factor_twist(self.shape, axis, mask)
+        return twist
+
+    @cached_property
+    def untwist(self) -> np.ndarray:
+        return np.conj(self.twist)
 
     def _on(self, arr: np.ndarray, axis: int) -> np.ndarray:
         return arr[..., :self.width] if axis == arr.ndim - 1 else arr
@@ -256,14 +321,49 @@ class _TermBasis:
             np.fft.ifft(view, axis=axis, out=view)
         return arr
 
-    def to_basis(self, what: np.ndarray) -> np.ndarray:
-        what *= self.twist
-        return self.fft(what)
-
     def from_basis(self, coef: np.ndarray) -> np.ndarray:
         self.ifft(coef)
         coef *= self.untwist
         return coef
+
+    def _shift_odd(self, arr: np.ndarray, conj: bool) -> None:
+        """Shift the odd mask columns of arr along each conv axis by half a cell."""
+        for axis, mask in zip(self.axes, self.masks):
+            index = [slice(None)] * arr.ndim
+            index[mask] = slice(1, None, 2)
+            odd = arr[tuple(index)]
+            shift = _half_shift(arr.shape[axis])
+            shape = [1] * arr.ndim
+            shape[axis] = shift.size
+            np.fft.fft(odd, axis=axis, out=odd)
+            odd *= (np.conj(shift) if conj else shift).reshape(shape)
+            np.fft.ifft(odd, axis=axis, out=odd)
+
+    def mixed(self, w: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """The real Wigner array of table applied to w in the mixed representation.
+
+        The term's mixed representation keeps each conv axis in its own
+        variable and takes each mask axis to its (uncentred) frequency. On a
+        conv axis the twisted-basis change fft * twist * cdft is a signed
+        permutation P on even mask columns and P S on odd ones, with S the
+        half-cell shift ifft(d fft(.)), |d| = 1. So P^-1 diag(E) P is diag(E)
+        re-indexed (the generator this basis keeps), and the centring signs
+        of the mask axes cancel in pairs or become that re-indexing's roll
+        of N/2. Axes of no factor are never transformed. The passes: fftn
+        over the mask axes, an fft, a product and an ifft on the odd half of
+        each conv axis, the product with table, the same shift back and
+        ifftn over the mask axes; the Bopp-operator picture of Cabrera,
+        Bondar, Jacobs & Rabitz (PRA 92, 042122 (2015)).
+        """
+        out = w.astype(complex)
+        np.fft.fftn(out, axes=self.masks, out=out)
+        self._shift_odd(out, conj=False)
+        # in place, table first: complex products round by operand order,
+        # which numpy's temporary elision would pick by array size in a * b
+        np.multiply(table, out, out=out)
+        self._shift_odd(out, conj=True)
+        np.fft.ifftn(out, axes=self.masks, out=out)
+        return out.real
 
 
 # Yoshida's triple jump: Strang sweeps of W1 dt, W0 dt and W1 dt compose
@@ -307,11 +407,12 @@ class LvnPlan:
 
     Hamiltonian.lvn_plan builds one on the first evolve_lvn call and every
     later call on that Hamiltonian reads it. A Hamiltonian of one term takes
-    the exact path (exact): its tables keep the state's contiguous layout,
-    and it holds its basis (twist, untwist, generator) plus the one
-    exp(total G) table of the latest call, four tables the size of the state
-    on the 32^4 coupling (16.8 MB each). Every other Hamiltonian takes split
-    steps.
+    the exact path (exact) in the term's mixed representation: its tables
+    keep the state's contiguous layout, and it holds the generator there
+    plus the one exp(total G) table of the latest call, two tables the size
+    of the state on the 32^4 coupling (16.8 MB each), and no twist or
+    untwist. rhs of such a plan applies the generator there too. Every other
+    Hamiltonian takes split steps.
 
     A split state is (coef, pending): its coefficients in term 0's basis and
     an amount s of term 0 whose exponential exp(s G_0) is not yet applied.
@@ -331,19 +432,17 @@ class LvnPlan:
     every table the call has not used yet, so the plan holds the tables of
     one call, and a call with other step sizes replaces them. Held between
     calls, on the dof-2 three-term Hamiltonian of 32^4 (one full-size
-    term): 137 MB after a call of whole steps (7 exp tables), 206 MB after
+    term): 120 MB after a call of whole steps (7 exp tables), 190 MB after
     one with verify_dt and a shorter last step (20); on the oscillator at
-    N = 256, 25 MB.
+    N = 256, 18 MB after a call with verify_dt.
     """
 
     def __init__(self, grid: PhaseGrid, h: Hamiltonian):
         if h.grid != grid:
             raise GridMismatchError("Hamiltonian grid mismatch")
-        self.bases = [_TermBasis(grid, term) for term in h.terms]
+        split = len(h.terms) > 1
+        self.bases = [_TermBasis(grid, term, split) for term in h.terms]
         self.sweep = _yoshida_sweep(len(self.bases))
-        split = len(self.bases) > 1
-        self._generators = [_padded(basis.generator) if split else basis.generator
-                            for basis in self.bases]
         self._tables = {}
         self._used = set()
         self._moves = {}
@@ -353,11 +452,14 @@ class LvnPlan:
 
     def rhs(self, w: np.ndarray) -> np.ndarray:
         """dW/dt = (H*W - W*H) / (i hbar), summed term by term."""
+        if len(self.bases) == 1:
+            basis = self.bases[0]
+            return basis.mixed(w, basis.generator)
         what = cdftn(w)
         acc = np.zeros_like(what)
         for basis in self.bases:
             coef = basis.fft(what * basis.twist)
-            coef *= basis.generator
+            coef *= basis.generator[..., :basis.width]
             acc += basis.from_basis(coef)
         return cidftn(acc).real
 
@@ -368,18 +470,13 @@ class LvnPlan:
         if table is None:
             # dropped before the new table is allocated
             self._tables = {k: t for k, t in self._tables.items() if k in self._used}
-            table = self._tables[key] = np.exp(s * self._generators[j])
+            table = self._tables[key] = np.exp(s * self.bases[j].generator)
         return table
 
     def exact(self, arr: np.ndarray, total: float) -> np.ndarray:
         """Wigner array arr after time total under a one-term H; starts a call."""
         self._used.clear()
-        basis = self.bases[0]
-        coef = basis.to_basis(cdftn(arr))
-        # exp table first: complex products round by operand order, and this
-        # order gives the recorded regress values and dof-2 coupling bits
-        np.multiply(self._exp(0, total), coef, out=coef)
-        return cidftn(basis.from_basis(coef)).real
+        return self.bases[0].mixed(arr, self._exp(0, total))
 
     def enter(self, arr: np.ndarray):
         """The split state of the Wigner array arr; starts a call."""

@@ -362,10 +362,20 @@ class _OraclePropagator(_Propagator):
 
 class _PhasePropagator(_Propagator):
     """Wigner backend: one evolve_lvn per interval, events on the top
-    eigenvector of the quantised W (see to_vector)."""
+    eigenvector of the quantised W (see to_vector).
+
+    The initial Wigner state is built once, here, and every run starts from
+    it. Nothing writes into a state: evolve_lvn, the Born weights and
+    to_vector read theirs, and a snapshot copies, so its array is read-only.
+    """
+
+    def __init__(self, engine: "TrajectoryEngine"):
+        super().__init__(engine)
+        self._w0 = wigner_from_wavefunction(self.psi0)
+        self._w0.values.flags.writeable = False
 
     def initial(self) -> WignerState:
-        return wigner_from_wavefunction(self.psi0)
+        return self._w0
 
     def advance(self, w: WignerState, n: int, tail: float) -> WignerState:
         return evolve_lvn(w, self.h, n * self.dt + tail, self.dt, verify_dt=False)

@@ -10,6 +10,7 @@ from osqm.grid import ContainmentError, PhaseGrid
 from osqm.oracle import WaveFunction, schrodinger_propagate
 from osqm.spectral import cdft, cdftn, cidft, cidftn
 from osqm.weyl import WeylSymbol, mean_value, weyl_operator_from_symbol
+from osqm.scenarios import initial_state_preset
 from osqm.wigner import coherent_state, wigner_from_wavefunction
 
 
@@ -243,8 +244,10 @@ def _double_well_h():
 
 def _factor_twists(grid, term):
     """(conv_axis, twist) of each factor of a term."""
-    return [dynamics._factor_basis(grid, kind, dof, profile)[:2]
+    axes = [dynamics._factor_basis(grid, kind, dof, profile)[:2]
             for kind, dof, profile in term.factors]
+    return [(conv, dynamics._factor_twist(grid.phase_shape, conv, mask))
+            for conv, mask in axes]
 
 
 def _to_basis(grid, term, what):
@@ -266,7 +269,8 @@ def _reference_step(h, plan, coef, pending, dt):
     Yoshida's three sweeps take w1 dt, w0 dt and w1 dt. Returns the state in
     term 0's basis with nothing left pending.
     """
-    grid, terms, gens = h.grid, h.terms, [b.generator for b in plan.bases]
+    grid, terms = h.grid, h.terms
+    gens = [b.generator[..., :b.width] for b in plan.bases]
     w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
     w0 = 1.0 - 2.0 * w1
     last = len(terms) - 1
@@ -306,8 +310,71 @@ def test_split_step_matches_basis_change_composition(case, grid64, osc):
     for _ in range(2):
         want = _reference_step(h, plan, coef[..., :n], pending, dt)
         coef, pending = plan.step(coef.copy(), pending, dt)
-        got = coef[..., :n] * np.exp(pending * plan.bases[0].generator)
+        got = coef[..., :n] * np.exp(pending * plan.bases[0].generator[..., :n])
         assert np.abs(got - want).max() < 1e-13 * scale
+
+
+def _exact_case(name):
+    """(Hamiltonian, Wigner state) of a one-term case."""
+    from osqm.oracle import tensor_state
+    from osqm.scenarios import hamiltonian_preset
+    if name.startswith("free-"):
+        n = int(name.split("-")[1])
+        grid = PhaseGrid.create(n, 9.0 if n % 4 == 0 else 6.5)
+        return (hamiltonian_preset(grid, "free", {}),
+                wigner_from_wavefunction(coherent_state(grid, 0.5, 0.3)))
+    g1 = PhaseGrid.create(32, 8.0)
+    grid = PhaseGrid.product(g1, g1)
+    if name == "coupling":
+        h = hamiltonian_preset(grid, "von-neumann-coupling", {"v": 1.0, "w": 1.0})
+    else:  # p1^2 / 2: a term on one dof of two
+        h = Hamiltonian(grid, [HamiltonianTerm((("p", 1, lambda p: p ** 2 / 2),))])
+    cat = initial_state_preset(g1, "cat", {"centers": [[-2.0, 0.0], [2.0, 0.0]]})
+    return h, wigner_from_wavefunction(tensor_state(coherent_state(g1, 0.0, 0.0), cat))
+
+
+@pytest.mark.parametrize("name", ["free-64", "free-30", "coupling", "p1-squared"])
+def test_exact_path_matches_basis_change_composition(name):
+    # the mixed representation moves only the mask axes to the frequency
+    # domain; it must give the twisted basis's exp(t G) to round-off, also
+    # at N = 30, where N / 2 is odd, and on an axis pair of no factor
+    h, w = _exact_case(name)
+    total = 0.2
+    term = h.terms[0]
+    generator = dynamics._TermBasis(h.grid, term, split=True).generator
+    generator = generator[..., :w.values.shape[-1]]
+    coef = np.exp(total * generator) * _to_basis(h.grid, term, cdftn(w.values))
+    want = cidftn(_from_basis(h.grid, term, coef)).real
+    got = evolve_lvn(w, h, total, 0.05)
+    assert np.abs(got.values - want).max() <= 1e-15 * np.abs(w.values).max()
+
+
+@pytest.mark.parametrize("name", ["free-64", "free-30", "coupling", "p1-squared"])
+def test_one_term_rhs_matches_the_twisted_basis(name):
+    # a one-term plan's rhs applies its generator in the mixed representation;
+    # a second term of coefficient 0 makes a split plan, whose rhs goes
+    # through the twisted basis
+    h, w = _exact_case(name)
+    got = dynamics.LvnPlan(h.grid, h).rhs(w.values)
+    split = Hamiltonian(h.grid, [h.terms[0], HamiltonianTerm(h.terms[0].factors, 0.0)])
+    want = dynamics.LvnPlan(h.grid, split).rhs(w.values)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_exact_plan_holds_two_state_sized_tables():
+    # the generator in the mixed representation and one exp table: no full
+    # size twist or untwist
+    h, w = _exact_case("coupling")
+    evolve_lvn(w, h, 0.2, 0.05)
+    evolve_lvn(w, h, 0.2, 0.05)
+    plan = h.lvn_plan
+    basis, = plan.bases
+    arrays = {id(a): a for a in (*vars(basis).values(), *plan._tables.values())
+              if isinstance(a, np.ndarray)}
+    state_sized = [a for a in arrays.values() if a.shape == w.values.shape]
+    assert len(state_sized) == 2
+    assert all(a.dtype == complex for a in state_sized)
+    assert "twist" not in vars(basis) and "untwist" not in vars(basis)
 
 
 def _power_of_two_strides(arr):
@@ -417,9 +484,9 @@ def test_term_bases_are_built_once_per_term(grid64, w0, monkeypatch, kinds):
     built = []
     init = dynamics._TermBasis.__init__
 
-    def counting(self, grid, term):
+    def counting(self, grid, term, split):
         built.append(term)
-        init(self, grid, term)
+        init(self, grid, term, split)
 
     monkeypatch.setattr(dynamics._TermBasis, "__init__", counting)
     h = _quadratic_h(grid64, kinds)

@@ -361,6 +361,26 @@ def test_memoised_phase_engine_replays_snapshots_bitwise(setup):
         _assert_same_record(memo.run(seed), want)
 
 
+def test_warm_memoised_phase_runs_build_no_wigner_state(setup, monkeypatch):
+    # the engine builds the initial Wigner state once; a run that stays in
+    # the memo builds none, and its record is still a fresh engine's
+    sched = ProjectionSchedule("periodic", 0.5)
+    kwargs = dict(backend="phase", projection_mode="sqrt")
+    memo = _engine(setup, 1.5, 0.05, sched, **kwargs)
+    seeds = range(20)
+    for seed in seeds:
+        memo.run(seed)
+    calls = []
+    build = transitions.wigner_from_wavefunction
+    monkeypatch.setattr(transitions, "wigner_from_wavefunction",
+                        lambda *args: calls.append(args) or build(*args))
+    warm = [memo.run(seed) for seed in seeds]
+    assert calls == []
+    monkeypatch.undo()
+    for seed, record in zip(seeds, warm):
+        _assert_same_record(record, _engine(setup, 1.5, 0.05, sched, **kwargs).run(seed))
+
+
 def test_memo_nodes_hold_no_state(setup):
     eng = _engine(setup, 2 * np.pi, DT, ProjectionSchedule("periodic", np.pi / 4),
                   projection_mode="sqrt", snapshot_every=5)

@@ -4,10 +4,8 @@
 
 OLD and NEW are checkouts of this repository. Each run measures one checkout
 in a fresh process, and the runs alternate which checkout goes first. BLAS
-threads are pinned to 1, and so is OSQM_THREADS, which sized the fork pool of
-`run_ensemble` in checkouts older than its one-process walk. The file holds
-every run and, per case, the median over runs and the change/parent ratio of
-the medians.
+threads are pinned to 1. The file holds every run and, per case, the median
+over runs and the change/parent ratio of the medians.
 
 A step is one `LvnPlan.step` on a state that stays in its term basis, as
 `evolve_lvn` takes it between steps: the dof-1 oscillator at N = 64, 128 and
@@ -51,7 +49,7 @@ import time
 from pathlib import Path
 
 THREADS = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                  "MKL_NUM_THREADS", "OSQM_THREADS")}
+                                  "MKL_NUM_THREADS")}
 # case: (steps per batch, batches)
 BATCHES = {"oscillator-64": (100, 9), "oscillator-128": (50, 9),
            "oscillator-256": (20, 9), "three-term-32x32": (3, 7)}
