@@ -30,13 +30,15 @@ spectral.cdftn, and a split step moves from term a's basis to term b's by
 an ifft along a's axes, one fused untwist_a * twist_b table and an fft
 along b's axes.
 
-The exact path makes 8 passes over the state where a change to the twisted
-basis and back makes 12: on the 32^4 coupling an fftn over the two mask
-axes, a forward fft and an inverse fft on the odd half of each conv axis,
-and the same back, against a centred transform over all four axes, an fft
-along each conv axis and both inverses. It took 32-36 ms per evolve_lvn
-call there, against 43-44 ms through the twisted basis (1 BLAS thread,
-AMD EPYC).
+The exact path makes 8 FFT passes over the state where a change to the
+twisted basis and back makes 12. On the 32^4 coupling these are an fftn
+over the two mask axes, an fft and an ifft on the odd half of each of the
+two conv axes, the same shifts back and the ifftn (2 + 2 + 2 + 2 passes),
+against a centred transform over all four axes, an fft along each conv
+axis and both inverses (4 + 2 + 2 + 4). It holds two state-sized tables
+where the twisted basis held four. One evolve_lvn call there took 29.6 ms,
+against 43.2 ms through the twisted basis (medians of 5 runs of
+tools/lvn_step_bench.py, 1 BLAS thread, AMD EPYC).
 
 The tables belong to the Hamiltonian. Hamiltonian.lvn_plan builds its
 LvnPlan on the first evolve_lvn call, never before, and every later call
@@ -349,11 +351,9 @@ class _TermBasis:
         half-cell shift ifft(d fft(.)), |d| = 1. So P^-1 diag(E) P is diag(E)
         re-indexed (the generator this basis keeps), and the centring signs
         of the mask axes cancel in pairs or become that re-indexing's roll
-        of N/2. Axes of no factor are never transformed. The passes: fftn
-        over the mask axes, an fft, a product and an ifft on the odd half of
-        each conv axis, the product with table, the same shift back and
-        ifftn over the mask axes; the Bopp-operator picture of Cabrera,
-        Bondar, Jacobs & Rabitz (PRA 92, 042122 (2015)).
+        of N/2. Axes of no factor are never transformed. This is the
+        Bopp-operator picture of Cabrera, Bondar, Jacobs & Rabitz (PRA 92,
+        042122 (2015)).
         """
         out = w.astype(complex)
         np.fft.fftn(out, axes=self.masks, out=out)

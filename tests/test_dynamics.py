@@ -318,9 +318,9 @@ def _exact_case(name):
     """(Hamiltonian, Wigner state) of a one-term case."""
     from osqm.oracle import tensor_state
     from osqm.scenarios import hamiltonian_preset
-    if name.startswith("free-"):
-        n = int(name.split("-")[1])
-        grid = PhaseGrid.create(n, 9.0 if n % 4 == 0 else 6.5)
+    free_grids = {"free-64": (64, 9.0), "free-30": (30, 6.5)}
+    if name in free_grids:
+        grid = PhaseGrid.create(*free_grids[name])
         return (hamiltonian_preset(grid, "free", {}),
                 wigner_from_wavefunction(coherent_state(grid, 0.5, 0.3)))
     g1 = PhaseGrid.create(32, 8.0)
