@@ -1,54 +1,51 @@
 """Liouville-von Neumann evolution of Wigner states.
 
 Every Hamiltonian term is a product of single-variable factors f(x_d) or
-g(p_d). In the frequency domain a factor's left/right star multiplications
-are one-axis twisted convolutions (cyclic or negacyclic by the parity of
-the conjugate frequency); twisting the odd-parity columns and an FFT along
-the convolution axis make both diagonal. The factors of a term sit on
-distinct dofs, so one term basis diagonalizes the term's whole bracket,
-with eigenvalues c (prod L - prod R) / (i hbar) (after Cabrera, Bondar,
-Jacobs & Rabitz, PRA 92, 042122 (2015)). This reproduces the dense-oracle
-evolution to machine precision in space. A Hamiltonian is static: each
-term's coefficient c is a number, which its generator holds. A term's
-_TermBasis is the one way every path applies it, and there are two paths:
+g(p_d), at most one per dof. A factor f(x_d) has conv axis x_d and mask
+axis p_d; for g(p_d) the two swap. A term's mixed representation takes each
+mask axis to its np.fft frequency q, keeps each conv axis in its own
+variable, and shifts the odd-q columns half a cell along the conv axis.
+There left and right star multiplication by f(x_d) are diagonal:
+f(x -+ q dx / 2), the profile's samples rolled by floor(q/2) and by
+-ceil(q/2) (Bopp operators, after Cabrera, Bondar, Jacobs & Rabitz, PRA 92,
+042122 (2015)). The factors of a term act on disjoint axes, so the term's
+bracket is the table c (prod L - prod R) / (i hbar), its generator. This
+reproduces the dense-oracle evolution to machine precision in space. A
+Hamiltonian is static: each term's coefficient c is a number, which its
+generator holds. A term's _TermBasis is the one way every path applies it,
+and there are two paths:
 
 - A Hamiltonian of one term is advanced by its exact exponential in the
-  term's mixed representation (_TermBasis.mixed): only its factors' mask
-  axes go to the frequency domain, and its conv axes stay in their own
-  variables, with a half-cell shift of the odd mask columns. dt plays no
-  role on the exact path, and verify_dt has nothing to check.
+  term's mixed representation (_TermBasis.mixed): only its mask axes go to
+  the frequency domain, and axes of no factor are never transformed. dt
+  plays no role on the exact path, and verify_dt has nothing to check.
 - Every other Hamiltonian takes 4th-order split steps (LvnPlan): Yoshida's
   triple jump (Phys. Lett. A 150, 262 (1990)) of Strang sweeps over the
-  terms' exact exponentials. The state stays in the frequency domain
-  between steps. verify_dt compares one step with two half steps, which
-  measures the local splitting error.
+  terms' exact exponentials. Between steps the state stays in term 0's
+  mixed representation, with the axes of no factor in frequency too.
+  verify_dt compares one step with two half steps, which measures the local
+  splitting error.
 
-The split path spends its time moving arrays between bases, so each basis
-change is an in-place np.fft pass (out=, numpy >= 2.0) and one product
-with a precomputed table: the centered transform over every axis is
-spectral.cdftn, and a split step moves from term a's basis to term b's by
-an ifft along a's axes, one fused untwist_a * twist_b table and an fft
-along b's axes.
+The split path spends its time moving arrays between representations, so
+each move is made of in-place np.fft passes (out=, numpy >= 2.0) and one
+product with a precomputed table: from term a's representation to term b's
+it is an fft along a's conv axes, one product with conj(D_a) D_b and an
+ifft along b's conv axes, where D is the half-cell shift e^{i pi k / n} at
+conv frequency k on the odd mask columns.
 
-The exact path makes 8 FFT passes over the state where a change to the
-twisted basis and back makes 12. On the 32^4 coupling these are an fftn
-over the two mask axes, an fft and an ifft on the odd half of each of the
-two conv axes, the same shifts back and the ifftn (2 + 2 + 2 + 2 passes),
-against a centred transform over all four axes, an fft along each conv
-axis and both inverses (4 + 2 + 2 + 4). It holds two state-sized tables
-where the twisted basis held four. One evolve_lvn call there took 29.6 ms,
-against 43.2 ms through the twisted basis (medians of 5 runs of
-tools/lvn_step_bench.py, 1 BLAS thread, AMD EPYC).
+The exact path makes 8 FFT passes over the state. On the 32^4 coupling
+these are an fftn over the two mask axes, an fft and an ifft on the odd half
+of each of the two conv axes, the same shifts back and the ifftn (2 + 2 + 2
++ 2 passes), and it holds two state-sized tables.
 
 The tables belong to the Hamiltonian. Hamiltonian.lvn_plan builds its
 LvnPlan on the first evolve_lvn call, never before, and every later call
-reads it: on the split path each term's twist, untwist and padded
-generator, the move tables, and the exp(s G) tables of the latest call's
-step sizes; on the exact path the term's generator in its mixed
-representation and one exp table. A call with other step sizes replaces
-those exp tables, so the bytes held do not grow with the number of calls or
-of distinct dt and t_final values. On dof 2 most tables are the size of the
-state: the one-term 32^4 coupling holds two 16.8 MB tables.
+reads it: on the split path each term's padded generator, the move tables,
+and the exp(s G) tables of the latest call's step sizes; on the exact path
+the term's generator and one exp table. A call with other step sizes
+replaces those exp tables, so the bytes held do not grow with the number of
+calls or of distinct dt and t_final values. On dof 2 most tables are the
+size of the state: the one-term 32^4 coupling holds two 16.8 MB tables.
 
 The split path keeps its state in a row-padded buffer: the last axis has
 _PAD spare entries, which stay zero, so no axis runs at a power-of-two
@@ -58,11 +55,8 @@ took 85 us at N = 128 and 424 us at N = 256, against 45 and 147 us along
 axis 1, and 49 and 156 us along axis 0 of rows of N + 1 entries (1 thread,
 AMD EPYC). FFTs along the last axis run on the [..., :N] view, those along
 every other axis on the whole buffer, and the move and exp(s G) tables have
-the padded shape, so each product multiplies two whole buffers. On every
-case the tests and the benchmark run, the results are bitwise those of the
-contiguous layout. The exact path stays contiguous: padded, its dof-2 32^4
-evolution through the twisted basis took 88 ms against 83 ms, and it was
-not bitwise equal.
+the padded shape, so each product multiplies two whole buffers. The exact
+path stays contiguous.
 
 Both paths check that the state stays on the grid: the x- and p-marginal
 mass in the outer 2-cell shell must stay below grid.CONTAINMENT_TOL, else
@@ -79,7 +73,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .grid import GridMismatchError, PhaseGrid
-from .spectral import cdft, cdftn, cidftn
 from .weyl import WeylSymbol
 from .wigner import WignerState
 
@@ -163,7 +156,7 @@ class Hamiltonian:
 
 
 # ---------------------------------------------------------------------------
-# term bases: every path applies a term through the basis that diagonalizes it
+# mixed representations: every path applies a term where its bracket is diagonal
 
 # spare entries at the end of the last axis of a split-path buffer
 _PAD = 1
@@ -181,17 +174,6 @@ def _padded(arr: np.ndarray) -> np.ndarray:
     return buf
 
 
-@lru_cache(maxsize=16)
-def _freq_tables(n: int):
-    """(centred frequencies, twist): twist[u, k] is mu[u] on odd k columns, else 1."""
-    frq = np.arange(n) - n // 2
-    mu = np.exp(1j * np.pi * frq / n)
-    odd = (np.abs(frq) % 2).astype(bool)
-    twist = np.where(odd[None, :], mu[:, None], 1.0)
-    twist.flags.writeable = False
-    return frq, twist
-
-
 def _embed(table: np.ndarray, conv_axis: int, mask_axis: int, ndim: int) -> np.ndarray:
     """A [conv, mask] table in the broadcast shape of an ndim-axis array, C order."""
     shape = [1] * ndim
@@ -199,11 +181,6 @@ def _embed(table: np.ndarray, conv_axis: int, mask_axis: int, ndim: int) -> np.n
     if conv_axis > mask_axis:
         table = table.T
     return np.ascontiguousarray(table).reshape(shape)
-
-
-def _factor_twist(shape: tuple, conv_axis: int, mask_axis: int) -> np.ndarray:
-    """A factor's twist in the broadcast shape of an array of that shape."""
-    return _embed(_freq_tables(shape[conv_axis])[1], conv_axis, mask_axis, len(shape))
 
 
 @lru_cache(maxsize=16)
@@ -218,73 +195,54 @@ def _half_shift(n: int) -> np.ndarray:
     return shift
 
 
-def _mixed_order(table: np.ndarray, conv_axis: int, mask_axis: int) -> np.ndarray:
-    """A factor's twisted-basis table re-indexed to the term's mixed representation.
+def _factor_tables(grid: PhaseGrid, kind: str, dof: int, profile):
+    """(conv_axis, mask_axis, left, right) of a single-variable factor.
 
-    Conv-axis Fourier mode q = (n/2 - k) mod n goes to grid node k, and the
-    centred mask frequency index u = (j + n/2) mod n to uncentred index j.
-    """
-    n = table.shape[conv_axis]
-    table = np.take(table, (n // 2 - np.arange(n)) % n, axis=conv_axis)
-    return np.roll(table, n // 2, axis=mask_axis)
-
-
-def _factor_basis(grid: PhaseGrid, kind: str, dof: int, profile):
-    """(conv_axis, mask_axis, lam_left, lam_right) of a single-variable factor.
-
-    For a factor f(x_d), left/right star multiplication acts on the
-    frequency array by convolving along the x_d-frequency axis with the
-    kernel fhat[u] e^{-+i pi u k / N}, where k is the p_d frequency; odd k
-    columns are negacyclic. For f(p_d) the axes swap and the phase signs
-    flip. Twisting the odd columns by mu (_factor_twist) and an FFT along
-    conv_axis make both convolutions diagonal, with eigenvalues lam_left
-    and lam_right; their factor (-1)^q on conv-axis Fourier mode q (roll)
-    re-centres the convolution, a roll by -N/2. The tables broadcast over
-    the full array.
+    In the mixed representation, column q (the signed np.fft frequency of
+    the mask axis) of left/right star multiplication by f(x_d) is
+    f(x -+ q dx / 2) along the conv axis: with odd columns half a cell past
+    the nodes, the profile's samples rolled by floor(q/2) and by -ceil(q/2).
+    For g(p_d) the signs flip, so the two rolls swap. The tables broadcast
+    over the full array.
     """
     n = grid.n(dof)
-    frq, twist = _freq_tables(n)
+    q = np.fft.fftfreq(n, 1.0 / n).astype(int)
     if kind == "x":
-        axis_vals, conv_axis, mask_axis, sign = grid.x(dof), dof, grid.dof + dof, -1.0
+        samples, conv_axis, mask_axis = grid.x(dof), dof, grid.dof + dof
+        rolls = (q // 2, -q // 2)
     else:
-        axis_vals, conv_axis, mask_axis, sign = grid.p(dof), grid.dof + dof, dof, 1.0
-    fhat = cdft(np.asarray(profile(axis_vals), dtype=complex)) / n
-    phases = np.exp(1j * np.pi * np.outer(frq, frq) / n)  # [u, k]
-    roll = ((-1.0) ** np.arange(n))[:, None]
-    left, right = (np.fft.fft(fhat[:, None] * phases ** s * twist, axis=0) * roll
-                   for s in (sign, -sign))
-    return (conv_axis, mask_axis, _embed(left, conv_axis, mask_axis, 2 * grid.dof),
-            _embed(right, conv_axis, mask_axis, 2 * grid.dof))
+        samples, conv_axis, mask_axis = grid.p(dof), grid.dof + dof, dof
+        rolls = (-q // 2, q // 2)
+    f = np.asarray(profile(samples), dtype=complex)
+    nodes = np.arange(n)[:, None]
+    left, right = (_embed(f[(nodes - roll) % n], conv_axis, mask_axis, 2 * grid.dof)
+                   for roll in rolls)
+    return conv_axis, mask_axis, left, right
 
 
 class _TermBasis:
-    """The representations that diagonalize one term's bracket, and its generator.
+    """One term's mixed representation, where its bracket is diagonal.
 
-    The factors of a term sit on distinct dofs, so their twisted FFTs act on
-    disjoint axes and diagonalize every L_f and R_f at once: the term's basis
-    is the FFT along its factors' conv axes of twist * (frequency array), with
-    twist the product of the factors' twists. There the bracket of
-    c * (product of factors) is the table c (prod L - prod R) / (i hbar).
+    The factors of a term sit on distinct dofs, so their conv and mask axes
+    are disjoint and one representation diagonalizes every L_f and R_f at
+    once. There the bracket of c * (product of factors) is the generator
+    c (prod L - prod R) / (i hbar): on the conv axes it is indexed by grid
+    node, on the mask axes by np.fft frequency, and it broadcasts along the
+    axes of no factor.
 
-    split selects where the generator lives. For the split path it is that
-    table in the twisted basis, as a row-padded buffer; its [..., :width]
-    view is the table itself. For the exact path it is the same table in
-    the term's mixed representation (see mixed), re-indexed once here; such
-    a basis never builds its full-size twist and untwist, which only the
-    split path and rhs read. Every twisted-basis change runs in place on
-    the array it is given, which may be a split-path buffer padded along its
-    last axis: an FFT along that axis runs on its first `width` entries,
-    every other FFT on the whole array.
+    split selects the generator's layout: for the split path a row-padded
+    buffer, whose [..., :width] view is the table, and for the exact path
+    the table itself. fft and ifft run in place along the conv axes of an
+    array that may be a split-path buffer, padded along its last axis: an
+    FFT along that axis runs on its first `width` entries, every other FFT
+    on the whole array.
     """
 
     def __init__(self, grid: PhaseGrid, term: HamiltonianTerm, split: bool):
         axes, masks = [], []
         lam_left = lam_right = 1.0
         for kind, dof, profile in term.factors:
-            axis, mask, f_left, f_right = _factor_basis(grid, kind, dof, profile)
-            if not split:
-                f_left = _mixed_order(f_left, axis, mask)
-                f_right = _mixed_order(f_right, axis, mask)
+            axis, mask, f_left, f_right = _factor_tables(grid, kind, dof, profile)
             axes.append(axis)
             masks.append(mask)
             lam_left = lam_left * f_left
@@ -293,20 +251,20 @@ class _TermBasis:
         self.masks = tuple(masks)
         self.shape = grid.phase_shape
         self.width = self.shape[-1]
+        # every axis but the conv axes: in frequency on the split path
+        self.others = tuple(ax for ax in range(len(self.shape)) if ax not in self.axes)
         generator = (float(term.coefficient) * (lam_left - lam_right)
                      / (1j * grid.hbar))
         self.generator = _padded(generator) if split else generator
 
-    @cached_property
-    def twist(self) -> np.ndarray:
-        twist = 1.0
+    def shift(self) -> np.ndarray:
+        """D: the odd mask columns' half-cell shift, with the conv axes in frequency."""
+        shift = 1.0
         for axis, mask in zip(self.axes, self.masks):
-            twist = twist * _factor_twist(self.shape, axis, mask)
-        return twist
-
-    @cached_property
-    def untwist(self) -> np.ndarray:
-        return np.conj(self.twist)
+            odd = np.arange(self.shape[mask]) % 2 == 1
+            table = np.where(odd[None, :], _half_shift(self.shape[axis])[:, None], 1.0)
+            shift = shift * _embed(table, axis, mask, len(self.shape))
+        return shift
 
     def _on(self, arr: np.ndarray, axis: int) -> np.ndarray:
         return arr[..., :self.width] if axis == arr.ndim - 1 else arr
@@ -323,11 +281,6 @@ class _TermBasis:
             np.fft.ifft(view, axis=axis, out=view)
         return arr
 
-    def from_basis(self, coef: np.ndarray) -> np.ndarray:
-        self.ifft(coef)
-        coef *= self.untwist
-        return coef
-
     def _shift_odd(self, arr: np.ndarray, conj: bool) -> None:
         """Shift the odd mask columns of arr along each conv axis by half a cell."""
         for axis, mask in zip(self.axes, self.masks):
@@ -341,29 +294,33 @@ class _TermBasis:
             odd *= (np.conj(shift) if conj else shift).reshape(shape)
             np.fft.ifft(odd, axis=axis, out=odd)
 
+    def to_mixed(self, arr: np.ndarray, axes: tuple) -> np.ndarray:
+        """arr, in place, in the mixed representation, with axes in frequency.
+
+        axes are the mask axes, and on the split path every other axis that
+        is not a conv axis.
+        """
+        np.fft.fftn(arr, axes=axes, out=arr)
+        self._shift_odd(arr, conj=False)
+        return arr
+
+    def from_mixed(self, arr: np.ndarray, axes: tuple) -> np.ndarray:
+        """The inverse of to_mixed(., axes), in place."""
+        self._shift_odd(arr, conj=True)
+        np.fft.ifftn(arr, axes=axes, out=arr)
+        return arr
+
     def mixed(self, w: np.ndarray, table: np.ndarray) -> np.ndarray:
         """The real Wigner array of table applied to w in the mixed representation.
 
-        The term's mixed representation keeps each conv axis in its own
-        variable and takes each mask axis to its (uncentred) frequency. On a
-        conv axis the twisted-basis change fft * twist * cdft is a signed
-        permutation P on even mask columns and P S on odd ones, with S the
-        half-cell shift ifft(d fft(.)), |d| = 1. So P^-1 diag(E) P is diag(E)
-        re-indexed (the generator this basis keeps), and the centring signs
-        of the mask axes cancel in pairs or become that re-indexing's roll
-        of N/2. Axes of no factor are never transformed. This is the
-        Bopp-operator picture of Cabrera, Bondar, Jacobs & Rabitz (PRA 92,
-        042122 (2015)).
+        Only the mask axes are transformed, so axes of no factor keep their
+        own variables: 8 FFT passes over the state on the dof-2 coupling.
         """
-        out = w.astype(complex)
-        np.fft.fftn(out, axes=self.masks, out=out)
-        self._shift_odd(out, conj=False)
+        out = self.to_mixed(w.astype(complex), self.masks)
         # in place, table first: complex products round by operand order,
         # which numpy's temporary elision would pick by array size in a * b
         np.multiply(table, out, out=out)
-        self._shift_odd(out, conj=True)
-        np.fft.ifftn(out, axes=self.masks, out=out)
-        return out.real
+        return self.from_mixed(out, self.masks).real
 
 
 # Yoshida's triple jump: Strang sweeps of W1 dt, W0 dt and W1 dt compose
@@ -402,39 +359,42 @@ def _check_marginal_containment(grid: PhaseGrid, arr: np.ndarray) -> None:
 
 
 class LvnPlan:
-    """Term bases, exp(s G) tables and 4th-order split steps for one
-    (grid, Hamiltonian).
+    """Mixed representations, exp(s G) tables and 4th-order split steps for
+    one (grid, Hamiltonian).
 
     Hamiltonian.lvn_plan builds one on the first evolve_lvn call and every
-    later call on that Hamiltonian reads it. A Hamiltonian of one term takes
-    the exact path (exact) in the term's mixed representation: its tables
-    keep the state's contiguous layout, and it holds the generator there
+    later call on that Hamiltonian reads it. Every path applies a term in
+    its mixed representation (_TermBasis), and rhs sums the terms' brackets
+    taken there. A Hamiltonian of one term takes the exact path (exact): its
+    tables keep the state's contiguous layout, and it holds the generator
     plus the one exp(total G) table of the latest call, two tables the size
-    of the state on the 32^4 coupling (16.8 MB each), and no twist or
-    untwist. rhs of such a plan applies the generator there too. Every other
+    of the state on the 32^4 coupling (16.8 MB each). Every other
     Hamiltonian takes split steps.
 
-    A split state is (coef, pending): its coefficients in term 0's basis and
-    an amount s of term 0 whose exponential exp(s G_0) is not yet applied.
-    coef is a row-padded buffer (see the module docstring): its last axis
-    has _PAD spare zero entries, and the state is coef[..., :N]. The
-    generators, move and exp(s G) tables are padded alike, so no FFT or
-    product of a step runs at a power-of-two stride.
-    The last exponential of a step is left pending and merges with the
-    first of the next, so between steps the state never leaves the
-    frequency domain. A step runs on the coef buffer: each move from term
-    a's basis to term b's is an ifft along a's axes, one product with the
-    table untwist_a * twist_b built here, and an fft along b's axes,
-    followed by the product with exp(s G_b).
+    A split state is (coef, pending): the state in term 0's mixed
+    representation, with every axis but term 0's conv axes in np.fft
+    frequency, and an amount s of term 0 whose exponential exp(s G_0) is
+    not yet applied. enter is an fftn over those axes and the half-cell
+    shift of the odd mask columns; real inverts it. coef is a row-padded
+    buffer (see the module docstring): its last axis has _PAD spare zero
+    entries, and the state is coef[..., :N]. The generators, move and
+    exp(s G) tables are padded alike, so no FFT or product of a step runs
+    at a power-of-two stride. The last exponential of a step is left
+    pending and merges with the first of the next, so between steps the
+    state stays in term 0's representation. A step runs on the coef
+    buffer: each move from term a's representation to term b's is an fft
+    along a's conv axes, one product with the table conj(D_a) D_b built
+    here (D is _TermBasis.shift), and an ifft along b's conv axes, followed
+    by the product with exp(s G_b).
 
     exp(s G) tables are built once per distinct (term, s) and kept across
     calls. A call starts at enter or exact; a table it builds first drops
     every table the call has not used yet, so the plan holds the tables of
     one call, and a call with other step sizes replaces them. Held between
     calls, on the dof-2 three-term Hamiltonian of 32^4 (one full-size
-    term): 120 MB after a call of whole steps (7 exp tables), 190 MB after
+    term): 87 MB after a call of whole steps (7 exp tables), 156 MB after
     one with verify_dt and a shorter last step (20); on the oscillator at
-    N = 256, 18 MB after a call with verify_dt.
+    N = 256, 14 MB after a call with verify_dt.
     """
 
     def __init__(self, grid: PhaseGrid, h: Hamiltonian):
@@ -448,20 +408,13 @@ class LvnPlan:
         self._moves = {}
         for (a, _), (b, _) in zip(self.sweep, self.sweep[1:]):
             if (a, b) not in self._moves:
-                self._moves[a, b] = _padded(self.bases[a].untwist * self.bases[b].twist)
+                move = np.conj(self.bases[a].shift()) * self.bases[b].shift()
+                self._moves[a, b] = _padded(move)
 
     def rhs(self, w: np.ndarray) -> np.ndarray:
         """dW/dt = (H*W - W*H) / (i hbar), summed term by term."""
-        if len(self.bases) == 1:
-            basis = self.bases[0]
-            return basis.mixed(w, basis.generator)
-        what = cdftn(w)
-        acc = np.zeros_like(what)
-        for basis in self.bases:
-            coef = basis.fft(what * basis.twist)
-            coef *= basis.generator[..., :basis.width]
-            acc += basis.from_basis(coef)
-        return cidftn(acc).real
+        return sum(basis.mixed(w, basis.generator[..., :basis.width])
+                   for basis in self.bases)
 
     def _exp(self, j: int, s: float) -> np.ndarray:
         key = (j, s)
@@ -482,7 +435,7 @@ class LvnPlan:
         """The split state of the Wigner array arr; starts a call."""
         self._used.clear()
         basis = self.bases[0]
-        return basis.fft(_padded(cdftn(arr) * basis.twist)), 0.0
+        return _padded(basis.to_mixed(arr.astype(complex), basis.others)), 0.0
 
     def step(self, coef: np.ndarray, pending: float, dt: float):
         """Advance a state by dt; coef is overwritten and returned."""
@@ -497,15 +450,15 @@ class LvnPlan:
         return coef, last
 
     def _move(self, coef: np.ndarray, a: int, b: int) -> None:
-        self.bases[a].ifft(coef)
+        self.bases[a].fft(coef)
         coef *= self._moves[a, b]
-        self.bases[b].fft(coef)
+        self.bases[b].ifft(coef)
 
     def real(self, coef: np.ndarray, pending: float) -> np.ndarray:
         """The Wigner array of a state; coef is left as it is."""
         basis = self.bases[0]
-        what = basis.ifft(coef * self._exp(0, pending))[..., :basis.width]
-        return cidftn(what * basis.untwist).real
+        arr = coef[..., :basis.width] * self._exp(0, pending)[..., :basis.width]
+        return basis.from_mixed(arr, basis.others).real
 
 
 def step_count(t_final: float, dt: float) -> tuple[int, float]:

@@ -11,12 +11,15 @@ from stop to stop (an event or a snapshot) in one go: one cached dense
 propagator U(n dt) = OperatorMatrix.unitary per interval on the oracle
 backend, one evolve_lvn call per interval on the phase backend. The oracle
 backend carries the state as its flat l2 vector (WaveFunction.to_vector())
-from start to end. Every event, on both backends and in the measurement
-scenario, takes the Born weights with transition_probabilities_oracle,
-updates with apply_quasiprojection and checks PS6 with is_quasirestricted.
-The three take an l2 array whose first axis is the partition's Hilbert
-space (on an (n1, n2) array, Pi acts as Pi (x) I), and the caller passes
-the update operator: Pi_j^(1/2) or the exact projector.
+from start to end. An event takes its Born weights through its backend:
+the oracle backend and the measurement scenario with
+transition_probabilities_oracle, the phase backend with the symbol-side
+transition_probabilities (p_j = int Pi_j W dz). Every event, on both
+backends and in the measurement scenario, updates with
+apply_quasiprojection and checks PS6 with is_quasirestricted. These two and
+transition_probabilities_oracle take an l2 array whose first axis is the
+partition's Hilbert space (on an (n1, n2) array, Pi acts as Pi (x) I), and
+the caller passes the update operator: Pi_j^(1/2) or the exact projector.
 
 Inside an interval the state evolves deterministically; only the region
 drawn at an event is random. So the state at any stop is a function of the

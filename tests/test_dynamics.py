@@ -8,7 +8,6 @@ from osqm.dynamics import (EvolutionUnstableError, Hamiltonian, HamiltonianTerm,
                            evolve_lvn, step_count)
 from osqm.grid import ContainmentError, PhaseGrid
 from osqm.oracle import WaveFunction, schrodinger_propagate
-from osqm.spectral import cdft, cdftn, cidft, cidftn
 from osqm.weyl import WeylSymbol, mean_value, weyl_operator_from_symbol
 from osqm.scenarios import initial_state_preset
 from osqm.wigner import coherent_state, wigner_from_wavefunction
@@ -224,7 +223,7 @@ def test_step_count_keeps_whole_steps_and_drops_round_off_tails():
 
 
 # ---------------------------------------------------------------------------
-# in-place basis changes
+# in-place changes of representation
 
 def _three_term_h():
     gg = PhaseGrid.product(PhaseGrid.create(32, 8.0), PhaseGrid.create(32, 8.0))
@@ -242,32 +241,43 @@ def _double_well_h():
                               {"a": 0.15, "b": 2.0})
 
 
-def _factor_twists(grid, term):
-    """(conv_axis, twist) of each factor of a term."""
-    axes = [dynamics._factor_basis(grid, kind, dof, profile)[:2]
-            for kind, dof, profile in term.factors]
-    return [(conv, dynamics._factor_twist(grid.phase_shape, conv, mask))
-            for conv, mask in axes]
+def _factor_axes(grid, term):
+    """(conv_axis, mask_axis) of each factor of a term."""
+    n = grid.dof
+    return [(dof, n + dof) if kind == "x" else (n + dof, dof)
+            for kind, dof, _ in term.factors]
 
 
-def _to_basis(grid, term, what):
-    """Per-factor twist, then FFT along the factor's conv axis."""
-    for axis, twist in _factor_twists(grid, term):
-        what = np.fft.fft(what * twist, axis=axis)
+def _odd_shift(shape, conv, mask):
+    """e^{i pi k / n} at conv-axis frequency k on odd mask frequencies, else 1."""
+    n = shape[conv]
+    k_shape, q_shape = [1] * len(shape), [1] * len(shape)
+    k_shape[conv], q_shape[mask] = n, shape[mask]
+    k = np.fft.fftfreq(n, 1.0 / n).reshape(k_shape)
+    odd = (np.arange(shape[mask]) % 2 == 1).reshape(q_shape)
+    return np.where(odd, np.exp(1j * np.pi * k / n), 1.0)
+
+
+def _to_mixed(grid, term, what):
+    """A frequency array (np.fft order on every axis) in the term's mixed
+    representation: per factor, the odd mask columns' half-cell shift, then
+    an inverse FFT along the factor's conv axis."""
+    for conv, mask in _factor_axes(grid, term):
+        what = np.fft.ifft(what * _odd_shift(what.shape, conv, mask), axis=conv)
     return what
 
 
-def _from_basis(grid, term, coef):
-    for axis, twist in reversed(_factor_twists(grid, term)):
-        coef = np.fft.ifft(coef, axis=axis) * np.conj(twist)
+def _from_mixed(grid, term, coef):
+    for conv, mask in reversed(_factor_axes(grid, term)):
+        coef = np.fft.fft(coef, axis=conv) * np.conj(_odd_shift(coef.shape, conv, mask))
     return coef
 
 
 def _reference_step(h, plan, coef, pending, dt):
-    """One split step as unmerged Strang sweeps of to_basis(from_basis(.)) * exp.
+    """One split step as unmerged Strang sweeps of to_mixed(from_mixed(.)) * exp.
 
     Yoshida's three sweeps take w1 dt, w0 dt and w1 dt. Returns the state in
-    term 0's basis with nothing left pending.
+    term 0's mixed representation with nothing left pending.
     """
     grid, terms = h.grid, h.terms
     gens = [b.generator[..., :b.width] for b in plan.bases]
@@ -280,10 +290,10 @@ def _reference_step(h, plan, coef, pending, dt):
     for weight in (w1, w0, w1):
         for j in order:
             s = (weight if j == last else 0.5 * weight) * dt
-            coef = _to_basis(grid, terms[j], _from_basis(grid, terms[cur], coef))
+            coef = _to_mixed(grid, terms[j], _from_mixed(grid, terms[cur], coef))
             coef = coef * np.exp(s * gens[j])
             cur = j
-    return _to_basis(grid, terms[0], _from_basis(grid, terms[cur], coef))
+    return _to_mixed(grid, terms[0], _from_mixed(grid, terms[cur], coef))
 
 
 @pytest.mark.parametrize("case", ["oscillator", "double-well", "three-term"])
@@ -303,7 +313,7 @@ def test_split_step_matches_basis_change_composition(case, grid64, osc):
     plan = dynamics.LvnPlan(h.grid, h)
     n = w.values.shape[-1]  # the state is the first n entries of a padded row
     coef, _ = plan.enter(w.values)
-    want = _to_basis(h.grid, h.terms[0], cdftn(w.values))
+    want = _to_mixed(h.grid, h.terms[0], np.fft.fftn(w.values))
     scale = np.abs(want).max()
     assert np.abs(coef[..., :n] - want).max() < 1e-13 * scale
     pending, dt = 0.013, 0.05
@@ -335,35 +345,74 @@ def _exact_case(name):
 
 @pytest.mark.parametrize("name", ["free-64", "free-30", "coupling", "p1-squared"])
 def test_exact_path_matches_basis_change_composition(name):
-    # the mixed representation moves only the mask axes to the frequency
-    # domain; it must give the twisted basis's exp(t G) to round-off, also
-    # at N = 30, where N / 2 is odd, and on an axis pair of no factor
+    # the exact path moves only the mask axes to the frequency domain; it
+    # must give exp(t G) applied in the mixed representation reached from
+    # the full np.fft spectrum, also at N = 30, where N / 2 is odd, and on
+    # an axis pair of no factor
     h, w = _exact_case(name)
     total = 0.2
     term = h.terms[0]
-    generator = dynamics._TermBasis(h.grid, term, split=True).generator
-    generator = generator[..., :w.values.shape[-1]]
-    coef = np.exp(total * generator) * _to_basis(h.grid, term, cdftn(w.values))
-    want = cidftn(_from_basis(h.grid, term, coef)).real
+    generator = dynamics._TermBasis(h.grid, term, split=False).generator
+    coef = np.exp(total * generator) * _to_mixed(h.grid, term, np.fft.fftn(w.values))
+    want = np.fft.ifftn(_from_mixed(h.grid, term, coef)).real
     got = evolve_lvn(w, h, total, 0.05)
     assert np.abs(got.values - want).max() <= 1e-15 * np.abs(w.values).max()
 
 
 @pytest.mark.parametrize("name", ["free-64", "free-30", "coupling", "p1-squared"])
-def test_one_term_rhs_matches_the_twisted_basis(name):
-    # a one-term plan's rhs applies its generator in the mixed representation;
-    # a second term of coefficient 0 makes a split plan, whose rhs goes
-    # through the twisted basis
+def test_one_term_rhs_matches_the_np_fft_reference(name):
+    # the generator applied in the mixed representation reached from the
+    # full np.fft spectrum
     h, w = _exact_case(name)
-    got = dynamics.LvnPlan(h.grid, h).rhs(w.values)
-    split = Hamiltonian(h.grid, [h.terms[0], HamiltonianTerm(h.terms[0].factors, 0.0)])
-    want = dynamics.LvnPlan(h.grid, split).rhs(w.values)
+    plan = dynamics.LvnPlan(h.grid, h)
+    got = plan.rhs(w.values)
+    term = h.terms[0]
+    coef = plan.bases[0].generator * _to_mixed(h.grid, term, np.fft.fftn(w.values))
+    want = np.fft.ifftn(_from_mixed(h.grid, term, coef)).real
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("n", [32, 34])
+@pytest.mark.parametrize("kind", ["x", "p"])
+def test_factor_tables_are_the_rolled_profile_samples(n, kind):
+    # column q of left/right multiplication by f(x) is f rolled by floor(q/2)
+    # and by -ceil(q/2); for g(p) the two swap. At N = 34 the Nyquist
+    # column q = -17 is odd.
+    grid = PhaseGrid.create(n, 7.0)
+    profile = lambda v: v ** 3 / 3 + np.tanh(v)   # no symmetry to hide a sign
+    conv, mask, left, right = dynamics._factor_tables(grid, kind, 0, profile)
+    f = profile(grid.x(0) if kind == "x" else grid.p(0))
+    q = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    floor_half, minus_ceil_half = q // 2, -((q + 1) // 2)
+    rolls = (floor_half, minus_ceil_half) if kind == "x" else (minus_ceil_half, floor_half)
+    for table, roll in zip((left, right), rolls):
+        table = table.reshape(n, n) if conv < mask else table.reshape(n, n).T
+        want = np.stack([np.roll(f, s) for s in roll], axis=1)   # [conv, mask]
+        assert np.array_equal(table, want)
+
+
+def test_split_path_at_odd_half_n_matches_the_oracle():
+    # every other split-path test runs at an even N / 2; at N = 34 the odd
+    # mask columns include the np.fft Nyquist column. The oracle evolves W's
+    # own operator, so only the splitting error and round-off remain
+    # (9.4e-10 here, 1.8e-11 at N = 32).
+    from osqm.oracle import OperatorMatrix
+    from osqm.scenarios import hamiltonian_preset
+    from osqm.weyl import weyl_symbol_from_operator
+    grid = PhaseGrid.create(34, 7.0)
+    h = hamiltonian_preset(grid, "oscillator", {})
+    w = wigner_from_wavefunction(coherent_state(grid, 1.0, 0.3))
+    rho = weyl_operator_from_symbol(w.as_symbol()).matrix
+    u = weyl_operator_from_symbol(h.symbol()).unitary(1.0)
+    want = weyl_symbol_from_operator(OperatorMatrix(grid, u @ rho @ u.conj().T))
+    want = want.values.real / (2 * np.pi * grid.hbar)
+    out = evolve_lvn(w, h, 1.0, 0.005)
+    assert np.abs(out.values - want).max() < 1e-8
+
+
 def test_exact_plan_holds_two_state_sized_tables():
-    # the generator in the mixed representation and one exp table: no full
-    # size twist or untwist
+    # the generator in the mixed representation and one exp table: no move
+    # tables
     h, w = _exact_case("coupling")
     evolve_lvn(w, h, 0.2, 0.05)
     evolve_lvn(w, h, 0.2, 0.05)
@@ -374,7 +423,7 @@ def test_exact_plan_holds_two_state_sized_tables():
     state_sized = [a for a in arrays.values() if a.shape == w.values.shape]
     assert len(state_sized) == 2
     assert all(a.dtype == complex for a in state_sized)
-    assert "twist" not in vars(basis) and "untwist" not in vars(basis)
+    assert plan._moves == {}
 
 
 def _power_of_two_strides(arr):
@@ -415,35 +464,12 @@ def test_split_buffers_have_no_power_of_two_stride(case):
     assert plan.real(coef, pending).shape == w.values.shape
 
 
-# the product of (-1)^(n // 2) over the axes is +1 for the first and third
-# shapes and -1 for the others
-@pytest.mark.parametrize("shape", [(32, 32), (30, 32), (16, 16, 16, 16),
-                                   (6, 8, 6, 10)])
-@pytest.mark.parametrize("kind", [float, complex])
-def test_cdftn_matches_per_axis_transforms(shape, kind):
-    rng = np.random.default_rng(5)
-    arr = rng.standard_normal(shape)
-    if kind is complex:
-        arr = arr + 1j * rng.standard_normal(shape)
-    want = arr
-    for ax in range(arr.ndim):
-        want = cdft(want, axis=ax)
-    got = cdftn(arr)
-    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-    back = arr
-    for ax in range(arr.ndim):
-        back = cidft(back, axis=ax)
-    spectrum = arr.astype(complex)
-    got = cidftn(spectrum)
-    assert got is spectrum  # in place
-    assert np.abs(got - back).max() <= 1e-15 * np.abs(back).max()
-
-
 @pytest.mark.parametrize("name", ["free", "oscillator"])
 def test_repeated_evolution_repeats_bitwise(grid64, w0, name):
-    # the basis changes run in place: they must not write into the input
-    # state; the tables a Hamiltonian keeps across calls give every call the
-    # bits a fresh Hamiltonian gives, through a change of t_final and back
+    # the changes of representation run in place: they must not write into
+    # the input state; the tables a Hamiltonian keeps across calls give every
+    # call the bits a fresh Hamiltonian gives, through a change of t_final
+    # and back
     from osqm.scenarios import hamiltonian_preset
     h = hamiltonian_preset(grid64, name, {})
     start = w0.values.copy()

@@ -25,7 +25,9 @@ DELETED = {
                       "_sign_tables", "_Splitting", "_evolve_rk4",
                       "HamiltonianTerm.coeff_at", "Hamiltonian.is_static",
                       "LvnPlan._scale", "LvnPlan._amount", "_evolve_exact",
-                      "_TermBasis.propagate", "_TermBasis.to_basis"],
+                      "_TermBasis.propagate", "_TermBasis.to_basis", "_freq_tables",
+                      "_factor_basis", "_factor_twist", "_mixed_order",
+                      "_TermBasis.twist", "_TermBasis.untwist", "_TermBasis.from_basis"],
     "osqm.moyal": ["_poly_dx", "_poly_dp", "_poly_mulc", "_poly_add", "_cdft2", "_cidft2"],
     "osqm.weyl": ["_sym_core_1dof"],
     "osqm.wigner": ["_pure_chord_block"],

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from osqm.spectral import (cdft, cidft, centered_chords, spectral_derivative,
-                           upsample2, x_to_p, p_to_x)
+from osqm.spectral import (cdft, cdftn, cidft, cidftn, centered_chords,
+                           spectral_derivative, upsample2, x_to_p, p_to_x)
 
 
 def test_cdft_inverse_pair(rng):
@@ -65,3 +65,27 @@ def test_spectral_derivative_on_modes():
 
 def test_centered_chords_layout():
     assert list(centered_chords(8)) == [0, 1, 2, 3, -4, -3, -2, -1]
+
+
+# the product of (-1)^(n // 2) over the axes is +1 for the first and third
+# shapes and -1 for the others
+@pytest.mark.parametrize("shape", [(32, 32), (30, 32), (16, 16, 16, 16),
+                                   (6, 8, 6, 10)])
+@pytest.mark.parametrize("kind", [float, complex])
+def test_cdftn_matches_per_axis_transforms(shape, kind):
+    rng = np.random.default_rng(5)
+    arr = rng.standard_normal(shape)
+    if kind is complex:
+        arr = arr + 1j * rng.standard_normal(shape)
+    want = arr
+    for ax in range(arr.ndim):
+        want = cdft(want, axis=ax)
+    got = cdftn(arr)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    back = arr
+    for ax in range(arr.ndim):
+        back = cidft(back, axis=ax)
+    spectrum = arr.astype(complex)
+    got = cidftn(spectrum)
+    assert got is spectrum  # in place
+    assert np.abs(got - back).max() <= 1e-15 * np.abs(back).max()

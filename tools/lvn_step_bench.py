@@ -7,11 +7,12 @@ in a fresh process, and the runs alternate which checkout goes first. BLAS
 threads are pinned to 1. The file holds every run and, per case, the median
 over runs and the change/parent ratio of the medians.
 
-A step is one `LvnPlan.step` on a state that stays in its term basis, as
-`evolve_lvn` takes it between steps: the dof-1 oscillator at N = 64, 128 and
-256 (extent 9, dt 0.005, the lvn-oscillator workload's) and a dof-2
-three-term Hamiltonian on 32 x 32 (extent 8, dt 0.05). A run's figure for a
-case is the median over batches of the mean time per step of a batch.
+A step is one `LvnPlan.step` on a state that stays in its first term's
+mixed representation, as `evolve_lvn` takes it between steps: the dof-1
+oscillator at N = 64, 128 and 256 (extent 9, dt 0.005, the lvn-oscillator
+workload's) and a dof-2 three-term Hamiltonian on 32 x 32 (extent 8, dt
+0.05). A run's figure for a case is the median over batches of the mean
+time per step of a batch.
 
 A call is one whole `evolve_lvn` call, repeated on one Hamiltonian and one
 state, as the phase backend and the composite-measurement workload repeat
