@@ -22,7 +22,7 @@ from .grid import ContainmentError
 from .io import write_csv, write_grid_dump, write_metadata
 from .oracle import NotPositiveError
 from .scenarios import binomial_interval
-from .transitions import (ProjectionSchedule, QuasirestrictionError,
+from .transitions import (BACKENDS, ProjectionSchedule, QuasirestrictionError,
                           TrajectoryEngine, run_ensemble)
 
 EXIT_OK = 0
@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out-dir", default=None, help="override output.out_dir")
     run.add_argument("--snapshots", type=int, default=None,
                      help="override output.snapshot_stride")
-    run.add_argument("--backend", choices=("phase", "oracle"), default=None)
+    run.add_argument("--backend", choices=BACKENDS, default=None)
 
     reg = sub.add_parser("regress", parents=[common],
                          help="run the acceptance criteria")

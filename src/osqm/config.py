@@ -10,7 +10,7 @@ from typing import Optional
 
 from .grid import PhaseGrid
 from .scenarios import HAMILTONIAN_PRESETS, STATE_PRESETS
-from .transitions import PHASE_EXACT_REASON
+from .transitions import BACKENDS, PHASE_EXACT_REASON, PROJECTION_MODES, SCHEDULE_MODES
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "config_to_dict"]
 
@@ -136,13 +136,13 @@ def parse_config(path_or_dict) -> ScenarioConfig:
         if preset not in STATE_PRESETS:
             errors.append(f"initial_state: unknown preset {preset!r}; "
                           f"available: {list(STATE_PRESETS)}")
-    if backend not in ("oracle", "phase"):
-        errors.append(f"backend: {backend!r} not in ('oracle', 'phase')")
-    if projection_mode not in ("sqrt", "exact"):
-        errors.append(f"projection_mode: {projection_mode!r} not in ('sqrt', 'exact')")
+    if backend not in BACKENDS:
+        errors.append(f"backend: {backend!r} not in {BACKENDS}")
+    if projection_mode not in PROJECTION_MODES:
+        errors.append(f"projection_mode: {projection_mode!r} not in {PROJECTION_MODES}")
     elif backend == "phase" and projection_mode == "exact":
         errors.append(f"projection_mode: {PHASE_EXACT_REASON}")
-    if schedule.get("mode") not in ("continuous", "periodic", "single-shot"):
+    if schedule.get("mode") not in SCHEDULE_MODES:
         errors.append(f"schedule: unknown mode {schedule.get('mode')!r}")
     dt, dtp, t_final = schedule.get("dt"), schedule.get("dt_proj"), schedule.get("t_final")
     numbers = {"dt": dt, "t_final": t_final}

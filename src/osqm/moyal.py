@@ -98,8 +98,8 @@ def moyal_product(a: WeylSymbol, b: WeylSymbol) -> WeylSymbol:
             "composite dynamics uses factorized Hamiltonian terms instead")
     n = grid.n(0)
     plan = _plan(grid)
-    ahat = cdftn(a.values)
-    bhat = cdftn(b.values)
+    ahat = cdftn(a.values, (0, 1))
+    bhat = cdftn(b.values, (0, 1))
     acc = np.zeros((2 * n, n), dtype=complex)
     frq = plan.frq
     for icx in range(n):
@@ -112,7 +112,7 @@ def moyal_product(a: WeylSymbol, b: WeylSymbol) -> WeylSymbol:
     out = acc[n // 2:3 * n // 2].copy()
     out[:n // 2] += plan.colsign[None, :] * acc[3 * n // 2:]
     out[n // 2:] += plan.colsign[None, :] * acc[:n // 2]
-    return WeylSymbol(grid, cidftn(out / (n * n)))
+    return WeylSymbol(grid, cidftn(out / (n * n), (0, 1)))
 
 
 def moyal_bracket(a: WeylSymbol, b: WeylSymbol) -> WeylSymbol:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .grid import PhaseGrid
-from .spectral import cdft, x_to_p
+from .spectral import cdftn, x_to_p
 
 __all__ = [
     "OperatorMatrix",
@@ -203,7 +203,7 @@ def kinetic_operator(grid: PhaseGrid, tfun, d: int = 0) -> OperatorMatrix:
     n = grid.n(d)
     tvals = np.asarray(tfun(grid.p(d)), dtype=float)
     # 1-axis unitary centered DFT matrix
-    F = cdft(np.eye(n), axis=0) / np.sqrt(n)
+    F = cdftn(np.eye(n), (0,)) / np.sqrt(n)
     block = F.conj().T @ np.diag(tvals.astype(complex)) @ F
     block = 0.5 * (block + block.conj().T)
     m = _embed_axis_block(grid, block, d)

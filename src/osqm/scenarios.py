@@ -27,7 +27,7 @@ from .oracle import WaveFunction, tensor_state
 # that imports it, so it must resolve
 from .regions import _coherent_quadrature_1dof  # noqa: F401
 from .regions import build_partition, is_quasirestricted
-from .spectral import cdft, cidft
+from .spectral import cdftn, cidftn
 from .transitions import (apply_quasiprojection, sample_transition,
                           trajectory_rng, transition_probabilities_oracle)
 from .wigner import coherent_state
@@ -219,9 +219,9 @@ class MeasurementScenario:
         g1 = self.pointer_grid
         v = self.psi0.to_vector().reshape(self.pointer_grid.n(0),
                                           self.observed_grid.n(0))
-        vp = cdft(v, axis=0) / np.sqrt(g1.n(0))   # unitary per-axis transform
+        vp = cdftn(v, (0,)) / np.sqrt(g1.n(0))    # unitary per-axis transform
         vp = vp * self.phase_full
-        return cidft(vp, axis=0) * np.sqrt(g1.n(0))
+        return cidftn(vp, (0,)) * np.sqrt(g1.n(0))
 
     def band_probabilities(self, v2d: np.ndarray) -> np.ndarray:
         """Born weights of the three bands for the (n1, n2) state array."""

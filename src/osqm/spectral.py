@@ -3,17 +3,21 @@
 Grid points are x_j = (j - N/2) dx with N even, and the matching momentum
 grid p_m = (m - N/2) dp with dx dp N = 2 pi hbar, so the discrete transforms
 below are exactly unitary at the chosen hbar.
+
+There is one centered DFT, cdftn, with its inverse cidftn, along the axes a
+caller names: x_to_p and p_to_x take one axis, the oracle's kinetic
+operator and the measurement scenario's coupling step transform axis 0, and
+the star product transforms both axes of a dof-1 symbol.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_tuple
 
 __all__ = [
     "alternating_signs",
     "centered_chords",
-    "cdft",
-    "cidft",
     "cdftn",
     "cidftn",
     "upsample2",
@@ -33,59 +37,41 @@ def centered_chords(n: int) -> np.ndarray:
     return ((np.arange(n) + n // 2) % n) - n // 2
 
 
-def cdft(f: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Centered DFT: F[u] = sum_k f[k] exp(-2 pi i (u - n/2)(k - n/2)/n)."""
-    f = np.asarray(f)
-    n = f.shape[axis]
-    s = alternating_signs(n) * (-1.0) ** (n // 2)
-    shape = [1] * f.ndim
-    shape[axis] = n
-    sv = s.reshape(shape)
-    alt = alternating_signs(n).reshape(shape)
-    return sv * np.fft.fft(f * alt, axis=axis)
+def _sign_tables(shape: tuple, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(alt, post): the +-1 factors of the centered DFT over axes, multiplied out.
 
-
-def cidft(F: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Inverse of cdft, including the 1/n factor."""
-    F = np.asarray(F)
-    n = F.shape[axis]
-    s = alternating_signs(n) * (-1.0) ** (n // 2)
-    shape = [1] * F.ndim
-    shape[axis] = n
-    sv = s.reshape(shape)
-    alt = alternating_signs(n).reshape(shape)
-    return alt * np.fft.ifft(F * sv, axis=axis)
-
-
-def _sign_tables(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(alt, post): the +-1 factors of cdft multiplied out over every axis.
-
-    cdft along one axis is post_ax * fft(alt_ax * f), with post_ax =
-    (-1)^(n // 2) alt_ax; the sign factors of the other axes commute with it
-    exactly, so over every axis it is post * fftn(alt * f), and cidft is
-    alt * ifftn(post * F). post is +-alt, so one int8 table serves both.
+    Along one axis of length n the centered DFT is post_ax * fft(alt_ax * f),
+    with alt_ax = (-1)^k and post_ax = (-1)^(n // 2) alt_ax; the sign factors
+    of the other axes commute with it exactly, so over several axes it is
+    post * fftn(alt * f), and its inverse is alt * ifftn(post * F). post is
+    +-alt, so one int8 table serves both; it is 1 along every other axis.
     """
     alt = np.ones((), dtype=np.int8)
-    for n in shape:
-        alt = np.multiply.outer(alt, alternating_signs(n).astype(np.int8))
-    return alt, (alt if sum(n // 2 for n in shape) % 2 == 0 else -alt)
+    for ax, n in enumerate(shape):
+        signs = alternating_signs(n) if ax in axes else np.ones(1)
+        alt = np.multiply.outer(alt, signs.astype(np.int8))
+    return alt, (alt if sum(shape[ax] // 2 for ax in axes) % 2 == 0 else -alt)
 
 
-def cdftn(arr: np.ndarray) -> np.ndarray:
-    """cdft along every axis, into a new complex array."""
-    alt, post = _sign_tables(arr.shape)
+def cdftn(arr: np.ndarray, axes: tuple) -> np.ndarray:
+    """Centered DFT along axes, into a new complex array:
+    F[u] = sum_k f[k] exp(-2 pi i (u - n/2)(k - n/2)/n) along each."""
+    axes = normalize_axis_tuple(axes, arr.ndim)
+    alt, post = _sign_tables(arr.shape, axes)
     out = np.multiply(arr, alt, dtype=complex)
-    # fftn takes the last axis listed first: axis 0 first, as a cdft per axis
-    # does, gives that loop's result bit for bit
-    np.fft.fftn(out, axes=tuple(reversed(range(arr.ndim))), out=out)
+    # fftn takes the last axis listed first: listed in reverse, the axes are
+    # transformed in the order given, as a loop of one-axis transforms would
+    np.fft.fftn(out, axes=axes[::-1], out=out)
     return np.multiply(out, post, out=out)
 
 
-def cidftn(arr: np.ndarray) -> np.ndarray:
-    """cidft along every axis, in place on the complex arr, which it returns."""
-    alt, post = _sign_tables(arr.shape)
+def cidftn(arr: np.ndarray, axes: tuple) -> np.ndarray:
+    """Inverse of cdftn along axes, including the 1/n factors, in place on
+    the complex arr, which it returns."""
+    axes = normalize_axis_tuple(axes, arr.ndim)
+    alt, post = _sign_tables(arr.shape, axes)
     np.multiply(arr, post, out=arr)
-    np.fft.ifftn(arr, axes=tuple(reversed(range(arr.ndim))), out=arr)
+    np.fft.ifftn(arr, axes=axes[::-1], out=arr)
     return np.multiply(arr, alt, out=arr)
 
 
@@ -122,12 +108,13 @@ def x_to_p(psi: np.ndarray, dx: float, hbar: float, axis: int = -1) -> np.ndarra
 
     phi(p_m) = (2 pi hbar)^{-1/2} * dx * sum_j psi(x_j) exp(-i x_j p_m / hbar)
     """
-    return cdft(psi, axis=axis) * (dx / np.sqrt(2 * np.pi * hbar))
+    return cdftn(psi, (axis,)) * (dx / np.sqrt(2 * np.pi * hbar))
 
 
 def p_to_x(phi: np.ndarray, dx: float, hbar: float, axis: int = -1) -> np.ndarray:
     """Inverse of x_to_p."""
-    return cidft(phi, axis=axis) * (np.sqrt(2 * np.pi * hbar) / dx)
+    # a complex copy, since cidftn works in place
+    return cidftn(np.array(phi, dtype=complex), (axis,)) * (np.sqrt(2 * np.pi * hbar) / dx)
 
 
 def spectral_derivative(f: np.ndarray, spacing: float, axis: int = -1,

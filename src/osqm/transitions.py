@@ -23,9 +23,10 @@ the caller passes the update operator: Pi_j^(1/2) or the exact projector.
 
 Inside an interval the state evolves deterministically; only the region
 drawn at an event is random. So the state at any stop is a function of the
-regions drawn before it: TrajectoryEngine.run memoises event outcomes in a
-trie keyed by that region history (see TrajectoryEngine), and run_ensemble
-walks the tree of histories breadth first, one state per distinct history.
+regions drawn before it: TrajectoryEngine.run memoises what each event
+gives in a trie with one node per region history (see TrajectoryEngine),
+and run_ensemble walks the tree of histories breadth first, one state per
+distinct history.
 """
 
 from __future__ import annotations
@@ -61,12 +62,16 @@ __all__ = [
 PROB_CLIP = -1e-8
 MIN_TRANSITION_PROB = 1e-12
 RANK1_TOL = 1e-4   # largest ||rho - psi psi^H||_1 of a phase event's state
+STRIDE_RTOL = 1e-9  # how far dt_proj / dt may lie from a whole number, relative
 ZENO_SATURATION = 0.5  # q_first above this is outside the short-interval regime
 # Born rows one engine's memo may hold. A row, in a node or a history,
 # costs 120-190 bytes at two or three regions (tracemalloc), so a full memo
 # is 2-3 MB, about as much as the dense N = 256 operators an oracle engine
 # caches anyway.
 MEMO_LIMIT = 1 << 14
+BACKENDS = ("oracle", "phase")
+PROJECTION_MODES = ("sqrt", "exact")
+SCHEDULE_MODES = ("continuous", "periodic", "single-shot")
 PHASE_EXACT_REASON = (
     "backend 'phase' cannot run projection_mode 'exact': a sharply projected "
     "state leaves the grid's momentum range, so the Wigner grid cannot hold it")
@@ -76,39 +81,27 @@ class QuasirestrictionError(RuntimeError):
     """A post-projection state fails PS6: it is not quasirestricted."""
 
 
-class _Branch:
-    """A region drawn at a memoised event (or the start, at the home
-    region): the PS6 residual of its post-projection state, the node of
-    the next event once a run has reached it, and the _History of the runs
-    that end here once one has."""
+class _Node:
+    """A memoised region history: the regions drawn so far. It holds the
+    PS6 residual of its last draw (at the root, the start's own residual);
+    once a run has reached the next event, that event's Born row, the
+    rank-1 distance of the state it projected and per region the _Node of
+    a draw that passed PS6 (None until one has); and, once a run has ended
+    here, the _History its records share. It holds no state."""
 
-    __slots__ = ("resid", "child", "history")
+    __slots__ = ("resid", "probs", "distance", "children", "history")
 
     def __init__(self, resid: float):
         self.resid = resid
-        self.child = None
-        self.history = None
-
-
-class _Event:
-    """A memoised event, given the regions drawn before it: its Born row,
-    the rank-1 distance of the state it projected, and per region the
-    _Branch of a draw that passed PS6 (None until one has). It holds no
-    state."""
-
-    __slots__ = ("probs", "distance", "branches")
-
-    def __init__(self, probs: np.ndarray, distance: float):
-        self.probs = probs
-        self.distance = distance
-        self.branches = [None] * len(probs)
+        self.probs = self.distance = self.children = self.history = None
 
 
 class _History:
     """What every run of one region history on one engine records: the
     engine's backend, times, event steps and home region label, and per
     event the region label drawn, the Born row (one read-only array), the
-    PS6 residual and the rank-1 distance."""
+    PS6 residual and the rank-1 distance. path holds a (node, region drawn,
+    child) triple per event."""
 
     __slots__ = ("backend", "times", "event_steps", "home", "event_regions",
                  "prob_rows", "ps6_residuals", "rank1_distances")
@@ -122,7 +115,7 @@ class _History:
         self.event_regions = tuple(labels[chosen] for _, chosen, _ in path)
         self.prob_rows = np.asarray([node.probs for node, _, _ in path])
         self.prob_rows.flags.writeable = False
-        self.ps6_residuals = tuple(branch.resid for _, _, branch in path)
+        self.ps6_residuals = tuple(child.resid for _, _, child in path)
         self.rank1_distances = tuple(node.distance for node, _, _ in path)
 
 
@@ -138,11 +131,11 @@ def _cached_projectors(partition: Partition) -> list:
 class ProjectionSchedule:
     """When quasiprojections fire during a trajectory."""
 
-    mode: str = "periodic"          # continuous | periodic | single-shot
+    mode: str = "periodic"          # one of SCHEDULE_MODES
     dt_proj: Optional[float] = None
 
     def __post_init__(self):
-        if self.mode not in ("continuous", "periodic", "single-shot"):
+        if self.mode not in SCHEDULE_MODES:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
         if self.mode == "periodic" and (self.dt_proj is None or self.dt_proj <= 0):
             raise ValueError("periodic schedule needs dt_proj > 0")
@@ -154,7 +147,13 @@ class ProjectionSchedule:
             return steps
         if self.dt_proj < dt - 1e-12:
             raise ValueError("dt_proj must be >= the dynamics step dt")
-        return max(1, int(round(self.dt_proj / dt)))
+        # a rounded stride would fire events at another interval than dt_proj
+        ratio = self.dt_proj / dt
+        stride = round(ratio)
+        if abs(ratio - stride) > STRIDE_RTOL * ratio:
+            raise ValueError(f"dt_proj {self.dt_proj!r} is not a whole number of "
+                             f"dt {dt!r} steps (ratio {ratio:.12g})")
+        return stride
 
 
 def _born_weights(probs: np.ndarray) -> np.ndarray:
@@ -444,22 +443,24 @@ class TrajectoryEngine:
     oscillator run at N = 256, dt_proj pi/8). zeno_experiment draws and
     updates with P_j.
 
-    The engine memoises event outcomes in a trie keyed by the region history
-    drawn so far (_Event nodes, _Branch edges). A node holds the event's
-    Born row and rank-1 distance; a branch holds the PS6 residual of one
-    drawn region and, where runs end, the _History their records share.
-    None holds a state. run() draws each region with its own rng from the
-    cached row. It builds the state only on a node or branch that is not
+    The engine memoises a trie of region histories, one _Node per history
+    drawn so far, the start at its root. A node holds the PS6 residual of
+    its last draw; once a run reaches the next event, that event's Born row,
+    rank-1 distance and a child node per region drawn; and, where runs end,
+    the _History their records share. None holds a state. run() walks
+    node.children[chosen], drawing each region with its own rng from the
+    cached row. It builds the state only at a node or child that is not
     cached yet, or at a snapshot stop, by replaying the drawn history's
     advances and updates from the last state it built (_replay). These are
     the calls and unit-norm checks a fresh run makes, so every record is
     bitwise what a fresh engine computes. An error (PS6, a degenerate row,
     a forbidden transition) is never cached: every run that draws that
-    branch recomputes it and raises again. Born weights are computed once
-    per node, so the clip log of _born_weights fires once per history, not
-    once per run. The memo holds at most MEMO_LIMIT Born rows (memo_rows
-    counts them: one per node, one per event of each history); once it is
-    full, a run that leaves it goes on as a fresh run, storing nothing.
+    region there recomputes it and raises again. Born weights are computed
+    once per node, so the clip log of _born_weights fires once per history,
+    not once per run. The memo holds at most MEMO_LIMIT Born rows (memo_rows
+    counts them: one per node that holds a row, one per event of each
+    history); once it is full, a run that leaves it goes on from a detached
+    node, storing nothing.
 
     The paper's postulates are checked, not assumed: the initial state must
     be quasirestricted to its most probable region (ValueError otherwise),
@@ -472,9 +473,9 @@ class TrajectoryEngine:
                  t_final: float, dt: float, schedule: ProjectionSchedule,
                  backend: str = "oracle", projection_mode: str = "sqrt",
                  snapshot_every: int = 0):
-        if backend not in ("oracle", "phase"):
+        if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
-        if projection_mode not in ("sqrt", "exact"):
+        if projection_mode not in PROJECTION_MODES:
             raise ValueError(f"unknown projection mode {projection_mode!r}")
         if backend == "phase" and projection_mode == "exact":
             raise ValueError(PHASE_EXACT_REASON)
@@ -505,7 +506,7 @@ class TrajectoryEngine:
                 f"initial state is not quasirestricted to any region "
                 f"(best residual {resid:.3e}); the coarse-graining "
                 "containment requirement fails at t=0")
-        self._memo = _Branch(resid)     # the start: nothing drawn yet
+        self._memo = _Node(resid)       # the start: nothing drawn yet
         self.memo_rows = 0              # Born rows held in the memo
         self.exact_projectors = (_cached_projectors(partition)
                                  if projection_mode == "exact" else None)
@@ -566,47 +567,49 @@ class TrajectoryEngine:
         rng = trajectory_rng(seed, traj_index)
         prop = self._propagator
         snaps = []
-        branch, cached = self._memo, True   # cached: branch is in the memo
+        node, cached = self._memo, True     # cached: node is in the memo
         drawn = {}                          # stop index -> region drawn at its event
-        path = []                           # (node, region drawn, branch) per event
+        path = []                           # (node, region drawn, child) per event
         state, done = prop.initial(), 0     # the last state built: after stops[:done]
         for i, (k, _, _, event, snap) in enumerate(self._stops):
             if event:
-                node, v = branch.child, None
-                if node is None:
+                v = None
+                if node.probs is None:
                     before = self._replay(state, done, i + 1, drawn)
                     probs = prop.born_weights(before)
                     chosen = sample_transition(probs, rng.random())
                     v, distance = prop.to_vector(before)
-                    node = _Event(probs, distance)
-                    cached = cached and self._insert(branch, "child", node)
+                    if cached and not self._room(1):
+                        node, cached = _Node(node.resid), False
+                    node.probs, node.distance = probs, distance
+                    node.children = [None] * len(probs)
                 else:
                     chosen = sample_transition(node.probs, rng.random())
-                branch = node.branches[chosen]
-                if branch is None:
+                child = node.children[chosen]
+                if child is None:
                     if v is None:
                         v = prop.to_vector(self._replay(state, done, i + 1, drawn))[0]
                     v, resid = self._project(v, chosen, seed, traj_index)
                     state, done = prop.from_vector(v), i + 1
-                    branch = node.branches[chosen] = _Branch(resid)
+                    child = node.children[chosen] = _Node(resid)
                 drawn[i] = chosen
-                path.append((node, chosen, branch))
+                path.append((node, chosen, child))
+                node = child
             if snap:
                 state, done = self._replay(state, done, i + 1, drawn), i + 1
                 snaps.append((float(self.times[k]), prop.snapshot(state)))
-        history = branch.history
+        history = node.history
         if history is None:
             history = _History(self, path)
-            if cached:
-                self._insert(branch, "history", history, len(path))
+            if cached and self._room(len(path)):
+                node.history = history
         return TrajectoryRecord(seed, history, tuple(snaps))
 
-    def _insert(self, branch: _Branch, slot: str, entry, rows: int = 1) -> bool:
-        """Store entry, a node or a history of rows Born rows, on a memo
-        branch if the memo has room for them; False if it has not."""
+    def _room(self, rows: int) -> bool:
+        """Count rows more Born rows into the memo if it has room for them;
+        False, counting none, if it has not."""
         if self.memo_rows + rows > MEMO_LIMIT:
             return False
-        setattr(branch, slot, entry)
         self.memo_rows += rows
         return True
 

@@ -184,6 +184,21 @@ def test_input_the_run_cannot_use_exits_with_config_code(tmp_path, capsys, block
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("dt_proj", [0.15, 0.25])
+def test_dt_proj_not_a_whole_number_of_steps_exits_with_config_code(tmp_path, capsys,
+                                                                  dt_proj):
+    cfg = json.loads(_write_config(tmp_path).read_text())
+    cfg["schedule"].update(dt=0.1, mode="periodic", dt_proj=dt_proj)
+    path = tmp_path / "stride.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:")
+    assert "scenario: dt_proj" in err and "not a whole number of dt" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("backend", ["oracle", "phase"])
 @pytest.mark.parametrize("block, key, message", [
     ("hamiltonian", "omega", "hamiltonian: symbol values must be finite"),

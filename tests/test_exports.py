@@ -20,7 +20,9 @@ DELETED = {
     "osqm.regions": ["Partition.__len__", "Partition.__getitem__", "DefectReport"],
     "osqm.scenarios": ["MeasurementScenario.coupling_w"],
     "osqm.transitions": ["_density_quasirestricted", "_OraclePropagator._propagator",
-                         "worker_count", "_ENGINE", "_pool_run", "_run_one"],
+                         "worker_count", "_ENGINE", "_pool_run", "_run_one",
+                         "_Event", "_Branch", "TrajectoryEngine._insert"],
+    "osqm.spectral": ["cdft", "cidft"],
     "osqm.dynamics": ["_FactorOp", "_TermOp", "_TermExponential", "_cdftn", "_cidftn",
                       "_sign_tables", "_Splitting", "_evolve_rk4",
                       "HamiltonianTerm.coeff_at", "Hamiltonian.is_static",
@@ -135,7 +137,7 @@ def test_deleted_flow_members_are_gone():
 # defaulted dataclass fields that __init__ takes. A lambda's defaults bind
 # loop or closure values and are not counted. A new option lands only by
 # raising this number in the same change, with the reason in CHANGES.md.
-SETTABLE_VALUES = 79
+SETTABLE_VALUES = 76
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

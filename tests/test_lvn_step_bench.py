@@ -44,3 +44,12 @@ def test_measure_ensembles_runs_on_the_current_engine(monkeypatch):
     rates = tool.measure_ensembles()
     assert list(rates) == ["slosh-2000"]
     assert np.isfinite(rates["slosh-2000"]) and rates["slosh-2000"] > 0
+
+
+def test_measure_ensembles_times_sequential_engine_runs(monkeypatch):
+    # the slosh-runs case times engine.run, the memo path of the engine
+    tool = _tool()
+    monkeypatch.setattr(tool, "ENSEMBLES", {"slosh-runs-2000": (20, 2)})
+    rates = tool.measure_ensembles()
+    assert list(rates) == ["slosh-runs-2000"]
+    assert np.isfinite(rates["slosh-runs-2000"]) and rates["slosh-runs-2000"] > 0

@@ -121,6 +121,20 @@ def test_t_final_not_a_whole_number_of_steps(setup):
     assert single.run(4).event_steps == [4]
 
 
+@pytest.mark.parametrize("dt_proj, dt", [(0.15, 0.1), (0.25, 0.1)])
+def test_dt_proj_not_a_whole_number_of_steps_raises(dt_proj, dt):
+    # rounded to whole steps, 0.15 would fire every step and 0.25 every 0.2
+    with pytest.raises(ValueError, match="not a whole number of dt"):
+        ProjectionSchedule("periodic", dt_proj).stride(dt, 100)
+
+
+# 0.3 / 0.1 is 2.9999999999999996 in floats
+@pytest.mark.parametrize("dt_proj, dt, stride", [(np.pi / 4, np.pi / 64, 16),
+                                                 (0.1, 0.01, 10), (0.3, 0.1, 3)])
+def test_dt_proj_a_whole_number_of_steps_up_to_round_off_passes(dt_proj, dt, stride):
+    assert ProjectionSchedule("periodic", dt_proj).stride(dt, 100) == stride
+
+
 def test_same_seed_same_record(setup):
     eng = _engine(setup, 2 * np.pi, DT, ProjectionSchedule("periodic", np.pi / 4),
                   snapshot_every=7)
@@ -322,20 +336,21 @@ def _assert_same_record(got, want):
         assert t_got == t_want and np.array_equal(snap_got, snap_want)
 
 
-def _events(branch):
-    """Every memo node below a branch."""
-    node = branch.child
-    if node is not None:
-        yield node
-        for child in node.branches:
-            if child is not None:
-                yield from _events(child)
+def _nodes(node):
+    """A memo node and every node below it."""
+    yield node
+    for child in filter(None, node.children or ()):
+        yield from _nodes(child)
+
+
+def _events(engine):
+    """Every memo node that holds a Born row: one per memoised event."""
+    return [node for node in _nodes(engine._memo) if node.probs is not None]
 
 
 def _histories(engine):
     """Every history the memo holds."""
-    ends = [engine._memo] + [b for node in _events(engine._memo) for b in node.branches if b]
-    return [b.history for b in ends if b.history is not None]
+    return [node.history for node in _nodes(engine._memo) if node.history is not None]
 
 
 @pytest.mark.parametrize("mode", ["exact", "sqrt"])
@@ -346,7 +361,7 @@ def test_memoised_engine_records_equal_fresh_engine_records(setup, mode):
         fresh = _engine(setup, 2 * np.pi, DT, sched, projection_mode=mode)
         _assert_same_record(memo.run(seed), fresh.run(seed))
     # 40 runs of 8 events share prefixes: far fewer nodes than events
-    assert len(list(_events(memo._memo))) < 40 * 8 / 2
+    assert len(_events(memo)) < 40 * 8 / 2
 
 
 def test_memoised_phase_engine_replays_snapshots_bitwise(setup):
@@ -386,17 +401,17 @@ def test_memo_nodes_hold_no_state(setup):
                   projection_mode="sqrt", snapshot_every=5)
     for seed in range(20):
         eng.run(seed)
-    nodes = list(_events(eng._memo))
-    assert nodes
+    nodes = list(_nodes(eng._memo))
+    assert _events(eng)
     regions_count = len(eng.partition.regions)
     def arrays(obj):
         return {name: getattr(obj, name).shape for name in obj.__slots__
                 if isinstance(getattr(obj, name), np.ndarray)}
 
     for node in nodes:
-        assert arrays(node) == {"probs": (regions_count,)}
-        for branch in filter(None, node.branches):
-            assert arrays(branch) == {}
+        # the Born row of the next event, once a run has reached it
+        want = {} if node.probs is None else {"probs": (regions_count,)}
+        assert arrays(node) == want
     histories = _histories(eng)
     assert histories
     for history in histories:
@@ -422,7 +437,7 @@ def test_memo_stops_growing_at_its_limit_on_diverging_histories(setup, monkeypat
         before = eng.memo_rows
         _assert_same_record(eng.run(seed), want[seed])
         grown.append(eng.memo_rows - before)
-        nodes, histories = list(_events(eng._memo)), _histories(eng)
+        nodes, histories = _events(eng), _histories(eng)
         assert eng.memo_rows == len(nodes) + sum(len(h.prob_rows) for h in histories)
         assert eng.memo_rows <= limit
     if limit:
@@ -432,16 +447,15 @@ def test_memo_stops_growing_at_its_limit_on_diverging_histories(setup, monkeypat
 
 def _walk(engine, seed):
     """(node, region drawn) at each memoised event a run of seed reaches,
-    up to its first draw with no cached branch; and that branch (None if
+    up to its first draw with no cached child; and that child (None if
     the draw has none)."""
     rng = trajectory_rng(seed, 0)
-    branch, path = engine._memo, []
-    while branch is not None and branch.child is not None:
-        node = branch.child
+    node, path = engine._memo, []
+    while node is not None and node.probs is not None:
         chosen = sample_transition(node.probs, rng.random())
         path.append((node, chosen))
-        branch = node.branches[chosen]
-    return path, branch
+        node = node.children[chosen]
+    return path, node
 
 
 def _slosh_sqrt_engine():
@@ -466,8 +480,8 @@ def test_a_branch_failing_ps6_raises_on_every_run_that_draws_it():
     assert 5 <= len(raised) <= 20
     failing = set()                        # (id of node, region drawn)
     for seed, message in raised.items():
-        path, branch = _walk(eng, seed)
-        assert branch is None              # the failed draw is not cached
+        path, child = _walk(eng, seed)
+        assert child is None               # the failed draw is not cached
         failing.add((id(path[-1][0]), path[-1][1]))
         with pytest.raises(QuasirestrictionError) as again:
             eng.run(seed)
@@ -476,8 +490,8 @@ def test_a_branch_failing_ps6_raises_on_every_run_that_draws_it():
     failing_nodes = {node for node, _ in failing}
     shared = 0
     for seed, rec in passed.items():
-        path, branch = _walk(eng, seed)
-        assert branch is not None and branch.child is None
+        path, child = _walk(eng, seed)
+        assert child is not None and child.probs is None
         assert not any((id(node), chosen) in failing for node, chosen in path)
         # it shared a failing run's prefix and drew another region there
         shared += any(id(node) in failing_nodes for node, _ in path)

@@ -32,8 +32,11 @@ the call's time divided by its draws.
 The slosh-2000 case is one `transitions.run_ensemble` call of 2000 seeds on
 the slosh-oracle workload's engine (oscillator, N = 256, extent 9, coherent
 state at x -4.2, t_final 4 pi, dt pi/64, periodic dt_proj pi/4, exact mode).
-Each call gets a freshly built engine and its own seeds, and only the call
-is timed. A run's figure is the median over calls of the seeds per second.
+The slosh-runs-2000 case runs 2000 seeds on that engine as 2000 sequential
+`engine.run(seed)` calls, the memoised path the slosh-oracle workload
+times. Each call or loop gets a freshly built engine and its own seeds, and
+only the call or loop is timed. A run's figure is the median over calls or
+loops of the seeds per second.
 """
 
 from __future__ import annotations
@@ -59,8 +62,9 @@ CALLS = {"exact-32x32": (5, 9), "one-step-64": (50, 9), "one-step-128": (20, 9),
          "one-step-256": (10, 9)}
 # case: (draws per run_ensemble call, calls)
 DRAWS = {"born-draws": (2000, 9)}
-# case: (seeds per transitions.run_ensemble call, calls)
-ENSEMBLES = {"slosh-2000": (2000, 5)}
+# case: (seeds per timed call or loop, calls or loops); slosh-2000 makes one
+# transitions.run_ensemble call, slosh-runs-2000 one engine.run per seed
+ENSEMBLES = {"slosh-2000": (2000, 5), "slosh-runs-2000": (2000, 5)}
 
 
 def _case(name: str):
@@ -167,7 +171,7 @@ def measure_draws() -> dict:
 
 
 def measure_ensembles() -> dict:
-    """seeds/s of transitions.run_ensemble, for the osqm on sys.path."""
+    """seeds/s of transitions.run_ensemble and of engine.run, for the osqm on sys.path."""
     import numpy as np
     from osqm import regions, scenarios, wigner
     from osqm.grid import PhaseGrid
@@ -185,8 +189,13 @@ def measure_ensembles() -> dict:
             engine = TrajectoryEngine(psi0, h, partition, 4 * np.pi, np.pi / 64,
                                       ProjectionSchedule("periodic", np.pi / 4),
                                       projection_mode="exact")
+            batch = range(call * seeds, (call + 1) * seeds)
             start = time.perf_counter()
-            run_ensemble(engine, range(call * seeds, (call + 1) * seeds))
+            if name == "slosh-runs-2000":
+                for seed in batch:
+                    engine.run(seed)
+            else:
+                run_ensemble(engine, batch)
             rates.append(seeds / (time.perf_counter() - start))
         out[name] = statistics.median(rates)
     return out
@@ -274,7 +283,8 @@ def main(argv=None) -> int:
     result = {
         "what": ("ms per LvnPlan split step; ms per evolve_lvn call; us per Born "
                  "draw of MeasurementScenario.run_ensemble; seeds/s of "
-                 "transitions.run_ensemble; osqm regress seconds per criterion"),
+                 "transitions.run_ensemble and of engine.run; osqm regress "
+                 "seconds per criterion"),
         "host": _host(),
         "threads": THREADS,
         "runs": args.runs,
