@@ -8,23 +8,20 @@ Hilbert-space layer cross-checks every phase-space computation.
 
 __version__ = "0.1.0"
 
-from .classical import (ClassicalObservable, SymplecticForm, evolve_region_classically,
-                        hamilton_flow, poisson_bracket, symplectic_product)
+from .classical import ClassicalObservable, evolve_region_classically
 from .dynamics import Hamiltonian, HamiltonianTerm, evolve_lvn
-from .grid import ContainmentError, GridMismatchError, PhaseGrid, PhasePoint
-from .moyal import moyal_bracket, moyal_product, moyal_product_truncated
-from .oracle import (DensityOperator, OperatorMatrix, WaveFunction, operator_sqrt,
-                     schrodinger_propagate, tensor_state)
+from .grid import ContainmentError, GridMismatchError, PhaseGrid
+from .moyal import moyal_product
+from .oracle import (OperatorMatrix, WaveFunction, operator_sqrt, schrodinger_propagate,
+                     tensor_state)
 from .regions import (Partition, Region, build_partition, classicality_projectors,
                       is_quasirestricted, quasiprojector_defect, quasiprojector_operator,
                       quasiprojector_symbol)
 from .transitions import (ProjectionSchedule, TrajectoryEngine, TrajectoryRecord,
                           apply_quasiprojection, run_ensemble, sample_transition,
                           transition_probabilities, zeno_experiment)
-from .weyl import WeylSymbol, mean_value, overlap, weyl_operator_from_symbol, \
-    weyl_symbol_from_operator
-from .wigner import (WignerState, coherent_state, coherent_wigner,
-                     density_from_wigner, marginals, wavefunction_from_wigner,
-                     wigner_from_density, wigner_from_wavefunction)
+from .weyl import WeylSymbol, mean_value, weyl_operator_from_symbol, weyl_symbol_from_operator
+from .wigner import (WignerState, coherent_state, marginals, wavefunction_from_wigner,
+                     wigner_from_wavefunction)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

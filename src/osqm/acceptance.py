@@ -8,15 +8,15 @@ live in one dataclass so tests can probe the harness by corrupting them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .classical import ClassicalObservable, evolve_region_classically
-from .dynamics import Hamiltonian, HamiltonianTerm, evolve_lvn
+from .dynamics import evolve_lvn
 from .grid import PhaseGrid
-from .oracle import OperatorMatrix, WaveFunction, schrodinger_propagate
+from .oracle import WaveFunction, schrodinger_propagate
 from .regions import (PS6_TOL, Partition, Region, build_partition,
                       classicality_projectors, quasiprojector_defect)
 from .scenarios import MeasurementScenario, hamiltonian_preset, zeno_scenario

@@ -1,11 +1,10 @@
-"""Classical phase-space layer: symplectic structure, observables, flows.
+"""Classical phase-space layer: observables and their Hamiltonian flow.
 
-Polynomial observables are coefficient dicts with one exact algebra
-(poly_mul, poly_derivative, poly_add), which the Moyal polynomial star
-product shares. Every flow (one point, a point set, a region image) runs
-the same kick-drift-kick leapfrog, _leapfrog (Stormer-Verlet; Hairer,
-Lubich & Wanner, Geometric Numerical Integration, 2006, I.1.4), on
-coordinates that are floats for one point or arrays for many.
+Polynomial observables are coefficient dicts, differentiated exactly by
+poly_derivative. Every flow (a point set, a region image) runs the same
+kick-drift-kick leapfrog, _leapfrog (Stormer-Verlet; Hairer, Lubich &
+Wanner, Geometric Numerical Integration, 2006, I.1.4), on coordinate
+arrays that hold one entry per point.
 """
 
 from __future__ import annotations
@@ -15,59 +14,20 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .grid import GridMismatchError, PhaseGrid, PhasePoint
-from .spectral import spectral_derivative
+from .grid import PhaseGrid
 
 __all__ = [
-    "SymplecticForm",
     "ClassicalObservable",
-    "symplectic_product",
-    "poisson_bracket",
-    "hamilton_flow",
-    "FlowResult",
     "evolve_region_classically",
-    "poly_mul",
     "poly_derivative",
-    "poly_add",
 ]
 
 # Polynomial observables are stored as {(xdeg_0..xdeg_{n-1}, pdeg_0..pdeg_{n-1}): coeff}.
 PolyDict = Mapping[tuple, float]
 
 
-class SymplecticForm:
-    """The block matrix J = [[0, I], [-I, 0]] on 2n-dimensional phase space."""
-
-    def __init__(self, dof: int):
-        self.dof = dof
-        n = dof
-        J = np.zeros((2 * n, 2 * n), dtype=np.int64)
-        J[:n, n:] = np.eye(n, dtype=np.int64)
-        J[n:, :n] = -np.eye(n, dtype=np.int64)
-        self.matrix = J
-
-    def squared(self) -> np.ndarray:
-        return self.matrix @ self.matrix
-
-
-def symplectic_product(z: PhasePoint, z2: PhasePoint) -> float:
-    """sigma(z, z') = x . p' - p . x'."""
-    if z.dof != z2.dof:
-        raise ValueError(f"dof mismatch: {z.dof} vs {z2.dof}")
-    return float(np.dot(z.x, z2.p) - np.dot(z.p, z2.x))
-
-
 def _poly_clean(poly: dict) -> dict:
     return {k: v for k, v in poly.items() if v != 0.0}
-
-
-def poly_mul(a: PolyDict, b: PolyDict) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(i + j for i, j in zip(ka, kb))
-            out[k] = out.get(k, 0.0) + va * vb
-    return _poly_clean(out)
 
 
 def poly_derivative(poly: PolyDict, index: int) -> dict:
@@ -81,35 +41,14 @@ def poly_derivative(poly: PolyDict, index: int) -> dict:
     return _poly_clean(out)
 
 
-def poly_add(a: PolyDict, b: PolyDict, w: complex = 1.0) -> dict:
-    """a + w b, dropping zero coefficients."""
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0.0) + w * v
-    return _poly_clean(out)
-
-
-def _power(c, deg: int):
-    """c ** deg with the bits numpy gives an array c, for a float c too.
-
-    numpy squares by one multiplication and takes higher powers from its own
-    power loop, which need not round as the C library's pow (a float's **) does.
-    """
-    if deg == 1:
-        return c
-    if deg == 2:
-        return c * c
-    return np.power(c, deg)
-
-
 def poly_eval(poly: PolyDict, coords: Sequence):
-    """The polynomial at coords (x then p), each a float or an array."""
+    """The polynomial at coords (x then p), each an array."""
     out = 0.0
     for k, v in poly.items():
         term = v
         for deg, c in zip(k, coords):
             if deg:
-                term = term * _power(c, deg)
+                term = term * (c if deg == 1 else c ** deg)
         out = out + term
     return out
 
@@ -120,7 +59,7 @@ class ClassicalObservable:
 
     Polynomial observables keep their coefficient dict so derivatives stay
     exact, and build its partial derivatives d/dz_i once (z = x then p);
-    periodic grid fields fall back to spectral differentiation.
+    only those can be flowed.
     """
 
     grid: PhaseGrid
@@ -149,8 +88,8 @@ class ClassicalObservable:
     def _partials(self, x: Sequence, p: Sequence, first: int) -> list:
         """dH/dz_i at (x, p) for i = first .. first + dof - 1, z = (x, p).
 
-        x and p hold one entry per dof, each a float or an array of points;
-        so does the result.
+        x and p hold one entry per dof, each an array of points; so does
+        the result.
         """
         if self.poly is None:
             raise ValueError("point derivatives need a polynomial form")
@@ -159,63 +98,12 @@ class ClassicalObservable:
         return [poly_eval(d, z) for d in self._poly_grad[first:first + n]]
 
 
-def _check_same_grid(a: ClassicalObservable, b: ClassicalObservable):
-    if a.grid != b.grid:
-        raise GridMismatchError("observables live on different grids")
-
-
-def poisson_bracket(a: ClassicalObservable, b: ClassicalObservable) -> ClassicalObservable:
-    """{A,B} = dA/dx dB/dp - dB/dx dA/dp, per dof, summed.
-
-    Exact product-rule algebra when both operands carry polynomial form;
-    spectral differentiation of the grid samples otherwise (valid only for
-    fields that are periodic on the grid).
-    """
-    _check_same_grid(a, b)
-    grid = a.grid
-    n = grid.dof
-    if a.poly is not None and b.poly is not None:
-        out: dict = {}
-        for i in range(n):
-            out = poly_add(out, poly_mul(a._poly_grad[i], b._poly_grad[n + i]))
-            out = poly_add(out, poly_mul(b._poly_grad[i], a._poly_grad[n + i]), -1.0)
-        return ClassicalObservable.from_poly(grid, out)
-
-    vals = np.zeros(grid.phase_shape)
-    for i in range(n):
-        ax_x, ax_p = i, n + i
-        dxi = grid.dx[i]
-        dpi = grid.dp[i]
-        vals += (spectral_derivative(a.values, dxi, axis=ax_x)
-                 * spectral_derivative(b.values, dpi, axis=ax_p))
-        vals -= (spectral_derivative(b.values, dxi, axis=ax_x)
-                 * spectral_derivative(a.values, dpi, axis=ax_p))
-    return ClassicalObservable(grid=grid, values=vals)
-
-
-@dataclass
-class FlowResult:
-    """Trajectory from hamilton_flow; truncated if it left the grid."""
-
-    points: list
-    times: np.ndarray
-    exited: bool = False
-    t_exit: Optional[float] = None
-
-
-def _inside(grid: PhaseGrid, x: Sequence, p: Sequence) -> bool:
-    for d in range(grid.dof):
-        if abs(x[d]) > grid.x_extents[d] or abs(p[d]) > grid.p_extents[d]:
-            return False
-    return True
-
-
 def _leapfrog(h: ClassicalObservable, x: list, p: list, dt: float, steps: int):
     """Yield (x, p) after each kick-drift-kick step of Hamilton's equations
     xdot = dH/dp, pdot = -dH/dx.
 
-    x and p hold one entry per dof, each a float (one point) or an array
-    (many points flowed at once).
+    x and p hold one entry per dof, each an array of the points flowed at
+    once.
     """
     n = h.grid.dof
     half = 0.5 * dt
@@ -224,37 +112,6 @@ def _leapfrog(h: ClassicalObservable, x: list, p: list, dt: float, steps: int):
         x = [xd + dt * g for xd, g in zip(x, h._partials(x, p, n))]
         p = [pd - half * g for pd, g in zip(p, h._partials(x, p, 0))]
         yield x, p
-
-
-def hamilton_flow(h: ClassicalObservable, z0: PhasePoint, t: float, dt: float,
-                  store_every: int = 1) -> FlowResult:
-    """Integrate Hamilton's equations from z0 with the fixed-step leapfrog.
-
-    Every store_every-th point and the last are kept. Exits are flagged and
-    the trajectory truncated at the last inside point.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    grid = h.grid
-    x = [float(c) for c in z0.x]
-    p = [float(c) for c in z0.p]
-    if not _inside(grid, x, p):
-        raise ValueError("initial point outside grid")
-    steps = int(round(t / dt))
-    pts = [PhasePoint(tuple(x), tuple(p))]
-    times = [0.0]
-    exited = False
-    t_exit = None
-    for k, (x, p) in enumerate(_leapfrog(h, x, p, dt, steps), start=1):
-        if not _inside(grid, x, p):
-            exited = True
-            t_exit = k * dt
-            break
-        if k % store_every == 0 or k == steps:
-            pts.append(PhasePoint(tuple(x), tuple(p)))
-            times.append(k * dt)
-    return FlowResult(points=pts, times=np.asarray(times), exited=exited,
-                      t_exit=t_exit)
 
 
 def flow_points(h: ClassicalObservable, xs: np.ndarray, ps: np.ndarray,

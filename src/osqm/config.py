@@ -6,7 +6,6 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
 
 from .grid import PhaseGrid
 from .scenarios import HAMILTONIAN_PRESETS, STATE_PRESETS

@@ -7,7 +7,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-__all__ = ["PhaseGrid", "PhasePoint", "GridMismatchError", "ContainmentError"]
+__all__ = ["PhaseGrid", "GridMismatchError", "ContainmentError"]
 
 CONTAINMENT_TOL = 1e-6  # largest mass a state may hold in the outer 2-cell shell
 
@@ -166,27 +166,3 @@ def _axis(grid: PhaseGrid, d: int) -> GridAxis:
     for arr in (ax.x, ax.p):
         arr.setflags(write=False)
     return ax
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A classical phase-space point z = (x, p)."""
-
-    x: tuple[float, ...]
-    p: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.x) != len(self.p):
-            raise ValueError("x and p need matching length")
-        if not all(np.isfinite(self.x)) or not all(np.isfinite(self.p)):
-            raise ValueError("phase point entries must be finite")
-
-    @classmethod
-    def of(cls, x, p) -> "PhasePoint":
-        xt = tuple(float(v) for v in np.atleast_1d(np.asarray(x, dtype=float)))
-        pt = tuple(float(v) for v in np.atleast_1d(np.asarray(p, dtype=float)))
-        return cls(xt, pt)
-
-    @property
-    def dof(self) -> int:
-        return len(self.x)

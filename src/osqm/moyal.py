@@ -1,4 +1,4 @@
-"""Moyal star product and bracket on the phase-space grid.
+"""Moyal star product on the phase-space grid.
 
 The grid star product is the twisted convolution that exactly mirrors the
 matrix product of the quantized operators: frequencies add mod N with the
@@ -12,22 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, factorial
 
 import numpy as np
 
-from .classical import poly_add, poly_derivative, poly_mul
 from .grid import GridMismatchError, PhaseGrid
-from .spectral import cdftn, cidftn, spectral_derivative
+from .spectral import cdftn, cidftn
 from .weyl import WeylSymbol
 
 __all__ = [
     "StarProductPlan",
     "moyal_product",
-    "moyal_product_truncated",
-    "moyal_bracket",
-    "poly_star",
-    "poly_bracket",
 ]
 
 
@@ -113,96 +107,3 @@ def moyal_product(a: WeylSymbol, b: WeylSymbol) -> WeylSymbol:
     out[:n // 2] += plan.colsign[None, :] * acc[3 * n // 2:]
     out[n // 2:] += plan.colsign[None, :] * acc[:n // 2]
     return WeylSymbol(grid, cidftn(out / (n * n), (0, 1)))
-
-
-def moyal_bracket(a: WeylSymbol, b: WeylSymbol) -> WeylSymbol:
-    """{{A, B}} = (A*B - B*A) / (i hbar); real for real operands."""
-    grid = a.grid
-    ab = moyal_product(a, b)
-    ba = moyal_product(b, a)
-    vals = (ab.values - ba.values) / (1j * grid.hbar)
-    if a.hermitian and b.hermitian:
-        vals = vals.real.astype(complex)
-    return WeylSymbol(grid, vals)
-
-
-_ORDERS = (0, 1, 2, 3)
-
-
-def moyal_product_truncated(a: WeylSymbol, b: WeylSymbol, order: int) -> WeylSymbol:
-    """Partial sums of the derivative expansion of the star product.
-
-    Order 0 is the pointwise product, order 1 adds (i hbar / 2) {A, B};
-    residual against moyal_product is O(hbar^(order+1)) for resolved
-    symbols. Spectral differentiation: operands must be periodic fields.
-    """
-    if order not in _ORDERS:
-        raise ValueError(f"order must be one of {_ORDERS}")
-    if a.grid != b.grid:
-        raise GridMismatchError("operands on different grids")
-    grid = a.grid
-    if grid.dof != 1:
-        raise NotImplementedError("truncated star implemented for one dof")
-    dx = grid.dx[0]
-    dp = grid.dp[0]
-    hbar = grid.hbar
-
-    def dxk_dpl(f, kx, kp):
-        out = f
-        if kx:
-            out = spectral_derivative(out, dx, axis=0, order=kx)
-        if kp:
-            out = spectral_derivative(out, dp, axis=1, order=kp)
-        return out
-
-    total = np.zeros(grid.phase_shape, dtype=complex)
-    for j in range(order + 1):
-        coeff = (1j * hbar / 2) ** j / factorial(j)
-        term = np.zeros_like(total)
-        for k in range(j + 1):
-            term += ((-1) ** k * comb(j, k)
-                     * dxk_dpl(a.values, j - k, k)
-                     * dxk_dpl(b.values, k, j - k))
-        total += coeff * term
-    return WeylSymbol(grid, total)
-
-
-# ---------------------------------------------------------------------------
-# exact polynomial star algebra (one dof), used for closed-form cross-checks;
-# the dict algebra is classical's
-
-def poly_star(a: dict, b: dict, hbar: float, order: int | None = None) -> dict:
-    """Exact star product of polynomials {(xdeg, pdeg): coeff} in one dof.
-
-    The derivative series terminates, so with order=None this is the full
-    product. Coefficients may be complex.
-    """
-    max_deg = max((i + j for i, j in a), default=0)
-    max_deg_b = max((i + j for i, j in b), default=0)
-    jmax = min(max_deg, max_deg_b)
-    if order is not None:
-        jmax = min(jmax, order)
-    out: dict = {}
-    for j in range(jmax + 1):
-        coeff = (1j * hbar / 2) ** j / factorial(j)
-        for k in range(j + 1):
-            da = a
-            for _ in range(j - k):
-                da = poly_derivative(da, 0)
-            for _ in range(k):
-                da = poly_derivative(da, 1)
-            db = b
-            for _ in range(k):
-                db = poly_derivative(db, 0)
-            for _ in range(j - k):
-                db = poly_derivative(db, 1)
-            out = poly_add(out, poly_mul(da, db), coeff * (-1) ** k * comb(j, k))
-    return out
-
-
-def poly_bracket(a: dict, b: dict, hbar: float) -> dict:
-    """Exact Moyal bracket of polynomials: (a*b - b*a)/(i hbar)."""
-    ab = poly_star(a, b, hbar)
-    ba = poly_star(b, a, hbar)
-    diff = poly_add(ab, ba, -1.0)
-    return {k: v / (1j * hbar) for k, v in diff.items()}

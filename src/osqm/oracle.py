@@ -9,23 +9,18 @@ accurate than anything it is used to check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
 from .grid import PhaseGrid
-from .spectral import cdftn, x_to_p
+from .spectral import x_to_p
 
 __all__ = [
     "OperatorMatrix",
     "WaveFunction",
-    "DensityOperator",
     "NotPositiveError",
-    "position_operator",
-    "momentum_operator",
-    "kinetic_operator",
     "schrodinger_propagate",
     "operator_sqrt",
     "tensor_state",
@@ -38,8 +33,9 @@ NORM_TOL = 1e-10   # allowed | |psi|^2 - 1 | of a state flagged normalized
 
 
 class NotPositiveError(ValueError):
-    """A density matrix has an eigenvalue below -PSD_TOL, or is not the
-    pure state it must be."""
+    """A density matrix is not the pure state it must be: the phase
+    backend's rank-1 gate (transitions._PhasePropagator.to_vector) raises
+    it when the quantised Wigner state is too far from rank one."""
 
 
 @dataclass
@@ -109,40 +105,6 @@ def check_unit_norm(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class DensityOperator:
-    """Dense density matrix in the discrete position basis (trace 1).
-
-    Construction checks that the matrix is Hermitian with unit trace and
-    that its smallest eigenvalue is not below -PSD_TOL (NotPositiveError);
-    that eigenvalue costs a cubic-time eigvalsh on every construction.
-    """
-
-    grid: PhaseGrid
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        dim = self.grid.hilbert_dim
-        if self.matrix.shape != (dim, dim):
-            raise ValueError("density matrix has wrong dimension")
-        herm = np.abs(self.matrix - self.matrix.conj().T).max()
-        if herm > HERM_TOL:
-            raise ValueError(f"density matrix not Hermitian (dev {herm:.2e})")
-        tr = self.matrix.trace().real
-        if abs(tr - 1) > 1e-10:
-            raise ValueError(f"density matrix trace {tr!r} != 1")
-        evmin = scipy.linalg.eigvalsh(self.matrix, subset_by_index=[0, 0])[0]
-        if evmin < -PSD_TOL:
-            raise NotPositiveError(
-                f"density matrix has eigenvalue {evmin:.2e} < -{PSD_TOL}")
-
-    @classmethod
-    def pure(cls, psi: WaveFunction) -> "DensityOperator":
-        v = psi.to_vector()
-        return cls(psi.grid, np.outer(v, v.conj()))
-
-
-@dataclass
 class OperatorMatrix:
     """Dense operator on the discrete Hilbert space, with verified flags."""
 
@@ -182,38 +144,6 @@ class OperatorMatrix:
         from the cached eigendecomposition."""
         w, q = self.eigh()
         return (q * np.exp(-1j * w * t / self.grid.hbar)) @ q.conj().T
-
-
-def position_operator(grid: PhaseGrid, d: int = 0) -> OperatorMatrix:
-    dof = grid.dof
-    x = grid.x(d)
-    diag = np.ones(grid.config_shape)
-    shape = [1] * dof
-    shape[d] = grid.n(d)
-    diag = (diag * x.reshape(shape)).ravel()
-    return OperatorMatrix(grid, np.diag(diag.astype(complex)), hermitian=True)
-
-
-def momentum_operator(grid: PhaseGrid, d: int = 0) -> OperatorMatrix:
-    return kinetic_operator(grid, lambda p: p, d)
-
-
-def kinetic_operator(grid: PhaseGrid, tfun, d: int = 0) -> OperatorMatrix:
-    """Operator T(p_d): diagonal in the momentum representation of axis d."""
-    n = grid.n(d)
-    tvals = np.asarray(tfun(grid.p(d)), dtype=float)
-    # 1-axis unitary centered DFT matrix
-    F = cdftn(np.eye(n), (0,)) / np.sqrt(n)
-    block = F.conj().T @ np.diag(tvals.astype(complex)) @ F
-    block = 0.5 * (block + block.conj().T)
-    m = _embed_axis_block(grid, block, d)
-    return OperatorMatrix(grid, m, hermitian=True)
-
-
-def _embed_axis_block(grid: PhaseGrid, block: np.ndarray, d: int) -> np.ndarray:
-    """block on axis d, the identity on every other axis."""
-    return reduce(np.kron, [block if k == d else np.eye(grid.n(k), dtype=complex)
-                            for k in range(grid.dof)])
 
 
 def tensor_state(psi1: WaveFunction, psi2: WaveFunction) -> WaveFunction:

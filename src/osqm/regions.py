@@ -19,7 +19,7 @@ import scipy.linalg
 
 from .grid import PhaseGrid
 from .oracle import PSD_TOL, OperatorMatrix, operator_sqrt
-from .weyl import WeylSymbol, weyl_symbol_from_operator
+from .weyl import WeylSymbol
 
 __all__ = [
     "Region",

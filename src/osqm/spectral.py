@@ -5,9 +5,9 @@ grid p_m = (m - N/2) dp with dx dp N = 2 pi hbar, so the discrete transforms
 below are exactly unitary at the chosen hbar.
 
 There is one centered DFT, cdftn, with its inverse cidftn, along the axes a
-caller names: x_to_p and p_to_x take one axis, the oracle's kinetic
-operator and the measurement scenario's coupling step transform axis 0, and
-the star product transforms both axes of a dof-1 symbol.
+caller names: x_to_p takes one axis, the measurement scenario's coupling
+step transforms axis 0, and the star product transforms both axes of a
+dof-1 symbol.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ __all__ = [
     "cidftn",
     "upsample2",
     "x_to_p",
-    "p_to_x",
-    "spectral_derivative",
 ]
 
 
@@ -109,31 +107,3 @@ def x_to_p(psi: np.ndarray, dx: float, hbar: float, axis: int = -1) -> np.ndarra
     phi(p_m) = (2 pi hbar)^{-1/2} * dx * sum_j psi(x_j) exp(-i x_j p_m / hbar)
     """
     return cdftn(psi, (axis,)) * (dx / np.sqrt(2 * np.pi * hbar))
-
-
-def p_to_x(phi: np.ndarray, dx: float, hbar: float, axis: int = -1) -> np.ndarray:
-    """Inverse of x_to_p."""
-    # a complex copy, since cidftn works in place
-    return cidftn(np.array(phi, dtype=complex), (axis,)) * (np.sqrt(2 * np.pi * hbar) / dx)
-
-
-def spectral_derivative(f: np.ndarray, spacing: float, axis: int = -1,
-                        order: int = 1) -> np.ndarray:
-    """Fourier differentiation of a periodic grid field.
-
-    The Nyquist mode is zeroed for odd derivative orders so real fields stay
-    real. Only valid for fields that are smooth and periodic on the grid.
-    """
-    f = np.asarray(f)
-    n = f.shape[axis]
-    k = 2 * np.pi * np.fft.fftfreq(n, spacing)
-    if order % 2:
-        k = k.copy()
-        k[n // 2] = 0.0
-    shape = [1] * f.ndim
-    shape[axis] = n
-    mult = (1j * k) ** order
-    out = np.fft.ifft(np.fft.fft(f, axis=axis) * mult.reshape(shape), axis=axis)
-    if np.isrealobj(f):
-        return out.real
-    return out

@@ -676,7 +676,12 @@ def zeno_experiment(psi0: WaveFunction, h: Hamiltonian, partition: Partition,
     smooth quasiprojector POVM's boundary overlap would add an
     interval-independent pedestal to q that hides the quadratic law.
 
-    Returns rows of dict(dt_proj, q_first, q_mean, survival, flagged).
+    Each interval count is rounded, n_intervals = max(1, round(t_total /
+    dt_proj)), so a row's survival covers t_covered = n_intervals * dt_proj,
+    which need not be t_total.
+
+    Returns rows of dict(dt_proj, n_intervals, t_covered, q_first, q_mean,
+    survival, flagged).
     """
     v0 = psi0.to_vector()
     home = int(np.argmax(transition_probabilities_oracle(v0, partition)))
@@ -700,6 +705,8 @@ def zeno_experiment(psi0: WaveFunction, h: Hamiltonian, partition: Partition,
         q_first = qs[0]
         rows.append({
             "dt_proj": float(dtp),
+            "n_intervals": n_int,
+            "t_covered": float(n_int * dtp),
             "q_first": float(q_first),
             "q_mean": float(np.mean(qs)),
             "survival": float(survival),

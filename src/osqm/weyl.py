@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import GridMismatchError, PhaseGrid
-from .oracle import DensityOperator, OperatorMatrix
+from .oracle import OperatorMatrix
 from .spectral import alternating_signs, centered_chords, upsample2
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "weyl_operator_from_symbol",
     "weyl_symbol_from_operator",
     "mean_value",
-    "overlap",
 ]
 
 REAL_TOL = 1e-10
@@ -117,13 +116,6 @@ class WeylSymbol:
         elif self.hermitian and not is_real:
             raise ValueError("symbol flagged hermitian has imaginary part")
 
-    @classmethod
-    def constant(cls, grid: PhaseGrid, value: complex = 1.0) -> "WeylSymbol":
-        return cls(grid, np.full(grid.phase_shape, value, dtype=complex))
-
-    def integral(self) -> complex:
-        return complex(self.values.sum() * self.grid.cell_volume)
-
 
 def weyl_operator_from_symbol(sym: WeylSymbol) -> OperatorMatrix:
     """Quantize a grid symbol to a dense matrix; A = 1 maps to the identity.
@@ -140,7 +132,7 @@ def weyl_operator_from_symbol(sym: WeylSymbol) -> OperatorMatrix:
     return OperatorMatrix(grid, m, hermitian=herm)
 
 
-def weyl_symbol_from_operator(op: OperatorMatrix | DensityOperator) -> WeylSymbol:
+def weyl_symbol_from_operator(op: OperatorMatrix) -> WeylSymbol:
     """Inverse of weyl_operator_from_symbol (exact off the Nyquist sector)."""
     grid = op.grid
     shape = grid.config_shape
@@ -160,14 +152,3 @@ def mean_value(sym: WeylSymbol, wigner) -> float:
     if sym.grid != wigner.grid:
         raise GridMismatchError("symbol and state on different grids")
     return float((sym.values.real * wigner.values).sum() * sym.grid.cell_volume)
-
-
-def overlap(w1, w2) -> float:
-    """|<psi|psi'>|^2 = (2 pi hbar)^n int W W' dz for pure-state Wigner
-    functions, clipped into [0, 1]."""
-    if w1.grid != w2.grid:
-        raise GridMismatchError("states on different grids")
-    grid = w1.grid
-    raw = float((w1.values * w2.values).sum() * grid.cell_volume
-                * (2 * np.pi * grid.hbar) ** grid.dof)
-    return min(max(raw, 0.0), 1.0)

@@ -6,20 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ContainmentError, GridMismatchError, PhaseGrid
-from .oracle import DensityOperator, OperatorMatrix, WaveFunction
+from .grid import ContainmentError, PhaseGrid
+from .oracle import WaveFunction
 from .spectral import upsample2
-from .weyl import WeylSymbol, _chord_index, _chord_to_symbol_axes, _per_dof, \
-    weyl_operator_from_symbol, weyl_symbol_from_operator
+from .weyl import WeylSymbol, _chord_index, _chord_to_symbol_axes, _per_dof
 
 __all__ = [
     "WignerState",
     "wigner_from_wavefunction",
-    "wigner_from_density",
-    "density_from_wigner",
     "wavefunction_from_wigner",
     "coherent_state",
-    "coherent_wigner",
     "marginals",
 ]
 
@@ -77,40 +73,25 @@ def wigner_from_wavefunction(psi: WaveFunction, check_containment: bool = True) 
     return WignerState(grid, w.real * (1.0 / (2 * np.pi * grid.hbar) ** grid.dof))
 
 
-def wigner_from_density(rho: DensityOperator) -> WignerState:
-    """W = (Weyl symbol of rho) / (2 pi hbar)^n; linear in rho."""
-    sym = weyl_symbol_from_operator(rho)
-    g = rho.grid
-    return WignerState(g, sym.values.real / (2 * np.pi * g.hbar) ** g.dof)
-
-
-def density_from_wigner(w: WignerState) -> DensityOperator:
-    """Quantize (2 pi hbar)^n W back to a density matrix."""
-    m = weyl_operator_from_symbol(w.as_symbol()).matrix
-    m = 0.5 * (m + m.conj().T)
-    # clean tiny numerical drift so DensityOperator validation stays strict
-    m = m / m.trace().real
-    return DensityOperator(w.grid, m)
-
-
 def wavefunction_from_wigner(w: WignerState) -> WaveFunction:
     """Recover psi from a pure-state Wigner function, phase fixed by
     arg psi(0) = 0.
 
     Needs |psi(0)|^2 = int W(0, p) dp above RECOVERY_FLOOR; otherwise recover
-    through density_from_wigner and its top eigenvector instead.
+    psi as the top eigenvector of weyl_operator_from_symbol(w.as_symbol()).
     """
     grid = w.grid
     if grid.dof != 1:
-        raise NotImplementedError("direct recovery implemented for dof 1; "
-                                  "use density_from_wigner for composites")
+        raise NotImplementedError(
+            "direct recovery implemented for dof 1; for composites take the top "
+            "eigenvector of weyl_operator_from_symbol(w.as_symbol())")
     n = grid.n(0)
     dp = grid.dp[0]
     at0 = float(w.values[n // 2, :].sum() * dp)
     if at0 <= RECOVERY_FLOOR:
         raise ValueError(
-            f"|psi(0)|^2 = {at0:.3e} below threshold {RECOVERY_FLOOR:.1e}; recover via "
-            "density_from_wigner and the top eigenvector")
+            f"|psi(0)|^2 = {at0:.3e} below threshold {RECOVERY_FLOOR:.1e}; recover psi "
+            "as the top eigenvector of weyl_operator_from_symbol(w.as_symbol())")
     # g[a] = dp sum_m W(x_a / 2, p_m) e^{i x_a p_m / hbar} = psi(x_a) psi*(0)
     wf = upsample2(w.values, axis=0)            # fine x, coarse p
     a = np.arange(n)
@@ -160,19 +141,6 @@ def coherent_state(grid: PhaseGrid, x0, p0) -> WaveFunction:
     for f in factors[1:]:
         vals = np.multiply.outer(vals, f)
     return WaveFunction(grid, vals, normalized=False).normalize()
-
-
-def coherent_wigner(grid: PhaseGrid, x0, p0) -> WignerState:
-    """Closed-form Gaussian Wigner function of a coherent state."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
-    mesh = grid.phase_mesh()
-    n = grid.dof
-    expo = np.zeros(grid.phase_shape)
-    for d in range(n):
-        expo += (mesh[d] - x0[d]) ** 2 + (mesh[n + d] - p0[d]) ** 2
-    vals = np.exp(-expo / grid.hbar) / (np.pi * grid.hbar) ** n
-    return WignerState(grid, vals / (vals.sum() * grid.cell_volume))
 
 
 def marginals(w: WignerState) -> tuple[np.ndarray, np.ndarray]:

@@ -3,8 +3,7 @@ import pytest
 import scipy.linalg
 
 from osqm.grid import PhaseGrid
-from osqm.oracle import (OperatorMatrix, WaveFunction, momentum_operator, operator_sqrt,
-                         position_operator, schrodinger_propagate)
+from osqm.oracle import OperatorMatrix, WaveFunction, operator_sqrt, schrodinger_propagate
 from osqm.regions import Partition, build_partition, classicality_projectors
 from osqm.scenarios import MeasurementScenario, initial_state_preset
 from osqm.transitions import (apply_quasiprojection, sample_transition,
@@ -238,12 +237,3 @@ def test_premeasurement_rejects_overlapping_pointers():
     with pytest.raises(ValueError, match="band edge"):
         MeasurementScenario(PhaseGrid.create(128, 18.0), PhaseGrid.create(32, 9.0),
                             displacement=8.0)
-
-
-def test_kinetic_and_position_operators(grid64):
-    xop = position_operator(grid64)
-    assert np.abs(np.diag(xop.matrix) - grid64.x(0)).max() < 1e-14
-    pop = momentum_operator(grid64)
-    psi = coherent_state(grid64, 0.0, 1.2)
-    v = psi.to_vector()
-    assert abs(np.vdot(v, pop.matrix @ v).real - 1.2) < 1e-9

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from osqm.spectral import (cdftn, cidftn, centered_chords, spectral_derivative,
-                           upsample2, x_to_p, p_to_x)
+from osqm.spectral import cdftn, cidftn, centered_chords, upsample2, x_to_p
 
 
 def test_cdft_inverse_pair(rng):
@@ -49,19 +48,11 @@ def test_momentum_transform_unitary(grid64, rng):
     dp = grid64.dp[0]
     assert abs((np.abs(phi) ** 2).sum() * dp -
                (np.abs(psi) ** 2).sum() * dx) < 1e-12
-    back = p_to_x(phi, dx, grid64.hbar)
-    assert np.abs(back - psi).max() < 1e-12
-
-
-def test_spectral_derivative_on_modes():
-    n = 64
-    dx = 0.3
-    x = (np.arange(n) - n // 2) * dx
-    period = n * dx
-    k = 2 * np.pi * 4 / period
-    f = np.sin(k * x)
-    assert np.abs(spectral_derivative(f, dx) - k * np.cos(k * x)).max() < 1e-11
-    assert np.abs(spectral_derivative(f, dx, order=2) + k ** 2 * f).max() < 1e-10
+    # phi(p_m) = (2 pi hbar)^(-1/2) dx sum_j psi(x_j) exp(-i x_j p_m / hbar)
+    hbar = grid64.hbar
+    kernel = np.exp(-1j * np.outer(grid64.p(0), grid64.x(0)) / hbar)
+    explicit = dx / np.sqrt(2 * np.pi * hbar) * (kernel @ psi)
+    assert np.abs(phi - explicit).max() < 1e-12
 
 
 def test_centered_chords_layout():

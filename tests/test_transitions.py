@@ -522,3 +522,12 @@ def test_phase_engine_rejects_an_unstable_step(setup):
     with pytest.raises(EvolutionUnstableError, match="step-halving mismatch"):
         _engine(setup, 5.0, 0.5, ProjectionSchedule("single-shot"), backend="phase",
                 projection_mode="sqrt")
+
+
+def test_zeno_rows_state_the_rounded_time_they_cover(setup):
+    # t_total 1.0 is not a whole number of either interval: 1.0 / 0.3 rounds
+    # to 3 intervals and 1.0 / 0.4 to 2, so the rows cover 0.9 and 0.8
+    psi0, h, partition = setup
+    rows = transitions.zeno_experiment(psi0, h, partition, [0.3, 0.4], t_total=1.0)
+    assert [r["n_intervals"] for r in rows] == [3, 2]
+    assert np.abs(np.array([r["t_covered"] for r in rows]) - [0.9, 0.8]).max() < 1e-12

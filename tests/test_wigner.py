@@ -1,21 +1,38 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from osqm.grid import ContainmentError, PhaseGrid
-from osqm.oracle import DensityOperator, WaveFunction, tensor_state
-from osqm.weyl import mean_value, overlap, WeylSymbol
-from osqm.wigner import (coherent_state, coherent_wigner, density_from_wigner,
-                         marginals, wavefunction_from_wigner,
-                         wigner_from_density, wigner_from_wavefunction)
+from osqm.oracle import OperatorMatrix, WaveFunction, tensor_state
+from osqm.weyl import WeylSymbol, mean_value, weyl_operator_from_symbol, \
+    weyl_symbol_from_operator
+from osqm.wigner import (WignerState, coherent_state, marginals, wavefunction_from_wigner,
+                         wigner_from_wavefunction)
 
 HBAR = 1.0
+
+
+def _pure(psi):
+    """|psi><psi| in the discrete l2 basis."""
+    v = psi.to_vector()
+    return OperatorMatrix(psi.grid, np.outer(v, v.conj()))
+
+
+def _wigner_of(rho):
+    """The Wigner function of a density matrix: its Weyl symbol / (2 pi hbar)^n."""
+    g = rho.grid
+    return WignerState(g, weyl_symbol_from_operator(rho).values.real
+                       / (2 * np.pi * g.hbar) ** g.dof)
 
 
 def test_coherent_wigner_matches_closed_form(grid64):
     psi = coherent_state(grid64, 1.0, 0.5)
     w = wigner_from_wavefunction(psi)
-    exact = coherent_wigner(grid64, 1.0, 0.5)
-    assert np.abs(w.values - exact.values).max() < 1e-9
+    # (pi hbar)^-1 exp(-((x - x0)^2 + (p - p0)^2) / hbar), unit mass on the grid
+    X, P = grid64.phase_mesh()
+    exact = np.exp(-((X - 1.0) ** 2 + (P - 0.5) ** 2) / HBAR) / (np.pi * HBAR)
+    exact /= exact.sum() * grid64.cell_volume
+    assert np.abs(w.values - exact).max() < 1e-9
     assert w.values.min() > -1e-9  # nonnegative up to reconstruction noise
 
 
@@ -59,29 +76,27 @@ def test_density_path_matches_pure_path(grid_name, centres, request):
     vals = sum(coherent_state(grid, x0, p0).values for x0, p0 in centres)
     psi = WaveFunction(grid, vals, normalized=False).normalize()
     w1 = wigner_from_wavefunction(psi)
-    w2 = wigner_from_density(DensityOperator.pure(psi))
+    w2 = _wigner_of(_pure(psi))
     assert np.abs(w1.values - w2.values).max() < 1e-12
 
 
 def test_wigner_linearity_in_density(grid64):
     p1 = coherent_state(grid64, -2.0, 0.0)
     p2 = coherent_state(grid64, 2.0, 0.5)
-    r1 = DensityOperator.pure(p1)
-    r2 = DensityOperator.pure(p2)
-    mix = DensityOperator(grid64, 0.5 * r1.matrix + 0.5 * r2.matrix)
-    w = wigner_from_density(mix)
-    w_expected = 0.5 * wigner_from_density(r1).values + \
-        0.5 * wigner_from_density(r2).values
+    r1 = _pure(p1)
+    r2 = _pure(p2)
+    mix = OperatorMatrix(grid64, 0.5 * r1.matrix + 0.5 * r2.matrix)
+    w = _wigner_of(mix)
+    w_expected = 0.5 * _wigner_of(r1).values + 0.5 * _wigner_of(r2).values
     assert np.abs(w.values - w_expected).max() < 1e-14
 
 
 def test_mixed_state_mass_and_bound(grid64, rng):
     parts = []
     for _ in range(4):
-        parts.append((0.25, DensityOperator.pure(
-            coherent_state(grid64, *rng.uniform(-2, 2, 2)))))
-    mix = DensityOperator(grid64, sum(wt * rho.matrix for wt, rho in parts))
-    w = wigner_from_density(mix)
+        parts.append((0.25, _pure(coherent_state(grid64, *rng.uniform(-2, 2, 2)))))
+    mix = OperatorMatrix(grid64, sum(wt * rho.matrix for wt, rho in parts))
+    w = _wigner_of(mix)
     assert abs(w.integral() - 1) < 1e-10
     assert np.abs(w.values).max() <= 1 / (np.pi * HBAR) + 1e-6
 
@@ -94,18 +109,17 @@ def test_density_roundtrip_random_pure_states(grid64, rng):
                    * coherent_state(grid64, *rng.uniform(-0.75, 0.75, 2)).values
                    for _ in range(2))
         psi = WaveFunction(grid64, vals, normalized=False).normalize()
-        rho = DensityOperator.pure(psi)
+        rho = _pure(psi)
         w = wigner_from_wavefunction(psi)
-        back = density_from_wigner(w)
+        back = weyl_operator_from_symbol(w.as_symbol())
         assert np.abs(back.matrix - rho.matrix).max() < 1e-8
-        again = wigner_from_density(back)
+        again = _wigner_of(back)
         assert np.abs(again.values - w.values).max() < 1e-8
 
 
 def test_density_from_wigner_top_eigenvector_is_the_state(grid64):
     psi = coherent_state(grid64, 0.8, -0.6)
-    rho = density_from_wigner(wigner_from_wavefunction(psi))
-    import scipy.linalg
+    rho = weyl_operator_from_symbol(wigner_from_wavefunction(psi).as_symbol())
     evals, evecs = scipy.linalg.eigh(rho.matrix)
     assert abs(evals[-1] - 1) < 1e-6
     fid = abs(np.vdot(evecs[:, -1], psi.to_vector())) ** 2
@@ -132,7 +146,7 @@ def test_recovery_error_path_for_node_at_origin(grid64):
     from osqm.scenarios import initial_state_preset
     psi1 = initial_state_preset(grid64, "oscillator-eigenstate", {"k": 1})
     w = wigner_from_wavefunction(psi1)
-    with pytest.raises(ValueError, match="density_from_wigner"):
+    with pytest.raises(ValueError, match="top eigenvector of weyl_operator_from_symbol"):
         wavefunction_from_wigner(w)
 
 
@@ -154,7 +168,8 @@ def test_coherent_overlap_formula(grid64):
     w1 = wigner_from_wavefunction(coherent_state(grid64, *z1))
     w2 = wigner_from_wavefunction(coherent_state(grid64, *z2))
     d2 = (z1[0] - z2[0]) ** 2 + (z1[1] - z2[1]) ** 2
-    assert abs(overlap(w1, w2) - np.exp(-d2 / (2 * HBAR))) < 1e-10
+    # |<z1|z2>|^2 = tr(rho_1 rho_2), the mean value of rho_2's symbol in state 1
+    assert abs(mean_value(w2.as_symbol(), w1) - np.exp(-d2 / (2 * HBAR))) < 1e-10
 
 
 def test_coherent_containment_guard(grid64):
