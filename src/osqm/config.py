@@ -9,7 +9,8 @@ from pathlib import Path
 
 from .grid import PhaseGrid
 from .scenarios import HAMILTONIAN_PRESETS, STATE_PRESETS
-from .transitions import BACKENDS, PHASE_EXACT_REASON, PROJECTION_MODES, SCHEDULE_MODES
+from .transitions import (BACKENDS, INDEX_BOUND, PHASE_EXACT_REASON, PROJECTION_MODES,
+                          SCHEDULE_MODES, SEED_BOUND)
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "config_to_dict"]
 
@@ -166,6 +167,16 @@ def parse_config(path_or_dict) -> ScenarioConfig:
         if not _is_integer(value) or value < least:
             errors.append(f"{name}: {key} must be an integer >= {least}, got {value!r}")
     stride, num = output.get("snapshot_stride"), ensemble.get("num_seeds")
+    base = ensemble.get("base_seed")
+    if _is_integer(base) and _is_integer(num) and base >= 0 and num >= 1:
+        # run i draws from trajectory_rng(base_seed + i, i)
+        if base + num > SEED_BOUND:
+            errors.append(f"ensemble: base_seed + num_seeds must be at most 2^64, "
+                          f"since seeds run up to base_seed + num_seeds - 1; "
+                          f"got {base} + {num}")
+        if num > INDEX_BOUND:
+            errors.append(f"ensemble: num_seeds must be at most 2^32, the count "
+                          f"of trajectory indices; got {num}")
     if _is_integer(stride) and stride > 0 and (backend != "phase" or num != 1):
         errors.append(f"output: snapshot_stride > 0 needs backend 'phase' and "
                       f"ensemble num_seeds 1, since only a single phase run writes "

@@ -15,6 +15,7 @@ composite-sized operator is built.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,8 +29,11 @@ from .oracle import WaveFunction, tensor_state
 from .regions import _coherent_quadrature_1dof  # noqa: F401
 from .regions import build_partition, is_quasirestricted
 from .spectral import cdftn, cidftn
+# unused here, but the benchmark's tracer patches this name in every module
+# that imports it, so it must resolve
+from .transitions import trajectory_rng  # noqa: F401
 from .transitions import (apply_quasiprojection, sample_transition,
-                          trajectory_rng, transition_probabilities_oracle)
+                          trajectory_uniforms, transition_probabilities_oracle)
 from .wigner import coherent_state
 
 __all__ = [
@@ -38,6 +42,7 @@ __all__ = [
     "HAMILTONIAN_PRESETS",
     "STATE_PRESETS",
     "MeasurementScenario",
+    "BandOutcomes",
     "binomial_interval",
 ]
 
@@ -159,6 +164,39 @@ def binomial_interval(k: int, n: int, z: float = 3.0) -> tuple[float, float]:
     return f - half, f + half
 
 
+class BandOutcomes(Sequence):
+    """The band label of each draw, held as a read-only uint8 array of
+    indices into labels: one byte per draw. Iteration, len, indexing (a
+    slice gives a BandOutcomes), == and repr are those of the label list."""
+
+    __slots__ = ("labels", "codes")
+
+    def __init__(self, labels: Sequence, codes: np.ndarray):
+        self.labels = tuple(labels)
+        self.codes = codes
+        self.codes.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        picked = self.codes[i]
+        if picked.ndim:
+            return BandOutcomes(self.labels, picked)
+        return self.labels[picked]
+
+    def __iter__(self):
+        return map(self.labels.__getitem__, self.codes.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, BandOutcomes)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class MeasurementScenario:
     """Pointer (axis 1) measuring which branch the observed system (axis 2)
@@ -233,9 +271,13 @@ class MeasurementScenario:
         The pre-transition evolution is deterministic and shared; each seed
         contributes one Born-rule draw and the post-state checks run once
         per outcome (the post-state is seed-independent). Seed i's draw is
-        the first uniform in [0, 1) of trajectory_rng(base_seed, i); all
-        num_seeds uniforms go through one sample_transition call, so the
-        Born row is checked and its CDF built once per ensemble.
+        the first uniform in [0, 1) of trajectory_rng(base_seed, i); one
+        trajectory_uniforms call computes all num_seeds of them, so
+        base_seed lies in [0, 2^64) and num_seeds is at most 2^32
+        (ValueError otherwise). They go through one sample_transition call,
+        so the Born row is checked and its CDF built once per ensemble.
+        "outcomes" is a BandOutcomes, one byte per draw, equal to the list
+        of drawn band labels.
         """
         if num_seeds < 1:
             raise ValueError(f"num_seeds must be at least 1, got {num_seeds}")
@@ -247,11 +289,10 @@ class MeasurementScenario:
                 region = self.partition.regions[idx]
                 post = apply_quasiprojection(vT, region.sqrt_operator())
                 post_resid[self.band_labels[idx]] = is_quasirestricted(post, region)[1]
-        us = [trajectory_rng(base_seed, i).random() for i in range(num_seeds)]
-        drawn = sample_transition(probs, us)
+        us = trajectory_uniforms(base_seed, np.arange(num_seeds), 1)[:, 0]
+        drawn = sample_transition(probs, us).astype(np.uint8)
         tally = np.bincount(drawn, minlength=len(self.band_labels)).tolist()
         counts = dict(zip(self.band_labels, tally))
-        outcomes = [self.band_labels[k] for k in drawn.tolist()]
         freq_left = counts["outcome-left"] / num_seeds
         freq_right = counts["outcome-right"] / num_seeds
         return {
@@ -264,7 +305,7 @@ class MeasurementScenario:
             "post_residuals": post_resid,
             "num_seeds": num_seeds,
             "base_seed": base_seed,
-            "outcomes": outcomes,
+            "outcomes": BandOutcomes(self.band_labels, drawn),
         }
 
 

@@ -12,6 +12,8 @@ dof-1 symbol.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.lib.array_utils import normalize_axis_tuple
 
@@ -35,6 +37,7 @@ def centered_chords(n: int) -> np.ndarray:
     return ((np.arange(n) + n // 2) % n) - n // 2
 
 
+@lru_cache(maxsize=64)
 def _sign_tables(shape: tuple, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(alt, post): the +-1 factors of the centered DFT over axes, multiplied out.
 
@@ -43,12 +46,15 @@ def _sign_tables(shape: tuple, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
     of the other axes commute with it exactly, so over several axes it is
     post * fftn(alt * f), and its inverse is alt * ifftn(post * F). post is
     +-alt, so one int8 table serves both; it is 1 along every other axis.
+    The tables are built once per (shape, axes) and are read-only.
     """
     alt = np.ones((), dtype=np.int8)
     for ax, n in enumerate(shape):
         signs = alternating_signs(n) if ax in axes else np.ones(1)
         alt = np.multiply.outer(alt, signs.astype(np.int8))
-    return alt, (alt if sum(shape[ax] // 2 for ax in axes) % 2 == 0 else -alt)
+    post = alt if sum(shape[ax] // 2 for ax in axes) % 2 == 0 else -alt
+    alt.flags.writeable = post.flags.writeable = False
+    return alt, post
 
 
 def cdftn(arr: np.ndarray, axes: tuple) -> np.ndarray:

@@ -56,6 +56,7 @@ __all__ = [
     "run_ensemble",
     "zeno_experiment",
     "trajectory_rng",
+    "trajectory_uniforms",
     "QuasirestrictionError",
 ]
 
@@ -72,6 +73,18 @@ MEMO_LIMIT = 1 << 14
 BACKENDS = ("oracle", "phase")
 PROJECTION_MODES = ("sqrt", "exact")
 SCHEDULE_MODES = ("continuous", "periodic", "single-shot")
+SEED_BOUND = 1 << 64     # trajectory seeds lie in [0, SEED_BOUND)
+INDEX_BOUND = 1 << 32    # trajectory indices lie in [0, INDEX_BOUND)
+_M32 = 0xFFFFFFFF
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx) mixes its entropy
+# into a pool of four words with 20 hashes, and the Philox key takes four
+# more; hash k xors a word with constant k and multiplies it by constant k + 1
+_HASH_A = tuple(0x43B0D7E5 * pow(0x931E8875, k, 1 << 32) & _M32 for k in range(21))
+_HASH_B = tuple(0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _M32 for k in range(5))
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 PHASE_EXACT_REASON = (
     "backend 'phase' cannot run projection_mode 'exact': a sharply projected "
     "state leaves the grid's momentum range, so the Wigner grid cannot hold it")
@@ -236,9 +249,101 @@ def apply_quasiprojection(v: np.ndarray, update: OperatorMatrix) -> np.ndarray:
 
 
 def trajectory_rng(base_seed: int, traj_index: int) -> np.random.Generator:
-    """Independent counter-based substream per (seed, trajectory)."""
+    """Independent counter-based substream per (seed, trajectory): Philox
+    keyed by SeedSequence(entropy=base_seed, spawn_key=(traj_index,)).
+
+    base_seed lies in [0, SEED_BOUND) and traj_index in [0, INDEX_BOUND)
+    (ValueError otherwise), the domain in which trajectory_uniforms computes
+    the same stream; TrajectoryEngine.run draws from this Generator, and
+    run_ensemble and MeasurementScenario.run_ensemble from that kernel.
+    """
+    if not (0 <= base_seed < SEED_BOUND and 0 <= traj_index < INDEX_BOUND):
+        raise ValueError(f"seed {base_seed} or trajectory index {traj_index} outside "
+                         "[0, 2^64) and [0, 2^32)")
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(traj_index,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _domain(values, bound: int, what: str) -> np.ndarray:
+    """values as a uint64 array of one dimension or more, or ValueError if
+    one lies outside [0, bound)."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        # Python ints past int64's range come as objects, or as floats
+        # beside a negative one: compare them as Python ints
+        a = np.asarray(values, dtype=object)
+        if not all(isinstance(v, (int, np.integer)) for v in a.flat):
+            raise TypeError(f"{what}s must be integers")
+    if a.size and not (a.min() >= 0 and a.max() < bound):
+        worst = a.min() if a.min() < 0 else a.max()
+        raise ValueError(f"{what} {worst} outside [0, 2^{bound.bit_length() - 1})")
+    return np.atleast_1d(a.astype(np.uint64))
+
+
+def _hash(v: np.ndarray, consts: tuple, k: int) -> np.ndarray:
+    """SeedSequence's k-th hash of the uint32 array v."""
+    v = (v ^ consts[k]) * consts[k + 1]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a hashed word y into the pool word x."""
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products a * b, from 32-bit halves."""
+    al, ah = a & _M32, a >> 32
+    bl, bh = b & _M32, b >> 32
+    ll, hl, lh = bl * al, bh * al, bl * ah
+    mid = (ll >> 32) + (hl & _M32) + (lh & _M32)
+    return bh * ah + (hl >> 32) + (lh >> 32) + (mid >> 32), b * a
+
+
+def trajectory_uniforms(seeds, indices, count: int) -> np.ndarray:
+    """trajectory_rng(seed, index).random(count) for every (seed, index) pair
+    of the broadcast seeds and indices, bit for bit, as array arithmetic.
+
+    The result has the broadcast shape plus a last axis of count. Seeds lie
+    in [0, SEED_BOUND) and indices in [0, INDEX_BOUND) (ValueError
+    otherwise): there SeedSequence's entropy is five uint32 words, the
+    seed's two, two zero pads and the index. Its pool of four words gives
+    the two Philox key words, and Philox4x64-10 turns counters 1, 2, ... into
+    four words each; draw k is word k % 4 of counter k // 4 + 1, taken to a
+    double as (word >> 11) 2^-53, as Generator.random does.
+    """
+    shape = np.broadcast_shapes(np.shape(seeds), np.shape(indices))
+    seeds = _domain(seeds, SEED_BOUND, "seed")
+    index = _domain(indices, INDEX_BOUND, "trajectory index").astype(np.uint32)
+    zero = np.zeros(1, np.uint32)
+    entropy = ((seeds & _M32).astype(np.uint32), (seeds >> 32).astype(np.uint32),
+               zero, zero)
+    pool = [_hash(word, _HASH_A, k) for k, word in enumerate(entropy)]
+    k = len(pool)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], _HASH_A, k))
+                k += 1
+    for dst in range(4):
+        pool[dst] = _mix(pool[dst], _hash(index, _HASH_A, k + dst))
+    words = [_hash(p, _HASH_B, i).astype(np.uint64) for i, p in enumerate(pool)]
+    key0 = (words[0] | words[1] << 32)[..., None]     # one column per counter
+    key1 = (words[2] | words[3] << 32)[..., None]
+    blocks = -(-count // 4)
+    x0 = np.arange(1, blocks + 1, dtype=np.uint64)
+    x1 = x2 = x3 = np.zeros(1, np.uint64)
+    for r in range(10):
+        if r:
+            key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ key0, lo1, hi0 ^ x3 ^ key1, lo0
+    full = np.broadcast_shapes(x0.shape, x1.shape, x2.shape, x3.shape)
+    out = np.stack([np.broadcast_to(x, full) for x in (x0, x1, x2, x3)], axis=-1)
+    out = out.reshape(*full[:-1], 4 * blocks)[..., :count]
+    return ((out >> 11) * 2.0 ** -53).reshape(*shape, count)
 
 
 class TrajectoryRecord:
@@ -621,13 +726,16 @@ def run_ensemble(engine: TrajectoryEngine, seeds: Sequence[int]) -> list:
     seeds that drew the same regions so far share one post-update l2 vector,
     one Born row per event, one sample_transition call on their runs'
     uniforms and one update per region drawn, by run's arithmetic, so the
-    summaries are bitwise engine.run's. If a group raises, the lowest failing
-    seed is run with engine.run, which raises what a loop of runs raises first.
+    summaries are bitwise engine.run's. Seed i's uniforms are the draws its
+    run takes from trajectory_rng(seeds[i], i), computed for every seed in
+    one trajectory_uniforms call; so seeds lie in [0, SEED_BOUND) and number
+    at most INDEX_BOUND (ValueError otherwise, as engine.run raises). If a
+    group raises, the lowest failing seed is run with engine.run, which
+    raises what a loop of runs raises first.
     """
     seeds = [int(s) for s in seeds]
     levels, prop = len(engine.event_steps), engine._propagator
-    u = np.array([trajectory_rng(s, i).random(levels)
-                  for i, s in enumerate(seeds)]).reshape(len(seeds), levels)
+    u = trajectory_uniforms(seeds, np.arange(len(seeds)), levels)
     final = np.full(len(seeds), engine.home_index)
     # a group: (post-update l2 vector, members), all after stops[:done]
     groups, done, failed = [(None, np.arange(len(seeds)))], 0, {}

@@ -184,6 +184,33 @@ def test_input_the_run_cannot_use_exits_with_config_code(tmp_path, capsys, block
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("base_seed, num_seeds, override", [
+    (2 ** 64 - 1, 2, None), (0, 3, 2 ** 64 - 2), (0, 1, 2 ** 64)])
+def test_seeds_past_2_to_the_64_exit_with_config_code(tmp_path, capsys, base_seed,
+                                                      num_seeds, override):
+    cfg = json.loads(_write_config(tmp_path).read_text())
+    cfg.update(backend="oracle", ensemble={"base_seed": base_seed, "num_seeds": num_seeds})
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps(cfg))
+    args = ["run", str(path)] + ([] if override is None else ["--seed", str(override)])
+    assert cli.main(args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "invalid configuration:",
+        f"  - ensemble: base_seed + num_seeds must be at most 2^64, since seeds run up "
+        f"to base_seed + num_seeds - 1; got {override or base_seed} + {num_seeds}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_last_seed_below_2_to_the_64_runs(tmp_path, capsys):
+    cfg = json.loads(_write_config(tmp_path).read_text())
+    cfg.update(backend="oracle", ensemble={"base_seed": 2 ** 64 - 3, "num_seeds": 3})
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["num_seeds"] == 3
+
+
 @pytest.mark.parametrize("dt_proj", [0.15, 0.25])
 def test_dt_proj_not_a_whole_number_of_steps_exits_with_config_code(tmp_path, capsys,
                                                                   dt_proj):

@@ -86,6 +86,10 @@ CASES = {
                            "ensemble: base_seed must be an integer >= 0"),
     "base_seed not an integer": (_with(ensemble__base_seed=1.5),
                                  "ensemble: base_seed must be an integer >= 0"),
+    "seeds past 2^64": (_with(ensemble__base_seed=2 ** 64 - 3),
+                        "ensemble: base_seed + num_seeds must be at most 2^64"),
+    "num_seeds past 2^32": (_with(ensemble__num_seeds=2 ** 32 + 1),
+                            "ensemble: num_seeds must be at most 2^32"),
     "snapshot_stride a word": (_with(output={"snapshot_stride": "x"}),
                                "output: snapshot_stride must be an integer >= 0"),
     "out_dir a number": (_with(output={"out_dir": 5}), "output: out_dir must be a string"),

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from osqm.grid import PhaseGrid
-from osqm.scenarios import (HAMILTONIAN_PRESETS, STATE_PRESETS, MeasurementScenario,
-                            binomial_interval, edge_flattened, hamiltonian_preset,
-                            initial_state_preset)
+from osqm.io import write_csv
+from osqm.scenarios import (HAMILTONIAN_PRESETS, STATE_PRESETS, BandOutcomes,
+                            MeasurementScenario, binomial_interval, edge_flattened,
+                            hamiltonian_preset, initial_state_preset)
 from osqm.transitions import sample_transition, trajectory_rng
 
 DOF1 = PhaseGrid.create(64, 9.0)
@@ -93,3 +96,64 @@ def test_run_ensemble_matches_a_draw_per_seed(born_scenarios, base_seed):
 def test_run_ensemble_rejects_an_empty_ensemble(born_scenarios):
     with pytest.raises(ValueError, match="num_seeds must be at least 1"):
         born_scenarios[0].run_ensemble(0)
+
+
+@pytest.fixture(scope="module")
+def determinism_scenario():
+    """Acceptance criterion 12's measurement scenario."""
+    return MeasurementScenario(PhaseGrid.create(64, 15.0), PhaseGrid.create(32, 7.5),
+                               branch_sep=3.0, band_edge=5.0, displacement=10.0,
+                               coupling_v=10.0)
+
+
+def _label_list(sc, n, base_seed):
+    """The outcomes as a list of labels, drawn seed by seed."""
+    probs = sc.band_probabilities(sc._evolved())
+    return [sc.band_labels[sample_transition(probs, trajectory_rng(base_seed, i).random())]
+            for i in range(n)]
+
+
+def test_outcomes_behave_as_the_label_list(determinism_scenario):
+    sc = determinism_scenario
+    out = sc.run_ensemble(500, base_seed=99)["outcomes"]
+    labels = _label_list(sc, 500, 99)
+    assert isinstance(out, BandOutcomes) and out.codes.dtype == np.uint8
+    assert out == labels and labels == out and not out != labels
+    assert out != labels[:-1] and out != labels[:-1] + ["ready"]
+    assert repr(out).encode() == repr(labels).encode()
+    assert len(out) == len(labels) and list(out) == labels
+    assert all(out[i] == labels[i] for i in (0, 1, 250, -1, -500))
+    assert out[10:40:3] == labels[10:40:3]
+    assert repr(out[::-7]) == repr(labels[::-7])
+    assert out.count("outcome-left") == labels.count("outcome-left")
+    with pytest.raises(IndexError):
+        out[500]
+    with pytest.raises(ValueError, match="read-only"):
+        out.codes[0] = 1
+
+
+def test_outcomes_write_criterion_12s_csv_bytes(determinism_scenario, tmp_path):
+    sc = determinism_scenario
+    out = sc.run_ensemble(500, base_seed=99)["outcomes"]
+    blobs = []
+    for name, outcomes in (("compact", out), ("list", _label_list(sc, 500, 99))):
+        path = tmp_path / f"{name}.csv"
+        write_csv(path, ["trajectory", "outcome"], list(enumerate(outcomes)))
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_outcomes_hold_one_byte_per_draw(determinism_scenario):
+    # the result dict, its small dicts and the array header held 1.4 kB at
+    # 10 draws; a list of labels would hold 8 bytes per draw
+    sc, n, fixed = determinism_scenario, 40000, 4096
+    sc.run_ensemble(10)         # caches filled outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = sc.run_ensemble(n, base_seed=7)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(out["outcomes"]) == n
+    assert held <= n + fixed

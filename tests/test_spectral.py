@@ -82,3 +82,27 @@ def test_cdftn_matches_per_axis_transforms(shape, kind):
     got = cidftn(spectrum, axes)
     assert got is spectrum  # in place
     assert np.abs(got - back).max() <= 1e-15 * np.abs(back).max()
+
+
+def test_sign_tables_are_built_once_per_shape_and_axes_and_read_only():
+    from osqm.spectral import _sign_tables
+    alt, post = _sign_tables((6, 8, 4), (0, 2))
+    assert _sign_tables((6, 8, 4), (0, 2))[0] is alt
+    assert alt.dtype == post.dtype == np.int8 and alt.shape == (6, 1, 4)
+    assert not alt.flags.writeable and not post.flags.writeable
+    # (-1)^(6 // 2 + 4 // 2) = -1
+    assert np.array_equal(post, -alt)
+
+
+@pytest.mark.parametrize("shape, axes", [((64,), (0,)), ((32, 32), (0, 1)),
+                                         ((30, 16), (0,)), ((6, 8, 6, 10), (1, 3))])
+def test_cached_sign_tables_give_the_fresh_tables_transform(shape, axes):
+    from osqm.spectral import _sign_tables
+    rng = np.random.default_rng(11)
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    alt, post = _sign_tables.__wrapped__(shape, axes)
+    want = np.fft.fftn(arr * alt, axes=axes[::-1]) * post
+    for _ in range(2):      # the second call reads the cached tables
+        assert np.array_equal(cdftn(arr, axes), want)
+        back = np.fft.ifftn(want * post, axes=axes[::-1]) * alt
+        assert np.array_equal(cidftn(want.copy(), axes), back)

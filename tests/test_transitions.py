@@ -14,8 +14,8 @@ from osqm import transitions
 from osqm.transitions import (ProjectionSchedule, QuasirestrictionError,
                               TrajectoryEngine, _born_weights, _PhasePropagator,
                               apply_quasiprojection, run_ensemble, sample_transition,
-                              trajectory_rng, transition_probabilities,
-                              transition_probabilities_oracle)
+                              trajectory_rng, trajectory_uniforms,
+                              transition_probabilities, transition_probabilities_oracle)
 from osqm.weyl import weyl_operator_from_symbol
 
 DT = np.pi / 32
@@ -323,6 +323,74 @@ def test_run_ensemble_returns_the_per_seed_summaries_in_seed_order(
 def test_run_ensemble_of_no_seeds_is_empty(setup):
     engine = _engine(setup, np.pi, DT, ProjectionSchedule("periodic", np.pi / 2))
     assert run_ensemble(engine, []) == []
+
+
+# the edges of the seed words: zero, one word full, two words, the top bit, all ones
+EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+
+
+def _generator_draws(seeds, indices, count):
+    return np.array([trajectory_rng(int(s), int(i)).random(count)
+                     for s, i in zip(seeds, indices)]).reshape(len(seeds), count)
+
+
+@pytest.mark.parametrize("count", [1, 3, 4, 5, 16, 17])
+def test_trajectory_uniforms_are_the_generator_draws(count):
+    # per-element seeds, with indices that fill their word and reach its top
+    seeds = EDGE_SEEDS + np.random.default_rng(count).integers(
+        0, 2 ** 64, 500, dtype=np.uint64).tolist()
+    indices = [i * 2654435761 % 2 ** 32 for i in range(len(seeds))]
+    indices[-1] = 2 ** 32 - 1
+    got = trajectory_uniforms(seeds, indices, count)
+    assert got.shape == (len(seeds), count)
+    assert np.array_equal(got, _generator_draws(seeds, indices, count))
+    # a scalar seed with an index range
+    for seed in EDGE_SEEDS:
+        got = trajectory_uniforms(seed, np.arange(40), count)
+        assert np.array_equal(got, _generator_draws([seed] * 40, range(40), count))
+    # a scalar pair keeps the shape of random(count)
+    assert np.array_equal(trajectory_uniforms(2 ** 64 - 1, 7, count),
+                          trajectory_rng(2 ** 64 - 1, 7).random(count))
+
+
+def test_trajectory_uniforms_broadcast_seeds_against_indices():
+    seeds, indices = np.array([[3], [2 ** 40]], dtype=np.uint64), np.arange(5)
+    got = trajectory_uniforms(seeds, indices, 2)
+    assert got.shape == (2, 5, 2)
+    for (a, b), s in np.ndenumerate(np.broadcast_to(seeds, (2, 5))):
+        assert np.array_equal(got[a, b], trajectory_rng(int(s), b).random(2))
+    assert trajectory_uniforms([], [], 3).shape == (0, 3)
+    assert trajectory_uniforms([4, 5], [0, 1], 0).shape == (2, 0)
+
+
+@pytest.mark.parametrize("seed, index, message", [
+    (-1, 0, "seed -1 outside"), (2 ** 64, 0, "seed 18446744073709551616 outside"),
+    (0, 2 ** 32, "trajectory index 4294967296 outside"),
+    (0, -1, "trajectory index -1 outside")])
+def test_seeds_and_indices_outside_their_words_raise(seed, index, message):
+    with pytest.raises(ValueError, match=message):
+        trajectory_uniforms(seed, index, 1)
+    with pytest.raises(ValueError, match=message):
+        trajectory_uniforms([5, seed], [0, index], 1)
+    with pytest.raises(ValueError, match="outside"):
+        trajectory_rng(seed, index)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_run_ensemble_rejects_the_seeds_engine_run_rejects(setup, seed):
+    engine = _engine(setup, np.pi, DT, ProjectionSchedule("periodic", np.pi / 2))
+    with pytest.raises(ValueError, match="outside"):
+        engine.run(seed, 1)
+    with pytest.raises(ValueError, match="outside"):
+        run_ensemble(engine, [0, seed])
+
+
+def test_run_ensemble_takes_the_seeds_of_every_word_size(setup):
+    engine = _engine(setup, 2.5 * np.pi, DT, ProjectionSchedule("periodic", np.pi / 2))
+    seeds = EDGE_SEEDS + [2 ** 64 - 2 - k for k in range(10)]
+    serial = [engine.run(s, i).summary() for i, s in enumerate(seeds)]
+    assert len({row["final_region"] for row in serial}) == 2
+    assert run_ensemble(engine, seeds) == serial
 
 
 def _assert_same_record(got, want):
