@@ -244,7 +244,7 @@ def criterion_7_projectors(tol: Tolerances) -> CriterionResult:
         defect = quasiprojector_defect(part)
         for p, r in zip(projs, part.regions):
             dev = p.matrix - r.operator().matrix
-            tn = float(np.abs(scipy.linalg.eigvalsh(dev)).sum())
+            tn = float(np.abs(scipy.linalg.eigvalsh(dev, driver="evd")).sum())
             ratio = tn / r.operator().matrix.trace().real / defect
             worst_ratio = max(worst_ratio, ratio)
     passed = (worst_exact < tol.projector_exactness
@@ -355,7 +355,8 @@ def criterion_11_flow_consistency(tol: Tolerances) -> CriterionResult:
         image_mask = evolve_region_classically(region.mask, h_cl, t, dt=0.005)
         flowed = Region(label="flowed", grid=grid, mask=image_mask)
         dev = heis - flowed.operator().matrix
-        tn = float(np.abs(scipy.linalg.eigvalsh(0.5 * (dev + dev.conj().T))).sum())
+        tn = float(np.abs(scipy.linalg.eigvalsh(0.5 * (dev + dev.conj().T),
+                                                driver="evd")).sum())
         ratio = tn / region.operator().matrix.trace().real / static
         worst_ratio = max(worst_ratio, ratio)
     passed = worst_ratio <= tol.flow_consistency_factor

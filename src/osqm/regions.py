@@ -303,7 +303,7 @@ def quasiprojector_defect(partition: Partition) -> float:
             dev = ops[a] @ ops[b]
             if a == b:
                 dev = dev - ops[a]
-                tn = float(np.abs(scipy.linalg.eigvalsh(dev)).sum())
+                tn = float(np.abs(scipy.linalg.eigvalsh(dev, driver="evd")).sum())
             else:
                 tn = float(scipy.linalg.svdvals(dev).sum())
             worst = max(worst, tn / traces[a])
@@ -337,7 +337,7 @@ def classicality_projectors(partition: Partition) -> list:
         else:
             m = deflate @ ops[idx] @ deflate
             m = 0.5 * (m + m.conj().T)
-            w, q = scipy.linalg.eigh(m)
+            w, q = scipy.linalg.eigh(m, driver="evd")
         gap = np.abs(w - 0.5).min()
         if gap < AMBIGUITY_MARGIN:
             raise ValueError(

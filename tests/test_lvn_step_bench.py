@@ -53,3 +53,24 @@ def test_measure_ensembles_times_sequential_engine_runs(monkeypatch):
     rates = tool.measure_ensembles()
     assert list(rates) == ["slosh-runs-2000"]
     assert np.isfinite(rates["slosh-runs-2000"]) and rates["slosh-runs-2000"] > 0
+
+
+def test_measure_eighs_decomposes_each_case_afresh(monkeypatch):
+    tool = _tool()
+    monkeypatch.setattr(tool, "EIGHS", {name: (2, 2) for name in tool.EIGHS})
+    ms = tool.measure_eighs()
+    assert list(ms) == ["eigh-oscillator-256", "eigh-half-line-256",
+                        "eigh-pure-state-256", "eigh-band-128"]
+    assert all(np.isfinite(v) and v > 0 for v in ms.values())
+    # each case is a Hermitian operator of the program, at the size it names
+    for name in ms:
+        op = tool._eigh_case(name)
+        assert op.hermitian and op.matrix.shape[0] == int(name.rsplit("-", 1)[1])
+
+
+def test_measure_setups_times_a_fresh_engine_build(monkeypatch):
+    tool = _tool()
+    monkeypatch.setattr(tool, "SETUPS", {"slosh-setup": 2})
+    ms = tool.measure_setups()
+    assert list(ms) == ["slosh-setup"]
+    assert np.isfinite(ms["slosh-setup"]) and ms["slosh-setup"] > 0

@@ -85,7 +85,7 @@ def _deflation_reference(partition):
     out = [None] * len(ops)
     for idx in order[:-1]:
         m = deflate @ ops[idx] @ deflate
-        w, q = scipy.linalg.eigh(0.5 * (m + m.conj().T))
+        w, q = scipy.linalg.eigh(0.5 * (m + m.conj().T), driver="evd")
         sel = q[:, w > 0.5]
         proj = sel @ sel.conj().T
         out[idx] = 0.5 * (proj + proj.conj().T)

@@ -1,4 +1,5 @@
-"""Timings of two checkouts: LvN steps and calls, Born draws, ensembles, `osqm regress`.
+"""Timings of two checkouts: LvN steps and calls, Born draws, ensembles,
+Hermitian eigendecompositions, oracle set-up and `osqm regress`.
 
     python tools/lvn_step_bench.py --parent OLD --change NEW --runs 5 --out BENCH.json
 
@@ -37,6 +38,22 @@ The slosh-runs-2000 case runs 2000 seeds on that engine as 2000 sequential
 times. Each call or loop gets a freshly built engine and its own seeds, and
 only the call or loop is timed. A run's figure is the median over calls or
 loops of the seeds per second.
+
+An eigh case is one `OperatorMatrix.eigh` that decomposes afresh (the cached
+decomposition is dropped before each call) on one of the program's own
+Hermitian operators: eigh-oscillator-256 is the oracle H of the oscillator
+(N = 256, extent 9), eigh-half-line-256 the quasiprojector of x < 0 on that
+grid, eigh-pure-state-256 the quantised Wigner function of the coherent state
+at (1.0, 0.3) on it, as the phase backend's rank-1 gate decomposes it, and
+eigh-band-128 the ready band of acceptance criterion 8's pointer (128 points,
+extent 18, cuts at -6 and 6). A run's figure is the median over batches of
+the mean ms per call of a batch, after one untimed call.
+
+The slosh-setup case builds the slosh-oracle workload's engine afresh (grid,
+oscillator Hamiltonian, half-line partition, coherent state, exact-mode
+TrajectoryEngine) and decomposes both region operators, as that workload's
+set-up does. A run's figure is the median ms over builds after one untimed
+build.
 """
 
 from __future__ import annotations
@@ -65,6 +82,11 @@ DRAWS = {"born-draws": (2000, 9)}
 # case: (seeds per timed call or loop, calls or loops); slosh-2000 makes one
 # transitions.run_ensemble call, slosh-runs-2000 one engine.run per seed
 ENSEMBLES = {"slosh-2000": (2000, 5), "slosh-runs-2000": (2000, 5)}
+# case: (eigh calls per batch, batches)
+EIGHS = {"eigh-oscillator-256": (5, 9), "eigh-half-line-256": (5, 9),
+         "eigh-pure-state-256": (5, 9), "eigh-band-128": (20, 9)}
+# case: timed builds
+SETUPS = {"slosh-setup": 7}
 
 
 def _case(name: str):
@@ -170,25 +192,34 @@ def measure_draws() -> dict:
     return out
 
 
-def measure_ensembles() -> dict:
-    """seeds/s of transitions.run_ensemble and of engine.run, for the osqm on sys.path."""
+def _slosh_engine():
+    """A freshly built slosh-oracle engine, with both region operators decomposed."""
     import numpy as np
     from osqm import regions, scenarios, wigner
     from osqm.grid import PhaseGrid
-    from osqm.transitions import ProjectionSchedule, TrajectoryEngine, run_ensemble
+    from osqm.transitions import ProjectionSchedule, TrajectoryEngine
 
     grid = PhaseGrid.create(256, 9.0)
     h = scenarios.hamiltonian_preset(grid, "oscillator", {})
     partition = regions.build_partition(grid, [0.0])
-    psi0 = wigner.coherent_state(grid, -4.2, 0.0)
+    engine = TrajectoryEngine(wigner.coherent_state(grid, -4.2, 0.0), h, partition,
+                              4 * np.pi, np.pi / 64, ProjectionSchedule("periodic", np.pi / 4),
+                              projection_mode="exact")
+    for region in partition.regions:
+        region.operator().eigh()
+    return engine
+
+
+def measure_ensembles() -> dict:
+    """seeds/s of transitions.run_ensemble and of engine.run, for the osqm on sys.path."""
+    from osqm.transitions import run_ensemble
+
     out = {}
     for name, (seeds, calls) in ENSEMBLES.items():
         rates = []
         for call in range(calls):
             # fresh: no earlier call's runs are cached in the engine
-            engine = TrajectoryEngine(psi0, h, partition, 4 * np.pi, np.pi / 64,
-                                      ProjectionSchedule("periodic", np.pi / 4),
-                                      projection_mode="exact")
+            engine = _slosh_engine()
             batch = range(call * seeds, (call + 1) * seeds)
             start = time.perf_counter()
             if name == "slosh-runs-2000":
@@ -198,6 +229,57 @@ def measure_ensembles() -> dict:
                 run_ensemble(engine, batch)
             rates.append(seeds / (time.perf_counter() - start))
         out[name] = statistics.median(rates)
+    return out
+
+
+def _eigh_case(name: str):
+    """The OperatorMatrix of a named eigh case."""
+    from osqm import regions, scenarios
+    from osqm.grid import PhaseGrid
+    from osqm.weyl import weyl_operator_from_symbol
+    from osqm.wigner import coherent_state, wigner_from_wavefunction
+
+    grid = PhaseGrid.create(256, 9.0)
+    if name == "eigh-oscillator-256":
+        h = scenarios.hamiltonian_preset(grid, "oscillator", {})
+        return weyl_operator_from_symbol(h.symbol())
+    if name == "eigh-half-line-256":
+        return regions.build_partition(grid, [0.0]).regions[0].operator()
+    if name == "eigh-pure-state-256":
+        w = wigner_from_wavefunction(coherent_state(grid, 1.0, 0.3))
+        return weyl_operator_from_symbol(w.as_symbol())
+    pointer = PhaseGrid.create(128, 18.0)
+    return regions.build_partition(pointer, [-6.0, 6.0]).regions[1].operator()
+
+
+def measure_eighs() -> dict:
+    """ms per fresh OperatorMatrix.eigh of each case, for the osqm on sys.path."""
+    out = {}
+    for name, (calls, batches) in EIGHS.items():
+        op = _eigh_case(name)
+        op.eigh()  # untimed
+        per_call = []
+        for _ in range(batches):
+            start = time.perf_counter()
+            for _ in range(calls):
+                op._eig = None  # decompose afresh, not from the cache
+                op.eigh()
+            per_call.append((time.perf_counter() - start) / calls * 1e3)
+        out[name] = statistics.median(per_call)
+    return out
+
+
+def measure_setups() -> dict:
+    """ms per slosh-oracle engine build with its region eighs, for the osqm on sys.path."""
+    out = {}
+    for name, builds in SETUPS.items():
+        _slosh_engine()  # untimed: warms the FFT plans and the imports
+        times = []
+        for _ in range(builds):
+            start = time.perf_counter()
+            _slosh_engine()
+            times.append((time.perf_counter() - start) * 1e3)
+        out[name] = statistics.median(times)
     return out
 
 
@@ -251,7 +333,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--measure", action="store_true",
                         help="print this checkout's ms per step and per call, "
-                             "us per draw and ensemble seeds/s as JSON")
+                             "us per draw, ensemble seeds/s, ms per eigh and "
+                             "per set-up as JSON")
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--runs", type=int, default=5)
@@ -259,7 +342,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.measure:
         print(json.dumps({**measure_steps(), **measure_calls(), **measure_draws(),
-                          **measure_ensembles()}))
+                          **measure_ensembles(), **measure_eighs(),
+                          **measure_setups()}))
         return 0
     if not (args.parent and args.change and args.out) or args.runs < 1:
         parser.error("--parent, --change, --out and --runs >= 1 are required")
@@ -283,8 +367,9 @@ def main(argv=None) -> int:
     result = {
         "what": ("ms per LvnPlan split step; ms per evolve_lvn call; us per Born "
                  "draw of MeasurementScenario.run_ensemble; seeds/s of "
-                 "transitions.run_ensemble and of engine.run; osqm regress "
-                 "seconds per criterion"),
+                 "transitions.run_ensemble and of engine.run; ms per fresh "
+                 "OperatorMatrix.eigh; ms per slosh-oracle engine build with "
+                 "its region eighs; osqm regress seconds per criterion"),
         "host": _host(),
         "threads": THREADS,
         "runs": args.runs,
@@ -294,6 +379,8 @@ def main(argv=None) -> int:
         "evolve_lvn_ms": cases(CALLS),
         "born_draw_us": cases(DRAWS),
         "ensemble_seeds_per_s": cases(ENSEMBLES),
+        "eigh_ms": cases(EIGHS),
+        "setup_ms": cases(SETUPS),
         "regress_seconds": {
             "timer": "each checkout's own acceptance.run_regression_suite",
             "median": {side: _medians(regress[side]) for side in trees},
