@@ -138,8 +138,8 @@ class OperatorMatrix:
         have spectra clustered at 0 and 1, where the default MRRR driver
         (heevr) slows down: a half-line quasiprojector at N = 256 takes
         6.9 ms against 19.0 ms (one BLAS thread, AMD EPYC). Its
-        eigenvectors are also orthonormal to 4e-15, where MRRR's drift to
-        1e-13 - 2e-12 on the quantised pure states of off-centre coherent
+        eigenvectors are also orthonormal to 4e-15, where MRRR's are off by
+        1e-13 to 2e-12 on the quantised pure states of off-centre coherent
         states.
         """
         if not self.hermitian:

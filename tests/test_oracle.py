@@ -111,7 +111,6 @@ def test_region_sqrt_operator_makes_one_eigh(grid64, monkeypatch):
     assert np.abs(root.matrix @ root.matrix - region.operator().matrix).max() < 1e-8
 
 
-
 def _eigh_operator(name):
     """One of the program's own Hermitian operators: the oracle H, a region
     quasiprojector, the phase backend's quantised pure state, a pointer band."""
@@ -130,7 +129,8 @@ def _eigh_operator(name):
                                   "band-128"])
 def test_eigh_is_accurate_on_clustered_spectra(name):
     # the spectra bunch at 0 and 1 (or at the oscillator's even spacing);
-    # on the pure state MRRR's eigenvectors drift to 2e-13 from orthonormal
+    # MRRR's eigenvectors miss the orthonormality bound on the pure state
+    # (2.4e-13) and on the band (6.5e-14)
     op = _eigh_operator(name)
     w, q = op.eigh()
     m = op.matrix
