@@ -15,8 +15,7 @@ from .moyal import moyal_product
 from .oracle import (OperatorMatrix, WaveFunction, operator_sqrt, schrodinger_propagate,
                      tensor_state)
 from .regions import (Partition, Region, build_partition, classicality_projectors,
-                      is_quasirestricted, quasiprojector_defect, quasiprojector_operator,
-                      quasiprojector_symbol)
+                      is_quasirestricted, quasiprojector_defect, quasiprojector_operator)
 from .transitions import (ProjectionSchedule, TrajectoryEngine, TrajectoryRecord,
                           apply_quasiprojection, run_ensemble, sample_transition,
                           transition_probabilities, zeno_experiment)

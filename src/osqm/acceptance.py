@@ -405,11 +405,10 @@ def criterion_number(fn) -> int:
     return int(fn.__name__.split("_")[1])
 
 
-def run_regression_suite(tolerances: Tolerances | None = None,
-                         only: list | None = None,
+def run_regression_suite(only: list | None = None,
                          echo=print) -> tuple[list, bool]:
     """Execute the acceptance criteria; returns (results, all_passed)."""
-    tol = tolerances or Tolerances()
+    tol = Tolerances()
     results = []
     for fn in CRITERIA:
         cid = criterion_number(fn)

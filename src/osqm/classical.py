@@ -10,7 +10,7 @@ arrays that hold one entry per point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -55,35 +55,23 @@ def poly_eval(poly: PolyDict, coords: Sequence):
 
 @dataclass
 class ClassicalObservable:
-    """Real function on phase space, as grid samples and/or a polynomial.
+    """Real polynomial on phase space, a coefficient dict.
 
-    Polynomial observables keep their coefficient dict so derivatives stay
-    exact, and build its partial derivatives d/dz_i once (z = x then p);
-    only those can be flowed.
+    It keeps the dict so derivatives stay exact, and builds its partial
+    derivatives d/dz_i once (z = x then p) for the flow.
     """
 
     grid: PhaseGrid
-    values: np.ndarray
-    poly: Optional[dict] = None
-    _poly_grad: Optional[list] = field(default=None, init=False, repr=False,
-                                       compare=False)
+    poly: dict
+    _poly_grad: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.phase_shape:
-            raise ValueError("values must have the grid's phase-space shape")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("observable values must be finite")
-        if self.poly is not None:
-            self._poly_grad = [poly_derivative(self.poly, i)
-                              for i in range(2 * self.grid.dof)]
+        self._poly_grad = [poly_derivative(self.poly, i)
+                           for i in range(2 * self.grid.dof)]
 
     @classmethod
     def from_poly(cls, grid: PhaseGrid, poly: PolyDict) -> "ClassicalObservable":
-        mesh = grid.phase_mesh()
-        vals = poly_eval(poly, mesh)
-        return cls(grid=grid, values=np.broadcast_to(vals, grid.phase_shape).copy(),
-                   poly=_poly_clean(dict(poly)))
+        return cls(grid=grid, poly=_poly_clean(dict(poly)))
 
     def _partials(self, x: Sequence, p: Sequence, first: int) -> list:
         """dH/dz_i at (x, p) for i = first .. first + dof - 1, z = (x, p).
@@ -91,8 +79,6 @@ class ClassicalObservable:
         x and p hold one entry per dof, each an array of points; so does
         the result.
         """
-        if self.poly is None:
-            raise ValueError("point derivatives need a polynomial form")
         n = self.grid.dof
         z = [*x, *p]
         return [poly_eval(d, z) for d in self._poly_grad[first:first + n]]
@@ -143,14 +129,13 @@ def evolve_region_classically(mask: np.ndarray, h: ClassicalObservable,
         return mask.copy()
     n = grid.dof
     idx = np.argwhere(mask)
-    axes = [grid.axis(d) for d in range(n)]
-    x0 = np.stack([axes[d].x[idx[:, d]] for d in range(n)])
-    p0 = np.stack([axes[d].p[idx[:, n + d]] for d in range(n)])
+    x0 = np.stack([grid.x(d)[idx[:, d]] for d in range(n)])
+    p0 = np.stack([grid.p(d)[idx[:, n + d]] for d in range(n)])
     xT, pT = flow_points(h, x0, p0, t, dt)
     out = np.zeros_like(mask, dtype=bool)
     loc = []
-    for d, coord, spacing in ([(d, xT[d], axes[d].dx) for d in range(n)]
-                              + [(d, pT[d], axes[d].dp) for d in range(n)]):
+    for d, coord, spacing in ([(d, xT[d], grid.dx[d]) for d in range(n)]
+                              + [(d, pT[d], grid.dp[d]) for d in range(n)]):
         j = np.rint(coord / spacing).astype(int) + grid.n(d) // 2
         if (j < 0).any() or (j >= grid.n(d)).any():
             raise ValueError("region image escapes the grid")

@@ -10,7 +10,7 @@ from pathlib import Path
 from .grid import PhaseGrid
 from .scenarios import HAMILTONIAN_PRESETS, STATE_PRESETS
 from .transitions import (BACKENDS, INDEX_BOUND, PHASE_EXACT_REASON, PROJECTION_MODES,
-                          SCHEDULE_MODES, SEED_BOUND)
+                          SCHEDULE_MODES, SEED_BOUND, SNAPSHOT_REASON)
 
 __all__ = ["ScenarioConfig", "ConfigError", "parse_config", "config_to_dict"]
 
@@ -179,8 +179,8 @@ def parse_config(path_or_dict) -> ScenarioConfig:
                           f"of trajectory indices; got {num}")
     if _is_integer(stride) and stride > 0 and (backend != "phase" or num != 1):
         errors.append(f"output: snapshot_stride > 0 needs backend 'phase' and "
-                      f"ensemble num_seeds 1, since only a single phase run writes "
-                      f"snapshots; got backend {backend!r} and num_seeds {num!r}")
+                      f"ensemble num_seeds 1, since {SNAPSHOT_REASON}; "
+                      f"got backend {backend!r} and num_seeds {num!r}")
     if not isinstance(output.get("out_dir"), str):
         errors.append(f"output: out_dir must be a string, got {output.get('out_dir')!r}")
 

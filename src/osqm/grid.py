@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,10 +47,10 @@ class PhaseGrid:
             raise ValueError("hbar and extents must be positive")
 
     @classmethod
-    def create(cls, points: int, x_extent: float, hbar: float = 1.0,
-               dof: int = 1) -> "PhaseGrid":
-        return cls(dof=dof, points=(int(points),) * dof,
-                   x_extents=(float(x_extent),) * dof, hbar=float(hbar))
+    def create(cls, points: int, x_extent: float, hbar: float = 1.0) -> "PhaseGrid":
+        """A 1-dof grid; PhaseGrid.product combines two into a composite."""
+        return cls(dof=1, points=(int(points),), x_extents=(float(x_extent),),
+                   hbar=float(hbar))
 
     @classmethod
     def product(cls, g1: "PhaseGrid", g2: "PhaseGrid") -> "PhaseGrid":
@@ -70,9 +70,6 @@ class PhaseGrid:
     def n(self, d: int = 0) -> int:
         return self.points[d]
 
-    def axis(self, d: int = 0) -> "GridAxis":
-        return _axis(self, d)
-
     # cached in the instance __dict__, outside the fields that == and hash use
     @cached_property
     def dx(self) -> tuple[float, ...]:
@@ -82,6 +79,15 @@ class PhaseGrid:
     def dp(self) -> tuple[float, ...]:
         return tuple(2 * np.pi * self.hbar / (n * dxi)
                      for n, dxi in zip(self.points, self.dx))
+
+    @cached_property
+    def _samples(self) -> tuple[np.ndarray, ...]:
+        """Read-only sample arrays, x_0.. then p_0..; every caller shares them."""
+        out = tuple((np.arange(n) - n // 2) * step
+                    for n, step in zip(self.points * 2, self.dx + self.dp))
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
     @property
     def p_extents(self) -> tuple[float, ...]:
@@ -112,16 +118,14 @@ class PhaseGrid:
         return d
 
     def x(self, d: int = 0) -> np.ndarray:
-        return self.axis(d).x
+        return self._samples[d]
 
     def p(self, d: int = 0) -> np.ndarray:
-        return self.axis(d).p
+        return self._samples[self.dof + d]
 
     def phase_mesh(self):
         """Meshgrid of all phase-space coordinates, x axes then p axes."""
-        coords = [self.x(d) for d in range(self.dof)] + \
-                 [self.p(d) for d in range(self.dof)]
-        return np.meshgrid(*coords, indexing="ij")
+        return np.meshgrid(*self._samples, indexing="ij")
 
     def containment_shell_mass(self, values: np.ndarray) -> float:
         """Fraction of total |values| mass in the outermost 2-cell shell."""
@@ -143,26 +147,3 @@ class PhaseGrid:
                 f"{what} has {m:.3e} of its mass in the outer 2-cell shell "
                 f"(tolerance {CONTAINMENT_TOL:.1e}); enlarge the grid")
 
-
-@dataclass(frozen=True)
-class GridAxis:
-    """Cached per-axis sampling arrays."""
-
-    n: int
-    dx: float
-    dp: float
-    hbar: float
-    x: np.ndarray = field(repr=False)
-    p: np.ndarray = field(repr=False)
-
-
-@lru_cache(maxsize=64)
-def _axis(grid: PhaseGrid, d: int) -> GridAxis:
-    n = grid.points[d]
-    dx = grid.dx[d]
-    dp = grid.dp[d]
-    j = np.arange(n) - n // 2
-    ax = GridAxis(n=n, dx=dx, dp=dp, hbar=grid.hbar, x=j * dx, p=j * dp)
-    for arr in (ax.x, ax.p):
-        arr.setflags(write=False)
-    return ax

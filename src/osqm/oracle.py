@@ -76,13 +76,12 @@ class WaveFunction:
         return (self.values * np.sqrt(self._dvol())).ravel()
 
     @classmethod
-    def from_vector(cls, grid: PhaseGrid, v: np.ndarray,
-                    normalized: bool = True) -> "WaveFunction":
+    def from_vector(cls, grid: PhaseGrid, v: np.ndarray) -> "WaveFunction":
         dvol = 1.0
         for d in grid.dx:
             dvol *= d
         vals = np.asarray(v, dtype=complex).reshape(grid.config_shape) / np.sqrt(dvol)
-        return cls(grid, vals, normalized=normalized)
+        return cls(grid, vals)
 
     def overlap(self, other: "WaveFunction") -> complex:
         """<self|other>: self is conjugated, as in QuTiP's Qobj.overlap."""

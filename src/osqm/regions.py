@@ -1,12 +1,14 @@
 """Coarse graining of phase space: regions, quasiprojectors, projectors.
 
 A partition is a set of axis-aligned boxes snapped to grid cells, disjoint
-and exhaustive. Each region carries the sharp characteristic function, the
-Gaussian-smoothed quasiprojector symbol Pi_R = chi_R * phi (phi is the
-ground coherent state's Wigner Gaussian, unit mass), and the quasiprojector
-operator built from a coherent-state quadrature over the region's cells.
-The quadrature uses lattice-periodized coherent states, so the full-grid
-sum is the identity to machine precision.
+and exhaustive. Each region's quasiprojector Pi_R is defined once, as an
+operator: the coherent-state (anti-Wick) quadrature over the region's cells
+(Cahill & Glauber, Phys. Rev. 177, 1857 (1969)). In the continuum its Weyl
+symbol is the sharp characteristic function chi_R smoothed by the coherent
+state's Gaussian. The quadrature uses lattice-periodized coherent states,
+so the full-grid sum is the identity to machine precision. The region's
+phase-space symbol is the Weyl image of that operator, so the symbol-side
+Born weight int Pi_R W dz equals tr(Pi_R rho_W) to round-off.
 """
 
 from __future__ import annotations
@@ -19,18 +21,16 @@ import scipy.linalg
 
 from .grid import PhaseGrid
 from .oracle import PSD_TOL, OperatorMatrix, operator_sqrt
-from .weyl import WeylSymbol
+from .weyl import WeylSymbol, weyl_symbol_from_operator
 
 __all__ = [
     "Region",
     "Partition",
     "build_partition",
-    "quasiprojector_symbol",
     "quasiprojector_operator",
     "quasiprojector_defect",
     "classicality_projectors",
     "is_quasirestricted",
-    "smoothing_kernel",
 ]
 
 MIN_SIDE_FACTOR = 5.0  # box sides must be >= 5 sqrt(hbar) per axis
@@ -39,32 +39,13 @@ PS6_TOL = 1e-3     # largest residual of a quasirestricted state
 PS6_CUTOFF = 1e-6  # Pi_R eigenvalues at or below this are outside its range
 
 
-def smoothing_kernel(grid: PhaseGrid) -> np.ndarray:
-    """Ground coherent state's Wigner Gaussian, normalized to unit mass."""
-    mesh = grid.phase_mesh()
-    n = grid.dof
-    expo = np.zeros(grid.phase_shape)
-    for d in range(n):
-        expo += mesh[d] ** 2 + mesh[n + d] ** 2
-    phi = np.exp(-expo / grid.hbar)
-    return phi / (phi.sum() * grid.cell_volume)
-
-
-def _fft_convolve(field: np.ndarray, kernel_centered: np.ndarray,
-                  cell_volume: float) -> np.ndarray:
-    """Periodic convolution with a kernel stored centered on the grid."""
-    k = np.fft.ifftshift(kernel_centered)
-    out = np.fft.ifftn(np.fft.fftn(field) * np.fft.fftn(k)).real
-    return out * cell_volume
-
-
 @dataclass
 class Region:
     """One coarse-graining region: a labeled cell mask with cached fields.
 
     Boxes carry per-dof index bounds; general masks (for example classical
     flow images) leave bounds as None and support dof 1 only when the
-    operator is needed.
+    operator or its symbol is needed.
     """
 
     label: str
@@ -81,13 +62,10 @@ class Region:
         if self.mask.shape != self.grid.phase_shape:
             raise ValueError("region mask must have the grid's phase shape")
 
-    @property
-    def chi(self) -> np.ndarray:
-        return self.mask.astype(float)
-
     def symbol(self) -> WeylSymbol:
+        """The Weyl symbol of operator(): Pi_R on phase space."""
         if self._symbol is None:
-            self._symbol = quasiprojector_symbol(self)
+            self._symbol = weyl_symbol_from_operator(self.operator())
         return self._symbol
 
     def operator(self) -> OperatorMatrix:
@@ -109,10 +87,8 @@ class Partition:
     regions: list
 
     def __post_init__(self):
-        total = np.zeros(self.grid.phase_shape)
-        for r in self.regions:
-            total += r.chi
-        if not np.all(total == 1.0):
+        total = sum(r.mask.astype(int) for r in self.regions)
+        if not np.all(total == 1):
             raise ValueError("regions must tile the grid exactly once")
 
     def labels(self) -> list:
@@ -209,14 +185,6 @@ def _broadcast_axis(ax_mask: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return ax_mask.reshape(shape)
 
 
-def quasiprojector_symbol(region: Region) -> WeylSymbol:
-    """Pi_R = chi_R convolved with the unit-mass coherent Gaussian."""
-    grid = region.grid
-    phi = smoothing_kernel(grid)
-    vals = _fft_convolve(region.chi, phi, grid.cell_volume)
-    return WeylSymbol(grid, vals + 0j)
-
-
 def _periodized_gaussian(grid: PhaseGrid, d: int) -> np.ndarray:
     """G[j, j0] = periodized exp(-(x_j - x_{j0})^2 / (2 hbar)), unnormalized.
 
@@ -266,8 +234,8 @@ def quasiprojector_operator(region: Region) -> OperatorMatrix:
 
     Hermitian and PSD by construction; eigenvalues lie in [0, 1] because the
     full-grid quadrature is exactly the identity (lattice covariance of the
-    periodized states). Its Weyl symbol matches quasiprojector_symbol to
-    discretization accuracy. Composite (dof 2) regions must factor per dof.
+    periodized states). This is Pi_R's one definition: Region.symbol() is
+    its Weyl image. Composite (dof 2) regions must factor per dof.
     """
     grid = region.grid
     if grid.dof == 1:

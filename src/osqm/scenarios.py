@@ -48,6 +48,7 @@ __all__ = [
 
 HAMILTONIAN_PRESETS = ("free", "oscillator", "double-well", "von-neumann-coupling")
 STATE_PRESETS = ("coherent", "cat", "oscillator-eigenstate")
+BINOMIAL_Z = 3.0   # half-width of an ensemble frequency's interval, in standard errors
 
 
 def _smoothstep(s):
@@ -157,10 +158,11 @@ def initial_state_preset(grid: PhaseGrid, name: str,
     raise ValueError(f"unknown state preset {name!r}; available: {STATE_PRESETS}")
 
 
-def binomial_interval(k: int, n: int, z: float = 3.0) -> tuple[float, float]:
-    """Normal-approximation confidence interval for a frequency."""
+def binomial_interval(k: int, n: int) -> tuple[float, float]:
+    """Normal-approximation confidence interval for a frequency, BINOMIAL_Z
+    standard errors either side."""
     f = k / n
-    half = z * np.sqrt(max(f * (1 - f), 1e-12) / n)
+    half = BINOMIAL_Z * np.sqrt(max(f * (1 - f), 1e-12) / n)
     return f - half, f + half
 
 

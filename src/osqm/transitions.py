@@ -88,6 +88,7 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 PHASE_EXACT_REASON = (
     "backend 'phase' cannot run projection_mode 'exact': a sharply projected "
     "state leaves the grid's momentum range, so the Wigner grid cannot hold it")
+SNAPSHOT_REASON = "only a single phase run writes snapshots"
 
 
 class QuasirestrictionError(RuntimeError):
@@ -188,8 +189,10 @@ def _born_weights(probs: np.ndarray) -> np.ndarray:
 def transition_probabilities(w: WignerState, partition: Partition) -> np.ndarray:
     """Born weights from the symbol-side integrals p_j = int Pi_j W dz.
 
-    Sums to 1 exactly (partition of unity); tiny negative quadrature noise
-    is clipped to zero and logged.
+    Pi_j is the Weyl image of region j's operator, and the grid Weyl map
+    pairs traces exactly, so p_j is tr(Pi_j rho_W) to round-off, with rho_W
+    W's own operator. Sums to 1 exactly (partition of unity); tiny negative
+    quadrature noise is clipped to zero and logged.
     """
     return _born_weights(np.array([mean_value(r.symbol(), w)
                                    for r in partition.regions]))
@@ -421,7 +424,8 @@ class TrajectoryRecord:
 class _Propagator:
     """What run() needs of a backend, on the backend's state type: advance
     by an interval, Born weights, the l2 vector an event projects (with its
-    rank-1 distance) and the state of a projected vector, and a snapshot."""
+    rank-1 distance) and the state of a projected vector. The phase
+    backend also takes snapshots."""
 
     def __init__(self, engine: "TrajectoryEngine"):
         self.psi0 = engine.psi0
@@ -462,9 +466,6 @@ class _OraclePropagator(_Propagator):
 
     def from_vector(self, v: np.ndarray) -> np.ndarray:
         return v
-
-    def snapshot(self, v: np.ndarray) -> np.ndarray:
-        return v.copy()
 
 
 class _PhasePropagator(_Propagator):
@@ -533,11 +534,13 @@ class TrajectoryEngine:
     eigendecomposition; each advance and projection checks the unit norm.
     backend "phase" makes one evolve_lvn call per interval with step dt,
     whose stability it checks once, when built; an event projects the top
-    eigenvector of the quantised W (to_vector) and re-enters with wigner_from_wavefunction. It rejects projection_mode
-    "exact" (PHASE_EXACT_REASON). On the phase backend a snapshot stop
-    splits the evolve_lvn call, and each call returns the real part of its
-    carried state, so taking snapshots can move a phase trajectory's low
-    bits (up to 1.1e-8 relative on the 64-point oscillator at extent 8).
+    eigenvector of the quantised W (to_vector) and re-enters with
+    wigner_from_wavefunction. It rejects projection_mode "exact"
+    (PHASE_EXACT_REASON). Only the phase backend takes snapshots
+    (SNAPSHOT_REASON). A snapshot stop splits the evolve_lvn call, and each
+    call returns the real part of its carried state, so taking snapshots
+    can move a phase trajectory's low bits (up to 1.1e-8 relative on the
+    64-point oscillator at extent 8).
 
     psi0 becomes its l2 vector v0 once, here. An event's update operator is
     the chosen region's Pi^(1/2) (projection_mode "sqrt") or its exact
@@ -584,6 +587,9 @@ class TrajectoryEngine:
             raise ValueError(f"unknown projection mode {projection_mode!r}")
         if backend == "phase" and projection_mode == "exact":
             raise ValueError(PHASE_EXACT_REASON)
+        if backend == "oracle" and snapshot_every > 0:
+            raise ValueError(f"snapshot_every > 0 needs backend 'phase', since "
+                             f"{SNAPSHOT_REASON}")
         self.psi0 = psi0
         self.h = h
         self.partition = partition

@@ -15,7 +15,8 @@ DELETED = {
     "osqm": ["povm_apply", "VonNeumannCoupling", "measurement_premeasurement",
              "SymplecticForm", "symplectic_product", "poisson_bracket", "hamilton_flow",
              "PhasePoint", "moyal_bracket", "moyal_product_truncated", "DensityOperator",
-             "overlap", "coherent_wigner", "density_from_wigner", "wigner_from_density"],
+             "overlap", "coherent_wigner", "density_from_wigner", "wigner_from_density",
+             "quasiprojector_symbol"],
     "osqm.oracle": ["povm_apply", "VonNeumannCoupling", "measurement_premeasurement",
                     "state_vector", "DensityOperator.mix", "OperatorMatrix.expectation",
                     "DensityOperator", "position_operator", "momentum_operator",
@@ -25,12 +26,15 @@ DELETED = {
                        "symplectic_product", "poisson_bracket", "_check_same_grid",
                        "poly_mul", "poly_add", "hamilton_flow", "_inside", "FlowResult",
                        "_power"],
-    "osqm.grid": ["PhasePoint"],
-    "osqm.regions": ["Partition.__len__", "Partition.__getitem__", "DefectReport"],
+    "osqm.grid": ["PhasePoint", "GridAxis", "_axis", "PhaseGrid.axis"],
+    "osqm.regions": ["Partition.__len__", "Partition.__getitem__", "DefectReport",
+                     "quasiprojector_symbol", "smoothing_kernel", "_fft_convolve",
+                     "Region.chi"],
     "osqm.scenarios": ["MeasurementScenario.coupling_w"],
     "osqm.transitions": ["_density_quasirestricted", "_OraclePropagator._propagator",
                          "worker_count", "_ENGINE", "_pool_run", "_run_one",
-                         "_Event", "_Branch", "TrajectoryEngine._insert"],
+                         "_Event", "_Branch", "TrajectoryEngine._insert",
+                         "_OraclePropagator.snapshot"],
     "osqm.spectral": ["cdft", "cidft", "spectral_derivative", "p_to_x"],
     "osqm.dynamics": ["_FactorOp", "_TermOp", "_TermExponential", "_cdftn", "_cidftn",
                       "_sign_tables", "_Splitting", "_evolve_rk4",
@@ -123,6 +127,11 @@ DELETED_PARAMETERS = [
     ("osqm.dynamics", "LvnPlan.rhs", "t"),
     ("osqm.transitions", "_OraclePropagator.advance", "t0"),
     ("osqm.transitions", "_PhasePropagator.advance", "t0"),
+    ("osqm.oracle", "WaveFunction.from_vector", "normalized"),
+    ("osqm.acceptance", "run_regression_suite", "tolerances"),
+    ("osqm.scenarios", "binomial_interval", "z"),
+    ("osqm.grid", "PhaseGrid.create", "dof"),
+    ("osqm.classical", "ClassicalObservable", "values"),
 ]
 
 
@@ -143,7 +152,7 @@ def test_deleted_flow_members_are_gone():
 # defaulted dataclass fields that __init__ takes. A lambda's defaults bind
 # loop or closure values and are not counted. A new option lands only by
 # raising this number in the same change, with the reason in CHANGES.md.
-SETTABLE_VALUES = 64
+SETTABLE_VALUES = 58
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -55,7 +55,7 @@ def test_star_grid_mismatch(grid64):
 
 
 def test_star_dof2_unsupported():
-    g = PhaseGrid.create(16, 6.0, dof=2)
+    g = PhaseGrid.product(PhaseGrid.create(16, 6.0), PhaseGrid.create(16, 6.0))
     a = WeylSymbol(g, np.ones(g.phase_shape))
     with pytest.raises(NotImplementedError):
         moyal_product(a, a)

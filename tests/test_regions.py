@@ -8,6 +8,8 @@ from osqm.regions import (_checked_projector, _coherent_quadrature_1dof,
                           quasiprojector_defect)
 from osqm.scenarios import MeasurementScenario
 
+DOF2 = PhaseGrid.product(PhaseGrid.create(16, 5.0), PhaseGrid.create(16, 5.0))
+
 
 def _cell_sum(grid, mask):
     """(dx dp / 2 pi hbar) sum over masked cells of |z><z|, one state per cell."""
@@ -62,7 +64,7 @@ def test_full_grid_quadrature_is_the_identity(grid64):
 
 
 def test_dof2_box_operator_is_the_kron_of_its_factor_blocks():
-    grid = PhaseGrid.create(16, 5.0, dof=2)
+    grid = DOF2
     part = build_partition(grid, [[0.0], [0.0]])
     assert len(part.regions) == 4
     for region in part.regions:
@@ -143,7 +145,7 @@ def test_partition_rejects_a_boundary_outside_the_grid(grid64):
 
 
 def test_dof2_partition_reads_an_empty_list_as_no_cuts():
-    grid = PhaseGrid.create(16, 5.0, dof=2)
+    grid = DOF2
     want = build_partition(grid, [[], [0.0]], [[], []]).labels()
     assert build_partition(grid, [[], [0.0]]).labels() == want
     assert build_partition(grid, [[], [0.0]], []).labels() == want
@@ -152,7 +154,7 @@ def test_dof2_partition_reads_an_empty_list_as_no_cuts():
 
 @pytest.mark.parametrize("x_cuts", [[0.0], [[0.0]], [[], [], [0.0]], [[], 0.0]])
 def test_dof2_partition_rejects_cuts_not_one_list_per_dof(x_cuts):
-    grid = PhaseGrid.create(16, 5.0, dof=2)
+    grid = DOF2
     with pytest.raises(ValueError, match=r"one list of cuts per dof, such as \[\[\], \[0.0\]\]"):
         build_partition(grid, x_cuts)
 

@@ -11,7 +11,7 @@ from osqm.scenarios import (HAMILTONIAN_PRESETS, STATE_PRESETS, BandOutcomes,
 from osqm.transitions import sample_transition, trajectory_rng
 
 DOF1 = PhaseGrid.create(64, 9.0)
-DOF2 = PhaseGrid.create(32, 8.0, dof=2)
+DOF2 = PhaseGrid.product(PhaseGrid.create(32, 8.0), PhaseGrid.create(32, 8.0))
 SUITED = {"von-neumann-coupling": DOF2}
 
 
