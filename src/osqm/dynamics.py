@@ -36,16 +36,29 @@ conv frequency k on the odd mask columns.
 The exact path makes 8 FFT passes over the state. On the 32^4 coupling
 these are an fftn over the two mask axes, an fft and an ifft on the odd half
 of each of the two conv axes, the same shifts back and the ifftn (2 + 2 + 2
-+ 2 passes), and it holds two state-sized tables.
++ 2 passes). It runs in one block of three state-sized complex arrays,
+allocated with the plan and starting on a 64-byte cache line: the
+generator, the exp table and a work array, 3 x 16.8 MB on 32^4. The work
+array is one state-sized array more than the arithmetic needs, held for
+placement. Each call copies the state into the work array, transforms it
+there and returns a new real array. With a fresh complex array per call,
+where that array landed set the call's time: after the
+composite-measurement benchmark's set-up the in-place product with the
+exp table took 1.5-1.7 ms, and 6.6-7.7 ms (the call 28 -> 34.5 ms) once
+faster Weyl maps in that set-up had left other arrays on the heap; and the
+FFT passes take about a fifth longer on a state that does not start on a
+cache line (_cache_aligned). In the block the product takes 0.4 ms and the
+call 23-24 ms after either set-up (1 thread, AMD EPYC).
 
 The tables belong to the Hamiltonian. Hamiltonian.lvn_plan builds its
 LvnPlan on the first evolve_lvn call, never before, and every later call
 reads it: on the split path each term's padded generator, the move tables,
 and the exp(s G) tables of the latest call's step sizes; on the exact path
-the term's generator and one exp table. A call with other step sizes
-replaces those exp tables, so the bytes held do not grow with the number of
-calls or of distinct dt and t_final values. On dof 2 most tables are the
-size of the state: the one-term 32^4 coupling holds two 16.8 MB tables.
+the term's generator, one exp table and the work array. A call with other
+step sizes replaces those exp tables, so the bytes held do not grow with the
+number of calls or of distinct dt and t_final values. On dof 2 most tables
+are the size of the state: the one-term 32^4 coupling holds three 16.8 MB
+arrays.
 
 The split path keeps its state in a row-padded buffer: the last axis has
 _PAD spare entries, which stay zero, so no axis runs at a power-of-two
@@ -181,6 +194,20 @@ def _embed(table: np.ndarray, conv_axis: int, mask_axis: int, ndim: int) -> np.n
     if conv_axis > mask_axis:
         table = table.T
     return np.ascontiguousarray(table).reshape(shape)
+
+
+def _cache_aligned(shape: tuple) -> np.ndarray:
+    """An uninitialised complex array whose data starts on a 64-byte cache line.
+
+    np.empty is only 16-byte aligned: a large array starts 16 bytes into its
+    mapping. The exact path's FFT passes on the 32^4 coupling took about 21
+    ms with the state on a cache-line boundary and 26-29 ms 16, 32 or 48
+    bytes past one (1 thread, AMD EPYC).
+    """
+    nbytes = int(np.prod(shape)) * 16
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(complex).reshape(shape)
 
 
 @lru_cache(maxsize=16)
@@ -366,10 +393,12 @@ class LvnPlan:
     later call on that Hamiltonian reads it. Every path applies a term in
     its mixed representation (_TermBasis), and rhs sums the terms' brackets
     taken there. A Hamiltonian of one term takes the exact path (exact): its
-    tables keep the state's contiguous layout, and it holds the generator
-    plus the one exp(total G) table of the latest call, two tables the size
-    of the state on the 32^4 coupling (16.8 MB each). Every other
-    Hamiltonian takes split steps.
+    arrays keep the state's contiguous layout, and block holds all three,
+    the generator, the one exp(total G) table of the latest call and the
+    work array each call runs in, 3 x 16.8 MB on the 32^4 coupling. They
+    are one cache-aligned allocation, so the call's time does not depend on
+    where the process's earlier arrays left them (see the module
+    docstring). Every other Hamiltonian takes split steps.
 
     A split state is (coef, pending): the state in term 0's mixed
     representation, with every axis but term 0's conv axes in np.fft
@@ -404,6 +433,13 @@ class LvnPlan:
         self.bases = [_TermBasis(grid, term, split) for term in h.terms]
         self.sweep = _yoshida_sweep(len(self.bases))
         self._tables = {}
+        # the exact path's generator, exp table and work array: one block
+        self.block = self._exp_out = self._work = None
+        if not split:
+            basis, = self.bases
+            self.block = _cache_aligned((3,) + basis.shape)
+            self.block[0] = basis.generator
+            basis.generator, self._exp_out, self._work = self.block
         self._used = set()
         self._moves = {}
         for (a, _), (b, _) in zip(self.sweep, self.sweep[1:]):
@@ -423,13 +459,23 @@ class LvnPlan:
         if table is None:
             # dropped before the new table is allocated
             self._tables = {k: t for k, t in self._tables.items() if k in self._used}
-            table = self._tables[key] = np.exp(s * self.bases[j].generator)
+            table = np.multiply(s, self.bases[j].generator, out=self._exp_out)
+            self._tables[key] = np.exp(table, out=table)
         return table
 
     def exact(self, arr: np.ndarray, total: float) -> np.ndarray:
-        """Wigner array arr after time total under a one-term H; starts a call."""
+        """Wigner array arr after time total under a one-term H; starts a call.
+
+        Runs in the block's work array and returns a new C-contiguous array,
+        so the next call leaves it as it is.
+        """
         self._used.clear()
-        return self.bases[0].mixed(arr, self._exp(0, total))
+        basis, work = self.bases[0], self._work
+        np.copyto(work, arr)
+        basis.to_mixed(work, basis.masks)
+        # in place, table first, as in _TermBasis.mixed
+        np.multiply(self._exp(0, total), work, out=work)
+        return basis.from_mixed(work, basis.masks).real.copy()
 
     def enter(self, arr: np.ndarray):
         """The split state of the Wigner array arr; starts a call."""

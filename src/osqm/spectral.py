@@ -104,7 +104,9 @@ def upsample2(f: np.ndarray, axis: int = -1) -> np.ndarray:
     G[at(n // 2)] = 0.5 * F[at(n // 2)]
     G[at(2 * n - n // 2)] = 0.5 * F[at(n // 2)]
     G[at(slice(2 * n - n // 2 + 1, 2 * n))] = F[at(slice(n // 2 + 1, n))]
-    return 2.0 * np.fft.ifft(G, axis=axis)
+    out = np.fft.ifft(G, axis=axis, out=G)
+    out *= 2.0
+    return out
 
 
 def x_to_p(psi: np.ndarray, dx: float, hbar: float, axis: int = -1) -> np.ndarray:

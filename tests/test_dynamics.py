@@ -410,20 +410,37 @@ def test_split_path_at_odd_half_n_matches_the_oracle():
     assert np.abs(out.values - want).max() < 1e-8
 
 
-def test_exact_plan_holds_two_state_sized_tables():
-    # the generator in the mixed representation and one exp table: no move
-    # tables
+def test_exact_plan_holds_one_block_of_three_state_sized_arrays():
+    # the generator in the mixed representation, one exp table and the work
+    # array, in one block allocated with the plan: no move tables
     h, w = _exact_case("coupling")
     evolve_lvn(w, h, 0.2, 0.05)
-    evolve_lvn(w, h, 0.2, 0.05)
+    evolve_lvn(w, h, 0.3, 0.05)
     plan = h.lvn_plan
     basis, = plan.bases
-    arrays = {id(a): a for a in (*vars(basis).values(), *plan._tables.values())
-              if isinstance(a, np.ndarray)}
-    state_sized = [a for a in arrays.values() if a.shape == w.values.shape]
-    assert len(state_sized) == 2
-    assert all(a.dtype == complex for a in state_sized)
+    assert plan.block.shape == (3,) + w.values.shape and plan.block.dtype == complex
+    assert plan.block.flags.c_contiguous and plan.block.ctypes.data % 64 == 0
+    table, = plan._tables.values()
+    for k, arr in enumerate((basis.generator, table, plan._work)):
+        assert arr.shape == w.values.shape
+        assert arr.ctypes.data == plan.block[k].ctypes.data
+    held = [a for a in (*vars(basis).values(), *vars(plan).values())
+            if isinstance(a, np.ndarray)]
+    assert all(np.shares_memory(a, plan.block) for a in held)
     assert plan._moves == {}
+
+
+@pytest.mark.parametrize("name", ["free-64", "coupling"])
+def test_exact_result_is_its_own_contiguous_array(name):
+    # the plan's work array is overwritten by the next call: a result owns
+    # its memory
+    h, w = _exact_case(name)
+    first = evolve_lvn(w, h, 0.2, 0.05)
+    kept = first.values.copy()
+    evolve_lvn(w, h, 0.3, 0.05)
+    assert first.values.tobytes() == kept.tobytes()
+    assert first.values.flags.c_contiguous
+    assert not np.shares_memory(first.values, h.lvn_plan.block)
 
 
 def _power_of_two_strides(arr):

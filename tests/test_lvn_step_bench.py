@@ -74,3 +74,32 @@ def test_measure_setups_times_a_fresh_engine_build(monkeypatch):
     ms = tool.measure_setups()
     assert list(ms) == ["slosh-setup"]
     assert np.isfinite(ms["slosh-setup"]) and ms["slosh-setup"] > 0
+
+
+def test_measure_setups_times_the_composite_setup(monkeypatch):
+    tool = _tool()
+    monkeypatch.setattr(tool, "SETUPS", {"composite-setup": 1})
+    ms = tool.measure_setups()
+    assert list(ms) == ["composite-setup"]
+    assert np.isfinite(ms["composite-setup"]) and ms["composite-setup"] > 0
+    # the workload's inputs: the coupling on 32 x 32 and both scenarios
+    h, psi, w, measurements = tool._composite_setup()
+    assert len(h.terms) == 1 and w.values.shape == (32,) * 4
+    assert [m.amplitudes for m in measurements] == [(1 / np.sqrt(2), 1 / np.sqrt(2)),
+                                                    (0.6, 0.8)]
+
+
+def test_measure_maps_times_each_weyl_map(monkeypatch):
+    tool = _tool()
+    monkeypatch.setattr(tool, "MAPS", {name: (1, 1) for name in tool.MAPS})
+    ms = tool.measure_maps()
+    assert list(ms) == ["chord-wigner-32x32", "weyl-op-32x32"]
+    assert all(np.isfinite(v) and v > 0 for v in ms.values())
+
+
+def test_measure_after_setup_times_the_exact_call(monkeypatch):
+    tool = _tool()
+    monkeypatch.setattr(tool, "AFTER_SETUP", {"exact-after-setup": (1, 1, 1)})
+    ms = tool.measure_after_setup()
+    assert list(ms) == ["exact-after-setup"]
+    assert np.isfinite(ms["exact-after-setup"]) and ms["exact-after-setup"] > 0

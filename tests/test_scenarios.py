@@ -93,6 +93,26 @@ def test_run_ensemble_matches_a_draw_per_seed(born_scenarios, base_seed):
         assert out["probabilities"] == dict(zip(sc.band_labels, probs.tolist()))
 
 
+def test_run_ensemble_reads_the_seed_independent_work_of_construction(
+        born_scenarios, monkeypatch):
+    # the coupled state, its Born row and the post-state checks are computed
+    # once, in _prepare; each call's result dicts are its own
+    sc = born_scenarios[1]
+    first = sc.run_ensemble(50, base_seed=3)
+
+    def refuse(*args):
+        raise AssertionError("seed-independent work redone in run_ensemble")
+
+    for name in ("_evolved", "band_probabilities"):
+        monkeypatch.setattr(MeasurementScenario, name, refuse)
+    first["post_residuals"].clear()
+    first["probabilities"].clear()
+    again = sc.run_ensemble(50, base_seed=3)
+    assert again["outcomes"] == first["outcomes"]
+    assert list(again["post_residuals"]) == ["outcome-left", "outcome-right"]
+    assert list(again["probabilities"]) == sc.band_labels
+
+
 def test_run_ensemble_rejects_an_empty_ensemble(born_scenarios):
     with pytest.raises(ValueError, match="num_seeds must be at least 1"):
         born_scenarios[0].run_ensemble(0)

@@ -155,3 +155,98 @@ def test_overlap_examples(grid64):
     wa = wigner_from_wavefunction(k0)
     wb = wigner_from_wavefunction(k1)
     assert abs(mean_value(wb.as_symbol(), wa)) < 1e-8
+
+
+# the Weyl cores as 2-D fancy indexes over the last two axes, the form the
+# flat take replaced; the maps must give the same bits through either
+
+
+def _fancy_upsample2(f, axis):
+    f = np.asarray(f, dtype=complex)
+    n = f.shape[axis]
+    F = np.fft.fft(f, axis=axis)
+    shape = list(f.shape)
+    shape[axis] = 2 * n
+    G = np.zeros(shape, dtype=complex)
+
+    def at(i):
+        s = [slice(None)] * f.ndim
+        s[axis] = i
+        return tuple(s)
+
+    G[at(slice(0, n // 2))] = F[at(slice(0, n // 2))]
+    G[at(n // 2)] = 0.5 * F[at(n // 2)]
+    G[at(2 * n - n // 2)] = 0.5 * F[at(n // 2)]
+    G[at(slice(2 * n - n // 2 + 1, 2 * n))] = F[at(slice(n // 2 + 1, n))]
+    return 2.0 * np.fft.ifft(G, axis=axis)
+
+
+def _fancy_tables(n):
+    a = np.arange(n)
+    ctil = ((a + n // 2) % n) - n // 2
+    craw = (a[:, None] - a[None, :]) % n
+    s_disp = (2 * a[None, :] + ctil[craw]) % (2 * n)
+    jw = (2 * a[:, None] - ctil[None, :]) % (2 * n)
+    return craw, s_disp, jw
+
+
+def _fancy_op_core(arr):
+    n = arr.shape[-1]
+    craw, s_disp, _ = _fancy_tables(n)
+    g = np.fft.ifft(_fancy_upsample2(arr, axis=-2), axis=-1) * (-1.0) ** np.arange(n)
+    return g[..., s_disp, craw]
+
+
+def _fancy_chord_core(e):
+    n = e.shape[-1]
+    ef = _fancy_upsample2(e, axis=-1)
+    crow = np.broadcast_to(np.arange(n)[None, :], (n, n))
+    b = ef[..., crow, _fancy_tables(n)[2]] * (-1.0) ** np.arange(n)
+    return np.fft.fft(b, axis=-1)
+
+
+def _weyl_case(shape):
+    """(grid, state): a coherent state on dof 1, pointer (x) cat on dof 2."""
+    from osqm.grid import PhaseGrid
+    from osqm.oracle import tensor_state
+    from osqm.scenarios import initial_state_preset
+    if len(shape) == 1:
+        grid = PhaseGrid.create(shape[0], 9.0)
+        return grid, coherent_state(grid, 1.0, 0.3)
+    g1, g2 = PhaseGrid.create(shape[0], 8.0), PhaseGrid.create(shape[1], 8.0)
+    cat = initial_state_preset(g2, "cat", {"centers": [[-2.0, 0.0], [2.0, 0.0]]})
+    return PhaseGrid.product(g1, g2), tensor_state(coherent_state(g1, 0.0, 0.0), cat)
+
+
+def _three_maps(grid, psi, sym):
+    w = wigner_from_wavefunction(psi)
+    op = weyl_operator_from_symbol(sym)
+    herm = weyl_operator_from_symbol(w.as_symbol())
+    return (w.values, op.matrix, weyl_symbol_from_operator(op).values, herm.matrix,
+            weyl_symbol_from_operator(herm).values)
+
+
+@pytest.mark.parametrize("shape", [(30,), (64,), (32, 32), (24, 32)],
+                         ids=["30", "64", "32x32", "24x32"])
+def test_flat_take_cores_give_the_fancy_index_bits(shape, monkeypatch):
+    from osqm import weyl, wigner
+    grid, psi = _weyl_case(shape)
+    rng = np.random.default_rng(sum(shape))
+    sym = WeylSymbol(grid, rng.standard_normal(grid.phase_shape)
+                     + 1j * rng.standard_normal(grid.phase_shape))
+    got = _three_maps(grid, psi, sym)
+    monkeypatch.setattr(weyl, "_op_core_1dof", _fancy_op_core)
+    monkeypatch.setattr(weyl, "_chord_to_symbol_axes", _fancy_chord_core)
+    monkeypatch.setattr(wigner, "_chord_to_symbol_axes", _fancy_chord_core)
+    want = _three_maps(grid, psi, sym)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_cached_index_tables_are_read_only():
+    # they are shared by every later map on the same grid size
+    from osqm import weyl
+    bra, ket = weyl._chord_index((16, 12))
+    for table in [*weyl._flat_tables(16), *bra, *ket]:
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1

@@ -1,5 +1,5 @@
 """Timings of two checkouts: LvN steps and calls, Born draws, ensembles,
-Hermitian eigendecompositions, oracle set-up and `osqm regress`.
+Hermitian eigendecompositions, Weyl maps, set-ups and `osqm regress`.
 
     python tools/lvn_step_bench.py --parent OLD --change NEW --runs 5 --out BENCH.json
 
@@ -52,8 +52,27 @@ the mean ms per call of a batch, after one untimed call.
 The slosh-setup case builds the slosh-oracle workload's engine afresh (grid,
 oscillator Hamiltonian, half-line partition, coherent state, exact-mode
 TrajectoryEngine) and decomposes both region operators, as that workload's
-set-up does. A run's figure is the median ms over builds after one untimed
-build.
+set-up does. The composite-setup case builds the composite-measurement
+workload's set-up afresh: the von-neumann-coupling Hamiltonian on 32 x 32
+(extent 8), the pointer coherent state (x) the cat at -2 and 2, its Wigner
+function, and the two MeasurementScenarios on acceptance criterion 8's
+grids with amplitudes (1/sqrt 2, 1/sqrt 2) and (0.6, 0.8). A run's figure
+for a set-up case is the median ms over builds after one untimed build.
+
+A map case is one Hilbert <-> phase-space map on that workload's 32 x 32
+inputs: chord-wigner-32x32 is wigner_from_wavefunction of its pointer (x)
+cat state, weyl-op-32x32 is weyl_operator_from_symbol of its coupling
+Hamiltonian's symbol. A run's figure is the median over batches of the mean
+ms per call of a batch, after one untimed call.
+
+The exact-after-setup case is exact-32x32 timed as the composite-measurement
+workload times it: first in its process, after three composite set-ups and
+the workload's dense reference step (the state propagated by the oracle H
+and transformed to a Wigner function), on the last set-up's Hamiltonian and
+state. The arrays those leave behind decide where the evolution's buffers
+land, so this case shows a cost that depends on memory placement, which
+exact-32x32, timed in a process that has run only LvN steps, may not. A
+run's figure is as for exact-32x32.
 """
 
 from __future__ import annotations
@@ -86,7 +105,11 @@ ENSEMBLES = {"slosh-2000": (2000, 5), "slosh-runs-2000": (2000, 5)}
 EIGHS = {"eigh-oscillator-256": (5, 9), "eigh-half-line-256": (5, 9),
          "eigh-pure-state-256": (5, 9), "eigh-band-128": (20, 9)}
 # case: timed builds
-SETUPS = {"slosh-setup": 7}
+SETUPS = {"slosh-setup": 7, "composite-setup": 5}
+# case: (map calls per batch, batches)
+MAPS = {"chord-wigner-32x32": (3, 7), "weyl-op-32x32": (3, 7)}
+# case: (composite set-ups before it, evolve_lvn calls per batch, batches)
+AFTER_SETUP = {"exact-after-setup": (3, 5, 9)}
 
 
 def _case(name: str):
@@ -269,17 +292,87 @@ def measure_eighs() -> dict:
     return out
 
 
+def _composite_setup():
+    """(h, psi, w, measurements) of a freshly built composite-measurement set-up."""
+    import numpy as np
+    from osqm import oracle, scenarios, wigner
+    from osqm.grid import PhaseGrid
+
+    g1 = PhaseGrid.create(32, 8.0)
+    h = scenarios.hamiltonian_preset(PhaseGrid.product(g1, g1), "von-neumann-coupling",
+                                     {"v": 1.0, "w": 1.0})
+    cat = scenarios.initial_state_preset(g1, "cat", {"centers": [[-2.0, 0.0], [2.0, 0.0]]})
+    psi = oracle.tensor_state(wigner.coherent_state(g1, 0.0, 0.0), cat)
+    w = wigner.wigner_from_wavefunction(psi)
+    pointer, observed = PhaseGrid.create(128, 18.0), PhaseGrid.create(32, 9.0)
+    measurements = [scenarios.MeasurementScenario(pointer, observed, amplitudes=a)
+                    for a in ((1 / np.sqrt(2), 1 / np.sqrt(2)), (0.6, 0.8))]
+    return h, psi, w, measurements
+
+
 def measure_setups() -> dict:
-    """ms per slosh-oracle engine build with its region eighs, for the osqm on sys.path."""
+    """ms per slosh-oracle engine build with its region eighs and per
+    composite-measurement set-up, for the osqm on sys.path."""
+    build = {"slosh-setup": _slosh_engine, "composite-setup": _composite_setup}
     out = {}
     for name, builds in SETUPS.items():
-        _slosh_engine()  # untimed: warms the FFT plans and the imports
+        build[name]()  # untimed: warms the FFT plans and the imports
         times = []
         for _ in range(builds):
             start = time.perf_counter()
-            _slosh_engine()
+            build[name]()
             times.append((time.perf_counter() - start) * 1e3)
         out[name] = statistics.median(times)
+    return out
+
+
+def measure_maps() -> dict:
+    """ms per Weyl map call on the composite's 32 x 32 inputs, for the osqm on sys.path."""
+    from osqm.weyl import weyl_operator_from_symbol
+    from osqm.wigner import wigner_from_wavefunction
+
+    h, psi, _, _ = _composite_setup()
+    symbol = h.symbol()
+    maps = {"chord-wigner-32x32": lambda: wigner_from_wavefunction(psi),
+            "weyl-op-32x32": lambda: weyl_operator_from_symbol(symbol)}
+    out = {}
+    for name, (calls, batches) in MAPS.items():
+        maps[name]()  # untimed
+        per_call = []
+        for _ in range(batches):
+            start = time.perf_counter()
+            for _ in range(calls):
+                maps[name]()
+            per_call.append((time.perf_counter() - start) / calls * 1e3)
+        out[name] = statistics.median(per_call)
+    return out
+
+
+def measure_after_setup() -> dict:
+    """ms per exact evolve_lvn call after the composite set-ups and its
+    reference step, for the osqm on sys.path; run it first in its process."""
+    from osqm import oracle, wigner
+    from osqm.dynamics import evolve_lvn
+    from osqm.weyl import weyl_operator_from_symbol
+
+    out = {}
+    for name, (setups, calls, batches) in AFTER_SETUP.items():
+        for _ in range(setups):
+            h, psi, w, measurements = _composite_setup()
+        # the set-up's and the reference's arrays stay alive while timed, as
+        # they do in the workload
+        hmat = weyl_operator_from_symbol(h.symbol())
+        reference = wigner.wigner_from_wavefunction(
+            oracle.schrodinger_propagate(psi, hmat, 0.2), check_containment=False)
+        evolve_lvn(w, h, 0.2, 0.05, verify_dt=False)  # untimed: builds the plan
+        per_call = []
+        for _ in range(batches):
+            start = time.perf_counter()
+            for _ in range(calls):
+                evolve_lvn(w, h, 0.2, 0.05, verify_dt=False)
+            per_call.append((time.perf_counter() - start) / calls * 1e3)
+        out[name] = statistics.median(per_call)
+        del measurements, hmat, reference
     return out
 
 
@@ -333,17 +426,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--measure", action="store_true",
                         help="print this checkout's ms per step and per call, "
-                             "us per draw, ensemble seeds/s, ms per eigh and "
-                             "per set-up as JSON")
+                             "us per draw, ensemble seeds/s, ms per eigh, per "
+                             "set-up and per map as JSON")
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps({**measure_steps(), **measure_calls(), **measure_draws(),
-                          **measure_ensembles(), **measure_eighs(),
-                          **measure_setups()}))
+        # first: its figure depends on what ran before it in the process
+        after_setup = measure_after_setup()
+        print(json.dumps({**measure_steps(), **measure_calls(), **after_setup,
+                          **measure_draws(), **measure_ensembles(),
+                          **measure_eighs(), **measure_setups(),
+                          **measure_maps()}))
         return 0
     if not (args.parent and args.change and args.out) or args.runs < 1:
         parser.error("--parent, --change, --out and --runs >= 1 are required")
@@ -369,18 +465,21 @@ def main(argv=None) -> int:
                  "draw of MeasurementScenario.run_ensemble; seeds/s of "
                  "transitions.run_ensemble and of engine.run; ms per fresh "
                  "OperatorMatrix.eigh; ms per slosh-oracle engine build with "
-                 "its region eighs; osqm regress seconds per criterion"),
+                 "its region eighs and per composite-measurement set-up; ms "
+                 "per Weyl map on the composite's 32 x 32 inputs; osqm regress "
+                 "seconds per criterion"),
         "host": _host(),
         "threads": THREADS,
         "runs": args.runs,
         "order": "alternating; run k measures the parent first when k is even",
         "commits": {side: _commit(tree) for side, tree in trees.items()},
         "lvn_step_ms": cases(BATCHES),
-        "evolve_lvn_ms": cases(CALLS),
+        "evolve_lvn_ms": cases({**CALLS, **AFTER_SETUP}),
         "born_draw_us": cases(DRAWS),
         "ensemble_seeds_per_s": cases(ENSEMBLES),
         "eigh_ms": cases(EIGHS),
         "setup_ms": cases(SETUPS),
+        "weyl_map_ms": cases(MAPS),
         "regress_seconds": {
             "timer": "each checkout's own acceptance.run_regression_suite",
             "median": {side: _medians(regress[side]) for side in trees},
