@@ -112,6 +112,7 @@ class OperatorMatrix:
     hermitian: bool = False
     psd: bool = False
     _eig: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _diag: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -128,6 +129,21 @@ class OperatorMatrix:
             if self.eigh()[0][0] < -PSD_TOL:
                 raise ValueError(
                     f"operator flagged PSD has eigenvalue {self.eigh()[0][0]:.2e}")
+
+    @classmethod
+    def diagonal(cls, grid: PhaseGrid, d: np.ndarray) -> "OperatorMatrix":
+        """The PSD operator diag(d) of a nonnegative real vector d, with its
+        exact eigendecomposition cached: d in ascending order, and unit-vector
+        eigenvectors in the complex Fortran-ordered layout scipy.linalg.eigh
+        returns. Neither the PSD check nor eigh() makes a LAPACK call, and
+        operator_sqrt roots d elementwise."""
+        d = np.asarray(d, dtype=float)
+        order = np.argsort(d, kind="stable")
+        q = np.zeros((len(d), len(d)), dtype=complex, order="F")
+        q[order, np.arange(len(d))] = 1.0
+        op = cls(grid, np.diag(d), hermitian=True, psd=True, _eig=(d[order], q))
+        op._diag = d
+        return op
 
     def eigh(self):
         """Cached eigendecomposition (Hermitian operators only).
@@ -182,6 +198,11 @@ def operator_sqrt(p: OperatorMatrix) -> OperatorMatrix:
     eigenvalues it stands for. Eigenvalues below -1e-6 are rejected. The
     root keeps p's eigenvectors with the rooted eigenvalues as its
     eigendecomposition, so its PSD flag is checked without a second eigh.
+
+    A diagonal p (OperatorMatrix.diagonal, such as the quasiprojector of a
+    region cut only in x) has unit-vector eigenvectors, so its root is
+    diag(sqrt(d)) under the same floor: built elementwise, it is bit for bit
+    the product (q sqrt(w)) q^H, and it is diagonal in turn.
     """
     if not p.hermitian:
         raise ValueError("operator_sqrt needs a Hermitian operator")
@@ -189,8 +210,9 @@ def operator_sqrt(p: OperatorMatrix) -> OperatorMatrix:
     if w[0] < -1e-6:
         raise ValueError(f"operator significantly non-PSD (min eig {w[0]:.2e})")
     floor = len(w) * np.finfo(float).eps * np.abs(w).max()
-    clipped = np.where(w > floor, w, 0.0)
-    root_w = np.sqrt(clipped)
+    if p._diag is not None:
+        return OperatorMatrix.diagonal(p.grid, np.sqrt(np.where(p._diag > floor, p._diag, 0.0)))
+    root_w = np.sqrt(np.where(w > floor, w, 0.0))
     root = (q * root_w) @ q.conj().T
     root = 0.5 * (root + root.conj().T)
     return OperatorMatrix(p.grid, root, hermitian=True, psd=True, _eig=(root_w, q))

@@ -9,11 +9,20 @@ state's Gaussian. The quadrature uses lattice-periodized coherent states,
 so the full-grid sum is the identity to machine precision. The region's
 phase-space symbol is the Weyl image of that operator, so the symbol-side
 Born weight int Pi_R W dz equals tr(Pi_R rho_W) to round-off.
+
+A box that spans the whole momentum axis on every dof (a region cut only in
+x, such as a half-line or a pointer band) has a diagonal quasiprojector:
+summed over every p column the plane waves' Gram matrix is N I, so
+Pi_R = diag(d) with d_j the coherent states' weight at x_j summed over the
+box's x cells. Such a region's operator is built from d in O(N^2), with its
+eigendecomposition exact and its root elementwise, and the classicality
+projectors of a partition of such regions are 0/1 indicators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -229,6 +238,14 @@ def _coherent_quadrature_1dof(grid: PhaseGrid, mask2d: np.ndarray) -> np.ndarray
     return out * (grid.dx[0] * grid.dp[0] / (2 * np.pi * grid.hbar) / norm_sq)
 
 
+def _x_cut_diagonal(grid: PhaseGrid, d: int, cells: tuple) -> np.ndarray:
+    """sum over x0 in cells of g(x_j - x0)^2 / ||g||^2: the quadrature's
+    diagonal on dof d of a box that spans every momentum column there."""
+    genv = _periodized_gaussian(grid, d)
+    j0, j1 = cells
+    return (genv[:, j0:j1] ** 2).sum(axis=1) / (genv[:, 0] ** 2).sum()
+
+
 def quasiprojector_operator(region: Region) -> OperatorMatrix:
     """Coherent-state quadrature over the region's cells.
 
@@ -236,8 +253,21 @@ def quasiprojector_operator(region: Region) -> OperatorMatrix:
     full-grid quadrature is exactly the identity (lattice covariance of the
     periodized states). This is Pi_R's one definition: Region.symbol() is
     its Weyl image. Composite (dof 2) regions must factor per dof.
+
+    A box whose p-bounds span the whole p axis on every dof is diagonal:
+    the cell at (x0, p) adds g(x_j - x0) g(x_k - x0) e^{i (x_j - x_k) p / hbar},
+    and summed over every p the phases give N delta_jk, which the prefactor
+    dx dp / 2 pi hbar = 1 / N cancels. Its operator is diag(d), with d the
+    outer product of the per-dof diagonals and its eigendecomposition exact
+    (OperatorMatrix.diagonal). Boxes with a p cut and general masks take the
+    quadrature.
     """
     grid = region.grid
+    if region.p_bounds is not None and all(
+            bounds == (0, grid.n(d)) for d, bounds in enumerate(region.p_bounds)):
+        d = reduce(np.multiply.outer, [_x_cut_diagonal(grid, k, cells)
+                                       for k, cells in enumerate(region.x_bounds)])
+        return OperatorMatrix.diagonal(grid, d.ravel())
     if grid.dof == 1:
         m = _coherent_quadrature_1dof(grid, region.mask)
         m = 0.5 * (m + m.conj().T)
@@ -289,43 +319,62 @@ def classicality_projectors(partition: Partition) -> list:
     the quasiprojectors is bounded by the partition defect (checked by the
     acceptance suite). Eigenvalues within AMBIGUITY_MARGIN of the 1/2 split
     raise, since the assignment would be numerically arbitrary.
+
+    When every quasiprojector is diagonal (a partition cut only in x), so is
+    each deflated one: diag(k d), with k the 0/1 indicator of the positions
+    not yet assigned. Its eigenvalues are k d, and the projector is the 0/1
+    indicator of k d > 1/2, which the deflation takes with no eigh or GEMM.
     """
     grid = partition.grid
-    ops = [r.operator().matrix for r in partition.regions]
-    dim = grid.hilbert_dim
-    order = np.argsort([m.trace().real for m in ops])
-    eye = np.eye(dim)
-    deflate = eye.astype(complex)
+    regions = partition.regions
+    ops = [r.operator() for r in regions]
+    order = np.argsort([op.matrix.trace().real for op in ops])
+    last = int(order[-1])
     out: list = [None] * len(ops)
+    if all(op._diag is not None for op in ops):
+        rest = np.ones(grid.hilbert_dim)
+        for idx in order[:-1]:
+            w = rest * ops[idx]._diag
+            _check_split(w, regions[idx])
+            out[idx] = (w > 0.5).astype(float)
+            rest = rest - out[idx]
+        out[last] = rest
+        return [_checked_projector(grid, p) for p in out]
+    eye = np.eye(grid.hilbert_dim)
+    deflate = eye.astype(complex)
     for k, idx in enumerate(order[:-1]):
         if k == 0:
             # deflate is still the identity, and I Pi I symmetrised is Pi
             # bit for bit: take the decomposition the operator has cached
-            w, q = partition.regions[idx].operator().eigh()
+            w, q = ops[idx].eigh()
         else:
-            m = deflate @ ops[idx] @ deflate
+            m = deflate @ ops[idx].matrix @ deflate
             m = 0.5 * (m + m.conj().T)
             w, q = scipy.linalg.eigh(m, driver="evd")
-        gap = np.abs(w - 0.5).min()
-        if gap < AMBIGUITY_MARGIN:
-            raise ValueError(
-                f"ambiguous eigenvalue clustering for region "
-                f"{partition.regions[idx].label}: eigenvalue {w[np.abs(w - 0.5).argmin()]!r} "
-                f"sits at the 1/2 split; spectrum around the split: "
-                f"{w[np.abs(w - 0.5) < 0.05].tolist()}")
+        _check_split(w, regions[idx])
         sel = q[:, w > 0.5]
         proj = sel @ sel.conj().T
         proj = 0.5 * (proj + proj.conj().T)
         out[idx] = proj
         deflate = deflate - proj
-    last = int(order[-1])
     rem = eye - sum(p for p in out if p is not None)
     out[last] = 0.5 * (rem + rem.conj().T)
     return [_checked_projector(grid, p) for p in out]
 
 
+def _check_split(w: np.ndarray, region: Region) -> None:
+    """Raise when a deflated eigenvalue lies within AMBIGUITY_MARGIN of 1/2."""
+    dist = np.abs(w - 0.5)
+    if dist.min() < AMBIGUITY_MARGIN:
+        raise ValueError(
+            f"ambiguous eigenvalue clustering for region {region.label}: "
+            f"eigenvalue {w[dist.argmin()]!r} sits at the 1/2 split; spectrum "
+            f"around the split: {np.sort(w[dist < 0.05]).tolist()}")
+
+
 def _checked_projector(grid: PhaseGrid, p: np.ndarray) -> OperatorMatrix:
-    """Wrap a Hermitian matrix as a projector after checking P^2 = P.
+    """Wrap a Hermitian matrix, or the diagonal of a diagonal one, as a
+    projector after checking P^2 = P.
 
     A Hermitian P with ||P^2 - P||_max <= delta has ||P^2 - P||_2 <= D delta
     (D the dimension), so each eigenvalue l obeys |l^2 - l| <= D delta and
@@ -333,13 +382,18 @@ def _checked_projector(grid: PhaseGrid, p: np.ndarray) -> OperatorMatrix:
     gives every guarantee the PSD flag's eigh check gave (no eigenvalue below
     -PSD_TOL), for one GEMM instead of an eigh. The deflated projectors of
     a two-region partition reach 8.0e-15 at D = 256, where delta = 3.9e-11.
+    For a diagonal P, P^2 - P is diagonal with entries p^2 - p, so the
+    elementwise max is the value the dense product gives.
     """
     dim = grid.hilbert_dim
-    dev = float(np.abs(p @ p - p).max())
+    diagonal = p.ndim == 1
+    dev = float(np.abs((p * p if diagonal else p @ p) - p).max())
     if dev > PSD_TOL / dim:
         raise ValueError(
             f"classicality projector is not idempotent: ||P^2 - P||_max = "
             f"{dev:.2e} exceeds {PSD_TOL / dim:.2e}")
+    if diagonal:
+        return OperatorMatrix.diagonal(grid, p)
     return OperatorMatrix(grid, p, hermitian=True)
 
 

@@ -59,13 +59,20 @@ def test_measure_eighs_decomposes_each_case_afresh(monkeypatch):
     tool = _tool()
     monkeypatch.setattr(tool, "EIGHS", {name: (2, 2) for name in tool.EIGHS})
     ms = tool.measure_eighs()
-    assert list(ms) == ["eigh-oscillator-256", "eigh-half-line-256",
-                        "eigh-pure-state-256", "eigh-band-128"]
+    assert list(ms) == ["eigh-oscillator-256", "eigh-pure-state-256"]
     assert all(np.isfinite(v) and v > 0 for v in ms.values())
     # each case is a Hermitian operator of the program, at the size it names
     for name in ms:
         op = tool._eigh_case(name)
         assert op.hermitian and op.matrix.shape[0] == int(name.rsplit("-", 1)[1])
+
+
+def test_measure_region_builds_times_each_half_line(monkeypatch):
+    tool = _tool()
+    monkeypatch.setattr(tool, "REGION_BUILDS", {name: (1, 1) for name in tool.REGION_BUILDS})
+    ms = tool.measure_region_builds()
+    assert list(ms) == ["region-half-line-256", "region-half-line-1024"]
+    assert all(np.isfinite(v) and v > 0 for v in ms.values())
 
 
 def test_measure_setups_times_a_fresh_engine_build(monkeypatch):

@@ -4,7 +4,8 @@ import scipy.linalg
 
 from osqm.grid import PhaseGrid
 from osqm.oracle import OperatorMatrix, WaveFunction, operator_sqrt, schrodinger_propagate
-from osqm.regions import Partition, build_partition, classicality_projectors
+from osqm.regions import (Partition, build_partition, classicality_projectors,
+                          is_quasirestricted)
 from osqm.scenarios import (MeasurementScenario, hamiltonian_preset,
                              initial_state_preset)
 from osqm.transitions import (apply_quasiprojection, sample_transition,
@@ -95,8 +96,8 @@ def test_operator_sqrt_rejects_non_psd(grid64):
         operator_sqrt(m)
 
 
-def test_region_sqrt_operator_makes_one_eigh(grid64, monkeypatch):
-    # the region operator's eigh; the root reuses its eigenvectors
+def _counted_eighs(monkeypatch) -> list:
+    """A list that gains one entry per scipy.linalg.eigh call from now on."""
     calls = []
     eigh = scipy.linalg.eigh
 
@@ -105,20 +106,64 @@ def test_region_sqrt_operator_makes_one_eigh(grid64, monkeypatch):
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigh", counting)
-    region = build_partition(grid64, [0.0]).regions[0]
+    return calls
+
+
+def test_region_sqrt_operator_makes_one_eigh(grid64, monkeypatch):
+    # a region with a p cut is not diagonal: the region operator's eigh,
+    # and the root reuses its eigenvectors
+    calls = _counted_eighs(monkeypatch)
+    region = build_partition(grid64, [0.0], [0.0]).regions[0]
     root = region.sqrt_operator()
     assert len(calls) == 1
+    assert root.eigh()[1] is region.operator().eigh()[1]
     assert np.abs(root.matrix @ root.matrix - region.operator().matrix).max() < 1e-8
+
+
+def test_x_cut_partition_makes_no_eigh(monkeypatch):
+    # operators, roots, PS6 bases and exact projectors of the slosh-oracle
+    # partition are all diagonal
+    calls = _counted_eighs(monkeypatch)
+    grid = PhaseGrid.create(256, 9.0)
+    part = build_partition(grid, [0.0])
+    v = coherent_state(grid, -4.2, 0.0).to_vector()
+    for region in part.regions:
+        region.sqrt_operator()
+        assert is_quasirestricted(v, region)[1] >= 0
+    projectors = classicality_projectors(part)
+    assert calls == []
+    assert np.array_equal(sum(p.matrix for p in projectors), np.eye(256))
+
+
+@pytest.mark.parametrize("points, hbar", [(256, 1.0), (512, 0.5), (1024, 0.25)])
+def test_x_cut_root_is_the_elementwise_root(points, hbar):
+    # d spans [2e-10, 1], [2e-19, 1] and [4e-37, 1]: the eigh-built root
+    # missed sqrt(d) by up to 4.0e-7 here
+    grid = PhaseGrid.create(points, 9.0, hbar)
+    op = build_partition(grid, [0.0]).regions[0].operator()
+    d = np.diag(op.matrix).real
+    floor = points * np.finfo(float).eps * d.max()
+    root = operator_sqrt(op)
+    assert np.array_equal(root.matrix, np.diag(np.sqrt(np.where(d > floor, d, 0.0))))
+    if points == 256:
+        # bit for bit the dense product on the cached eigendecomposition
+        w, q = op.eigh()
+        dense = (q * np.sqrt(np.where(w > floor, w, 0.0))) @ q.conj().T
+        assert np.array_equal(root.matrix, 0.5 * (dense + dense.conj().T))
 
 
 def _eigh_operator(name):
     """One of the program's own Hermitian operators: the oracle H, a region
-    quasiprojector, the phase backend's quantised pure state, a pointer band."""
+    quasiprojector, the phase backend's quantised pure state, a pointer band.
+    The half-line and the band are cut only in x, so their decomposition is
+    the exact diagonal one; the cell, cut in x and p, takes LAPACK's."""
     grid = PhaseGrid.create(256, 9.0)
     if name == "oscillator-256":
         return weyl_operator_from_symbol(hamiltonian_preset(grid, "oscillator", {}).symbol())
     if name == "half-line-256":
         return build_partition(grid, [0.0]).regions[0].operator()
+    if name == "cell-256":
+        return build_partition(grid, [0.0], [0.0]).regions[0].operator()
     if name == "pure-state-256":
         w = wigner_from_wavefunction(coherent_state(grid, 1.0, 0.3))
         return weyl_operator_from_symbol(w.as_symbol())
@@ -126,7 +171,7 @@ def _eigh_operator(name):
 
 
 @pytest.mark.parametrize("name", ["oscillator-256", "half-line-256", "pure-state-256",
-                                  "band-128"])
+                                  "band-128", "cell-256"])
 def test_eigh_is_accurate_on_clustered_spectra(name):
     # the spectra bunch at 0 and 1 (or at the oscillator's even spacing);
     # MRRR's eigenvectors miss the orthonormality bound on the pure state

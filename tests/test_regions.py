@@ -3,10 +3,11 @@ import pytest
 import scipy.linalg
 
 from osqm.grid import PhaseGrid
-from osqm.regions import (_checked_projector, _coherent_quadrature_1dof,
-                          build_partition, classicality_projectors,
+from osqm.regions import (PS6_CUTOFF, _checked_projector, _coherent_quadrature_1dof,
+                          build_partition, classicality_projectors, is_quasirestricted,
                           quasiprojector_defect)
 from osqm.scenarios import MeasurementScenario
+from osqm.transitions import transition_probabilities_oracle
 
 DOF2 = PhaseGrid.product(PhaseGrid.create(16, 5.0), PhaseGrid.create(16, 5.0))
 
@@ -76,6 +77,60 @@ def test_dof2_box_operator_is_the_kron_of_its_factor_blocks():
             blocks.append(_cell_sum(grid.factor(d), mask))
         ref = np.kron(blocks[0], blocks[1])
         assert np.abs(region.operator().matrix - ref).max() < 1e-13
+
+
+@pytest.mark.parametrize("points", [64, 256])
+@pytest.mark.parametrize("x_cuts", [[0.0], [-3.0, 3.0]])
+def test_x_cut_operator_is_the_quadrature_diagonal(points, x_cuts):
+    # summed over every p column the plane waves' Gram is N I, so the
+    # quadrature of a box with no p cut is diagonal up to round-off
+    grid = PhaseGrid.create(points, 9.0)
+    for region in build_partition(grid, x_cuts).regions:
+        quad = _coherent_quadrature_1dof(grid, region.mask)
+        op = region.operator()
+        assert np.array_equal(op.matrix, np.diag(np.diag(op.matrix)))
+        assert np.abs(np.diag(op.matrix) - np.diag(quad)).max() <= 1e-15
+        assert np.abs(quad - np.diag(np.diag(quad))).max() <= 1e-14
+        # the cached decomposition is exact: sorted d and unit vectors
+        w, q = op.eigh()
+        assert np.all(np.diff(w) >= 0)
+        assert np.array_equal((q * w) @ q.conj().T, op.matrix)
+
+
+def test_dof2_box_with_a_p_cut_is_the_kron_of_its_factor_blocks():
+    # a p cut on one dof keeps the box off the diagonal path
+    grid = DOF2
+    part = build_partition(grid, [[0.0], []], [[], [0.0]])
+    assert len(part.regions) == 4
+    for region in part.regions:
+        assert not np.array_equal(region.operator().matrix,
+                                  np.diag(np.diag(region.operator().matrix)))
+        blocks = []
+        for d in range(2):
+            (j0, j1), (m0, m1) = region.x_bounds[d], region.p_bounds[d]
+            mask = np.zeros((16, 16), dtype=bool)
+            mask[j0:j1, m0:m1] = True
+            blocks.append(_cell_sum(grid.factor(d), mask))
+        ref = np.kron(blocks[0], blocks[1])
+        assert np.abs(region.operator().matrix - ref).max() < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(64,), (64, 5)])
+def test_x_cut_event_functions_are_diagonal_closed_forms(grid64, shape):
+    # the identities an O(N) event path on such regions would use: the PS6
+    # residual is the mass where d <= PS6_CUTOFF, the Born weight sum d |v|^2
+    part = build_partition(grid64, [-3.0, 3.0])
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    v /= np.linalg.norm(v)
+    mass = (np.abs(v) ** 2).reshape(64, -1).sum(axis=1)
+    ds = [np.diag(r.operator().matrix).real for r in part.regions]
+    for region, d in zip(part.regions, ds):
+        assert (d <= PS6_CUTOFF).any()
+        want = np.sqrt(mass[d <= PS6_CUTOFF].sum())
+        assert abs(is_quasirestricted(v, region)[1] - want) <= 1e-15
+    weights = np.array([d @ mass for d in ds])
+    assert np.abs(transition_probabilities_oracle(v, part) - weights).max() <= 1e-15
 
 
 def _deflation_reference(partition):

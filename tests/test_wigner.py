@@ -4,6 +4,7 @@ import scipy.linalg
 
 from osqm.grid import ContainmentError, PhaseGrid
 from osqm.oracle import OperatorMatrix, WaveFunction, tensor_state
+from osqm.spectral import x_to_p
 from osqm.weyl import WeylSymbol, mean_value, weyl_operator_from_symbol, \
     weyl_symbol_from_operator
 from osqm.wigner import (WignerState, coherent_state, marginals, wavefunction_from_wigner,
@@ -23,6 +24,26 @@ def _wigner_of(rho):
     g = rho.grid
     return WignerState(g, weyl_symbol_from_operator(rho).values.real
                        / (2 * np.pi * g.hbar) ** g.dof)
+
+
+@pytest.mark.parametrize("points", [30, 32, 34, 64])
+@pytest.mark.parametrize("state", ["coherent", "superposition"])
+def test_chord_transform_is_covariant_under_the_quarter_rotation(points, state):
+    # on a square grid (dx = dp, hbar = 1) the unitary x -> p transform
+    # rotates phase space by a quarter turn: W[F psi](x, p) = W[psi](-p, x),
+    # with -p read on the periodic lattice, at N = 2 (mod 4) as at N = 0
+    dx = np.sqrt(2 * np.pi / points)
+    grid = PhaseGrid.create(points, points * dx / 2)
+    assert abs(grid.dp[0] - grid.dx[0]) <= 1e-15 * dx
+    psi = coherent_state(grid, 0.8, -0.5)
+    if state == "superposition":
+        psi = WaveFunction(grid, coherent_state(grid, -1.0, 0.4).values
+                           + 0.6j * coherent_state(grid, 1.2, -0.3).values,
+                           normalized=False).normalize()
+    w = wigner_from_wavefunction(psi).values
+    turned = wigner_from_wavefunction(WaveFunction(grid, x_to_p(psi.values, dx, 1.0))).values
+    neg = -np.arange(points) % points      # x_j = (j - N/2) dx, so -x_j sits at -j
+    assert np.abs(turned - w[neg, :].T).max() <= 1e-14 * np.abs(w).max()
 
 
 def test_coherent_wigner_matches_closed_form(grid64):

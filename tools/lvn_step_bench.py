@@ -1,5 +1,6 @@
 """Timings of two checkouts: LvN steps and calls, Born draws, ensembles,
-Hermitian eigendecompositions, Weyl maps, set-ups and `osqm regress`.
+Hermitian eigendecompositions, region builds, Weyl maps, set-ups and
+`osqm regress`.
 
     python tools/lvn_step_bench.py --parent OLD --change NEW --runs 5 --out BENCH.json
 
@@ -42,12 +43,18 @@ loops of the seeds per second.
 An eigh case is one `OperatorMatrix.eigh` that decomposes afresh (the cached
 decomposition is dropped before each call) on one of the program's own
 Hermitian operators: eigh-oscillator-256 is the oracle H of the oscillator
-(N = 256, extent 9), eigh-half-line-256 the quasiprojector of x < 0 on that
-grid, eigh-pure-state-256 the quantised Wigner function of the coherent state
-at (1.0, 0.3) on it, as the phase backend's rank-1 gate decomposes it, and
-eigh-band-128 the ready band of acceptance criterion 8's pointer (128 points,
-extent 18, cuts at -6 and 6). A run's figure is the median over batches of
-the mean ms per call of a batch, after one untimed call.
+(N = 256, extent 9), and eigh-pure-state-256 the quantised Wigner function of
+the coherent state at (1.0, 0.3) on that grid, as the phase backend's rank-1
+gate decomposes it. A run's figure is the median over batches of the mean ms
+per call of a batch, after one untimed call.
+
+A region case builds the partition cut at x = 0 afresh and, for its x < 0
+region, the quasiprojector, its root and its PS6 split (one
+`regions.is_quasirestricted` call on the coherent state at (-4.2, 0)), as an
+engine set-up does: region-half-line-256 at N = 256 and hbar 1,
+region-half-line-1024 at N = 1024 and hbar 1/4, both at extent 9. A run's
+figure is the median over batches of the mean ms per build of a batch, after
+one untimed build.
 
 The slosh-setup case builds the slosh-oracle workload's engine afresh (grid,
 oscillator Hamiltonian, half-line partition, coherent state, exact-mode
@@ -102,8 +109,9 @@ DRAWS = {"born-draws": (2000, 9)}
 # transitions.run_ensemble call, slosh-runs-2000 one engine.run per seed
 ENSEMBLES = {"slosh-2000": (2000, 5), "slosh-runs-2000": (2000, 5)}
 # case: (eigh calls per batch, batches)
-EIGHS = {"eigh-oscillator-256": (5, 9), "eigh-half-line-256": (5, 9),
-         "eigh-pure-state-256": (5, 9), "eigh-band-128": (20, 9)}
+EIGHS = {"eigh-oscillator-256": (5, 9), "eigh-pure-state-256": (5, 9)}
+# case: (region builds per batch, batches)
+REGION_BUILDS = {"region-half-line-256": (5, 9), "region-half-line-1024": (1, 7)}
 # case: timed builds
 SETUPS = {"slosh-setup": 7, "composite-setup": 5}
 # case: (map calls per batch, batches)
@@ -257,7 +265,7 @@ def measure_ensembles() -> dict:
 
 def _eigh_case(name: str):
     """The OperatorMatrix of a named eigh case."""
-    from osqm import regions, scenarios
+    from osqm import scenarios
     from osqm.grid import PhaseGrid
     from osqm.weyl import weyl_operator_from_symbol
     from osqm.wigner import coherent_state, wigner_from_wavefunction
@@ -266,13 +274,8 @@ def _eigh_case(name: str):
     if name == "eigh-oscillator-256":
         h = scenarios.hamiltonian_preset(grid, "oscillator", {})
         return weyl_operator_from_symbol(h.symbol())
-    if name == "eigh-half-line-256":
-        return regions.build_partition(grid, [0.0]).regions[0].operator()
-    if name == "eigh-pure-state-256":
-        w = wigner_from_wavefunction(coherent_state(grid, 1.0, 0.3))
-        return weyl_operator_from_symbol(w.as_symbol())
-    pointer = PhaseGrid.create(128, 18.0)
-    return regions.build_partition(pointer, [-6.0, 6.0]).regions[1].operator()
+    w = wigner_from_wavefunction(coherent_state(grid, 1.0, 0.3))
+    return weyl_operator_from_symbol(w.as_symbol())
 
 
 def measure_eighs() -> dict:
@@ -289,6 +292,36 @@ def measure_eighs() -> dict:
                 op.eigh()
             per_call.append((time.perf_counter() - start) / calls * 1e3)
         out[name] = statistics.median(per_call)
+    return out
+
+
+def _region_build(grid, v):
+    """Build the x < 0 region of a fresh x = 0 cut: operator, root, PS6 split."""
+    from osqm import regions
+
+    region = regions.build_partition(grid, [0.0]).regions[0]
+    region.sqrt_operator()
+    regions.is_quasirestricted(v, region)
+
+
+def measure_region_builds() -> dict:
+    """ms per x < 0 region build of each case, for the osqm on sys.path."""
+    from osqm.grid import PhaseGrid
+    from osqm.wigner import coherent_state
+
+    out = {}
+    for name, (builds, batches) in REGION_BUILDS.items():
+        points = int(name.rsplit("-", 1)[1])
+        grid = PhaseGrid.create(points, 9.0, 256 / points)
+        v = coherent_state(grid, -4.2, 0.0).to_vector()
+        _region_build(grid, v)  # untimed
+        per_build = []
+        for _ in range(batches):
+            start = time.perf_counter()
+            for _ in range(builds):
+                _region_build(grid, v)
+            per_build.append((time.perf_counter() - start) / builds * 1e3)
+        out[name] = statistics.median(per_build)
     return out
 
 
@@ -427,7 +460,7 @@ def main(argv=None) -> int:
     parser.add_argument("--measure", action="store_true",
                         help="print this checkout's ms per step and per call, "
                              "us per draw, ensemble seeds/s, ms per eigh, per "
-                             "set-up and per map as JSON")
+                             "region build, per set-up and per map as JSON")
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--runs", type=int, default=5)
@@ -438,7 +471,8 @@ def main(argv=None) -> int:
         after_setup = measure_after_setup()
         print(json.dumps({**measure_steps(), **measure_calls(), **after_setup,
                           **measure_draws(), **measure_ensembles(),
-                          **measure_eighs(), **measure_setups(),
+                          **measure_eighs(), **measure_region_builds(),
+                          **measure_setups(),
                           **measure_maps()}))
         return 0
     if not (args.parent and args.change and args.out) or args.runs < 1:
@@ -464,7 +498,8 @@ def main(argv=None) -> int:
         "what": ("ms per LvnPlan split step; ms per evolve_lvn call; us per Born "
                  "draw of MeasurementScenario.run_ensemble; seeds/s of "
                  "transitions.run_ensemble and of engine.run; ms per fresh "
-                 "OperatorMatrix.eigh; ms per slosh-oracle engine build with "
+                 "OperatorMatrix.eigh; ms per x < 0 region build (operator, "
+                 "root, PS6 split); ms per slosh-oracle engine build with "
                  "its region eighs and per composite-measurement set-up; ms "
                  "per Weyl map on the composite's 32 x 32 inputs; osqm regress "
                  "seconds per criterion"),
@@ -478,6 +513,7 @@ def main(argv=None) -> int:
         "born_draw_us": cases(DRAWS),
         "ensemble_seeds_per_s": cases(ENSEMBLES),
         "eigh_ms": cases(EIGHS),
+        "region_build_ms": cases(REGION_BUILDS),
         "setup_ms": cases(SETUPS),
         "weyl_map_ms": cases(MAPS),
         "regress_seconds": {
