@@ -215,7 +215,9 @@ def _half_shift(n: int) -> np.ndarray:
     """d = e^{i pi a / n} at each signed frequency a in [-n/2, n/2), in np.fft order.
 
     ifft(d * fft(f)) samples the trigonometric interpolant of f half a cell
-    past each node.
+    past each node. spectral.shift_half_cell, the Weyl maps' shift, differs
+    only at the Nyquist a = -n/2 (0 against -i): the FOUND line on N = 2 (mod
+    4) in CHANGES.md.
     """
     shift = np.exp(1j * np.pi * np.fft.fftfreq(n, 1.0 / n) / n)
     shift.flags.writeable = False

@@ -22,7 +22,7 @@ __all__ = [
     "centered_chords",
     "cdftn",
     "cidftn",
-    "upsample2",
+    "shift_half_cell",
     "x_to_p",
 ]
 
@@ -79,34 +79,29 @@ def cidftn(arr: np.ndarray, axes: tuple) -> np.ndarray:
     return np.multiply(arr, alt, out=arr)
 
 
-def upsample2(f: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Trigonometric x2 interpolation along one axis (even length required).
+@lru_cache(maxsize=32)
+def _half_cell_table(n: int) -> np.ndarray:
+    """e^{i pi k / n} at each signed frequency k in np.fft order, but 0 at the
+    Nyquist k = n/2 (n even); read-only.
 
-    The Nyquist coefficient is split symmetrically, so real input stays real
-    and values at the original nodes are preserved exactly.
+    ifft(table * fft(f)) samples f's trigonometric interpolant half a cell
+    past each node, the Nyquist coefficient split evenly between +-n/2, a pair
+    that cancels there: real f stays real. dynamics._half_shift differs only
+    at k = n/2 (0 against -i).
     """
-    f = np.asarray(f, dtype=complex)
-    n = f.shape[axis]
-    if n % 2:
-        raise ValueError("upsample2 requires even length")
-    F = np.fft.fft(f, axis=axis)
-    shape = list(f.shape)
-    shape[axis] = 2 * n
-    G = np.zeros(shape, dtype=complex)
-    sl = [slice(None)] * f.ndim
+    table = np.exp(1j * np.pi * np.fft.fftfreq(n, 1.0 / n) / n)
+    table[n // 2] = 0.0
+    table.flags.writeable = False
+    return table
 
-    def at(i):
-        s = sl.copy()
-        s[axis] = i
-        return tuple(s)
 
-    G[at(slice(0, n // 2))] = F[at(slice(0, n // 2))]
-    G[at(n // 2)] = 0.5 * F[at(n // 2)]
-    G[at(2 * n - n // 2)] = 0.5 * F[at(n // 2)]
-    G[at(slice(2 * n - n // 2 + 1, 2 * n))] = F[at(slice(n // 2 + 1, n))]
-    out = np.fft.ifft(G, axis=axis, out=G)
-    out *= 2.0
-    return out
+def shift_half_cell(arr: np.ndarray, axis: int, factor: complex = 1.0) -> np.ndarray:
+    """In place on the complex arr: factor times its interpolant half a cell
+    past each node along axis (see _half_cell_table); returns arr."""
+    table = _half_cell_table(arr.shape[axis]) * factor
+    np.fft.fft(arr, axis=axis, out=arr)
+    arr *= table.reshape((-1,) + (1,) * (arr.ndim - 1 - axis % arr.ndim))
+    return np.fft.ifft(arr, axis=axis, out=arr)
 
 
 def x_to_p(psi: np.ndarray, dx: float, hbar: float, axis: int = -1) -> np.ndarray:

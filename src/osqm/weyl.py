@@ -9,20 +9,21 @@ map back to contained symbols. Quadratic identities (oscillator spectrum
 hbar(k+1/2), trace pairing, marginals) hold to machine precision.
 
 A composite is the tensor product of its dofs, so both maps act on one
-dof's axis pair at a time, for any dof count: _per_dof takes the dofs last
-to first and applies the 1-dof core to each pair. The operator -> symbol
-direction first gathers the chord block E[c, t] = m[t + c, t] on every dof
-at once (_chord_index); wigner_from_wavefunction gathers the same block
-from a state vector without building its density matrix.
+dof's axis pair at a time. Inside the maps each pair is adjacent, as
+(x_0, p_0, x_1, p_1, ..) and as (c_0, t_0, c_1, t_1, ..) in the chord block
+E[c, t] = m[t + c, t] (_chord_index, which wigner_from_wavefunction also
+gathers from a state vector), so _per_dof maps each pair where it lies.
 
-Each core moves entries of one dof's upsampled block with one flat take:
-the block is contiguous, so its last two axes are one axis of 2n^2
-entries, and a per-n table of flat indices (_flat_tables) picks the n^2
-it needs; the +-1 signs are applied in place after the gather. On a
-block of 1024 leading rows at n = 32, as on the 32^2 composite, the take
-moves the entries in 4.4 ms, a 2-D fancy index over the last two axes in
-16 ms (1 thread, AMD EPYC). The index tables are cached per n and
-read-only.
+Each core reads a chord c at the midpoints of its pairs: on the nodes for
+even c~, half a cell past them for odd c~ (odd c, as n is even). It shifts
+the odd chords alone, in place, their (-1)^c sign folded in, then takes
+the pair with one flat take, a roll per chord (_gather). The shift is 0 at
+the Nyquist frequency, as the x2 upsample it replaces split that term;
+dynamics._half_shift differs only there (0 against -i), and would change
+a random symbol's operator at any n, a state's W at n = 2 (mod 4) (the
+FOUND line on N = 2 (mod 4) in CHANGES.md). On the 32^2 composite the chord
+transform takes 21 ms, not 47, weyl_operator_from_symbol 43, not 81, and
+1.0 ms, not 2.1, at n = 256 (1 thread, AMD EPYC). Tables are read-only.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .grid import GridMismatchError, PhaseGrid
 from .oracle import OperatorMatrix
-from .spectral import alternating_signs, centered_chords, upsample2
+from .spectral import centered_chords, shift_half_cell
 
 __all__ = [
     "WeylSymbol",
@@ -49,20 +50,18 @@ REAL_TOL = 1e-10
 
 @lru_cache(maxsize=32)
 def _flat_tables(n: int):
-    """(op_take, op_signs, chord_take): the cores' gathers as flat indices.
+    """(op_take, chord_take): the cores' gathers as flat indices of an n x n pair.
 
-    The operator core gathers g[s_disp, craw] from a (2n, n) block, which
-    is its flat entry s_disp n + craw, and then takes the sign (-1)^craw;
-    the chord core gathers ef[c, jw] from an (n, 2n) block, flat entry
-    c 2n + jw.
+    Entry [a, b] of the operator core is h[j, c], flat j n + c, with c the
+    raw chord a - b and j = b + floor(c~/2); entry [j, c] of the chord core
+    is e[c, t], flat c n + t, with t = j - ceil(c~/2); odd c are shifted.
     """
     a = np.arange(n)
     ctil = centered_chords(n)
     craw = (a[:, None] - a[None, :]) % n          # [a, b] raw chord
-    s_disp = (2 * a[None, :] + ctil[craw]) % (2 * n)   # [a, b] midpoint slot
-    jw = (2 * a[:, None] - ctil[None, :]) % (2 * n)    # [j, c] gather slot
-    return _read_only(s_disp * n + craw, alternating_signs(n)[craw],
-                      a[None, :] * (2 * n) + jw)
+    j = (a[None, :] + ctil[craw] // 2) % n
+    t = (a[:, None] + (-ctil[None, :]) // 2) % n   # [j, c]
+    return _read_only(j * n + craw, a[None, :] * n + t)
 
 
 def _read_only(*tables) -> tuple:
@@ -76,54 +75,61 @@ def _read_only(*tables) -> tuple:
 def _chord_index(shape: tuple) -> tuple:
     """(bra, ket) index tuples over every dof with E[c, t] = m[t + c, t].
 
-    E has axes (c_0.., t_0..); indexing the (bra_0.., ket_0..) axes of an
-    operator with bra + ket, or a state V with V[bra] * conj(V)[ket],
-    gathers its chord block.
+    E has axes (c_0, t_0, c_1, t_1, ..); indexing the (bra_0.., ket_0..)
+    axes of an operator with bra + ket, or a state V with V[bra] *
+    conj(V)[ket], gathers its chord block.
     """
-    dof = len(shape)
-    ct = np.indices(shape * 2, sparse=True)      # c_d on axis d, t_d on dof + d
-    ket = _read_only(*ct[dof:])
-    bra = _read_only(*((c + t) % n for c, t, n in zip(ct[:dof], ket, shape)))
+    ct = np.indices(tuple(n for n in shape for _ in "ct"), sparse=True)
+    ket = _read_only(*ct[1::2])                   # t_d on axis 2d + 1
+    bra = _read_only(*((c + t) % n for c, t, n in zip(ct[::2], ket, shape)))
     return bra, ket
 
 
+def _paired(split: np.ndarray) -> np.ndarray:
+    """The axes (u_0.., v_0..) of split as (u_0, v_0, u_1, v_1, ..): a view."""
+    dof = split.ndim // 2
+    return split.transpose([ax for d in range(dof) for ax in (d, dof + d)])
+
+
+def _split(paired: np.ndarray) -> np.ndarray:
+    """The axes (u_0, v_0, u_1, v_1, ..) of paired as (u_0.., v_0..): a view."""
+    return paired.transpose([*range(0, paired.ndim, 2), *range(1, paired.ndim, 2)])
+
+
 def _per_dof(arr: np.ndarray, core) -> np.ndarray:
-    """Apply a 1-dof core to the axes (u_d, v_d) of arr = (u_0.., v_0..).
-
-    Dofs go last to first: the unmapped axes of dof d are then d and 2d+1,
-    and move to the end for the core; one transpose at the end turns the
-    mapped pairs (s_{dof-1}, t_{dof-1}, .., s_0, t_0) into (s_0.., t_0..).
-    """
-    dof = arr.ndim // 2
-    for d in reversed(range(dof)):
-        arr = core(np.moveaxis(arr, (d, 2 * d + 1), (-2, -1)))
-    last = 2 * dof - 2
-    return arr.transpose([*range(last, -1, -2), *range(last + 1, 0, -2)])
+    """Apply a 1-dof core to each axis pair (2d, 2d + 1) of a paired arr, last first."""
+    for d in reversed(range(arr.ndim // 2)):
+        arr = core(arr, 2 * d)
+    return arr
 
 
-def _take_flat(block: np.ndarray, take: np.ndarray) -> np.ndarray:
-    """block[..., i, j] flattened over its last two axes, gathered at take."""
-    flat = block.reshape(block.shape[:-2] + (-1,))    # a view: block is contiguous
-    return flat.take(take, axis=-1)
+def _gather(arr: np.ndarray, ax: int, chord_axis: int, take: np.ndarray) -> np.ndarray:
+    """arr's axis pair (ax, ax + 1) gathered at the flat indices take, once its
+    odd chords (along chord_axis, one axis of the pair) have moved half a cell
+    along the other, in place, with their sign (-1)^c folded in."""
+    odd = [slice(None)] * arr.ndim
+    odd[chord_axis] = slice(1, None, 2)
+    shift_half_cell(arr[tuple(odd)], 2 * ax + 1 - chord_axis, -1.0)
+    flat = arr.reshape(arr.shape[:ax] + (-1,) + arr.shape[ax + 2:])  # a view: contiguous
+    return flat.take(take, axis=ax)
 
 
-def _op_core_1dof(arr: np.ndarray) -> np.ndarray:
-    """Map the last two axes (x_d, p_d) of a symbol block to (bra, ket)."""
-    n = arr.shape[-1]
-    take, signs, _ = _flat_tables(n)
-    g = np.fft.ifft(upsample2(arr, axis=-2), axis=-1)   # [..., s, c]
-    out = _take_flat(g, take)                     # [..., a, b]
-    out *= signs
-    return out
+def _op_core(arr: np.ndarray, ax: int) -> np.ndarray:
+    """Map the axes (x_d, p_d) at ax, ax + 1 of a symbol block to (bra_d, ket_d)."""
+    h = np.fft.ifft(arr, axis=ax + 1, out=np.empty(arr.shape, complex))  # [.., x, c, ..]
+    return _gather(h, ax, ax + 1, _flat_tables(arr.shape[ax])[0])        # [.., a, b, ..]
 
 
-def _chord_to_symbol_axes(e: np.ndarray) -> np.ndarray:
-    """Map the last two axes (c, t) of a chord block to (x_d, p_d)."""
-    n = e.shape[-1]
-    ef = upsample2(e, axis=-1)                    # [..., c, w]
-    b = _take_flat(ef, _flat_tables(n)[2])        # [..., j, c]
-    b *= alternating_signs(n)
-    return np.fft.fft(b, axis=-1)                 # [..., j, m]
+def _chord_core(e: np.ndarray, ax: int) -> np.ndarray:
+    """Map the axes (c_d, t_d) at ax, ax + 1 of a chord block e, which it
+    overwrites, to (x_d, p_d)."""
+    b = _gather(e, ax, ax, _flat_tables(e.shape[ax])[1])    # [.., j, c, ..]
+    return np.fft.fft(b, axis=ax + 1, out=b)                # [.., x, p, ..]
+
+
+def _chord_to_symbol(e: np.ndarray) -> np.ndarray:
+    """The symbol (x_0.., p_0..) of a paired chord block e, which it overwrites."""
+    return _split(_per_dof(e, _chord_core))
 
 
 @dataclass
@@ -155,7 +161,7 @@ def weyl_operator_from_symbol(sym: WeylSymbol) -> OperatorMatrix:
     """
     grid = sym.grid
     d = grid.hilbert_dim
-    m = _per_dof(sym.values, _op_core_1dof).reshape(d, d)
+    m = _split(_per_dof(_paired(sym.values), _op_core)).reshape(d, d)
     herm = bool(sym.hermitian)
     if herm:
         m = 0.5 * (m + m.conj().T)
@@ -168,10 +174,9 @@ def weyl_symbol_from_operator(op: OperatorMatrix) -> WeylSymbol:
     shape = grid.config_shape
     m = op.matrix
     bra, ket = _chord_index(shape)
-    vals = _per_dof(m.reshape(shape * 2)[bra + ket], _chord_to_symbol_axes)
+    vals = _chord_to_symbol(m.reshape(shape * 2)[bra + ket])
     hermitian = np.abs(m - m.conj().T).max() <= REAL_TOL
-    if hermitian:
-        vals = vals.real.astype(complex)
+    vals = vals.real.astype(complex, order="C") if hermitian else np.ascontiguousarray(vals)
     return WeylSymbol(grid, vals, hermitian=bool(hermitian))
 
 

@@ -8,8 +8,8 @@ import numpy as np
 
 from .grid import ContainmentError, PhaseGrid
 from .oracle import WaveFunction
-from .spectral import upsample2
-from .weyl import WeylSymbol, _chord_index, _chord_to_symbol_axes, _per_dof
+from .spectral import shift_half_cell
+from .weyl import WeylSymbol, _chord_index, _chord_to_symbol
 
 __all__ = [
     "WignerState",
@@ -69,8 +69,9 @@ def wigner_from_wavefunction(psi: WaveFunction, check_containment: bool = True) 
                                what="|psi~(p)|^2")
     v = psi.to_vector().reshape(grid.config_shape)
     bra, ket = _chord_index(grid.config_shape)
-    w = _per_dof(v[bra] * v.conj()[ket], _chord_to_symbol_axes)
-    return WignerState(grid, w.real * (1.0 / (2 * np.pi * grid.hbar) ** grid.dof))
+    w = _chord_to_symbol(v[bra] * v.conj()[ket])
+    scale = 1.0 / (2 * np.pi * grid.hbar) ** grid.dof
+    return WignerState(grid, np.multiply(w.real, scale, order="C"))   # contiguous
 
 
 def wavefunction_from_wigner(w: WignerState) -> WaveFunction:
@@ -93,17 +94,14 @@ def wavefunction_from_wigner(w: WignerState) -> WaveFunction:
             f"|psi(0)|^2 = {at0:.3e} below threshold {RECOVERY_FLOOR:.1e}; recover psi "
             "as the top eigenvector of weyl_operator_from_symbol(w.as_symbol())")
     # g[a] = dp sum_m W(x_a / 2, p_m) e^{i x_a p_m / hbar} = psi(x_a) psi*(0)
-    wf = upsample2(w.values, axis=0)            # fine x, coarse p
-    a = np.arange(n)
-    rows = wf[(a + n // 2) % (2 * n), :]        # W at x_a / 2
-    ctr = a - n // 2
-    mtil = a - n // 2
-    phases = np.exp(2j * np.pi * np.outer(ctr, mtil) / n)
+    fine = np.arange(n) + n // 2                # x_a / 2 in half cells
+    half = shift_half_cell(w.values.astype(complex), 0)   # W half a cell past each x_j
+    rows = np.where(fine[:, None] % 2 == 1, half[fine // 2], w.values[fine // 2])
+    ctr = fine - n
+    phases = np.exp(2j * np.pi * np.outer(ctr, ctr) / n)
     g = dp * (rows * phases).sum(axis=1)
     psi0_conj = np.sqrt(g[n // 2].real)
-    vals = g / psi0_conj
-    psi = WaveFunction(grid, vals, normalized=False).normalize()
-    return psi
+    return WaveFunction(grid, g / psi0_conj, normalized=False).normalize()
 
 
 def coherent_state(grid: PhaseGrid, x0, p0) -> WaveFunction:

@@ -35,7 +35,7 @@ DELETED = {
                          "worker_count", "_ENGINE", "_pool_run", "_run_one",
                          "_Event", "_Branch", "TrajectoryEngine._insert",
                          "_OraclePropagator.snapshot"],
-    "osqm.spectral": ["cdft", "cidft", "spectral_derivative", "p_to_x"],
+    "osqm.spectral": ["cdft", "cidft", "spectral_derivative", "p_to_x", "upsample2"],
     "osqm.dynamics": ["_FactorOp", "_TermOp", "_TermExponential", "_cdftn", "_cidftn",
                       "_sign_tables", "_Splitting", "_evolve_rk4",
                       "HamiltonianTerm.coeff_at", "Hamiltonian.is_static",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from osqm.spectral import cdftn, cidftn, centered_chords, upsample2, x_to_p
+from osqm.spectral import _half_cell_table, cdftn, cidftn, centered_chords, shift_half_cell, x_to_p
 
 
 def test_cdft_inverse_pair(rng):
@@ -19,26 +19,34 @@ def test_cdft_is_the_centered_kernel(n):
     assert np.abs(cdftn(f, (0,)) - expected).max() < 1e-13
 
 
-def test_upsample_preserves_nodes(rng):
+def test_half_cell_shift_twice_is_a_one_cell_roll(rng):
     f = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    fine = upsample2(f)
-    assert np.abs(fine[::2] - f).max() < 1e-13
+    f -= f @ (-1.0) ** np.arange(32) / 32 * (-1.0) ** np.arange(32)   # no Nyquist term
+    g = f.copy()
+    assert shift_half_cell(g, 0) is g
+    assert np.abs(shift_half_cell(g, 0) - np.roll(f, -1)).max() < 1e-13
 
 
-def test_upsample_exact_for_bandlimited():
+def test_half_cell_shift_exact_for_bandlimited():
     n = 32
     j = np.arange(n) - n // 2
-    # mode inside the open band interpolates exactly at half points
+    # a mode inside the open band is exact at the half points
     f = np.cos(2 * np.pi * 3 * j / n + 0.4)
-    fine = upsample2(f)
-    jf = (np.arange(2 * n) - n) / 2
-    exact = np.cos(2 * np.pi * 3 * jf / n + 0.4)
-    assert np.abs(fine - exact).max() < 1e-12
+    exact = np.cos(2 * np.pi * 3 * (j + 0.5) / n + 0.4)
+    assert np.abs(shift_half_cell(f + 0j, 0) - exact).max() < 1e-12
 
 
-def test_upsample_keeps_real_real(rng):
-    f = rng.standard_normal(32)
-    assert np.abs(upsample2(f).imag).max() < 1e-13
+def test_half_cell_shift_keeps_real_real(rng):
+    f = rng.standard_normal((32, 3)) + 0j
+    assert np.abs(shift_half_cell(f, 0).imag).max() < 1e-13
+
+
+# the Nyquist coefficient is split evenly between +-n/2, as the x2 upsample
+# splits it; the pair cancels half a cell past the nodes. n // 2 is odd at 18
+@pytest.mark.parametrize("n", [16, 18])
+def test_half_cell_shift_maps_the_nyquist_coefficient_to_zero(n):
+    assert _half_cell_table(n)[n // 2] == 0
+    assert np.abs(shift_half_cell((-1.0) ** np.arange(n) + 0j, 0)).max() < 1e-15
 
 
 def test_momentum_transform_unitary(grid64, rng):

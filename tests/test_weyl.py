@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from osqm.oracle import OperatorMatrix
+from osqm.oracle import OperatorMatrix, WaveFunction
 from osqm.weyl import WeylSymbol, mean_value, weyl_operator_from_symbol, weyl_symbol_from_operator
-from osqm.wigner import coherent_state, wigner_from_wavefunction
+from osqm.wigner import coherent_state, wavefunction_from_wigner, wigner_from_wavefunction
 
 
 def _smooth_symbol(grid, rng, real=True):
@@ -157,8 +157,9 @@ def test_overlap_examples(grid64):
     assert abs(mean_value(wb.as_symbol(), wa)) < 1e-8
 
 
-# the Weyl cores as 2-D fancy indexes over the last two axes, the form the
-# flat take replaced; the maps must give the same bits through either
+# the maps as a x2 trigonometric upsample of each dof's block gave them, read
+# with 2-D fancy indexes over the last two axes, each dof's pair moved there
+# with moveaxis: the reference for the half-cell shift of the odd chords
 
 
 def _fancy_upsample2(f, axis):
@@ -205,17 +206,61 @@ def _fancy_chord_core(e):
     return np.fft.fft(b, axis=-1)
 
 
+def _fancy_per_dof(arr, core):
+    dof = arr.ndim // 2
+    for d in reversed(range(dof)):
+        arr = core(np.moveaxis(arr, (d, 2 * d + 1), (-2, -1)))
+    last = 2 * dof - 2
+    return arr.transpose([*range(last, -1, -2), *range(last + 1, 0, -2)])
+
+
+def _fancy_maps(grid, psi, sym):
+    """What _three_maps and wavefunction_from_wigner give, through the reference."""
+    shape, dim, scale = grid.config_shape, grid.hilbert_dim, (2 * np.pi * grid.hbar) ** grid.dof
+    ct = np.indices(shape * 2, sparse=True)       # E[c_0.., t_0..] = m[t + c, t]
+    ket = ct[grid.dof:]
+    bra = tuple((c + t) % n for c, t, n in zip(ct[:grid.dof], ket, shape))
+
+    def operator(values, herm):
+        m = _fancy_per_dof(values, _fancy_op_core).reshape(dim, dim)
+        return 0.5 * (m + m.conj().T) if herm else m
+
+    def symbol(m):
+        vals = _fancy_per_dof(m.reshape(shape * 2)[bra + ket], _fancy_chord_core)
+        return vals.real + 0j if np.abs(m - m.conj().T).max() <= 1e-10 else vals
+
+    v = psi.to_vector().reshape(shape)
+    w = _fancy_per_dof(v[bra] * v.conj()[ket], _fancy_chord_core).real / scale
+    op, herm = operator(sym.values, False), operator(w * scale + 0j, True)
+    maps = [w, op, symbol(op), herm, symbol(herm)]
+    if grid.dof == 1:
+        n = shape[0]
+        a = np.arange(n)
+        rows = _fancy_upsample2(w, axis=0)[(a + n // 2) % (2 * n), :]    # W at x_a / 2
+        g = grid.dp[0] * (rows * np.exp(2j * np.pi * np.outer(a - n // 2, a - n // 2) / n)).sum(1)
+        maps.append(WaveFunction(grid, g / np.sqrt(g[n // 2].real), normalized=False)
+                    .normalize().values)
+    return maps
+
+
 def _weyl_case(shape):
-    """(grid, state): a coherent state on dof 1, pointer (x) cat on dof 2."""
+    """(grid, state, random complex symbol): a coherent state on dof 1,
+    pointer (x) cat on dof 2."""
     from osqm.grid import PhaseGrid
     from osqm.oracle import tensor_state
     from osqm.scenarios import initial_state_preset
     if len(shape) == 1:
         grid = PhaseGrid.create(shape[0], 9.0)
-        return grid, coherent_state(grid, 1.0, 0.3)
-    g1, g2 = PhaseGrid.create(shape[0], 8.0), PhaseGrid.create(shape[1], 8.0)
-    cat = initial_state_preset(g2, "cat", {"centers": [[-2.0, 0.0], [2.0, 0.0]]})
-    return PhaseGrid.product(g1, g2), tensor_state(coherent_state(g1, 0.0, 0.0), cat)
+        psi = coherent_state(grid, 1.0, 0.3)
+    else:
+        g1, g2 = PhaseGrid.create(shape[0], 8.0), PhaseGrid.create(shape[1], 8.0)
+        cat = initial_state_preset(g2, "cat", {"centers": [[-2.0, 0.0], [2.0, 0.0]]})
+        grid = PhaseGrid.product(g1, g2)
+        psi = tensor_state(coherent_state(g1, 0.0, 0.0), cat)
+    rng = np.random.default_rng(sum(shape))
+    sym = WeylSymbol(grid, rng.standard_normal(grid.phase_shape)
+                     + 1j * rng.standard_normal(grid.phase_shape))
+    return grid, psi, sym
 
 
 def _three_maps(grid, psi, sym):
@@ -226,27 +271,44 @@ def _three_maps(grid, psi, sym):
             weyl_symbol_from_operator(herm).values)
 
 
-@pytest.mark.parametrize("shape", [(30,), (64,), (32, 32), (24, 32)],
-                         ids=["30", "64", "32x32", "24x32"])
-def test_flat_take_cores_give_the_fancy_index_bits(shape, monkeypatch):
-    from osqm import weyl, wigner
-    grid, psi = _weyl_case(shape)
-    rng = np.random.default_rng(sum(shape))
-    sym = WeylSymbol(grid, rng.standard_normal(grid.phase_shape)
-                     + 1j * rng.standard_normal(grid.phase_shape))
-    got = _three_maps(grid, psi, sym)
-    monkeypatch.setattr(weyl, "_op_core_1dof", _fancy_op_core)
-    monkeypatch.setattr(weyl, "_chord_to_symbol_axes", _fancy_chord_core)
-    monkeypatch.setattr(wigner, "_chord_to_symbol_axes", _fancy_chord_core)
-    want = _three_maps(grid, psi, sym)
+# at 30 and 26, which are 2 (mod 4), the chord -n/2 is odd and is shifted
+@pytest.mark.parametrize("shape", [(30,), (64,), (32, 32), (24, 32), (30, 26)],
+                         ids=["30", "64", "32x32", "24x32", "30x26"])
+def test_half_cell_cores_match_the_upsampled_reference(shape):
+    grid, psi, sym = _weyl_case(shape)
+    got = list(_three_maps(grid, psi, sym))
+    if grid.dof == 1:
+        got.append(wavefunction_from_wigner(wigner_from_wavefunction(psi)).values)
+    want = _fancy_maps(grid, psi, sym)
+    assert len(got) == len(want) == 5 + (grid.dof == 1)
     for a, b in zip(got, want):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("shape", [(30,), (24, 32)], ids=["30", "24x32"])
+def test_maps_leave_their_inputs_unchanged(shape):
+    # the maps shift odd chords in place, on arrays they must allocate themselves
+    grid, psi, sym = _weyl_case(shape)
+    w = wigner_from_wavefunction(psi)
+    real = WeylSymbol(grid, sym.values.real)
+    op, herm = weyl_operator_from_symbol(sym), weyl_operator_from_symbol(real)
+    inputs = (psi.values, sym.values, real.values, op.matrix, herm.matrix, w.values)
+    before = [a.tobytes() for a in inputs]
+    wigner_from_wavefunction(psi)
+    for s in (sym, real):
+        weyl_operator_from_symbol(s)
+    for m in (op, herm):
+        weyl_symbol_from_operator(m)
+    if grid.dof == 1:
+        wavefunction_from_wigner(w)
+    assert [a.tobytes() for a in inputs] == before
 
 
 def test_cached_index_tables_are_read_only():
     # they are shared by every later map on the same grid size
-    from osqm import weyl
+    from osqm import spectral, weyl
     bra, ket = weyl._chord_index((16, 12))
-    for table in [*weyl._flat_tables(16), *bra, *ket]:
+    for table in [*weyl._flat_tables(16), *bra, *ket, spectral._half_cell_table(16)]:
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 1

@@ -35,7 +35,10 @@ the case's group; a call of `DRAWS` Born draws or seeds counts as that many.
   `eigh`.
 - slosh-setup, composite-setup: those workloads' set-ups, from
   bench/workloads.py; chord-wigner-32x32, weyl-op-32x32: the Weyl maps of
-  the composite set-up's state and Hamiltonian.
+  the composite set-up's state and Hamiltonian; weyl-symbol-32x32: that
+  operator's symbol; weyl-op-256: the N = 256 oscillator's H to an
+  operator, the dof-1 map that the slosh-oracle set-up and each
+  phase-backend event run.
 - star-product-64: `moyal_product` of two Gaussian symbols at N = 64.
 - pace-reference: one bench/pace.py `Pace().reference_kernel()` burst. It
   calls nothing in osqm, so it shows how fast the host ran.
@@ -81,7 +84,8 @@ GROUPS = {
     "eigh_ms": ("ms per fresh OperatorMatrix.eigh", _ms),
     "region_build_ms": ("ms per region build (operator, root, PS6 split)", _ms),
     "setup_ms": ("ms per slosh-oracle and per composite-measurement set-up", _ms),
-    "weyl_map_ms": ("ms per Weyl map on the composite's 32 x 32 inputs", _ms),
+    "weyl_map_ms": ("ms per Weyl map, on the composite's 32 x 32 inputs or at N = 256",
+                    _ms),
     "star_product_ms": ("ms per moyal_product at N = 64", _ms),
     "pace_ms": ("ms per bench/pace.py reference burst", _ms),
 }
@@ -243,13 +247,18 @@ def _region_build(points: int, p_cuts, at: tuple) -> Timed:
     return Timed(build)
 
 
-def _weyl_map(chord: bool) -> Timed:
+def _weyl_map(which: str) -> Timed:
+    """chord: the composite set-up's state to W; op: its H to an operator;
+    symbol: that operator back; op-256: the N = 256 oscillator's H."""
     from osqm import weyl, wigner
 
+    if which == "op-256":
+        return Timed(partial(weyl.weyl_operator_from_symbol, _oscillator(256)[1].symbol()))
     _, h, psi, _, _ = _composite()
-    if chord:
-        return Timed(partial(wigner.wigner_from_wavefunction, psi))
-    return Timed(partial(weyl.weyl_operator_from_symbol, h.symbol()))
+    return Timed({"chord": partial(wigner.wigner_from_wavefunction, psi),
+                  "op": partial(weyl.weyl_operator_from_symbol, h.symbol()),
+                  "symbol": partial(weyl.weyl_symbol_from_operator,
+                                    weyl.weyl_operator_from_symbol(h.symbol()))}[which])
 
 
 def _star_product() -> Timed:
@@ -288,8 +297,10 @@ CASES = {
                             partial(_region_build, 256, [0.0], (-3.0, -3.0)), 3, 7),
     "slosh-setup": Case("setup_ms", lambda: Timed(_slosh), 1, 7),
     "composite-setup": Case("setup_ms", lambda: Timed(_composite), 1, 5),
-    "chord-wigner-32x32": Case("weyl_map_ms", partial(_weyl_map, True), 3, 7),
-    "weyl-op-32x32": Case("weyl_map_ms", partial(_weyl_map, False), 3, 7),
+    "chord-wigner-32x32": Case("weyl_map_ms", partial(_weyl_map, "chord"), 3, 7),
+    "weyl-op-32x32": Case("weyl_map_ms", partial(_weyl_map, "op"), 3, 7),
+    "weyl-symbol-32x32": Case("weyl_map_ms", partial(_weyl_map, "symbol"), 3, 7),
+    "weyl-op-256": Case("weyl_map_ms", partial(_weyl_map, "op-256"), 20, 9),
     "star-product-64": Case("star_product_ms", _star_product, 5, 9),
     "pace-reference": Case("pace_ms", lambda: Timed(_bench("pace").Pace().reference_kernel),
                            5, 9),
