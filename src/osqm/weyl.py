@@ -16,14 +16,14 @@ gathers from a state vector), so _per_dof maps each pair where it lies.
 
 Each core reads a chord c at the midpoints of its pairs: on the nodes for
 even c~, half a cell past them for odd c~ (odd c, as n is even). It shifts
-the odd chords alone, in place, their (-1)^c sign folded in, then takes
-the pair with one flat take, a roll per chord (_gather). The shift is 0 at
-the Nyquist frequency, as the x2 upsample it replaces split that term;
-dynamics._half_shift differs only there (0 against -i), and would change
-a random symbol's operator at any n, a state's W at n = 2 (mod 4) (the
-FOUND line on N = 2 (mod 4) in CHANGES.md). On the 32^2 composite the chord
-transform takes 21 ms, not 47, weyl_operator_from_symbol 43, not 81, and
-1.0 ms, not 2.1, at n = 256 (1 thread, AMD EPYC). Tables are read-only.
+the odd chords alone, in place, their (-1)^c sign folded in, then takes the
+pair with one flat take, a roll per chord (_gather; tables read-only). The
+shift is 0 at the Nyquist frequency, as the x2 upsample it replaces split
+that term; dynamics._half_shift differs only there (0 against -i), and would
+change a random symbol's operator at any n, a state's W at n = 2 (mod 4)
+(the FOUND line on N = 2 (mod 4) in CHANGES.md). On the 32^2 composite the
+chord transform takes 22 ms, not 52, weyl_operator_from_symbol 39, not 83,
+and 0.91 ms, not 2.05, at n = 256 (BENCH_33.json, 1 thread, AMD EPYC).
 """
 
 from __future__ import annotations

@@ -255,10 +255,12 @@ def _weyl_map(which: str) -> Timed:
     if which == "op-256":
         return Timed(partial(weyl.weyl_operator_from_symbol, _oscillator(256)[1].symbol()))
     _, h, psi, _, _ = _composite()
-    return Timed({"chord": partial(wigner.wigner_from_wavefunction, psi),
-                  "op": partial(weyl.weyl_operator_from_symbol, h.symbol()),
-                  "symbol": partial(weyl.weyl_symbol_from_operator,
-                                    weyl.weyl_operator_from_symbol(h.symbol()))}[which])
+    if which == "chord":
+        return Timed(partial(wigner.wigner_from_wavefunction, psi))
+    if which == "op":
+        return Timed(partial(weyl.weyl_operator_from_symbol, h.symbol()))
+    op = weyl.weyl_operator_from_symbol(h.symbol())
+    return Timed(partial(weyl.weyl_symbol_from_operator, op))
 
 
 def _star_product() -> Timed:
