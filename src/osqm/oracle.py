@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .grid import PhaseGrid
 from .spectral import x_to_p
@@ -121,7 +120,7 @@ class OperatorMatrix:
             raise ValueError("operator matrix has wrong dimension")
         if self.hermitian:
             dev = np.abs(self.matrix - self.matrix.conj().T).max()
-            if dev > HERM_TOL:
+            if not dev <= HERM_TOL:  # NaN fails this, so no eigh sees a NaN or inf
                 raise ValueError(f"operator flagged Hermitian deviates by {dev:.2e}")
         if self.psd:
             if not self.hermitian:
@@ -134,8 +133,8 @@ class OperatorMatrix:
     def diagonal(cls, grid: PhaseGrid, d: np.ndarray) -> "OperatorMatrix":
         """The PSD operator diag(d) of a nonnegative real vector d, with its
         exact eigendecomposition cached: d in ascending order, and unit-vector
-        eigenvectors in the complex Fortran-ordered layout scipy.linalg.eigh
-        returns. Neither the PSD check nor eigh() makes a LAPACK call, and
+        eigenvectors in the complex Fortran-ordered layout eigh() returns.
+        Neither the PSD check nor eigh() makes a LAPACK call, and
         operator_sqrt roots d elementwise."""
         d = np.asarray(d, dtype=float)
         order = np.argsort(d, kind="stable")
@@ -148,20 +147,18 @@ class OperatorMatrix:
     def eigh(self):
         """Cached eigendecomposition (Hermitian operators only).
 
-        LAPACK's divide-and-conquer driver (heevd; Gu & Eisenstat, SIMAX 16,
-        1995). The quasiprojectors, pointer bands and quantised pure states
-        have spectra clustered at 0 and 1, where the default MRRR driver
-        (heevr) slows down: a half-line quasiprojector at N = 256 takes
-        6.9 ms against 19.0 ms (one BLAS thread, AMD EPYC). Its
-        eigenvectors are also orthonormal to 4e-15, where MRRR's are off by
-        1e-13 to 2e-12 on the quantised pure states of off-centre coherent
-        states.
+        numpy.linalg.eigh: LAPACK's divide-and-conquer driver (heevd; Gu &
+        Eisenstat, SIMAX 16, 1995), whose eigenvectors are orthonormal to
+        4e-15 on the quantised pure states. q is kept in LAPACK's own
+        Fortran order (numpy returns a C-ordered copy): the layout sets how
+        the GEMMs of unitary() and operator_sqrt sum, and so the last bits of
+        the figures `osqm regress` reports.
         """
         if not self.hermitian:
             raise ValueError("eigh needs a Hermitian operator")
         if self._eig is None:
-            w, q = scipy.linalg.eigh(self.matrix, driver="evd")
-            object.__setattr__(self, "_eig", (w, q))
+            w, q = np.linalg.eigh(self.matrix)
+            object.__setattr__(self, "_eig", (w, np.asfortranarray(q)))
         return self._eig
 
     def unitary(self, t: float) -> np.ndarray:

@@ -1,7 +1,10 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -215,3 +218,18 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = [u for path in sorted(root.glob("*.py")) if path.name != "__init__.py"
               for u in unused_imports(path)]
     assert unused == []
+
+
+def test_importing_every_module_loads_no_scipy():
+    # numpy is the one runtime dependency: scipy would load a second BLAS
+    env = dict(os.environ)
+    src = str(Path(osqm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import importlib, sys\n"
+            f"for name in {MODULES!r}:\n"
+            "    importlib.import_module(name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

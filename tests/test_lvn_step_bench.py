@@ -55,6 +55,12 @@ def test_eigh_cases_decompose_a_hermitian_operator_of_their_size(monkeypatch):
             assert [(op.hermitian, op.matrix.shape) for op in seen] == [(True, (size, size))]
 
 
+def test_host_records_the_blas_that_numpy_runs_on():
+    # every eigh of osqm runs on numpy's LAPACK, so its BLAS build decides the timings
+    blas = tool._host()["blas"]
+    assert blas["name"] and blas["version"]
+
+
 def test_composite_setup_is_the_workloads():
     _, h, _, w, measurements = tool._composite()
     assert len(h.terms) == 1 and w.values.shape == (32,) * 4

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from osqm.grid import PhaseGrid
 from osqm.oracle import OperatorMatrix, WaveFunction, operator_sqrt, schrodinger_propagate
@@ -67,6 +66,16 @@ def test_propagate_rejects_non_hermitian(grid64):
         schrodinger_propagate(psi, m, 1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_hermitian_flag_rejects_non_finite_entries(grid64, value, where):
+    # m - m^H is NaN there, and NaN must fail the Hermitian check, not pass it
+    m = np.eye(grid64.hilbert_dim, dtype=complex)
+    m[where] = m[where[::-1]] = value
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="flagged Hermitian"):
+        OperatorMatrix(grid64, m, hermitian=True)
+
+
 def test_operator_sqrt_identity(grid64):
     eye = OperatorMatrix(grid64, np.eye(grid64.hilbert_dim, dtype=complex),
                          hermitian=True, psd=True)
@@ -97,15 +106,15 @@ def test_operator_sqrt_rejects_non_psd(grid64):
 
 
 def _counted_eighs(monkeypatch) -> list:
-    """A list that gains one entry per scipy.linalg.eigh call from now on."""
+    """A list that gains one entry per np.linalg.eigh call from now on."""
     calls = []
-    eigh = scipy.linalg.eigh
+    eigh = np.linalg.eigh
 
     def counting(*args, **kwargs):
         calls.append(1)
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     return calls
 
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from osqm.oracle import OperatorMatrix, WaveFunction
 from osqm.weyl import WeylSymbol, mean_value, weyl_operator_from_symbol, weyl_symbol_from_operator
@@ -45,7 +44,7 @@ def test_position_symbol_is_diagonal(grid64):
 def test_oscillator_spectrum(grid64):
     X, P = grid64.phase_mesh()
     m = weyl_operator_from_symbol(WeylSymbol(grid64, (X ** 2 + P ** 2) / 2 + 0j))
-    evals = scipy.linalg.eigvalsh(m.matrix)
+    evals = np.linalg.eigvalsh(m.matrix)
     for k in range(8):
         assert abs(evals[k] - (k + 0.5)) < 1e-6
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from osqm.grid import ContainmentError, PhaseGrid
 from osqm.oracle import OperatorMatrix, WaveFunction, tensor_state
@@ -141,7 +140,7 @@ def test_density_roundtrip_random_pure_states(grid64, rng):
 def test_density_from_wigner_top_eigenvector_is_the_state(grid64):
     psi = coherent_state(grid64, 0.8, -0.6)
     rho = weyl_operator_from_symbol(wigner_from_wavefunction(psi).as_symbol())
-    evals, evecs = scipy.linalg.eigh(rho.matrix)
+    evals, evecs = np.linalg.eigh(rho.matrix)
     assert abs(evals[-1] - 1) < 1e-6
     fid = abs(np.vdot(evecs[:, -1], psi.to_vector())) ** 2
     assert fid > 1 - 1e-6

@@ -367,8 +367,10 @@ def _host() -> dict:
     except OSError:
         pass
     import numpy
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"cpu": cpu, "nproc": os.cpu_count(), "machine": platform.machine(),
-            "python": platform.python_version(), "numpy": numpy.__version__}
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")}}
 
 
 def _commit(tree: Path):
