@@ -24,6 +24,26 @@ change a random symbol's operator at any n, a state's W at n = 2 (mod 4)
 (the FOUND line on N = 2 (mod 4) in CHANGES.md). On the 32^2 composite the
 chord transform takes 22 ms, not 52, weyl_operator_from_symbol 39, not 83,
 and 0.91 ms, not 2.05, at n = 256 (BENCH_33.json, 1 thread, AMD EPYC).
+
+The symbol side also has a real path, as rfft has beside fft: a pure
+state's W and a Hermitian operator's symbol are real, and the chord block
+of a Hermitian m, E[c, t] = conj E[-c, t + c] on every dof at once, holds
+each chord twice. So _chord_to_real_symbol reads only the chords c_0 in
+[0, n_0/2] of dof 0, the dof it transforms last, runs dof 1's core on that
+half and ends in one hfft where the complex path takes fft(..).real.
+One chord breaks the mirror: dof 1's Nyquist chord c_1 = n_1/2 has one
+orientation, so the mirror of its value at a midpoint is its value at the
+other midpoint, n_1/2 away, and the half block is not Hermitian there. The
+real part that the whole transform keeps is the mean of the two, so for
+c_0 < n_0/2 the real path puts that mean in the Nyquist slab (1/n_1 of
+the block); at c_0 = 0 the mean adds only an imaginary part, and at
+c_0 = n_0/2, read at one midpoint by both paths, hfft keeps the real part
+as fft(..).real does. Without the mean, W of a random 32^2 state misses by
+0.10 of its max. An operator gives the chords of (m + m^H)/2, the part
+whose symbol .real kept. Only a non-Hermitian operator, whose symbol is
+complex, takes the complex path. On the 32^2 composite the chord transform
+takes 11 ms, not 22, and the Hermitian operator's symbol 20 ms, not 36
+(1 thread, AMD EPYC; BENCH_35.json).
 """
 
 from __future__ import annotations
@@ -72,16 +92,19 @@ def _read_only(*tables) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def _chord_index(shape: tuple) -> tuple:
+def _chord_index(shape: tuple, half: bool) -> tuple:
     """(bra, ket) index tuples over every dof with E[c, t] = m[t + c, t].
 
     E has axes (c_0, t_0, c_1, t_1, ..); indexing the (bra_0.., ket_0..)
     axes of an operator with bra + ket, or a state V with V[bra] *
-    conj(V)[ket], gathers its chord block.
+    conj(V)[ket], gathers its chord block. With half, only the chords
+    c_0 in [0, n_0/2] of dof 0, which _chord_to_real_symbol reads.
     """
     ct = np.indices(tuple(n for n in shape for _ in "ct"), sparse=True)
     ket = _read_only(*ct[1::2])                   # t_d on axis 2d + 1
     bra = _read_only(*((c + t) % n for c, t, n in zip(ct[::2], ket, shape)))
+    if half:                                      # read-only views: c_0 is axis 0
+        bra, ket = (tuple(ix[:shape[0] // 2 + 1] for ix in tables) for tables in (bra, ket))
     return bra, ket
 
 
@@ -120,16 +143,45 @@ def _op_core(arr: np.ndarray, ax: int) -> np.ndarray:
     return _gather(h, ax, ax + 1, _flat_tables(arr.shape[ax])[0])        # [.., a, b, ..]
 
 
+def _chord_gather(e: np.ndarray, ax: int) -> np.ndarray:
+    """The axes (c_d, t_d) at ax, ax + 1 of a chord block e, which it overwrites,
+    as [.., j, c, ..]; e may hold only its first chords, as the real path's dof 0."""
+    n = e.shape[ax + 1]
+    return _gather(e, ax, ax, _flat_tables(n)[1][:, :e.shape[ax]])
+
+
 def _chord_core(e: np.ndarray, ax: int) -> np.ndarray:
     """Map the axes (c_d, t_d) at ax, ax + 1 of a chord block e, which it
     overwrites, to (x_d, p_d)."""
-    b = _gather(e, ax, ax, _flat_tables(e.shape[ax])[1])    # [.., j, c, ..]
+    b = _chord_gather(e, ax)                                # [.., j, c, ..]
     return np.fft.fft(b, axis=ax + 1, out=b)                # [.., x, p, ..]
 
 
 def _chord_to_symbol(e: np.ndarray) -> np.ndarray:
     """The symbol (x_0.., p_0..) of a paired chord block e, which it overwrites."""
     return _split(_per_dof(e, _chord_core))
+
+
+def _chord_to_real_symbol(e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into out, real on (x_0.., p_0..), the symbol of a Hermitian
+    operator from the chords c_0 in [0, n_0/2] of its paired chord block e,
+    which it overwrites; returns out.
+
+    It is .real of _chord_to_symbol on the whole block: dof 1 runs the same
+    core, with its Nyquist chord made the mean of its two midpoints for
+    c_0 < n_0/2, and dof 0 ends in one hfft, written as numpy's hfft is,
+    irfft of the conjugate, which can write to out.
+    """
+    if e.ndim == 4:                                         # dof 1 of a composite
+        b = _chord_gather(e, 2)                             # [c_0, t_0, j_1, c_1]
+        half = b.shape[2] // 2
+        nyq = b[:-1, :, :, half]                            # a view
+        nyq += np.roll(nyq, half, axis=2)
+        nyq *= 0.5
+        e = np.fft.fft(b, axis=3, out=b)                    # [c_0, t_0, x_1, p_1]
+    b = _chord_gather(e, 0)                                 # [j_0, c_0, ..]
+    np.conjugate(b, out=b)
+    return np.fft.irfft(b, out.shape[0], axis=1, norm="forward", out=_paired(out))
 
 
 @dataclass
@@ -164,20 +216,33 @@ def weyl_operator_from_symbol(sym: WeylSymbol) -> OperatorMatrix:
     m = _split(_per_dof(_paired(sym.values), _op_core)).reshape(d, d)
     herm = bool(sym.hermitian)
     if herm:
-        m = 0.5 * (m + m.conj().T)
+        np.add(m, m.conj().T, out=m)   # m is the cores' own array: one temporary
+        m *= 0.5
     return OperatorMatrix(grid, m, hermitian=herm)
 
 
 def weyl_symbol_from_operator(op: OperatorMatrix) -> WeylSymbol:
-    """Inverse of weyl_operator_from_symbol (exact off the Nyquist sector)."""
+    """Inverse of weyl_operator_from_symbol (exact off the Nyquist sector).
+
+    A Hermitian operator, flagged or within REAL_TOL of its adjoint, maps
+    through the real path from the chords of its Hermitian part (m + m^H)/2:
+    the real part of the complex map's symbol.
+    """
     grid = op.grid
     shape = grid.config_shape
-    m = op.matrix
-    bra, ket = _chord_index(shape)
-    vals = _chord_to_symbol(m.reshape(shape * 2)[bra + ket])
-    hermitian = np.abs(m - m.conj().T).max() <= REAL_TOL
-    vals = vals.real.astype(complex, order="C") if hermitian else np.ascontiguousarray(vals)
-    return WeylSymbol(grid, vals, hermitian=bool(hermitian))
+    hermitian = bool(op.hermitian or np.abs(op.matrix - op.matrix.conj().T).max() <= REAL_TOL)
+    m = op.matrix.reshape(shape * 2)
+    bra, ket = _chord_index(shape, hermitian)
+    if not hermitian:
+        return WeylSymbol(grid, np.ascontiguousarray(_chord_to_symbol(m[bra + ket])),
+                          hermitian=False)
+    vals = np.zeros(grid.phase_shape, complex)  # before the temporaries (see wigner)
+    e = m[ket + bra]                  # the chords of m^T; conjugated, of m^H
+    np.conjugate(e, out=e)
+    e += m[bra + ket]
+    e *= 0.5
+    _chord_to_real_symbol(e, vals.real)
+    return WeylSymbol(grid, vals, hermitian=True)
 
 
 def mean_value(sym: WeylSymbol, wigner) -> float:

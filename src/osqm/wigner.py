@@ -9,7 +9,7 @@ import numpy as np
 from .grid import ContainmentError, PhaseGrid
 from .oracle import WaveFunction
 from .spectral import shift_half_cell
-from .weyl import WeylSymbol, _chord_index, _chord_to_symbol
+from .weyl import WeylSymbol, _chord_index, _chord_to_real_symbol
 
 __all__ = [
     "WignerState",
@@ -57,8 +57,10 @@ def wigner_from_wavefunction(psi: WaveFunction, check_containment: bool = True) 
 
     The chord block E[c, t] = psi[t + c] conj(psi[t]) is gathered from the
     state on every dof at once, without building the density matrix, and
-    then runs the same per-dof transform as weyl_symbol_from_operator, so
-    the two paths agree to machine precision. With check_containment, both
+    only for the chords c_0 in [0, n_0/2] of dof 0: |psi><psi| is Hermitian,
+    so W is real and the other half holds no more. That half runs the real
+    path that weyl_symbol_from_operator runs on a Hermitian operator, so the
+    two agree to machine precision. With check_containment, both
     |psi(x)|^2 and |psi~(p)|^2 must keep their outer 2-cell shell mass below
     PhaseGrid.check_containment's tolerance (ContainmentError otherwise).
     """
@@ -68,10 +70,14 @@ def wigner_from_wavefunction(psi: WaveFunction, check_containment: bool = True) 
         grid.check_containment(np.abs(psi.momentum_values()) ** 2,
                                what="|psi~(p)|^2")
     v = psi.to_vector().reshape(grid.config_shape)
-    bra, ket = _chord_index(grid.config_shape)
-    w = _chord_to_symbol(v[bra] * v.conj()[ket])
-    scale = 1.0 / (2 * np.pi * grid.hbar) ** grid.dof
-    return WignerState(grid, np.multiply(w.real, scale, order="C"))   # contiguous
+    bra, ket = _chord_index(grid.config_shape, half=True)
+    # W is allocated first and the transform writes it, with no conjugated or
+    # scaled copy: allocated last, after such temporaries, it left heap holes
+    # that the 32^4 arrays of a later evolution could not reuse (+48 MB RSS)
+    w = np.empty(grid.phase_shape)
+    _chord_to_real_symbol(v[bra] * v.conj()[ket], w)
+    w *= 1.0 / (2 * np.pi * grid.hbar) ** grid.dof
+    return WignerState(grid, w)
 
 
 def wavefunction_from_wigner(w: WignerState) -> WaveFunction:

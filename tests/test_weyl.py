@@ -213,25 +213,38 @@ def _fancy_per_dof(arr, core):
     return arr.transpose([*range(last, -1, -2), *range(last + 1, 0, -2)])
 
 
+def _fancy_chords(shape):
+    ct = np.indices(shape * 2, sparse=True)       # E[c_0.., t_0..] = m[t + c, t]
+    ket = ct[len(shape):]
+    return tuple((c + t) % n for c, t, n in zip(ct[:len(shape)], ket, shape)), ket
+
+
+def _fancy_symbol(grid, m):
+    """The symbol of the matrix m: .real of the whole transform if m is Hermitian."""
+    bra, ket = _fancy_chords(grid.config_shape)
+    vals = _fancy_per_dof(m.reshape(grid.config_shape * 2)[bra + ket], _fancy_chord_core)
+    return vals.real + 0j if np.abs(m - m.conj().T).max() <= 1e-10 else vals
+
+
+def _fancy_wigner(grid, psi):
+    """W of psi: .real of the whole transform of its chord block."""
+    bra, ket = _fancy_chords(grid.config_shape)
+    v = psi.to_vector().reshape(grid.config_shape)
+    return (_fancy_per_dof(v[bra] * v.conj()[ket], _fancy_chord_core).real
+            / (2 * np.pi * grid.hbar) ** grid.dof)
+
+
 def _fancy_maps(grid, psi, sym):
     """What _three_maps and wavefunction_from_wigner give, through the reference."""
     shape, dim, scale = grid.config_shape, grid.hilbert_dim, (2 * np.pi * grid.hbar) ** grid.dof
-    ct = np.indices(shape * 2, sparse=True)       # E[c_0.., t_0..] = m[t + c, t]
-    ket = ct[grid.dof:]
-    bra = tuple((c + t) % n for c, t, n in zip(ct[:grid.dof], ket, shape))
 
     def operator(values, herm):
         m = _fancy_per_dof(values, _fancy_op_core).reshape(dim, dim)
         return 0.5 * (m + m.conj().T) if herm else m
 
-    def symbol(m):
-        vals = _fancy_per_dof(m.reshape(shape * 2)[bra + ket], _fancy_chord_core)
-        return vals.real + 0j if np.abs(m - m.conj().T).max() <= 1e-10 else vals
-
-    v = psi.to_vector().reshape(shape)
-    w = _fancy_per_dof(v[bra] * v.conj()[ket], _fancy_chord_core).real / scale
+    w = _fancy_wigner(grid, psi)
     op, herm = operator(sym.values, False), operator(w * scale + 0j, True)
-    maps = [w, op, symbol(op), herm, symbol(herm)]
+    maps = [w, op, _fancy_symbol(grid, op), herm, _fancy_symbol(grid, herm)]
     if grid.dof == 1:
         n = shape[0]
         a = np.arange(n)
@@ -270,9 +283,12 @@ def _three_maps(grid, psi, sym):
             weyl_symbol_from_operator(herm).values)
 
 
+SHAPES = pytest.mark.parametrize("shape", [(30,), (64,), (32, 32), (24, 32), (30, 26)],
+                                 ids=["30", "64", "32x32", "24x32", "30x26"])
+
+
 # at 30 and 26, which are 2 (mod 4), the chord -n/2 is odd and is shifted
-@pytest.mark.parametrize("shape", [(30,), (64,), (32, 32), (24, 32), (30, 26)],
-                         ids=["30", "64", "32x32", "24x32", "30x26"])
+@SHAPES
 def test_half_cell_cores_match_the_upsampled_reference(shape):
     grid, psi, sym = _weyl_case(shape)
     got = list(_three_maps(grid, psi, sym))
@@ -283,6 +299,54 @@ def test_half_cell_cores_match_the_upsampled_reference(shape):
     for a, b in zip(got, want):
         assert a.shape == b.shape
         assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+
+def _random_case(shape):
+    """(grid, random state, random dense Hermitian matrix) on _weyl_case's grid.
+
+    Neither is contained: both fill the Nyquist chords, where the real path
+    takes dof 1's Nyquist chord as the mean of its two midpoints. A contained
+    state leaves those chords empty, so it passes without that mean."""
+    grid = _weyl_case(shape)[0]
+    rng = np.random.default_rng(2 * sum(shape) + 1)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a = (rng.standard_normal((grid.hilbert_dim,) * 2)
+         + 1j * rng.standard_normal((grid.hilbert_dim,) * 2))
+    return grid, WaveFunction(grid, v, normalized=False).normalize(), a + a.conj().T
+
+
+@SHAPES
+def test_real_path_matches_the_whole_transform_on_random_inputs(shape):
+    grid, psi, herm = _random_case(shape)
+    sym = weyl_symbol_from_operator(OperatorMatrix(grid, herm))
+    assert sym.hermitian
+    got = [wigner_from_wavefunction(psi, check_containment=False).values, sym.values]
+    want = [_fancy_wigner(grid, psi), _fancy_symbol(grid, herm)]
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+
+def test_flagged_and_measured_hermitian_operators_give_one_symbol():
+    # within HERM_TOL of Hermitian, not exactly: both take the real path from
+    # the same Hermitian part, one on the flag, one on the measured deviation
+    grid, _, herm = _random_case((24, 32))
+    rng = np.random.default_rng(5)
+    m = herm + 1e-12 * rng.standard_normal(herm.shape)
+    flagged = weyl_symbol_from_operator(OperatorMatrix(grid, m, hermitian=True))
+    measured = weyl_symbol_from_operator(OperatorMatrix(grid, m))
+    assert flagged.hermitian and measured.hermitian
+    assert np.array_equal(flagged.values, measured.values)
+
+
+@pytest.mark.parametrize("shape", [(30,), (24, 32)], ids=["30", "24x32"])
+def test_real_symbol_quantises_to_the_hermitian_part_of_its_matrix(shape):
+    # the symmetrisation runs in place on the cores' array; it must round as
+    # the expression it replaced
+    grid, _, sym = _weyl_case(shape)
+    raw = weyl_operator_from_symbol(WeylSymbol(grid, sym.values.real, hermitian=False)).matrix
+    herm = weyl_operator_from_symbol(WeylSymbol(grid, sym.values.real)).matrix
+    assert np.array_equal(herm, 0.5 * (raw + raw.conj().T))
 
 
 @pytest.mark.parametrize("shape", [(30,), (24, 32)], ids=["30", "24x32"])
@@ -307,7 +371,9 @@ def test_maps_leave_their_inputs_unchanged(shape):
 def test_cached_index_tables_are_read_only():
     # they are shared by every later map on the same grid size
     from osqm import spectral, weyl
-    bra, ket = weyl._chord_index((16, 12))
-    for table in [*weyl._flat_tables(16), *bra, *ket, spectral._half_cell_table(16)]:
+    bra, ket = weyl._chord_index((16, 12), half=False)
+    half_bra, half_ket = weyl._chord_index((16, 12), half=True)
+    for table in [*weyl._flat_tables(16), *bra, *ket, *half_bra, *half_ket,
+                  spectral._half_cell_table(16)]:
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 1

@@ -36,7 +36,8 @@ the case's group; a call of `DRAWS` Born draws or seeds counts as that many.
 - slosh-setup, composite-setup: those workloads' set-ups, from
   bench/workloads.py; chord-wigner-32x32, weyl-op-32x32: the Weyl maps of
   the composite set-up's state and Hamiltonian; weyl-symbol-32x32: that
-  operator's symbol; weyl-op-256: the N = 256 oscillator's H to an
+  operator's symbol; chord-wigner-256: the Wigner function of the N = 256
+  oscillator's coherent state; weyl-op-256: that oscillator's H to an
   operator, the dof-1 map that the slosh-oracle set-up and each
   phase-backend event run.
 - star-product-64: `moyal_product` of two Gaussian symbols at N = 64.
@@ -249,9 +250,12 @@ def _region_build(points: int, p_cuts, at: tuple) -> Timed:
 
 def _weyl_map(which: str) -> Timed:
     """chord: the composite set-up's state to W; op: its H to an operator;
-    symbol: that operator back; op-256: the N = 256 oscillator's H."""
+    symbol: that operator back; chord-256, op-256: the N = 256 oscillator's
+    state to W, its H to an operator."""
     from osqm import weyl, wigner
 
+    if which == "chord-256":
+        return Timed(partial(wigner.wigner_from_wavefunction, _oscillator(256)[2]))
     if which == "op-256":
         return Timed(partial(weyl.weyl_operator_from_symbol, _oscillator(256)[1].symbol()))
     _, h, psi, _, _ = _composite()
@@ -300,6 +304,7 @@ CASES = {
     "slosh-setup": Case("setup_ms", lambda: Timed(_slosh), 1, 7),
     "composite-setup": Case("setup_ms", lambda: Timed(_composite), 1, 5),
     "chord-wigner-32x32": Case("weyl_map_ms", partial(_weyl_map, "chord"), 3, 7),
+    "chord-wigner-256": Case("weyl_map_ms", partial(_weyl_map, "chord-256"), 50, 9),
     "weyl-op-32x32": Case("weyl_map_ms", partial(_weyl_map, "op"), 3, 7),
     "weyl-symbol-32x32": Case("weyl_map_ms", partial(_weyl_map, "symbol"), 3, 7),
     "weyl-op-256": Case("weyl_map_ms", partial(_weyl_map, "op-256"), 20, 9),
