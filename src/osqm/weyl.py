@@ -41,9 +41,9 @@ c_0 = n_0/2, read at one midpoint by both paths, hfft keeps the real part
 as fft(..).real does. Without the mean, W of a random 32^2 state misses by
 0.10 of its max. An operator gives the chords of (m + m^H)/2, the part
 whose symbol .real kept. Only a non-Hermitian operator, whose symbol is
-complex, takes the complex path. On the 32^2 composite the chord transform
-takes 11 ms, not 22, and the Hermitian operator's symbol 20 ms, not 36
-(1 thread, AMD EPYC; BENCH_35.json).
+complex, takes the complex path. The chord transform takes 10.2 ms, not
+26.6, on the 32^2 composite and 0.27 ms, not 0.47, at n = 256; the symbol
+of the composite's H 22.5 ms, not 39.0 (BENCH_35.json, 1 thread, AMD EPYC).
 """
 
 from __future__ import annotations

@@ -72,8 +72,9 @@ def wigner_from_wavefunction(psi: WaveFunction, check_containment: bool = True) 
     v = psi.to_vector().reshape(grid.config_shape)
     bra, ket = _chord_index(grid.config_shape, half=True)
     # W is allocated first and the transform writes it, with no conjugated or
-    # scaled copy: allocated last, after such temporaries, it left heap holes
-    # that the 32^4 arrays of a later evolution could not reuse (+48 MB RSS)
+    # scaled copy: a W allocated after such temporaries sits above the heap
+    # holes they leave, which the 32^4 arrays of a later evolution cannot
+    # reuse (+48 MB RSS on the composite-measurement workload)
     w = np.empty(grid.phase_shape)
     _chord_to_real_symbol(v[bra] * v.conj()[ket], w)
     w *= 1.0 / (2 * np.pi * grid.hbar) ** grid.dof
