@@ -127,8 +127,7 @@ def _run_scenario(cfg: ScenarioConfig) -> int:
                   ["region", "count", "frequency", "ci_low", "ci_high"], rows)
         summary = {"counts": counts, "num_seeds": num}
 
-    write_metadata(out_dir / "metadata.json", config_to_dict(cfg), base_seed,
-                   extra=summary)
+    write_metadata(out_dir / "metadata.json", config_to_dict(cfg), base_seed, summary)
     print(json.dumps(summary))
     return EXIT_OK
 

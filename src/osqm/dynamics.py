@@ -31,7 +31,9 @@ each move is made of in-place np.fft passes (out=, numpy >= 2.0) and one
 product with a precomputed table: from term a's representation to term b's
 it is an fft along a's conv axes, one product with conj(D_a) D_b and an
 ifft along b's conv axes, where D is the half-cell shift e^{i pi k / n} at
-conv frequency k on the odd mask columns.
+conv frequency k on the odd mask columns: spectral.half_cell_table(n, False),
+-i at the Nyquist k = -n/2, so that conj(D) undoes D. The Weyl maps read
+the same table with True, 0 there (item 17 of ROADMAP.md).
 
 The exact path makes 8 FFT passes over the state. On the 32^4 coupling
 these are an fftn over the two mask axes, an fft and an ifft on the odd half
@@ -81,11 +83,12 @@ state, the exact path the final state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .grid import GridMismatchError, PhaseGrid
+from .spectral import centered_chords, half_cell_table, shift_half_cell
 from .weyl import WeylSymbol
 from .wigner import WignerState
 
@@ -210,20 +213,6 @@ def _cache_aligned(shape: tuple) -> np.ndarray:
     return raw[start:start + nbytes].view(complex).reshape(shape)
 
 
-@lru_cache(maxsize=16)
-def _half_shift(n: int) -> np.ndarray:
-    """d = e^{i pi a / n} at each signed frequency a in [-n/2, n/2), in np.fft order.
-
-    ifft(d * fft(f)) samples the trigonometric interpolant of f half a cell
-    past each node. spectral.shift_half_cell, the Weyl maps' shift, differs
-    only at the Nyquist a = -n/2 (0 against -i): the FOUND line on N = 2 (mod
-    4) in CHANGES.md.
-    """
-    shift = np.exp(1j * np.pi * np.fft.fftfreq(n, 1.0 / n) / n)
-    shift.flags.writeable = False
-    return shift
-
-
 def _factor_tables(grid: PhaseGrid, kind: str, dof: int, profile):
     """(conv_axis, mask_axis, left, right) of a single-variable factor.
 
@@ -235,7 +224,7 @@ def _factor_tables(grid: PhaseGrid, kind: str, dof: int, profile):
     over the full array.
     """
     n = grid.n(dof)
-    q = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    q = centered_chords(n)
     if kind == "x":
         samples, conv_axis, mask_axis = grid.x(dof), dof, grid.dof + dof
         rolls = (q // 2, -q // 2)
@@ -291,7 +280,7 @@ class _TermBasis:
         shift = 1.0
         for axis, mask in zip(self.axes, self.masks):
             odd = np.arange(self.shape[mask]) % 2 == 1
-            table = np.where(odd[None, :], _half_shift(self.shape[axis])[:, None], 1.0)
+            table = np.where(odd[None, :], half_cell_table(self.shape[axis], False)[:, None], 1.0)
             shift = shift * _embed(table, axis, mask, len(self.shape))
         return shift
 
@@ -315,13 +304,8 @@ class _TermBasis:
         for axis, mask in zip(self.axes, self.masks):
             index = [slice(None)] * arr.ndim
             index[mask] = slice(1, None, 2)
-            odd = arr[tuple(index)]
-            shift = _half_shift(arr.shape[axis])
-            shape = [1] * arr.ndim
-            shape[axis] = shift.size
-            np.fft.fft(odd, axis=axis, out=odd)
-            odd *= (np.conj(shift) if conj else shift).reshape(shape)
-            np.fft.ifft(odd, axis=axis, out=odd)
+            table = half_cell_table(arr.shape[axis], False)
+            shift_half_cell(arr[tuple(index)], axis, np.conj(table) if conj else table)
 
     def to_mixed(self, arr: np.ndarray, axes: tuple) -> np.ndarray:
         """arr, in place, in the mixed representation, with axes in frequency.

@@ -140,7 +140,7 @@ class PhaseGrid:
             inner = inner[tuple(sl)]
         return float((total - inner.sum()) / total)
 
-    def check_containment(self, values: np.ndarray, what: str = "state") -> None:
+    def check_containment(self, values: np.ndarray, what: str) -> None:
         m = self.containment_shell_mass(values)
         if not m < CONTAINMENT_TOL:
             raise ContainmentError(

@@ -89,7 +89,7 @@ def write_csv(path, header: list, rows: list) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_metadata(path, config_dict: dict, seed, extra: dict | None = None) -> None:
+def write_metadata(path, config_dict: dict, seed, extra: dict) -> None:
     """Run metadata sufficient to reproduce the run byte for byte.
 
     Deliberately timestamp-free so repeated runs produce identical files.
@@ -99,7 +99,6 @@ def write_metadata(path, config_dict: dict, seed, extra: dict | None = None) -> 
         "package_version": __version__,
         "config": config_dict,
         "base_seed": seed,
+        "extra": extra,
     }
-    if extra:
-        meta["extra"] = extra
     Path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grid import GridMismatchError, PhaseGrid
-from .spectral import cdftn, cidftn
+from .spectral import cdftn, cidftn, half_cell_table
 from .weyl import WeylSymbol
 
 __all__ = [
@@ -40,7 +40,7 @@ class StarProductPlan:
     def build(cls, grid: PhaseGrid) -> "StarProductPlan":
         n = grid.n(0)
         frq = np.arange(n) - n // 2
-        mu = np.exp(1j * np.pi * frq / n)
+        mu = np.fft.fftshift(half_cell_table(n, False))
         col_phases = np.exp(-1j * np.pi * np.outer(frq, frq) / n)  # [cx, eta_p]
         row_kernel = np.exp(1j * np.pi * np.outer(frq, frq) / n)   # [eta_x, cp]
         colsign = (-1.0) ** (np.abs(frq) % 2)

@@ -8,6 +8,11 @@ There is one centered DFT, cdftn, with its inverse cidftn, along the axes a
 caller names: x_to_p takes one axis, the measurement scenario's coupling
 step transforms axis 0, and the star product transforms both axes of a
 dof-1 symbol.
+
+There is one half-cell phase table, half_cell_table(n, zero_nyquist), and
+one routine that applies it, shift_half_cell. Its argument is the one rule
+for the Nyquist frequency: the Weyl maps pass True, the LvN term bases and
+the star product False.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ __all__ = [
     "centered_chords",
     "cdftn",
     "cidftn",
+    "half_cell_table",
     "shift_half_cell",
     "x_to_p",
 ]
@@ -80,25 +86,28 @@ def cidftn(arr: np.ndarray, axes: tuple) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _half_cell_table(n: int) -> np.ndarray:
-    """e^{i pi k / n} at each signed frequency k in np.fft order, but 0 at the
-    Nyquist k = n/2 (n even); read-only.
+def half_cell_table(n: int, zero_nyquist: bool) -> np.ndarray:
+    """e^{i pi k / n} at each integer frequency k of centered_chords(n), in
+    np.fft order; read-only. Every half-cell shift in osqm reads this table.
 
     ifft(table * fft(f)) samples f's trigonometric interpolant half a cell
-    past each node, the Nyquist coefficient split evenly between +-n/2, a pair
-    that cancels there: real f stays real. dynamics._half_shift differs only
-    at k = n/2 (0 against -i).
+    past each node. The argument is the one rule for the Nyquist k = -n/2
+    (n even). With zero_nyquist the entry is 0: the Nyquist coefficient is
+    split evenly between +-n/2, a pair that cancels there, so real f stays
+    real; the Weyl maps take it. Without, it is e^{-i pi / 2} = -i, and the
+    shift is unitary, so its conjugate undoes it; the LvN term bases and the
+    star product take it.
     """
-    table = np.exp(1j * np.pi * np.fft.fftfreq(n, 1.0 / n) / n)
-    table[n // 2] = 0.0
+    table = np.exp(1j * np.pi * centered_chords(n) / n)
+    if zero_nyquist:
+        table[n // 2] = 0.0
     table.flags.writeable = False
     return table
 
 
-def shift_half_cell(arr: np.ndarray, axis: int, factor: complex = 1.0) -> np.ndarray:
-    """In place on the complex arr: factor times its interpolant half a cell
-    past each node along axis (see _half_cell_table); returns arr."""
-    table = _half_cell_table(arr.shape[axis]) * factor
+def shift_half_cell(arr: np.ndarray, axis: int, table: np.ndarray) -> np.ndarray:
+    """In place on the complex arr: ifft(table * fft(arr)) along axis, with
+    table a half_cell_table or a multiple or conjugate of one; returns arr."""
     np.fft.fft(arr, axis=axis, out=arr)
     arr *= table.reshape((-1,) + (1,) * (arr.ndim - 1 - axis % arr.ndim))
     return np.fft.ifft(arr, axis=axis, out=arr)

@@ -18,12 +18,13 @@ Each core reads a chord c at the midpoints of its pairs: on the nodes for
 even c~, half a cell past them for odd c~ (odd c, as n is even). It shifts
 the odd chords alone, in place, their (-1)^c sign folded in, then takes the
 pair with one flat take, a roll per chord (_gather; tables read-only). The
-shift is 0 at the Nyquist frequency, as the x2 upsample it replaces split
-that term; dynamics._half_shift differs only there (0 against -i), and would
-change a random symbol's operator at any n, a state's W at n = 2 (mod 4)
-(the FOUND line on N = 2 (mod 4) in CHANGES.md). On the 32^2 composite the
-chord transform takes 22 ms, not 52, weyl_operator_from_symbol 39, not 83,
-and 0.91 ms, not 2.05, at n = 256 (BENCH_33.json, 1 thread, AMD EPYC).
+shift reads spectral.half_cell_table(n, True): 0 at the Nyquist frequency,
+as the x2 upsample it replaces split that term. The LvN term bases read
+the same table with False (-i there), which would change a random symbol's
+operator at any n, a state's W at n = 2 (mod 4) (the FOUND line on
+N = 2 (mod 4) in CHANGES.md). On the 32^2 composite the chord transform
+takes 22 ms, not 52, weyl_operator_from_symbol 39, not 83, and 0.91 ms,
+not 2.05, at n = 256 (BENCH_33.json, 1 thread, AMD EPYC).
 
 The symbol side also has a real path, as rfft has beside fft: a pure
 state's W and a Hermitian operator's symbol are real, and the chord block
@@ -56,7 +57,7 @@ import numpy as np
 
 from .grid import GridMismatchError, PhaseGrid
 from .oracle import OperatorMatrix
-from .spectral import centered_chords, shift_half_cell
+from .spectral import centered_chords, half_cell_table, shift_half_cell
 
 __all__ = [
     "WeylSymbol",
@@ -132,7 +133,8 @@ def _gather(arr: np.ndarray, ax: int, chord_axis: int, take: np.ndarray) -> np.n
     along the other, in place, with their sign (-1)^c folded in."""
     odd = [slice(None)] * arr.ndim
     odd[chord_axis] = slice(1, None, 2)
-    shift_half_cell(arr[tuple(odd)], 2 * ax + 1 - chord_axis, -1.0)
+    axis = 2 * ax + 1 - chord_axis
+    shift_half_cell(arr[tuple(odd)], axis, half_cell_table(arr.shape[axis], True) * -1.0)
     flat = arr.reshape(arr.shape[:ax] + (-1,) + arr.shape[ax + 2:])  # a view: contiguous
     return flat.take(take, axis=ax)
 

@@ -8,8 +8,7 @@ import numpy as np
 
 from .grid import ContainmentError, PhaseGrid
 from .oracle import WaveFunction
-from .spectral import shift_half_cell
-from .weyl import WeylSymbol, _chord_index, _chord_to_real_symbol
+from .weyl import WeylSymbol, _chord_index, _chord_to_real_symbol, weyl_operator_from_symbol
 
 __all__ = [
     "WignerState",
@@ -19,7 +18,7 @@ __all__ = [
     "marginals",
 ]
 
-RECOVERY_FLOOR = 1e-6  # least |psi(0)|^2 that wavefunction_from_wigner divides by
+RECOVERY_FLOOR = 1e-6  # least |psi(0)|^2 at which wavefunction_from_wigner fixes arg psi(0)
 
 
 @dataclass
@@ -85,30 +84,22 @@ def wavefunction_from_wigner(w: WignerState) -> WaveFunction:
     """Recover psi from a pure-state Wigner function, phase fixed by
     arg psi(0) = 0.
 
-    Needs |psi(0)|^2 = int W(0, p) dp above RECOVERY_FLOOR; otherwise recover
-    psi as the top eigenvector of weyl_operator_from_symbol(w.as_symbol()).
+    The origin column of weyl_operator_from_symbol(w.as_symbol()) holds
+    psi(x) conj(psi(0)) dx^n, on every dof at once: the Weyl map reads the
+    odd chords half a cell past the nodes through the one table,
+    spectral.half_cell_table(n, True), as wigner_from_wavefunction does.
+    Needs |psi(0)|^2 above RECOVERY_FLOOR; otherwise recover psi as the top
+    eigenvector of that operator.
     """
-    grid = w.grid
-    if grid.dof != 1:
-        raise NotImplementedError(
-            "direct recovery implemented for dof 1; for composites take the top "
-            "eigenvector of weyl_operator_from_symbol(w.as_symbol())")
-    n = grid.n(0)
-    dp = grid.dp[0]
-    at0 = float(w.values[n // 2, :].sum() * dp)
+    grid, shape = w.grid, w.grid.config_shape
+    origin = np.ravel_multi_index([n // 2 for n in shape], shape)
+    g = weyl_operator_from_symbol(w.as_symbol()).matrix[:, origin]
+    at0 = g[origin].real / np.prod(grid.dx)     # real: the map symmetrises the matrix
     if at0 <= RECOVERY_FLOOR:
         raise ValueError(
             f"|psi(0)|^2 = {at0:.3e} below threshold {RECOVERY_FLOOR:.1e}; recover psi "
             "as the top eigenvector of weyl_operator_from_symbol(w.as_symbol())")
-    # g[a] = dp sum_m W(x_a / 2, p_m) e^{i x_a p_m / hbar} = psi(x_a) psi*(0)
-    fine = np.arange(n) + n // 2                # x_a / 2 in half cells
-    half = shift_half_cell(w.values.astype(complex), 0)   # W half a cell past each x_j
-    rows = np.where(fine[:, None] % 2 == 1, half[fine // 2], w.values[fine // 2])
-    ctr = fine - n
-    phases = np.exp(2j * np.pi * np.outer(ctr, ctr) / n)
-    g = dp * (rows * phases).sum(axis=1)
-    psi0_conj = np.sqrt(g[n // 2].real)
-    return WaveFunction(grid, g / psi0_conj, normalized=False).normalize()
+    return WaveFunction(grid, g.reshape(shape), normalized=False).normalize()
 
 
 def coherent_state(grid: PhaseGrid, x0, p0) -> WaveFunction:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from osqm.spectral import _half_cell_table, cdftn, cidftn, centered_chords, shift_half_cell, x_to_p
+from osqm.grid import PhaseGrid
+from osqm.spectral import (cdftn, cidftn, centered_chords, half_cell_table, shift_half_cell,
+                           x_to_p)
 
 
 def test_cdft_inverse_pair(rng):
@@ -23,8 +25,9 @@ def test_half_cell_shift_twice_is_a_one_cell_roll(rng):
     f = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     f -= f @ (-1.0) ** np.arange(32) / 32 * (-1.0) ** np.arange(32)   # no Nyquist term
     g = f.copy()
-    assert shift_half_cell(g, 0) is g
-    assert np.abs(shift_half_cell(g, 0) - np.roll(f, -1)).max() < 1e-13
+    table = half_cell_table(32, True)
+    assert shift_half_cell(g, 0, table) is g
+    assert np.abs(shift_half_cell(g, 0, table) - np.roll(f, -1)).max() < 1e-13
 
 
 def test_half_cell_shift_exact_for_bandlimited():
@@ -33,20 +36,46 @@ def test_half_cell_shift_exact_for_bandlimited():
     # a mode inside the open band is exact at the half points
     f = np.cos(2 * np.pi * 3 * j / n + 0.4)
     exact = np.cos(2 * np.pi * 3 * (j + 0.5) / n + 0.4)
-    assert np.abs(shift_half_cell(f + 0j, 0) - exact).max() < 1e-12
+    assert np.abs(shift_half_cell(f + 0j, 0, half_cell_table(n, True)) - exact).max() < 1e-12
 
 
 def test_half_cell_shift_keeps_real_real(rng):
     f = rng.standard_normal((32, 3)) + 0j
-    assert np.abs(shift_half_cell(f, 0).imag).max() < 1e-13
+    assert np.abs(shift_half_cell(f, 0, half_cell_table(32, True)).imag).max() < 1e-13
 
 
 # the Nyquist coefficient is split evenly between +-n/2, as the x2 upsample
 # splits it; the pair cancels half a cell past the nodes. n // 2 is odd at 18
 @pytest.mark.parametrize("n", [16, 18])
 def test_half_cell_shift_maps_the_nyquist_coefficient_to_zero(n):
-    assert _half_cell_table(n)[n // 2] == 0
-    assert np.abs(shift_half_cell((-1.0) ** np.arange(n) + 0j, 0)).max() < 1e-15
+    table = half_cell_table(n, True)
+    assert table[n // 2] == 0
+    assert np.abs(shift_half_cell((-1.0) ** np.arange(n) + 0j, 0, table)).max() < 1e-15
+
+
+# the one table of every half-cell phase: the Weyl maps read it with True,
+# the LvN term bases and the star product with False. At n = 98,
+# n * (1 / n) != 1, so np.fft.fftfreq(n, 1 / n) is not the integer
+# frequencies, and a table built from it is off by round-off
+@pytest.mark.parametrize("n", [30, 32, 98])
+def test_half_cell_table_is_the_table_of_every_half_cell_phase(n):
+    from osqm.dynamics import HamiltonianTerm, _TermBasis
+    from osqm.moyal import StarProductPlan
+    k = np.r_[:n // 2, -n // 2:0]
+    exact = np.exp(1j * np.pi * k / n)
+    weyl, lvn = half_cell_table(n, True), half_cell_table(n, False)
+    assert np.array_equal(lvn, exact)
+    assert np.array_equal(np.delete(weyl, n // 2), np.delete(exact, n // 2))
+    assert weyl[n // 2] == 0
+    assert abs(lvn[n // 2] - np.exp(-1j * np.pi / 2)) < 1e-15   # -i to round-off
+    grid = PhaseGrid.create(n, 7.0)
+    assert np.array_equal(StarProductPlan.build(grid).mu, np.fft.fftshift(lvn))
+    for kind in "xp":   # conv axis 0 (frequency k) for x, 1 for p
+        term = HamiltonianTerm(((kind, 0, np.cos),))
+        shift = _TermBasis(grid, term, split=False).shift()
+        shift = shift if kind == "x" else shift.T
+        assert np.array_equal(shift[:, 1::2], np.repeat(lvn[:, None], n // 2, axis=1))
+        assert np.all(shift[:, ::2] == 1)
 
 
 def test_momentum_transform_unitary(grid64, rng):

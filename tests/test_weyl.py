@@ -301,6 +301,21 @@ def test_half_cell_cores_match_the_upsampled_reference(shape):
         assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
 
 
+def test_recovery_reads_a_composite_state_off_its_operator():
+    # psi comes back through the Weyl map on every dof at once
+    from osqm.oracle import tensor_state
+    from osqm.scenarios import initial_state_preset
+    grid, psi, _ = _weyl_case((32, 32))
+    rec = wavefunction_from_wigner(wigner_from_wavefunction(psi))
+    assert 1 - abs(rec.overlap(psi)) ** 2 <= 1e-12
+    assert np.angle(rec.values[16, 16]) == 0
+    # dof 0's node at the origin of the product grid
+    node = initial_state_preset(grid.factor(0), "oscillator-eigenstate", {"k": 1})
+    w = wigner_from_wavefunction(tensor_state(node, coherent_state(grid.factor(1), 0.5, 0.0)))
+    with pytest.raises(ValueError, match="top eigenvector of weyl_operator_from_symbol"):
+        wavefunction_from_wigner(w)
+
+
 def _random_case(shape):
     """(grid, random state, random dense Hermitian matrix) on _weyl_case's grid.
 
@@ -363,8 +378,7 @@ def test_maps_leave_their_inputs_unchanged(shape):
         weyl_operator_from_symbol(s)
     for m in (op, herm):
         weyl_symbol_from_operator(m)
-    if grid.dof == 1:
-        wavefunction_from_wigner(w)
+    wavefunction_from_wigner(w)
     assert [a.tobytes() for a in inputs] == before
 
 
@@ -374,6 +388,6 @@ def test_cached_index_tables_are_read_only():
     bra, ket = weyl._chord_index((16, 12), half=False)
     half_bra, half_ket = weyl._chord_index((16, 12), half=True)
     for table in [*weyl._flat_tables(16), *bra, *ket, *half_bra, *half_ket,
-                  spectral._half_cell_table(16)]:
+                  spectral.half_cell_table(16, True), spectral.half_cell_table(16, False)]:
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 1
