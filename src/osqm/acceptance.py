@@ -8,7 +8,7 @@ live in one dataclass so tests can probe the harness by corrupting them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class CriterionResult:
     name: str
     passed: bool
     measured: dict
-    seconds: float = 0.0
+    seconds: float = field(default=0.0, init=False)     # set by run_regression_suite
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -369,8 +369,7 @@ def criterion_12_determinism(tol: Tolerances) -> CriterionResult:
     g1, g2 = PhaseGrid.create(64, 15.0), PhaseGrid.create(32, 7.5)
     blobs = []
     for _ in range(2):
-        sc = MeasurementScenario(g1, g2, branch_sep=3.0, band_edge=5.0,
-                                 displacement=10.0, coupling_v=10.0)
+        sc = MeasurementScenario(g1, g2, branch_sep=3.0, band_edge=5.0, displacement=10.0)
         out = sc.run_ensemble(500, base_seed=99)
         with tempfile.TemporaryDirectory() as td:
             path = pathlib.Path(td) / "ensemble.csv"

@@ -115,7 +115,7 @@ def flow_points(h: ClassicalObservable, xs: np.ndarray, ps: np.ndarray,
 
 
 def evolve_region_classically(mask: np.ndarray, h: ClassicalObservable,
-                              t: float, dt: float = 1e-3) -> np.ndarray:
+                              t: float, dt: float) -> np.ndarray:
     """Flow every cell center of a mask and re-bin: the point-set image.
 
     Used by the classical-consistency checks. All cell centers flow at once

@@ -76,6 +76,11 @@ class PhaseGrid:
         return tuple(2 * L / n for L, n in zip(self.x_extents, self.points))
 
     @cached_property
+    def dx_volume(self) -> float:
+        """dx multiplied over dofs: the l2 weight of one node."""
+        return float(np.prod(self.dx))
+
+    @cached_property
     def dp(self) -> tuple[float, ...]:
         return tuple(2 * np.pi * self.hbar / (n * dxi)
                      for n, dxi in zip(self.points, self.dx))

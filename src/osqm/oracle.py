@@ -57,29 +57,20 @@ class WaveFunction:
             if not abs(n2 - 1) <= NORM_TOL:
                 raise ValueError(f"state flagged normalized but |psi|^2 sums to {n2!r}")
 
-    def _dvol(self) -> float:
-        v = 1.0
-        for d in self.grid.dx:
-            v *= d
-        return v
-
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2) * self._dvol())
+        return float(np.sum(np.abs(self.values) ** 2) * self.grid.dx_volume)
 
     def normalize(self) -> "WaveFunction":
-        n = np.sqrt(np.sum(np.abs(self.values) ** 2) * self._dvol())
+        n = np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dx_volume)
         return WaveFunction(self.grid, self.values / n)
 
     def to_vector(self) -> np.ndarray:
         """Flat unit vector in the discrete l2 convention."""
-        return (self.values * np.sqrt(self._dvol())).ravel()
+        return (self.values * np.sqrt(self.grid.dx_volume)).ravel()
 
     @classmethod
     def from_vector(cls, grid: PhaseGrid, v: np.ndarray) -> "WaveFunction":
-        dvol = 1.0
-        for d in grid.dx:
-            dvol *= d
-        vals = np.asarray(v, dtype=complex).reshape(grid.config_shape) / np.sqrt(dvol)
+        vals = np.asarray(v, dtype=complex).reshape(grid.config_shape) / np.sqrt(grid.dx_volume)
         return cls(grid, vals)
 
     def overlap(self, other: "WaveFunction") -> complex:

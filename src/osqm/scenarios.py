@@ -2,15 +2,16 @@
 
 The measurement scenario realizes the pointer-plus-observed structure on a
 product grid: pointer bands along the first position axis are the coarse
-graining, a p1 * lambda(x2) coupling drives the pointer into the band
-matching the observed branch, and the region transition then reproduces
-Born statistics for the branch amplitudes. The coupling propagator is
-diagonal in the (p1, x2) mixed representation. The bands are a partition
-of the pointer grid, and the state stays an (n1, n2) array V, on which a
-band operator acts as (A (x) I) vec(V) = vec(A V). The engine's event
-functions take V as an l2 array whose first axis is the pointer's space,
-the scenario passes each band's Pi^(1/2) as the update operator, and no
-composite-sized operator is built.
+graining, one impulse exp(-i D p1 lambda(x2) / hbar) of strength D, the
+pointer travel, drives the pointer into the band matching the observed
+branch, and the region transition then reproduces Born statistics for the
+branch amplitudes. The impulse is diagonal in the (p1, x2) mixed
+representation. The bands are a partition of the pointer grid, and the
+state stays an (n1, n2) array V, on which a band operator acts as
+(A (x) I) vec(V) = vec(A V). The engine's event functions take V as an l2
+array whose first axis is the pointer's space, the scenario passes each
+band's Pi^(1/2) as the update operator, and no composite-sized operator is
+built.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def edge_flattened(profile, x1: float, x2: float):
     return flattened
 
 
-def hamiltonian_preset(grid: PhaseGrid, name: str, params: Optional[dict] = None) -> Hamiltonian:
+def hamiltonian_preset(grid: PhaseGrid, name: str, params: Optional[dict]) -> Hamiltonian:
     """Build one of the named Hamiltonians.
 
     free: p^2/(2m)                      params: mass
@@ -129,7 +130,7 @@ def _reject_extra(name, leftover):
 
 
 def initial_state_preset(grid: PhaseGrid, name: str,
-                         params: Optional[dict] = None) -> WaveFunction:
+                         params: Optional[dict]) -> WaveFunction:
     """coherent (x0, p0); cat (centers, weights); oscillator-eigenstate (k,
     omega, mass)."""
     p = dict(params or {})
@@ -206,10 +207,10 @@ class MeasurementScenario:
 
     amplitudes c weight the two observed branch states at (-s, 0), (+s, 0);
     the pointer starts at the origin inside the ready band and is pushed to
-    -D or +D by the coupling. The coupling is a phase diagonal in (p1, x2),
-    v T p1 tanh(x2) over the window T = D / v, with the raw tanh of unit
-    width; the "von-neumann-coupling" Hamiltonian preset flattens its tanh
-    beyond 0.7 x_extent instead.
+    -D or +D by the coupling. The coupling is one impulse of strength D,
+    the phase exp(-i D p1 tanh(x2) / hbar), diagonal in (p1, x2), with the
+    raw tanh of unit width; the "von-neumann-coupling" Hamiltonian preset
+    flattens its tanh beyond 0.7 x_extent instead.
     """
 
     pointer_grid: PhaseGrid
@@ -217,8 +218,7 @@ class MeasurementScenario:
     amplitudes: tuple[float, float] = (1 / np.sqrt(2), 1 / np.sqrt(2))
     branch_sep: float = 4.3         # observed branches at +/- branch_sep
     band_edge: float = 6.0          # bands split at x1 = +/- band_edge
-    displacement: float = 12.0      # pointer travel after the coupling window
-    coupling_v: float = 12.0        # displacement rate; window T = D / v
+    displacement: float = 12.0      # pointer travel D, the coupling's strength
 
     def __post_init__(self):
         g1 = self.pointer_grid
@@ -230,7 +230,6 @@ class MeasurementScenario:
         if g1.x_extents[0] < self.displacement + 6 * sigma:
             raise ValueError("pointer axis too short for the displacement")
         self.grid = PhaseGrid.product(self.pointer_grid, self.observed_grid)
-        self.window = self.displacement / self.coupling_v
         self._prepare()
 
     def _prepare(self):
@@ -249,10 +248,10 @@ class MeasurementScenario:
         self.partition = build_partition(g1, [-self.band_edge, self.band_edge])
         for region in self.partition.regions:
             region.sqrt_operator()
-        # coupling propagator: diagonal in the (p1, x2) representation
+        # coupling impulse: diagonal in the (p1, x2) representation
         lam = np.tanh(g2.x(0))
-        self.phase_full = np.exp(-1j * self.coupling_v * self.window
-                                 * np.outer(g1.p(0), lam) / self.grid.hbar)
+        self.phase_full = np.exp(-1j * self.displacement * np.outer(g1.p(0), lam)
+                                 / self.grid.hbar)
         # the coupled state, its Born row and the post-state checks do not
         # depend on the seed: every run_ensemble call reads them
         v_t = self._evolved()
@@ -278,7 +277,7 @@ class MeasurementScenario:
         """Born weights of the three bands for the (n1, n2) state array."""
         return transition_probabilities_oracle(v2d, self.partition)
 
-    def run_ensemble(self, num_seeds: int, base_seed: int = 0) -> dict:
+    def run_ensemble(self, num_seeds: int, base_seed: int) -> dict:
         """Fire the transition once per seed and tally outcomes.
 
         The coupled state, its Born row and the PS6 residual of each

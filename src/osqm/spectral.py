@@ -113,7 +113,7 @@ def shift_half_cell(arr: np.ndarray, axis: int, table: np.ndarray) -> np.ndarray
     return np.fft.ifft(arr, axis=axis, out=arr)
 
 
-def x_to_p(psi: np.ndarray, dx: float, hbar: float, axis: int = -1) -> np.ndarray:
+def x_to_p(psi: np.ndarray, dx: float, hbar: float, axis: int) -> np.ndarray:
     """Unitary position -> momentum transform on the centered grid.
 
     phi(p_m) = (2 pi hbar)^{-1/2} * dx * sum_j psi(x_j) exp(-i x_j p_m / hbar)

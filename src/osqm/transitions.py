@@ -145,7 +145,7 @@ def _cached_projectors(partition: Partition) -> list:
 class ProjectionSchedule:
     """When quasiprojections fire during a trajectory."""
 
-    mode: str = "periodic"          # one of SCHEDULE_MODES
+    mode: str                       # one of SCHEDULE_MODES
     dt_proj: Optional[float] = None
 
     def __post_init__(self):
@@ -421,21 +421,7 @@ class TrajectoryRecord:
                 "num_events": len(self._history.event_regions)}
 
 
-class _Propagator:
-    """What run() needs of a backend, on the backend's state type: advance
-    by an interval, Born weights, the l2 vector an event projects (with its
-    rank-1 distance) and the state of a projected vector. The phase
-    backend also takes snapshots."""
-
-    def __init__(self, engine: "TrajectoryEngine"):
-        self.psi0 = engine.psi0
-        self.v0 = engine.v0
-        self.h = engine.h
-        self.partition = engine.partition
-        self.dt = engine.dt
-
-
-class _OraclePropagator(_Propagator):
+class _OraclePropagator:
     """Wavefunction backend: dense propagators U(n dt + tail) from one eigh
     (OperatorMatrix.unitary).
 
@@ -447,10 +433,10 @@ class _OraclePropagator(_Propagator):
     """
 
     def __init__(self, engine: "TrajectoryEngine"):
-        super().__init__(engine)
-        hm = weyl_operator_from_symbol(self.h.symbol())
+        self.v0, self.partition = engine.v0, engine.partition
+        hm = weyl_operator_from_symbol(engine.h.symbol())
         spans = dict.fromkeys((n, tail) for _, n, tail, _, _ in engine._stops)
-        self._u = {(n, tail): hm.unitary(n * self.dt + tail) for n, tail in spans}
+        self._u = {(n, tail): hm.unitary(n * engine.dt + tail) for n, tail in spans}
 
     def initial(self) -> np.ndarray:
         return self.v0
@@ -468,7 +454,7 @@ class _OraclePropagator(_Propagator):
         return v
 
 
-class _PhasePropagator(_Propagator):
+class _PhasePropagator:
     """Wigner backend: one evolve_lvn per interval, events on the top
     eigenvector of the quantised W (see to_vector).
 
@@ -478,8 +464,8 @@ class _PhasePropagator(_Propagator):
     """
 
     def __init__(self, engine: "TrajectoryEngine"):
-        super().__init__(engine)
-        self._w0 = wigner_from_wavefunction(self.psi0)
+        self.h, self.dt, self.partition = engine.h, engine.dt, engine.partition
+        self._w0 = wigner_from_wavefunction(engine.psi0)
         self._w0.values.flags.writeable = False
 
     def initial(self) -> WignerState:
@@ -513,7 +499,7 @@ class _PhasePropagator(_Propagator):
         return q[:, -1], distance
 
     def from_vector(self, v: np.ndarray) -> WignerState:
-        return wigner_from_wavefunction(WaveFunction.from_vector(self.psi0.grid, v))
+        return wigner_from_wavefunction(WaveFunction.from_vector(self._w0.grid, v))
 
     def snapshot(self, w: WignerState) -> np.ndarray:
         return w.values.copy()
@@ -528,7 +514,11 @@ class TrajectoryEngine:
     every stride-th step and after the last one.
 
     The state is needed only at events and snapshots, so run() propagates
-    from one such stop straight to the next. backend "oracle" keeps the
+    from one such stop straight to the next. A backend's propagator gives
+    run() what it needs on the backend's state type: advance by an
+    interval, Born weights, the l2 vector an event projects (with its
+    rank-1 distance) and the state of a projected vector; the phase
+    backend's also takes snapshots. backend "oracle" keeps the
     state as its l2 vector and applies a dense propagator U(n dt) per
     interval, built once per distinct length from the Hamiltonian's
     eigendecomposition; each advance and projection checks the unit norm.

@@ -94,7 +94,7 @@ def wavefunction_from_wigner(w: WignerState) -> WaveFunction:
     grid, shape = w.grid, w.grid.config_shape
     origin = np.ravel_multi_index([n // 2 for n in shape], shape)
     g = weyl_operator_from_symbol(w.as_symbol()).matrix[:, origin]
-    at0 = g[origin].real / np.prod(grid.dx)     # real: the map symmetrises the matrix
+    at0 = g[origin].real / grid.dx_volume     # real: the map symmetrises the matrix
     if at0 <= RECOVERY_FLOOR:
         raise ValueError(
             f"|psi(0)|^2 = {at0:.3e} below threshold {RECOVERY_FLOOR:.1e}; recover psi "
@@ -146,7 +146,6 @@ def marginals(w: WignerState) -> tuple[np.ndarray, np.ndarray]:
     g = w.grid
     n = g.dof
     vol_p = np.prod([g.dp[d] for d in range(n)])
-    vol_x = np.prod([g.dx[d] for d in range(n)])
     pos = w.values.sum(axis=tuple(range(n, 2 * n))) * vol_p
-    mom = w.values.sum(axis=tuple(range(n))) * vol_x
+    mom = w.values.sum(axis=tuple(range(n))) * g.dx_volume
     return pos, mom

@@ -49,8 +49,7 @@ def test_quadrature_matches_the_cell_sum(grid64, name):
 def test_pointer_bands_match_the_cell_sum():
     # criterion 12's scenario: three x bands over every momentum
     g1, g2 = PhaseGrid.create(64, 15.0), PhaseGrid.create(32, 7.5)
-    sc = MeasurementScenario(g1, g2, branch_sep=3.0, band_edge=5.0,
-                             displacement=10.0, coupling_v=10.0)
+    sc = MeasurementScenario(g1, g2, branch_sep=3.0, band_edge=5.0, displacement=10.0)
     edges = [0, int(round(10.0 / g1.dx[0])), int(round(20.0 / g1.dx[0])), 64]
     for region, lo, hi in zip(sc.partition.regions, edges, edges[1:]):
         mask = np.zeros((64, 64), dtype=bool)

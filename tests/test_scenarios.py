@@ -18,14 +18,14 @@ SUITED = {"von-neumann-coupling": DOF2}
 @pytest.mark.parametrize("name", HAMILTONIAN_PRESETS)
 def test_every_hamiltonian_preset_builds(name):
     grid = SUITED.get(name, DOF1)
-    symbol = hamiltonian_preset(grid, name).symbol()
+    symbol = hamiltonian_preset(grid, name, {}).symbol()
     assert symbol.values.shape == grid.phase_shape
     assert np.all(np.isfinite(symbol.values))
 
 
 @pytest.mark.parametrize("name", STATE_PRESETS)
 def test_every_state_preset_builds(name):
-    psi = initial_state_preset(SUITED.get(name, DOF1), name)
+    psi = initial_state_preset(SUITED.get(name, DOF1), name, {})
     assert abs(psi.norm_sq() - 1) < 1e-12
 
 
@@ -115,15 +115,14 @@ def test_run_ensemble_reads_the_seed_independent_work_of_construction(
 
 def test_run_ensemble_rejects_an_empty_ensemble(born_scenarios):
     with pytest.raises(ValueError, match="num_seeds must be at least 1"):
-        born_scenarios[0].run_ensemble(0)
+        born_scenarios[0].run_ensemble(0, base_seed=0)
 
 
 @pytest.fixture(scope="module")
 def determinism_scenario():
     """Acceptance criterion 12's measurement scenario."""
     return MeasurementScenario(PhaseGrid.create(64, 15.0), PhaseGrid.create(32, 7.5),
-                               branch_sep=3.0, band_edge=5.0, displacement=10.0,
-                               coupling_v=10.0)
+                               branch_sep=3.0, band_edge=5.0, displacement=10.0)
 
 
 def _label_list(sc, n, base_seed):
@@ -167,7 +166,7 @@ def test_outcomes_hold_one_byte_per_draw(determinism_scenario):
     # the result dict, its small dicts and the array header held 1.4 kB at
     # 10 draws; a list of labels would hold 8 bytes per draw
     sc, n, fixed = determinism_scenario, 40000, 4096
-    sc.run_ensemble(10)         # caches filled outside the trace
+    sc.run_ensemble(10, base_seed=0)     # caches filled outside the trace
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -81,7 +81,7 @@ def test_half_cell_table_is_the_table_of_every_half_cell_phase(n):
 def test_momentum_transform_unitary(grid64, rng):
     dx = grid64.dx[0]
     psi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    phi = x_to_p(psi, dx, grid64.hbar)
+    phi = x_to_p(psi, dx, grid64.hbar, axis=0)
     dp = grid64.dp[0]
     assert abs((np.abs(phi) ** 2).sum() * dp -
                (np.abs(psi) ** 2).sum() * dx) < 1e-12

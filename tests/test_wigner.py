@@ -40,7 +40,8 @@ def test_chord_transform_is_covariant_under_the_quarter_rotation(points, state):
                            + 0.6j * coherent_state(grid, 1.2, -0.3).values,
                            normalized=False).normalize()
     w = wigner_from_wavefunction(psi).values
-    turned = wigner_from_wavefunction(WaveFunction(grid, x_to_p(psi.values, dx, 1.0))).values
+    phi = x_to_p(psi.values, dx, 1.0, axis=0)
+    turned = wigner_from_wavefunction(WaveFunction(grid, phi)).values
     neg = -np.arange(points) % points      # x_j = (j - N/2) dx, so -x_j sits at -j
     assert np.abs(turned - w[neg, :].T).max() <= 1e-14 * np.abs(w).max()
 
