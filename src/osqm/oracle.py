@@ -24,6 +24,8 @@ __all__ = [
     "operator_sqrt",
     "tensor_state",
     "check_unit_norm",
+    "noise_floor",
+    "real_matmul",
 ]
 
 HERM_TOL = 1e-10
@@ -93,6 +95,21 @@ def check_unit_norm(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def noise_floor(dim: int, scale: float) -> float:
+    """dim * eps * scale: the backward error of an eigen-solve of a dim x dim
+    Hermitian matrix whose largest entry or eigenvalue has size scale."""
+    return dim * np.finfo(float).eps * scale
+
+
+def real_matmul(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for a real matrix a and a complex array v whose first axis a
+    acts on, as one real GEMM on v's float view (each row holds its
+    entries' real and imaginary parts side by side). a @ v itself would
+    cast a to complex first: a copy of a and a GEMM of twice the flops."""
+    parts = np.ascontiguousarray(v, dtype=complex).view(float).reshape(len(v), -1)
+    return (a @ parts).view(complex).reshape(a.shape[:1] + v.shape[1:])
+
+
 @dataclass
 class OperatorMatrix:
     """Dense operator on the discrete Hilbert space, with verified flags."""
@@ -124,39 +141,58 @@ class OperatorMatrix:
     def diagonal(cls, grid: PhaseGrid, d: np.ndarray) -> "OperatorMatrix":
         """The PSD operator diag(d) of a nonnegative real vector d, with its
         exact eigendecomposition cached: d in ascending order, and unit-vector
-        eigenvectors in the complex Fortran-ordered layout eigh() returns.
-        Neither the PSD check nor eigh() makes a LAPACK call, and
-        operator_sqrt roots d elementwise."""
+        eigenvectors as the real path of eigh() returns them, a real
+        Fortran-ordered q. Neither the PSD check nor eigh() makes a LAPACK
+        call, and operator_sqrt roots d elementwise."""
         d = np.asarray(d, dtype=float)
         order = np.argsort(d, kind="stable")
-        q = np.zeros((len(d), len(d)), dtype=complex, order="F")
+        q = np.zeros((len(d), len(d)), order="F")
         q[order, np.arange(len(d))] = 1.0
         op = cls(grid, np.diag(d), hermitian=True, psd=True, _eig=(d[order], q))
         op._diag = d
         return op
 
     def eigh(self):
-        """Cached eigendecomposition (Hermitian operators only).
+        """Cached eigendecomposition (Hermitian operators only): ascending
+        eigenvalues w and orthonormal eigenvector columns q.
 
-        numpy.linalg.eigh: LAPACK's divide-and-conquer driver (heevd; Gu &
+        numpy.linalg.eigh: LAPACK's divide-and-conquer driver (Gu &
         Eisenstat, SIMAX 16, 1995), whose eigenvectors are orthonormal to
-        4e-15 on the quantised pure states. q is kept in LAPACK's own
-        Fortran order (numpy returns a C-ordered copy): the layout sets how
-        the GEMMs of unitary() and operator_sqrt sum, and so the last bits of
-        the figures `osqm regress` reports.
+        4e-15 on the quantised pure states. A matrix whose largest imaginary
+        entry is at or below noise_floor(dim, max|H|), the driver's own
+        backward error, is decomposed as its real part (syevd): q is real,
+        at about a third of the complex solve's time. Every other matrix
+        takes the complex driver (heevd) and a complex q. The free,
+        oscillator and double-well presets are even in p, so their matrices
+        take the real path.
+        q is kept in LAPACK's own Fortran order (numpy returns a C-ordered
+        copy): the layout sets how the GEMMs of unitary() and operator_sqrt
+        sum, and so the last bits of the figures `osqm regress` reports.
         """
         if not self.hermitian:
             raise ValueError("eigh needs a Hermitian operator")
         if self._eig is None:
-            w, q = np.linalg.eigh(self.matrix)
+            m = self.matrix
+            if np.abs(m.imag).max() <= noise_floor(len(m), np.abs(m).max()):
+                m = m.real
+            w, q = np.linalg.eigh(m)
             object.__setattr__(self, "_eig", (w, np.asfortranarray(q)))
         return self._eig
 
     def unitary(self, t: float) -> np.ndarray:
         """Dense propagator exp(-i H t / hbar) = Q exp(-i w t / hbar) Q^H,
-        from the cached eigendecomposition."""
+        from the cached eigendecomposition. On a real q its real and
+        imaginary parts are two real GEMMs, Q cos(w t / hbar) Q^T and
+        -Q sin(w t / hbar) Q^T: a complex factor would cast q to complex
+        before one complex GEMM, twice the work."""
         w, q = self.eigh()
-        return (q * np.exp(-1j * w * t / self.grid.hbar)) @ q.conj().T
+        if np.iscomplexobj(q):
+            return (q * np.exp(-1j * w * t / self.grid.hbar)) @ q.conj().T
+        phase = w * t / self.grid.hbar
+        u = np.empty(q.shape, dtype=complex)
+        u.real = (q * np.cos(phase)) @ q.T
+        u.imag = (q * -np.sin(phase)) @ q.T
+        return u
 
 
 def tensor_state(psi1: WaveFunction, psi2: WaveFunction) -> WaveFunction:
@@ -167,23 +203,27 @@ def tensor_state(psi1: WaveFunction, psi2: WaveFunction) -> WaveFunction:
 
 
 def schrodinger_propagate(psi: WaveFunction, h: OperatorMatrix, t: float) -> WaveFunction:
-    """psi(t) = exp(-i H t / hbar) psi via exact eigendecomposition."""
+    """psi(t) = exp(-i H t / hbar) psi via exact eigendecomposition; a real
+    q applies by real_matmul."""
     if not h.hermitian:
         raise ValueError("Hamiltonian must be Hermitian")
     w, q = h.eigh()
     v = psi.to_vector()
     phases = np.exp(-1j * w * t / psi.grid.hbar)
-    out = q @ (phases * (q.conj().T @ v))
+    if np.iscomplexobj(q):
+        out = q @ (phases * (q.conj().T @ v))
+    else:
+        out = real_matmul(q, phases * real_matmul(q.T, v))
     return WaveFunction.from_vector(psi.grid, out)
 
 
 def operator_sqrt(p: OperatorMatrix) -> OperatorMatrix:
     """Hermitian PSD square root.
 
-    Eigenvalues at or below the noise floor dim * eps * max|w|, the scale
-    of eigh's backward error, are set to 0 before the root: the root of
-    round-off (7.8e-16 becomes 2.8e-8) would otherwise swamp the small
-    eigenvalues it stands for. Eigenvalues below -1e-6 are rejected. The
+    Eigenvalues at or below noise_floor(dim, max|w|), the scale of eigh's
+    backward error, are set to 0 before the root: the root of round-off
+    (7.8e-16 becomes 2.8e-8) would otherwise swamp the small eigenvalues it
+    stands for. Eigenvalues below -1e-6 are rejected. The
     root keeps p's eigenvectors with the rooted eigenvalues as its
     eigendecomposition, so its PSD flag is checked without a second eigh.
 
@@ -197,7 +237,7 @@ def operator_sqrt(p: OperatorMatrix) -> OperatorMatrix:
     w, q = p.eigh()
     if w[0] < -1e-6:
         raise ValueError(f"operator significantly non-PSD (min eig {w[0]:.2e})")
-    floor = len(w) * np.finfo(float).eps * np.abs(w).max()
+    floor = noise_floor(len(w), np.abs(w).max())
     if p._diag is not None:
         return OperatorMatrix.diagonal(p.grid, np.sqrt(np.where(p._diag > floor, p._diag, 0.0)))
     root_w = np.sqrt(np.where(w > floor, w, 0.0))

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import PhaseGrid
-from .oracle import PSD_TOL, OperatorMatrix, operator_sqrt
+from .oracle import PSD_TOL, OperatorMatrix, operator_sqrt, real_matmul
 from .weyl import WeylSymbol, weyl_symbol_from_operator
 
 __all__ = [
@@ -410,8 +410,11 @@ def is_quasirestricted(v: np.ndarray, region: Region) -> tuple[bool, float]:
     """
     w, q = region.operator().eigh()
     # eigh sorts w ascending: the eigenvectors at or below the cutoff are a
-    # prefix of q's columns; |<q_i|v>| = |v^H q_i| needs no conjugated copy
-    out = np.searchsorted(w, PS6_CUTOFF, side="right")
-    overlaps = v.conj().T @ q[:, :out]
+    # prefix of q's columns; |<q_i|v>| = |v^H q_i| needs no conjugated copy.
+    # A real q (eigh's real path) gives q_i^T v, the conjugate of v^H q_i,
+    # by one real GEMM: v^H q would first cast q to complex, a copy of q and
+    # a complex GEMM.
+    low = q[:, :np.searchsorted(w, PS6_CUTOFF, side="right")]
+    overlaps = v.conj().T @ low if np.iscomplexobj(low) else real_matmul(low.T, v)
     residual = float(np.sqrt((np.abs(overlaps) ** 2).sum()))
     return residual < PS6_TOL, residual

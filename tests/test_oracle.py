@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from osqm.grid import PhaseGrid
-from osqm.oracle import OperatorMatrix, WaveFunction, operator_sqrt, schrodinger_propagate
+from osqm.oracle import (OperatorMatrix, WaveFunction, noise_floor, operator_sqrt,
+                         real_matmul, schrodinger_propagate)
 from osqm.regions import (Partition, build_partition, classicality_projectors,
                           is_quasirestricted)
 from osqm.scenarios import (MeasurementScenario, hamiltonian_preset,
@@ -106,13 +107,13 @@ def test_operator_sqrt_rejects_non_psd(grid64):
 
 
 def _counted_eighs(monkeypatch) -> list:
-    """A list that gains one entry per np.linalg.eigh call from now on."""
+    """A list that gains the matrix of each np.linalg.eigh call from now on."""
     calls = []
     eigh = np.linalg.eigh
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     return calls
@@ -141,6 +142,8 @@ def test_x_cut_partition_makes_no_eigh(monkeypatch):
         assert is_quasirestricted(v, region)[1] >= 0
     projectors = classicality_projectors(part)
     assert calls == []
+    # the real unit-vector eigenvectors of the real path's layout
+    assert all(region.operator().eigh()[1].dtype == float for region in part.regions)
     assert np.array_equal(sum(p.matrix for p in projectors), np.eye(256))
 
 
@@ -162,13 +165,18 @@ def test_x_cut_root_is_the_elementwise_root(points, hbar):
 
 
 def _eigh_operator(name):
-    """One of the program's own Hermitian operators: the oracle H, a region
+    """One of the program's own Hermitian operators: an oracle H, a region
     quasiprojector, the phase backend's quantised pure state, a pointer band.
     The half-line and the band are cut only in x, so their decomposition is
     the exact diagonal one; the cell, cut in x and p, takes LAPACK's."""
     grid = PhaseGrid.create(256, 9.0)
-    if name == "oscillator-256":
-        return weyl_operator_from_symbol(hamiltonian_preset(grid, "oscillator", {}).symbol())
+    if name in ("free-256", "oscillator-256", "double-well-256"):
+        return weyl_operator_from_symbol(hamiltonian_preset(grid, name[:-4], {}).symbol())
+    if name == "coupling-16x16":
+        g1 = PhaseGrid.create(16, 8.0)
+        h = hamiltonian_preset(PhaseGrid.product(g1, g1), "von-neumann-coupling",
+                               {"v": 1.0, "w": 1.0})
+        return weyl_operator_from_symbol(h.symbol())
     if name == "half-line-256":
         return build_partition(grid, [0.0]).regions[0].operator()
     if name == "cell-256":
@@ -191,6 +199,74 @@ def test_eigh_is_accurate_on_clustered_spectra(name):
     assert np.all(np.diff(w) >= 0)
     assert np.abs((q * w) @ q.conj().T - m).max() <= 1e-13 * np.abs(m).max()
     assert np.abs(q.conj().T @ q - np.eye(len(w))).max() <= 5e-14
+
+
+@pytest.mark.parametrize("name", ["free-256", "oscillator-256", "double-well-256"])
+def test_real_hamiltonians_take_the_real_path(name, monkeypatch):
+    # the presets are even in p: max|Im H| is 7e-15 to 1.2e-14, against a
+    # floor of 1.9e-11 to 2.7e-11
+    op = _eigh_operator(name)
+    calls = _counted_eighs(monkeypatch)
+    w, q = op.eigh()
+    assert len(calls) == 1 and calls[0].dtype == float
+    assert q.dtype == float and q.flags.f_contiguous
+    want = np.linalg.eigh(op.matrix.real)
+    assert np.array_equal(w, want[0]) and np.array_equal(q, want[1])
+
+
+def _imaginary_pair_at_the_floor(above: bool) -> OperatorMatrix:
+    """A real symmetric 64 x 64 matrix, a subsample of the oscillator H, with
+    the Hermitian pair +-i c at (0, 1) and (1, 0): c the noise floor, or one
+    ulp above it."""
+    m = _eigh_operator("oscillator-256").matrix[::4, ::4].real.astype(complex)
+    floor = noise_floor(64, np.abs(m).max())
+    m[0, 1] += 1j * (np.nextafter(floor, np.inf) if above else floor)
+    m[1, 0] = m[0, 1].conjugate()
+    assert noise_floor(64, np.abs(m).max()) == floor
+    return OperatorMatrix(PhaseGrid.create(64, 9.0), m, hermitian=True)
+
+
+@pytest.mark.parametrize("name", ["coupling-16x16", "pure-state-256", "above-floor-64"])
+def test_complex_hermitian_matrices_keep_the_complex_path(name, monkeypatch):
+    # odd in p, a state at p0 = 0.3, and an imaginary part one ulp above the floor
+    op = _imaginary_pair_at_the_floor(True) if name == "above-floor-64" else _eigh_operator(name)
+    calls = _counted_eighs(monkeypatch)
+    w, q = op.eigh()
+    assert len(calls) == 1 and calls[0] is op.matrix
+    assert q.dtype == complex
+    want = np.linalg.eigh(op.matrix)
+    assert np.array_equal(w, want[0]) and np.array_equal(q, want[1])
+
+
+def test_imaginary_part_at_the_floor_takes_the_real_path(monkeypatch):
+    op = _imaginary_pair_at_the_floor(False)
+    calls = _counted_eighs(monkeypatch)
+    assert op.eigh()[1].dtype == float
+    assert len(calls) == 1 and calls[0].dtype == float
+
+
+def test_unitary_on_a_real_q_is_the_complex_formula():
+    op = _eigh_operator("oscillator-256")
+    w, q = op.eigh()
+    assert q.dtype == float
+    qc = q.astype(complex)
+    for t in (np.pi / 4, 1.3, 4 * np.pi):
+        u = op.unitary(t)
+        want = (qc * np.exp(-1j * w * t / op.grid.hbar)) @ qc.conj().T
+        assert np.abs(u - want).max() <= 1e-13
+        assert np.abs(u @ u.conj().T - np.eye(len(w))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("layout", ["vector", "matrix", "fortran", "real"])
+def test_real_matmul_is_the_complex_product(layout):
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(48, 64))
+    v = rng.normal(size=(64, 5)) + 1j * rng.normal(size=(64, 5))
+    v = {"vector": v[:, 0], "matrix": v, "fortran": np.asfortranarray(v),
+         "real": v.real}[layout]
+    out = real_matmul(a, v)
+    assert out.dtype == complex and out.shape == (48,) + v.shape[1:]
+    assert np.abs(out - a.astype(complex) @ v).max() <= 1e-13
 
 # ---------------------------------------------------------------------------
 # measurement on the engine path: a partition's quasiprojectors are the POVM

@@ -29,6 +29,8 @@ the case's group; a call of `DRAWS` Born draws or seeds counts as that many.
   path that workload times.
 - eigh-*-256: a fresh `OperatorMatrix.eigh` of the oscillator's oracle H,
   or of the quantised Wigner function of a coherent state (N = 256).
+  unitary-oscillator-256: `OperatorMatrix.unitary(pi / 4)` on that H's
+  cached decomposition, one of the propagators a slosh-oracle set-up builds.
 - region-*: a fresh partition's first region: its quasiprojector, root and
   PS6 split. half-line-N: x < 0 at N = 256 (hbar 1) and 1024 (hbar 1/4), as
   an engine set-up builds it; cell-256: x < 0, p < 0, a quadrature and an
@@ -83,6 +85,7 @@ GROUPS = {
     "ensemble_seeds_per_s": ("seeds/s of transitions.run_ensemble and of engine.run",
                              lambda seconds: 1 / seconds),
     "eigh_ms": ("ms per fresh OperatorMatrix.eigh", _ms),
+    "unitary_ms": ("ms per OperatorMatrix.unitary on a cached eigendecomposition", _ms),
     "region_build_ms": ("ms per region build (operator, root, PS6 split)", _ms),
     "setup_ms": ("ms per slosh-oracle and per composite-measurement set-up", _ms),
     "weyl_map_ms": ("ms per Weyl map, on the composite's 32 x 32 inputs or at N = 256",
@@ -232,6 +235,15 @@ def _eigh(operator: str) -> Timed:
     return Timed(call)
 
 
+def _unitary() -> Timed:
+    import math
+    from osqm import weyl
+
+    op = weyl.weyl_operator_from_symbol(_oscillator(256)[1].symbol())
+    op.eigh()
+    return Timed(partial(op.unitary, math.pi / 4))
+
+
 def _region_build(points: int, p_cuts, at: tuple) -> Timed:
     """The first region of a fresh partition cut at x = 0 and p_cuts: its
     operator, root and PS6 split on the coherent state at `at`."""
@@ -295,6 +307,7 @@ CASES = {
     "slosh-runs-2000": Case("ensemble_seeds_per_s", partial(_slosh_ensemble, True), 1, 5),
     "eigh-oscillator-256": Case("eigh_ms", partial(_eigh, "oscillator"), 5, 9),
     "eigh-pure-state-256": Case("eigh_ms", partial(_eigh, "pure-state"), 5, 9),
+    "unitary-oscillator-256": Case("unitary_ms", _unitary, 10, 9),
     "region-half-line-256": Case("region_build_ms",
                                  partial(_region_build, 256, None, (-4.2, 0.0)), 5, 9),
     "region-half-line-1024": Case("region_build_ms",
