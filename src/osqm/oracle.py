@@ -156,13 +156,13 @@ class OperatorMatrix:
         """Cached eigendecomposition (Hermitian operators only): ascending
         eigenvalues w and orthonormal eigenvector columns q.
 
-        numpy.linalg.eigh: LAPACK's divide-and-conquer driver (Gu &
+        numpy.linalg.eigh: LAPACK's divide-and-conquer solver (Gu &
         Eisenstat, SIMAX 16, 1995), whose eigenvectors are orthonormal to
         4e-15 on the quantised pure states. A matrix whose largest imaginary
-        entry is at or below noise_floor(dim, max|H|), the driver's own
+        entry is at or below noise_floor(dim, max|H|), the solver's own
         backward error, is decomposed as its real part (syevd): q is real,
         at about a third of the complex solve's time. Every other matrix
-        takes the complex driver (heevd) and a complex q. The free,
+        takes the complex solver (heevd) and a complex q. The free,
         oscillator and double-well presets are even in p, so their matrices
         take the real path.
         q is kept in LAPACK's own Fortran order (numpy returns a C-ordered
@@ -204,7 +204,7 @@ def tensor_state(psi1: WaveFunction, psi2: WaveFunction) -> WaveFunction:
 
 def schrodinger_propagate(psi: WaveFunction, h: OperatorMatrix, t: float) -> WaveFunction:
     """psi(t) = exp(-i H t / hbar) psi via exact eigendecomposition; a real
-    q applies by real_matmul."""
+    q is applied by real_matmul."""
     if not h.hermitian:
         raise ValueError("Hamiltonian must be Hermitian")
     w, q = h.eigh()
