@@ -35,32 +35,59 @@ conv frequency k on the odd mask columns: spectral.half_cell_table(n, False),
 -i at the Nyquist k = -n/2, so that conj(D) undoes D. The Weyl maps read
 the same table with True, 0 there (item 17 of ROADMAP.md).
 
-The exact path makes 8 FFT passes over the state. On the 32^4 coupling
-these are an fftn over the two mask axes, an fft and an ifft on the odd half
-of each of the two conv axes, the same shifts back and the ifftn (2 + 2 + 2
-+ 2 passes). It runs in one block of three state-sized complex arrays,
+The exact path runs on the half spectrum of the real W. For a term whose
+last mask axis is r it is an rfft along r, an fft along the term's other
+mask axes, the odd columns' half-cell shifts, the product with exp(t G),
+the shifts back and the inverse fft, and one irfft that writes the real
+result: no complex copy of W and no .real. On the 32^4 coupling these are
+the 8 passes a full complex path makes (2 + 2 + 2 + 2), on arrays of
+(..., 17) instead of (..., 32).
+
+Its values are the real part of the full complex path's to round-off. That
+real part is not the complex path itself: the -i Nyquist entry of D has no
+mirror, so on the coupling at t 0.2 the complex result carries an imaginary
+part of 2e-4 of max|W|. Let Pi flip the sign of the conv-axis Nyquist
+component of each factor whose mask index is odd, and let
+E~(q) = conj E(-q), which differs from E only on rows where a mask axis
+other than r sits at its Nyquist index. The mixed array Y of a real W
+obeys conj Y(-q) = Pi Y(q), so the real part is the inverse transform of
+E-bar Y with E-bar = (E + Pi E~ Pi) / 2. The interior columns
+0 < q_r < n_r/2, which irfft reads for q_r and -q_r alike, take E-bar. The
+edge columns q_r = 0 and n_r/2 take plain E: of those irfft keeps the real
+part after the inverse transforms, the same part .real kept. Where exactly
+one factor's mask index is odd and no mask axis sits at its Nyquist index,
+Pi = 1 - 2P with P the projector on that conv axis's Nyquist component, and
+E-bar = (1 - P) E (1 - P) + P E P, with P E P = (conv-axis mean of E) P: the
+forward shift takes those columns' Nyquist components out (the stash) and
+the backward shift puts them back times that mean. The columns where two
+mask indices are odd (a quarter of the coupling's) and those on a Nyquist
+row take the literal formula on a gathered copy. Without E-bar the
+coupling's result misses the complex path's real part, and the dense
+oracle, by 4.2e-6 of max|W| (1.7e-10 with it).
+
+The exact path runs in one block of three half-spectrum complex arrays,
 allocated with the plan and starting on a 64-byte cache line: the
-generator, the exp table and a work array, 3 x 16.8 MB on 32^4. The work
-array is one state-sized array more than the arithmetic needs, held for
-placement. Each call copies the state into the work array, transforms it
-there and returns a new real array. With a fresh complex array per call,
-where that array landed set the call's time: after the
-composite-measurement benchmark's set-up the in-place product with the
-exp table took 1.5-1.7 ms, and 6.6-7.7 ms (the call 28 -> 34.5 ms) once
-faster Weyl maps in that set-up had left other arrays on the heap; and the
-FFT passes take about a fifth longer on a state that does not start on a
-cache line (_cache_aligned). In the block the product takes 0.4 ms and the
-call 23-24 ms after either set-up (1 thread, AMD EPYC).
+generator, the exp table and the work array that the rfft writes,
+3 x 8.9 MB on 32^4. Beside them the plan holds the small E-bar tables:
+conj G(-q) and conj E(-q) on the literal columns, and the conv-axis means of
+E on the stash columns. A call allocates its real result and a few small
+arrays. With a fresh complex array per call, where that array landed set
+the call's time: after the composite-measurement benchmark's set-up the
+product with the exp table took 1.5-1.7 ms on one heap and 6.6-7.7 ms on
+another, and FFT passes take about a fifth longer on an array that does
+not start on a cache line (_cache_aligned). A call on the 32^4 coupling
+takes 39-44 ms, against 62-75 ms for the full complex path it replaced
+(1 thread, Intel Xeon, 2 vCPUs).
 
 The tables belong to the Hamiltonian. Hamiltonian.lvn_plan builds its
 LvnPlan on the first evolve_lvn call, never before, and every later call
 reads it: on the split path each term's padded generator, the move tables,
 and the exp(s G) tables of the latest call's step sizes; on the exact path
-the term's generator, one exp table and the work array. A call with other
-step sizes replaces those exp tables, so the bytes held do not grow with the
-number of calls or of distinct dt and t_final values. On dof 2 most tables
-are the size of the state: the one-term 32^4 coupling holds three 16.8 MB
-arrays.
+the term's half-spectrum generator, one exp table with its E-bar tables and
+the work array. A call with other step sizes replaces those exp tables, so
+the bytes held do not grow with the number of calls or of distinct dt and
+t_final values. On dof 2 most tables are the size of the state or of its
+half spectrum: the one-term 32^4 coupling holds three 8.9 MB arrays.
 
 The split path keeps its state in a row-padded buffer: the last axis has
 _PAD spare entries, which stay zero, so no axis runs at a power-of-two
@@ -88,7 +115,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import GridMismatchError, PhaseGrid
-from .spectral import centered_chords, half_cell_table, shift_half_cell
+from .spectral import alternating_signs, centered_chords, half_cell_table, shift_half_cell
 from .weyl import WeylSymbol
 from .wigner import WignerState
 
@@ -122,6 +149,8 @@ class HamiltonianTerm:
     def __post_init__(self):
         if callable(self.coefficient):
             raise TypeError("a term's coefficient must be a number, not a callable")
+        if not self.factors:
+            raise ValueError("a term needs a factor: a constant has no bracket")
         seen_dofs = set()
         for kind, dof, _ in self.factors:
             if kind not in ("x", "p"):
@@ -250,10 +279,12 @@ class _TermBasis:
 
     split selects the generator's layout: for the split path a row-padded
     buffer, whose [..., :width] view is the table, and for the exact path
-    the table itself. fft and ifft run in place along the conv axes of an
-    array that may be a split-path buffer, padded along its last axis: an
-    FFT along that axis runs on its first `width` entries, every other FFT
-    on the whole array.
+    its half spectrum, the columns 0..n_r/2 of the last mask axis r, which
+    `half` indexes in a full table. fft and ifft run in place along the
+    conv axes of an array that may be a split-path buffer, padded along its
+    last axis: an FFT along that axis runs on its first `width` entries,
+    every other FFT on the whole array. mixed, which the exact path and rhs
+    run, works on the half spectrum.
     """
 
     def __init__(self, grid: PhaseGrid, term: HamiltonianTerm, split: bool):
@@ -273,7 +304,57 @@ class _TermBasis:
         self.others = tuple(ax for ax in range(len(self.shape)) if ax not in self.axes)
         generator = (float(term.coefficient) * (lam_left - lam_right)
                      / (1j * grid.hbar))
-        self.generator = _padded(generator) if split else generator
+        self._half_spectrum_columns(generator)
+        self.generator = _padded(generator) if split else generator[self.half]
+
+    def _half_spectrum_columns(self, generator: np.ndarray) -> None:
+        """Where mixed takes E-bar = (E + Pi E~ Pi) / 2, and how.
+
+        A column is one index of every mask axis. The half spectrum keeps
+        columns 0..n_r/2 of the last mask axis r; the edge columns 0 and n_r/2
+        take E as it is. Of the interior columns, those with one odd mask
+        index and no other mask axis at its Nyquist index take
+        P E P + (1 - P) E (1 - P) (the stash); the rest, with two odd mask
+        indices or a mask axis at its Nyquist index, the literal formula,
+        with conj G(-q) kept in tilde.
+        """
+        self.r = max(self.masks)
+        half = list(self.shape)
+        half[self.r] = self.shape[self.r] // 2 + 1
+        self.half_shape = tuple(half)
+        self.half = (slice(None),) * self.r + (slice(0, half[self.r]),)
+        index = np.indices([half[m] for m in self.masks])
+        odd = index % 2 == 1
+        n_odd = odd.sum(axis=0)
+        nyquist = np.zeros(n_odd.shape, dtype=bool)
+        for q, mask in zip(index, self.masks):
+            if mask == self.r:
+                interior = (q > 0) & (q < self.shape[mask] // 2)
+            else:
+                nyquist |= q == self.shape[mask] // 2
+        self._literal = np.nonzero(interior & (nyquist | (n_odd > 1)))
+        self._stash = [np.nonzero(interior & ~nyquist & (n_odd == 1) & o) for o in odd]
+        # the literal columns come first in a gathered block, the other axes follow
+        self._rest = [ax for ax in range(len(self.shape)) if ax not in self.masks]
+        column = (-1,) + (1,) * len(self._rest)
+        self._literal_odd = [o[self._literal].reshape(column) for o in odd]
+        reflected = tuple(-q % self.shape[m] for q, m in zip(self._literal, self.masks))
+        self.tilde = np.conj(self._front(generator)[reflected])
+
+    def _front(self, arr: np.ndarray) -> np.ndarray:
+        """A view of arr with its mask axes first, in factor order."""
+        return np.moveaxis(arr, self.masks, range(len(self.masks)))
+
+    def tables(self, table: np.ndarray, tilde: np.ndarray) -> tuple:
+        """(table, tilde, means): what mixed reads to apply a diagonal table.
+
+        table is on the half spectrum, tilde is conj table(-q) on the literal
+        columns, and means[f] is table's mean along factor f's conv axis on
+        its stash columns.
+        """
+        means = [self._front(table)[cols].mean(axis=1 + self._rest.index(axis))
+                 for axis, cols in zip(self.axes, self._stash)]
+        return table, tilde, means
 
     def shift(self) -> np.ndarray:
         """D: the odd mask columns' half-cell shift, with the conv axes in frequency."""
@@ -307,33 +388,98 @@ class _TermBasis:
             table = half_cell_table(arr.shape[axis], False)
             shift_half_cell(arr[tuple(index)], axis, np.conj(table) if conj else table)
 
-    def to_mixed(self, arr: np.ndarray, axes: tuple) -> np.ndarray:
-        """arr, in place, in the mixed representation, with axes in frequency.
-
-        axes are the mask axes, and on the split path every other axis that
-        is not a conv axis.
-        """
-        np.fft.fftn(arr, axes=axes, out=arr)
+    def to_mixed(self, arr: np.ndarray) -> np.ndarray:
+        """The complex arr, in place, in the split path's mixed representation:
+        every axis but the conv axes in frequency."""
+        np.fft.fftn(arr, axes=self.others, out=arr)
         self._shift_odd(arr, conj=False)
         return arr
 
-    def from_mixed(self, arr: np.ndarray, axes: tuple) -> np.ndarray:
-        """The inverse of to_mixed(., axes), in place."""
+    def from_mixed(self, arr: np.ndarray) -> np.ndarray:
+        """The inverse of to_mixed, in place."""
         self._shift_odd(arr, conj=True)
-        np.fft.ifftn(arr, axes=axes, out=arr)
+        np.fft.ifftn(arr, axes=self.others, out=arr)
         return arr
 
-    def mixed(self, w: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """The real Wigner array of table applied to w in the mixed representation.
+    def _shift_half(self, arr: np.ndarray, restore) -> list:
+        """The odd mask columns' half-cell shift on the half spectrum, in place.
 
-        Only the mask axes are transformed, so axes of no factor keep their
-        own variables: 8 FFT passes over the state on the dof-2 coupling.
+        With restore None, D: each stash column's conv-axis Nyquist component
+        is taken out after the shift and returned. With restore, conj(D),
+        after the Nyquist component of each stash column is set to restore's.
         """
-        out = self.to_mixed(w.astype(complex), self.masks)
+        stashes = []
+        factors = list(zip(self.axes, self.masks, self._stash))
+        for axis, mask, cols in factors if restore is None else reversed(factors):
+            index = [slice(None)] * arr.ndim
+            index[mask] = slice(1, None, 2)
+            view = arr[tuple(index)]
+            n = arr.shape[axis]
+            table = half_cell_table(n, False).reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
+            nyquist = np.moveaxis(arr, (*self.masks, axis), range(len(self.masks) + 1))
+            at = cols + (n // 2,)
+            np.fft.fft(view, axis=axis, out=view)
+            if restore is None:
+                view *= table
+                stashes.append(nyquist[at])
+                nyquist[at] = 0.0
+            else:
+                nyquist[at] = restore.pop()
+                view *= np.conj(table)
+            np.fft.ifft(view, axis=axis, out=view)
+        return stashes
+
+    def _flip(self, block: np.ndarray) -> None:
+        """Pi on gathered literal columns, in place: the conv-axis Nyquist
+        component of each factor whose mask index is odd changes sign."""
+        for axis, odd in zip(self.axes, self._literal_odd):
+            pos = 1 + self._rest.index(axis)
+            n = block.shape[pos]
+            moved = np.moveaxis(block, pos, -1)
+            # y -= 2 P y, with P y = (-1)^c sum_c' (-1)^c' y_c' / n
+            component = moved @ alternating_signs(n).astype(complex)
+            component *= np.moveaxis(odd, pos, -1)[..., 0] * (2.0 / n)
+            moved[..., 0::2] -= component[..., None]
+            moved[..., 1::2] += component[..., None]
+
+    def _product(self, arr: np.ndarray, table: np.ndarray, tilde: np.ndarray) -> None:
+        """arr *= E-bar, in place, on the shifted half spectrum: E on every
+        column but the literal ones, which take (E + Pi E~ Pi) / 2."""
+        front = self._front(arr)
+        literal = front[self._literal]
         # in place, table first: complex products round by operand order,
         # which numpy's temporary elision would pick by array size in a * b
-        np.multiply(table, out, out=out)
-        return self.from_mixed(out, self.masks).real
+        np.multiply(table, arr, out=arr)
+        if literal.size:
+            self._flip(literal)
+            literal *= tilde
+            self._flip(literal)
+            literal += front[self._literal]
+            literal *= 0.5
+            front[self._literal] = literal
+
+    def mixed(self, w: np.ndarray, tables: tuple, out) -> np.ndarray:
+        """The real Wigner array of a diagonal table applied to the real w in
+        the mixed representation; tables is self.tables(table, tilde).
+
+        An rfft along the last mask axis r and an fft along every other mask
+        axis, the odd columns' shifts, the product and the inverses, ending
+        in one irfft: the mask axes alone are transformed, on the half
+        spectrum q_r = 0..n_r/2. out is the half-spectrum array it runs in,
+        or None for a new one. The interior columns take E-bar (see the
+        module docstring).
+        """
+        table, tilde, means = tables
+        others = tuple(m for m in self.masks if m != self.r)
+        arr = np.fft.rfft(w, axis=self.r, out=out)
+        if others:
+            np.fft.fftn(arr, axes=others, out=arr)
+        stashes = self._shift_half(arr, restore=None)
+        self._product(arr, table, tilde)
+        self._shift_half(arr, [m * s for m, s in zip(means, stashes)])
+        if others:
+            np.fft.ifftn(arr, axes=others, out=arr)
+        return np.fft.irfft(arr, n=self.shape[self.r], axis=self.r)
 
 
 # Yoshida's triple jump: Strang sweeps of W1 dt, W0 dt and W1 dt compose
@@ -378,13 +524,16 @@ class LvnPlan:
     Hamiltonian.lvn_plan builds one on the first evolve_lvn call and every
     later call on that Hamiltonian reads it. Every path applies a term in
     its mixed representation (_TermBasis), and rhs sums the terms' brackets
-    taken there. A Hamiltonian of one term takes the exact path (exact): its
-    arrays keep the state's contiguous layout, and block holds all three,
-    the generator, the one exp(total G) table of the latest call and the
-    work array each call runs in, 3 x 16.8 MB on the 32^4 coupling. They
-    are one cache-aligned allocation, so the call's time does not depend on
-    where the process's earlier arrays left them (see the module
-    docstring). Every other Hamiltonian takes split steps.
+    taken there. A Hamiltonian of one term takes the exact path (exact),
+    _TermBasis.mixed on the half spectrum of the real state, with E-bar =
+    (E + Pi E~ Pi) / 2 on the interior columns (see the module docstring).
+    Its arrays are contiguous, and block holds the three large ones: the
+    half-spectrum generator, the one exp(total G) table of the latest call
+    and the work array each call runs in, 3 x 8.9 MB on the 32^4 coupling.
+    They are one cache-aligned allocation, so the call's time does not
+    depend on where the process's earlier arrays left them. The exp table's
+    entry in the table cache also holds its small E-bar tables
+    (_TermBasis.tables). Every other Hamiltonian takes split steps.
 
     A split state is (coef, pending): the state in term 0's mixed
     representation, with every axis but term 0's conv axes in np.fft
@@ -423,7 +572,7 @@ class LvnPlan:
         self.block = self._exp_out = self._work = None
         if not split:
             basis, = self.bases
-            self.block = _cache_aligned((3,) + basis.shape)
+            self.block = _cache_aligned((3,) + basis.half_shape)
             self.block[0] = basis.generator
             basis.generator, self._exp_out, self._work = self.block
         self._used = set()
@@ -435,39 +584,41 @@ class LvnPlan:
 
     def rhs(self, w: np.ndarray) -> np.ndarray:
         """dW/dt = (H*W - W*H) / (i hbar), summed term by term."""
-        return sum(basis.mixed(w, basis.generator[..., :basis.width])
+        # [..., :width][half]: the half spectrum of a padded or of a half generator
+        return sum(basis.mixed(w, basis.tables(basis.generator[..., :basis.width][basis.half],
+                                               basis.tilde), out=None)
                    for basis in self.bases)
 
-    def _exp(self, j: int, s: float) -> np.ndarray:
+    def _exp(self, j: int, s: float):
+        """exp(s G_j); on the exact path with its E-bar tables (_TermBasis.tables)."""
         key = (j, s)
         self._used.add(key)
         table = self._tables.get(key)
         if table is None:
             # dropped before the new table is allocated
             self._tables = {k: t for k, t in self._tables.items() if k in self._used}
-            table = np.multiply(s, self.bases[j].generator, out=self._exp_out)
-            self._tables[key] = np.exp(table, out=table)
+            basis = self.bases[j]
+            table = np.multiply(s, basis.generator, out=self._exp_out)
+            np.exp(table, out=table)
+            if self.block is not None:  # the exact path's tables for E-bar
+                table = basis.tables(table, np.exp(s * basis.tilde))
+            self._tables[key] = table
         return table
 
     def exact(self, arr: np.ndarray, total: float) -> np.ndarray:
         """Wigner array arr after time total under a one-term H; starts a call.
 
-        Runs in the block's work array and returns a new C-contiguous array,
-        so the next call leaves it as it is.
+        Runs in the block's work array and returns the irfft's new real
+        array, so the next call leaves it as it is.
         """
         self._used.clear()
-        basis, work = self.bases[0], self._work
-        np.copyto(work, arr)
-        basis.to_mixed(work, basis.masks)
-        # in place, table first, as in _TermBasis.mixed
-        np.multiply(self._exp(0, total), work, out=work)
-        return basis.from_mixed(work, basis.masks).real.copy()
+        return self.bases[0].mixed(arr, self._exp(0, total), out=self._work)
 
     def enter(self, arr: np.ndarray):
         """The split state of the Wigner array arr; starts a call."""
         self._used.clear()
         basis = self.bases[0]
-        return _padded(basis.to_mixed(arr.astype(complex), basis.others)), 0.0
+        return _padded(basis.to_mixed(arr.astype(complex))), 0.0
 
     def step(self, coef: np.ndarray, pending: float, dt: float):
         """Advance a state by dt; coef is overwritten and returned."""
@@ -490,7 +641,7 @@ class LvnPlan:
         """The Wigner array of a state; coef is left as it is."""
         basis = self.bases[0]
         arr = coef[..., :basis.width] * self._exp(0, pending)[..., :basis.width]
-        return basis.from_mixed(arr, basis.others).real
+        return basis.from_mixed(arr).real
 
 
 def step_count(t_final: float, dt: float) -> tuple[int, float]:
@@ -510,12 +661,17 @@ def evolve_lvn(w: WignerState, h: Hamiltonian, t_final: float, dt: float,
     that moves the state builds and later calls reuse:
 
     - A Hamiltonian of one term is advanced by its exact exponential,
-      computed directly from the initial state. dt plays no role on the
-      exact path, and verify_dt has nothing to check.
+      computed directly from the initial state on the half spectrum of the
+      real W, and the result is real as computed: the real part of the full
+      complex exponential's to round-off, since the interior columns take
+      E-bar = (E + Pi E~ Pi) / 2 and the edge columns, whose real part
+      irfft keeps, plain E (see the module docstring). dt plays no role on
+      the exact path, and verify_dt has nothing to check.
     - Every other Hamiltonian takes 4th-order split steps of dt, and a
       shorter last step reaches t_final: Yoshida's triple jump of Strang
       sweeps over the terms' exact exponentials. Each step is unitary, so
-      mass and purity are kept to round-off. With verify_dt it first
+      mass and purity are kept to round-off. The state is carried complex,
+      and the call returns its real part. With verify_dt it first
       compares the first step it takes (dt, or t_final when dt exceeds it)
       with two half steps and raises EvolutionUnstableError on a mismatch
       above 1e-3; that mismatch is the local splitting error.

@@ -528,9 +528,11 @@ class TrajectoryEngine:
     wigner_from_wavefunction. It rejects projection_mode "exact"
     (PHASE_EXACT_REASON). Only the phase backend takes snapshots
     (SNAPSHOT_REASON). A snapshot stop splits the evolve_lvn call, and each
-    call returns the real part of its carried state, so taking snapshots
-    can move a phase trajectory's low bits (up to 1.1e-8 relative on the
-    64-point oscillator at extent 8).
+    call of the split path (a Hamiltonian of more than one term) returns the
+    real part of its carried state, so taking snapshots can move a phase
+    trajectory's low bits (up to 1.1e-8 relative on the 64-point oscillator
+    at extent 8). The exact path of a one-term Hamiltonian carries no
+    imaginary part to drop.
 
     psi0 becomes its l2 vector v0 once, here. An event's update operator is
     the chosen region's Pi^(1/2) (projection_mode "sqrt") or its exact

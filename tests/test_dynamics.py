@@ -26,6 +26,11 @@ def w0(grid64):
     return wigner_from_wavefunction(coherent_state(grid64, 1.0, 0.3))
 
 
+def test_term_without_factors_is_rejected():
+    with pytest.raises(ValueError, match="needs a factor"):
+        HamiltonianTerm(())
+
+
 def test_callable_coefficient_is_rejected():
     # a Hamiltonian is static: its coefficients are numbers
     with pytest.raises(TypeError, match="coefficient must be a number"):
@@ -324,6 +329,11 @@ def test_split_step_matches_basis_change_composition(case, grid64, osc):
         assert np.abs(got - want).max() < 1e-13 * scale
 
 
+def _full_generator(grid, term):
+    """A term's generator on every mask frequency (the split path's layout)."""
+    return dynamics._TermBasis(grid, term, split=True).generator[..., :grid.phase_shape[-1]]
+
+
 def _exact_case(name):
     """(Hamiltonian, Wigner state) of a one-term case."""
     from osqm.oracle import tensor_state
@@ -333,9 +343,14 @@ def _exact_case(name):
         grid = PhaseGrid.create(*free_grids[name])
         return (hamiltonian_preset(grid, "free", {}),
                 wigner_from_wavefunction(coherent_state(grid, 0.5, 0.3)))
-    g1 = PhaseGrid.create(32, 8.0)
+    if name == "x-potential-64":  # one x factor: its mask axis p is the last axis
+        grid = PhaseGrid.create(64, 8.0)
+        term = HamiltonianTerm((("x", 0, lambda x: x ** 4 / 4 + np.tanh(x)),))
+        return (Hamiltonian(grid, [term]),
+                wigner_from_wavefunction(coherent_state(grid, 0.5, 0.3)))
+    g1 = PhaseGrid.create(34 if name == "coupling-34" else 32, 8.0)
     grid = PhaseGrid.product(g1, g1)
-    if name == "coupling":
+    if name.startswith("coupling"):
         h = hamiltonian_preset(grid, "von-neumann-coupling", {"v": 1.0, "w": 1.0})
     else:  # p1^2 / 2: a term on one dof of two
         h = Hamiltonian(grid, [HamiltonianTerm((("p", 1, lambda p: p ** 2 / 2),))])
@@ -343,23 +358,32 @@ def _exact_case(name):
     return h, wigner_from_wavefunction(tensor_state(coherent_state(g1, 0.0, 0.0), cat))
 
 
-@pytest.mark.parametrize("name", ["free-64", "free-30", "coupling", "p1-squared"])
+@pytest.mark.parametrize("name", ["free-64", "free-30", "coupling", "p1-squared",
+                                  "x-potential-64", "coupling-34"])
 def test_exact_path_matches_basis_change_composition(name):
-    # the exact path moves only the mask axes to the frequency domain; it
-    # must give exp(t G) applied in the mixed representation reached from
-    # the full np.fft spectrum, also at N = 30, where N / 2 is odd, and on
-    # an axis pair of no factor
+    # the exact path moves only the mask axes to the frequency domain, on the
+    # half spectrum; it must give the real part of exp(t G) applied in the
+    # mixed representation reached from the full np.fft spectrum, also at
+    # N = 30, where N / 2 is odd, on an axis pair of no factor, and at
+    # N = 34 on dof 2, where the mask-Nyquist row and the last edge column
+    # are odd
     h, w = _exact_case(name)
     total = 0.2
     term = h.terms[0]
-    generator = dynamics._TermBasis(h.grid, term, split=False).generator
-    coef = np.exp(total * generator) * _to_mixed(h.grid, term, np.fft.fftn(w.values))
-    want = np.fft.ifftn(_from_mixed(h.grid, term, coef)).real
+    coef = np.exp(total * _full_generator(h.grid, term)) * _to_mixed(h.grid, term,
+                                                                   np.fft.fftn(w.values))
+    want = np.fft.ifftn(_from_mixed(h.grid, term, coef))
     got = evolve_lvn(w, h, total, 0.05)
-    assert np.abs(got.values - want).max() <= 1e-15 * np.abs(w.values).max()
+    scale = np.abs(w.values).max()
+    assert np.abs(got.values - want.real).max() <= 1e-15 * scale
+    if name in ("x-potential-64", "coupling-34"):
+        # the -i Nyquist entry of the shift makes the reference non-real: the
+        # half spectrum must take E-bar, not E, to keep its real part
+        assert np.abs(want.imag).max() > 1e-8 * scale
 
 
-@pytest.mark.parametrize("name", ["free-64", "free-30", "coupling", "p1-squared"])
+@pytest.mark.parametrize("name", ["free-64", "free-30", "coupling", "p1-squared",
+                                  "x-potential-64", "coupling-34"])
 def test_one_term_rhs_matches_the_np_fft_reference(name):
     # the generator applied in the mixed representation reached from the
     # full np.fft spectrum
@@ -367,7 +391,7 @@ def test_one_term_rhs_matches_the_np_fft_reference(name):
     plan = dynamics.LvnPlan(h.grid, h)
     got = plan.rhs(w.values)
     term = h.terms[0]
-    coef = plan.bases[0].generator * _to_mixed(h.grid, term, np.fft.fftn(w.values))
+    coef = _full_generator(h.grid, term) * _to_mixed(h.grid, term, np.fft.fftn(w.values))
     want = np.fft.ifftn(_from_mixed(h.grid, term, coef)).real
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -410,24 +434,45 @@ def test_split_path_at_odd_half_n_matches_the_oracle():
     assert np.abs(out.values - want).max() < 1e-8
 
 
-def test_exact_plan_holds_one_block_of_three_state_sized_arrays():
-    # the generator in the mixed representation, one exp table and the work
-    # array, in one block allocated with the plan: no move tables
+def test_exact_plan_holds_one_block_of_three_half_spectrum_arrays():
+    # the generator on the half spectrum, one exp table and the work array,
+    # in one block allocated with the plan: no move tables; beside them only
+    # the small E-bar tables (conj G(-q) and conj E(-q) on the literal
+    # columns, and the conv-axis means of E on the stash columns)
     h, w = _exact_case("coupling")
     evolve_lvn(w, h, 0.2, 0.05)
     evolve_lvn(w, h, 0.3, 0.05)
     plan = h.lvn_plan
     basis, = plan.bases
-    assert plan.block.shape == (3,) + w.values.shape and plan.block.dtype == complex
+    half = w.values.shape[:-1] + (w.values.shape[-1] // 2 + 1,)
+    assert basis.half_shape == half
+    assert plan.block.shape == (3,) + half and plan.block.dtype == complex
     assert plan.block.flags.c_contiguous and plan.block.ctypes.data % 64 == 0
-    table, = plan._tables.values()
+    (table, tilde, means), = plan._tables.values()
     for k, arr in enumerate((basis.generator, table, plan._work)):
-        assert arr.shape == w.values.shape
+        assert arr.shape == half
         assert arr.ctypes.data == plan.block[k].ctypes.data
+    small = [basis.tilde, tilde, *means]
+    assert sum(a.nbytes for a in small) < 0.2 * plan.block.nbytes
     held = [a for a in (*vars(basis).values(), *vars(plan).values())
             if isinstance(a, np.ndarray)]
-    assert all(np.shares_memory(a, plan.block) for a in held)
+    assert all(np.shares_memory(a, plan.block) for a in held if a is not basis.tilde)
     assert plan._moves == {}
+
+
+def test_warm_exact_call_allocates_little_beyond_its_result():
+    # the call runs in the plan's block: what it allocates is its real result
+    # (8.4 MB on 32^4) and a few small arrays
+    import tracemalloc
+    h, w = _exact_case("coupling")
+    evolve_lvn(w, h, 0.2, 0.05)
+    tracemalloc.start()
+    try:
+        out = evolve_lvn(w, h, 0.2, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * out.values.nbytes
 
 
 @pytest.mark.parametrize("name", ["free-64", "coupling"])
