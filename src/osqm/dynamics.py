@@ -470,15 +470,15 @@ class _TermBasis:
         module docstring).
         """
         table, tilde, means = tables
-        others = tuple(m for m in self.masks if m != self.r)
+        c2c_axes = tuple(m for m in self.masks if m != self.r)
         arr = np.fft.rfft(w, axis=self.r, out=out)
-        if others:
-            np.fft.fftn(arr, axes=others, out=arr)
+        if c2c_axes:
+            np.fft.fftn(arr, axes=c2c_axes, out=arr)
         stashes = self._shift_half(arr, restore=None)
         self._product(arr, table, tilde)
         self._shift_half(arr, [m * s for m, s in zip(means, stashes)])
-        if others:
-            np.fft.ifftn(arr, axes=others, out=arr)
+        if c2c_axes:
+            np.fft.ifftn(arr, axes=c2c_axes, out=arr)
         return np.fft.irfft(arr, n=self.shape[self.r], axis=self.r)
 
 
