@@ -32,62 +32,61 @@ product with a precomputed table: from term a's representation to term b's
 it is an fft along a's conv axes, one product with conj(D_a) D_b and an
 ifft along b's conv axes, where D is the half-cell shift e^{i pi k / n} at
 conv frequency k on the odd mask columns: spectral.half_cell_table(n, False),
--i at the Nyquist k = -n/2, so that conj(D) undoes D. The Weyl maps read
-the same table with True, 0 there (item 17 of ROADMAP.md).
+-i at the Nyquist k = -n/2, so that conj(D) undoes D.
 
-The exact path runs on the half spectrum of the real W. For a term whose
-last mask axis is r it is an rfft along r, an fft along the term's other
-mask axes, the odd columns' half-cell shifts, the product with exp(t G),
-the shifts back and the inverse fft, and one irfft that writes the real
-result: no complex copy of W and no .real. On the 32^4 coupling these are
-the 8 passes a full complex path makes (2 + 2 + 2 + 2), on arrays of
-(..., 17) instead of (..., 32).
+The exact path and rhs run on the half spectrum of the real W and shift
+with the Weyl maps' rule, half_cell_table(n, True), 0 at the Nyquist k. For
+a term whose last mask axis is r it is an rfft along r, an fft along the
+term's other mask axis, the odd columns' half-cell shifts, one product with
+a diagonal table, the shifts back and the inverse fft, and one irfft that
+writes the real result: no complex copy of W and no .real. With the 0,
+the two shifts are a projection, not a unitary pair: they drop the
+conv-axis Nyquist component of each odd mask column. The Weyl image of an
+operator, as every Wigner function in osqm is, has none there (with a
+table of ones the path returns the test states to 4.1e-16 of max|W|), so
+only an array that is no such image loses anything. Against
+weyl_symbol_from_operator(U rho U^H), with rho W's own operator, the free
+particle at N = 30/34/38 (extent 7, t 0.3) reads 1.5e-15/2.3e-15/2.1e-15
+of max|W|, where the -i rule read 5.7e-11/2.0e-12/3.7e-13 (item 17 of
+ROADMAP.md).
 
-Its values are the real part of the full complex path's to round-off. That
-real part is not the complex path itself: the -i Nyquist entry of D has no
-mirror, so on the coupling at t 0.2 the complex result carries an imaginary
-part of 2e-4 of max|W|. Let Pi flip the sign of the conv-axis Nyquist
-component of each factor whose mask index is odd, and let
-E~(q) = conj E(-q), which differs from E only on rows where a mask axis
-other than r sits at its Nyquist index. The mixed array Y of a real W
-obeys conj Y(-q) = Pi Y(q), so the real part is the inverse transform of
-E-bar Y with E-bar = (E + Pi E~ Pi) / 2. The interior columns
-0 < q_r < n_r/2, which irfft reads for q_r and -q_r alike, take E-bar. The
-edge columns q_r = 0 and n_r/2 take plain E: of those irfft keeps the real
-part after the inverse transforms, the same part .real kept. Where exactly
-one factor's mask index is odd and no mask axis sits at its Nyquist index,
-Pi = 1 - 2P with P the projector on that conv axis's Nyquist component, and
-E-bar = (1 - P) E (1 - P) + P E P, with P E P = (conv-axis mean of E) P: the
-forward shift takes those columns' Nyquist components out (the stash) and
-the backward shift puts them back times that mean. The columns where two
-mask indices are odd (a quarter of the coupling's) and those on a Nyquist
-row take the literal formula on a gathered copy. Without E-bar the
-coupling's result misses the complex path's real part, and the dense
-oracle, by 4.2e-6 of max|W| (1.7e-10 with it).
+Its values are the real part of the full complex path's with the same
+rule, to round-off. With 0 at the Nyquist k, the mixed array Y of a real W
+obeys conj Y(-q) = Y(q), so that real part is the inverse transform of
+E-bar Y with E-bar = (E + E~) / 2, E~(q) = conj E(-q), on the interior
+columns 0 < q_r < n_r/2, which irfft reads for q_r and -q_r alike; on the
+edge columns q_r = 0 and n_r/2 irfft keeps the real part after the inverse
+transforms, the same part .real kept, so E and E-bar give the same result
+there. For a real profile E~ = E except on the rows where a mask axis other
+than r sits at its Nyquist index, whose reflection -q is the row itself:
+3.1% of the 32^4 coupling's half spectrum, no row at all for a one-factor
+term. So E-bar is one diagonal table, E with exp(s conj G(-q)) averaged in
+on those rows when the table is built, and rhs takes G-bar likewise.
+Without it the coupling's result misses the complex path's real part by
+1.5e-6 of max|W|.
 
 The exact path runs in one block of three half-spectrum complex arrays,
 allocated with the plan and starting on a 64-byte cache line: the
-generator, the exp table and the work array that the rfft writes,
-3 x 8.9 MB on 32^4. Beside them the plan holds the small E-bar tables:
-conj G(-q) and conj E(-q) on the literal columns, and the conv-axis means of
-E on the stash columns. A call allocates its real result and a few small
+generator, the E-bar table and the work array that the rfft writes,
+3 x 8.9 MB on 32^4. Beside them the plan holds conj G(-q) on the Nyquist
+rows, 0.3 MB there. A call allocates its real result and a few small
 arrays. With a fresh complex array per call, where that array landed set
 the call's time: after the composite-measurement benchmark's set-up the
 product with the exp table took 1.5-1.7 ms on one heap and 6.6-7.7 ms on
 another, and FFT passes take about a fifth longer on an array that does
 not start on a cache line (_cache_aligned). A call on the 32^4 coupling
-takes 40 ms, against 64 ms for the full complex path it replaced (medians
-of 5 runs, 1 thread, Intel Xeon, 2 vCPUs).
+takes 36 ms, against 38 ms with the stash and literal gather it replaced
+(medians of 7 runs, 1 thread, Intel Xeon, 2 vCPUs).
 
 The tables belong to the Hamiltonian. Hamiltonian.lvn_plan builds its
 LvnPlan on the first evolve_lvn call, never before, and every later call
 reads it: on the split path each term's padded generator, the move tables,
 and the exp(s G) tables of the latest call's step sizes; on the exact path
-the term's half-spectrum generator, one exp table with its E-bar tables and
-the work array. A call with other step sizes replaces those exp tables, so
-the bytes held do not grow with the number of calls or of distinct dt and
-t_final values. On dof 2 most tables are the size of the state or of its
-half spectrum: the one-term 32^4 coupling holds three 8.9 MB arrays.
+the term's half-spectrum generator, one E-bar table and the work array. A
+call with other step sizes replaces those exp tables, so the bytes held do
+not grow with the number of calls or of distinct dt and t_final values. On
+dof 2 most tables are the size of the state or of its half spectrum: the
+one-term 32^4 coupling holds three 8.9 MB arrays.
 
 The split path keeps its state in a row-padded buffer: the last axis has
 _PAD spare entries, which stay zero, so no axis runs at a power-of-two
@@ -115,7 +114,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import GridMismatchError, PhaseGrid
-from .spectral import alternating_signs, centered_chords, half_cell_table, shift_half_cell
+from .spectral import centered_chords, half_cell_table, shift_half_cell
 from .weyl import WeylSymbol
 from .wigner import WignerState
 
@@ -165,8 +164,8 @@ class Hamiltonian:
     """Sum of factorized terms; renders to a real Weyl symbol on demand.
 
     terms is stored as a tuple and the instance is frozen, so the LvnPlan it
-    keeps (lvn_plan) cannot go stale. A Hamiltonian with no terms raises
-    ValueError.
+    keeps (lvn_plan) cannot go stale. A Hamiltonian with no terms, or with
+    a factor whose dof is not an int in range(grid.dof), raises ValueError.
     """
 
     grid: PhaseGrid
@@ -176,6 +175,11 @@ class Hamiltonian:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("Hamiltonian has no terms")
+        for term in self.terms:
+            for _, dof, _ in term.factors:
+                if not isinstance(dof, (int, np.integer)) or not 0 <= dof < self.grid.dof:
+                    raise ValueError(f"factor dof {dof!r} is not a dof of the "
+                                     f"{self.grid.dof}-dof grid")
 
     @cached_property
     def lvn_plan(self) -> "LvnPlan":
@@ -285,6 +289,11 @@ class _TermBasis:
     last axis: an FFT along that axis runs on its first `width` entries,
     every other FFT on the whole array. mixed, which the exact path and rhs
     run, works on the half spectrum.
+
+    nyquist_rows holds, for the other mask axis of a two-factor term, the
+    half spectrum's rows where that axis sits at its Nyquist index, and
+    conj G(-q) on them: there E-bar averages in exp(s conj G(-q)) (see the
+    module docstring). A one-factor term has none.
     """
 
     def __init__(self, grid: PhaseGrid, term: HamiltonianTerm, split: bool):
@@ -304,57 +313,29 @@ class _TermBasis:
         self.others = tuple(ax for ax in range(len(self.shape)) if ax not in self.axes)
         generator = (float(term.coefficient) * (lam_left - lam_right)
                      / (1j * grid.hbar))
-        self._half_spectrum_columns(generator)
+        self.r = max(self.masks)
+        n_r = self.shape[self.r]
+        self.half_shape = self.shape[:self.r] + (n_r // 2 + 1,) + self.shape[self.r + 1:]
+        self.half = (slice(None),) * self.r + (slice(0, n_r // 2 + 1),)
+        self.nyquist_rows = []
+        for m in self.masks:
+            if m != self.r:
+                rows = [slice(None)] * len(self.shape)
+                rows[m] = slice(self.shape[m] // 2, self.shape[m] // 2 + 1)
+                # G(-q) on the row: m's Nyquist index is its own reflection,
+                # and along r column j reflects to column -j % n_r
+                reflected = np.roll(np.flip(generator[tuple(rows)], self.r), 1, self.r)
+                rows[self.r] = self.half[self.r]
+                self.nyquist_rows.append((tuple(rows), np.conj(reflected[self.half])))
         self.generator = _padded(generator) if split else generator[self.half]
 
-    def _half_spectrum_columns(self, generator: np.ndarray) -> None:
-        """Where mixed takes E-bar = (E + Pi E~ Pi) / 2, and how.
-
-        A column is one index of every mask axis. The half spectrum keeps
-        columns 0..n_r/2 of the last mask axis r; the edge columns 0 and n_r/2
-        take E as it is. Of the interior columns, those with one odd mask
-        index and no other mask axis at its Nyquist index take
-        P E P + (1 - P) E (1 - P) (the stash); the rest, with two odd mask
-        indices or a mask axis at its Nyquist index, the literal formula,
-        with conj G(-q) kept in tilde.
-        """
-        self.r = max(self.masks)
-        half = list(self.shape)
-        half[self.r] = self.shape[self.r] // 2 + 1
-        self.half_shape = tuple(half)
-        self.half = (slice(None),) * self.r + (slice(0, half[self.r]),)
-        index = np.indices([half[m] for m in self.masks])
-        odd = index % 2 == 1
-        n_odd = odd.sum(axis=0)
-        nyquist = np.zeros(n_odd.shape, dtype=bool)
-        for q, mask in zip(index, self.masks):
-            if mask == self.r:
-                interior = (q > 0) & (q < self.shape[mask] // 2)
-            else:
-                nyquist |= q == self.shape[mask] // 2
-        self._literal = np.nonzero(interior & (nyquist | (n_odd > 1)))
-        self._stash = [np.nonzero(interior & ~nyquist & (n_odd == 1) & o) for o in odd]
-        # the literal columns come first in a gathered block, the other axes follow
-        self._rest = [ax for ax in range(len(self.shape)) if ax not in self.masks]
-        column = (-1,) + (1,) * len(self._rest)
-        self._literal_odd = [o[self._literal].reshape(column) for o in odd]
-        reflected = tuple(-q % self.shape[m] for q, m in zip(self._literal, self.masks))
-        self.tilde = np.conj(self._front(generator)[reflected])
-
-    def _front(self, arr: np.ndarray) -> np.ndarray:
-        """A view of arr with its mask axes first, in factor order."""
-        return np.moveaxis(arr, self.masks, range(len(self.masks)))
-
-    def tables(self, table: np.ndarray, tilde: np.ndarray) -> tuple:
-        """(table, tilde, means): what mixed reads to apply a diagonal table.
-
-        table is on the half spectrum, tilde is conj table(-q) on the literal
-        columns, and means[f] is table's mean along factor f's conv axis on
-        its stash columns.
-        """
-        means = [self._front(table)[cols].mean(axis=1 + self._rest.index(axis))
-                 for axis, cols in zip(self.axes, self._stash)]
-        return table, tilde, means
+    def bar(self, table: np.ndarray, f) -> np.ndarray:
+        """E-bar of table = f(G) on the half spectrum, in place: on each
+        Nyquist row the mean of table and f(conj G(-q))."""
+        for rows, tilde in self.nyquist_rows:
+            table[rows] += f(tilde)
+            table[rows] *= 0.5
+        return table
 
     def shift(self) -> np.ndarray:
         """D: the odd mask columns' half-cell shift, with the conv axes in frequency."""
@@ -380,103 +361,49 @@ class _TermBasis:
             np.fft.ifft(view, axis=axis, out=view)
         return arr
 
-    def _shift_odd(self, arr: np.ndarray, conj: bool) -> None:
-        """Shift the odd mask columns of arr along each conv axis by half a cell."""
+    def _shift_odd(self, arr: np.ndarray, zero_nyquist: bool, conj: bool) -> None:
+        """Shift the odd mask columns of arr along each conv axis by half a
+        cell, with half_cell_table(n, zero_nyquist) or its conjugate."""
         for axis, mask in zip(self.axes, self.masks):
             index = [slice(None)] * arr.ndim
             index[mask] = slice(1, None, 2)
-            table = half_cell_table(arr.shape[axis], False)
+            table = half_cell_table(arr.shape[axis], zero_nyquist)
             shift_half_cell(arr[tuple(index)], axis, np.conj(table) if conj else table)
 
     def to_mixed(self, arr: np.ndarray) -> np.ndarray:
         """The complex arr, in place, in the split path's mixed representation:
         every axis but the conv axes in frequency."""
         np.fft.fftn(arr, axes=self.others, out=arr)
-        self._shift_odd(arr, conj=False)
+        self._shift_odd(arr, zero_nyquist=False, conj=False)
         return arr
 
     def from_mixed(self, arr: np.ndarray) -> np.ndarray:
         """The inverse of to_mixed, in place."""
-        self._shift_odd(arr, conj=True)
+        self._shift_odd(arr, zero_nyquist=False, conj=True)
         np.fft.ifftn(arr, axes=self.others, out=arr)
         return arr
 
-    def _shift_half(self, arr: np.ndarray, restore) -> list:
-        """The odd mask columns' half-cell shift on the half spectrum, in place.
+    def mixed(self, w: np.ndarray, table: np.ndarray, out) -> np.ndarray:
+        """The real Wigner array of the diagonal table applied to the real w
+        in the mixed representation; table is an E-bar on the half spectrum
+        (bar).
 
-        With restore None, D: each stash column's conv-axis Nyquist component
-        is taken out after the shift and returned. With restore, conj(D),
-        after the Nyquist component of each stash column is set to restore's.
+        An rfft along the last mask axis r and an fft along the other mask
+        axis, the odd columns' shifts with the Weyl maps' rule (0 at the
+        Nyquist frequency), one product and the inverses, ending in one
+        irfft: the mask axes alone are transformed, on the half spectrum
+        q_r = 0..n_r/2. out is the half-spectrum array it runs in, or None
+        for a new one.
         """
-        stashes = []
-        factors = list(zip(self.axes, self.masks, self._stash))
-        for axis, mask, cols in factors if restore is None else reversed(factors):
-            index = [slice(None)] * arr.ndim
-            index[mask] = slice(1, None, 2)
-            view = arr[tuple(index)]
-            n = arr.shape[axis]
-            table = half_cell_table(n, False).reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
-            nyquist = np.moveaxis(arr, (*self.masks, axis), range(len(self.masks) + 1))
-            at = cols + (n // 2,)
-            np.fft.fft(view, axis=axis, out=view)
-            if restore is None:
-                view *= table
-                stashes.append(nyquist[at])
-                nyquist[at] = 0.0
-            else:
-                nyquist[at] = restore.pop()
-                view *= np.conj(table)
-            np.fft.ifft(view, axis=axis, out=view)
-        return stashes
-
-    def _flip(self, block: np.ndarray) -> None:
-        """Pi on gathered literal columns, in place: the conv-axis Nyquist
-        component of each factor whose mask index is odd changes sign."""
-        for axis, odd in zip(self.axes, self._literal_odd):
-            pos = 1 + self._rest.index(axis)
-            n = block.shape[pos]
-            moved = np.moveaxis(block, pos, -1)
-            # y -= 2 P y, with P y = (-1)^c sum_c' (-1)^c' y_c' / n
-            component = moved @ alternating_signs(n).astype(complex)
-            component *= np.moveaxis(odd, pos, -1)[..., 0] * (2.0 / n)
-            moved[..., 0::2] -= component[..., None]
-            moved[..., 1::2] += component[..., None]
-
-    def _product(self, arr: np.ndarray, table: np.ndarray, tilde: np.ndarray) -> None:
-        """arr *= E-bar, in place, on the shifted half spectrum: E on every
-        column but the literal ones, which take (E + Pi E~ Pi) / 2."""
-        front = self._front(arr)
-        literal = front[self._literal]
-        # in place, table first: complex products round by operand order,
-        # which numpy's temporary elision would pick by array size in a * b
-        np.multiply(table, arr, out=arr)
-        if literal.size:
-            self._flip(literal)
-            literal *= tilde
-            self._flip(literal)
-            literal += front[self._literal]
-            literal *= 0.5
-            front[self._literal] = literal
-
-    def mixed(self, w: np.ndarray, tables: tuple, out) -> np.ndarray:
-        """The real Wigner array of a diagonal table applied to the real w in
-        the mixed representation; tables is self.tables(table, tilde).
-
-        An rfft along the last mask axis r and an fft along every other mask
-        axis, the odd columns' shifts, the product and the inverses, ending
-        in one irfft: the mask axes alone are transformed, on the half
-        spectrum q_r = 0..n_r/2. out is the half-spectrum array it runs in,
-        or None for a new one. The interior columns take E-bar (see the
-        module docstring).
-        """
-        table, tilde, means = tables
         c2c_axes = tuple(m for m in self.masks if m != self.r)
         arr = np.fft.rfft(w, axis=self.r, out=out)
         if c2c_axes:
             np.fft.fftn(arr, axes=c2c_axes, out=arr)
-        stashes = self._shift_half(arr, restore=None)
-        self._product(arr, table, tilde)
-        self._shift_half(arr, [m * s for m, s in zip(means, stashes)])
+        self._shift_odd(arr, zero_nyquist=True, conj=False)
+        # in place, table first: complex products round by operand order,
+        # which numpy's temporary elision would pick by array size in a * b
+        np.multiply(table, arr, out=arr)
+        self._shift_odd(arr, zero_nyquist=True, conj=True)
         if c2c_axes:
             np.fft.ifftn(arr, axes=c2c_axes, out=arr)
         return np.fft.irfft(arr, n=self.shape[self.r], axis=self.r)
@@ -524,16 +451,15 @@ class LvnPlan:
     Hamiltonian.lvn_plan builds one on the first evolve_lvn call and every
     later call on that Hamiltonian reads it. Every path applies a term in
     its mixed representation (_TermBasis), and rhs sums the terms' brackets
-    taken there. A Hamiltonian of one term takes the exact path (exact),
-    _TermBasis.mixed on the half spectrum of the real state, with E-bar =
-    (E + Pi E~ Pi) / 2 on the interior columns (see the module docstring).
-    Its arrays are contiguous, and block holds the three large ones: the
-    half-spectrum generator, the one exp(total G) table of the latest call
-    and the work array each call runs in, 3 x 8.9 MB on the 32^4 coupling.
-    They are one cache-aligned allocation, so the call's time does not
-    depend on where the process's earlier arrays left them. The exp table's
-    entry in the table cache also holds its small E-bar tables
-    (_TermBasis.tables). Every other Hamiltonian takes split steps.
+    taken there, each as _TermBasis.mixed of its G-bar. A Hamiltonian of one
+    term takes the exact path (exact), _TermBasis.mixed of one E-bar table
+    on the half spectrum of the real state (see the module docstring). Its
+    arrays are contiguous, and block holds the three large ones: the
+    half-spectrum generator, the E-bar table of the latest call and the
+    work array each call runs in, 3 x 8.9 MB on the 32^4 coupling. They are
+    one cache-aligned allocation, so the call's time does not depend on
+    where the process's earlier arrays left them. Every other Hamiltonian
+    takes split steps.
 
     A split state is (coef, pending): the state in term 0's mixed
     representation, with every axis but term 0's conv axes in np.fft
@@ -585,12 +511,12 @@ class LvnPlan:
     def rhs(self, w: np.ndarray) -> np.ndarray:
         """dW/dt = (H*W - W*H) / (i hbar), summed term by term."""
         # [..., :width][half]: the half spectrum of a padded or of a half generator
-        return sum(basis.mixed(w, basis.tables(basis.generator[..., :basis.width][basis.half],
-                                               basis.tilde), out=None)
+        return sum(basis.mixed(w, basis.bar(basis.generator[..., :basis.width][basis.half].copy(),
+                                            lambda g: g), out=None)
                    for basis in self.bases)
 
-    def _exp(self, j: int, s: float):
-        """exp(s G_j); on the exact path with its E-bar tables (_TermBasis.tables)."""
+    def _exp(self, j: int, s: float) -> np.ndarray:
+        """exp(s G_j); on the exact path its E-bar (_TermBasis.bar)."""
         key = (j, s)
         self._used.add(key)
         table = self._tables.get(key)
@@ -600,8 +526,8 @@ class LvnPlan:
             basis = self.bases[j]
             table = np.multiply(s, basis.generator, out=self._exp_out)
             np.exp(table, out=table)
-            if self.block is not None:  # the exact path's tables for E-bar
-                table = basis.tables(table, np.exp(s * basis.tilde))
+            if self.block is not None:
+                basis.bar(table, lambda g: np.exp(s * g))
             self._tables[key] = table
         return table
 
@@ -662,11 +588,13 @@ def evolve_lvn(w: WignerState, h: Hamiltonian, t_final: float, dt: float,
 
     - A Hamiltonian of one term is advanced by its exact exponential,
       computed directly from the initial state on the half spectrum of the
-      real W, and the result is real as computed: the real part of the full
-      complex exponential's to round-off, since the interior columns take
-      E-bar = (E + Pi E~ Pi) / 2 and the edge columns, whose real part
-      irfft keeps, plain E (see the module docstring). dt plays no role on
-      the exact path, and verify_dt has nothing to check.
+      real W with the Weyl maps' half-cell rule, and the result is real as
+      computed: the real part of the full complex exponential's to
+      round-off, since the one table it applies is E-bar, E with
+      exp(t conj G(-q)) averaged in on the rows where a mask axis other
+      than the last sits at its Nyquist index (see the module docstring).
+      dt plays no role on the exact path, and verify_dt has nothing to
+      check.
     - Every other Hamiltonian takes 4th-order split steps of dt, and a
       shorter last step reaches t_final: Yoshida's triple jump of Strang
       sweeps over the terms' exact exponentials. Each step is unitary, so

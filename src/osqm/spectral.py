@@ -11,8 +11,9 @@ dof-1 symbol.
 
 There is one half-cell phase table, half_cell_table(n, zero_nyquist), and
 one routine that applies it, shift_half_cell. Its argument is the one rule
-for the Nyquist frequency: the Weyl maps pass True, the LvN term bases and
-the star product False.
+for the Nyquist frequency: the Weyl maps, the LvN exact path and the LvN
+right-hand side (LvnPlan.rhs) pass True; the LvN split path, which undoes
+its shift with the conjugate, and the star product pass False.
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ def half_cell_table(n: int, zero_nyquist: bool) -> np.ndarray:
     past each node. The argument is the one rule for the Nyquist k = -n/2
     (n even). With zero_nyquist the entry is 0: the Nyquist coefficient is
     split evenly between +-n/2, a pair that cancels there, so real f stays
-    real; the Weyl maps take it. Without, it is e^{-i pi / 2} = -i, and the
-    shift is unitary, so its conjugate undoes it; the LvN term bases and the
-    star product take it.
+    real; the Weyl maps, the LvN exact path and LvnPlan.rhs take it.
+    Without, it is e^{-i pi / 2} = -i, and the shift is unitary, so its
+    conjugate undoes it; the LvN split path and the star product take it.
     """
     table = np.exp(1j * np.pi * centered_chords(n) / n)
     if zero_nyquist:

@@ -19,10 +19,10 @@ even c~, half a cell past them for odd c~ (odd c, as n is even). It shifts
 the odd chords alone, in place, their (-1)^c sign folded in, then takes the
 pair with one flat take, a roll per chord (_gather; tables read-only). The
 shift reads spectral.half_cell_table(n, True): 0 at the Nyquist frequency,
-as the x2 upsample it replaces split that term. The LvN term bases read
-the same table with False (-i there), which would change a random symbol's
-operator at any n, a state's W at n = 2 (mod 4) (the FOUND line on
-N = 2 (mod 4) in CHANGES.md). On the 32^2 composite the chord transform
+as the x2 upsample it replaces split that term. The LvN exact path and
+right-hand side read it with True too; the LvN split path reads False (-i
+there), which would change a random symbol's operator at any n, a state's
+W at n = 2 (mod 4) (the FOUND line on N = 2 (mod 4) in CHANGES.md). On the 32^2 composite the chord transform
 takes 22 ms, not 52, weyl_operator_from_symbol 39, not 83, and 0.91 ms,
 not 2.05, at n = 256 (BENCH_33.json, 1 thread, AMD EPYC).
 

@@ -253,28 +253,31 @@ def _factor_axes(grid, term):
             for kind, dof, _ in term.factors]
 
 
-def _odd_shift(shape, conv, mask):
-    """e^{i pi k / n} at conv-axis frequency k on odd mask frequencies, else 1."""
+def _odd_shift(shape, conv, mask, nyquist):
+    """e^{i pi k / n} at conv-axis frequency k on odd mask frequencies, else 1;
+    at the Nyquist k = -n/2 the value nyquist (-1j for the split path, 0 for
+    the exact path and rhs)."""
     n = shape[conv]
     k_shape, q_shape = [1] * len(shape), [1] * len(shape)
     k_shape[conv], q_shape[mask] = n, shape[mask]
     k = np.fft.fftfreq(n, 1.0 / n).reshape(k_shape)
     odd = (np.arange(shape[mask]) % 2 == 1).reshape(q_shape)
-    return np.where(odd, np.exp(1j * np.pi * k / n), 1.0)
+    shift = np.where(k == -n // 2, nyquist, np.exp(1j * np.pi * k / n))
+    return np.where(odd, shift, 1.0)
 
 
-def _to_mixed(grid, term, what):
+def _to_mixed(grid, term, what, nyquist):
     """A frequency array (np.fft order on every axis) in the term's mixed
     representation: per factor, the odd mask columns' half-cell shift, then
     an inverse FFT along the factor's conv axis."""
     for conv, mask in _factor_axes(grid, term):
-        what = np.fft.ifft(what * _odd_shift(what.shape, conv, mask), axis=conv)
+        what = np.fft.ifft(what * _odd_shift(what.shape, conv, mask, nyquist), axis=conv)
     return what
 
 
-def _from_mixed(grid, term, coef):
+def _from_mixed(grid, term, coef, nyquist):
     for conv, mask in reversed(_factor_axes(grid, term)):
-        coef = np.fft.fft(coef, axis=conv) * np.conj(_odd_shift(coef.shape, conv, mask))
+        coef = np.fft.fft(coef, axis=conv) * np.conj(_odd_shift(coef.shape, conv, mask, nyquist))
     return coef
 
 
@@ -295,10 +298,10 @@ def _reference_step(h, plan, coef, pending, dt):
     for weight in (w1, w0, w1):
         for j in order:
             s = (weight if j == last else 0.5 * weight) * dt
-            coef = _to_mixed(grid, terms[j], _from_mixed(grid, terms[cur], coef))
+            coef = _to_mixed(grid, terms[j], _from_mixed(grid, terms[cur], coef, -1j), -1j)
             coef = coef * np.exp(s * gens[j])
             cur = j
-    return _to_mixed(grid, terms[0], _from_mixed(grid, terms[cur], coef))
+    return _to_mixed(grid, terms[0], _from_mixed(grid, terms[cur], coef, -1j), -1j)
 
 
 @pytest.mark.parametrize("case", ["oscillator", "double-well", "three-term"])
@@ -318,7 +321,7 @@ def test_split_step_matches_basis_change_composition(case, grid64, osc):
     plan = dynamics.LvnPlan(h.grid, h)
     n = w.values.shape[-1]  # the state is the first n entries of a padded row
     coef, _ = plan.enter(w.values)
-    want = _to_mixed(h.grid, h.terms[0], np.fft.fftn(w.values))
+    want = _to_mixed(h.grid, h.terms[0], np.fft.fftn(w.values), -1j)
     scale = np.abs(want).max()
     assert np.abs(coef[..., :n] - want).max() < 1e-13 * scale
     pending, dt = 0.013, 0.05
@@ -362,38 +365,67 @@ def _exact_case(name):
                                   "x-potential-64", "coupling-34"])
 def test_exact_path_matches_basis_change_composition(name):
     # the exact path moves only the mask axes to the frequency domain, on the
-    # half spectrum; it must give the real part of exp(t G) applied in the
-    # mixed representation reached from the full np.fft spectrum, also at
-    # N = 30, where N / 2 is odd, on an axis pair of no factor, and at
-    # N = 34 on dof 2, where the mask-Nyquist row and the last edge column
+    # half spectrum, with 0 at the Nyquist frequency in its half-cell shift;
+    # it must give the real part of exp(t G) applied in the mixed
+    # representation reached from the full np.fft spectrum with that rule,
+    # also at N = 30, where N / 2 is odd, on an axis pair of no factor, and
+    # at N = 34 on dof 2, where the mask-Nyquist row and the last edge column
     # are odd
     h, w = _exact_case(name)
     total = 0.2
     term = h.terms[0]
-    coef = np.exp(total * _full_generator(h.grid, term)) * _to_mixed(h.grid, term,
-                                                                   np.fft.fftn(w.values))
-    want = np.fft.ifftn(_from_mixed(h.grid, term, coef))
+    coef = np.exp(total * _full_generator(h.grid, term)) * _to_mixed(
+        h.grid, term, np.fft.fftn(w.values), 0.0)
+    want = np.fft.ifftn(_from_mixed(h.grid, term, coef, 0.0))
     got = evolve_lvn(w, h, total, 0.05)
     scale = np.abs(w.values).max()
     assert np.abs(got.values - want.real).max() <= 1e-15 * scale
-    if name in ("x-potential-64", "coupling-34"):
-        # the -i Nyquist entry of the shift makes the reference non-real: the
-        # half spectrum must take E-bar, not E, to keep its real part
+    if name.startswith("coupling"):
+        # the reference is not real: on the rows where the other mask axis
+        # sits at its Nyquist index, the half spectrum must take E-bar, not
+        # plain E, to keep its real part
         assert np.abs(want.imag).max() > 1e-8 * scale
+        basis, = h.lvn_plan.bases
+        plain = basis.mixed(w.values, np.exp(total * basis.generator), out=None)
+        assert np.abs(plain - want.real).max() > 1e-8 * scale
 
 
 @pytest.mark.parametrize("name", ["free-64", "free-30", "coupling", "p1-squared",
                                   "x-potential-64", "coupling-34"])
 def test_one_term_rhs_matches_the_np_fft_reference(name):
     # the generator applied in the mixed representation reached from the
-    # full np.fft spectrum
+    # full np.fft spectrum, with 0 at the Nyquist frequency
     h, w = _exact_case(name)
     plan = dynamics.LvnPlan(h.grid, h)
     got = plan.rhs(w.values)
     term = h.terms[0]
-    coef = _full_generator(h.grid, term) * _to_mixed(h.grid, term, np.fft.fftn(w.values))
-    want = np.fft.ifftn(_from_mixed(h.grid, term, coef)).real
+    coef = _full_generator(h.grid, term) * _to_mixed(h.grid, term, np.fft.fftn(w.values), 0.0)
+    want = np.fft.ifftn(_from_mixed(h.grid, term, coef, 0.0)).real
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _oracle_evolution(h, w, t):
+    """weyl_symbol_from_operator(U rho U^H) over (2 pi hbar)^n, rho W's own operator."""
+    from osqm.oracle import OperatorMatrix
+    from osqm.weyl import weyl_symbol_from_operator
+    g = h.grid
+    rho = weyl_operator_from_symbol(w.as_symbol()).matrix
+    u = weyl_operator_from_symbol(h.symbol()).unitary(t)
+    want = weyl_symbol_from_operator(OperatorMatrix(g, u @ rho @ u.conj().T))
+    return want.values.real / (2 * np.pi * g.hbar) ** g.dof
+
+
+@pytest.mark.parametrize("n", [30, 34, 38])
+def test_exact_free_evolution_at_odd_half_n_matches_the_oracle(n):
+    # at N = 2 (mod 4) the -i Nyquist rule missed by 5.7e-11/2.0e-12/3.7e-13;
+    # the Weyl maps' rule reads 1.5e-15/2.3e-15/2.1e-15
+    from osqm.scenarios import hamiltonian_preset
+    grid = PhaseGrid.create(n, 7.0)
+    h = hamiltonian_preset(grid, "free", {})
+    w = wigner_from_wavefunction(coherent_state(grid, 1.0, 0.3))
+    out = evolve_lvn(w, h, 0.3, 0.05)
+    want = _oracle_evolution(h, w, 0.3)
+    assert np.abs(out.values - want).max() <= 1e-14 * np.abs(w.values).max()
 
 
 @pytest.mark.parametrize("n", [32, 34])
@@ -420,25 +452,19 @@ def test_split_path_at_odd_half_n_matches_the_oracle():
     # mask columns include the np.fft Nyquist column. The oracle evolves W's
     # own operator, so only the splitting error and round-off remain
     # (9.4e-10 here, 1.8e-11 at N = 32).
-    from osqm.oracle import OperatorMatrix
     from osqm.scenarios import hamiltonian_preset
-    from osqm.weyl import weyl_symbol_from_operator
     grid = PhaseGrid.create(34, 7.0)
     h = hamiltonian_preset(grid, "oscillator", {})
     w = wigner_from_wavefunction(coherent_state(grid, 1.0, 0.3))
-    rho = weyl_operator_from_symbol(w.as_symbol()).matrix
-    u = weyl_operator_from_symbol(h.symbol()).unitary(1.0)
-    want = weyl_symbol_from_operator(OperatorMatrix(grid, u @ rho @ u.conj().T))
-    want = want.values.real / (2 * np.pi * grid.hbar)
     out = evolve_lvn(w, h, 1.0, 0.005)
-    assert np.abs(out.values - want).max() < 1e-8
+    assert np.abs(out.values - _oracle_evolution(h, w, 1.0)).max() < 1e-8
 
 
 def test_exact_plan_holds_one_block_of_three_half_spectrum_arrays():
-    # the generator on the half spectrum, one exp table and the work array,
-    # in one block allocated with the plan: no move tables; beside them only
-    # the small E-bar tables (conj G(-q) and conj E(-q) on the literal
-    # columns, and the conv-axis means of E on the stash columns)
+    # the generator on the half spectrum, the one E-bar table and the work
+    # array, in one block allocated with the plan: no move tables; beside
+    # them only conj G(-q) on the rows where the other mask axis sits at its
+    # Nyquist index
     h, w = _exact_case("coupling")
     evolve_lvn(w, h, 0.2, 0.05)
     evolve_lvn(w, h, 0.3, 0.05)
@@ -448,16 +474,38 @@ def test_exact_plan_holds_one_block_of_three_half_spectrum_arrays():
     assert basis.half_shape == half
     assert plan.block.shape == (3,) + half and plan.block.dtype == complex
     assert plan.block.flags.c_contiguous and plan.block.ctypes.data % 64 == 0
-    (table, tilde, means), = plan._tables.values()
+    table, = plan._tables.values()
     for k, arr in enumerate((basis.generator, table, plan._work)):
         assert arr.shape == half
         assert arr.ctypes.data == plan.block[k].ctypes.data
-    small = [basis.tilde, tilde, *means]
-    assert sum(a.nbytes for a in small) < 0.2 * plan.block.nbytes
+    (rows, tilde), = basis.nyquist_rows
+    assert tilde.shape == table[rows].shape
+    assert tilde.nbytes * 32 == plan.block[0].nbytes
     held = [a for a in (*vars(basis).values(), *vars(plan).values())
             if isinstance(a, np.ndarray)]
-    assert all(np.shares_memory(a, plan.block) for a in held if a is not basis.tilde)
+    assert all(np.shares_memory(a, plan.block) for a in held)
     assert plan._moves == {}
+
+
+@pytest.mark.parametrize("name", ["free-30", "coupling-34"])
+def test_exact_path_shifts_keep_a_weyl_image(name):
+    # the zero Nyquist rule drops the conv-axis Nyquist component of the odd
+    # mask columns; a Wigner function has none there, so a table of ones
+    # returns it (4.1e-16 on coupling-34), while a random array loses some
+    h, w = _exact_case(name)
+    basis = dynamics._TermBasis(h.grid, h.terms[0], split=False)
+    ones = np.ones(basis.half_shape, dtype=complex)
+    scale = np.abs(w.values).max()
+    assert np.abs(basis.mixed(w.values, ones, out=None) - w.values).max() < 1e-15 * scale
+    noise = np.random.default_rng(0).standard_normal(w.values.shape)
+    assert np.abs(basis.mixed(noise, ones, out=None) - noise).max() > 0.1
+
+
+def test_one_factor_term_has_no_nyquist_rows():
+    # with one mask axis, the last, E-bar is plain E
+    for name in ("free-64", "p1-squared", "x-potential-64"):
+        h, _ = _exact_case(name)
+        assert dynamics._TermBasis(h.grid, h.terms[0], split=False).nyquist_rows == []
 
 
 def test_warm_exact_call_allocates_little_beyond_its_result():
@@ -630,6 +678,17 @@ def test_hamiltonian_terms_are_a_frozen_tuple(grid64):
         Hamiltonian(grid64, [])
 
 
+@pytest.mark.parametrize("points, dof", [((64,), -1), ((64,), 1), ((32, 32), 2)])
+def test_factor_dof_off_the_grid_is_rejected(points, dof):
+    # dof -1 on a dof-1 grid read the other axis in symbol(): a p factor
+    # rendered as a function of x
+    grids = [PhaseGrid.create(n, 8.0) for n in points]
+    grid = grids[0] if len(grids) == 1 else PhaseGrid.product(*grids)
+    term = HamiltonianTerm((("p", dof, lambda p: p ** 2 / 2),))
+    with pytest.raises(ValueError, match="not a dof of the"):
+        Hamiltonian(grid, [term])
+
+
 @dataclass
 class _Quadratic:
     """A callable profile that, as an eq=True dataclass, does not hash."""
@@ -678,6 +737,19 @@ def test_lvn_rhs_matches_the_oracle_commutator(grid64, name):
     h = hamiltonian_preset(grid64, name, {})
     w = wigner_from_wavefunction(coherent_state(grid64, 1.0, 0.3))
     got = dynamics.LvnPlan(grid64, h).rhs(w.values)
+    want = _oracle_rhs(h, w)
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [30, 34])
+@pytest.mark.parametrize("name", ["oscillator", "double-well"])
+def test_lvn_rhs_at_odd_half_n_matches_the_oracle_commutator(name, n):
+    # the -i Nyquist rule missed by up to 6.0e-9; 0 reads 3.4e-15 or less
+    from osqm.scenarios import hamiltonian_preset
+    grid = PhaseGrid.create(n, 7.0)
+    h = hamiltonian_preset(grid, name, {})
+    w = wigner_from_wavefunction(coherent_state(grid, 1.0, 0.3))
+    got = dynamics.LvnPlan(grid, h).rhs(w.values)
     want = _oracle_rhs(h, w)
     assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 

@@ -47,7 +47,9 @@ DELETED = {
                       "_TermBasis.propagate", "_TermBasis.to_basis", "_freq_tables",
                       "_factor_basis", "_factor_twist", "_mixed_order",
                       "_TermBasis.twist", "_TermBasis.untwist", "_TermBasis.from_basis",
-                      "_half_shift"],
+                      "_half_shift", "_TermBasis.tables", "_TermBasis._front",
+                      "_TermBasis._flip", "_TermBasis._product", "_TermBasis._shift_half",
+                      "_TermBasis._half_spectrum_columns"],
     "osqm.moyal": ["_poly_dx", "_poly_dp", "_poly_mulc", "_poly_add", "_cdft2", "_cidft2",
                    "moyal_bracket", "moyal_product_truncated", "_ORDERS", "poly_star",
                    "poly_bracket"],
