@@ -75,8 +75,8 @@ the call's time: after the composite-measurement benchmark's set-up the
 product with the exp table took 1.5-1.7 ms on one heap and 6.6-7.7 ms on
 another, and FFT passes take about a fifth longer on an array that does
 not start on a cache line (_cache_aligned). A call on the 32^4 coupling
-takes 36 ms, against 38 ms with the stash and literal gather it replaced
-(medians of 7 runs, 1 thread, Intel Xeon, 2 vCPUs).
+takes 34 ms, against 37 ms with the stash and literal gather it replaced
+(BENCH_40.json: medians of 5 runs, 1 thread, Intel Xeon, 2 vCPUs).
 
 The tables belong to the Hamiltonian. Hamiltonian.lvn_plan builds its
 LvnPlan on the first evolve_lvn call, never before, and every later call
