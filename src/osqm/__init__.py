@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .classical import ClassicalObservable, evolve_region_classically
 from .dynamics import Hamiltonian, HamiltonianTerm, evolve_lvn
 from .grid import ContainmentError, GridMismatchError, PhaseGrid
-from .moyal import moyal_product
 from .oracle import (OperatorMatrix, WaveFunction, operator_sqrt, schrodinger_propagate,
                      tensor_state)
 from .regions import (Partition, Region, build_partition, classicality_projectors,
@@ -19,7 +18,8 @@ from .regions import (Partition, Region, build_partition, classicality_projector
 from .transitions import (ProjectionSchedule, TrajectoryEngine, TrajectoryRecord,
                           apply_quasiprojection, run_ensemble, sample_transition,
                           transition_probabilities, zeno_experiment)
-from .weyl import WeylSymbol, mean_value, weyl_operator_from_symbol, weyl_symbol_from_operator
+from .weyl import (WeylSymbol, mean_value, moyal_product, weyl_operator_from_symbol,
+                   weyl_symbol_from_operator)
 from .wigner import (WignerState, coherent_state, marginals, wavefunction_from_wigner,
                      wigner_from_wavefunction)
 

@@ -21,7 +21,7 @@ from .regions import (PS6_TOL, Partition, Region, build_partition,
 from .scenarios import MeasurementScenario, hamiltonian_preset, zeno_scenario
 from .transitions import (ProjectionSchedule, TrajectoryEngine, fit_loglog_slope,
                           zeno_experiment)
-from .weyl import WeylSymbol, weyl_operator_from_symbol, weyl_symbol_from_operator
+from .weyl import WeylSymbol, moyal_product, weyl_operator_from_symbol, weyl_symbol_from_operator
 from .wigner import coherent_state, marginals, wavefunction_from_wigner, \
     wigner_from_wavefunction
 
@@ -141,7 +141,6 @@ def criterion_2_marginals(tol: Tolerances) -> CriterionResult:
 
 
 def criterion_3_star_product(tol: Tolerances) -> CriterionResult:
-    from .moyal import moyal_product
     grid = PhaseGrid.create(64, 9.0)
     rng = np.random.default_rng(303)
     worst_contract = 0.0

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, config_to_dict, parse_config
+from .config import ConfigError, ScenarioConfig, config_to_dict, parse_config, read_config
 from .dynamics import EvolutionUnstableError
 from .grid import ContainmentError
 from .io import write_csv, write_grid_dump, write_metadata
@@ -69,11 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(cfg_dict: dict, args) -> dict:
     out = copy.deepcopy(cfg_dict)
     if getattr(args, "seed", None) is not None:
-        out.setdefault("ensemble", {})["base_seed"] = args.seed
+        _set_dotted(out, "ensemble.base_seed", args.seed)
     if getattr(args, "out_dir", None):
-        out.setdefault("output", {})["out_dir"] = args.out_dir
+        _set_dotted(out, "output.out_dir", args.out_dir)
     if getattr(args, "snapshots", None) is not None:
-        out.setdefault("output", {})["snapshot_stride"] = args.snapshots
+        _set_dotted(out, "output.snapshot_stride", args.snapshots)
     if getattr(args, "backend", None):
         out["backend"] = args.backend
     return out
@@ -164,6 +164,8 @@ def _set_dotted(d: dict, dotted: str, value):
     cur = d
     for k in keys[:-1]:
         cur = cur.setdefault(k, {})
+        if not isinstance(cur, dict):
+            raise ConfigError([f"{k}: expected an object, got {cur!r}"])
     cur[keys[-1]] = value
 
 
@@ -171,7 +173,7 @@ def _run_sweep(args) -> int:
     key, _, values = args.assign.partition("=")
     if not values:
         raise ConfigError([f"--set needs key=v1,v2,... (got {args.assign!r})"])
-    base = json.loads(Path(args.config).read_text())
+    base = read_config(args.config)
     rc = EXIT_OK
     for i, raw_val in enumerate(values.split(",")):
         try:
@@ -197,8 +199,7 @@ def main(argv=None) -> int:
         logging.getLogger("osqm").setLevel(logging.INFO)
     try:
         if args.command == "run":
-            raw = json.loads(Path(args.config).read_text())
-            cfg = parse_config(_apply_overrides(raw, args))
+            cfg = parse_config(_apply_overrides(read_config(args.config), args))
             return _run_scenario(cfg)
         if args.command == "regress":
             return _run_regress(args)

@@ -12,7 +12,7 @@ from .scenarios import HAMILTONIAN_PRESETS, STATE_PRESETS
 from .transitions import (BACKENDS, INDEX_BOUND, PHASE_EXACT_REASON, PROJECTION_MODES,
                           SCHEDULE_MODES, SEED_BOUND, SNAPSHOT_REASON)
 
-__all__ = ["ScenarioConfig", "ConfigError", "parse_config", "config_to_dict"]
+__all__ = ["ScenarioConfig", "ConfigError", "read_config", "parse_config", "config_to_dict"]
 
 
 class ConfigError(ValueError):
@@ -99,14 +99,24 @@ def _is_number(value) -> bool:
             and math.isfinite(value))
 
 
+def _object(raw) -> dict:
+    """raw, if a config's top level can be it: a JSON object."""
+    if not isinstance(raw, dict):
+        raise ConfigError([f"top level: expected an object, got {raw!r}"])
+    return raw
+
+
+def read_config(path) -> dict:
+    """The JSON object in the file at path; ConfigError if it holds another value."""
+    with open(path) as fh:
+        return _object(json.load(fh))
+
+
 def parse_config(path_or_dict) -> ScenarioConfig:
     """Load and validate a scenario config; raises ConfigError listing every
     problem found (unknown keys are errors, strict mode)."""
-    if isinstance(path_or_dict, (str, Path)):
-        with open(path_or_dict) as fh:
-            raw = json.load(fh)
-    else:
-        raw = dict(path_or_dict)
+    raw = (read_config(path_or_dict) if isinstance(path_or_dict, (str, Path))
+           else _object(path_or_dict))
     errors: list = []
 
     unknown = set(raw) - _TOP_KEYS

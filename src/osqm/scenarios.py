@@ -269,9 +269,9 @@ class MeasurementScenario:
         g1 = self.pointer_grid
         v = self.psi0.to_vector().reshape(self.pointer_grid.n(0),
                                           self.observed_grid.n(0))
-        vp = cdftn(v, (0,)) / np.sqrt(g1.n(0))    # unitary per-axis transform
+        vp = cdftn(v, 0) / np.sqrt(g1.n(0))    # unitary per-axis transform
         vp = vp * self.phase_full
-        return cidftn(vp, (0,)) * np.sqrt(g1.n(0))
+        return cidftn(vp, 0) * np.sqrt(g1.n(0))
 
     def band_probabilities(self, v2d: np.ndarray) -> np.ndarray:
         """Born weights of the three bands for the (n1, n2) state array."""

@@ -4,16 +4,15 @@ Grid points are x_j = (j - N/2) dx with N even, and the matching momentum
 grid p_m = (m - N/2) dp with dx dp N = 2 pi hbar, so the discrete transforms
 below are exactly unitary at the chosen hbar.
 
-There is one centered DFT, cdftn, with its inverse cidftn, along the axes a
-caller names: x_to_p takes one axis, the measurement scenario's coupling
-step transforms axis 0, and the star product transforms both axes of a
-dof-1 symbol.
+There is one centered DFT, cdftn, with its inverse cidftn, along one axis:
+x_to_p takes each dof's axis in turn, and the measurement scenario's
+coupling step axis 0 of its (pointer, observed) array.
 
 There is one half-cell phase table, half_cell_table(n, zero_nyquist), and
 one routine that applies it, shift_half_cell. Its argument is the one rule
 for the Nyquist frequency: the Weyl maps, the LvN exact path and the LvN
 right-hand side (LvnPlan.rhs) pass True; the LvN split path, which undoes
-its shift with the conjugate, and the star product pass False.
+its shift with the conjugate, is the one reader of False.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.array_utils import normalize_axis_tuple
 
 __all__ = [
     "alternating_signs",
@@ -45,44 +43,38 @@ def centered_chords(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _sign_tables(shape: tuple, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(alt, post): the +-1 factors of the centered DFT over axes, multiplied out.
+def _sign_tables(shape: tuple, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """(alt, post): the +-1 factors of the centered DFT along axis of shape.
 
-    Along one axis of length n the centered DFT is post_ax * fft(alt_ax * f),
-    with alt_ax = (-1)^k and post_ax = (-1)^(n // 2) alt_ax; the sign factors
-    of the other axes commute with it exactly, so over several axes it is
-    post * fftn(alt * f), and its inverse is alt * ifftn(post * F). post is
-    +-alt, so one int8 table serves both; it is 1 along every other axis.
-    The tables are built once per (shape, axes) and are read-only.
+    Along an axis of length n the centered DFT is post * fft(alt * f), with
+    alt = (-1)^k and post = (-1)^(n // 2) alt, and its inverse is
+    alt * ifft(post * F). post is +-alt, so one int8 table serves both; it
+    is shaped to broadcast along axis. The tables are built once per
+    (shape, axis) and are read-only.
     """
-    alt = np.ones((), dtype=np.int8)
-    for ax, n in enumerate(shape):
-        signs = alternating_signs(n) if ax in axes else np.ones(1)
-        alt = np.multiply.outer(alt, signs.astype(np.int8))
-    post = alt if sum(shape[ax] // 2 for ax in axes) % 2 == 0 else -alt
+    n = shape[axis]
+    alt = alternating_signs(n).astype(np.int8).reshape(
+        (-1,) + (1,) * (len(shape) - 1 - axis % len(shape)))
+    post = alt if (n // 2) % 2 == 0 else -alt
     alt.flags.writeable = post.flags.writeable = False
     return alt, post
 
 
-def cdftn(arr: np.ndarray, axes: tuple) -> np.ndarray:
-    """Centered DFT along axes, into a new complex array:
-    F[u] = sum_k f[k] exp(-2 pi i (u - n/2)(k - n/2)/n) along each."""
-    axes = normalize_axis_tuple(axes, arr.ndim)
-    alt, post = _sign_tables(arr.shape, axes)
+def cdftn(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Centered DFT along axis, into a new complex array:
+    F[u] = sum_k f[k] exp(-2 pi i (u - n/2)(k - n/2)/n)."""
+    alt, post = _sign_tables(arr.shape, axis)
     out = np.multiply(arr, alt, dtype=complex)
-    # fftn takes the last axis listed first: listed in reverse, the axes are
-    # transformed in the order given, as a loop of one-axis transforms would
-    np.fft.fftn(out, axes=axes[::-1], out=out)
+    np.fft.fft(out, axis=axis, out=out)
     return np.multiply(out, post, out=out)
 
 
-def cidftn(arr: np.ndarray, axes: tuple) -> np.ndarray:
-    """Inverse of cdftn along axes, including the 1/n factors, in place on
+def cidftn(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Inverse of cdftn along axis, including the 1/n factor, in place on
     the complex arr, which it returns."""
-    axes = normalize_axis_tuple(axes, arr.ndim)
-    alt, post = _sign_tables(arr.shape, axes)
+    alt, post = _sign_tables(arr.shape, axis)
     np.multiply(arr, post, out=arr)
-    np.fft.ifftn(arr, axes=axes[::-1], out=arr)
+    np.fft.ifft(arr, axis=axis, out=arr)
     return np.multiply(arr, alt, out=arr)
 
 
@@ -97,7 +89,7 @@ def half_cell_table(n: int, zero_nyquist: bool) -> np.ndarray:
     split evenly between +-n/2, a pair that cancels there, so real f stays
     real; the Weyl maps, the LvN exact path and LvnPlan.rhs take it.
     Without, it is e^{-i pi / 2} = -i, and the shift is unitary, so its
-    conjugate undoes it; the LvN split path and the star product take it.
+    conjugate undoes it; the LvN split path is its one reader.
     """
     table = np.exp(1j * np.pi * centered_chords(n) / n)
     if zero_nyquist:
@@ -119,4 +111,4 @@ def x_to_p(psi: np.ndarray, dx: float, hbar: float, axis: int) -> np.ndarray:
 
     phi(p_m) = (2 pi hbar)^{-1/2} * dx * sum_j psi(x_j) exp(-i x_j p_m / hbar)
     """
-    return cdftn(psi, (axis,)) * (dx / np.sqrt(2 * np.pi * hbar))
+    return cdftn(psi, axis) * (dx / np.sqrt(2 * np.pi * hbar))

@@ -151,8 +151,9 @@ class ProjectionSchedule:
     def __post_init__(self):
         if self.mode not in SCHEDULE_MODES:
             raise ValueError(f"unknown schedule mode {self.mode!r}")
-        if self.mode == "periodic" and (self.dt_proj is None or self.dt_proj <= 0):
-            raise ValueError("periodic schedule needs dt_proj > 0")
+        # None, 0, NaN and inf fail it: stride() needs a finite dt_proj / dt
+        if self.mode == "periodic" and not 0 < (self.dt_proj or 0) < np.inf:
+            raise ValueError(f"periodic schedule needs a finite dt_proj > 0, got {self.dt_proj!r}")
 
     def stride(self, dt: float, steps: int) -> int:
         if self.mode == "continuous":

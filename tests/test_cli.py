@@ -297,6 +297,38 @@ def test_malformed_number_exits_with_config_code(tmp_path, capsys, block, key, v
     assert err.startswith("invalid configuration:") and f"{key} must be" in err
 
 
+# a JSON string was opened as the path of another config, and the other
+# values reached the overrides as a number, a list or None
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("top", ["5", "[1, 2]", '"x.json"', "null"])
+def test_config_whose_top_level_is_not_an_object_exits_with_config_code(
+        tmp_path, capsys, command, top):
+    path = tmp_path / "top.json"
+    path.write_text(top)
+    args = [command, str(path), "--seed", "1"]
+    if command == "sweep":
+        args += ["--set", "grid.points=32,64"]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and "top level" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_override_into_a_block_that_is_not_an_object_exits_with_config_code(
+        tmp_path, capsys, command):
+    cfg = json.loads(_write_config(tmp_path).read_text())
+    cfg["ensemble"] = 5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    args = [command, str(path), "--seed", "1"]
+    if command == "sweep":
+        args += ["--set", "grid.points=32,64"]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and "ensemble: expected an object" in err
+
+
 def test_verbose_shows_info_records(tmp_path):
     logger = logging.getLogger("osqm")
     try:

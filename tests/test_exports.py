@@ -19,7 +19,10 @@ DELETED = {
              "SymplecticForm", "symplectic_product", "poisson_bracket", "hamilton_flow",
              "PhasePoint", "moyal_bracket", "moyal_product_truncated", "DensityOperator",
              "overlap", "coherent_wigner", "density_from_wigner", "wigner_from_density",
-             "quasiprojector_symbol"],
+             "quasiprojector_symbol", "StarProductPlan",
+             # the names osqm.moyal held before the module was deleted
+             "_poly_dx", "_poly_dp", "_poly_mulc", "_poly_add", "_cdft2", "_cidft2",
+             "_ORDERS", "poly_star", "poly_bracket", "_plan", "_twisted_rows"],
     "osqm.oracle": ["povm_apply", "VonNeumannCoupling", "measurement_premeasurement",
                     "state_vector", "DensityOperator.mix", "OperatorMatrix.expectation",
                     "DensityOperator", "position_operator", "momentum_operator",
@@ -50,10 +53,8 @@ DELETED = {
                       "_half_shift", "_TermBasis.tables", "_TermBasis._front",
                       "_TermBasis._flip", "_TermBasis._product", "_TermBasis._shift_half",
                       "_TermBasis._half_spectrum_columns"],
-    "osqm.moyal": ["_poly_dx", "_poly_dp", "_poly_mulc", "_poly_add", "_cdft2", "_cidft2",
-                   "moyal_bracket", "moyal_product_truncated", "_ORDERS", "poly_star",
-                   "poly_bracket"],
-    "osqm.weyl": ["_sym_core_1dof", "overlap", "WeylSymbol.constant", "WeylSymbol.integral"],
+    "osqm.weyl": ["_sym_core_1dof", "overlap", "WeylSymbol.constant", "WeylSymbol.integral",
+                  "StarProductPlan", "_plan", "_twisted_rows"],
     "osqm.wigner": ["_pure_chord_block", "wigner_from_density", "density_from_wigner",
                     "coherent_wigner"],
 }
@@ -79,6 +80,16 @@ def test_deleted_names_are_gone(name):
     module = importlib.import_module(name)
     assert [n for n in DELETED[name] if _resolves(module, n)] == []
     assert set(DELETED[name]).isdisjoint(getattr(module, "__all__", []))
+
+
+# modules deleted from the package, their jobs taken by another module's code
+DELETED_MODULES = ["osqm.moyal"]   # moyal_product is in osqm.weyl
+
+
+@pytest.mark.parametrize("name", DELETED_MODULES)
+def test_deleted_modules_do_not_import(name):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(name)
 
 
 def test_deleted_event_members_are_gone():
@@ -141,6 +152,8 @@ DELETED_PARAMETERS = [
     ("osqm.spectral", "shift_half_cell", "factor"),
     ("osqm.scenarios", "MeasurementScenario", "coupling_v"),
     ("osqm.acceptance", "CriterionResult", "seconds"),
+    ("osqm.spectral", "cdftn", "axes"),
+    ("osqm.spectral", "cidftn", "axes"),
 ]
 
 

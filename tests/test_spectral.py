@@ -8,7 +8,7 @@ from osqm.spectral import (cdftn, cidftn, centered_chords, half_cell_table, shif
 
 def test_cdft_inverse_pair(rng):
     f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    assert np.abs(cidftn(cdftn(f, (0,)), (0,)) - f).max() < 1e-13
+    assert np.abs(cidftn(cdftn(f, 0), 0) - f).max() < 1e-13
 
 
 # n // 2 is even at 16 and odd at 18, where the sign table flips
@@ -18,7 +18,7 @@ def test_cdft_is_the_centered_kernel(n):
     f[3] = 1.0
     u = np.arange(n) - n // 2
     expected = np.exp(-2j * np.pi * u * (3 - n // 2) / n)
-    assert np.abs(cdftn(f, (0,)) - expected).max() < 1e-13
+    assert np.abs(cdftn(f, 0) - expected).max() < 1e-13
 
 
 def test_half_cell_shift_twice_is_a_one_cell_roll(rng):
@@ -54,13 +54,12 @@ def test_half_cell_shift_maps_the_nyquist_coefficient_to_zero(n):
 
 
 # the one table of every half-cell phase: the Weyl maps read it with True,
-# the LvN term bases and the star product with False. At n = 98,
+# the LvN split path's term bases, its one reader, with False. At n = 98,
 # n * (1 / n) != 1, so np.fft.fftfreq(n, 1 / n) is not the integer
 # frequencies, and a table built from it is off by round-off
 @pytest.mark.parametrize("n", [30, 32, 98])
 def test_half_cell_table_is_the_table_of_every_half_cell_phase(n):
     from osqm.dynamics import HamiltonianTerm, _TermBasis
-    from osqm.moyal import StarProductPlan
     k = np.r_[:n // 2, -n // 2:0]
     exact = np.exp(1j * np.pi * k / n)
     weyl, lvn = half_cell_table(n, True), half_cell_table(n, False)
@@ -69,7 +68,6 @@ def test_half_cell_table_is_the_table_of_every_half_cell_phase(n):
     assert weyl[n // 2] == 0
     assert abs(lvn[n // 2] - np.exp(-1j * np.pi / 2)) < 1e-15   # -i to round-off
     grid = PhaseGrid.create(n, 7.0)
-    assert np.array_equal(StarProductPlan.build(grid).mu, np.fft.fftshift(lvn))
     for kind in "xp":   # conv axis 0 (frequency k) for x, 1 for p
         term = HamiltonianTerm(((kind, 0, np.cos),))
         shift = _TermBasis(grid, term, split=False).shift()
@@ -96,8 +94,8 @@ def test_centered_chords_layout():
     assert list(centered_chords(8)) == [0, 1, 2, 3, -4, -3, -2, -1]
 
 
-# the product of (-1)^(n // 2) over the axes is +1 for the first and third
-# shapes and -1 for the others
+# (-1)^(n // 2) is +1 along the even-half axes (32, 16) and -1 along the
+# others; each axis is transformed alone, as x_to_p and the scenario do
 @pytest.mark.parametrize("shape", [(32, 32), (30, 32), (16, 16, 16, 16),
                                    (6, 8, 6, 10)])
 @pytest.mark.parametrize("kind", [float, complex])
@@ -106,40 +104,42 @@ def test_cdftn_matches_per_axis_transforms(shape, kind):
     arr = rng.standard_normal(shape)
     if kind is complex:
         arr = arr + 1j * rng.standard_normal(shape)
-    axes = tuple(range(arr.ndim))
-    want = arr
-    for ax in axes:
-        want = cdftn(want, (ax,))
-    got = cdftn(arr, axes)
-    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
-    back = arr.astype(complex)
-    for ax in axes:
-        back = cidftn(back, (ax,))
-    spectrum = arr.astype(complex)
-    got = cidftn(spectrum, axes)
-    assert got is spectrum  # in place
-    assert np.abs(got - back).max() <= 1e-15 * np.abs(back).max()
+    for ax in range(arr.ndim):
+        n = shape[ax]
+        u = np.arange(n) - n // 2
+        kernel = np.exp(-2j * np.pi * np.outer(u, u) / n)   # [u, k], the centered DFT
+        want = np.moveaxis(np.tensordot(kernel, arr, axes=(1, ax)), 0, ax)
+        got = cdftn(arr, ax)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        spectrum = want.copy()
+        back = cidftn(spectrum, ax)
+        assert back is spectrum  # in place
+        assert np.abs(back - arr).max() <= 1e-14 * np.abs(arr).max()
 
 
 def test_sign_tables_are_built_once_per_shape_and_axes_and_read_only():
     from osqm.spectral import _sign_tables
-    alt, post = _sign_tables((6, 8, 4), (0, 2))
-    assert _sign_tables((6, 8, 4), (0, 2))[0] is alt
-    assert alt.dtype == post.dtype == np.int8 and alt.shape == (6, 1, 4)
+    alt, post = _sign_tables((6, 8, 4), 1)
+    assert _sign_tables((6, 8, 4), 1)[0] is alt
+    assert alt.dtype == post.dtype == np.int8 and alt.shape == (8, 1)
     assert not alt.flags.writeable and not post.flags.writeable
-    # (-1)^(6 // 2 + 4 // 2) = -1
-    assert np.array_equal(post, -alt)
+    assert np.array_equal(post, alt)     # (-1)^(8 // 2) = 1
+    alt, post = _sign_tables((6, 8, 4), 0)
+    assert alt.shape == (6, 1, 1) and np.array_equal(post, -alt)   # (-1)^(6 // 2) = -1
 
 
+# each listed axis is transformed alone, reading the tables of its own
+# (shape, axis)
 @pytest.mark.parametrize("shape, axes", [((64,), (0,)), ((32, 32), (0, 1)),
                                          ((30, 16), (0,)), ((6, 8, 6, 10), (1, 3))])
 def test_cached_sign_tables_give_the_fresh_tables_transform(shape, axes):
     from osqm.spectral import _sign_tables
     rng = np.random.default_rng(11)
     arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    alt, post = _sign_tables.__wrapped__(shape, axes)
-    want = np.fft.fftn(arr * alt, axes=axes[::-1]) * post
-    for _ in range(2):      # the second call reads the cached tables
-        assert np.array_equal(cdftn(arr, axes), want)
-        back = np.fft.ifftn(want * post, axes=axes[::-1]) * alt
-        assert np.array_equal(cidftn(want.copy(), axes), back)
+    for axis in axes:
+        alt, post = _sign_tables.__wrapped__(shape, axis)
+        want = np.fft.fft(arr * alt, axis=axis) * post
+        for _ in range(2):      # the second call reads the cached tables
+            assert np.array_equal(cdftn(arr, axis), want)
+            back = np.fft.ifft(want * post, axis=axis) * alt
+            assert np.array_equal(cidftn(want.copy(), axis), back)

@@ -108,6 +108,14 @@ def test_dt_proj_not_a_whole_number_of_steps_raises(dt_proj, dt):
         ProjectionSchedule("periodic", dt_proj).stride(dt, 100)
 
 
+# stride() converts dt_proj / dt to a whole number of steps, which NaN and
+# inf have none of
+@pytest.mark.parametrize("dt_proj", [None, 0.0, -0.1, np.nan, np.inf])
+def test_periodic_schedule_needs_a_finite_positive_dt_proj(dt_proj):
+    with pytest.raises(ValueError, match="finite dt_proj > 0"):
+        ProjectionSchedule("periodic", dt_proj)
+
+
 # 0.3 / 0.1 is 2.9999999999999996 in floats
 @pytest.mark.parametrize("dt_proj, dt, stride", [(np.pi / 4, np.pi / 64, 16),
                                                  (0.1, 0.01, 10), (0.3, 0.1, 3)])

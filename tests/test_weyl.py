@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from osqm.grid import GridMismatchError, PhaseGrid
 from osqm.oracle import OperatorMatrix, WaveFunction
-from osqm.weyl import WeylSymbol, mean_value, weyl_operator_from_symbol, weyl_symbol_from_operator
+from osqm.weyl import (WeylSymbol, mean_value, moyal_product, weyl_operator_from_symbol,
+                       weyl_symbol_from_operator)
 from osqm.wigner import coherent_state, wavefunction_from_wigner, wigner_from_wavefunction
 
 
@@ -391,3 +393,80 @@ def test_cached_index_tables_are_read_only():
                   spectral.half_cell_table(16, True), spectral.half_cell_table(16, False)]:
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 1
+
+
+def _gauss(grid, x0, p0, w):
+    X, P = grid.phase_mesh()
+    return WeylSymbol(grid, np.exp(-((X - x0) ** 2 + (P - p0) ** 2) / (2 * w ** 2)) + 0j)
+
+
+def test_identity_star(grid64):
+    b = _gauss(grid64, -0.4, 0.6, 1.1)
+    one = WeylSymbol(grid64, np.ones(grid64.phase_shape))
+    assert np.abs(moyal_product(one, b).values - b.values).max() < 1e-13
+    assert np.abs(moyal_product(b, one).values - b.values).max() < 1e-13
+
+
+def test_star_matches_operator_product(grid64, rng):
+    for _ in range(8):
+        a = _gauss(grid64, *rng.uniform(-1.5, 1.5, 2), rng.uniform(0.9, 1.3))
+        b = _gauss(grid64, *rng.uniform(-1.5, 1.5, 2), rng.uniform(0.9, 1.3))
+        lhs = weyl_operator_from_symbol(moyal_product(a, b)).matrix
+        rhs = weyl_operator_from_symbol(a).matrix @ weyl_operator_from_symbol(b).matrix
+        assert np.abs(lhs - rhs).max() < 1e-10
+
+
+def test_star_associativity(grid64, rng):
+    a = _gauss(grid64, 0.5, -0.3, 1.0)
+    b = _gauss(grid64, -0.4, 0.6, 1.1)
+    c = _gauss(grid64, 0.2, 0.1, 0.9)
+    lhs = moyal_product(moyal_product(a, b), c).values
+    rhs = moyal_product(a, moyal_product(b, c)).values
+    assert np.abs(lhs - rhs).max() < 1e-6
+
+
+def test_pure_state_star_idempotency(grid64):
+    w = wigner_from_wavefunction(coherent_state(grid64, 0.8, -0.5))
+    ws = WeylSymbol(grid64, w.values + 0j)
+    out = moyal_product(ws, ws)
+    scale = 1 / (2 * np.pi * grid64.hbar)
+    assert np.abs(out.values - scale * w.values).max() < 1e-9
+
+
+def test_star_grid_mismatch(grid64):
+    other = PhaseGrid.create(64, 8.0)
+    a = _gauss(grid64, 0, 0, 1.0)
+    b = _gauss(other, 0, 0, 1.0)
+    with pytest.raises(GridMismatchError):
+        moyal_product(a, b)
+
+
+def _dof2_grid():
+    return PhaseGrid.product(PhaseGrid.create(32, 6.0), PhaseGrid.create(32, 6.0))
+
+
+# a real pair, and a complex a whose operator is not Hermitian; both misses
+# read about 1e-9, the Nyquist content of Gaussians on 32 points
+@pytest.mark.parametrize("complex_a", [False, True], ids=["real", "complex"])
+def test_star_matches_operator_product_on_dof2(complex_a):
+    grid = _dof2_grid()
+    x0, x1, p0, p1 = grid.phase_mesh()
+    a = np.exp(-((x0 - 0.5) ** 2 + (p0 + 0.5) ** 2 + (x1 - 0.5) ** 2 + (p1 + 0.5) ** 2) / 2)
+    b = np.exp(-((x0 + 0.5) ** 2 + (p0 - 0.5) ** 2 + (x1 + 0.5) ** 2 + (p1 - 0.5) ** 2) / 2)
+    a, b = WeylSymbol(grid, a * (1 + 1j * p1 if complex_a else 1)), WeylSymbol(grid, b)
+    rhs = weyl_operator_from_symbol(a).matrix @ weyl_operator_from_symbol(b).matrix
+    lhs = weyl_operator_from_symbol(moyal_product(a, b)).matrix
+    assert np.abs(lhs - rhs).max() < 1e-8 * np.abs(rhs).max()
+
+
+def test_star_of_product_symbols_is_the_product_of_stars(rng):
+    grid = _dof2_grid()
+    a1, a2, b1, b2 = (_gauss(grid.factor(0), *rng.uniform(-1, 1, 2), rng.uniform(0.9, 1.3))
+                      for _ in range(4))
+
+    def kron(s, u):
+        return WeylSymbol(grid, np.einsum("ac,bd->abcd", s.values, u.values))
+
+    lhs = moyal_product(kron(a1, a2), kron(b1, b2)).values
+    rhs = kron(moyal_product(a1, b1), moyal_product(a2, b2)).values
+    assert np.abs(lhs - rhs).max() < 1e-10 * np.abs(rhs).max()

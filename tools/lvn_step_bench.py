@@ -43,7 +43,9 @@ the case's group; a call of `DRAWS` Born draws or seeds counts as that many.
   oscillator's coherent state; weyl-op-256: that oscillator's H to an
   operator, the dof-1 map that the slosh-oracle set-up and each
   phase-backend event run.
-- star-product-64: `moyal_product` of two Gaussian symbols at N = 64.
+- star-product-64: `moyal_product` of two Gaussian symbols at N = 64, as the
+  package exports it: `osqm.weyl.moyal_product`, Sym(Op(a) Op(b)), and the
+  twisted convolution of `osqm.moyal` in a checkout that still has it.
 - pace-reference: one bench/pace.py `Pace().reference_kernel()` burst. It
   calls nothing in osqm, so it shows how fast the host ran.
 """
@@ -293,8 +295,8 @@ def _weyl_map(which: str) -> Timed:
 
 def _star_product() -> Timed:
     import numpy as np
+    from osqm import moyal_product
     from osqm.grid import PhaseGrid
-    from osqm.moyal import moyal_product
     from osqm.weyl import WeylSymbol
 
     grid = PhaseGrid.create(64, 9.0)
