@@ -257,9 +257,9 @@ def moyal_product(a: WeylSymbol, b: WeylSymbol) -> WeylSymbol:
     the symbol of the operator product, on every dof.
 
     The identity, and associativity with it, hold to round-off where
-    Op(a) Op(b) lies in the range of weyl_operator_from_symbol, which on an
-    even grid misses the Nyquist sector; products of resolved, contained
-    symbols stay inside it. At coarse grids the miss is the round trip's:
+    Op(a) Op(b) is the image of a symbol with no Nyquist content, on which
+    weyl_symbol_from_operator inverts Op, as it is to round-off for
+    resolved, contained symbols. At coarse grids the miss is the round trip's:
     for unit-width Gaussians at (x, p) = +-(0.5, -0.5), extent 6, it is
     1.6e-3 of max|Op(a) Op(b)| at N = 16, 3.3e-6 at N = 24, 3.8e-10 at 32.
     """
