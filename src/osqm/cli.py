@@ -169,13 +169,37 @@ def _set_dotted(d: dict, dotted: str, value):
     cur[keys[-1]] = value
 
 
+def _sweep_values(values: str) -> list:
+    """The --set values: values split at the commas outside brackets, braces
+    and JSON strings, so that a list or an object is one value."""
+    parts, start, depth, in_string, escaped = [], 0, 0, False, False
+    for i, ch in enumerate(values):
+        if in_string:
+            in_string = ch != '"' or escaped
+            escaped = ch == "\\" and not escaped
+        elif ch == '"':
+            in_string = True
+        elif ch in "[{":
+            depth += 1
+        elif ch in "]}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(values[start:i])
+            start = i + 1
+        if depth < 0:
+            break
+    if depth or in_string:
+        raise ConfigError([f"--set values have unbalanced brackets or quotes: {values!r}"])
+    return parts + [values[start:]]
+
+
 def _run_sweep(args) -> int:
     key, _, values = args.assign.partition("=")
     if not values:
         raise ConfigError([f"--set needs key=v1,v2,... (got {args.assign!r})"])
     base = read_config(args.config)
     rc = EXIT_OK
-    for i, raw_val in enumerate(values.split(",")):
+    for i, raw_val in enumerate(_sweep_values(values)):
         try:
             val = json.loads(raw_val)
         except json.JSONDecodeError:

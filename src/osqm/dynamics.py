@@ -361,25 +361,24 @@ class _TermBasis:
             np.fft.ifft(view, axis=axis, out=view)
         return arr
 
-    def _shift_odd(self, arr: np.ndarray, zero_nyquist: bool, conj: bool) -> None:
+    def _shift_odd(self, arr: np.ndarray, zero_nyquist: bool, adjoint: bool) -> None:
         """Shift the odd mask columns of arr along each conv axis by half a
-        cell, with half_cell_table(n, zero_nyquist) or its conjugate."""
+        cell, with half_cell_table(n, zero_nyquist)'s map or its adjoint."""
         for axis, mask in zip(self.axes, self.masks):
             index = [slice(None)] * arr.ndim
             index[mask] = slice(1, None, 2)
-            table = half_cell_table(arr.shape[axis], zero_nyquist)
-            shift_half_cell(arr[tuple(index)], axis, np.conj(table) if conj else table)
+            shift_half_cell(arr[tuple(index)], axis, zero_nyquist, adjoint=adjoint, negate=False)
 
     def to_mixed(self, arr: np.ndarray) -> np.ndarray:
         """The complex arr, in place, in the split path's mixed representation:
         every axis but the conv axes in frequency."""
         np.fft.fftn(arr, axes=self.others, out=arr)
-        self._shift_odd(arr, zero_nyquist=False, conj=False)
+        self._shift_odd(arr, zero_nyquist=False, adjoint=False)
         return arr
 
     def from_mixed(self, arr: np.ndarray) -> np.ndarray:
         """The inverse of to_mixed, in place."""
-        self._shift_odd(arr, zero_nyquist=False, conj=True)
+        self._shift_odd(arr, zero_nyquist=False, adjoint=True)
         np.fft.ifftn(arr, axes=self.others, out=arr)
         return arr
 
@@ -399,11 +398,11 @@ class _TermBasis:
         arr = np.fft.rfft(w, axis=self.r, out=out)
         if c2c_axes:
             np.fft.fftn(arr, axes=c2c_axes, out=arr)
-        self._shift_odd(arr, zero_nyquist=True, conj=False)
+        self._shift_odd(arr, zero_nyquist=True, adjoint=False)
         # in place, table first: complex products round by operand order,
         # which numpy's temporary elision would pick by array size in a * b
         np.multiply(table, arr, out=arr)
-        self._shift_odd(arr, zero_nyquist=True, conj=True)
+        self._shift_odd(arr, zero_nyquist=True, adjoint=True)
         if c2c_axes:
             np.fft.ifftn(arr, axes=c2c_axes, out=arr)
         return np.fft.irfft(arr, n=self.shape[self.r], axis=self.r)

@@ -8,11 +8,26 @@ There is one centered DFT, cdftn, with its inverse cidftn, along one axis:
 x_to_p takes each dof's axis in turn, and the measurement scenario's
 coupling step axis 0 of its (pointer, observed) array.
 
-There is one half-cell phase table, half_cell_table(n, zero_nyquist), and
-one routine that applies it, shift_half_cell. Its argument is the one rule
-for the Nyquist frequency: the Weyl maps, the LvN exact path and the LvN
-right-hand side (LvnPlan.rhs) pass True; the LvN split path, which undoes
-its shift with the conjugate, is the one reader of False.
+There is one half-cell shift, the linear map ifft(table * fft(f)) along one
+axis with the phase table half_cell_table(n, zero_nyquist), and one routine
+that applies it, its adjoint or its negative: shift_half_cell. The argument
+is the one rule for the Nyquist frequency: the Weyl maps, the LvN exact path
+and the LvN right-hand side (LvnPlan.rhs) pass True; the LvN split path,
+which undoes its shift with the adjoint, is the one reader of False.
+
+The map has two evaluations. Under the zero rule, on an axis of at most
+GEMM_MAX points, it is one real matrix product with its circulant kernel
+ifft(table) on the (re, im) pairs; on a longer axis, and always under the
+-i rule, it is the FFT pair. The cutoff is the measured crossover: on the
+free particle's exact LvN path the product took 0.74/0.86-0.88/0.95-1.05 of
+the FFT pair's time at N = 32/48/64 and 0.99-1.10/1.23-1.30 at N = 96/128
+(1 BLAS thread, 2-vCPU Intel Xeon). On the 32^4 coupling of the
+composite-measurement workload one shift of the p_0 factor's odd columns
+took 1.1 ms, not 2.9, and one of the tanh(x_1) factor's 2.1 ms, not 4.0.
+The -i rule's kernel is complex, and its zgemm lost: on that host a pure
+FFT loop ran 1.5 times as long right after a 64 x 64 zgemm (1.2 times
+after a dgemm), and a one-step split-path call took 1.14-1.24 times as long
+with it at N = 32 and 1.34-1.42 times at N = 64.
 """
 
 from __future__ import annotations
@@ -20,6 +35,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+# the longest axis on which shift_half_cell is a matrix product, not an FFT
+# pair: the measured crossover (module docstring)
+GEMM_MAX = 64
 
 __all__ = [
     "alternating_signs",
@@ -81,7 +100,8 @@ def cidftn(arr: np.ndarray, axis: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def half_cell_table(n: int, zero_nyquist: bool) -> np.ndarray:
     """e^{i pi k / n} at each integer frequency k of centered_chords(n), in
-    np.fft order; read-only. Every half-cell shift in osqm reads this table.
+    np.fft order; read-only. Every half-cell shift in osqm is this table's
+    map, evaluated as the FFT pair or as a product with its kernel.
 
     ifft(table * fft(f)) samples f's trigonometric interpolant half a cell
     past each node. The argument is the one rule for the Nyquist k = -n/2
@@ -98,12 +118,56 @@ def half_cell_table(n: int, zero_nyquist: bool) -> np.ndarray:
     return table
 
 
-def shift_half_cell(arr: np.ndarray, axis: int, table: np.ndarray) -> np.ndarray:
-    """In place on the complex arr: ifft(table * fft(arr)) along axis, with
-    table a half_cell_table or a multiple or conjugate of one; returns arr."""
-    np.fft.fft(arr, axis=axis, out=arr)
-    arr *= table.reshape((-1,) + (1,) * (arr.ndim - 1 - axis % arr.ndim))
-    return np.fft.ifft(arr, axis=axis, out=arr)
+@lru_cache(maxsize=32)
+def _half_cell_kernel(n: int) -> np.ndarray:
+    """K[j, m] = ifft(half_cell_table(n, True))[(j - m) % n]: the zero rule's
+    half-cell shift as a circulant matrix, K f = ifft(table * fft(f)); real,
+    since that table is Hermitian, and read-only. The conjugate table's map
+    is K^T, the negated table's -K."""
+    kernel = np.fft.ifft(half_cell_table(n, True)).real
+    j = np.arange(n)
+    kernel = kernel[(j[:, None] - j) % n]
+    kernel.flags.writeable = False
+    return kernel
+
+
+def shift_half_cell(arr: np.ndarray, axis: int, zero_nyquist: bool, *,
+                    adjoint: bool, negate: bool) -> np.ndarray:
+    """In place on the complex arr: the half-cell shift of half_cell_table(n,
+    zero_nyquist) along axis, its adjoint if adjoint, negated if negate;
+    returns arr.
+
+    One linear map, two evaluations: with the zero rule on an axis of at
+    most GEMM_MAX points, one real np.matmul with the kernel (K^T for the
+    adjoint, -K if negate) on the (re, im) pairs; otherwise the FFT pair
+    with the table (its conjugate, times -1). The product reads arr's rows
+    in place when the axes behind axis are contiguous, else one contiguous
+    copy (an innermost odd-column view, a shift along the last axis)."""
+    n = arr.shape[axis]
+    if n > GEMM_MAX or not zero_nyquist:
+        table = half_cell_table(n, zero_nyquist)
+        if adjoint:
+            table = np.conj(table)
+        if negate:
+            table = table * -1.0
+        np.fft.fft(arr, axis=axis, out=arr)
+        arr *= table.reshape((-1,) + (1,) * (arr.ndim - 1 - axis % arr.ndim))
+        return np.fft.ifft(arr, axis=axis, out=arr)
+    kernel = _half_cell_kernel(n)
+    if adjoint:
+        kernel = kernel.T
+    if negate:
+        kernel = -kernel
+    axis %= arr.ndim
+    view = arr
+    if axis == arr.ndim - 1:    # the rows along axis are those of the axis before it
+        view = arr[:, None] if arr.ndim == 1 else np.swapaxes(arr, -1, -2)
+        axis = view.ndim - 2
+    # the axes behind axis flattened to one row of (re, im) pairs
+    src = view if view[(0,) * (axis + 1)].flags.c_contiguous else np.ascontiguousarray(view)
+    rows = src.reshape(view.shape[:axis + 1] + (-1,)).view(float)
+    view[...] = np.matmul(kernel, rows).view(complex).reshape(view.shape)
+    return arr
 
 
 def x_to_p(psi: np.ndarray, dx: float, hbar: float, axis: int) -> np.ndarray:

@@ -18,8 +18,11 @@ Each core reads a chord c at the midpoints of its pairs: on the nodes for
 even c~, half a cell past them for odd c~ (odd c, as n is even). It shifts
 the odd chords alone, in place, their (-1)^c sign folded in, then takes the
 pair with one flat take, a roll per chord (_gather; tables read-only). The
-shift reads spectral.half_cell_table(n, True): 0 at the Nyquist frequency,
-as the x2 upsample it replaces split that term. The LvN exact path and
+shift is spectral.shift_half_cell with the rule True, negated: the table
+half_cell_table(n, True), 0 at the Nyquist frequency, as the x2 upsample it
+replaces split that term. Up to spectral.GEMM_MAX points (the composite's
+32-point axes) it runs as one product with the real kernel -K, beyond (the
+n = 256 maps) as the FFT pair. The LvN exact path and
 right-hand side read it with True too; the one reader of False (-i there)
 is the LvN split path, and -i here would change a random symbol's operator
 at any n, a state's W at n = 2 (mod 4) (the FOUND line on N = 2 (mod 4) in
@@ -61,7 +64,7 @@ import numpy as np
 
 from .grid import GridMismatchError, PhaseGrid
 from .oracle import OperatorMatrix
-from .spectral import centered_chords, half_cell_table, shift_half_cell
+from .spectral import centered_chords, shift_half_cell
 
 __all__ = [
     "WeylSymbol",
@@ -139,7 +142,7 @@ def _gather(arr: np.ndarray, ax: int, chord_axis: int, take: np.ndarray) -> np.n
     odd = [slice(None)] * arr.ndim
     odd[chord_axis] = slice(1, None, 2)
     axis = 2 * ax + 1 - chord_axis
-    shift_half_cell(arr[tuple(odd)], axis, half_cell_table(arr.shape[axis], True) * -1.0)
+    shift_half_cell(arr[tuple(odd)], axis, True, adjoint=False, negate=True)
     flat = arr.reshape(arr.shape[:ax] + (-1,) + arr.shape[ax + 2:])  # a view: contiguous
     return flat.take(take, axis=ax)
 

@@ -329,6 +329,30 @@ def test_override_into_a_block_that_is_not_an_object_exits_with_config_code(
     assert err.startswith("invalid configuration:") and "ensemble: expected an object" in err
 
 
+# a list holds commas: the sweep split --set at each of them and ran the
+# string '[-3.0'. Cuts at +-1 would leave a middle region narrower than
+# 5 sqrt(hbar), which parse_config rejects on this grid
+def test_sweep_takes_each_list_value_whole(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    args = ["sweep", str(_write_config(tmp_path)), "--set",
+            "partition.x_boundaries=[-3.0,3.0],[0.0]", "--out-dir", str(out_dir)]
+    assert cli.main(args) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    for i, cuts in enumerate([[-3.0, 3.0], [0.0]]):
+        assert f"# sweep {i}: partition.x_boundaries = {cuts}" in out
+        meta = json.loads((out_dir / f"sweep_{i:03d}" / "metadata.json").read_text())
+        assert meta["config"]["partition"]["x_boundaries"] == cuts
+    assert not (out_dir / "sweep_002").exists()
+
+
+def test_sweep_values_with_unbalanced_brackets_exit_with_config_code(tmp_path, capsys):
+    args = ["sweep", str(_write_config(tmp_path)), "--set", "partition.x_boundaries=[1,2"]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and "unbalanced" in err
+    assert "Traceback" not in err
+
+
 def test_verbose_shows_info_records(tmp_path):
     logger = logging.getLogger("osqm")
     try:

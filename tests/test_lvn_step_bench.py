@@ -55,6 +55,20 @@ def test_eigh_cases_decompose_a_hermitian_operator_of_their_size(monkeypatch):
             assert [(op.hermitian, op.matrix.shape) for op in seen] == [(True, (size, size))]
 
 
+# the free particle's half-cell shifts are one matrix product at N = 64 and
+# FFT pairs at N = 128, on either side of spectral.GEMM_MAX
+def test_exact_free_cases_sit_on_either_side_of_the_gemm_cutoff(monkeypatch):
+    from osqm import spectral
+    sizes, kernel = [], spectral._half_cell_kernel
+    monkeypatch.setattr(spectral, "_half_cell_kernel",
+                        lambda n: sizes.append(n) or kernel(n))
+    for name, matmul in (("exact-free-64", True), ("exact-free-128", False)):
+        timed = tool.CASES[name].factory()
+        sizes.clear()
+        timed.call()   # the odd columns shifted and shifted back
+        assert sizes == ([64, 64] if matmul else [])
+
+
 def test_host_records_the_blas_that_numpy_runs_on():
     # every eigh of osqm runs on numpy's LAPACK, so its BLAS build decides the timings
     blas = tool._host()["blas"]

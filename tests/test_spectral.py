@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from osqm.grid import PhaseGrid
-from osqm.spectral import (cdftn, cidftn, centered_chords, half_cell_table, shift_half_cell,
-                           x_to_p)
+from osqm.spectral import (GEMM_MAX, _half_cell_kernel, cdftn, cidftn, centered_chords,
+                           half_cell_table, shift_half_cell, x_to_p)
 
 
 def test_cdft_inverse_pair(rng):
@@ -25,9 +25,9 @@ def test_half_cell_shift_twice_is_a_one_cell_roll(rng):
     f = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     f -= f @ (-1.0) ** np.arange(32) / 32 * (-1.0) ** np.arange(32)   # no Nyquist term
     g = f.copy()
-    table = half_cell_table(32, True)
-    assert shift_half_cell(g, 0, table) is g
-    assert np.abs(shift_half_cell(g, 0, table) - np.roll(f, -1)).max() < 1e-13
+    assert shift_half_cell(g, 0, True, adjoint=False, negate=False) is g
+    assert np.abs(shift_half_cell(g, 0, True, adjoint=False, negate=False)
+                  - np.roll(f, -1)).max() < 1e-13
 
 
 def test_half_cell_shift_exact_for_bandlimited():
@@ -36,12 +36,12 @@ def test_half_cell_shift_exact_for_bandlimited():
     # a mode inside the open band is exact at the half points
     f = np.cos(2 * np.pi * 3 * j / n + 0.4)
     exact = np.cos(2 * np.pi * 3 * (j + 0.5) / n + 0.4)
-    assert np.abs(shift_half_cell(f + 0j, 0, half_cell_table(n, True)) - exact).max() < 1e-12
+    assert np.abs(shift_half_cell(f + 0j, 0, True, adjoint=False, negate=False) - exact).max() < 1e-12
 
 
 def test_half_cell_shift_keeps_real_real(rng):
     f = rng.standard_normal((32, 3)) + 0j
-    assert np.abs(shift_half_cell(f, 0, half_cell_table(32, True)).imag).max() < 1e-13
+    assert np.abs(shift_half_cell(f, 0, True, adjoint=False, negate=False).imag).max() < 1e-13
 
 
 # the Nyquist coefficient is split evenly between +-n/2, as the x2 upsample
@@ -50,7 +50,70 @@ def test_half_cell_shift_keeps_real_real(rng):
 def test_half_cell_shift_maps_the_nyquist_coefficient_to_zero(n):
     table = half_cell_table(n, True)
     assert table[n // 2] == 0
-    assert np.abs(shift_half_cell((-1.0) ** np.arange(n) + 0j, 0, table)).max() < 1e-15
+    assert np.abs(shift_half_cell((-1.0) ** np.arange(n) + 0j, 0, True,
+                                  adjoint=False, negate=False)).max() < 1e-15
+
+
+def _fft_pair(arr, axis, table):
+    """ifft(table * fft(arr)) along axis, into a new array."""
+    spectrum = np.fft.fft(arr, axis=axis)
+    spectrum *= table.reshape((-1,) + (1,) * (arr.ndim - 1 - axis))
+    return np.fft.ifft(spectrum, axis=axis)
+
+
+# (parent shape, view of the parent, axis of the view): a whole 1-D array;
+# odd rows, shifted along an axis with contiguous rows behind it and along
+# the last axis; odd columns, whose shifted axis has strided rows behind it
+_LAYOUTS = {
+    "1-d": (lambda n: (n,), lambda a: a, 0),
+    "odd-rows": (lambda n: (6, n, 3), lambda a: a[1::2], 1),
+    "odd-rows-last-axis": (lambda n: (6, n), lambda a: a[1::2], 1),
+    "odd-columns": (lambda n: (n, 4, 6), lambda a: a[..., 1::2], 0),
+}
+
+
+# one linear map, two evaluations: under the zero rule the circulant matrix
+# up to GEMM_MAX points, the fft pair beyond; the fft pair under the -i rule.
+# The fft pair is bitwise the one before the matrix product
+@pytest.mark.parametrize("n", [8, 30, 32, 34, 64, 66, 128])
+@pytest.mark.parametrize("zero_nyquist", [True, False])
+@pytest.mark.parametrize("adjoint, negate", [(False, False), (True, False), (False, True)])
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_shift_half_cell_is_the_fft_pair_of_its_table(n, zero_nyquist, adjoint, negate,
+                                                      layout):
+    shape, view, axis = _LAYOUTS[layout]
+    rng = np.random.default_rng(n)
+    parent = rng.standard_normal(shape(n)) + 1j * rng.standard_normal(shape(n))
+    table = half_cell_table(n, zero_nyquist)
+    table = -table if negate else np.conj(table) if adjoint else table
+    want = parent.copy()
+    view(want)[...] = _fft_pair(view(parent), axis, table)
+    got = parent.copy()
+    arr = view(got)
+    reads = sum(_half_cell_kernel.cache_info()[:2])
+    assert shift_half_cell(arr, axis, zero_nyquist, adjoint=adjoint, negate=negate) is arr
+    matmul = zero_nyquist and n <= GEMM_MAX
+    assert (sum(_half_cell_kernel.cache_info()[:2]) > reads) == matmul
+    if matmul:
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    else:
+        assert np.array_equal(got, want)
+    untouched = np.ones(parent.shape, bool)
+    view(untouched)[...] = False
+    assert np.array_equal(got[untouched], parent[untouched])
+
+
+def test_half_cell_kernel_is_built_once_per_size_and_read_only():
+    arr = np.ones((32, 5), complex)
+    kernel = _half_cell_kernel(32)
+    assert kernel.dtype == float and kernel.shape == (32, 32)
+    assert not kernel.flags.writeable
+    misses = _half_cell_kernel.cache_info().misses
+    for adjoint, negate in [(False, False), (True, False), (False, True)]:
+        shift_half_cell(arr, 0, True, adjoint=adjoint, negate=negate)
+    assert _half_cell_kernel.cache_info().misses == misses
+    assert _half_cell_kernel(32) is kernel
+    assert np.array_equal(kernel[:, 0], np.fft.ifft(half_cell_table(32, True)).real)
 
 
 # the one table of every half-cell phase: the Weyl maps read it with True,

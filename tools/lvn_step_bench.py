@@ -17,8 +17,10 @@ the case's group; a call of `DRAWS` Born draws or seeds counts as that many.
   representation, on the oscillator at N = 64, 128, 256 (extent 9, dt
   0.005); three-term-32x32: on a dof-2 three-term H (extent 8, dt 0.05).
 - exact-32x32: the composite-measurement workload's `evolve_lvn` call on its
-  set-up; exact-free-256: one exact-path `evolve_lvn` of the free particle
-  to t 1 at N = 256 (extent 9); one-step-N: one dt 0.005 call of the oscillator at N, as the phase
+  set-up; exact-free-N: one exact-path `evolve_lvn` of the free particle
+  to t 1 at N = 64, 128, 256 (extent 9), whose half-cell shifts are one
+  matrix product at 64 and FFT pairs above `spectral.GEMM_MAX`;
+  one-step-N: one dt 0.005 call of the oscillator at N, as the phase
   backend's continuous schedule makes it. exact-after-setup: exact-32x32
   first in its process, after the workload's three set-ups and dense
   reference step, whose arrays stay alive and decide where the evolution's
@@ -313,6 +315,8 @@ CASES = {
     "oscillator-256": Case("lvn_step_ms", partial(_step, 256), 20, 9),
     "three-term-32x32": Case("lvn_step_ms", partial(_step, 0), 3, 7),
     "exact-32x32": Case("evolve_lvn_ms", partial(_exact, False), 5, 9),
+    "exact-free-64": Case("evolve_lvn_ms", partial(_exact_free, 64), 100, 9),
+    "exact-free-128": Case("evolve_lvn_ms", partial(_exact_free, 128), 50, 9),
     "exact-free-256": Case("evolve_lvn_ms", partial(_exact_free, 256), 20, 9),
     "one-step-64": Case("evolve_lvn_ms", partial(_one_step, 64), 50, 9),
     "one-step-128": Case("evolve_lvn_ms", partial(_one_step, 128), 20, 9),
