@@ -69,14 +69,19 @@ The exact path runs in one block of three half-spectrum complex arrays,
 allocated with the plan and starting on a 64-byte cache line: the
 generator, the E-bar table and the work array that the rfft writes,
 3 x 8.9 MB on 32^4. Beside them the plan holds conj G(-q) on the Nyquist
-rows, 0.3 MB there. A call allocates its real result and a few small
-arrays. With a fresh complex array per call, where that array landed set
-the call's time: after the composite-measurement benchmark's set-up the
+rows, 0.3 MB there. A call allocates its real result, a few small arrays
+and, for each odd-column shift, a temporary the size of those columns.
+With a fresh complex array per call, where that array landed set the
+call's time: after the composite-measurement benchmark's set-up the
 product with the exp table took 1.5-1.7 ms on one heap and 6.6-7.7 ms on
 another, and FFT passes take about a fifth longer on an array that does
 not start on a cache line (_cache_aligned). A call on the 32^4 coupling
-takes 34 ms, against 37 ms with the stash and literal gather it replaced
-(BENCH_40.json: medians of 5 runs, 1 thread, Intel Xeon, 2 vCPUs).
+takes 23 ms, against 30 ms when its four odd-column shifts were FFT pairs
+along the 32-point conv axes (BENCH_42.json: medians of 5 runs, 1 thread,
+Intel Xeon, 2 vCPUs). On those axes each shift is one real matrix product
+(spectral.GEMM_MAX): 1.1 ms for the p_0 factor, where its FFT pair took
+2.9, and 2.1 ms for the tanh(x_1) factor, whose odd columns are copied to a
+contiguous buffer first, where the FFT pair took 4.0.
 
 The tables belong to the Hamiltonian. Hamiltonian.lvn_plan builds its
 LvnPlan on the first evolve_lvn call, never before, and every later call

@@ -160,7 +160,7 @@ def shift_half_cell(arr: np.ndarray, axis: int, zero_nyquist: bool, *,
         kernel = -kernel
     axis %= arr.ndim
     view = arr
-    if axis == arr.ndim - 1:    # the rows along axis are those of the axis before it
+    if axis == arr.ndim - 1:    # swap the last axis with the one before it
         view = arr[:, None] if arr.ndim == 1 else np.swapaxes(arr, -1, -2)
         axis = view.ndim - 2
     # the axes behind axis flattened to one row of (re, im) pairs

@@ -20,15 +20,17 @@ the odd chords alone, in place, their (-1)^c sign folded in, then takes the
 pair with one flat take, a roll per chord (_gather; tables read-only). The
 shift is spectral.shift_half_cell with the rule True, negated: the table
 half_cell_table(n, True), 0 at the Nyquist frequency, as the x2 upsample it
-replaces split that term. Up to spectral.GEMM_MAX points (the composite's
-32-point axes) it runs as one product with the real kernel -K, beyond (the
-n = 256 maps) as the FFT pair. The LvN exact path and
-right-hand side read it with True too; the one reader of False (-i there)
-is the LvN split path, and -i here would change a random symbol's operator
-at any n, a state's W at n = 2 (mod 4) (the FOUND line on N = 2 (mod 4) in
-CHANGES.md). On the 32^2 composite the chord transform
-takes 22 ms, not 52, weyl_operator_from_symbol 39, not 83, and 0.91 ms,
-not 2.05, at n = 256 (BENCH_33.json, 1 thread, AMD EPYC).
+replaces split that term. Up to spectral.GEMM_MAX points it is one
+product with the real kernel -K, beyond (the n = 256 maps) the FFT pair.
+The LvN exact path and right-hand side read it with True too; the one
+reader of False (-i there) is the LvN split path, and -i here would change
+a random symbol's operator at any n, a state's W at n = 2 (mod 4) (the
+FOUND line on N = 2 (mod 4) in CHANGES.md). On the 32^2 composite the chord
+transform takes 22 ms, not 52, weyl_operator_from_symbol 39, not 83, and
+0.91 ms, not 2.05, at n = 256 (BENCH_33.json, 1 thread, AMD EPYC). There
+the product took dof 0's odd-chord shift from 3.1 to 1.9 ms and dof 1's,
+along the last axis and so through a transposed copy, from 3.9 to 4.5 ms
+(1 thread, Intel Xeon).
 
 The symbol side also has a real path, as rfft has beside fft: a pure
 state's W and a Hermitian operator's symbol are real, and the chord block
