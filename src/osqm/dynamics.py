@@ -76,7 +76,7 @@ call's time: after the composite-measurement benchmark's set-up the
 product with the exp table took 1.5-1.7 ms on one heap and 6.6-7.7 ms on
 another, and FFT passes take about a fifth longer on an array that does
 not start on a cache line (_cache_aligned). A call on the 32^4 coupling
-takes 23 ms, against 30 ms when its four odd-column shifts were FFT pairs
+takes 21 ms, against 32 ms when its four odd-column shifts were FFT pairs
 along the 32-point conv axes (BENCH_42.json: medians of 5 runs, 1 thread,
 Intel Xeon, 2 vCPUs). On those axes each shift is one real matrix product
 (spectral.GEMM_MAX): 1.1 ms for the p_0 factor, where its FFT pair took
